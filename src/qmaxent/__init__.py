@@ -11,7 +11,16 @@ Modules:
 - ``cli``: sweep/experiment harness and the ``qmaxent`` command.
 """
 
-from .circuit import Circuit, Gate, coherence, parse_circuit, populations, simulate
+from .circuit import (
+    Circuit,
+    Gate,
+    apply_gates,
+    coherence,
+    parse_circuit,
+    populations,
+    simulate,
+    zero_state,
+)
 from .errors import (
     DomainError,
     IncompleteDataError,

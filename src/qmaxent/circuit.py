@@ -11,7 +11,11 @@ The text format is one gate per line after a ``qubits <n>`` header:
 
 ``<expr>`` is a product/quotient chain of real literals, ``pi`` and
 ``theta`` (bound at parse time), e.g. ``pi/2`` or ``2*theta``. ``#``
-starts a comment.
+starts a comment. Angles must be finite.
+
+``simulate`` is ``apply_gates`` on ``zero_state``; a caller that needs
+the same state under several extra gate sequences (basis rotations, for
+instance) simulates once and applies each sequence to the result.
 """
 
 from __future__ import annotations
@@ -86,11 +90,16 @@ def _eval_factor(tok: str, theta: float | None, line: int) -> float:
     if tok == "theta":
         if theta is None:
             raise ParseError("angle uses 'theta' but no binding was supplied", line)
+        if not math.isfinite(theta):
+            raise ParseError(f"angle uses 'theta' bound to {theta!r}", line)
         return sign * theta
     try:
-        return sign * float(tok)
+        value = float(tok)
     except ValueError:
         raise ParseError(f"bad angle factor {tok!r}", line) from None
+    if not math.isfinite(value):
+        raise ParseError(f"angle factor {tok!r} is not finite", line)
+    return sign * value
 
 
 def _eval_angle(expr: str, theta: float | None, line: int) -> float:
@@ -107,6 +116,8 @@ def _eval_angle(expr: str, theta: float | None, line: int) -> float:
             if factor == 0:
                 raise ParseError("division by zero in angle expression", line)
             value /= factor
+    if not math.isfinite(value):
+        raise ParseError(f"angle expression {expr!r} overflows", line)
     return value
 
 
@@ -215,26 +226,47 @@ def _apply_2q(state: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     return psi.reshape(-1)
 
 
-def simulate(c: Circuit) -> np.ndarray:
-    """Run the circuit on |0...0> and return the final amplitude vector."""
-    n = c.num_qubits
-    state = np.zeros(2**n, dtype=complex)
+def zero_state(num_qubits: int) -> np.ndarray:
+    """Amplitude vector of |0...0> on ``num_qubits`` qubits."""
+    state = np.zeros(2**num_qubits, dtype=complex)
     state[0] = 1.0
-    for gate in c.gates:
+    return state
+
+
+def apply_gates(state: np.ndarray, gates: tuple[Gate, ...], n: int) -> np.ndarray:
+    """Apply ``gates`` in order to an n-qubit amplitude vector.
+
+    The input is not modified; with no gates it is returned as it is,
+    after the same norm check every returned state gets.
+    """
+    state = np.asarray(state)
+    if state.shape != (2**n,):
+        raise ValidationError(f"expected {2**n} amplitudes, got shape {state.shape}")
+    for gate in gates:
+        if not all(0 <= q < n for q in gate.targets):
+            raise ValidationError(
+                f"gate {gate.kind} targets {gate.targets} out of range for {n} qubit(s)"
+            )
         if gate.kind in _TWO_QUBIT:
             state = _apply_2q(state, gate, n)
         else:
             state = _apply_1q(state, _matrix_1q(gate), gate.targets[0], n)
     norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > 1e-10:
+    # Written so that a NaN norm fails too.
+    if not abs(norm - 1.0) <= 1e-10:
         raise TomographyError(f"statevector norm drifted to {norm!r}")
     return state
+
+
+def simulate(c: Circuit) -> np.ndarray:
+    """Run the circuit on |0...0> and return the final amplitude vector."""
+    return apply_gates(zero_state(c.num_qubits), c.gates, c.num_qubits)
 
 
 def populations(sv: np.ndarray) -> np.ndarray:
     """Probabilities of the basis states, indexed by basis state - 1."""
     p = np.abs(np.asarray(sv)) ** 2
-    if abs(p.sum() - 1.0) > 1e-10:
+    if not abs(p.sum() - 1.0) <= 1e-10:
         raise ValidationError(f"state is not normalized: sum |a|^2 = {p.sum()!r}")
     return p
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import circuits as bundled
-from .circuit import Circuit, parse_circuit, populations, simulate
+from .circuit import parse_circuit, populations, simulate
 from .errors import (
     InfeasibleRecordError,
     ParseError,
@@ -227,34 +227,29 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def _measure_point(
     cfg: ExperimentConfig,
-    circuit_text: str,
-    theta: float,
+    sv: np.ndarray,
     k: int,
     point_seed: int,
+    calibration: CalibrationMatrix | None,
 ) -> tuple[float, complex, float]:
-    """Backend measurement of (x11, x1K, true xKK) at one sweep point.
+    """Backend measurement of (x11, x1K, true xKK) on the state ``sv``.
 
     x1K is reported in the density-matrix convention rho[1, K]; for a pure
     state that is a_0 * conj(a_{K-1}).
     """
-    c = parse_circuit(circuit_text, theta=theta)
-    sv = simulate(c)
     if cfg.backend == "exact":
         pops = populations(sv)
         x1k = complex(sv[0] * np.conj(sv[k - 1]))
         return float(pops[0]), x1k, float(pops[k - 1])
 
     noise = cfg.noise if cfg.backend == "noisy" else None
-    calibration: CalibrationMatrix | None = None
-    if cfg.backend == "noisy" and cfg.mitigate:
-        calibration = build_calibration(noise, c.num_qubits)
     table = sample_counts(sv, cfg.shots, noise, point_seed)
     if calibration is not None:
         pops = mitigate(table, calibration)
     else:
         pops = estimate_populations(table)
     coherence_mean = estimate_coherence(
-        c,
+        sv,
         1,
         k,
         shots_per_setting=cfg.shots,
@@ -295,13 +290,19 @@ def _sweep_points(cfg: ExperimentConfig, base_dir: Path | None = None):
         thetas = [cfg.theta_start]
     else:
         thetas = np.linspace(cfg.theta_start, cfg.theta_stop, cfg.theta_steps)
+    calibration = None
+    if cfg.backend == "noisy" and cfg.mitigate:
+        calibration = build_calibration(cfg.noise, num_qubits)
     point = 0
     for theta in thetas:
+        theta = float(theta)
+        # One simulation per theta serves every K target and Pauli setting.
+        sv = simulate(parse_circuit(circuit_text, theta=theta))
         for k in k_targets:
             seed = cfg.seed + _POINT_SEED_STRIDE * point
             point += 1
-            x11, x1k, xkk_true = _measure_point(cfg, circuit_text, float(theta), k, seed)
-            yield float(theta), k, dim_n, x11, x1k, xkk_true
+            x11, x1k, xkk_true = _measure_point(cfg, sv, k, seed, calibration)
+            yield theta, k, dim_n, x11, x1k, xkk_true
 
 
 def run_sweep(cfg: ExperimentConfig, base_dir: Path | None = None) -> list[SweepRow]:

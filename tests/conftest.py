@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they are used to check: the matrix
 exponential is a scaled Taylor series (no eigendecomposition), entropy and
-dense expectations are direct formulas.
+dense expectations are direct formulas, and the simplex-constrained least
+squares is scipy's general-purpose SLSQP.
 """
 
 import numpy as np
@@ -73,3 +74,27 @@ def vn_entropy(rho: np.ndarray) -> float:
 
 def dense_expectation(sv: np.ndarray, op: np.ndarray) -> complex:
     return complex(np.vdot(sv, op @ sv))
+
+
+def slsqp_simplex_lstsq(m: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """min ||M p - f||^2 over p >= 0, sum p = 1, by scipy's SLSQP."""
+    from scipy.optimize import minimize
+
+    direct = np.linalg.solve(m, f)
+    start = np.maximum(direct, 0.0)
+    start /= start.sum()
+    result = minimize(
+        lambda p: float(np.sum((m @ p - f) ** 2)),
+        start,
+        jac=lambda p: 2.0 * m.T @ (m @ p - f),
+        method="SLSQP",
+        bounds=[(0.0, 1.0)] * f.size,
+        constraints={
+            "type": "eq",
+            "fun": lambda p: p.sum() - 1.0,
+            "jac": lambda p: np.ones((1, p.size)),
+        },
+        options={"ftol": 1e-14, "maxiter": 300},
+    )
+    assert result.success, result.message
+    return np.maximum(result.x, 0.0)

@@ -189,7 +189,7 @@ def test_criterion_6_shot_noise_scaling():
     for shots in shot_counts:
         values = np.array(
             [
-                estimate_coherence(bell, 1, 4, shots_per_setting=shots, seed=seed)
+                estimate_coherence(simulate(bell), 1, 4, shots_per_setting=shots, seed=seed)
                 for seed in range(50)
             ]
         )

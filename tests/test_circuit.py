@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from qmaxent import ParseError, ValidationError
+from qmaxent import ParseError, TomographyError, ValidationError
 from qmaxent.circuit import (
     Circuit,
     Gate,
+    apply_gates,
     coherence,
     parse_circuit,
     populations,
     simulate,
+    zero_state,
 )
 
 BELL = "qubits 2\nh 0\ncx 0 1"
@@ -77,6 +79,16 @@ class TestParse:
     def test_duplicate_target_rejected(self):
         with pytest.raises(ParseError, match="distinct"):
             parse_circuit("qubits 2\ncx 1 1")
+
+    @pytest.mark.parametrize("expr", ["nan", "inf", "-inf", "pi*nan", "1e200*1e200"])
+    def test_non_finite_angle_reports_line(self, expr):
+        with pytest.raises(ParseError, match="line 3") as info:
+            parse_circuit(f"qubits 1\nh 0\nrx({expr}) 0")
+        assert info.value.line == 3
+
+    def test_non_finite_theta_reports_line(self):
+        with pytest.raises(ParseError, match="line 2.*theta"):
+            parse_circuit("qubits 1\nry(2*theta) 0", theta=math.nan)
 
 
 class TestSimulate:
@@ -193,3 +205,28 @@ class TestObservables:
             coherence(sv, 0, 1)
         with pytest.raises(ValidationError):
             coherence(sv, 1, 5)
+
+
+class TestApplyGates:
+    def test_extra_gates_on_a_prepared_state(self):
+        prep = parse_circuit("qubits 2\nry(0.7) 0\ncx 0 1")
+        extra = (Gate("rz", (1,), -math.pi / 2), Gate("h", (1,)))
+        np.testing.assert_array_equal(
+            apply_gates(simulate(prep), extra, 2), simulate(prep.extended(extra))
+        )
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValidationError, match="expected 4 amplitudes"):
+            apply_gates(np.ones(3) / math.sqrt(3), (), 2)
+
+    def test_target_out_of_range_rejected(self):
+        with pytest.raises(ValidationError, match="out of range"):
+            apply_gates(zero_state(1), (Gate("h", (1,)),), 1)
+
+    def test_nan_state_fails_the_norm_check(self):
+        with pytest.raises(TomographyError, match="norm"):
+            apply_gates(np.array([np.nan, 0.0], dtype=complex), (Gate("h", (0,)),), 1)
+
+    def test_nan_populations_rejected(self):
+        with pytest.raises(ValidationError, match="not normalized"):
+            populations(np.array([np.nan, 0.0]))

@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmaxent
 from qmaxent import circuits
 from qmaxent.cli import (
     ExperimentConfig,
@@ -304,6 +308,20 @@ class TestCommandLine:
         rec.write_text("n 4\nk 2\nx11 0.6\nre_x1k 0\nim_x1k 0\nxkk 0.4\n")
         assert main(["reconstruct", str(rec)]) == 3
 
+    @pytest.mark.parametrize("backend", ["exact", "shots"])
+    def test_non_finite_angle_exit_code(self, tmp_path, capsys, backend):
+        (tmp_path / "nan.qc").write_text("qubits 2\nrx(nan) 0\ncx 0 1\n")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"circuit nan.qc\ntheta_steps 2\nbackend {backend}\nshots 64\n")
+        assert main(["--out", str(tmp_path / "o.csv"), "sweep", str(cfg)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def test_non_finite_theta_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("circuit twoq_b\ntheta_start nan\ntheta_steps 2\n")
+        assert main(["--out", str(tmp_path / "o.csv"), "sweep", str(cfg)]) == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["sweep", str(tmp_path / "nope.txt")]) == 2
 
@@ -314,6 +332,16 @@ class TestCommandLine:
         assert main(["--out", str(out1), "sweep", str(cfg)]) == 0
         assert main(["--seed", "99", "--out", str(out2), "sweep", str(cfg)]) == 0
         assert out1.read_bytes() != out2.read_bytes()
+
+    def test_cli_import_does_not_load_scipy(self):
+        src = str(Path(qmaxent.__file__).resolve().parents[1])
+        code = "import sys, qmaxent.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_csv_format_flag(self, capsys, tmp_path):
         record = tmp_path / "rec.txt"

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_expectation
+from conftest import dense_expectation, slsqp_simplex_lstsq
 
-from qmaxent import DomainError, ValidationError
+from qmaxent import DomainError, ParseError, ValidationError
 from qmaxent.circuit import parse_circuit, populations, simulate
 from qmaxent.pauli import PauliString, to_matrix
 from qmaxent.sampler import (
@@ -19,6 +19,7 @@ from qmaxent.sampler import (
     load_counts,
     mitigate,
     sample_counts,
+    _mitigation_solve,
 )
 
 BELL = parse_circuit("qubits 2\nh 0\ncx 0 1")
@@ -101,13 +102,13 @@ class TestEstimatePauli:
     def test_z_on_ground_state_is_exact(self):
         c = parse_circuit("qubits 1")
         for shots in (1, 7, 100):
-            assert estimate_pauli(c, PauliString(("Z",)), shots, seed=5) == 1.0
+            assert estimate_pauli(simulate(c), PauliString(("Z",)), shots, seed=5) == 1.0
 
     def test_x_eigenstate_is_exact(self):
-        assert estimate_pauli(PLUS, PauliString(("X",)), 10000, seed=6) == 1.0
+        assert estimate_pauli(simulate(PLUS), PauliString(("X",)), 10000, seed=6) == 1.0
 
     def test_bell_zz(self):
-        value = estimate_pauli(BELL, PauliString(("Z", "Z")), 10000, seed=7)
+        value = estimate_pauli(simulate(BELL), PauliString(("Z", "Z")), 10000, seed=7)
         assert value == pytest.approx(1.0, abs=0.02)
 
     def test_exact_mode_matches_dense(self):
@@ -121,32 +122,32 @@ class TestEstimatePauli:
             if ps.is_identity:
                 continue
             exact = dense_expectation(sv, to_matrix(ps)).real
-            assert estimate_pauli(c, ps) == pytest.approx(exact, abs=1e-10)
+            assert estimate_pauli(simulate(c), ps) == pytest.approx(exact, abs=1e-10)
 
     def test_sampled_converges_to_dense(self):
         c = parse_circuit("qubits 2\nry(0.8) 0\nrx(1.3) 1\ncx 0 1")
         ps = PauliString(("X", "Y"))
-        exact = estimate_pauli(c, ps)
-        sampled = estimate_pauli(c, ps, shots=100000, seed=8)
+        exact = estimate_pauli(simulate(c), ps)
+        sampled = estimate_pauli(simulate(c), ps, shots=100000, seed=8)
         assert sampled == pytest.approx(exact, abs=3 / math.sqrt(100000) + 1e-12)
 
 
 class TestEstimateCoherence:
     def test_bell_exact_mode(self):
-        value = estimate_coherence(BELL, 1, 4)
+        value = estimate_coherence(simulate(BELL), 1, 4)
         assert value == pytest.approx(0.5 + 0j, abs=1e-12)
 
     def test_bell_sampled(self):
-        value = estimate_coherence(BELL, 1, 4, shots_per_setting=10000, seed=11)
+        value = estimate_coherence(simulate(BELL), 1, 4, shots_per_setting=10000, seed=11)
         assert value == pytest.approx(0.5 + 0j, abs=0.03)
 
     def test_plus_state_sampled(self):
-        value = estimate_coherence(PLUS, 1, 2, shots_per_setting=10000, seed=12)
+        value = estimate_coherence(simulate(PLUS), 1, 2, shots_per_setting=10000, seed=12)
         assert value == pytest.approx(0.5 + 0j, abs=0.02)
 
     def test_diagonal_rejected(self):
         with pytest.raises(ValidationError):
-            estimate_coherence(BELL, 2, 2, shots_per_setting=10)
+            estimate_coherence(simulate(BELL), 2, 2, shots_per_setting=10)
 
     def test_exact_mode_matches_statevector_everywhere(self):
         from qmaxent.circuit import coherence
@@ -157,7 +158,7 @@ class TestEstimateCoherence:
             for j in range(1, 5):
                 if i == j:
                     continue
-                assert estimate_coherence(c, i, j) == pytest.approx(
+                assert estimate_coherence(simulate(c), i, j) == pytest.approx(
                     coherence(sv, i, j), abs=1e-10
                 )
 
@@ -165,7 +166,7 @@ class TestEstimateCoherence:
         seeds = range(50)
         def spread(shots):
             values = [
-                estimate_coherence(BELL, 1, 4, shots_per_setting=shots, seed=s)
+                estimate_coherence(simulate(BELL), 1, 4, shots_per_setting=shots, seed=s)
                 for s in seeds
             ]
             values = np.array(values)
@@ -244,6 +245,81 @@ class TestMitigate:
         assert wins >= 0.95 * trials
 
 
+def _constrained_problem(rng, num_qubits):
+    """A random tensored calibration and sampled frequencies of a sparse
+    distribution, which often leave the direct solve negative."""
+    noise = ReadoutNoise(
+        tuple(rng.uniform(0.01, 0.1, num_qubits)),
+        tuple(rng.uniform(0.01, 0.1, num_qubits)),
+    )
+    cal = build_calibration(noise, num_qubits)
+    truth = np.zeros(cal.dim)
+    support = rng.choice(cal.dim, size=max(1, cal.dim // 4), replace=False)
+    truth[support] = rng.dirichlet(np.ones(support.size))
+    freqs = rng.multinomial(2000, cal.entries @ truth) / 2000
+    return cal, freqs
+
+
+class TestSimplexSolve:
+    @pytest.mark.parametrize(("num_qubits", "draws"), [(1, 30), (2, 30), (3, 30), (6, 6)])
+    def test_kkt_conditions_and_oracle_objective(self, num_qubits, draws):
+        rng = np.random.default_rng(40 + num_qubits)
+        constrained = 0
+        for _ in range(draws):
+            cal, freqs = _constrained_problem(rng, num_qubits)
+            m = cal.entries
+            if np.linalg.solve(m, freqs).min() >= 0.0:
+                continue
+            constrained += 1
+            p = _mitigation_solve(freqs, cal)
+            assert p.min() >= 0.0
+            assert abs(p.sum() - 1.0) <= 1e-12
+            grad = m.T @ (m @ p - freqs)
+            free = p > 0.0
+            # Stationarity: the gradient is the same on every free entry,
+            # minus the multiplier eta of the sum constraint.
+            eta = -grad[free].mean()
+            assert np.abs(grad[free] + eta).max() <= 1e-12
+            # Zero-set multipliers are non-negative.
+            assert (grad[~free] + eta).min(initial=0.0) >= -1e-12
+            oracle = slsqp_simplex_lstsq(m, freqs)
+            objective = np.sum((m @ p - freqs) ** 2)
+            # Only rounding (about 1e-18 here) may put it above the oracle.
+            assert objective <= np.sum((m @ oracle - freqs) ** 2) + 1e-15
+        assert constrained >= draws // 3
+
+    def test_singular_calibration_raises_domain_error(self):
+        single = np.array([[0.5, 0.5], [0.5, 0.5]])
+        cal = CalibrationMatrix(2, np.kron(single, np.eye(2)))
+        with pytest.raises(DomainError):
+            _mitigation_solve(np.array([0.7, 0.0, 0.3, 0.0]), cal)
+
+    def test_calibration_entries_are_a_read_only_copy(self):
+        source = np.eye(2)
+        cal = CalibrationMatrix(1, source)
+        source[0, 0] = 0.5
+        assert cal.entries[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            cal.entries[0, 0] = 0.5
+
+
+class TestMalformedStates:
+    def test_length_not_a_power_of_two_rejected(self):
+        sv = np.ones(3) / math.sqrt(3)
+        with pytest.raises(ValidationError, match="2\\^n"):
+            sample_counts(sv, 10)
+        with pytest.raises(ValidationError, match="2\\^n"):
+            estimate_pauli(sv, PauliString(("Z",)), 10)
+
+    def test_nan_state_rejected(self):
+        with pytest.raises(ValidationError, match="not normalized"):
+            sample_counts(np.array([np.nan, 0.0]), 10)
+
+    def test_string_width_must_match_state(self):
+        with pytest.raises(ValidationError, match="state has 2"):
+            estimate_pauli(BELL_SV, PauliString(("Z",)))
+
+
 class TestCountsIO:
     def test_roundtrip(self):
         ct = sample_counts(BELL_SV, 500, ReadoutNoise.uniform(0.01, 0.02, 2), seed=21)
@@ -257,3 +333,16 @@ class TestCountsIO:
     def test_malformed_rejected(self):
         with pytest.raises(ValidationError):
             load_counts("shots 10\n00 10\n")  # missing seed
+
+    @pytest.mark.parametrize(
+        ("text", "line"),
+        [
+            ("shots 10\nseed 0\n0 4\n1 2\n0 8\n", 5),
+            ("shots 10\nseed 0\nseed 3\n0 10\n", 3),
+            ("shots 10\nseed 0\n0 10\nshots 10\n", 4),
+        ],
+    )
+    def test_duplicate_lines_rejected(self, text, line):
+        with pytest.raises(ParseError, match=f"line {line}: duplicate") as info:
+            load_counts(text)
+        assert info.value.line == line
