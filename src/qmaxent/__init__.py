@@ -2,7 +2,7 @@
 
 Modules:
 
-- ``linalg``: Hermitian eigendecomposition, matrix exp/log kernel.
+- ``linalg``: Hermitian checks and eigendecomposition, tolerance policy.
 - ``maxent``: the reconstruction engine (multipliers, spectrum, density
   matrix, forward/inverse maps, population prediction, fidelity).
 - ``circuit``: gate DSL parser and exact statevector simulator.
@@ -34,14 +34,11 @@ from .linalg import (
     EigenSystem,
     NumericPolicy,
     hermitian_eig,
-    matrix_exp_hermitian,
-    matrix_log_psd,
 )
 from .maxent import (
     ExponentSpectrum,
     LagrangeSet,
     MeasurementRecord,
-    build_exponent,
     density_from_lagrange,
     dump_record,
     feasible_record,
@@ -53,6 +50,7 @@ from .maxent import (
     reconstruct,
     saturation_rescale,
     solve_lagrange,
+    solve_record,
     spectrum,
 )
 from .pauli import (
@@ -68,11 +66,9 @@ from .sampler import (
     CountsTable,
     ReadoutNoise,
     build_calibration,
-    dump_counts,
     estimate_coherence,
     estimate_pauli,
     estimate_populations,
-    load_counts,
     mitigate,
     sample_counts,
 )

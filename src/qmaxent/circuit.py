@@ -74,9 +74,6 @@ class Circuit:
                     f"{self.num_qubits} qubit(s)"
                 )
 
-    def extended(self, extra: tuple[Gate, ...]) -> "Circuit":
-        return Circuit(self.num_qubits, self.gates + tuple(extra))
-
 
 _GATE_RE = re.compile(r"^(rx|ry|rz)\((.*)\)$")
 

@@ -15,6 +15,7 @@ sub-seed per measurement setting.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import warnings
@@ -24,25 +25,19 @@ from pathlib import Path
 import numpy as np
 
 from . import circuits as bundled
-from .circuit import parse_circuit, populations, simulate
-from .errors import (
-    InfeasibleRecordError,
-    ParseError,
-    TomographyError,
-    ValidationError,
-)
+from .circuit import coherence, parse_circuit, populations, simulate
+from .errors import InfeasibleRecordError, TomographyError, ValidationError
 from .linalg import POLICY
 from .maxent import (
     LagrangeSet,
+    MeasurementRecord,
     density_from_lagrange,
     dump_record,
-    feasible_record,
     fidelity,
     heatmap_scan,
     load_record,
-    predict_population,
-    saturation_rescale,
-    solve_lagrange,
+    parse_keyvals,
+    solve_record,
 )
 from .pauli import decompose_ketbra
 from .sampler import (
@@ -70,7 +65,7 @@ class ExperimentConfig:
     theta_start: float = 0.0
     theta_stop: float = 2 * math.pi
     theta_steps: int = 21
-    k_targets: tuple[int, ...] = ()
+    k_targets: tuple[int, ...] = ()  # empty: every K in 2..2^n
     backend: str = "exact"
     shots: int | None = None
     noise: ReadoutNoise | None = None
@@ -87,9 +82,6 @@ class ExperimentConfig:
             raise ValidationError(f"backend {self.backend!r} requires shots >= 1")
         if self.backend == "noisy" and self.noise is None:
             raise ValidationError("noisy backend requires a noise model")
-        for k in self.k_targets:
-            if k < 2:
-                raise ValidationError(f"k target {k} must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -146,21 +138,6 @@ def resolve_circuit(spec_value: str, base_dir: Path | None = None) -> str:
         raise ValidationError(f"cannot read circuit {spec_value!r}: {exc}") from None
 
 
-def _parse_keyvals(text: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split(maxsplit=1)
-        if len(parts) != 2:
-            raise ParseError(f"expected 'key value', got {raw!r}", lineno)
-        if parts[0] in values:
-            raise ParseError(f"duplicate key {parts[0]!r}", lineno)
-        values[parts[0]] = parts[1]
-    return values
-
-
 def _parse_bool(value: str, key: str) -> bool:
     lowered = value.strip().lower()
     if lowered in ("true", "1", "yes"):
@@ -168,6 +145,27 @@ def _parse_bool(value: str, key: str) -> bool:
     if lowered in ("false", "0", "no"):
         return False
     raise ValidationError(f"bad boolean for {key!r}: {value!r}")
+
+
+def _k_targets(k_targets: tuple[int, ...], dim_n: int) -> tuple[int, ...]:
+    """The K targets of a sweep: every K in 2..dim_n when none are given,
+    else the given ones, each in range and named once."""
+    if not k_targets:
+        return tuple(range(2, dim_n + 1))
+    for k in k_targets:
+        if k < 2:
+            raise ValidationError(f"k target {k} must be >= 2")
+        if k > dim_n:
+            raise ValidationError(f"k target {k} exceeds dimension {dim_n}")
+    if len(set(k_targets)) != len(k_targets):
+        raise ValidationError(f"k targets {k_targets} name a target twice")
+    return tuple(k_targets)
+
+
+_CONFIG_KEYS = (
+    "circuit", "theta_start", "theta_stop", "theta_steps", "k_targets",
+    "backend", "shots", "p01", "p10", "mitigate", "seed", "out",
+)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -178,14 +176,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     p01, p10, mitigate (true|false), seed, out.
     """
     path = Path(path)
-    values = _parse_keyvals(path.read_text())
-    known = {
-        "circuit", "theta_start", "theta_stop", "theta_steps", "k_targets",
-        "backend", "shots", "p01", "p10", "mitigate", "seed", "out",
-    }
-    unknown = sorted(set(values) - known)
-    if unknown:
-        raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
+    values = parse_keyvals(path.read_text(), _CONFIG_KEYS, "config")
     if "circuit" not in values:
         raise ValidationError("config is missing the 'circuit' key")
 
@@ -202,12 +193,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
         k_targets = tuple(
             int(tok) for tok in values.get("k_targets", "").split(",") if tok.strip()
         )
-        config = ExperimentConfig(
+        return ExperimentConfig(
             circuit_path=values["circuit"],
             theta_start=float(values.get("theta_start", 0.0)),
             theta_stop=float(values.get("theta_stop", 2 * math.pi)),
             theta_steps=int(values.get("theta_steps", 21)),
-            k_targets=k_targets or tuple(range(2, 2**num_qubits + 1)),
+            k_targets=_k_targets(k_targets, 2**num_qubits),
             backend=backend,
             shots=int(values["shots"]) if "shots" in values else None,
             noise=noise,
@@ -217,12 +208,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         )
     except ValueError as exc:
         raise ValidationError(f"bad config value: {exc}") from None
-    for k in config.k_targets:
-        if k > 2**num_qubits:
-            raise ValidationError(
-                f"k target {k} exceeds dimension {2 ** num_qubits}"
-            )
-    return config
 
 
 def _measure_point(
@@ -239,8 +224,8 @@ def _measure_point(
     """
     if cfg.backend == "exact":
         pops = populations(sv)
-        x1k = complex(sv[0] * np.conj(sv[k - 1]))
-        return float(pops[0]), x1k, float(pops[k - 1])
+        # rho[1, K] is the mean of |K><1|
+        return float(pops[0]), coherence(sv, k, 1), float(pops[k - 1])
 
     noise = cfg.noise if cfg.backend == "noisy" else None
     table = sample_counts(sv, cfg.shots, noise, point_seed)
@@ -260,20 +245,28 @@ def _measure_point(
     return float(pops[0]), complex(coherence_mean).conjugate(), float(pops[k - 1])
 
 
-def _reconstruct_pair(
-    dim_n: int, k: int, x11: float, x1k: complex, xkk_pred: float, xkk_true: float
-):
-    """Solve case A (predicted xKK) and case B (true xKK) for one point."""
-    rec_a = feasible_record(dim_n, k, x11, x1k, xkk_pred, source="predicted")
-    rec_b = feasible_record(dim_n, k, x11, x1k, xkk_true, source="measured")
-    ls_a = solve_lagrange(saturation_rescale(rec_a))
-    ls_b = solve_lagrange(saturation_rescale(rec_b))
-    rho_a = density_from_lagrange(ls_a)
-    rho_b = density_from_lagrange(ls_b)
-    return ls_a, ls_b, fidelity(rho_a, rho_b)
+def _solve_point(
+    theta: float, k: int, dim_n: int, x11: float, x1k: complex, xkk_true: float
+) -> CaseABRow:
+    """Case A (predicted xKK) and case B (true xKK) of one measured point."""
+    measured = MeasurementRecord(dim_n, k, x11, x1k)
+    with warnings.catch_warnings():
+        # A clamped prediction shows in the row as xkk_pred = 1 - x11.
+        warnings.filterwarnings("ignore", "predicted population", RuntimeWarning)
+        completed_a, ls_a = solve_record(measured)
+    _, ls_b = solve_record(measured, xkk_true)
+    fid = fidelity(density_from_lagrange(ls_a), density_from_lagrange(ls_b))
+    return CaseABRow(theta, k, xkk_true, completed_a.x_kk, fid, ls_a, ls_b)
 
 
 def _sweep_points(cfg: ExperimentConfig, base_dir: Path | None = None):
+    """Measure and reconstruct every (theta, K) point, theta outer, K inner.
+
+    Yields (theta, k, x11, x1k, xkk_true, case_ab), where case_ab is the
+    point's CaseABRow, or None when x11 sits at the degeneracy floor and
+    no prediction exists. Point p draws from sub-seed seed + 10007 * p,
+    floor points included.
+    """
     circuit_text = resolve_circuit(cfg.circuit_path, base_dir)
     num_qubits = parse_circuit(circuit_text, theta=0.0).num_qubits
     if num_qubits < 2:
@@ -282,10 +275,7 @@ def _sweep_points(cfg: ExperimentConfig, base_dir: Path | None = None):
             "states remain in a 1-qubit system)"
         )
     dim_n = 2**num_qubits
-    k_targets = cfg.k_targets or tuple(range(2, dim_n + 1))
-    for k in k_targets:
-        if k > dim_n:
-            raise ValidationError(f"k target {k} exceeds dimension {dim_n}")
+    k_targets = _k_targets(cfg.k_targets, dim_n)
     if cfg.theta_steps == 1:
         thetas = [cfg.theta_start]
     else:
@@ -302,7 +292,10 @@ def _sweep_points(cfg: ExperimentConfig, base_dir: Path | None = None):
             seed = cfg.seed + _POINT_SEED_STRIDE * point
             point += 1
             x11, x1k, xkk_true = _measure_point(cfg, sv, k, seed, calibration)
-            yield theta, k, dim_n, x11, x1k, xkk_true
+            case_ab = None
+            if x11 > POLICY.population_floor:
+                case_ab = _solve_point(theta, k, dim_n, x11, x1k, xkk_true)
+            yield theta, k, x11, x1k, xkk_true, case_ab
 
 
 def run_sweep(cfg: ExperimentConfig, base_dir: Path | None = None) -> list[SweepRow]:
@@ -311,82 +304,65 @@ def run_sweep(cfg: ExperimentConfig, base_dir: Path | None = None) -> list[Sweep
     Rows are ordered theta-outer, K-inner. Points where the measured x11
     sits at the degeneracy floor are emitted with NaN prediction fields and
     the near_singular flag instead of aborting the sweep. Clamp warnings
-    from the predictor are suppressed here; a clamped row is recognizable
-    by xkk_pred = 1 - x11.
+    from the predictor are suppressed; a clamped row is recognizable by
+    xkk_pred = 1 - x11.
     """
     rows: list[SweepRow] = []
-    for theta, k, dim_n, x11, x1k, xkk_true in _sweep_points(cfg, base_dir):
-        if x11 <= POLICY.population_floor:
-            rows.append(
-                SweepRow(
-                    theta, k, x11, x1k.real, x1k.imag, xkk_true,
-                    math.nan, math.nan, math.nan, True,
-                )
-            )
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            xkk_pred = predict_population(x11, x1k)
-        ls_a, ls_b, fid = _reconstruct_pair(dim_n, k, x11, x1k, xkk_pred, xkk_true)
+    for theta, k, x11, x1k, xkk_true, ab in _sweep_points(cfg, base_dir):
+        pred = ab.xkk_pred if ab else math.nan
         rows.append(
             SweepRow(
-                theta=theta,
-                k=k,
-                x11=x11,
-                re_x1k=x1k.real,
-                im_x1k=x1k.imag,
-                xkk_true=xkk_true,
-                xkk_pred=xkk_pred,
-                abs_diff=abs(xkk_true - xkk_pred),
-                fidelity=fid,
-                near_singular=ls_a.near_singular or ls_b.near_singular,
+                theta, k, x11, x1k.real, x1k.imag, xkk_true, pred,
+                abs(xkk_true - pred), ab.fidelity_ab if ab else math.nan,
+                ab is None or ab.lagrange_a.near_singular or ab.lagrange_b.near_singular,
             )
         )
     return rows
 
 
 def run_case_ab(cfg: ExperimentConfig, base_dir: Path | None = None) -> CaseABReport:
-    """Compare reconstructions with predicted versus true xKK."""
-    rows: list[CaseABRow] = []
-    for theta, k, dim_n, x11, x1k, xkk_true in _sweep_points(cfg, base_dir):
-        if x11 <= POLICY.population_floor:
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            xkk_pred = predict_population(x11, x1k)
-        ls_a, ls_b, fid = _reconstruct_pair(dim_n, k, x11, x1k, xkk_pred, xkk_true)
-        rows.append(CaseABRow(theta, k, xkk_true, xkk_pred, fid, ls_a, ls_b))
-    return CaseABReport(tuple(rows))
+    """Compare reconstructions with predicted versus true xKK; points at
+    the degeneracy floor are left out."""
+    points = _sweep_points(cfg, base_dir)
+    return CaseABReport(tuple(ab for *_, ab in points if ab is not None))
 
 
 def _fmt(value: float) -> str:
     return f"{value:.11e}"
 
 
+def _write_lines(lines: list[str], path: str | Path | None) -> None:
+    """Write a header and its rows as LF-terminated lines to ``path``, or
+    to stdout when ``path`` is None. No timestamps: the bytes are a pure
+    function of the lines."""
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, newline="\n")
+
+
+def _write_csv(header: str, rows: list[tuple[str, ...]], path: str | Path) -> None:
+    if not rows:
+        raise ValidationError("no rows to emit")
+    _write_lines([header, *(",".join(fields) for fields in rows)], path)
+
+
 SWEEP_HEADER = "theta,k,x11,re_x1k,im_x1k,xkk_true,xkk_pred,abs_diff,fidelity,near_singular"
 
 
 def emit_csv(rows: list[SweepRow], path: str | Path) -> None:
-    """Write sweep rows as CSV with 12-significant-digit values.
-
-    Output bytes are a pure function of the rows: LF line endings, fixed
-    header, no timestamps.
-    """
-    if not rows:
-        raise ValidationError("no rows to emit")
-    lines = [SWEEP_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    _fmt(r.theta), str(r.k), _fmt(r.x11), _fmt(r.re_x1k),
-                    _fmt(r.im_x1k), _fmt(r.xkk_true), _fmt(r.xkk_pred),
-                    _fmt(r.abs_diff), _fmt(r.fidelity),
-                    "true" if r.near_singular else "false",
-                )
-            )
+    """Write sweep rows as CSV with 12-significant-digit values."""
+    fields = [
+        (
+            _fmt(r.theta), str(r.k), _fmt(r.x11), _fmt(r.re_x1k),
+            _fmt(r.im_x1k), _fmt(r.xkk_true), _fmt(r.xkk_pred),
+            _fmt(r.abs_diff), _fmt(r.fidelity),
+            "true" if r.near_singular else "false",
         )
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+        for r in rows
+    ]
+    _write_csv(SWEEP_HEADER, fields, path)
 
 
 CASEAB_HEADER = (
@@ -397,55 +373,47 @@ CASEAB_HEADER = (
 
 
 def emit_caseab_csv(report: CaseABReport, path: str | Path) -> None:
-    if not report.rows:
-        raise ValidationError("no rows to emit")
-    lines = [CASEAB_HEADER]
+    fields = []
     for r in report.rows:
         a, b = r.lagrange_a, r.lagrange_b
-        lines.append(
-            ",".join(
-                (
-                    _fmt(r.theta), str(r.k), _fmt(r.xkk_true), _fmt(r.xkk_pred),
-                    _fmt(abs(r.xkk_true - r.xkk_pred)), _fmt(r.fidelity_ab),
-                    _fmt(a.lam_11), _fmt(a.lam_1k.real), _fmt(a.lam_1k.imag),
-                    _fmt(a.lam_kk),
-                    _fmt(b.lam_11), _fmt(b.lam_1k.real), _fmt(b.lam_1k.imag),
-                    _fmt(b.lam_kk),
-                )
+        fields.append(
+            (
+                _fmt(r.theta), str(r.k), _fmt(r.xkk_true), _fmt(r.xkk_pred),
+                _fmt(abs(r.xkk_true - r.xkk_pred)), _fmt(r.fidelity_ab),
+                _fmt(a.lam_11), _fmt(a.lam_1k.real), _fmt(a.lam_1k.imag),
+                _fmt(a.lam_kk),
+                _fmt(b.lam_11), _fmt(b.lam_1k.real), _fmt(b.lam_1k.imag),
+                _fmt(b.lam_kk),
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    _write_csv(CASEAB_HEADER, fields, path)
 
 
 HEATMAP_HEADER = "lam11,re_lam1k,im_lam1k,x11,re_x1k,im_x1k"
+
+_HEATMAP_KEYS = (
+    "n", "k", "lam11_start", "lam11_stop", "lam11_steps",
+    "re_lam1k_start", "re_lam1k_stop", "re_lam1k_steps",
+    "lam_kk", "im_lam1k", "out",
+)
 
 
 def load_heatmap_config(path: str | Path) -> dict:
     """Read a heatmap config. Keys: n, k, lam11_start/stop/steps,
     re_lam1k_start/stop/steps, lam_kk, im_lam1k, out."""
-    values = _parse_keyvals(Path(path).read_text())
-    known = {
-        "n", "k", "lam11_start", "lam11_stop", "lam11_steps",
-        "re_lam1k_start", "re_lam1k_stop", "re_lam1k_steps",
-        "lam_kk", "im_lam1k", "out",
-    }
-    unknown = sorted(set(values) - known)
-    if unknown:
-        raise ValidationError(f"unknown heatmap keys: {', '.join(unknown)}")
+    values = parse_keyvals(Path(path).read_text(), _HEATMAP_KEYS, "heatmap")
     try:
         return {
             "dim_n": int(values.get("n", 4)),
             "index_k": int(values.get("k", 2)),
-            "lam11": np.linspace(
-                float(values.get("lam11_start", -3.0)),
-                float(values.get("lam11_stop", 3.0)),
-                int(values.get("lam11_steps", 21)),
-            ),
-            "re_lam1k": np.linspace(
-                float(values.get("re_lam1k_start", -3.0)),
-                float(values.get("re_lam1k_stop", 3.0)),
-                int(values.get("re_lam1k_steps", 21)),
-            ),
+            **{
+                axis: np.linspace(
+                    float(values.get(f"{axis}_start", -3.0)),
+                    float(values.get(f"{axis}_stop", 3.0)),
+                    int(values.get(f"{axis}_steps", 21)),
+                )
+                for axis in ("lam11", "re_lam1k")
+            },
             "lam_kk": float(values.get("lam_kk", 0.0)),
             "im_lam1k": float(values.get("im_lam1k", 0.0)),
             "out": values.get("out"),
@@ -455,64 +423,37 @@ def load_heatmap_config(path: str | Path) -> dict:
 
 
 def emit_heatmap_csv(rows, path: str | Path) -> None:
-    if not rows:
-        raise ValidationError("no rows to emit")
-    lines = [HEATMAP_HEADER]
-    for lam11, lam1k, x11, x1k in rows:
-        lines.append(
-            ",".join(
-                (
-                    _fmt(lam11), _fmt(lam1k.real), _fmt(lam1k.imag),
-                    _fmt(x11), _fmt(x1k.real), _fmt(x1k.imag),
-                )
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
-
-
-def _format_matrix(rho: np.ndarray) -> str:
-    rows = []
-    for row in rho:
-        rows.append("  " + "  ".join(f"{v.real:+.6f}{v.imag:+.6f}j" for v in row))
-    return "\n".join(rows)
+    fields = [
+        tuple(_fmt(v) for v in (lam11, lam1k.real, lam1k.imag, x11, x1k.real, x1k.imag))
+        for lam11, lam1k, x11, x1k in rows
+    ]
+    _write_csv(HEATMAP_HEADER, fields, path)
 
 
 def _cmd_reconstruct(args) -> int:
-    record = load_record(Path(args.record).read_text())
-    if record.complete:
-        # A measured record that saturates x11 + xkk = 1 is reported as
-        # infeasible; only predicted completions (pure-state boundary data)
-        # are rescued by the saturation rescale.
-        completed = record
-        ls = solve_lagrange(completed)
-    else:
-        xkk = predict_population(record.x_11, record.x_1k)
-        completed = feasible_record(
-            record.dim_n, record.index_k, record.x_11, record.x_1k, xkk,
-            source="predicted",
-        )
-        ls = solve_lagrange(saturation_rescale(completed))
+    completed, ls = solve_record(load_record(Path(args.record).read_text()))
     rho = density_from_lagrange(ls)
     if args.format == "csv":
-        lines = ["key,value"]
-        lines.append(f"n,{completed.dim_n}")
-        lines.append(f"k,{completed.index_k}")
-        lines.append(f"x11,{_fmt(completed.x_11)}")
-        lines.append(f"re_x1k,{_fmt(completed.x_1k.real)}")
-        lines.append(f"im_x1k,{_fmt(completed.x_1k.imag)}")
-        lines.append(f"xkk,{_fmt(completed.x_kk)}")
-        lines.append(f"xkk_source,{completed.source}")
-        lines.append(f"lam11,{_fmt(ls.lam_11)}")
-        lines.append(f"re_lam1k,{_fmt(ls.lam_1k.real)}")
-        lines.append(f"im_lam1k,{_fmt(ls.lam_1k.imag)}")
-        lines.append(f"lamkk,{_fmt(ls.lam_kk)}")
-        lines.append(f"near_singular,{'true' if ls.near_singular else 'false'}")
+        lines = [
+            "key,value",
+            f"n,{completed.dim_n}",
+            f"k,{completed.index_k}",
+            f"x11,{_fmt(completed.x_11)}",
+            f"re_x1k,{_fmt(completed.x_1k.real)}",
+            f"im_x1k,{_fmt(completed.x_1k.imag)}",
+            f"xkk,{_fmt(completed.x_kk)}",
+            f"xkk_source,{completed.source}",
+            f"lam11,{_fmt(ls.lam_11)}",
+            f"re_lam1k,{_fmt(ls.lam_1k.real)}",
+            f"im_lam1k,{_fmt(ls.lam_1k.imag)}",
+            f"lamkk,{_fmt(ls.lam_kk)}",
+            f"near_singular,{'true' if ls.near_singular else 'false'}",
+        ]
         for i in range(rho.shape[0]):
             for j in range(rho.shape[1]):
                 lines.append(f"rho_{i + 1}_{j + 1},{rho[i, j].real!r}{rho[i, j].imag:+}j")
-        text = "\n".join(lines) + "\n"
     else:
-        parts = [
+        lines = [
             "completed record (xkk " + completed.source + "):",
             dump_record(completed).rstrip(),
             "",
@@ -523,25 +464,18 @@ def _cmd_reconstruct(args) -> int:
             f"  near_singular = {ls.near_singular}",
             "",
             "density matrix:",
-            _format_matrix(rho),
+            *("  " + "  ".join(f"{v.real:+.6f}{v.imag:+.6f}j" for v in row) for row in rho),
         ]
-        text = "\n".join(parts) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, newline="\n")
-    else:
-        sys.stdout.write(text)
+    _write_lines(lines, args.out or None)
     return 0
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    import dataclasses
-
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out is not None:
-        updates["output_path"] = args.out
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    return dataclasses.replace(
+        cfg,
+        seed=cfg.seed if args.seed is None else args.seed,
+        output_path=cfg.output_path if args.out is None else args.out,
+    )
 
 
 def _cmd_sweep(args) -> int:
@@ -590,17 +524,12 @@ def _cmd_decompose(args) -> int:
         lines = ["string,re_coeff,im_coeff"]
         for ps, coeff in d.terms.items():
             lines.append(f"{ps},{coeff.real!r},{coeff.imag!r}")
-        text = "\n".join(lines) + "\n"
     else:
         width = max(len(str(ps)) for ps in d.terms)
         lines = [f"|{args.i}><{args.j}| on {args.n} qubit(s):"]
         for ps, coeff in d.terms.items():
             lines.append(f"  {str(ps):<{width}}  {coeff.real:+.6f}{coeff.imag:+.6f}j")
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, newline="\n")
-    else:
-        sys.stdout.write(text)
+    _write_lines(lines, args.out or None)
     return 0
 
 
@@ -649,10 +578,7 @@ def main(argv=None) -> int:
     except InfeasibleRecordError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TomographyError as exc:
+    except (TomographyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,8 @@
-"""Dense complex Hermitian matrix kernel.
+"""Hermitian matrix checks and eigendecomposition, plus the tolerance policy.
 
-Eigendecomposition with a deterministic phase convention, plus matrix
-exponentials and logarithms of Hermitian operators computed spectrally.
-Every routine validates hermiticity up front; tolerances come from the
-module-wide ``POLICY`` record so callers and tests share one set of knobs.
+Eigendecomposition uses a deterministic phase convention and validates
+hermiticity up front; tolerances come from the module-wide ``POLICY``
+record so callers and tests share one set of knobs.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -21,7 +20,6 @@ class NumericPolicy:
     """Single source of truth for numerical tolerances."""
 
     hermitian_atol: float = 1e-12    # allowed |m[i,j] - conj(m[j,i])|
-    psd_atol: float = 1e-10          # eigenvalues below -psd_atol are rejected
     log_floor: float = 1e-12         # default eigenvalue floor inside logs
     phase_atol: float = 1e-12        # component treated as zero when fixing phases
     lam_zero_atol: float = 1e-14     # |lam_1k| below this takes the diagonal branch
@@ -39,16 +37,24 @@ class EigenSystem(NamedTuple):
 
 
 def require_hermitian(m, atol: float = POLICY.hermitian_atol) -> np.ndarray:
-    """Validate that ``m`` is square and Hermitian; return its Hermitian part.
+    """Validate that ``m`` is square, finite and Hermitian; return its
+    Hermitian part.
 
-    Raises ValidationError naming the worst offending entry pair.
+    Raises ValidationError naming the first non-finite entry or the worst
+    offending entry pair.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     dev = np.abs(a - a.conj().T)
     worst = float(dev.max())
-    if worst > atol:
+    # A NaN or infinite entry makes its deviation NaN or infinite too, so
+    # the finiteness check costs nothing on valid input.
+    if not worst <= atol:
+        finite = np.isfinite(a)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise ValidationError(f"matrix entry ({i},{j}) is {a[i, j]!r}, not finite")
         i, j = np.unravel_index(int(dev.argmax()), dev.shape)
         raise ValidationError(
             f"matrix is not Hermitian: entries ({i},{j}) and ({j},{i}) "
@@ -73,27 +79,3 @@ def hermitian_eig(m) -> EigenSystem:
             pivot = v[lead[0], col]
             v[:, col] *= pivot.conjugate() / abs(pivot)
     return EigenSystem(w, v)
-
-
-def matrix_exp_hermitian(m) -> np.ndarray:
-    """exp(m) for Hermitian m via eigendecomposition; Hermitian PD result."""
-    w, v = hermitian_eig(m)
-    out = (v * np.exp(w)) @ v.conj().T
-    return 0.5 * (out + out.conj().T)
-
-
-def matrix_log_psd(m, floor: float = POLICY.log_floor) -> np.ndarray:
-    """log(m) for Hermitian PSD m, flooring eigenvalues at ``floor``.
-
-    Eigenvalues in [-psd_atol, floor) are clamped up to ``floor`` before
-    taking logarithms; anything below -psd_atol is a domain error.
-    """
-    if floor <= 0:
-        raise ValidationError(f"floor must be positive, got {floor}")
-    w, v = hermitian_eig(m)
-    if w.min() < -POLICY.psd_atol:
-        raise DomainError(
-            f"matrix has negative eigenvalue {w.min():.3e}; log undefined"
-        )
-    out = (v * np.log(np.maximum(w, floor))) @ v.conj().T
-    return 0.5 * (out + out.conj().T)

@@ -20,12 +20,18 @@ the N-2 unconstrained basis states each carry probability 1/Z.
 Because exp and log are mutually inverse on the block, the multipliers are
 recovered from a complete record in closed form: Z = (N-2)/(1-x11-xKK) and
 the exponent block is the matrix log of Z times the constraint minor.
-A damped Newton solver and a grid scan are kept as independent
-cross-checks of that inverse.
+A damped Newton solver started from zero multipliers is kept as an
+independent cross-check of that inverse.
+
+``solve_record`` holds the one completion and saturation policy: a
+complete record from the caller is solved as given, while a record
+completed from estimates is projected onto the feasible set and moved off
+the x11 + xKK = 1 boundary before the solve.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -53,6 +59,19 @@ def _check_dims(dim_n: int, index_k: int) -> None:
         )
 
 
+def _name_non_finite(obj, names: tuple[str, ...]) -> None:
+    """Raise for the first NaN or infinite field among ``names``.
+
+    Callers first test one sum of the fields, which is finite whenever
+    every field is, and call this only when it is not: the sum can also
+    overflow, in which case this raises nothing.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not cmath.isfinite(value):
+            raise ValidationError(f"{name} = {value!r} is not finite")
+
+
 @dataclass(frozen=True)
 class LagrangeSet:
     """Multipliers attached to the x11 / x1K / xKK constraints.
@@ -73,11 +92,8 @@ class LagrangeSet:
         object.__setattr__(self, "lam_11", float(self.lam_11))
         object.__setattr__(self, "lam_1k", complex(self.lam_1k))
         object.__setattr__(self, "lam_kk", float(self.lam_kk))
-
-    @property
-    def experimental(self) -> bool:
-        """True for Hilbert dimensions beyond the validated 4 and 8."""
-        return self.dim_n not in (4, 8)
+        if not math.isfinite(self.lam_11 + abs(self.lam_1k) + self.lam_kk):
+            _name_non_finite(self, ("lam_11", "lam_1k", "lam_kk"))
 
 
 @dataclass(frozen=True)
@@ -119,6 +135,10 @@ class MeasurementRecord:
         _check_dims(self.dim_n, self.index_k)
         object.__setattr__(self, "x_11", float(self.x_11))
         object.__setattr__(self, "x_1k", complex(self.x_1k))
+        if self.x_kk is not None:
+            object.__setattr__(self, "x_kk", float(self.x_kk))
+        if not math.isfinite(self.x_11 + abs(self.x_1k) + (self.x_kk or 0.0)):
+            _name_non_finite(self, ("x_11", "x_1k", "x_kk"))
         if self.source not in _SOURCES:
             raise ValidationError(f"source must be one of {_SOURCES}")
         tol = POLICY.record_atol
@@ -127,7 +147,6 @@ class MeasurementRecord:
         if abs(self.x_1k) > 1 + tol:
             raise ValidationError(f"|x_1k| = {abs(self.x_1k)} exceeds 1")
         if self.x_kk is not None:
-            object.__setattr__(self, "x_kk", float(self.x_kk))
             if not -tol <= self.x_kk <= 1 + tol:
                 raise ValidationError(f"x_kk = {self.x_kk} outside [0, 1]")
             if self.x_11 + self.x_kk > 1 + tol:
@@ -145,52 +164,50 @@ class MeasurementRecord:
         return self.x_kk is not None
 
 
-def build_exponent(ls: LagrangeSet) -> np.ndarray:
-    """N x N constraint exponent: zeros except the {1, K} block of -lambdas."""
-    n, k = ls.dim_n, ls.index_k - 1
-    a = np.zeros((n, n), dtype=complex)
-    a[0, 0] = -ls.lam_11
-    a[0, k] = -ls.lam_1k
-    a[k, 0] = -ls.lam_1k.conjugate()
-    a[k, k] = -ls.lam_kk
-    return a
-
-
 def spectrum(ls: LagrangeSet) -> ExponentSpectrum:
     """Closed-form spectrum of the constraint exponent.
 
     When |lam_1k| is below the zero threshold the block is diagonal and the
     eigenvector-slope parametrization degenerates; that branch reports
-    k3 = inf, k4 = 0 with weights a = exp(eps3), b = 0.
+    k3 = inf, k4 = 0 with weights a = exp(eps3), b = 0. Multipliers whose
+    exp(A) leaves the float range raise DomainError.
     """
     n = ls.dim_n
     l11, l1k, lkk = ls.lam_11, ls.lam_1k, ls.lam_kk
-    if abs(l1k) < POLICY.lam_zero_atol:
-        eps3, eps4 = -l11, -lkk
-        k3, k4 = complex(math.inf), complex(0.0)
-        a, b = math.exp(eps3), 0.0
-    else:
-        gap = l11 - lkk
-        quad = 4 * abs(l1k) ** 2
-        root = math.sqrt(quad + gap**2)
-        eps3 = -0.5 * (l11 + lkk + root)
-        eps4 = -0.5 * (l11 + lkk - root)
-        # eps + lkk = -+(root +- gap)/2; when |gap| dominates, the smaller
-        # of the two cancels catastrophically, so rewrite it through
-        # (root - |gap|)(root + |gap|) = quad.
-        if gap >= 0:
-            shift3 = -0.5 * (root + gap)
-            shift4 = 0.5 * quad / (root + gap) if root + gap else 0.0
+    try:
+        if abs(l1k) < POLICY.lam_zero_atol:
+            eps3, eps4 = -l11, -lkk
+            k3, k4 = complex(math.inf), complex(0.0)
+            a, b = math.exp(eps3), 0.0
         else:
-            shift3 = -0.5 * quad / (root - gap)
-            shift4 = 0.5 * (root - gap)
-        conj = l1k.conjugate()
-        k3 = -shift3 / conj
-        k4 = -shift4 / conj
-        m3, m4 = abs(k3) ** 2, abs(k4) ** 2
-        a = m3 * math.exp(eps3) / (m3 + 1)
-        b = m4 * math.exp(eps4) / (m4 + 1)
-    z = math.exp(eps3) + math.exp(eps4) + (n - 2)
+            gap = l11 - lkk
+            quad = 4 * abs(l1k) ** 2
+            root = math.sqrt(quad + gap**2)
+            eps3 = -0.5 * (l11 + lkk + root)
+            eps4 = -0.5 * (l11 + lkk - root)
+            # eps + lkk = -+(root +- gap)/2; when |gap| dominates, the smaller
+            # of the two cancels catastrophically, so rewrite it through
+            # (root - |gap|)(root + |gap|) = quad.
+            if gap >= 0:
+                shift3 = -0.5 * (root + gap)
+                shift4 = 0.5 * quad / (root + gap) if root + gap else 0.0
+            else:
+                shift3 = -0.5 * quad / (root - gap)
+                shift4 = 0.5 * (root - gap)
+            conj = l1k.conjugate()
+            k3 = -shift3 / conj
+            k4 = -shift4 / conj
+            m3, m4 = abs(k3) ** 2, abs(k4) ** 2
+            a = m3 * math.exp(eps3) / (m3 + 1)
+            b = m4 * math.exp(eps4) / (m4 + 1)
+        z = math.exp(eps3) + math.exp(eps4) + (n - 2)
+    except OverflowError:
+        z = math.inf
+    if not math.isfinite(z) or not math.isfinite(a + b):
+        raise DomainError(
+            f"exp(A) overflows for multipliers lam_11 = {l11!r}, "
+            f"lam_1k = {l1k!r}, lam_kk = {lkk!r}"
+        )
     return ExponentSpectrum(
         eps=(0.0,) * (n - 2) + (eps3, eps4), k3=k3, k4=k4, a=a, b=b, z=z
     )
@@ -299,20 +316,20 @@ def feasible_record(
     return MeasurementRecord(dim_n, index_k, x_11, x_1k, x_kk, source)
 
 
-def saturation_rescale(mr: MeasurementRecord, margin: float = 1e-9) -> MeasurementRecord:
+def saturation_rescale(mr: MeasurementRecord) -> MeasurementRecord:
     """Shrink a record whose populations saturate x11 + xKK = 1.
 
     Rank-one (pure-state) records sit exactly on that boundary, where the
     partition function diverges. Scaling the whole minor by
-    (1 - margin)/(x11 + xKK) restores feasibility while perturbing each
-    component by at most ``margin``.
+    (1 - 1e-9)/(x11 + xKK) restores feasibility while perturbing each
+    component by at most 1e-9.
     """
     if not mr.complete:
         raise ValidationError("record has no x_kk; nothing to rescale")
     total = mr.x_11 + mr.x_kk
     if total < 1.0 - POLICY.feasibility_atol:
         return mr
-    c = (1.0 - margin) / total
+    c = (1.0 - 1e-9) / total
     return replace(mr, x_11=c * mr.x_11, x_1k=c * mr.x_1k, x_kk=c * mr.x_kk)
 
 
@@ -326,20 +343,20 @@ def _require_solvable(mr: MeasurementRecord) -> None:
         )
 
 
-def _check_reproduction(ls: LagrangeSet, mr: MeasurementRecord, tol: float = 1e-6) -> None:
+def _check_reproduction(ls: LagrangeSet, mr: MeasurementRecord) -> None:
     fwd = forward_expectations(ls)
     dev = max(
         abs(fwd.x_11 - mr.x_11),
         abs(fwd.x_1k - mr.x_1k),
         abs(fwd.x_kk - mr.x_kk),
     )
-    if dev > tol:
+    if dev > 1e-6:
         raise TomographyError(
             f"solver failed to reproduce the record (deviation {dev:.3e})"
         )
 
 
-def _solve_closed_form(mr: MeasurementRecord, floor: float) -> LagrangeSet:
+def _solve_closed_form(mr: MeasurementRecord) -> LagrangeSet:
     n = mr.dim_n
     z = (n - 2) / (1.0 - mr.x_11 - mr.x_kk)
     minor = np.array(
@@ -352,6 +369,7 @@ def _solve_closed_form(mr: MeasurementRecord, floor: float) -> LagrangeSet:
         )
     # The log of z * minor is applied spectrally: z can be enormous for
     # boundary records and must not amplify dense-reconstruction rounding.
+    floor = POLICY.log_floor
     scaled = np.maximum(z * np.maximum(w, 0.0), floor)
     near_singular = bool(scaled.min() <= floor)
     block = (v * np.log(scaled)) @ v.conj().T
@@ -416,17 +434,15 @@ def _residual_jacobian(n: int, u: np.ndarray, target: np.ndarray):
     return resid, jac
 
 
-def _newton_from(
-    mr: MeasurementRecord, start: np.ndarray, tol: float = 1e-14, max_iter: int = 200
-) -> tuple[np.ndarray, float]:
+def _solve_newton(mr: MeasurementRecord) -> LagrangeSet:
+    """Damped Newton on the forward map, started from zero multipliers."""
     target = np.array(
         [mr.x_11, mr.x_1k.real, mr.x_1k.imag, mr.x_kk], dtype=float
     )
-    u = np.asarray(start, dtype=float).copy()
+    u = np.zeros(4)
     resid, jac = _residual_jacobian(mr.dim_n, u, target)
-    for _ in range(max_iter):
-        err = np.abs(resid).max()
-        if err <= tol:
+    for _ in range(200):
+        if np.abs(resid).max() <= 1e-14:
             break
         try:
             step = np.linalg.solve(jac, -resid)
@@ -443,15 +459,11 @@ def _newton_from(
             t *= 0.5
         else:
             break  # no descent direction left
-    return u, float(np.abs(resid).max())
-
-
-def _solve_newton(mr: MeasurementRecord, floor: float) -> LagrangeSet:
-    u, err = _newton_from(mr, np.zeros(4))
+    err = float(np.abs(resid).max())
     if err > 1e-9:
         # Boundary records push the multipliers to infinity; fall back to
         # the floored closed form, which flags them.
-        fallback = _solve_closed_form(mr, floor)
+        fallback = _solve_closed_form(mr)
         if fallback.near_singular:
             return fallback
         raise TomographyError(
@@ -462,91 +474,76 @@ def _solve_newton(mr: MeasurementRecord, floor: float) -> LagrangeSet:
     return ls
 
 
-def _solve_grid(mr: MeasurementRecord, floor: float) -> LagrangeSet:
-    """Coarse scan over the multiplier box followed by Newton refinement."""
-    target = np.array([mr.x_11, mr.x_1k.real, mr.x_1k.imag, mr.x_kk])
-    pts = np.linspace(-6.0, 6.0, 7)
-    best, best_err = np.zeros(4), math.inf
-    for l11 in pts:
-        for re1k in pts:
-            for im1k in pts:
-                for lkk in pts:
-                    u = np.array([l11, re1k, im1k, lkk])
-                    resid, _ = _residual_jacobian(mr.dim_n, u, target)
-                    err = float(resid @ resid)
-                    if err < best_err:
-                        best, best_err = u, err
-    u, err = _newton_from(mr, best)
-    if err > 1e-9:
-        fallback = _solve_closed_form(mr, floor)
-        if fallback.near_singular:
-            return fallback
-        raise TomographyError(f"grid solve stalled at residual {err:.3e}")
-    ls = LagrangeSet(mr.dim_n, mr.index_k, u[0], complex(u[1], u[2]), u[3])
-    _check_reproduction(ls, mr)
-    return ls
-
-
-def solve_lagrange(
-    mr: MeasurementRecord,
-    method: str = "closed_form",
-    floor: float = POLICY.log_floor,
-) -> LagrangeSet:
+def solve_lagrange(mr: MeasurementRecord, method: str = "closed_form") -> LagrangeSet:
     """Recover the multipliers that reproduce a complete record.
 
     Methods: ``closed_form`` (matrix log of the scaled minor, the primary
-    path), ``newton`` (damped Newton from zero multipliers), ``grid``
-    (coarse scan plus refinement). All reproduce the record to 1e-8 per
-    component or raise; records whose minor is rank deficient are handled
-    through the eigenvalue floor and flagged near-singular.
+    path) and ``newton`` (damped Newton from zero multipliers, an
+    independent cross-check). Either reproduces the record to 1e-6 per
+    component, which is checked, or raises; records whose minor is rank
+    deficient are handled through the eigenvalue floor and flagged
+    near-singular. A record that saturates x11 + xKK = 1 raises
+    InfeasibleRecordError.
     """
     _require_solvable(mr)
     if method == "closed_form":
-        return _solve_closed_form(mr, floor)
+        return _solve_closed_form(mr)
     if method == "newton":
-        return _solve_newton(mr, floor)
-    if method == "grid":
-        return _solve_grid(mr, floor)
+        return _solve_newton(mr)
     raise ValidationError(f"unknown solve method {method!r}")
 
 
-def reconstruct(
-    mr: MeasurementRecord,
-    dim_n: int | None = None,
-    index_k: int | None = None,
-    method: str = "closed_form",
-) -> tuple[np.ndarray, MeasurementRecord]:
+def solve_record(
+    mr: MeasurementRecord, x_kk: float | None = None
+) -> tuple[MeasurementRecord, LagrangeSet]:
+    """Complete a record and recover its multipliers: the one completion
+    and saturation policy.
+
+    A complete record is the caller's and is solved as given; if it
+    saturates x11 + xKK = 1 that raises InfeasibleRecordError. An
+    incomplete one is completed with ``x_kk``, an estimate from elsewhere,
+    or else with ``predict_population``; ``feasible_record`` builds that
+    completion and ``saturation_rescale`` moves it off the boundary, on
+    which pure-state data sits. Returns the completed record, before any
+    rescale, and the multipliers.
+    """
+    if mr.complete:
+        if x_kk is not None:
+            raise ValidationError("record already has x_kk")
+        return mr, solve_lagrange(mr)
+    source = "measured"
+    if x_kk is None:
+        x_kk, source = predict_population(mr.x_11, mr.x_1k), "predicted"
+    completed = feasible_record(
+        mr.dim_n, mr.index_k, mr.x_11, mr.x_1k, x_kk, source
+    )
+    return completed, solve_lagrange(saturation_rescale(completed))
+
+
+def reconstruct(mr: MeasurementRecord) -> tuple[np.ndarray, MeasurementRecord]:
     """Complete a record (predicting x_KK if absent) and reconstruct rho.
 
-    Returns the density matrix and the completed record. ``dim_n`` and
-    ``index_k``, when given, must agree with the record.
+    Returns the density matrix and the completed record; see
+    ``solve_record`` for the saturation policy.
     """
-    if dim_n is not None and dim_n != mr.dim_n:
-        raise ValidationError(f"dim_n {dim_n} disagrees with record {mr.dim_n}")
-    if index_k is not None and index_k != mr.index_k:
-        raise ValidationError(
-            f"index_k {index_k} disagrees with record {mr.index_k}"
-        )
-    if mr.complete:
-        completed = mr
-    else:
-        predicted = predict_population(mr.x_11, mr.x_1k)
-        completed = feasible_record(
-            mr.dim_n, mr.index_k, mr.x_11, mr.x_1k, predicted, source="predicted"
-        )
-    ls = solve_lagrange(saturation_rescale(completed), method=method)
+    completed, ls = solve_record(mr)
     return density_from_lagrange(ls), completed
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 in [0, 1]."""
-    r = require_hermitian(rho, atol=1e-8)
-    s = require_hermitian(sigma, atol=1e-8)
-    if r.shape != s.shape:
-        raise ValidationError(f"dimension mismatch: {r.shape} vs {s.shape}")
-    for name, m in (("rho", r), ("sigma", s)):
+    checked = []
+    for name, m in (("rho", rho), ("sigma", sigma)):
+        try:
+            m = require_hermitian(m, atol=1e-8)
+        except ValidationError as exc:
+            raise ValidationError(f"{name}: {exc}") from None
         if abs(np.trace(m).real - 1.0) > 1e-8:
             raise ValidationError(f"{name} is not trace one")
+        checked.append(m)
+    r, s = checked
+    if r.shape != s.shape:
+        raise ValidationError(f"dimension mismatch: {r.shape} vs {s.shape}")
     w, v = np.linalg.eigh(r)
     sqrt_r = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
     mid = sqrt_r @ s @ sqrt_r
@@ -580,7 +577,34 @@ def heatmap_scan(
     return rows
 
 
+def parse_keyvals(text: str, known, what: str) -> dict[str, str]:
+    """The values of flat ``key value`` text (records and configs).
+
+    ``#`` starts a comment and blank lines are skipped. A line that is not
+    ``key value``, a key outside ``known`` or a repeated key raises a
+    ParseError naming the line; ``what`` names the kind of text.
+    """
+    values: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split(maxsplit=1)
+        if len(parts) != 2:
+            raise ParseError(f"expected 'key value', got {raw!r}", lineno)
+        key, value = parts
+        if key not in known:
+            raise ParseError(f"unknown {what} key {key!r}", lineno)
+        if key in values:
+            raise ParseError(f"duplicate key {key!r}", lineno)
+        values[key] = value
+    return values
+
+
 # Flat text serialization of records: keys n, k, x11, re_x1k, im_x1k, xkk.
+
+_RECORD_KEYS = ("n", "k", "x11", "re_x1k", "im_x1k")
+
 
 def dump_record(mr: MeasurementRecord) -> str:
     lines = [
@@ -596,24 +620,10 @@ def dump_record(mr: MeasurementRecord) -> str:
 
 
 def load_record(text: str) -> MeasurementRecord:
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split(maxsplit=1)
-        if len(parts) != 2:
-            raise ParseError(f"expected 'key value', got {raw!r}", lineno)
-        if parts[0] in values:
-            raise ParseError(f"duplicate key {parts[0]!r}", lineno)
-        values[parts[0]] = parts[1]
-    required = ("n", "k", "x11", "re_x1k", "im_x1k")
-    missing = [k for k in required if k not in values]
+    values = parse_keyvals(text, _RECORD_KEYS + ("xkk",), "record")
+    missing = [k for k in _RECORD_KEYS if k not in values]
     if missing:
         raise ParseError(f"record is missing keys: {', '.join(missing)}")
-    unknown = sorted(set(values) - set(required) - {"xkk"})
-    if unknown:
-        raise ParseError(f"unknown record keys: {', '.join(unknown)}")
     try:
         dim_n = int(values["n"])
         index_k = int(values["k"])

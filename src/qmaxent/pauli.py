@@ -16,22 +16,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Mapping
-
-import numpy as np
 
 from .circuit import Gate
 from .errors import IncompleteDataError, ValidationError
 
 _LETTERS = ("I", "X", "Y", "Z")
-
-_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 @dataclass(frozen=True)
@@ -112,20 +102,6 @@ def decompose_ketbra(i: int, j: int, num_qubits: int) -> PauliDecomposition:
         coeff = math.prod((c for _, c in combo), start=complex(1.0))
         terms[PauliString(letters)] = coeff
     return PauliDecomposition(num_qubits, terms)
-
-
-def to_matrix(p: PauliString) -> np.ndarray:
-    """Dense matrix of a Pauli string with qubit 0 as least significant bit."""
-    return reduce(np.kron, (_MATRICES[l] for l in reversed(p.letters)))
-
-
-def assemble(d: PauliDecomposition) -> np.ndarray:
-    """Dense matrix of a decomposition, sum of coefficient * string."""
-    dim = 2**d.num_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    for ps, coeff in d.terms.items():
-        out += coeff * to_matrix(ps)
-    return out
 
 
 def expectation_from_paulis(

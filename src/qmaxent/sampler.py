@@ -27,8 +27,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .circuit import Circuit, Gate, apply_gates, populations, simulate
-from .errors import DomainError, ParseError, TomographyError, ValidationError
+from .circuit import apply_gates, populations
+from .errors import DomainError, TomographyError, ValidationError
 from .pauli import PauliString, decompose_ketbra, expectation_from_paulis, measurement_settings
 
 
@@ -249,39 +249,17 @@ def mitigate(ct: CountsTable, cal: CalibrationMatrix) -> np.ndarray:
     return _mitigation_solve(estimate_populations(ct), cal)
 
 
-def build_calibration(
-    noise: ReadoutNoise,
-    num_qubits: int,
-    shots: int | None = None,
-    seed: int = 0,
-) -> CalibrationMatrix:
-    """Calibration matrix of a readout-noise model.
-
-    With ``shots=None`` the exact tensor product of the per-qubit confusion
-    matrices is returned. Otherwise each basis state is prepared (X gates
-    on its set bits) and sampled, and the observed frequencies become the
-    matrix columns.
-    """
+def build_calibration(noise: ReadoutNoise, num_qubits: int) -> CalibrationMatrix:
+    """Calibration matrix of a readout-noise model: the tensor product of
+    the per-qubit confusion matrices."""
     if noise.num_qubits != num_qubits:
         raise ValidationError(
             f"noise covers {noise.num_qubits} qubit(s), asked for {num_qubits}"
         )
-    if shots is None:
-        singles = [
-            _noise_matrix_1q(noise.p01[q], noise.p10[q]) for q in range(num_qubits)
-        ]
-        entries = reduce(np.kron, reversed(singles))
-        return CalibrationMatrix(num_qubits, entries)
-    dim = 2**num_qubits
-    entries = np.zeros((dim, dim))
-    for true_state in range(dim):
-        gates = tuple(
-            Gate("x", (q,)) for q in range(num_qubits) if (true_state >> q) & 1
-        )
-        sv = simulate(Circuit(num_qubits, gates))
-        table = sample_counts(sv, shots, noise, seed + true_state)
-        entries[:, true_state] = estimate_populations(table)
-    return CalibrationMatrix(num_qubits, entries)
+    singles = [
+        _noise_matrix_1q(noise.p01[q], noise.p10[q]) for q in range(num_qubits)
+    ]
+    return CalibrationMatrix(num_qubits, reduce(np.kron, reversed(singles)))
 
 
 def estimate_pauli(
@@ -349,49 +327,3 @@ def estimate_coherence(
             sv, ps, shots_per_setting, noise, seed + offset, calibration
         )
     return expectation_from_paulis(decomposition, means)
-
-
-# Flat text form: header lines "shots <n>" and "seed <s>", then one
-# "<bitstring> <count>" line per observed outcome, qubit 0 rightmost.
-
-def dump_counts(ct: CountsTable) -> str:
-    lines = [f"shots {ct.shots}", f"seed {ct.seed}"]
-    lines.extend(f"{key} {ct.counts[key]}" for key in sorted(ct.counts))
-    return "\n".join(lines) + "\n"
-
-
-def load_counts(text: str) -> CountsTable:
-    shots = seed = None
-    counts: dict[str, int] = {}
-    seen: set[str] = set()
-    width = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected two fields, got {raw!r}", lineno)
-        key, value = parts
-        try:
-            number = int(value)
-        except ValueError:
-            raise ParseError(f"bad integer {value!r}", lineno) from None
-        if key in seen:
-            raise ParseError(f"duplicate {key!r} line", lineno)
-        seen.add(key)
-        if key == "shots":
-            shots = number
-        elif key == "seed":
-            seed = number
-        else:
-            if set(key) - {"0", "1"}:
-                raise ParseError(f"bad bitstring {key!r}", lineno)
-            if width is None:
-                width = len(key)
-            elif len(key) != width:
-                raise ParseError("inconsistent bitstring widths", lineno)
-            counts[key] = number
-    if shots is None or seed is None or width is None:
-        raise ParseError("counts text needs 'shots', 'seed' and at least one row")
-    return CountsTable(width, shots, counts, seed)

@@ -3,12 +3,28 @@
 These deliberately avoid the code paths they are used to check: the matrix
 exponential is a scaled Taylor series (no eigendecomposition), entropy and
 dense expectations are direct formulas, and the simplex-constrained least
-squares is scipy's general-purpose SLSQP.
+squares is scipy's general-purpose SLSQP. The dense references build the
+full N x N exponent, its spectral exp/log and the Kronecker matrices of
+Pauli strings, where the library works on the 2x2 block in closed form
+and on state vectors.
 """
+
+from functools import reduce
 
 import numpy as np
 
-from qmaxent import MeasurementRecord
+from qmaxent import POLICY, DomainError, MeasurementRecord, ValidationError
+from qmaxent.linalg import hermitian_eig
+
+# Eigenvalues below -PSD_ATOL make matrix_log_psd raise.
+PSD_ATOL = 1e-10
+
+PAULI_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
 def taylor_expm(a, terms: int = 40) -> np.ndarray:
@@ -24,6 +40,55 @@ def taylor_expm(a, terms: int = 40) -> np.ndarray:
         out = out + term
     for _ in range(scale):
         out = out @ out
+    return out
+
+
+def matrix_exp_hermitian(m) -> np.ndarray:
+    """exp(m) for Hermitian m via eigendecomposition; Hermitian PD result."""
+    w, v = hermitian_eig(m)
+    out = (v * np.exp(w)) @ v.conj().T
+    return 0.5 * (out + out.conj().T)
+
+
+def matrix_log_psd(m, floor: float = POLICY.log_floor) -> np.ndarray:
+    """log(m) for Hermitian PSD m, flooring eigenvalues at ``floor``.
+
+    Eigenvalues in [-PSD_ATOL, floor) are clamped up to ``floor`` before
+    taking logarithms; anything below -PSD_ATOL is a domain error.
+    """
+    if floor <= 0:
+        raise ValidationError(f"floor must be positive, got {floor}")
+    w, v = hermitian_eig(m)
+    if w.min() < -PSD_ATOL:
+        raise DomainError(
+            f"matrix has negative eigenvalue {w.min():.3e}; log undefined"
+        )
+    out = (v * np.log(np.maximum(w, floor))) @ v.conj().T
+    return 0.5 * (out + out.conj().T)
+
+
+def build_exponent(ls) -> np.ndarray:
+    """N x N constraint exponent: zeros except the {1, K} block of -lambdas."""
+    n, k = ls.dim_n, ls.index_k - 1
+    a = np.zeros((n, n), dtype=complex)
+    a[0, 0] = -ls.lam_11
+    a[0, k] = -ls.lam_1k
+    a[k, 0] = -ls.lam_1k.conjugate()
+    a[k, k] = -ls.lam_kk
+    return a
+
+
+def to_matrix(p) -> np.ndarray:
+    """Dense matrix of a Pauli string with qubit 0 as least significant bit."""
+    return reduce(np.kron, (PAULI_MATRICES[l] for l in reversed(p.letters)))
+
+
+def assemble(d) -> np.ndarray:
+    """Dense matrix of a decomposition, sum of coefficient * string."""
+    dim = 2**d.num_qubits
+    out = np.zeros((dim, dim), dtype=complex)
+    for ps, coeff in d.terms.items():
+        out += coeff * to_matrix(ps)
     return out
 
 

@@ -5,19 +5,22 @@ PASS line with its measured figure of merit (run with -s to see them all).
 import time
 
 import numpy as np
-from conftest import random_feasible_record
+from conftest import (
+    assemble,
+    build_exponent,
+    matrix_exp_hermitian,
+    random_feasible_record,
+)
 
 from qmaxent.circuit import parse_circuit, populations, simulate
 from qmaxent.cli import ExperimentConfig, run_sweep
-from qmaxent.linalg import matrix_exp_hermitian
 from qmaxent.maxent import (
     LagrangeSet,
-    build_exponent,
     density_from_lagrange,
     forward_expectations,
     solve_lagrange,
 )
-from qmaxent.pauli import assemble, decompose_ketbra
+from qmaxent.pauli import decompose_ketbra
 from qmaxent.sampler import ReadoutNoise, estimate_coherence
 from qmaxent import circuits
 

@@ -212,7 +212,8 @@ class TestApplyGates:
         prep = parse_circuit("qubits 2\nry(0.7) 0\ncx 0 1")
         extra = (Gate("rz", (1,), -math.pi / 2), Gate("h", (1,)))
         np.testing.assert_array_equal(
-            apply_gates(simulate(prep), extra, 2), simulate(prep.extended(extra))
+            apply_gates(simulate(prep), extra, 2),
+            simulate(Circuit(2, prep.gates + extra)),
         )
 
     def test_wrong_length_rejected(self):

@@ -13,12 +13,13 @@ from qmaxent.cli import (
     SweepRow,
     emit_csv,
     load_config,
+    load_heatmap_config,
     main,
     resolve_circuit,
     run_case_ab,
     run_sweep,
 )
-from qmaxent.errors import ValidationError
+from qmaxent.errors import ParseError, ValidationError
 from qmaxent.maxent import dump_record, load_record
 
 
@@ -84,6 +85,18 @@ class TestConfig:
         path.write_text("circuit bell\nk_targets 5\n")
         with pytest.raises(ValidationError, match="exceeds"):
             load_config(path)
+
+    def test_repeated_k_target_rejected(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("circuit bell\nk_targets 3,3\n")
+        with pytest.raises(ValidationError, match="twice"):
+            load_config(path)
+        with pytest.raises(ValidationError, match="twice"):
+            run_sweep(exact_config("bell", steps=1, k_targets=(2, 3, 2)))
+
+    def test_k_target_below_two_rejected(self):
+        with pytest.raises(ValidationError, match=">= 2"):
+            run_sweep(exact_config("bell", steps=1, k_targets=(1,)))
 
     def test_circuit_path_relative_to_config(self, tmp_path):
         (tmp_path / "mine.qc").write_text("qubits 1\nh 0\n")
@@ -229,6 +242,44 @@ class TestEmitCsv:
         assert first == "3.33333333333e-01"
 
 
+class TestKeyValueText:
+    # record, sweep config and heatmap config share one reader
+    @staticmethod
+    def _loaders(tmp_path):
+        def from_file(load):
+            def run(text):
+                path = tmp_path / "in.txt"
+                path.write_text(text)
+                return load(path)
+            return run
+        return {
+            "record": ("n 4\nk 2\nx11 0.4\nre_x1k 0.2\nim_x1k 0\n", load_record),
+            "config": ("circuit bell\ntheta_steps 3\n", from_file(load_config)),
+            "heatmap": ("n 4\nk 2\nlam_kk 0\n", from_file(load_heatmap_config)),
+        }
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        for text, load in self._loaders(tmp_path).values():
+            commented = "# header\n\n" + text.replace("\n", "  # note\n", 1)
+            assert repr(load(commented)) == repr(load(text))
+
+    def test_duplicate_key_names_line(self, tmp_path):
+        for text, load in self._loaders(tmp_path).values():
+            key = text.split()[0]
+            with pytest.raises(ParseError, match=f"line 4: duplicate key '{key}'"):
+                load(text.splitlines()[0] + "\n\n# c\n" + text)
+
+    def test_unknown_key_names_line(self, tmp_path):
+        for kind, (text, load) in self._loaders(tmp_path).items():
+            with pytest.raises(ParseError, match=f"line 2: unknown {kind} key 'zz'"):
+                load(text.splitlines()[0] + "\nzz 1\n")
+
+    def test_malformed_line_names_line(self, tmp_path):
+        for text, load in self._loaders(tmp_path).values():
+            with pytest.raises(ParseError, match="line 3: expected 'key value'"):
+                load("\n" + text.splitlines()[0] + "\nlonely\n")
+
+
 class TestRecordIO:
     def test_roundtrip(self):
         from qmaxent.maxent import MeasurementRecord
@@ -295,6 +346,28 @@ class TestCommandLine:
         assert main(["decompose", "1", "2", "2"]) == 0
         out = capsys.readouterr().out
         assert "XI" in out and "YZ" in out
+
+    def test_reconstruct_stdout_matches_out_file(self, tmp_path, capsys):
+        record = tmp_path / "rec.txt"
+        record.write_text("n 8\nk 5\nx11 0.3\nre_x1k 0.1\nim_x1k -0.2\nxkk 0.25\n")
+        for fmt in ("text", "csv"):
+            out = tmp_path / f"out.{fmt}"
+            assert main(["--format", fmt, "--out", str(out), "reconstruct", str(record)]) == 0
+            capsys.readouterr()
+            assert main(["--format", fmt, "reconstruct", str(record)]) == 0
+            assert capsys.readouterr().out.encode() == out.read_bytes()
+
+    def test_non_finite_record_exit_code(self, tmp_path, capsys):
+        rec = tmp_path / "nan.txt"
+        rec.write_text("n 4\nk 2\nx11 0.4\nre_x1k nan\nim_x1k 0\n")
+        assert main(["reconstruct", str(rec)]) == 2
+        assert "x_1k" in capsys.readouterr().err
+
+    def test_heatmap_overflow_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "hm.txt"
+        cfg.write_text("lam11_start -800\nlam11_steps 3\nre_lam1k_steps 2\n")
+        assert main(["--out", str(tmp_path / "hm.csv"), "heatmap", str(cfg)]) == 2
+        assert "lam_11 = -800.0" in capsys.readouterr().err
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

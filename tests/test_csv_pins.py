@@ -1,8 +1,8 @@
-"""SHA-256 pins of the CSVs written for the bundled example configs.
+"""SHA-256 pins of the bytes the command line writes.
 
-The output bytes for a fixed config and seed are part of the contract: a
-change that moves any of these hashes on purpose updates the pin and says
-why in CHANGES.md.
+The CSVs of the bundled example configs and the ``reconstruct`` output of
+two fixed records are part of the contract: a change that moves any of
+these hashes on purpose updates the pin and says why in CHANGES.md.
 """
 
 import hashlib
@@ -21,6 +21,25 @@ PINS = {
         "0171318085823d36dcec3b44c1eb988eaa25bdc4b50b410d8ea7799abc779fd3",
     ("caseab", "caseab_shots.txt"):
         "62fb3731b6df38b9d1962d458344f2c4e6717e4110e755adc870d4e3f0599086",
+    ("heatmap", "heatmap.txt"):
+        "24f1a4496657dd464af64d6904edd48e3bf035792e66fb02687eea3aa5f733ef",
+}
+
+RECORDS = {
+    # x_kk is predicted: a pure-state completion, rescaled before the solve
+    "incomplete": "n 4\nk 2\nx11 0.4\nre_x1k 0.2\nim_x1k 0\n",
+    "complete": "n 8\nk 5\nx11 0.3\nre_x1k 0.1\nim_x1k -0.2\nxkk 0.25\n",
+}
+
+RECONSTRUCT_PINS = {
+    ("incomplete", "text"):
+        "c293e8055dc126d297036e087e27d438e3e8acc1b9a47e02e834b02d9486dda9",
+    ("incomplete", "csv"):
+        "b45786d4064114a5faad04fb131ddf8fabf2cc9ed18ec252feff265b3d5562ab",
+    ("complete", "text"):
+        "79cf51ed6c43675f46607cc8f6b4b28f5bfbcee2ec4d63924da7ff9ca849b5ec",
+    ("complete", "csv"):
+        "e4675d9e1ebac7bef7c72989cf5aa64c97eedab99f1e756086d84aade93076ef",
 }
 
 
@@ -29,3 +48,13 @@ def test_config_output_bytes_are_pinned(command, config, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(["--out", str(out), command, str(CONFIGS / config)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINS[(command, config)]
+
+
+@pytest.mark.parametrize(("record", "fmt"), sorted(RECONSTRUCT_PINS), ids=lambda v: v)
+def test_reconstruct_output_bytes_are_pinned(record, fmt, tmp_path):
+    path = tmp_path / "record.txt"
+    path.write_text(RECORDS[record])
+    out = tmp_path / "out.txt"
+    assert main(["--format", fmt, "--out", str(out), "reconstruct", str(path)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == RECONSTRUCT_PINS[(record, fmt)]

@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_hermitian, random_psd, taylor_expm
+from conftest import (
+    matrix_exp_hermitian,
+    matrix_log_psd,
+    random_hermitian,
+    random_psd,
+    taylor_expm,
+)
 
 from qmaxent import DomainError, ValidationError
-from qmaxent.linalg import hermitian_eig, matrix_exp_hermitian, matrix_log_psd
+from qmaxent.linalg import hermitian_eig, require_hermitian
 
 
 class TestHermitianEig:
@@ -55,6 +61,15 @@ class TestHermitianEig:
         for col in range(6):
             lead = v1[np.flatnonzero(np.abs(v1[:, col]) > 1e-12)[0], col]
             assert abs(lead.imag) < 1e-12 and lead.real > 0
+
+    def test_non_finite_entry_rejected(self):
+        for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+            m = np.eye(3, dtype=complex)
+            m[2, 1] = bad
+            with pytest.raises(ValidationError, match=r"entry \(2,1\).*not finite"):
+                require_hermitian(m)
+            with pytest.raises(ValidationError, match="not finite"):
+                hermitian_eig(m)
 
     def test_non_hermitian_rejected_with_entry_pair(self):
         bad = np.array([[0.0, 1.0], [0.5, 0.0]])

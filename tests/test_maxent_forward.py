@@ -2,14 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import taylor_expm
+from conftest import build_exponent, matrix_exp_hermitian, taylor_expm
 
-from qmaxent import ValidationError
-from qmaxent.linalg import matrix_exp_hermitian
+from qmaxent import DomainError, ValidationError
 from qmaxent.maxent import (
     LagrangeSet,
     MeasurementRecord,
-    build_exponent,
     density_from_lagrange,
     fidelity,
     forward_expectations,
@@ -44,9 +42,12 @@ class TestTypes:
         with pytest.raises(ValidationError):
             LagrangeSet(4, 5, 0.0, 0.0, 0.0)
 
-    def test_larger_dims_flagged_experimental(self):
-        assert LagrangeSet(16, 3, 0.1, 0.1, 0.1).experimental
-        assert not LagrangeSet(8, 3, 0.1, 0.1, 0.1).experimental
+    @pytest.mark.parametrize("name", ["lam_11", "lam_1k", "lam_kk"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_multiplier_named(self, name, bad):
+        values = {"lam_11": 0.1, "lam_1k": 0.2, "lam_kk": 0.3, name: bad}
+        with pytest.raises(ValidationError, match=f"{name} = .* not finite"):
+            LagrangeSet(4, 2, **values)
 
     def test_record_invariants(self):
         with pytest.raises(ValidationError):
@@ -204,6 +205,24 @@ class TestForward:
         assert mr.x_1k == pytest.approx(0.2 + 0j, abs=1e-9)
         assert mr.x_kk == pytest.approx(0.2, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "ls",
+        [
+            LagrangeSet(4, 2, -710.0, 0.0, 0.0),
+            LagrangeSet(4, 2, 0.0, 800.0, 0.0),
+            # each exp is finite, their sum Z is not
+            LagrangeSet(8, 3, -709.5, 0.0, -709.5),
+        ],
+    )
+    def test_overflow_raises_domain_error_naming_multipliers(self, ls):
+        for fn in (forward_expectations, density_from_lagrange):
+            with pytest.raises(DomainError, match=f"lam_11 = {ls.lam_11!r}"):
+                fn(ls)
+
+    def test_large_in_range_multipliers_still_map(self):
+        mr = forward_expectations(LagrangeSet(4, 2, -700.0, 0.0, 0.0))
+        assert mr.x_11 == pytest.approx(1.0, abs=1e-12)
+
     def test_matches_density_entries(self):
         rng = np.random.default_rng(14)
         for _ in range(300):
@@ -238,6 +257,16 @@ class TestFidelity:
             b = density_from_lagrange(random_lagrange(rng, dim_n=4))
             assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-9)
             assert 0.0 <= fidelity(a, b) <= 1.0
+
+    # inf - inf inside the hermiticity check warns before the error
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_operand_named(self):
+        sigma = np.eye(4) / 4
+        sigma[1, 2] = np.nan
+        with pytest.raises(ValidationError, match=r"sigma: matrix entry \(1,2\)"):
+            fidelity(np.eye(4) / 4, sigma)
+        with pytest.raises(ValidationError, match="rho: .*not finite"):
+            fidelity(np.full((4, 4), np.inf), np.eye(4) / 4)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):

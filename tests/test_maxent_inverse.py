@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from conftest import random_feasible_record, vn_entropy
 
+import math
+
 from qmaxent import DomainError, InfeasibleRecordError, ValidationError
 from qmaxent.maxent import (
     LagrangeSet,
@@ -13,6 +15,7 @@ from qmaxent.maxent import (
     reconstruct,
     saturation_rescale,
     solve_lagrange,
+    solve_record,
     spectrum,
 )
 
@@ -120,17 +123,6 @@ class TestSolverAgreement:
             assert abs(cf.lam_1k - nt.lam_1k) <= 1e-6
             assert abs(cf.lam_kk - nt.lam_kk) <= 1e-6
 
-    def test_grid_agrees_on_moderate_records(self):
-        rng = np.random.default_rng(55)
-        for _ in range(10):
-            mr = random_feasible_record(rng, dim_n=4)
-            gd = solve_lagrange(mr, method="grid")
-            cf = solve_lagrange(mr, method="closed_form")
-            assert record_deviation(forward_expectations(gd), mr) <= 1e-8
-            assert abs(gd.lam_11 - cf.lam_11) <= 1e-5
-            assert abs(gd.lam_1k - cf.lam_1k) <= 1e-5
-            assert abs(gd.lam_kk - cf.lam_kk) <= 1e-5
-
 
 class TestReconstruct:
     def test_bell_record(self):
@@ -154,20 +146,63 @@ class TestReconstruct:
         assert complex(rho[0, 1]) == pytest.approx(0.2 + 0j, abs=1e-8)
         assert rho[1, 1].real == pytest.approx(0.1, abs=1e-8)
 
+    def test_saturated_complete_record_is_infeasible(self):
+        # the caller's record is solved as given, never rescaled
+        for mr in (
+            MeasurementRecord(4, 4, 0.5, 0.5, 0.5),
+            MeasurementRecord(4, 2, 0.6, 0.0, 0.4),
+            MeasurementRecord(8, 3, 0.3, 0.1j, 0.7 - 5e-13),
+        ):
+            with pytest.raises(InfeasibleRecordError):
+                reconstruct(mr)
+
     def test_complete_record_passes_through(self):
         mr = MeasurementRecord(4, 2, 0.3, 0.1 + 0.05j, 0.25)
         rho, completed = reconstruct(mr)
         assert completed is mr
         assert complex(rho[0, 1]) == pytest.approx(0.1 + 0.05j, abs=1e-8)
 
-    def test_dim_override_must_agree(self):
-        mr = MeasurementRecord(4, 2, 0.4, 0.2)
-        with pytest.raises(ValidationError):
-            reconstruct(mr, dim_n=8)
-        with pytest.raises(ValidationError):
-            reconstruct(mr, index_k=3)
-        rho, _ = reconstruct(mr, dim_n=4, index_k=2)
-        assert rho.shape == (4, 4)
+
+class TestSolveRecord:
+    def test_estimated_population_is_projected_and_rescaled(self):
+        # a Bell pair's true x_kk saturates the record, as in case B
+        completed, ls = solve_record(MeasurementRecord(4, 4, 0.5, 0.5), 0.5)
+        assert completed.source == "measured"
+        assert (completed.x_11, completed.x_1k, completed.x_kk) == (0.5, 0.5, 0.5)
+        assert ls.near_singular
+        rescaled = saturation_rescale(completed)
+        assert record_deviation(forward_expectations(ls), rescaled) <= 1e-8
+
+    def test_noisy_estimate_is_projected(self):
+        completed, _ = solve_record(MeasurementRecord(4, 2, 0.52, 0.53), 0.51)
+        assert completed == feasible_record(4, 2, 0.52, 0.53, 0.51)
+
+    def test_prediction_matches_reconstruct(self):
+        mr = MeasurementRecord(8, 6, 0.3, 0.2 - 0.1j)
+        completed, ls = solve_record(mr)
+        rho, same = reconstruct(mr)
+        assert completed == same and completed.source == "predicted"
+        np.testing.assert_array_equal(rho, density_from_lagrange(ls))
+
+    def test_complete_record_takes_no_second_population(self):
+        with pytest.raises(ValidationError, match="already"):
+            solve_record(MeasurementRecord(4, 2, 0.3, 0.1, 0.2), 0.2)
+
+
+class TestNonFiniteRecords:
+    @pytest.mark.parametrize(
+        ("name", "values"),
+        [
+            ("x_11", (math.nan, 0.1, 0.3)),
+            ("x_1k", (0.3, complex(math.nan, 0.0), 0.3)),
+            ("x_1k", (0.3, complex(0.0, math.inf), None)),
+            ("x_kk", (0.3, 0.1, math.nan)),
+            ("x_kk", (0.3, 0.1, -math.inf)),
+        ],
+    )
+    def test_field_is_named(self, name, values):
+        with pytest.raises(ValidationError, match=f"{name} = .* not finite"):
+            MeasurementRecord(4, 2, *values)
 
 
 class TestProperties:

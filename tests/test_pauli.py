@@ -2,17 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import dense_expectation
+from conftest import assemble, dense_expectation, to_matrix
 
 from qmaxent import IncompleteDataError, ValidationError
 from qmaxent.circuit import Circuit, parse_circuit, simulate
 from qmaxent.pauli import (
     PauliString,
-    assemble,
     decompose_ketbra,
     expectation_from_paulis,
     measurement_settings,
-    to_matrix,
 )
 
 
@@ -156,7 +154,9 @@ class TestMeasurementSettings:
     @staticmethod
     def _rotated_parity_mean(sv_circuit: Circuit, ps: PauliString) -> float:
         setting = measurement_settings(ps)
-        rotated = simulate(sv_circuit.extended(setting.rotations))
+        rotated = simulate(
+            Circuit(sv_circuit.num_qubits, sv_circuit.gates + setting.rotations)
+        )
         probs = np.abs(rotated) ** 2
         idx = np.arange(probs.size)
         signs = np.ones(probs.size)

@@ -2,21 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_expectation, slsqp_simplex_lstsq
+from conftest import dense_expectation, slsqp_simplex_lstsq, to_matrix
 
-from qmaxent import DomainError, ParseError, ValidationError
+from qmaxent import DomainError, ValidationError
 from qmaxent.circuit import parse_circuit, populations, simulate
-from qmaxent.pauli import PauliString, to_matrix
+from qmaxent.pauli import PauliString
 from qmaxent.sampler import (
     CalibrationMatrix,
     CountsTable,
     ReadoutNoise,
     build_calibration,
-    dump_counts,
     estimate_coherence,
     estimate_pauli,
     estimate_populations,
-    load_counts,
     mitigate,
     sample_counts,
     _mitigation_solve,
@@ -192,13 +190,6 @@ class TestCalibration:
         np.testing.assert_allclose(cal.entries, np.kron(single, single), atol=1e-15)
         np.testing.assert_allclose(cal.entries.sum(axis=0), np.ones(4), atol=1e-15)
 
-    def test_empirical_mode_approximates_exact(self):
-        noise = ReadoutNoise.uniform(0.08, 0.03, 2)
-        exact = build_calibration(noise, 2)
-        empirical = build_calibration(noise, 2, shots=200000, seed=13)
-        assert np.abs(empirical.entries - exact.entries).max() <= 0.005
-        np.testing.assert_allclose(empirical.entries.sum(axis=0), np.ones(4), atol=1e-12)
-
     def test_column_sum_validation(self):
         with pytest.raises(ValidationError):
             CalibrationMatrix(1, np.array([[0.9, 0.0], [0.2, 1.0]]))
@@ -319,30 +310,3 @@ class TestMalformedStates:
         with pytest.raises(ValidationError, match="state has 2"):
             estimate_pauli(BELL_SV, PauliString(("Z",)))
 
-
-class TestCountsIO:
-    def test_roundtrip(self):
-        ct = sample_counts(BELL_SV, 500, ReadoutNoise.uniform(0.01, 0.02, 2), seed=21)
-        back = load_counts(dump_counts(ct))
-        assert back == ct
-
-    def test_text_layout(self):
-        ct = CountsTable(2, 3, {"00": 2, "11": 1}, seed=5)
-        assert dump_counts(ct) == "shots 3\nseed 5\n00 2\n11 1\n"
-
-    def test_malformed_rejected(self):
-        with pytest.raises(ValidationError):
-            load_counts("shots 10\n00 10\n")  # missing seed
-
-    @pytest.mark.parametrize(
-        ("text", "line"),
-        [
-            ("shots 10\nseed 0\n0 4\n1 2\n0 8\n", 5),
-            ("shots 10\nseed 0\nseed 3\n0 10\n", 3),
-            ("shots 10\nseed 0\n0 10\nshots 10\n", 4),
-        ],
-    )
-    def test_duplicate_lines_rejected(self, text, line):
-        with pytest.raises(ParseError, match=f"line {line}: duplicate") as info:
-            load_counts(text)
-        assert info.value.line == line
