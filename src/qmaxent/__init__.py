@@ -63,7 +63,6 @@ from .pauli import (
 )
 from .sampler import (
     CalibrationMatrix,
-    CountsTable,
     ReadoutNoise,
     build_calibration,
     estimate_coherence,

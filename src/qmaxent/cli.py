@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import circuits as bundled
-from .circuit import coherence, parse_circuit, populations, simulate
+from .circuit import coherence, parse_circuit, simulate
 from .errors import InfeasibleRecordError, TomographyError, ValidationError
 from .linalg import POLICY
 from .maxent import (
@@ -46,8 +46,6 @@ from .sampler import (
     build_calibration,
     estimate_coherence,
     estimate_populations,
-    mitigate,
-    sample_counts,
 )
 
 _POINT_SEED_STRIDE = 10007
@@ -78,6 +76,8 @@ class ExperimentConfig:
             raise ValidationError(f"backend must be one of {_BACKENDS}")
         if self.theta_steps < 1:
             raise ValidationError("theta_steps must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.backend != "exact" and (self.shots is None or self.shots < 1):
             raise ValidationError(f"backend {self.backend!r} requires shots >= 1")
         if self.backend == "noisy" and self.noise is None:
@@ -147,6 +147,19 @@ def _parse_bool(value: str, key: str) -> bool:
     raise ValidationError(f"bad boolean for {key!r}: {value!r}")
 
 
+def _read_float(values: dict[str, str], key: str, default: float) -> float:
+    """The finite float value of ``key``, or ``default`` when it is absent."""
+    if key not in values:
+        return default
+    try:
+        value = float(values[key])
+    except ValueError:
+        raise ValidationError(f"{key} = {values[key]!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{key} = {values[key]} is not finite")
+    return value
+
+
 def _k_targets(k_targets: tuple[int, ...], dim_n: int) -> tuple[int, ...]:
     """The K targets of a sweep: every K in 2..dim_n when none are given,
     else the given ones, each in range and named once."""
@@ -186,8 +199,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     backend = values.get("backend", "exact")
     noise = None
     if backend == "noisy":
-        p01 = float(values.get("p01", DEFAULT_P01))
-        p10 = float(values.get("p10", DEFAULT_P10))
+        p01 = _read_float(values, "p01", DEFAULT_P01)
+        p10 = _read_float(values, "p10", DEFAULT_P10)
         noise = ReadoutNoise.uniform(p01, p10, num_qubits)
     try:
         k_targets = tuple(
@@ -195,8 +208,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         )
         return ExperimentConfig(
             circuit_path=values["circuit"],
-            theta_start=float(values.get("theta_start", 0.0)),
-            theta_stop=float(values.get("theta_stop", 2 * math.pi)),
+            theta_start=_read_float(values, "theta_start", 0.0),
+            theta_stop=_read_float(values, "theta_stop", 2 * math.pi),
             theta_steps=int(values.get("theta_steps", 21)),
             k_targets=_k_targets(k_targets, 2**num_qubits),
             backend=backend,
@@ -222,27 +235,17 @@ def _measure_point(
     x1K is reported in the density-matrix convention rho[1, K]; for a pure
     state that is a_0 * conj(a_{K-1}).
     """
-    if cfg.backend == "exact":
-        pops = populations(sv)
-        # rho[1, K] is the mean of |K><1|
-        return float(pops[0]), coherence(sv, k, 1), float(pops[k - 1])
-
+    # The exact backend reads exact probabilities whatever the config's shots.
+    shots = None if cfg.backend == "exact" else cfg.shots
     noise = cfg.noise if cfg.backend == "noisy" else None
-    table = sample_counts(sv, cfg.shots, noise, point_seed)
-    if calibration is not None:
-        pops = mitigate(table, calibration)
+    pops = estimate_populations(sv, shots, noise, point_seed, calibration)
+    if shots is None:
+        x1k = coherence(sv, k, 1)  # rho[1, K] is the mean of |K><1|
     else:
-        pops = estimate_populations(table)
-    coherence_mean = estimate_coherence(
-        sv,
-        1,
-        k,
-        shots_per_setting=cfg.shots,
-        noise=noise,
-        seed=point_seed + _COHERENCE_SEED_OFFSET,
-        calibration=calibration,
-    )
-    return float(pops[0]), complex(coherence_mean).conjugate(), float(pops[k - 1])
+        seed = point_seed + _COHERENCE_SEED_OFFSET
+        x1k = complex(estimate_coherence(sv, 1, k, shots, noise, seed, calibration))
+        x1k = x1k.conjugate()
+    return float(pops[0]), x1k, float(pops[k - 1])
 
 
 def _solve_point(
@@ -408,14 +411,14 @@ def load_heatmap_config(path: str | Path) -> dict:
             "index_k": int(values.get("k", 2)),
             **{
                 axis: np.linspace(
-                    float(values.get(f"{axis}_start", -3.0)),
-                    float(values.get(f"{axis}_stop", 3.0)),
+                    _read_float(values, f"{axis}_start", -3.0),
+                    _read_float(values, f"{axis}_stop", 3.0),
                     int(values.get(f"{axis}_steps", 21)),
                 )
                 for axis in ("lam11", "re_lam1k")
             },
-            "lam_kk": float(values.get("lam_kk", 0.0)),
-            "im_lam1k": float(values.get("im_lam1k", 0.0)),
+            "lam_kk": _read_float(values, "lam_kk", 0.0),
+            "im_lam1k": _read_float(values, "im_lam1k", 0.0),
             "out": values.get("out"),
         }
     except ValueError as exc:
@@ -451,7 +454,7 @@ def _cmd_reconstruct(args) -> int:
         ]
         for i in range(rho.shape[0]):
             for j in range(rho.shape[1]):
-                lines.append(f"rho_{i + 1}_{j + 1},{rho[i, j].real!r}{rho[i, j].imag:+}j")
+                lines.append(f"rho_{i + 1}_{j + 1},{float(rho[i, j].real)!r}{rho[i, j].imag:+}j")
     else:
         lines = [
             "completed record (xkk " + completed.source + "):",

@@ -265,8 +265,9 @@ def predict_population(x_11: float, x_1k: complex) -> float:
     """Predicted unknown population |x1K|^2 / x11.
 
     Exact when the underlying state is pure. The result is clamped to
-    [0, 1 - x11]; a RuntimeWarning is emitted when the clamp fires, which
-    can happen for noisy inputs.
+    [0, 1 - x11]; a RuntimeWarning is emitted when the clamp removes more
+    than ``POLICY.feasibility_atol``, which can happen for noisy inputs
+    (a smaller excess is rounding on exact pure-state data).
     """
     if x_11 <= POLICY.population_floor:
         raise DomainError(
@@ -275,15 +276,14 @@ def predict_population(x_11: float, x_1k: complex) -> float:
         )
     value = abs(x_1k) ** 2 / x_11
     ceiling = max(0.0, 1.0 - x_11)
-    if value > ceiling:
+    if value - ceiling > POLICY.feasibility_atol:
         warnings.warn(
             f"predicted population {value:.6g} clamped to 1 - x_11 = "
             f"{ceiling:.6g}",
             RuntimeWarning,
             stacklevel=2,
         )
-        value = ceiling
-    return value
+    return min(value, ceiling)
 
 
 def feasible_record(

@@ -36,10 +36,6 @@ class PauliString:
         if bad:
             raise ValidationError(f"bad Pauli letters {bad}")
 
-    @classmethod
-    def from_text(cls, text: str) -> "PauliString":
-        return cls(tuple(text.upper()))
-
     @property
     def num_qubits(self) -> int:
         return len(self.letters)

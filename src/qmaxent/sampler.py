@@ -1,29 +1,29 @@
 """Shot-based measurement backends with readout noise and mitigation.
 
-Sampling draws i.i.d. bitstrings from the squared amplitudes and then
-applies independent per-qubit readout flips. All randomness flows through
-numpy's default PCG64 generator seeded explicitly; multi-setting
-estimators derive sub-seeds as seed + setting index, so results do not
-depend on evaluation order. Passing ``shots=None`` to the estimators
-selects the exact (infinite-shot) mode, which runs the same code path on
-exact outcome probabilities.
+A measured outcome distribution is a length-2^n vector indexed by basis
+state - 1. Sampling draws i.i.d. outcomes from the squared amplitudes,
+applies independent per-qubit readout flips and tallies them. All
+randomness flows through numpy's default PCG64 generator seeded
+explicitly; multi-setting estimators derive sub-seeds as seed + setting
+index, so results do not depend on evaluation order.
 
-The estimators take a prepared state vector, so a circuit is simulated
-once per parameter value and each Pauli setting applies only its basis
-rotations to that state. A calibration matrix is built once and reused:
-its condition number is computed on first use. Mitigation solves
-``M p = f`` directly and, when that leaves negative entries, solves
-``min ||M p - f||^2`` over the probability simplex exactly with a small
-active-set method (the constrained treatment of Smolin, Gambetta & Smith,
-PRL 108, 070502, 2012, on the dense N <= 64 problems of M3, Nation et
-al., PRX Quantum 2, 040326, 2021).
+Every estimator takes a state vector and ``shots=None, noise=None,
+seed=0, calibration=None``, and ``estimate_populations`` alone turns the
+state into a distribution: ``shots=None`` selects the exact mode.
+``estimate_pauli`` applies only a setting's basis rotations, so a circuit
+is simulated once per parameter value. A calibration matrix is built once
+and reused; its condition number is computed on first use. Mitigation
+solves ``M p = f`` directly and, when that leaves negative entries,
+solves ``min ||M p - f||^2`` over the probability simplex exactly with a
+small active-set method (the constrained treatment of Smolin, Gambetta &
+Smith, PRL 108, 070502, 2012, on the dense N <= 64 problems of M3, Nation
+et al., PRX Quantum 2, 040326, 2021).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from typing import Mapping
 
 import numpy as np
 
@@ -49,6 +49,8 @@ class ReadoutNoise:
         if len(self.p01) != len(self.p10):
             raise ValidationError("p01 and p10 must cover the same qubits")
         for p in self.p01 + self.p10:
+            if not np.isfinite(p):
+                raise ValidationError(f"flip probability {p} is not finite")
             if not 0.0 <= p <= 0.5:
                 raise ValidationError(f"flip probability {p} outside [0, 0.5]")
 
@@ -59,28 +61,6 @@ class ReadoutNoise:
     @property
     def num_qubits(self) -> int:
         return len(self.p01)
-
-
-@dataclass(frozen=True)
-class CountsTable:
-    """Bitstring counts from one measured setting (qubit 0 rightmost)."""
-
-    num_qubits: int
-    shots: int
-    counts: Mapping[str, int]
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", dict(self.counts))
-        if self.shots < 1:
-            raise ValidationError("shots must be >= 1")
-        for key, value in self.counts.items():
-            if len(key) != self.num_qubits or set(key) - {"0", "1"}:
-                raise ValidationError(f"bad bitstring key {key!r}")
-            if value < 0:
-                raise ValidationError(f"negative count for {key!r}")
-        if sum(self.counts.values()) != self.shots:
-            raise ValidationError("counts do not sum to shots")
 
 
 @dataclass(frozen=True)
@@ -133,10 +113,13 @@ def sample_counts(
     shots: int,
     noise: ReadoutNoise | None = None,
     seed: int = 0,
-) -> CountsTable:
-    """Draw ``shots`` bitstrings from |a_i|^2, then apply readout flips."""
+) -> np.ndarray:
+    """Tally of ``shots`` outcomes drawn from |a_i|^2 after readout flips:
+    an int array of length 2^n, indexed by basis state - 1."""
     if shots < 1:
         raise ValidationError("shots must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     sv = np.asarray(sv)
     num_qubits = _state_qubits(sv)
     probs = populations(sv)
@@ -151,18 +134,33 @@ def sample_counts(
             # P(flip) is p01 where bit q reads 0 and p10 where it reads 1.
             flip_prob = np.array([noise.p01[q], noise.p10[q]])[(outcomes >> q) & 1]
             outcomes[rng.random(shots) < flip_prob] ^= 1 << q
-    tallies = np.bincount(outcomes, minlength=probs.size).tolist()
-    counts = {
-        format(v, f"0{num_qubits}b"): c for v, c in enumerate(tallies) if c
-    }
-    return CountsTable(num_qubits, shots, counts, seed)
+    return np.bincount(outcomes, minlength=probs.size)
 
 
-def estimate_populations(ct: CountsTable) -> np.ndarray:
-    """Observed frequency of each basis state, indexed by basis state - 1."""
-    freqs = np.zeros(2**ct.num_qubits)
-    for key, value in ct.counts.items():
-        freqs[int(key, 2)] = value / ct.shots
+def estimate_populations(
+    sv: np.ndarray,
+    shots: int | None = None,
+    noise: ReadoutNoise | None = None,
+    seed: int = 0,
+    calibration: CalibrationMatrix | None = None,
+) -> np.ndarray:
+    """Outcome distribution of a state vector, indexed by basis state - 1.
+
+    ``shots=None`` gives the exact probabilities, with the noise model
+    applied as its calibration matrix if one is given; otherwise the
+    frequencies of ``shots`` seeded draws. A calibration matrix, when
+    supplied, then corrects the distribution.
+    """
+    sv = np.asarray(sv)
+    num_qubits = _state_qubits(sv)
+    if shots is None:
+        freqs = populations(sv)
+        if noise is not None:
+            freqs = build_calibration(noise, num_qubits).entries @ freqs
+    else:
+        freqs = sample_counts(sv, shots, noise, seed) / shots
+    if calibration is not None:
+        freqs = mitigate(freqs, calibration)
     return freqs
 
 
@@ -231,22 +229,19 @@ def _simplex_least_squares(m: np.ndarray, f: np.ndarray, start: np.ndarray) -> n
     raise TomographyError("constrained mitigation solve did not converge")
 
 
-def _mitigation_solve(freqs: np.ndarray, cal: CalibrationMatrix) -> np.ndarray:
+def mitigate(freqs: np.ndarray, cal: CalibrationMatrix) -> np.ndarray:
+    """Readout-corrected outcome probabilities for observed frequencies."""
+    freqs = np.asarray(freqs, dtype=float)
+    if freqs.shape != (cal.dim,):
+        raise ValidationError(
+            f"calibration covers {cal.dim} outcomes, frequencies have shape {freqs.shape}"
+        )
     if cal.condition > 1e12:
         raise DomainError("calibration matrix is singular or ill-conditioned")
     direct = np.linalg.solve(cal.entries, freqs)
     if direct.min() >= 0.0:
         return direct
     return _simplex_least_squares(cal.entries, freqs, direct)
-
-
-def mitigate(ct: CountsTable, cal: CalibrationMatrix) -> np.ndarray:
-    """Readout-corrected outcome probabilities for a counts table."""
-    if cal.num_qubits != ct.num_qubits:
-        raise ValidationError(
-            f"calibration covers {cal.num_qubits} qubit(s), counts have {ct.num_qubits}"
-        )
-    return _mitigation_solve(estimate_populations(ct), cal)
 
 
 def build_calibration(noise: ReadoutNoise, num_qubits: int) -> CalibrationMatrix:
@@ -274,11 +269,8 @@ def estimate_pauli(
     reading the parity of the outcomes.
 
     Only the setting's basis rotations are applied to ``sv`` (from
-    ``simulate``). ``shots=None`` uses exact outcome probabilities (with
-    the noise model applied as its calibration matrix, if given);
-    otherwise probabilities come from seeded sampling. A calibration
-    matrix, when supplied, corrects the outcome distribution before the
-    parity average.
+    ``simulate``); the outcome distribution of the rotated state comes
+    from ``estimate_populations`` with the same arguments.
     """
     sv = np.asarray(sv)
     num_qubits = _state_qubits(sv)
@@ -288,14 +280,7 @@ def estimate_pauli(
         )
     setting = measurement_settings(p)
     rotated = apply_gates(sv, setting.rotations, num_qubits)
-    if shots is None:
-        freqs = populations(rotated)
-        if noise is not None:
-            freqs = build_calibration(noise, num_qubits).entries @ freqs
-    else:
-        freqs = estimate_populations(sample_counts(rotated, shots, noise, seed))
-    if calibration is not None:
-        freqs = _mitigation_solve(freqs, calibration)
+    freqs = estimate_populations(rotated, shots, noise, seed, calibration)
     return float(_parity_signs(num_qubits, setting.parity_mask) @ freqs)
 
 

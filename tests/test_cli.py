@@ -68,6 +68,10 @@ class TestConfig:
         assert cfg.noise.p01 == (0.02, 0.02)
         assert cfg.noise.p10 == (0.04, 0.04)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            ExperimentConfig(circuit_path="bell", backend="shots", shots=10, seed=-1)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("circuit bell\nbogus 1\n")
@@ -393,7 +397,40 @@ class TestCommandLine:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("circuit twoq_b\ntheta_start nan\ntheta_steps 2\n")
         assert main(["--out", str(tmp_path / "o.csv"), "sweep", str(cfg)]) == 2
-        assert "line 3" in capsys.readouterr().err
+        assert "theta_start" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("lines", "key"),
+        [
+            ("theta_stop inf\n", "theta_stop"),
+            ("backend noisy\nshots 64\np01 nan\n", "p01"),
+            ("backend noisy\nshots 64\np10 0.0x\n", "p10"),
+        ],
+    )
+    def test_bad_config_float_names_its_key(self, tmp_path, capsys, lines, key):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("circuit twoq_b\ntheta_steps 2\n" + lines)
+        assert main(["--out", str(tmp_path / "o.csv"), "sweep", str(cfg)]) == 2
+        assert f"{key} = " in capsys.readouterr().err
+
+    def test_non_finite_heatmap_float_names_its_key(self, tmp_path, capsys):
+        cfg = tmp_path / "hm.txt"
+        cfg.write_text("lam11_stop inf\nlam11_steps 3\nre_lam1k_steps 2\n")
+        assert main(["--out", str(tmp_path / "hm.csv"), "heatmap", str(cfg)]) == 2
+        assert "lam11_stop = inf is not finite" in capsys.readouterr().err
+
+    def test_negative_config_seed_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("circuit twoq_b\ntheta_steps 2\nbackend shots\nshots 64\nseed -1\n")
+        assert main(["--out", str(tmp_path / "o.csv"), "sweep", str(cfg)]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_negative_seed_override_exit_code(self, tmp_path, capsys):
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "caseab_shots.txt"
+        args = ["--seed", "-3", "--out", str(tmp_path / "o.csv"), "caseab", str(cfg)]
+        assert main(args) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["sweep", str(tmp_path / "nope.txt")]) == 2
@@ -422,3 +459,7 @@ class TestCommandLine:
         assert main(["--format", "csv", "reconstruct", str(record)]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "key,value"
+        rho = [line.split(",") for line in out.splitlines() if line.startswith("rho_")]
+        assert len(rho) == 16
+        for _, value in rho:
+            complex(value)

@@ -35,11 +35,11 @@ RECONSTRUCT_PINS = {
     ("incomplete", "text"):
         "c293e8055dc126d297036e087e27d438e3e8acc1b9a47e02e834b02d9486dda9",
     ("incomplete", "csv"):
-        "b45786d4064114a5faad04fb131ddf8fabf2cc9ed18ec252feff265b3d5562ab",
+        "aec1b96b6f71296bb4094bc7e22a24b0ceb5a4e61efddd17d6599316e352851e",
     ("complete", "text"):
         "79cf51ed6c43675f46607cc8f6b4b28f5bfbcee2ec4d63924da7ff9ca849b5ec",
     ("complete", "csv"):
-        "e4675d9e1ebac7bef7c72989cf5aa64c97eedab99f1e756086d84aade93076ef",
+        "80be51abe4d82adeabfb0cbfae3f10c4e50cc1fc43a187222e7bc9d4c7f7daea",
 }
 
 

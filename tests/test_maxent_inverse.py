@@ -3,6 +3,7 @@ import pytest
 from conftest import random_feasible_record, vn_entropy
 
 import math
+import warnings
 
 from qmaxent import DomainError, InfeasibleRecordError, ValidationError
 from qmaxent.maxent import (
@@ -59,6 +60,18 @@ class TestPredict:
         with pytest.warns(RuntimeWarning, match="clamped"):
             value = predict_population(0.6, 0.55)
         assert value == pytest.approx(0.4, abs=1e-12)
+
+    def test_rounding_excess_clamped_without_warning(self):
+        # A pure state (cos t, sin t): |x1K|^2 / x11 exceeds 1 - x11 by 2.7e-17.
+        mr = MeasurementRecord(4, 2, 0.9999975351020253, 0.0015699974200726052)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = predict_population(mr.x_11, mr.x_1k)
+            solve_record(mr)
+        assert value == 1.0 - mr.x_11
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            value = predict_population(0.5, 0.6)
+        assert value == 0.5
 
 
 class TestSolveClosedForm:

@@ -195,7 +195,7 @@ class TestMeasurementSettings:
                 )
 
     def test_string_text_form(self):
-        ps = PauliString.from_text("xz")
+        ps = PauliString(("X", "Z"))
         assert str(ps) == "XZ"
         assert ps.letters == ("X", "Z")
         np.testing.assert_allclose(

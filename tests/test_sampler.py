@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from qmaxent.circuit import parse_circuit, populations, simulate
 from qmaxent.pauli import PauliString
 from qmaxent.sampler import (
     CalibrationMatrix,
-    CountsTable,
     ReadoutNoise,
     build_calibration,
     estimate_coherence,
@@ -17,7 +17,6 @@ from qmaxent.sampler import (
     estimate_populations,
     mitigate,
     sample_counts,
-    _mitigation_solve,
 )
 
 BELL = parse_circuit("qubits 2\nh 0\ncx 0 1")
@@ -28,69 +27,92 @@ PLUS = parse_circuit("qubits 1\nh 0")
 class TestSampleCounts:
     def test_ground_state_all_zero_string(self):
         sv = simulate(parse_circuit("qubits 1"))
-        ct = sample_counts(sv, 100, seed=1)
-        assert ct.counts == {"0": 100}
+        tally = sample_counts(sv, 100, seed=1)
+        assert tally.tolist() == [100, 0]
 
     def test_bell_frequencies_within_binomial_bound(self):
         shots = 40000
-        ct = sample_counts(BELL_SV, shots, seed=2)
-        assert set(ct.counts) <= {"00", "11"}
+        tally = sample_counts(BELL_SV, shots, seed=2)
+        assert tally[1] == tally[2] == 0
         bound = 5 / math.sqrt(shots)
-        for key in ("00", "11"):
-            assert abs(ct.counts.get(key, 0) / shots - 0.5) <= bound
+        for index in (0, 3):
+            assert abs(tally[index] / shots - 0.5) <= bound
 
     def test_readout_flip_rate(self):
         sv = simulate(parse_circuit("qubits 1"))
         shots = 100000
         noise = ReadoutNoise.uniform(0.1, 0.0, 1)
-        ct = sample_counts(sv, shots, noise, seed=3)
+        tally = sample_counts(sv, shots, noise, seed=3)
         sigma = math.sqrt(0.1 * 0.9 / shots)
-        assert abs(ct.counts.get("1", 0) / shots - 0.1) <= 3 * sigma
+        assert abs(tally[1] / shots - 0.1) <= 3 * sigma
 
     def test_deterministic_given_seed(self):
         a = sample_counts(BELL_SV, 5000, ReadoutNoise.uniform(0.05, 0.02, 2), seed=9)
         b = sample_counts(BELL_SV, 5000, ReadoutNoise.uniform(0.05, 0.02, 2), seed=9)
-        assert a == b
+        assert np.array_equal(a, b)
         c = sample_counts(BELL_SV, 5000, ReadoutNoise.uniform(0.05, 0.02, 2), seed=10)
-        assert a != c
+        assert not np.array_equal(a, c)
 
     def test_noise_probability_range_enforced(self):
         with pytest.raises(ValidationError):
             ReadoutNoise.uniform(0.7, 0.0, 1)
 
-    def test_counts_must_sum_to_shots(self):
-        with pytest.raises(ValidationError):
-            CountsTable(1, 10, {"0": 4, "1": 5}, seed=0)
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_noise_rate_rejected(self, rate):
+        with pytest.raises(ValidationError, match="not finite"):
+            ReadoutNoise.uniform(rate, 0.0, 1)
+
+    def test_tally_is_an_int_vector_summing_to_shots(self):
+        sv = simulate(parse_circuit("qubits 3\nh 0\nry(0.7) 1\ncx 1 2"))
+        tally = sample_counts(sv, 777, ReadoutNoise.uniform(0.05, 0.1, 3), seed=5)
+        assert tally.shape == (8,)
+        assert np.issubdtype(tally.dtype, np.integer)
+        assert tally.min() >= 0
+        assert tally.sum() == 777
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            sample_counts(BELL_SV, 10, seed=-1)
 
 
 class TestEstimatePopulations:
     def test_single_outcome(self):
-        ct = CountsTable(1, 100, {"0": 100}, seed=0)
-        np.testing.assert_allclose(estimate_populations(ct), [1.0, 0.0])
+        sv = simulate(parse_circuit("qubits 1"))
+        np.testing.assert_allclose(estimate_populations(sv, 100, seed=0), [1.0, 0.0])
 
     def test_bell_split(self):
-        ct = CountsTable(2, 100, {"00": 50, "11": 50}, seed=0)
-        np.testing.assert_allclose(estimate_populations(ct), [0.5, 0.0, 0.0, 0.5])
+        # Seed 7 draws 50 of each outcome in 100 shots.
+        assert sample_counts(BELL_SV, 100, seed=7).tolist() == [50, 0, 0, 50]
+        np.testing.assert_allclose(
+            estimate_populations(BELL_SV, 100, seed=7), [0.5, 0.0, 0.0, 0.5]
+        )
 
     def test_estimates_partition_unity(self):
         rng = np.random.default_rng(4)
-        for _ in range(20):
-            raw = rng.integers(0, 50, size=8)
-            raw[0] += 1  # keep at least one shot
-            ct = CountsTable(
-                3,
-                int(raw.sum()),
-                {format(i, "03b"): int(c) for i, c in enumerate(raw) if c},
-                seed=0,
-            )
-            assert estimate_populations(ct).sum() == pytest.approx(1.0, abs=1e-12)
+        for seed in range(20):
+            amplitudes = rng.normal(size=8) + 1j * rng.normal(size=8)
+            sv = amplitudes / np.linalg.norm(amplitudes)
+            shots = int(rng.integers(1, 400))
+            freqs = estimate_populations(sv, shots, seed=seed)
+            np.testing.assert_array_equal(freqs, sample_counts(sv, shots, seed=seed) / shots)
+            assert freqs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_exact_mode_is_the_state_populations(self):
+        np.testing.assert_array_equal(estimate_populations(BELL_SV), populations(BELL_SV))
+
+    def test_exact_noisy_mode_applies_the_calibration_matrix(self):
+        sv = simulate(parse_circuit("qubits 2\nry(0.8) 0\nrx(1.3) 1\ncx 0 1"))
+        noise = ReadoutNoise.uniform(0.02, 0.04, 2)
+        cal = build_calibration(noise, 2)
+        np.testing.assert_array_equal(
+            estimate_populations(sv, noise=noise), cal.entries @ populations(sv)
+        )
 
     def test_convergence_to_exact_populations(self):
         shots = 100000
         truth = populations(BELL_SV)
         for seed in range(20):
-            ct = sample_counts(BELL_SV, shots, seed=seed)
-            estimate = estimate_populations(ct)
+            estimate = estimate_populations(BELL_SV, shots, seed=seed)
             for p, p_hat in zip(truth, estimate):
                 sigma = math.sqrt(max(p * (1 - p), 1e-12) / shots)
                 assert abs(p_hat - p) <= max(3 * sigma, 1e-12)
@@ -113,14 +135,23 @@ class TestEstimatePauli:
         rng = np.random.default_rng(31)
         c = parse_circuit("qubits 2\nry(0.8) 0\nrx(1.3) 1\ncx 0 1\nrz(0.4) 1")
         sv = simulate(c)
-        import itertools
-
         for letters in itertools.product("IXYZ", repeat=2):
             ps = PauliString(letters)
             if ps.is_identity:
                 continue
             exact = dense_expectation(sv, to_matrix(ps)).real
             assert estimate_pauli(simulate(c), ps) == pytest.approx(exact, abs=1e-10)
+
+    def test_exact_noisy_mode_mitigates_back_to_exact(self):
+        sv = simulate(parse_circuit("qubits 2\nry(0.8) 0\nrx(1.3) 1\ncx 0 1\nrz(0.4) 1"))
+        noise = ReadoutNoise.uniform(0.02, 0.04, 2)
+        cal = build_calibration(noise, 2)
+        for letters in itertools.product("IXYZ", repeat=2):
+            ps = PauliString(letters)
+            if ps.is_identity:
+                continue
+            mitigated = estimate_pauli(sv, ps, noise=noise, calibration=cal)
+            assert abs(mitigated - estimate_pauli(sv, ps)) <= 1e-12
 
     def test_sampled_converges_to_dense(self):
         c = parse_circuit("qubits 2\nry(0.8) 0\nrx(1.3) 1\ncx 0 1")
@@ -197,20 +228,17 @@ class TestCalibration:
 
 class TestMitigate:
     def test_identity_calibration_returns_frequencies(self):
-        ct = CountsTable(1, 10, {"0": 7, "1": 3}, seed=0)
         cal = CalibrationMatrix(1, np.eye(2))
-        np.testing.assert_array_equal(mitigate(ct, cal), [0.7, 0.3])
+        np.testing.assert_array_equal(mitigate(np.array([7, 3]) / 10, cal), [0.7, 0.3])
 
     def test_exact_unmixing(self):
         cal = CalibrationMatrix(1, np.array([[0.9, 0.1], [0.1, 0.9]]))
-        ct = CountsTable(1, 10, {"0": 9, "1": 1}, seed=0)
-        np.testing.assert_allclose(mitigate(ct, cal), [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(mitigate(np.array([9, 1]) / 10, cal), [1.0, 0.0], atol=1e-12)
 
     def test_noisy_bell_recovery(self):
         noise = ReadoutNoise.uniform(0.02, 0.04, 2)
         cal = build_calibration(noise, 2)
-        ct = sample_counts(BELL_SV, 100000, noise, seed=14)
-        corrected = mitigate(ct, cal)
+        corrected = estimate_populations(BELL_SV, 100000, noise, seed=14, calibration=cal)
         np.testing.assert_allclose(corrected, [0.5, 0, 0, 0.5], atol=0.01)
         assert corrected.min() >= 0.0
         assert corrected.sum() == pytest.approx(1.0, abs=1e-8)
@@ -218,7 +246,12 @@ class TestMitigate:
     def test_singular_calibration_rejected(self):
         with pytest.raises(DomainError):
             cal = CalibrationMatrix(1, np.array([[0.5, 0.5], [0.5, 0.5]]))
-            mitigate(CountsTable(1, 2, {"0": 1, "1": 1}, seed=0), cal)
+            mitigate(np.array([1, 1]) / 2, cal)
+
+    def test_wrong_length_rejected(self):
+        cal = build_calibration(ReadoutNoise.uniform(0.02, 0.04, 2), 2)
+        with pytest.raises(ValidationError, match="4 outcomes"):
+            mitigate(np.array([0.5, 0.5]), cal)
 
     def test_mitigated_closer_than_raw(self):
         noise = ReadoutNoise.uniform(0.02, 0.04, 2)
@@ -228,9 +261,8 @@ class TestMitigate:
         wins = 0
         trials = 40
         for seed in range(trials):
-            ct = sample_counts(BELL_SV, shots, noise, seed=seed)
-            raw = estimate_populations(ct)
-            corrected = mitigate(ct, cal)
+            raw = estimate_populations(BELL_SV, shots, noise, seed=seed)
+            corrected = mitigate(raw, cal)
             if np.abs(corrected - truth).sum() < np.abs(raw - truth).sum():
                 wins += 1
         assert wins >= 0.95 * trials
@@ -262,7 +294,7 @@ class TestSimplexSolve:
             if np.linalg.solve(m, freqs).min() >= 0.0:
                 continue
             constrained += 1
-            p = _mitigation_solve(freqs, cal)
+            p = mitigate(freqs, cal)
             assert p.min() >= 0.0
             assert abs(p.sum() - 1.0) <= 1e-12
             grad = m.T @ (m @ p - freqs)
@@ -283,7 +315,7 @@ class TestSimplexSolve:
         single = np.array([[0.5, 0.5], [0.5, 0.5]])
         cal = CalibrationMatrix(2, np.kron(single, np.eye(2)))
         with pytest.raises(DomainError):
-            _mitigation_solve(np.array([0.7, 0.0, 0.3, 0.0]), cal)
+            mitigate(np.array([0.7, 0.0, 0.3, 0.0]), cal)
 
     def test_calibration_entries_are_a_read_only_copy(self):
         source = np.eye(2)
@@ -299,6 +331,8 @@ class TestMalformedStates:
         sv = np.ones(3) / math.sqrt(3)
         with pytest.raises(ValidationError, match="2\\^n"):
             sample_counts(sv, 10)
+        with pytest.raises(ValidationError, match="2\\^n"):
+            estimate_populations(sv)
         with pytest.raises(ValidationError, match="2\\^n"):
             estimate_pauli(sv, PauliString(("Z",)), 10)
 
