@@ -41,7 +41,6 @@ from .maxent import (
 )
 from .pauli import decompose_ketbra
 from .sampler import (
-    CalibrationMatrix,
     ReadoutNoise,
     build_calibration,
     estimate_coherence,
@@ -82,6 +81,10 @@ class ExperimentConfig:
             raise ValidationError(f"backend {self.backend!r} requires shots >= 1")
         if self.backend == "noisy" and self.noise is None:
             raise ValidationError("noisy backend requires a noise model")
+        if self.backend != "noisy" and self.noise is not None:
+            raise ValidationError(f"backend {self.backend!r} reads no noise model")
+        if self.backend != "noisy" and self.mitigate:
+            raise ValidationError(f"backend {self.backend!r} cannot mitigate")
 
 
 @dataclass(frozen=True)
@@ -147,14 +150,17 @@ def _parse_bool(value: str, key: str) -> bool:
     raise ValidationError(f"bad boolean for {key!r}: {value!r}")
 
 
-def _read_float(values: dict[str, str], key: str, default: float) -> float:
-    """The finite float value of ``key``, or ``default`` when it is absent."""
+def _read_number(values: dict[str, str], key: str, default, kind=float):
+    """The value of ``key`` as a finite ``kind`` (float or int), or
+    ``default`` when it is absent. A bad value raises a ValidationError
+    that names the key."""
     if key not in values:
         return default
     try:
-        value = float(values[key])
+        value = kind(values[key])
     except ValueError:
-        raise ValidationError(f"{key} = {values[key]!r} is not a number") from None
+        what = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{key} = {values[key]!r} is not {what}") from None
     if not math.isfinite(value):
         raise ValidationError(f"{key} = {values[key]} is not finite")
     return value
@@ -186,7 +192,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     circuit (bundled name or path), theta_start, theta_stop, theta_steps,
     k_targets (comma separated), backend (exact|shots|noisy), shots,
-    p01, p10, mitigate (true|false), seed, out.
+    p01, p10, mitigate (true|false), seed, out. p01, p10 and mitigate are
+    read by the noisy backend only; any other backend rejects them.
     """
     path = Path(path)
     values = parse_keyvals(path.read_text(), _CONFIG_KEYS, "config")
@@ -199,53 +206,34 @@ def load_config(path: str | Path) -> ExperimentConfig:
     backend = values.get("backend", "exact")
     noise = None
     if backend == "noisy":
-        p01 = _read_float(values, "p01", DEFAULT_P01)
-        p10 = _read_float(values, "p10", DEFAULT_P10)
+        p01 = _read_number(values, "p01", DEFAULT_P01)
+        p10 = _read_number(values, "p10", DEFAULT_P10)
         noise = ReadoutNoise.uniform(p01, p10, num_qubits)
-    try:
-        k_targets = tuple(
-            int(tok) for tok in values.get("k_targets", "").split(",") if tok.strip()
-        )
-        return ExperimentConfig(
-            circuit_path=values["circuit"],
-            theta_start=_read_float(values, "theta_start", 0.0),
-            theta_stop=_read_float(values, "theta_stop", 2 * math.pi),
-            theta_steps=int(values.get("theta_steps", 21)),
-            k_targets=_k_targets(k_targets, 2**num_qubits),
-            backend=backend,
-            shots=int(values["shots"]) if "shots" in values else None,
-            noise=noise,
-            mitigate=_parse_bool(values.get("mitigate", "false"), "mitigate"),
-            seed=int(values.get("seed", 0)),
-            output_path=values.get("out"),
-        )
-    except ValueError as exc:
-        raise ValidationError(f"bad config value: {exc}") from None
-
-
-def _measure_point(
-    cfg: ExperimentConfig,
-    sv: np.ndarray,
-    k: int,
-    point_seed: int,
-    calibration: CalibrationMatrix | None,
-) -> tuple[float, complex, float]:
-    """Backend measurement of (x11, x1K, true xKK) on the state ``sv``.
-
-    x1K is reported in the density-matrix convention rho[1, K]; for a pure
-    state that is a_0 * conj(a_{K-1}).
-    """
-    # The exact backend reads exact probabilities whatever the config's shots.
-    shots = None if cfg.backend == "exact" else cfg.shots
-    noise = cfg.noise if cfg.backend == "noisy" else None
-    pops = estimate_populations(sv, shots, noise, point_seed, calibration)
-    if shots is None:
-        x1k = coherence(sv, k, 1)  # rho[1, K] is the mean of |K><1|
     else:
-        seed = point_seed + _COHERENCE_SEED_OFFSET
-        x1k = complex(estimate_coherence(sv, 1, k, shots, noise, seed, calibration))
-        x1k = x1k.conjugate()
-    return float(pops[0]), x1k, float(pops[k - 1])
+        for key in ("p01", "p10"):
+            if key in values:
+                raise ValidationError(
+                    f"{key} is read by the noisy backend only, not {backend!r}"
+                )
+    # Each token is read as a k_targets value, so a bad one names the key.
+    k_targets = tuple(
+        _read_number({"k_targets": tok}, "k_targets", None, int)
+        for tok in values.get("k_targets", "").split(",")
+        if tok.strip()
+    )
+    return ExperimentConfig(
+        circuit_path=values["circuit"],
+        theta_start=_read_number(values, "theta_start", 0.0),
+        theta_stop=_read_number(values, "theta_stop", 2 * math.pi),
+        theta_steps=_read_number(values, "theta_steps", 21, int),
+        k_targets=_k_targets(k_targets, 2**num_qubits),
+        backend=backend,
+        shots=_read_number(values, "shots", None, int),
+        noise=noise,
+        mitigate=_parse_bool(values.get("mitigate", "false"), "mitigate"),
+        seed=_read_number(values, "seed", 0, int),
+        output_path=values.get("out"),
+    )
 
 
 def _solve_point(
@@ -283,9 +271,9 @@ def _sweep_points(cfg: ExperimentConfig, base_dir: Path | None = None):
         thetas = [cfg.theta_start]
     else:
         thetas = np.linspace(cfg.theta_start, cfg.theta_stop, cfg.theta_steps)
-    calibration = None
-    if cfg.backend == "noisy" and cfg.mitigate:
-        calibration = build_calibration(cfg.noise, num_qubits)
+    # The exact backend reads exact probabilities whatever the config's shots.
+    shots = None if cfg.backend == "exact" else cfg.shots
+    calibration = build_calibration(cfg.noise, num_qubits) if cfg.mitigate else None
     point = 0
     for theta in thetas:
         theta = float(theta)
@@ -294,7 +282,16 @@ def _sweep_points(cfg: ExperimentConfig, base_dir: Path | None = None):
         for k in k_targets:
             seed = cfg.seed + _POINT_SEED_STRIDE * point
             point += 1
-            x11, x1k, xkk_true = _measure_point(cfg, sv, k, seed, calibration)
+            pops = estimate_populations(sv, shots, cfg.noise, seed, calibration)
+            x11, xkk_true = float(pops[0]), float(pops[k - 1])
+            # x1K is rho[1, K], the mean of |K><1|: a_0 * conj(a_{K-1}).
+            if shots is None:
+                x1k = coherence(sv, k, 1)
+            else:
+                x1k = estimate_coherence(
+                    sv, k, 1, shots, cfg.noise,
+                    seed + _COHERENCE_SEED_OFFSET, calibration,
+                )
             case_ab = None
             if x11 > POLICY.population_floor:
                 case_ab = _solve_point(theta, k, dim_n, x11, x1k, xkk_true)
@@ -405,24 +402,23 @@ def load_heatmap_config(path: str | Path) -> dict:
     """Read a heatmap config. Keys: n, k, lam11_start/stop/steps,
     re_lam1k_start/stop/steps, lam_kk, im_lam1k, out."""
     values = parse_keyvals(Path(path).read_text(), _HEATMAP_KEYS, "heatmap")
-    try:
-        return {
-            "dim_n": int(values.get("n", 4)),
-            "index_k": int(values.get("k", 2)),
-            **{
-                axis: np.linspace(
-                    _read_float(values, f"{axis}_start", -3.0),
-                    _read_float(values, f"{axis}_stop", 3.0),
-                    int(values.get(f"{axis}_steps", 21)),
-                )
-                for axis in ("lam11", "re_lam1k")
-            },
-            "lam_kk": _read_float(values, "lam_kk", 0.0),
-            "im_lam1k": _read_float(values, "im_lam1k", 0.0),
-            "out": values.get("out"),
-        }
-    except ValueError as exc:
-        raise ValidationError(f"bad heatmap value: {exc}") from None
+    params = {
+        "dim_n": _read_number(values, "n", 4, int),
+        "index_k": _read_number(values, "k", 2, int),
+        "lam_kk": _read_number(values, "lam_kk", 0.0),
+        "im_lam1k": _read_number(values, "im_lam1k", 0.0),
+        "out": values.get("out"),
+    }
+    for axis in ("lam11", "re_lam1k"):
+        steps = _read_number(values, f"{axis}_steps", 21, int)
+        if steps < 1:
+            raise ValidationError(f"{axis}_steps = {steps} is below 1")
+        params[axis] = np.linspace(
+            _read_number(values, f"{axis}_start", -3.0),
+            _read_number(values, f"{axis}_stop", 3.0),
+            steps,
+        )
+    return params
 
 
 def emit_heatmap_csv(rows, path: str | Path) -> None:

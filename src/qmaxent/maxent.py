@@ -20,8 +20,8 @@ the N-2 unconstrained basis states each carry probability 1/Z.
 Because exp and log are mutually inverse on the block, the multipliers are
 recovered from a complete record in closed form: Z = (N-2)/(1-x11-xKK) and
 the exponent block is the matrix log of Z times the constraint minor.
-A damped Newton solver started from zero multipliers is kept as an
-independent cross-check of that inverse.
+That closed form is the one inverse; the test suite checks it against an
+independent damped Newton solve of the forward map.
 
 ``solve_record`` holds the one completion and saturation policy: a
 complete record from the caller is solved as given, while a record
@@ -333,16 +333,6 @@ def saturation_rescale(mr: MeasurementRecord) -> MeasurementRecord:
     return replace(mr, x_11=c * mr.x_11, x_1k=c * mr.x_1k, x_kk=c * mr.x_kk)
 
 
-def _require_solvable(mr: MeasurementRecord) -> None:
-    if not mr.complete:
-        raise ValidationError("record is incomplete: x_kk is absent")
-    if mr.x_11 + mr.x_kk >= 1.0 - POLICY.feasibility_atol:
-        raise InfeasibleRecordError(
-            f"x_11 + x_kk = {mr.x_11 + mr.x_kk} saturates 1; the partition "
-            "function diverges (rescale the record first)"
-        )
-
-
 def _check_reproduction(ls: LagrangeSet, mr: MeasurementRecord) -> None:
     fwd = forward_expectations(ls)
     dev = max(
@@ -356,7 +346,23 @@ def _check_reproduction(ls: LagrangeSet, mr: MeasurementRecord) -> None:
         )
 
 
-def _solve_closed_form(mr: MeasurementRecord) -> LagrangeSet:
+def solve_lagrange(mr: MeasurementRecord) -> LagrangeSet:
+    """Recover the multipliers that reproduce a complete record, in closed
+    form: Z = (N-2)/(1 - x11 - xKK), and the exponent block is the matrix
+    log of Z times the constraint minor.
+
+    The result reproduces the record to 1e-6 per component, which is
+    checked, or this raises. Records whose minor is rank deficient are
+    handled through the eigenvalue floor and flagged near-singular. A
+    record that saturates x11 + xKK = 1 raises InfeasibleRecordError.
+    """
+    if not mr.complete:
+        raise ValidationError("record is incomplete: x_kk is absent")
+    if mr.x_11 + mr.x_kk >= 1.0 - POLICY.feasibility_atol:
+        raise InfeasibleRecordError(
+            f"x_11 + x_kk = {mr.x_11 + mr.x_kk} saturates 1; the partition "
+            "function diverges (rescale the record first)"
+        )
     n = mr.dim_n
     z = (n - 2) / (1.0 - mr.x_11 - mr.x_kk)
     minor = np.array(
@@ -384,113 +390,6 @@ def _solve_closed_form(mr: MeasurementRecord) -> LagrangeSet:
     )
     _check_reproduction(ls, mr)
     return ls
-
-
-_DB = (
-    np.array([[-1, 0], [0, 0]], dtype=complex),    # d/d lam_11
-    np.array([[0, -1], [-1, 0]], dtype=complex),   # d/d Re lam_1k
-    np.array([[0, -1j], [1j, 0]], dtype=complex),  # d/d Im lam_1k
-    np.array([[0, 0], [0, -1]], dtype=complex),    # d/d lam_kk
-)
-
-
-def _residual_jacobian(n: int, u: np.ndarray, target: np.ndarray):
-    """Residual of the forward map and its exact 4x4 Jacobian at u.
-
-    u = (lam11, Re lam1K, Im lam1K, lamKK). The derivative of exp(B) along
-    dB is V (G o (V* dB V)) V* with G the divided-difference table of exp
-    over the eigenvalues.
-    """
-    l11, re1k, im1k, lkk = u
-    block = np.array(
-        [[-l11, -(re1k + 1j * im1k)], [-(re1k - 1j * im1k), -lkk]], dtype=complex
-    )
-    w, v = np.linalg.eigh(block)
-    # Overflowing trial points produce non-finite residuals, which the
-    # damped line search rejects; keep numpy quiet about them here.
-    with np.errstate(over="ignore", invalid="ignore"):
-        ew = np.exp(w)
-        e = (v * ew) @ v.conj().T
-        z = ew.sum() + (n - 2)
-        x = np.array([e[0, 0].real, e[0, 1].real, e[0, 1].imag, e[1, 1].real]) / z
-        resid = x - target
-
-        gap = w[0] - w[1]
-        if abs(gap) > 1e-14 * max(1.0, abs(w[0]), abs(w[1])):
-            off = (ew[0] - ew[1]) / gap
-        else:
-            off = ew[0]
-        g = np.array([[ew[0], off], [off, ew[1]]])
-
-        jac = np.empty((4, 4))
-        for col, db in enumerate(_DB):
-            de = v @ (g * (v.conj().T @ db @ v)) @ v.conj().T
-            dz = de[0, 0].real + de[1, 1].real
-            for row, val in enumerate(
-                (de[0, 0].real, de[0, 1].real, de[0, 1].imag, de[1, 1].real)
-            ):
-                num = x[row] * z  # the block entry itself
-                jac[row, col] = (val * z - num * dz) / z**2
-    return resid, jac
-
-
-def _solve_newton(mr: MeasurementRecord) -> LagrangeSet:
-    """Damped Newton on the forward map, started from zero multipliers."""
-    target = np.array(
-        [mr.x_11, mr.x_1k.real, mr.x_1k.imag, mr.x_kk], dtype=float
-    )
-    u = np.zeros(4)
-    resid, jac = _residual_jacobian(mr.dim_n, u, target)
-    for _ in range(200):
-        if np.abs(resid).max() <= 1e-14:
-            break
-        try:
-            step = np.linalg.solve(jac, -resid)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, -resid, rcond=None)[0]
-        norm0 = np.linalg.norm(resid)
-        t = 1.0
-        while t >= 1e-12:
-            trial = u + t * step
-            r2, j2 = _residual_jacobian(mr.dim_n, trial, target)
-            if np.isfinite(r2).all() and np.linalg.norm(r2) < norm0:
-                u, resid, jac = trial, r2, j2
-                break
-            t *= 0.5
-        else:
-            break  # no descent direction left
-    err = float(np.abs(resid).max())
-    if err > 1e-9:
-        # Boundary records push the multipliers to infinity; fall back to
-        # the floored closed form, which flags them.
-        fallback = _solve_closed_form(mr)
-        if fallback.near_singular:
-            return fallback
-        raise TomographyError(
-            f"Newton solve stalled at residual {err:.3e}"
-        )
-    ls = LagrangeSet(mr.dim_n, mr.index_k, u[0], complex(u[1], u[2]), u[3])
-    _check_reproduction(ls, mr)
-    return ls
-
-
-def solve_lagrange(mr: MeasurementRecord, method: str = "closed_form") -> LagrangeSet:
-    """Recover the multipliers that reproduce a complete record.
-
-    Methods: ``closed_form`` (matrix log of the scaled minor, the primary
-    path) and ``newton`` (damped Newton from zero multipliers, an
-    independent cross-check). Either reproduces the record to 1e-6 per
-    component, which is checked, or raises; records whose minor is rank
-    deficient are handled through the eigenvalue floor and flagged
-    near-singular. A record that saturates x11 + xKK = 1 raises
-    InfeasibleRecordError.
-    """
-    _require_solvable(mr)
-    if method == "closed_form":
-        return _solve_closed_form(mr)
-    if method == "newton":
-        return _solve_newton(mr)
-    raise ValidationError(f"unknown solve method {method!r}")
 
 
 def solve_record(

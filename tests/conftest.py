@@ -2,19 +2,35 @@
 
 These deliberately avoid the code paths they are used to check: the matrix
 exponential is a scaled Taylor series (no eigendecomposition), entropy and
-dense expectations are direct formulas, and the simplex-constrained least
-squares is scipy's general-purpose SLSQP. The dense references build the
-full N x N exponent, its spectral exp/log and the Kronecker matrices of
-Pauli strings, where the library works on the 2x2 block in closed form
-and on state vectors.
+dense expectations are direct formulas, the multiplier inverse is a damped
+Newton solve of the forward map on its own ``eigh`` kernel, and the
+simplex-constrained least squares is scipy's general-purpose SLSQP. The
+dense references build the full N x N exponent, its spectral exp/log and
+the Kronecker matrices of Pauli strings, where the library works on the
+2x2 block in closed form and on state vectors.
+
+Every hypothesis property test runs under one profile: derandomized, with
+no example database and no deadline, so a run is repeatable and a slow
+machine cannot fail it.
 """
 
 from functools import reduce
 
 import numpy as np
+from hypothesis import settings
 
-from qmaxent import POLICY, DomainError, MeasurementRecord, ValidationError
+from qmaxent import (
+    POLICY,
+    DomainError,
+    LagrangeSet,
+    MeasurementRecord,
+    TomographyError,
+    ValidationError,
+)
 from qmaxent.linalg import hermitian_eig
+
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 # Eigenvalues below -PSD_ATOL make matrix_log_psd raise.
 PSD_ATOL = 1e-10
@@ -128,6 +144,93 @@ def random_feasible_record(
     return MeasurementRecord(
         dim_n, index_k, minor[0, 0].real, complex(minor[0, 1]), minor[1, 1].real
     )
+
+
+_DB = (
+    np.array([[-1, 0], [0, 0]], dtype=complex),    # d/d lam_11
+    np.array([[0, -1], [-1, 0]], dtype=complex),   # d/d Re lam_1k
+    np.array([[0, -1j], [1j, 0]], dtype=complex),  # d/d Im lam_1k
+    np.array([[0, 0], [0, -1]], dtype=complex),    # d/d lam_kk
+)
+
+
+def _residual_jacobian(n: int, u: np.ndarray, target: np.ndarray):
+    """Residual of the forward map and its exact 4x4 Jacobian at u.
+
+    u = (lam11, Re lam1K, Im lam1K, lamKK). The derivative of exp(B) along
+    dB is V (G o (V* dB V)) V* with G the divided-difference table of exp
+    over the eigenvalues.
+    """
+    l11, re1k, im1k, lkk = u
+    block = np.array(
+        [[-l11, -(re1k + 1j * im1k)], [-(re1k - 1j * im1k), -lkk]], dtype=complex
+    )
+    w, v = np.linalg.eigh(block)
+    # Overflowing trial points produce non-finite residuals, which the
+    # damped line search rejects; keep numpy quiet about them here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ew = np.exp(w)
+        e = (v * ew) @ v.conj().T
+        z = ew.sum() + (n - 2)
+        x = np.array([e[0, 0].real, e[0, 1].real, e[0, 1].imag, e[1, 1].real]) / z
+        resid = x - target
+
+        gap = w[0] - w[1]
+        if abs(gap) > 1e-14 * max(1.0, abs(w[0]), abs(w[1])):
+            off = (ew[0] - ew[1]) / gap
+        else:
+            off = ew[0]
+        g = np.array([[ew[0], off], [off, ew[1]]])
+
+        jac = np.empty((4, 4))
+        for col, db in enumerate(_DB):
+            de = v @ (g * (v.conj().T @ db @ v)) @ v.conj().T
+            dz = de[0, 0].real + de[1, 1].real
+            for row, val in enumerate(
+                (de[0, 0].real, de[0, 1].real, de[0, 1].imag, de[1, 1].real)
+            ):
+                num = x[row] * z  # the block entry itself
+                jac[row, col] = (val * z - num * dz) / z**2
+    return resid, jac
+
+
+def newton_lagrange(mr: MeasurementRecord) -> LagrangeSet:
+    """Multipliers of a complete record by damped Newton on the forward
+    map, started from zero multipliers.
+
+    Independent of the library's inverse and forward kernel: it evaluates
+    exp of the 2x2 block through ``np.linalg.eigh`` and never calls
+    ``spectrum`` or ``solve_lagrange``. Raises TomographyError when Newton
+    stalls above a residual of 1e-9, as it does on boundary records whose
+    multipliers run off to infinity.
+    """
+    target = np.array(
+        [mr.x_11, mr.x_1k.real, mr.x_1k.imag, mr.x_kk], dtype=float
+    )
+    u = np.zeros(4)
+    resid, jac = _residual_jacobian(mr.dim_n, u, target)
+    for _ in range(200):
+        if np.abs(resid).max() <= 1e-14:
+            break
+        try:
+            step = np.linalg.solve(jac, -resid)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(jac, -resid, rcond=None)[0]
+        norm0 = np.linalg.norm(resid)
+        t = 1.0
+        while t >= 1e-12:
+            trial = u + t * step
+            r2, j2 = _residual_jacobian(mr.dim_n, trial, target)
+            if np.isfinite(r2).all() and np.linalg.norm(r2) < norm0:
+                u, resid, jac = trial, r2, j2
+                break
+            t *= 0.5
+        else:
+            break  # no descent direction left
+    err = float(np.abs(resid).max())
+    if err > 1e-9:
+        raise TomographyError(f"Newton solve stalled at residual {err:.3e}")
+    return LagrangeSet(mr.dim_n, mr.index_k, u[0], complex(u[1], u[2]), u[3])
 
 
 def vn_entropy(rho: np.ndarray) -> float:

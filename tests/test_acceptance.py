@@ -9,6 +9,7 @@ from conftest import (
     assemble,
     build_exponent,
     matrix_exp_hermitian,
+    newton_lagrange,
     random_feasible_record,
 )
 
@@ -97,8 +98,8 @@ def test_criterion_3_forward_inverse_roundtrip():
     worst_agreement = 0.0
     for _ in range(1000):
         mr = random_feasible_record(rng)
-        closed = solve_lagrange(mr, method="closed_form")
-        newton = solve_lagrange(mr, method="newton")
+        closed = solve_lagrange(mr)
+        newton = newton_lagrange(mr)
         for solution in (closed, newton):
             fwd = forward_expectations(solution)
             worst_roundtrip = max(

@@ -21,6 +21,7 @@ from qmaxent.cli import (
 )
 from qmaxent.errors import ParseError, ValidationError
 from qmaxent.maxent import dump_record, load_record
+from qmaxent.sampler import ReadoutNoise
 
 
 def exact_config(circuit="twoq_a", steps=21, k_targets=(2, 3, 4)):
@@ -71,6 +72,22 @@ class TestConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed"):
             ExperimentConfig(circuit_path="bell", backend="shots", shots=10, seed=-1)
+
+    def test_noise_settings_need_the_noisy_backend(self, tmp_path):
+        noise = ReadoutNoise.uniform(0.02, 0.04, 2)
+        with pytest.raises(ValidationError, match="mitigate"):
+            ExperimentConfig(circuit_path="bell", backend="shots", shots=10, mitigate=True)
+        with pytest.raises(ValidationError, match="noise"):
+            ExperimentConfig(circuit_path="bell", backend="exact", noise=noise)
+        path = tmp_path / "cfg.txt"
+        path.write_text("circuit bell\nbackend shots\nshots 10\np10 0.1\n")
+        with pytest.raises(ValidationError, match="p10"):
+            load_config(path)
+
+    def test_exact_backend_ignores_shots(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("circuit bell\nbackend exact\nshots 8192\n")
+        assert load_config(path).shots == 8192
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -405,12 +422,47 @@ class TestCommandLine:
             ("theta_stop inf\n", "theta_stop"),
             ("backend noisy\nshots 64\np01 nan\n", "p01"),
             ("backend noisy\nshots 64\np10 0.0x\n", "p10"),
+            ("theta_steps 2.5\n", "theta_steps"),
+            ("backend shots\nshots 1e3\n", "shots"),
+            ("seed 1.0\n", "seed"),
+            ("k_targets 2,three\n", "k_targets"),
         ],
     )
     def test_bad_config_float_names_its_key(self, tmp_path, capsys, lines, key):
         cfg = tmp_path / "cfg.txt"
+        # Each case fails on load, before any point runs.
+        cfg.write_text("circuit twoq_b\n" + lines)
+        assert main(["--out", str(tmp_path / "o.csv"), "sweep", str(cfg)]) == 2
+        assert f"{key} = " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("lines", "key"),
+        [
+            ("backend shots\nshots 64\nmitigate true\np01 abc\n", "p01"),
+            ("backend shots\nshots 64\nmitigate true\n", "mitigate"),
+            ("backend exact\np10 0.1\n", "p10"),
+        ],
+    )
+    def test_unread_backend_setting_exit_code(self, tmp_path, capsys, lines, key):
+        cfg = tmp_path / "cfg.txt"
         cfg.write_text("circuit twoq_b\ntheta_steps 2\n" + lines)
         assert main(["--out", str(tmp_path / "o.csv"), "sweep", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        ("lines", "key"),
+        [
+            ("lam11_steps -1\n", "lam11_steps"),
+            ("re_lam1k_steps 0\n", "re_lam1k_steps"),
+            ("lam11_steps 2.5\n", "lam11_steps"),
+            ("n 4.0\n", "n"),
+        ],
+    )
+    def test_bad_heatmap_integer_names_its_key(self, tmp_path, capsys, lines, key):
+        cfg = tmp_path / "hm.txt"
+        cfg.write_text(lines)
+        assert main(["--out", str(tmp_path / "hm.csv"), "heatmap", str(cfg)]) == 2
         assert f"{key} = " in capsys.readouterr().err
 
     def test_non_finite_heatmap_float_names_its_key(self, tmp_path, capsys):

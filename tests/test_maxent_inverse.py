@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_feasible_record, vn_entropy
+from conftest import newton_lagrange, random_feasible_record, vn_entropy
 
 import math
 import warnings
@@ -118,19 +118,15 @@ class TestSolveClosedForm:
         assert ls.near_singular
         assert record_deviation(forward_expectations(ls), mr) <= 1e-8
 
-    def test_unknown_method(self):
-        with pytest.raises(ValidationError):
-            solve_lagrange(MeasurementRecord(4, 2, 0.25, 0.0, 0.25), method="magic")
-
 
 class TestSolverAgreement:
     def test_roundtrip_and_newton_agreement(self):
         rng = np.random.default_rng(101)
         for _ in range(300):
             mr = random_feasible_record(rng)
-            cf = solve_lagrange(mr, method="closed_form")
+            cf = solve_lagrange(mr)
             assert record_deviation(forward_expectations(cf), mr) <= 1e-8
-            nt = solve_lagrange(mr, method="newton")
+            nt = newton_lagrange(mr)
             assert record_deviation(forward_expectations(nt), mr) <= 1e-8
             assert abs(cf.lam_11 - nt.lam_11) <= 1e-6
             assert abs(cf.lam_1k - nt.lam_1k) <= 1e-6

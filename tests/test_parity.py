@@ -85,7 +85,7 @@ def cli_outcome(text: str) -> int:
 # Pure-state completions can exceed 1 - x11 by a rounding error, which
 # the predictor clamps with a warning.
 @pytest.mark.filterwarnings("ignore:predicted population")
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(record_texts())
 def test_library_and_cli_agree_on_outcome(text):
     assert library_outcome(text) == cli_outcome(text), text

@@ -1,0 +1,170 @@
+"""Properties of the library's boundaries on generated inputs.
+
+- The circuit and record parsers either parse a text or raise a
+  TomographyError subclass, never another exception.
+- The closed-form inverse reproduces every feasible record through the
+  forward map: interior records, rank-one minors, and records whose
+  populations sum to within 1e-9 of 1, moved off that boundary by
+  ``saturation_rescale``.
+- The closed form agrees with the independent Newton oracle on every
+  record that fixes its multipliers: one whose density matrix has no
+  eigenvalue below 1e-6. On a rank-one or saturated record the multipliers
+  run off to infinity, and the forward map is flat enough there that
+  distinct finite multipliers reproduce the record to Newton's 1e-9
+  residual, so no agreement is defined.
+"""
+
+import cmath
+import math
+
+from conftest import newton_lagrange
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qmaxent import TomographyError, load_record, parse_circuit
+from qmaxent.maxent import (
+    MeasurementRecord,
+    forward_expectations,
+    saturation_rescale,
+    solve_lagrange,
+)
+
+# Tokens of both text formats, with numbers at and past their edges.
+NUMBERS = [
+    "0", "1", "2", "3", "7", "-1", "0.5", "1e308", "1e-320", "nan", "inf", "-inf", "2.5", "0x1",
+]
+CIRCUIT_WORDS = ["qubits", "h", "x", "cx", "cz", "rx", "ry", "rz", "#", "theta", "pi"]
+ANGLES = ["pi/2", "2*theta", "theta/0", "pi*", "1e308*1e308", "nan", "-theta", "", "(", "pi/theta"]
+QUBITS = ["0", "1", "1", "2", "-1", "x"]
+RECORD_VALUES = {  # plausible values, some out of range
+    "n": st.sampled_from(["4", "8", "16", "3", "x"]),
+    "k": st.sampled_from(["2", "3", "4", "1", "9"]),
+    "x11": st.floats(-0.01, 0.7).map(repr),
+    "re_x1k": st.floats(-0.2, 0.2).map(repr),
+    "im_x1k": st.floats(-0.2, 0.2).map(repr),
+    "xkk": st.floats(0.0, 0.3).map(repr),
+}
+VALID_GATES = [
+    "h 0", "x 1", "cx 0 1", "cz 1 0", "rx(theta) 0", "ry(pi/2) 1", "rz(-2*theta) 0", "# note", "",
+]
+texts = st.text(max_size=6)
+
+
+@st.composite
+def damaged_lines(draw) -> str:
+    kind = draw(st.sampled_from(["gate", "gate", "rotation", "words", "text"]))
+    if kind == "gate":
+        gate = draw(st.sampled_from(["h", "x", "cx", "cz"]))
+        arity = draw(st.sampled_from([1, 2, 2, 3]))
+        return " ".join([gate, *(draw(st.sampled_from(QUBITS)) for _ in range(arity))])
+    if kind == "rotation":
+        gate = draw(st.sampled_from(["rx", "ry", "rz"]))
+        angle = draw(st.sampled_from(ANGLES + NUMBERS))
+        return f"{gate}({angle}) {draw(st.sampled_from(QUBITS))}"
+    if kind == "text":
+        return draw(st.text(max_size=12))
+    words = st.sampled_from(CIRCUIT_WORDS + NUMBERS)
+    return " ".join(draw(st.lists(words, min_size=1, max_size=4)))
+
+
+@st.composite
+def circuit_texts(draw) -> str:
+    """A valid two-qubit circuit with a few lines, the header among them,
+    damaged now and then."""
+    lines = ["qubits 2", *draw(st.lists(st.sampled_from(VALID_GATES), max_size=5))]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines) - 1))
+        bad_headers = st.sampled_from(["qubits 0", "qubits x", "qubits 9"])
+        lines[at] = draw(st.one_of(damaged_lines(), bad_headers))
+    return "\n".join(lines)
+
+
+@st.composite
+def record_texts(draw) -> str:
+    """Every record key once with a value that may be out of range, up to
+    two values that are not plausible numbers, and now and then a key
+    dropped, repeated or unknown."""
+    values = {key: draw(plausible) for key, plausible in RECORD_VALUES.items()}
+    for key in draw(st.lists(st.sampled_from(list(RECORD_VALUES)), max_size=2)):
+        values[key] = draw(st.one_of(st.sampled_from(NUMBERS), texts))
+    lines = [f"{key} {value}" for key, value in values.items()]
+    damage = draw(st.sampled_from(["none"] * 4 + ["drop", "repeat", "unknown"]))
+    if damage == "drop":
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    elif damage == "repeat":
+        lines.append(draw(st.sampled_from(lines)))
+    elif damage == "unknown":
+        lines.append(f"bogus {draw(texts)}")
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@settings(max_examples=600)
+@given(circuit_texts(), st.one_of(st.none(), st.floats(allow_nan=True, allow_infinity=True)))
+def test_circuit_text_parses_or_raises_a_toolkit_error(text, theta):
+    try:
+        parse_circuit(text, theta=theta)
+    except TomographyError:
+        pass
+
+
+@settings(max_examples=600)
+@given(record_texts())
+def test_record_text_parses_or_raises_a_toolkit_error(text):
+    try:
+        load_record(text)
+    except TomographyError:
+        pass
+
+
+@st.composite
+def feasible_records(
+    draw, kinds=("interior", "rank_one", "saturated", "near_saturated"), min_eigenvalue=0.0
+) -> MeasurementRecord:
+    """A complete record from the interior to the edges of the feasible
+    set, already moved off the x11 + xKK = 1 boundary where it sits on it.
+    The smaller eigenvalue of an interior minor is at least
+    ``min_eigenvalue``."""
+    n = draw(st.sampled_from([4, 8, 16]))
+    k = draw(st.integers(2, n))
+    kind = draw(st.sampled_from(kinds))
+    if kind == "saturated":
+        total = 1.0 - draw(st.floats(0.0, 1e-12))
+    elif kind == "near_saturated":
+        total = 1.0 - draw(st.floats(1e-12, 1e-9))
+    else:
+        total = draw(st.floats(0.01, 0.99))
+    smaller = 0.0 if kind == "rank_one" else draw(st.floats(0.0, 0.5))
+    # Minor = U diag(total - small, small) U*, U a rotation with a phase.
+    small = max(smaller * total, min_eigenvalue)
+    angle = draw(st.floats(0.0, math.pi / 2))
+    phase = cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+    c, s = math.cos(angle), math.sin(angle)
+    big = total - small
+    x11 = big * c * c + small * s * s
+    xkk = big * s * s + small * c * c
+    x1k = (big - small) * c * s * phase.conjugate()
+    mr = MeasurementRecord(n, k, x11, x1k, xkk)
+    return saturation_rescale(mr)
+
+
+def deviation(a: MeasurementRecord, b: MeasurementRecord) -> float:
+    return max(abs(a.x_11 - b.x_11), abs(a.x_1k - b.x_1k), abs(a.x_kk - b.x_kk))
+
+
+@settings(max_examples=800)
+@given(feasible_records())
+def test_closed_form_reproduces_every_feasible_record(mr):
+    ls = solve_lagrange(mr)
+    assert deviation(forward_expectations(ls), mr) <= 1e-8
+
+
+# Interior records have 1 - x11 - xKK >= 0.01, so the N - 2 unconstrained
+# eigenvalues are at least 0.01 / 14 as well.
+@settings(max_examples=300)
+@given(feasible_records(kinds=("interior",), min_eigenvalue=1e-6))
+def test_closed_form_agrees_with_newton(mr):
+    newton = newton_lagrange(mr)
+    closed = solve_lagrange(mr)
+    assert abs(closed.lam_11 - newton.lam_11) <= 1e-6
+    assert abs(closed.lam_1k - newton.lam_1k) <= 1e-6
+    assert abs(closed.lam_kk - newton.lam_kk) <= 1e-6
