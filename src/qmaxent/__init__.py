@@ -66,7 +66,7 @@ from .sampler import (
     ReadoutNoise,
     build_calibration,
     estimate_coherence,
-    estimate_pauli,
+    estimate_paulis,
     estimate_populations,
     mitigate,
     sample_counts,

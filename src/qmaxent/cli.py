@@ -9,7 +9,7 @@ true xKK, and emits the comparison as CSV.
 Config files are flat "key value" lines; see ``load_config`` for the keys.
 All randomness derives from the config seed: sweep point p uses sub-seed
 ``seed + 10007 * p``, and the coherence estimator consumes a further
-sub-seed per measurement setting.
+sub-seed per measurement basis.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .maxent import (
     heatmap_scan,
     load_record,
     parse_keyvals,
+    read_number,
     solve_record,
 )
 from .pauli import decompose_ketbra
@@ -150,22 +151,6 @@ def _parse_bool(value: str, key: str) -> bool:
     raise ValidationError(f"bad boolean for {key!r}: {value!r}")
 
 
-def _read_number(values: dict[str, str], key: str, default, kind=float):
-    """The value of ``key`` as a finite ``kind`` (float or int), or
-    ``default`` when it is absent. A bad value raises a ValidationError
-    that names the key."""
-    if key not in values:
-        return default
-    try:
-        value = kind(values[key])
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ValidationError(f"{key} = {values[key]!r} is not {what}") from None
-    if not math.isfinite(value):
-        raise ValidationError(f"{key} = {values[key]} is not finite")
-    return value
-
-
 def _k_targets(k_targets: tuple[int, ...], dim_n: int) -> tuple[int, ...]:
     """The K targets of a sweep: every K in 2..dim_n when none are given,
     else the given ones, each in range and named once."""
@@ -206,8 +191,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     backend = values.get("backend", "exact")
     noise = None
     if backend == "noisy":
-        p01 = _read_number(values, "p01", DEFAULT_P01)
-        p10 = _read_number(values, "p10", DEFAULT_P10)
+        p01 = read_number(values, "p01", DEFAULT_P01)
+        p10 = read_number(values, "p10", DEFAULT_P10)
         noise = ReadoutNoise.uniform(p01, p10, num_qubits)
     else:
         for key in ("p01", "p10"):
@@ -217,21 +202,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 )
     # Each token is read as a k_targets value, so a bad one names the key.
     k_targets = tuple(
-        _read_number({"k_targets": tok}, "k_targets", None, int)
+        read_number({"k_targets": tok}, "k_targets", None, int)
         for tok in values.get("k_targets", "").split(",")
         if tok.strip()
     )
     return ExperimentConfig(
         circuit_path=values["circuit"],
-        theta_start=_read_number(values, "theta_start", 0.0),
-        theta_stop=_read_number(values, "theta_stop", 2 * math.pi),
-        theta_steps=_read_number(values, "theta_steps", 21, int),
+        theta_start=read_number(values, "theta_start", 0.0),
+        theta_stop=read_number(values, "theta_stop", 2 * math.pi),
+        theta_steps=read_number(values, "theta_steps", 21, int),
         k_targets=_k_targets(k_targets, 2**num_qubits),
         backend=backend,
-        shots=_read_number(values, "shots", None, int),
+        shots=read_number(values, "shots", None, int),
         noise=noise,
         mitigate=_parse_bool(values.get("mitigate", "false"), "mitigate"),
-        seed=_read_number(values, "seed", 0, int),
+        seed=read_number(values, "seed", 0, int),
         output_path=values.get("out"),
     )
 
@@ -403,19 +388,19 @@ def load_heatmap_config(path: str | Path) -> dict:
     re_lam1k_start/stop/steps, lam_kk, im_lam1k, out."""
     values = parse_keyvals(Path(path).read_text(), _HEATMAP_KEYS, "heatmap")
     params = {
-        "dim_n": _read_number(values, "n", 4, int),
-        "index_k": _read_number(values, "k", 2, int),
-        "lam_kk": _read_number(values, "lam_kk", 0.0),
-        "im_lam1k": _read_number(values, "im_lam1k", 0.0),
+        "dim_n": read_number(values, "n", 4, int),
+        "index_k": read_number(values, "k", 2, int),
+        "lam_kk": read_number(values, "lam_kk", 0.0),
+        "im_lam1k": read_number(values, "im_lam1k", 0.0),
         "out": values.get("out"),
     }
     for axis in ("lam11", "re_lam1k"):
-        steps = _read_number(values, f"{axis}_steps", 21, int)
+        steps = read_number(values, f"{axis}_steps", 21, int)
         if steps < 1:
             raise ValidationError(f"{axis}_steps = {steps} is below 1")
         params[axis] = np.linspace(
-            _read_number(values, f"{axis}_start", -3.0),
-            _read_number(values, f"{axis}_stop", 3.0),
+            read_number(values, f"{axis}_start", -3.0),
+            read_number(values, f"{axis}_stop", 3.0),
             steps,
         )
     return params

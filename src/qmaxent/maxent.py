@@ -500,6 +500,22 @@ def parse_keyvals(text: str, known, what: str) -> dict[str, str]:
     return values
 
 
+def read_number(values: dict[str, str], key: str, default, kind=float):
+    """The value of ``key`` in ``parse_keyvals`` output as a finite
+    ``kind`` (float or int), or ``default`` when it is absent. A bad value
+    raises a ValidationError that names the key."""
+    if key not in values:
+        return default
+    try:
+        value = kind(values[key])
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{key} = {values[key]!r} is not {what}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{key} = {values[key]} is not finite")
+    return value
+
+
 # Flat text serialization of records: keys n, k, x11, re_x1k, im_x1k, xkk.
 
 _RECORD_KEYS = ("n", "k", "x11", "re_x1k", "im_x1k")
@@ -523,12 +539,9 @@ def load_record(text: str) -> MeasurementRecord:
     missing = [k for k in _RECORD_KEYS if k not in values]
     if missing:
         raise ParseError(f"record is missing keys: {', '.join(missing)}")
-    try:
-        dim_n = int(values["n"])
-        index_k = int(values["k"])
-        x11 = float(values["x11"])
-        x1k = complex(float(values["re_x1k"]), float(values["im_x1k"]))
-        xkk = float(values["xkk"]) if "xkk" in values else None
-    except ValueError as exc:
-        raise ParseError(f"bad record value: {exc}") from None
+    dim_n, index_k = (read_number(values, key, None, int) for key in ("n", "k"))
+    x11, re_x1k, im_x1k, xkk = (
+        read_number(values, key, None) for key in ("x11", "re_x1k", "im_x1k", "xkk")
+    )
+    x1k = complex(re_x1k, im_x1k)
     return MeasurementRecord(dim_n, index_k, x11, x1k, xkk, source="measured")

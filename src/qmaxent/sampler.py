@@ -1,33 +1,36 @@
 """Shot-based measurement backends with readout noise and mitigation.
 
 A measured outcome distribution is a length-2^n vector indexed by basis
-state - 1. Sampling draws i.i.d. outcomes from the squared amplitudes,
-applies independent per-qubit readout flips and tallies them. All
-randomness flows through numpy's default PCG64 generator seeded
-explicitly; multi-setting estimators derive sub-seeds as seed + setting
-index, so results do not depend on evaluation order.
+state - 1. The readout model is the calibration matrix M of independent
+per-qubit flips: a state with populations p is read as M p, exactly in
+the exact mode and as the tally of one ``multinomial(shots, M p)`` draw
+in the sampled mode (the tally of i.i.d. outcomes with independent
+per-shot flips has that law). All randomness flows through numpy's
+default PCG64 generator seeded explicitly.
 
 Every estimator takes a state vector and ``shots=None, noise=None,
 seed=0, calibration=None``, and ``estimate_populations`` alone turns the
 state into a distribution: ``shots=None`` selects the exact mode.
-``estimate_pauli`` applies only a setting's basis rotations, so a circuit
-is simulated once per parameter value. A calibration matrix is built once
-and reused; its condition number is computed on first use. Mitigation
-solves ``M p = f`` directly and, when that leaves negative entries,
-solves ``min ||M p - f||^2`` over the probability simplex exactly with a
-small active-set method (the constrained treatment of Smolin, Gambetta &
-Smith, PRL 108, 070502, 2012, on the dense N <= 64 problems of M3, Nation
-et al., PRX Quantum 2, 040326, 2021).
+``estimate_paulis`` rotates and samples each measurement basis once:
+strings that differ only in I vs Z share a basis, drawn with sub-seed
+seed + the position of its first string. M is built once per noise
+model, its condition number on first use. Mitigation solves ``M p = f``
+directly and, when that leaves negative entries, solves
+``min ||M p - f||^2`` over the probability simplex exactly with a small
+active-set method (the constrained treatment of Smolin, Gambetta &
+Smith, PRL 108, 070502, 2012, on the dense N <= 64 problems of M3,
+Nation et al., PRX Quantum 2, 040326, 2021).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from typing import Iterable
 
 import numpy as np
 
-from .circuit import apply_gates, populations
+from .circuit import Gate, apply_gates, populations
 from .errors import DomainError, TomographyError, ValidationError
 from .pauli import PauliString, decompose_ketbra, expectation_from_paulis, measurement_settings
 
@@ -108,33 +111,30 @@ def _state_qubits(sv: np.ndarray) -> int:
     return size.bit_length() - 1
 
 
+def _readout_distribution(sv: np.ndarray, noise: ReadoutNoise | None) -> np.ndarray:
+    """The distribution every readout of ``sv`` draws from: |a_i|^2,
+    read through the noise model's calibration matrix when one is given."""
+    num_qubits = _state_qubits(sv)
+    probs = populations(sv)
+    if noise is not None:
+        probs = build_calibration(noise, num_qubits).entries @ probs
+    return probs
+
+
 def sample_counts(
     sv: np.ndarray,
     shots: int,
     noise: ReadoutNoise | None = None,
     seed: int = 0,
 ) -> np.ndarray:
-    """Tally of ``shots`` outcomes drawn from |a_i|^2 after readout flips:
-    an int array of length 2^n, indexed by basis state - 1."""
-    if shots < 1:
-        raise ValidationError("shots must be >= 1")
+    """Tally of ``shots`` noisy readouts of a state vector: one multinomial
+    draw, an int array of length 2^n indexed by basis state - 1."""
+    if not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise ValidationError(f"shots must be an integer >= 1, got {shots!r}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    sv = np.asarray(sv)
-    num_qubits = _state_qubits(sv)
-    probs = populations(sv)
-    if noise is not None and noise.num_qubits != num_qubits:
-        raise ValidationError(
-            f"noise covers {noise.num_qubits} qubit(s), state has {num_qubits}"
-        )
-    rng = np.random.default_rng(seed)
-    outcomes = rng.choice(probs.size, size=shots, p=probs / probs.sum())
-    if noise is not None:
-        for q in range(num_qubits):
-            # P(flip) is p01 where bit q reads 0 and p10 where it reads 1.
-            flip_prob = np.array([noise.p01[q], noise.p10[q]])[(outcomes >> q) & 1]
-            outcomes[rng.random(shots) < flip_prob] ^= 1 << q
-    return np.bincount(outcomes, minlength=probs.size)
+    probs = _readout_distribution(np.asarray(sv), noise)
+    return np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
 
 
 def estimate_populations(
@@ -151,12 +151,8 @@ def estimate_populations(
     frequencies of ``shots`` seeded draws. A calibration matrix, when
     supplied, then corrects the distribution.
     """
-    sv = np.asarray(sv)
-    num_qubits = _state_qubits(sv)
     if shots is None:
-        freqs = populations(sv)
-        if noise is not None:
-            freqs = build_calibration(noise, num_qubits).entries @ freqs
+        freqs = _readout_distribution(np.asarray(sv), noise)
     else:
         freqs = sample_counts(sv, shots, noise, seed) / shots
     if calibration is not None:
@@ -230,11 +226,16 @@ def _simplex_least_squares(m: np.ndarray, f: np.ndarray, start: np.ndarray) -> n
 
 
 def mitigate(freqs: np.ndarray, cal: CalibrationMatrix) -> np.ndarray:
-    """Readout-corrected outcome probabilities for observed frequencies."""
+    """Readout-corrected outcome probabilities for observed frequencies,
+    which must be a distribution: finite, >= 0 and summing to 1."""
     freqs = np.asarray(freqs, dtype=float)
     if freqs.shape != (cal.dim,):
         raise ValidationError(
             f"calibration covers {cal.dim} outcomes, frequencies have shape {freqs.shape}"
+        )
+    if not np.isfinite(freqs).all() or freqs.min() < 0 or abs(freqs.sum() - 1) > 1e-9:
+        raise ValidationError(
+            f"frequencies must be >= 0 and sum to 1, got min {freqs.min()}, sum {freqs.sum()}"
         )
     if cal.condition > 1e12:
         raise DomainError("calibration matrix is singular or ill-conditioned")
@@ -244,9 +245,10 @@ def mitigate(freqs: np.ndarray, cal: CalibrationMatrix) -> np.ndarray:
     return _simplex_least_squares(cal.entries, freqs, direct)
 
 
+@lru_cache(maxsize=64)
 def build_calibration(noise: ReadoutNoise, num_qubits: int) -> CalibrationMatrix:
     """Calibration matrix of a readout-noise model: the tensor product of
-    the per-qubit confusion matrices."""
+    the per-qubit confusion matrices, built once per model (memoized)."""
     if noise.num_qubits != num_qubits:
         raise ValidationError(
             f"noise covers {noise.num_qubits} qubit(s), asked for {num_qubits}"
@@ -257,31 +259,40 @@ def build_calibration(noise: ReadoutNoise, num_qubits: int) -> CalibrationMatrix
     return CalibrationMatrix(num_qubits, reduce(np.kron, reversed(singles)))
 
 
-def estimate_pauli(
+def estimate_paulis(
     sv: np.ndarray,
-    p: PauliString,
+    strings: Iterable[PauliString],
     shots: int | None = None,
     noise: ReadoutNoise | None = None,
     seed: int = 0,
     calibration: CalibrationMatrix | None = None,
-) -> float:
-    """Estimate <P> on a state vector by rotating it into the Z basis and
-    reading the parity of the outcomes.
+) -> dict[PauliString, float]:
+    """Estimate <P> on a state vector for each string, one outcome
+    distribution per measurement basis.
 
-    Only the setting's basis rotations are applied to ``sv`` (from
-    ``simulate``); the outcome distribution of the rotated state comes
-    from ``estimate_populations`` with the same arguments.
+    Strings with equal basis rotations (they differ only in I vs Z) share
+    a basis. Each basis rotates ``sv`` (from ``simulate``) once and takes
+    its distribution from ``estimate_populations`` with sub-seed seed +
+    the position of its first string; each string reads its parity there.
     """
     sv = np.asarray(sv)
     num_qubits = _state_qubits(sv)
-    if p.num_qubits != num_qubits:
-        raise ValidationError(
-            f"string acts on {p.num_qubits} qubit(s), state has {num_qubits}"
-        )
-    setting = measurement_settings(p)
-    rotated = apply_gates(sv, setting.rotations, num_qubits)
-    freqs = estimate_populations(rotated, shots, noise, seed, calibration)
-    return float(_parity_signs(num_qubits, setting.parity_mask) @ freqs)
+    bases: dict[tuple[Gate, ...], tuple[int, list[tuple[PauliString, int]]]] = {}
+    for position, p in enumerate(strings):
+        if p.num_qubits != num_qubits:
+            raise ValidationError(
+                f"string acts on {p.num_qubits} qubit(s), state has {num_qubits}"
+            )
+        setting = measurement_settings(p)
+        _, members = bases.setdefault(setting.rotations, (position, []))
+        members.append((p, setting.parity_mask))
+    means: dict[PauliString, float] = {}
+    for rotations, (position, members) in bases.items():
+        rotated = apply_gates(sv, rotations, num_qubits)
+        freqs = estimate_populations(rotated, shots, noise, seed + position, calibration)
+        for p, mask in members:
+            means[p] = float(_parity_signs(num_qubits, mask) @ freqs)
+    return means
 
 
 def estimate_coherence(
@@ -294,21 +305,18 @@ def estimate_coherence(
     calibration: CalibrationMatrix | None = None,
 ) -> complex:
     """Estimate the mean of |i><j| on a state vector by measuring its
-    Pauli expansion.
+    Pauli expansion with ``estimate_paulis``.
 
-    Each non-identity string is estimated with its own sub-seeded stream
-    (seed + setting index); the statistical error of the recombined value
-    scales as 1 / sqrt(shots).
+    |i><j| has 2^n strings in 2^d bases, d the number of bits where i - 1
+    and j - 1 differ; each basis draws ``shots_per_setting`` shots. The
+    statistical error of the recombined value scales as 1 / sqrt(shots).
     """
     if i == j:
         raise ValidationError("use populations for diagonal entries")
     sv = np.asarray(sv)
     decomposition = decompose_ketbra(i, j, _state_qubits(sv))
-    means: dict[PauliString, float] = {}
-    for offset, ps in enumerate(decomposition.terms):
-        if ps.is_identity:
-            continue
-        means[ps] = estimate_pauli(
-            sv, ps, shots_per_setting, noise, seed + offset, calibration
-        )
+    # i != j, so every string has an X or a Y and none is the identity.
+    means = estimate_paulis(
+        sv, decomposition.terms, shots_per_setting, noise, seed, calibration
+    )
     return expectation_from_paulis(decomposition, means)

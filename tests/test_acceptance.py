@@ -211,6 +211,7 @@ def test_criterion_6_shot_noise_scaling():
 
 
 def test_criterion_7_backend_ordering_and_mitigation():
+    start = time.perf_counter()
     exact_diffs = []
     for circuit in CORPUS:
         exact_diffs += [
@@ -252,11 +253,13 @@ def test_criterion_7_backend_ordering_and_mitigation():
         for s in range(20)
     )
     assert wins >= 18  # >= 90% of 20 seeds
+    elapsed = time.perf_counter() - start
+    assert elapsed < 20.0
     _report(
         "criterion 7 (backend ordering and mitigation)",
         f"median abs_diff exact {median_exact:.1e} <= shots "
         f"{median_shots:.1e} <= noisy {median_noisy:.1e}; mitigation beat "
-        f"raw in {wins}/20 seeds (>= 18)",
+        f"raw in {wins}/20 seeds (>= 18), {elapsed:.1f}s < 20s",
     )
 
 

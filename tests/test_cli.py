@@ -382,7 +382,7 @@ class TestCommandLine:
         rec = tmp_path / "nan.txt"
         rec.write_text("n 4\nk 2\nx11 0.4\nre_x1k nan\nim_x1k 0\n")
         assert main(["reconstruct", str(rec)]) == 2
-        assert "x_1k" in capsys.readouterr().err
+        assert "re_x1k = nan is not finite" in capsys.readouterr().err
 
     def test_heatmap_overflow_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "hm.txt"
@@ -426,13 +426,21 @@ class TestCommandLine:
             ("backend shots\nshots 1e3\n", "shots"),
             ("seed 1.0\n", "seed"),
             ("k_targets 2,three\n", "k_targets"),
+            ("n x\nk 2\nx11 0.4\nre_x1k 0.2\nim_x1k 0\n", "n"),
+            ("n 4\nk 2.5\nx11 0.4\nre_x1k 0.2\nim_x1k 0\n", "k"),
+            ("n 4\nk 2\nx11 abc\nre_x1k 0.2\nim_x1k 0\n", "x11"),
+            ("n 4\nk 2\nx11 0.4\nre_x1k 0.2\nim_x1k inf\n", "im_x1k"),
+            ("n 4\nk 2\nx11 0.4\nre_x1k 0.2\nim_x1k 0\nxkk 1e999\n", "xkk"),
         ],
     )
     def test_bad_config_float_names_its_key(self, tmp_path, capsys, lines, key):
-        cfg = tmp_path / "cfg.txt"
+        # A case that starts with n is a whole record for `reconstruct`;
+        # the others are added to a sweep config.
+        command = "reconstruct" if lines.startswith("n ") else "sweep"
+        path = tmp_path / "in.txt"
+        path.write_text(lines if command == "reconstruct" else "circuit twoq_b\n" + lines)
         # Each case fails on load, before any point runs.
-        cfg.write_text("circuit twoq_b\n" + lines)
-        assert main(["--out", str(tmp_path / "o.csv"), "sweep", str(cfg)]) == 2
+        assert main(["--out", str(tmp_path / "o.csv"), command, str(path)]) == 2
         assert f"{key} = " in capsys.readouterr().err
 
     @pytest.mark.parametrize(

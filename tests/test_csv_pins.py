@@ -18,9 +18,9 @@ PINS = {
     ("sweep", "sweep_exact.txt"):
         "2010c67db72841f7fd2ebf7665a688c3b0936dc46cbce25c01d0fb35621882ff",
     ("sweep", "sweep_noisy_mitigated.txt"):
-        "0171318085823d36dcec3b44c1eb988eaa25bdc4b50b410d8ea7799abc779fd3",
+        "999818ed6fb19215558c0595c961cdcff86c828e97eb0bc674ab4595347d6ea5",
     ("caseab", "caseab_shots.txt"):
-        "62fb3731b6df38b9d1962d458344f2c4e6717e4110e755adc870d4e3f0599086",
+        "557fed17db83dfff59aab5d6d2acd2e2bb8fcfc03c2487f095ae08982c5a0228",
     ("heatmap", "heatmap.txt"):
         "24f1a4496657dd464af64d6904edd48e3bf035792e66fb02687eea3aa5f733ef",
 }

@@ -6,14 +6,15 @@ import pytest
 from conftest import dense_expectation, slsqp_simplex_lstsq, to_matrix
 
 from qmaxent import DomainError, ValidationError
-from qmaxent.circuit import parse_circuit, populations, simulate
+from qmaxent import sampler
+from qmaxent.circuit import Gate, apply_gates, parse_circuit, populations, simulate
 from qmaxent.pauli import PauliString
 from qmaxent.sampler import (
     CalibrationMatrix,
     ReadoutNoise,
     build_calibration,
     estimate_coherence,
-    estimate_pauli,
+    estimate_paulis,
     estimate_populations,
     mitigate,
     sample_counts,
@@ -22,6 +23,7 @@ from qmaxent.sampler import (
 BELL = parse_circuit("qubits 2\nh 0\ncx 0 1")
 BELL_SV = simulate(BELL)
 PLUS = parse_circuit("qubits 1\nh 0")
+X, Z = PauliString(("X",)), PauliString(("Z",))
 
 
 class TestSampleCounts:
@@ -45,6 +47,15 @@ class TestSampleCounts:
         tally = sample_counts(sv, shots, noise, seed=3)
         sigma = math.sqrt(0.1 * 0.9 / shots)
         assert abs(tally[1] / shots - 0.1) <= 3 * sigma
+
+    def test_noisy_tally_matches_the_exact_noisy_distribution(self):
+        sv = simulate(parse_circuit("qubits 3\nh 0\nry(0.7) 1\ncx 1 2\nrx(2.1) 2"))
+        noise = ReadoutNoise((0.02, 0.08, 0.15), (0.05, 0.01, 0.12))
+        shots = 200000
+        tally = sample_counts(sv, shots, noise, seed=21)
+        expected = estimate_populations(sv, noise=noise)
+        sigma = np.sqrt(expected * (1 - expected) / shots)
+        assert np.all(np.abs(tally / shots - expected) <= 5 * sigma)
 
     def test_deterministic_given_seed(self):
         a = sample_counts(BELL_SV, 5000, ReadoutNoise.uniform(0.05, 0.02, 2), seed=9)
@@ -70,6 +81,12 @@ class TestSampleCounts:
         assert tally.min() >= 0
         assert tally.sum() == 777
 
+    @pytest.mark.parametrize("shots", [0, 2.5])
+    def test_shots_must_be_a_positive_integer(self, shots):
+        # A multinomial draw would truncate 2.5 to 2 shots.
+        with pytest.raises(ValidationError, match="shots must be an integer >= 1"):
+            sample_counts(BELL_SV, shots)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed"):
             sample_counts(BELL_SV, 10, seed=-1)
@@ -81,10 +98,10 @@ class TestEstimatePopulations:
         np.testing.assert_allclose(estimate_populations(sv, 100, seed=0), [1.0, 0.0])
 
     def test_bell_split(self):
-        # Seed 7 draws 50 of each outcome in 100 shots.
-        assert sample_counts(BELL_SV, 100, seed=7).tolist() == [50, 0, 0, 50]
+        # Seed 7 draws 55 and 45 of the two outcomes in 100 shots.
+        assert sample_counts(BELL_SV, 100, seed=7).tolist() == [55, 0, 0, 45]
         np.testing.assert_allclose(
-            estimate_populations(BELL_SV, 100, seed=7), [0.5, 0.0, 0.0, 0.5]
+            estimate_populations(BELL_SV, 100, seed=7), [0.55, 0.0, 0.0, 0.45]
         )
 
     def test_estimates_partition_unity(self):
@@ -122,13 +139,14 @@ class TestEstimatePauli:
     def test_z_on_ground_state_is_exact(self):
         c = parse_circuit("qubits 1")
         for shots in (1, 7, 100):
-            assert estimate_pauli(simulate(c), PauliString(("Z",)), shots, seed=5) == 1.0
+            assert estimate_paulis(simulate(c), [Z], shots, seed=5)[Z] == 1.0
 
     def test_x_eigenstate_is_exact(self):
-        assert estimate_pauli(simulate(PLUS), PauliString(("X",)), 10000, seed=6) == 1.0
+        assert estimate_paulis(simulate(PLUS), [X], 10000, seed=6)[X] == 1.0
 
     def test_bell_zz(self):
-        value = estimate_pauli(simulate(BELL), PauliString(("Z", "Z")), 10000, seed=7)
+        zz = PauliString(("Z", "Z"))
+        value = estimate_paulis(simulate(BELL), [zz], 10000, seed=7)[zz]
         assert value == pytest.approx(1.0, abs=0.02)
 
     def test_exact_mode_matches_dense(self):
@@ -140,7 +158,7 @@ class TestEstimatePauli:
             if ps.is_identity:
                 continue
             exact = dense_expectation(sv, to_matrix(ps)).real
-            assert estimate_pauli(simulate(c), ps) == pytest.approx(exact, abs=1e-10)
+            assert estimate_paulis(simulate(c), [ps])[ps] == pytest.approx(exact, abs=1e-10)
 
     def test_exact_noisy_mode_mitigates_back_to_exact(self):
         sv = simulate(parse_circuit("qubits 2\nry(0.8) 0\nrx(1.3) 1\ncx 0 1\nrz(0.4) 1"))
@@ -150,15 +168,33 @@ class TestEstimatePauli:
             ps = PauliString(letters)
             if ps.is_identity:
                 continue
-            mitigated = estimate_pauli(sv, ps, noise=noise, calibration=cal)
-            assert abs(mitigated - estimate_pauli(sv, ps)) <= 1e-12
+            mitigated = estimate_paulis(sv, [ps], noise=noise, calibration=cal)[ps]
+            assert abs(mitigated - estimate_paulis(sv, [ps])[ps]) <= 1e-12
 
     def test_sampled_converges_to_dense(self):
         c = parse_circuit("qubits 2\nry(0.8) 0\nrx(1.3) 1\ncx 0 1")
         ps = PauliString(("X", "Y"))
-        exact = estimate_pauli(simulate(c), ps)
-        sampled = estimate_pauli(simulate(c), ps, shots=100000, seed=8)
+        exact = estimate_paulis(simulate(c), [ps])[ps]
+        sampled = estimate_paulis(simulate(c), [ps], shots=100000, seed=8)[ps]
         assert sampled == pytest.approx(exact, abs=3 / math.sqrt(100000) + 1e-12)
+
+    def test_strings_sharing_a_basis_share_one_tally(self):
+        sv = simulate(parse_circuit("qubits 2\nry(0.8) 0\nrx(1.3) 1\ncx 0 1"))
+        xi, zz, iz = (PauliString(tuple(s)) for s in ("XI", "ZZ", "IZ"))
+        shots, seed = 1000, 30
+        means = estimate_paulis(sv, [xi, zz, iz], shots, seed=seed)
+
+        def parity(tally, mask):
+            signs = np.array([(-1.0) ** bin(i & mask).count("1") for i in range(4)])
+            return float(signs @ (tally / shots))
+
+        # ZZ and IZ need no rotation: both read the tally of seed + 1,
+        # the position of the first of them.
+        shared = sample_counts(sv, shots, seed=seed + 1)
+        assert means[zz] == parity(shared, 0b11)
+        assert means[iz] == parity(shared, 0b10)
+        rotated = apply_gates(sv, (Gate("h", (0,)),), 2)
+        assert means[xi] == parity(sample_counts(rotated, shots, seed=seed), 0b01)
 
 
 class TestEstimateCoherence:
@@ -190,6 +226,24 @@ class TestEstimateCoherence:
                 assert estimate_coherence(simulate(c), i, j) == pytest.approx(
                     coherence(sv, i, j), abs=1e-10
                 )
+
+    def test_one_distribution_per_basis(self, monkeypatch):
+        sv = simulate(parse_circuit("qubits 3\nh 0\nry(0.7) 1\ncx 1 2"))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return estimate_populations(*args, **kwargs)
+
+        monkeypatch.setattr(sampler, "estimate_populations", counting)
+        total = 0
+        for k in range(2, 9):
+            calls.clear()
+            estimate_coherence(sv, k, 1, shots_per_setting=100, seed=k)
+            # |K><1| has 2^3 strings but 2^popcount(K-1) bases.
+            assert len(calls) == 2 ** bin(k - 1).count("1")
+            total += len(calls)
+        assert total == 26
 
     def test_error_halves_when_shots_quadruple(self):
         seeds = range(50)
@@ -252,6 +306,21 @@ class TestMitigate:
         cal = build_calibration(ReadoutNoise.uniform(0.02, 0.04, 2), 2)
         with pytest.raises(ValidationError, match="4 outcomes"):
             mitigate(np.array([0.5, 0.5]), cal)
+
+    @pytest.mark.parametrize(
+        "freqs",
+        [
+            [math.nan, 0.5, 0.25, 0.25],
+            [math.inf, 0.0, 0.0, 0.0],
+            [-0.1, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+            [2.0, 0.0, 0.0, 0.0],
+        ],
+    )
+    def test_non_distribution_rejected(self, freqs):
+        cal = build_calibration(ReadoutNoise.uniform(0.02, 0.04, 2), 2)
+        with pytest.raises(ValidationError, match=">= 0 and sum to 1"):
+            mitigate(np.array(freqs), cal)
 
     def test_mitigated_closer_than_raw(self):
         noise = ReadoutNoise.uniform(0.02, 0.04, 2)
@@ -334,7 +403,7 @@ class TestMalformedStates:
         with pytest.raises(ValidationError, match="2\\^n"):
             estimate_populations(sv)
         with pytest.raises(ValidationError, match="2\\^n"):
-            estimate_pauli(sv, PauliString(("Z",)), 10)
+            estimate_paulis(sv, [Z], 10)
 
     def test_nan_state_rejected(self):
         with pytest.raises(ValidationError, match="not normalized"):
@@ -342,5 +411,5 @@ class TestMalformedStates:
 
     def test_string_width_must_match_state(self):
         with pytest.raises(ValidationError, match="state has 2"):
-            estimate_pauli(BELL_SV, PauliString(("Z",)))
+            estimate_paulis(BELL_SV, [Z])
 
