@@ -15,7 +15,13 @@ starts a comment. Angles must be finite.
 
 ``simulate`` is ``apply_gates`` on ``zero_state``; a caller that needs
 the same state under several extra gate sequences (basis rotations, for
-instance) simulates once and applies each sequence to the result.
+instance) simulates once and applies each sequence to the result. Gates
+apply one at a time, so the state after a shared prefix of two sequences
+is the same bytes in both, and a caller may apply the prefix once and
+continue each sequence from it. A one-qubit gate is one matrix product
+over the amplitude tensor with the target axis last; the axis orders per
+(qubit, n) and the matrices of the parameter-free gates and of the basis
+rotation rz(-pi/2) are built once.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -181,7 +188,7 @@ def parse_circuit(text: str, theta: float | None = None) -> Circuit:
     return Circuit(num_qubits, tuple(gates))
 
 
-def _matrix_1q(gate: Gate) -> np.ndarray:
+def _build_matrix_1q(gate: Gate) -> np.ndarray:
     if gate.kind == "h":
         return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     if gate.kind == "x":
@@ -199,12 +206,35 @@ def _matrix_1q(gate: Gate) -> np.ndarray:
     return np.array([[np.exp(-1j * t), 0], [0, np.exp(1j * t)]])
 
 
-def _apply_1q(state: np.ndarray, u: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    psi = state.reshape([2] * n)
+# The fixed gates, the Pauli basis rotations among them, built once. No
+# key is a zero angle, so a -0.0 angle (whose sign reaches the amplitudes)
+# never meets a cached +0.0 matrix.
+_FIXED_1Q = {
+    (g.kind, g.angle): _build_matrix_1q(g)
+    for g in (Gate("h", (0,)), Gate("x", (0,)), Gate("rz", (0,), -math.pi / 2))
+}
+
+
+def _matrix_1q(gate: Gate) -> np.ndarray:
+    fixed = _FIXED_1Q.get((gate.kind, gate.angle))
+    return _build_matrix_1q(gate) if fixed is None else fixed
+
+
+@lru_cache(maxsize=None)
+def _axis_orders(qubit: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Tensor shape and the two axis orders of ``_apply_1q``: the
+    transposes ``np.moveaxis(psi, axis, -1)`` and ``np.moveaxis(psi, -1,
+    axis)`` make, for axis = n - 1 - qubit."""
     axis = n - 1 - qubit
-    psi = np.moveaxis(psi, axis, -1)
-    psi = psi @ u.T
-    return np.moveaxis(psi, -1, axis).reshape(-1)
+    to_last = tuple(a for a in range(n) if a != axis) + (axis,)
+    from_last = tuple(range(axis)) + (n - 1,) + tuple(range(axis, n - 1))
+    return (2,) * n, to_last, from_last
+
+
+def _apply_1q(state: np.ndarray, u: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    shape, to_last, from_last = _axis_orders(qubit, n)
+    psi = state.reshape(shape).transpose(to_last) @ u.T
+    return psi.transpose(from_last).reshape(-1)
 
 
 def _apply_2q(state: np.ndarray, gate: Gate, n: int) -> np.ndarray:

@@ -13,13 +13,25 @@ seed=0, calibration=None``, and ``estimate_populations`` alone turns the
 state into a distribution: ``shots=None`` selects the exact mode.
 ``estimate_paulis`` rotates and samples each measurement basis once:
 strings that differ only in I vs Z share a basis, drawn with sub-seed
-seed + the position of its first string. M is built once per noise
-model, its condition number on first use. Mitigation solves ``M p = f``
-directly and, when that leaves negative entries, solves
-``min ||M p - f||^2`` over the probability simplex exactly with a small
-active-set method (the constrained treatment of Smolin, Gambetta &
-Smith, PRL 108, 070502, 2012, on the dense N <= 64 problems of M3,
-Nation et al., PRX Quantum 2, 040326, 2021).
+seed + the position of its first string. ``estimate_coherence`` measures
+|i><j| through a plan that depends on (i, j, n) alone (its
+decomposition, its bases with their sub-seed offsets, and their parity
+signs), built once per target.
+
+The basis rotations of the last state measured are kept as a trie of
+gate prefixes. X on qubit q rotates by H and Y by RZ(-pi/2) then H, in
+qubit order, so the XX basis of K = 4 continues from the state already
+rotated for the X basis of K = 2. Over every K of one state the
+rotations apply 3(3^n - 1)/2 one-qubit gates, not n 3^n, and each
+rotated state has the bytes of the same gates applied from the start.
+
+M is built once per noise model, its condition number and Gram matrix
+M^T M on first use. Mitigation solves ``M p = f`` directly and, when
+that leaves negative entries, solves ``min ||M p - f||^2`` over the
+probability simplex exactly with a small active-set method (the
+constrained treatment of Smolin, Gambetta & Smith, PRL 108, 070502,
+2012, on the dense N <= 64 problems of M3, Nation et al., PRX Quantum 2,
+040326, 2021).
 """
 
 from __future__ import annotations
@@ -32,7 +44,13 @@ import numpy as np
 
 from .circuit import Gate, apply_gates, populations
 from .errors import DomainError, TomographyError, ValidationError
-from .pauli import PauliString, decompose_ketbra, expectation_from_paulis, measurement_settings
+from .pauli import (
+    PauliDecomposition,
+    PauliString,
+    decompose_ketbra,
+    expectation_from_paulis,
+    measurement_settings,
+)
 
 
 @dataclass(frozen=True)
@@ -74,13 +92,20 @@ class CalibrationMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        # A private read-only copy, so the cached condition number stays valid.
+        # A private read-only copy, so the cached condition number and Gram
+        # matrix stay valid.
         entries = np.array(self.entries, dtype=float)
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
         dim = 2**self.num_qubits
         if entries.shape != (dim, dim):
             raise ValidationError(f"expected shape {(dim, dim)}, got {entries.shape}")
+        bad = np.argwhere(~np.isfinite(entries))
+        if bad.size:
+            r, t = bad[0]
+            raise ValidationError(
+                f"calibration entry [{r}, {t}] = {entries[r, t]} is not finite"
+            )
         if entries.min() < 0:
             raise ValidationError("calibration entries must be non-negative")
         col_sums = entries.sum(axis=0)
@@ -95,6 +120,11 @@ class CalibrationMatrix:
     def condition(self) -> float:
         """2-norm condition number (one SVD per matrix)."""
         return float(np.linalg.cond(self.entries))
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """M^T M of the constrained mitigation solve, built on first use."""
+        return self.entries.T @ self.entries
 
 
 def _noise_matrix_1q(p01: float, p10: float) -> np.ndarray:
@@ -121,6 +151,11 @@ def _readout_distribution(sv: np.ndarray, noise: ReadoutNoise | None) -> np.ndar
     return probs
 
 
+def _check_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def sample_counts(
     sv: np.ndarray,
     shots: int,
@@ -131,8 +166,7 @@ def sample_counts(
     draw, an int array of length 2^n indexed by basis state - 1."""
     if not isinstance(shots, (int, np.integer)) or shots < 1:
         raise ValidationError(f"shots must be an integer >= 1, got {shots!r}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    _check_seed(seed)
     probs = _readout_distribution(np.asarray(sv), noise)
     return np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
 
@@ -151,6 +185,7 @@ def estimate_populations(
     frequencies of ``shots`` seeded draws. A calibration matrix, when
     supplied, then corrects the distribution.
     """
+    _check_seed(seed)
     if shots is None:
         freqs = _readout_distribution(np.asarray(sv), noise)
     else:
@@ -173,7 +208,9 @@ def _parity_signs(num_qubits: int, mask: int) -> np.ndarray:
     return signs
 
 
-def _simplex_least_squares(m: np.ndarray, f: np.ndarray, start: np.ndarray) -> np.ndarray:
+def _simplex_least_squares(
+    cal: CalibrationMatrix, f: np.ndarray, start: np.ndarray
+) -> np.ndarray:
     """Exact minimiser of ||M p - f||^2 over p >= 0, sum(p) = 1.
 
     A primal active-set method started from ``start`` clipped to the
@@ -188,8 +225,8 @@ def _simplex_least_squares(m: np.ndarray, f: np.ndarray, start: np.ndarray) -> n
     frees the zero-set entry with the most negative multiplier
     (G p - t)_i + eta. It stops when every such multiplier is >= 0.
     """
-    gram = m.T @ m
-    target = m.T @ f
+    gram = cal.gram
+    target = cal.entries.T @ f
     # sum(start) = sum(f) = 1 for a column-stochastic M, so the clipped
     # start has a positive sum.
     p = np.maximum(start, 0.0)
@@ -242,7 +279,7 @@ def mitigate(freqs: np.ndarray, cal: CalibrationMatrix) -> np.ndarray:
     direct = np.linalg.solve(cal.entries, freqs)
     if direct.min() >= 0.0:
         return direct
-    return _simplex_least_squares(cal.entries, freqs, direct)
+    return _simplex_least_squares(cal, freqs, direct)
 
 
 @lru_cache(maxsize=64)
@@ -257,6 +294,98 @@ def build_calibration(noise: ReadoutNoise, num_qubits: int) -> CalibrationMatrix
         _noise_matrix_1q(noise.p01[q], noise.p10[q]) for q in range(num_qubits)
     ]
     return CalibrationMatrix(num_qubits, reduce(np.kron, reversed(singles)))
+
+
+@dataclass(frozen=True)
+class _Basis:
+    """One measurement basis: its rotations, the sub-seed offset of its
+    draw and the (string, parity signs) pairs read from its distribution."""
+
+    rotations: tuple[Gate, ...]
+    offset: int
+    reads: tuple[tuple[PauliString, np.ndarray], ...]
+
+
+def _group_bases(strings: Iterable[PauliString], num_qubits: int) -> tuple[_Basis, ...]:
+    """Group strings by measurement basis: strings with equal rotations
+    (they differ only in I vs Z) share one, whose offset is the position
+    of its first string."""
+    groups: dict[tuple[Gate, ...], tuple[int, list]] = {}
+    for position, p in enumerate(strings):
+        if p.num_qubits != num_qubits:
+            raise ValidationError(
+                f"string acts on {p.num_qubits} qubit(s), state has {num_qubits}"
+            )
+        setting = measurement_settings(p)
+        _, reads = groups.setdefault(setting.rotations, (position, []))
+        reads.append((p, _parity_signs(num_qubits, setting.parity_mask)))
+    return tuple(
+        _Basis(rotations, offset, tuple(reads))
+        for rotations, (offset, reads) in groups.items()
+    )
+
+
+# The plan of |i><j| depends on (i, j, n) alone; a sweep over every K
+# of a 6-qubit state keeps 63 of them.
+@lru_cache(maxsize=256)
+def _ketbra_plan(
+    i: int, j: int, num_qubits: int
+) -> tuple[PauliDecomposition, tuple[_Basis, ...]]:
+    decomposition = decompose_ketbra(i, j, num_qubits)
+    return decomposition, _group_bases(decomposition.terms, num_qubits)
+
+
+# Rotated states of the last state measured, keyed by its bytes (signed
+# zeros included): a trie whose node (state, children) holds the state
+# after the gates on its path, with the children of the unrotated state
+# at its root. One state's trie is kept, at most 3(3^n - 1)/2 states
+# (every prefix of a basis rotation; 1092 states of 64 amplitudes at
+# n = 6); measuring another state replaces it. Each call holds its own
+# reference to the trie it uses, so callers measuring different states
+# never read each other's.
+_rotation_trie: tuple[bytes, dict] = (b"", {})
+
+
+def _rotation_children(sv: np.ndarray, num_qubits: int) -> dict:
+    global _rotation_trie
+    key = sv.dtype.str.encode() + sv.tobytes()
+    last_key, children = _rotation_trie
+    if key != last_key:
+        # The norm check apply_gates gives every rotated state, on the
+        # unrotated one too.
+        apply_gates(sv, (), num_qubits)
+        children = {}
+        _rotation_trie = (key, children)
+    return children
+
+
+def _measure_bases(
+    sv: np.ndarray,
+    num_qubits: int,
+    bases: tuple[_Basis, ...],
+    shots: int | None,
+    noise: ReadoutNoise | None,
+    seed: int,
+    calibration: CalibrationMatrix | None,
+) -> dict[PauliString, float]:
+    """Rotate into each basis, draw its distribution with sub-seed seed +
+    its offset, and read each of its strings' parity there."""
+    _check_seed(seed)
+    root = _rotation_children(sv, num_qubits)
+    means: dict[PauliString, float] = {}
+    for basis in bases:
+        rotated, children = sv, root
+        for gate in basis.rotations:
+            node = children.get(gate)
+            if node is None:
+                node = children[gate] = (apply_gates(rotated, (gate,), num_qubits), {})
+            rotated, children = node
+        freqs = estimate_populations(
+            rotated, shots, noise, seed + basis.offset, calibration
+        )
+        for p, signs in basis.reads:
+            means[p] = float(signs @ freqs)
+    return means
 
 
 def estimate_paulis(
@@ -277,22 +406,8 @@ def estimate_paulis(
     """
     sv = np.asarray(sv)
     num_qubits = _state_qubits(sv)
-    bases: dict[tuple[Gate, ...], tuple[int, list[tuple[PauliString, int]]]] = {}
-    for position, p in enumerate(strings):
-        if p.num_qubits != num_qubits:
-            raise ValidationError(
-                f"string acts on {p.num_qubits} qubit(s), state has {num_qubits}"
-            )
-        setting = measurement_settings(p)
-        _, members = bases.setdefault(setting.rotations, (position, []))
-        members.append((p, setting.parity_mask))
-    means: dict[PauliString, float] = {}
-    for rotations, (position, members) in bases.items():
-        rotated = apply_gates(sv, rotations, num_qubits)
-        freqs = estimate_populations(rotated, shots, noise, seed + position, calibration)
-        for p, mask in members:
-            means[p] = float(_parity_signs(num_qubits, mask) @ freqs)
-    return means
+    bases = _group_bases(strings, num_qubits)
+    return _measure_bases(sv, num_qubits, bases, shots, noise, seed, calibration)
 
 
 def estimate_coherence(
@@ -305,7 +420,7 @@ def estimate_coherence(
     calibration: CalibrationMatrix | None = None,
 ) -> complex:
     """Estimate the mean of |i><j| on a state vector by measuring its
-    Pauli expansion with ``estimate_paulis``.
+    Pauli expansion as ``estimate_paulis`` does.
 
     |i><j| has 2^n strings in 2^d bases, d the number of bits where i - 1
     and j - 1 differ; each basis draws ``shots_per_setting`` shots. The
@@ -314,9 +429,10 @@ def estimate_coherence(
     if i == j:
         raise ValidationError("use populations for diagonal entries")
     sv = np.asarray(sv)
-    decomposition = decompose_ketbra(i, j, _state_qubits(sv))
+    num_qubits = _state_qubits(sv)
     # i != j, so every string has an X or a Y and none is the identity.
-    means = estimate_paulis(
-        sv, decomposition.terms, shots_per_setting, noise, seed, calibration
+    decomposition, bases = _ketbra_plan(i, j, num_qubits)
+    means = _measure_bases(
+        sv, num_qubits, bases, shots_per_setting, noise, seed, calibration
     )
     return expectation_from_paulis(decomposition, means)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qmaxent import ParseError, TomographyError, ValidationError
+from qmaxent import ParseError, TomographyError, ValidationError, circuit
 from qmaxent.circuit import (
     Circuit,
     Gate,
@@ -231,3 +231,55 @@ class TestApplyGates:
     def test_nan_populations_rejected(self):
         with pytest.raises(ValidationError, match="not normalized"):
             populations(np.array([np.nan, 0.0]))
+
+
+def _moveaxis_apply_1q(state, u, qubit, n):
+    """The one-qubit kernel written with np.moveaxis, as it read before
+    the transpose orders were cached."""
+    psi = np.moveaxis(state.reshape([2] * n), n - 1 - qubit, -1)
+    psi = psi @ u.T
+    return np.moveaxis(psi, -1, n - 1 - qubit).reshape(-1)
+
+
+def _same_bits(a, b):
+    """Equal values and equal signs of every zero, real and imaginary."""
+    return (
+        np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+# Every gate kind with one qubit, both signed zero angles and the basis
+# rotation rz(-pi/2) among the angles.
+ONE_QUBIT_GATES = [Gate("h", (0,)), Gate("x", (0,))] + [
+    Gate(kind, (0,), angle)
+    for kind in ("rx", "ry", "rz")
+    for angle in (0.0, -0.0, -math.pi / 2, math.pi, 0.731, -2.9)
+]
+
+
+class TestOneQubitKernel:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bitwise_equal_to_the_moveaxis_kernel(self, n):
+        rng = np.random.default_rng(50 + n)
+        state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state /= np.linalg.norm(state)
+        # Signed zeros in both parts, so their signs are compared too.
+        state.real[::3] = -0.0
+        state.imag[1::4] = 0.0
+        state.imag[2::5] = -0.0
+        for gate in ONE_QUBIT_GATES:
+            u = circuit._matrix_1q(gate)
+            assert _same_bits(u, circuit._build_matrix_1q(gate))
+            for qubit in range(n):
+                assert _same_bits(
+                    circuit._apply_1q(state, u, qubit, n),
+                    _moveaxis_apply_1q(state, u, qubit, n),
+                )
+
+    def test_signed_zero_angles_keep_their_matrices(self):
+        plus = circuit._matrix_1q(Gate("rz", (0,), 0.0))
+        minus = circuit._matrix_1q(Gate("rz", (0,), -0.0))
+        assert np.array_equal(plus, minus)
+        assert not _same_bits(plus, minus)

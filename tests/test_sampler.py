@@ -8,7 +8,12 @@ from conftest import dense_expectation, slsqp_simplex_lstsq, to_matrix
 from qmaxent import DomainError, ValidationError
 from qmaxent import sampler
 from qmaxent.circuit import Gate, apply_gates, parse_circuit, populations, simulate
-from qmaxent.pauli import PauliString
+from qmaxent.pauli import (
+    PauliString,
+    decompose_ketbra,
+    expectation_from_paulis,
+    measurement_settings,
+)
 from qmaxent.sampler import (
     CalibrationMatrix,
     ReadoutNoise,
@@ -90,6 +95,15 @@ class TestSampleCounts:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed"):
             sample_counts(BELL_SV, 10, seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, "3"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            sample_counts(BELL_SV, 10, seed=seed)
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            estimate_populations(BELL_SV, 10, seed=seed)
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            estimate_coherence(BELL_SV, 4, 1, 10, seed=seed)
 
 
 class TestEstimatePopulations:
@@ -259,6 +273,123 @@ class TestEstimateCoherence:
         assert 1.4 <= ratio <= 2.6
 
 
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    """Empty the per-K plan cache and the rotated-state trie; the returned
+    function empties them again."""
+
+    def reset():
+        sampler._ketbra_plan.cache_clear()
+        monkeypatch.setattr(sampler, "_rotation_trie", (b"", {}))
+
+    reset()
+    yield reset
+    sampler._ketbra_plan.cache_clear()
+
+
+def _random_state(rng, num_qubits):
+    amplitudes = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
+    return amplitudes / np.linalg.norm(amplitudes)
+
+
+def _uncached_coherence(sv, k, shots, noise, seed, calibration):
+    """Reference x1K from the public pieces: each string's basis rotates
+    ``sv`` from the start and draws on its own, with the sub-seed of the
+    basis's first string, so strings of one basis read equal tallies."""
+    num_qubits = int(math.log2(sv.size))
+    d = decompose_ketbra(k, 1, num_qubits)
+    firsts = {}
+    for position, p in enumerate(d.terms):
+        firsts.setdefault(measurement_settings(p).rotations, position)
+    means = {}
+    for p in d.terms:
+        setting = measurement_settings(p)
+        rotated = apply_gates(sv, setting.rotations, num_qubits)
+        freqs = estimate_populations(
+            rotated, shots, noise, seed + firsts[setting.rotations], calibration
+        )
+        means[p] = float(sampler._parity_signs(num_qubits, setting.parity_mask) @ freqs)
+    return expectation_from_paulis(d, means)
+
+
+MODES = {
+    "exact": (None, None, False),
+    "shots": (700, None, False),
+    "mitigated": (700, ReadoutNoise((0.03, 0.08, 0.05), (0.06, 0.02, 0.1)), True),
+}
+
+
+class TestSharedMeasurementWork:
+    @pytest.mark.parametrize("num_qubits", [2, 3])
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_sweep_over_k_equals_each_k_alone(self, fresh_caches, num_qubits, mode):
+        shots, noise, mitigated = MODES[mode]
+        if noise is not None:
+            noise = ReadoutNoise(noise.p01[:num_qubits], noise.p10[:num_qubits])
+        calibration = build_calibration(noise, num_qubits) if mitigated else None
+        rng = np.random.default_rng(60 + num_qubits)
+        for trial in range(3):
+            sv = _random_state(rng, num_qubits)
+            targets = range(2, 2**num_qubits + 1)
+            seeds = {k: 100 * trial + 7 * k for k in targets}
+            swept = {
+                k: estimate_coherence(sv, k, 1, shots, noise, seeds[k], calibration)
+                for k in targets
+            }
+            for k in targets:
+                fresh_caches()
+                alone = estimate_coherence(sv, k, 1, shots, noise, seeds[k], calibration)
+                assert swept[k] == alone
+                assert swept[k] == _uncached_coherence(
+                    sv, k, shots, noise, seeds[k], calibration
+                )
+
+    @pytest.mark.parametrize(("num_qubits", "gates"), [(2, 12), (3, 39)])
+    def test_rotations_apply_each_prefix_once(
+        self, fresh_caches, monkeypatch, num_qubits, gates
+    ):
+        applied = []
+
+        def counting(state, sequence, n):
+            applied.append(len(sequence))
+            return apply_gates(state, sequence, n)
+
+        monkeypatch.setattr(sampler, "apply_gates", counting)
+        sv = _random_state(np.random.default_rng(70), num_qubits)
+        for k in range(2, 2**num_qubits + 1):
+            estimate_coherence(sv, k, 1, shots_per_setting=50, seed=k)
+        # 3(3^n - 1)/2 one-qubit gates, where rotating every basis from
+        # the start applies n 3^n (18 and 81).
+        assert sum(applied) == gates == 3 * (3**num_qubits - 1) // 2
+
+    def test_second_sweep_builds_no_plan(self, fresh_caches, monkeypatch):
+        calls = {"decompose": 0, "settings": 0}
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            sampler, "decompose_ketbra", counted("decompose", decompose_ketbra)
+        )
+        monkeypatch.setattr(
+            sampler, "measurement_settings", counted("settings", measurement_settings)
+        )
+        rng = np.random.default_rng(71)
+        for sweep in range(2):
+            sv = _random_state(rng, 3)
+            for k in range(2, 9):
+                estimate_coherence(sv, k, 1, shots_per_setting=50, seed=k)
+            if sweep == 0:
+                # One plan per K: 7 decompositions of 8 strings each.
+                assert calls == {"decompose": 7, "settings": 56}
+                calls.update(decompose=0, settings=0)
+        assert calls == {"decompose": 0, "settings": 0}
+
+
 class TestCalibration:
     def test_zero_noise_gives_identity(self):
         cal = build_calibration(ReadoutNoise.uniform(0.0, 0.0, 2), 2)
@@ -278,6 +409,20 @@ class TestCalibration:
     def test_column_sum_validation(self):
         with pytest.raises(ValidationError):
             CalibrationMatrix(1, np.array([[0.9, 0.0], [0.2, 1.0]]))
+
+    @pytest.mark.parametrize(
+        ("value", "shown"), [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")]
+    )
+    def test_non_finite_entry_named(self, value, shown):
+        entries = np.array([[0.9, 0.1], [0.1, 0.9]])
+        entries[1, 0] = value
+        with pytest.raises(ValidationError, match=rf"entry \[1, 0\] = {shown} is not finite"):
+            CalibrationMatrix(1, entries)
+
+    def test_gram_matrix_is_m_transpose_m(self):
+        cal = build_calibration(ReadoutNoise((0.02, 0.07), (0.05, 0.01)), 2)
+        assert np.array_equal(cal.gram, cal.entries.T @ cal.entries)
+        assert cal.gram is cal.gram
 
 
 class TestMitigate:
