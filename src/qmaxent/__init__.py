@@ -39,6 +39,7 @@ from .maxent import (
     ExponentSpectrum,
     LagrangeSet,
     MeasurementRecord,
+    block_fidelity,
     density_from_lagrange,
     dump_record,
     feasible_record,

@@ -31,9 +31,9 @@ from .linalg import POLICY
 from .maxent import (
     LagrangeSet,
     MeasurementRecord,
+    block_fidelity,
     density_from_lagrange,
     dump_record,
-    fidelity,
     heatmap_scan,
     load_record,
     parse_keyvals,
@@ -231,7 +231,7 @@ def _solve_point(
         warnings.filterwarnings("ignore", "predicted population", RuntimeWarning)
         completed_a, ls_a = solve_record(measured)
     _, ls_b = solve_record(measured, xkk_true)
-    fid = fidelity(density_from_lagrange(ls_a), density_from_lagrange(ls_b))
+    fid = block_fidelity(ls_a, ls_b)
     return CaseABRow(theta, k, xkk_true, completed_a.x_kk, fid, ls_a, ls_b)
 
 

@@ -19,9 +19,14 @@ the N-2 unconstrained basis states each carry probability 1/Z.
 
 Because exp and log are mutually inverse on the block, the multipliers are
 recovered from a complete record in closed form: Z = (N-2)/(1-x11-xKK) and
-the exponent block is the matrix log of Z times the constraint minor.
-That closed form is the one inverse; the test suite checks it against an
-independent damped Newton solve of the forward map.
+the exponent block is the matrix log of Z times the constraint minor, taken
+on scalars from the minor's two eigenvalues (no eigensolver). That closed
+form is the one inverse; the test suite checks it against an independent
+damped Newton solve of the forward map.
+
+Two such states share their N-2 unconstrained levels, so their Uhlmann
+fidelity also follows from the two 2x2 blocks (``block_fidelity``); the
+dense ``fidelity`` is kept for arbitrary density matrices.
 
 ``solve_record`` holds the one completion and saturation policy: a
 complete record from the caller is solved as given, while a record
@@ -33,8 +38,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +52,7 @@ from .errors import (
     TomographyError,
     ValidationError,
 )
-from .linalg import POLICY, hermitian_eig, require_hermitian
+from .linalg import POLICY, require_hermitian
 
 _SOURCES = ("measured", "predicted")
 
@@ -76,8 +83,10 @@ def _name_non_finite(obj, names: tuple[str, ...]) -> None:
 class LagrangeSet:
     """Multipliers attached to the x11 / x1K / xKK constraints.
 
-    ``near_singular`` marks sets recovered from rank-deficient data via the
-    eigenvalue floor; it is bookkeeping, not part of the value.
+    ``near_singular`` marks sets recovered from a rank-deficient minor: the
+    smaller eigenvalue of Z times the minor was at or below the log floor,
+    so the multipliers carry log(floor) in its place and reproduce the
+    record only to rounding. It is bookkeeping, not part of the value.
     """
 
     dim_n: int
@@ -94,6 +103,10 @@ class LagrangeSet:
         object.__setattr__(self, "lam_kk", float(self.lam_kk))
         if not math.isfinite(self.lam_11 + abs(self.lam_1k) + self.lam_kk):
             _name_non_finite(self, ("lam_11", "lam_1k", "lam_kk"))
+
+    @cached_property
+    def _spectrum(self) -> ExponentSpectrum:
+        return _exponent_spectrum(self)
 
 
 @dataclass(frozen=True)
@@ -165,13 +178,18 @@ class MeasurementRecord:
 
 
 def spectrum(ls: LagrangeSet) -> ExponentSpectrum:
-    """Closed-form spectrum of the constraint exponent.
+    """Closed-form spectrum of the constraint exponent, computed once per
+    LagrangeSet and shared by every later call on it.
 
     When |lam_1k| is below the zero threshold the block is diagonal and the
     eigenvector-slope parametrization degenerates; that branch reports
     k3 = inf, k4 = 0 with weights a = exp(eps3), b = 0. Multipliers whose
     exp(A) leaves the float range raise DomainError.
     """
+    return ls._spectrum
+
+
+def _exponent_spectrum(ls: LagrangeSet) -> ExponentSpectrum:
     n = ls.dim_n
     l11, l1k, lkk = ls.lam_11, ls.lam_1k, ls.lam_kk
     try:
@@ -346,15 +364,37 @@ def _check_reproduction(ls: LagrangeSet, mr: MeasurementRecord) -> None:
         )
 
 
+# A minor eigenvalue at or below this share of the larger one is rounding
+# of a rank-one minor and counts as zero.
+_RANK_ONE_SHARE = 8 * sys.float_info.epsilon
+
+
 def solve_lagrange(mr: MeasurementRecord) -> LagrangeSet:
     """Recover the multipliers that reproduce a complete record, in closed
     form: Z = (N-2)/(1 - x11 - xKK), and the exponent block is the matrix
-    log of Z times the constraint minor.
+    log of Z times the constraint minor M = [[x11, x1K], [x1K*, xKK]].
+
+    The log is taken on scalars. M has eigenvalues w+- = m +- r, with
+    m = (x11 + xKK)/2, h = (x11 - xKK)/2 and r = hypot(h, |x1K|); w- is
+    evaluated as det(M)/w+, which is m - r without its cancellation when
+    w- << w+ (as LAPACK does for a 2x2 block). Then
+
+        log(Z M) = avg I + g (M - m I),
+
+    where avg = (L+ + L-)/2, L+- = log(max(Z w+-, floor)) and
+    g = (L+ - L-)/(2r), taken as log1p(2r/w-)/(2r) when neither eigenvalue
+    is floored (stable as r -> 0) and as 0 when r = 0.
+
+    A smaller eigenvalue at or below 8 ulps of the larger is rounding of a
+    rank-one minor and is set to 0 before the scaling by Z (which is about
+    1e9 after ``saturation_rescale`` and would lift that residue over the
+    floor). When Z w- is at or below ``POLICY.log_floor`` the eigenvalue is
+    floored and the set is flagged ``near_singular``.
 
     The result reproduces the record to 1e-6 per component, which is
-    checked, or this raises. Records whose minor is rank deficient are
-    handled through the eigenvalue floor and flagged near-singular. A
-    record that saturates x11 + xKK = 1 raises InfeasibleRecordError.
+    checked, or this raises. A minor with an eigenvalue below
+    -``POLICY.record_atol``, or a record that saturates x11 + xKK = 1,
+    raises InfeasibleRecordError.
     """
     if not mr.complete:
         raise ValidationError("record is incomplete: x_kk is absent")
@@ -365,27 +405,37 @@ def solve_lagrange(mr: MeasurementRecord) -> LagrangeSet:
         )
     n = mr.dim_n
     z = (n - 2) / (1.0 - mr.x_11 - mr.x_kk)
-    minor = np.array(
-        [[mr.x_11, mr.x_1k], [mr.x_1k.conjugate(), mr.x_kk]], dtype=complex
-    )
-    w, v = hermitian_eig(minor)
-    if w.min() < -POLICY.record_atol:
+    mid = 0.5 * (mr.x_11 + mr.x_kk)
+    half_gap = 0.5 * (mr.x_11 - mr.x_kk)
+    r = math.hypot(half_gap, abs(mr.x_1k))
+    w_hi = mid + r
+    det = mr.x_11 * mr.x_kk - (mr.x_1k.real ** 2 + mr.x_1k.imag ** 2)
+    w_lo = det / w_hi if w_hi > 0 else 0.0
+    if w_lo < -POLICY.record_atol:
         raise InfeasibleRecordError(
-            f"constraint minor has negative eigenvalue {w.min():.3e}"
+            f"constraint minor has negative eigenvalue {w_lo:.3e}"
         )
-    # The log of z * minor is applied spectrally: z can be enormous for
-    # boundary records and must not amplify dense-reconstruction rounding.
+    if w_lo <= _RANK_ONE_SHARE * w_hi:
+        w_lo = 0.0
     floor = POLICY.log_floor
-    scaled = np.maximum(z * np.maximum(w, 0.0), floor)
-    near_singular = bool(scaled.min() <= floor)
-    block = (v * np.log(scaled)) @ v.conj().T
-    block = 0.5 * (block + block.conj().T)
+    near_singular = z * w_lo <= floor
+    log_hi = math.log(max(z * max(w_hi, 0.0), floor))
+    log_lo = math.log(max(z * w_lo, floor))
+    if r == 0.0:
+        g = 0.0
+    elif near_singular:
+        g = (log_hi - log_lo) / (2 * r)
+    else:
+        g = math.log1p(2 * r / w_lo) / (2 * r)
+    avg = 0.5 * (log_hi + log_lo)
     ls = LagrangeSet(
         dim_n=n,
         index_k=mr.index_k,
-        lam_11=-block[0, 0].real,
-        lam_1k=-block[0, 1],
-        lam_kk=-block[1, 1].real,
+        lam_11=-(avg + g * half_gap),
+        # Adding 0j makes a zero part +0.0 before the negation, so a zero
+        # multiplier is -0.0 whatever the signs of the zeros in x1K.
+        lam_1k=-(g * mr.x_1k + 0j),
+        lam_kk=-(avg - g * half_gap),
         near_singular=near_singular,
     )
     _check_reproduction(ls, mr)
@@ -429,8 +479,17 @@ def reconstruct(mr: MeasurementRecord) -> tuple[np.ndarray, MeasurementRecord]:
     return density_from_lagrange(ls), completed
 
 
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+
+
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 in [0, 1]."""
+    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 in [0, 1],
+    evaluated as the squared nuclear norm ||sqrt(rho) sqrt(sigma)||_1^2
+    (the sum of singular values). On near-singular states, such as the
+    floored reconstructions, the eigenvalues of sqrt(rho) sigma sqrt(rho)
+    lose about half their digits; the singular values do not."""
     checked = []
     for name, m in (("rho", rho), ("sigma", sigma)):
         try:
@@ -443,11 +502,39 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     r, s = checked
     if r.shape != s.shape:
         raise ValidationError(f"dimension mismatch: {r.shape} vs {s.shape}")
-    w, v = np.linalg.eigh(r)
-    sqrt_r = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
-    mid = sqrt_r @ s @ sqrt_r
-    w2 = np.linalg.eigvalsh(0.5 * (mid + mid.conj().T))
-    value = float(np.sqrt(np.maximum(w2, 0.0)).sum() ** 2)
+    singular = np.linalg.svd(_psd_sqrt(r) @ _psd_sqrt(s), compute_uv=False)
+    value = float(singular.sum() ** 2)
+    return min(max(value, 0.0), 1.0)
+
+
+def block_fidelity(a: LagrangeSet, b: LagrangeSet) -> float:
+    """Uhlmann fidelity of the states exp(A)/Z of two multiplier sets with
+    the same N and K, from their 2x2 blocks E = exp(A) on {1, K}.
+
+    Both states are E/Z on the block and 1/Z on each of the other N - 2
+    levels, so ||sqrt(rho_a) sqrt(rho_b)||_1 splits over the two parts. On
+    the block the two singular values s1, s2 of sqrt(E_a) sqrt(E_b) give
+    (s1 + s2)^2 = tr(E_a E_b) + 2 sqrt(det E_a det E_b), and
+    det E = exp(tr A) = exp(-(lam_11 + lam_kk)) comes from the spectrum,
+    so no term cancels:
+
+        F = (sqrt(tr(E_a E_b) + 2 exp(-(lam11_a + lamKK_a + lam11_b
+             + lamKK_b)/2)) + N - 2)^2 / (Z_a Z_b).
+
+    Sets whose N or K differ raise ValidationError.
+    """
+    if (a.dim_n, a.index_k) != (b.dim_n, b.index_k):
+        raise ValidationError(
+            f"multiplier sets differ: (N, K) = ({a.dim_n}, {a.index_k}) vs "
+            f"({b.dim_n}, {b.index_k})"
+        )
+    sa, sb = spectrum(a), spectrum(b)
+    a11, a1k, akk = _block_entries(sa)
+    b11, b1k, bkk = _block_entries(sb)
+    overlap = a11 * b11 + akk * bkk + 2 * (a1k * b1k.conjugate()).real
+    det_root = math.exp(-0.5 * (a.lam_11 + a.lam_kk + b.lam_11 + b.lam_kk))
+    root = math.sqrt(max(overlap + 2 * det_root, 0.0))
+    value = (root + a.dim_n - 2) ** 2 / (sa.z * sb.z)
     return min(max(value, 0.0), 1.0)
 
 

@@ -108,17 +108,19 @@ def expectation_from_paulis(
     The all-identity string contributes mean 1 and need not be supplied.
     Raises IncompleteDataError listing any other strings that are missing.
     """
-    missing = [
-        str(ps)
-        for ps in d.terms
-        if not ps.is_identity and ps not in pauli_means
-    ]
+    total = complex(0.0)
+    missing = []
+    for ps, coeff in d.terms.items():
+        if ps.is_identity:
+            mean = 1.0
+        elif ps in pauli_means:
+            mean = pauli_means[ps]
+        else:
+            missing.append(str(ps))
+            continue
+        total += coeff * mean
     if missing:
         raise IncompleteDataError(f"missing Pauli means for: {', '.join(sorted(missing))}")
-    total = complex(0.0)
-    for ps, coeff in d.terms.items():
-        mean = 1.0 if ps.is_identity else pauli_means[ps]
-        total += coeff * mean
     return total
 
 

@@ -7,7 +7,9 @@ Newton solve of the forward map on its own ``eigh`` kernel, and the
 simplex-constrained least squares is scipy's general-purpose SLSQP. The
 dense references build the full N x N exponent, its spectral exp/log and
 the Kronecker matrices of Pauli strings, where the library works on the
-2x2 block in closed form and on state vectors.
+2x2 block in closed form and on state vectors. The ``mp_`` oracles repeat
+the dense matrix log, the density exp(A)/Z and the Uhlmann fidelity in
+60-digit mpmath arithmetic, so they bound the library's float error.
 
 Every hypothesis property test runs under one profile: derandomized, with
 no example database and no deadline, so a run is repeatable and a slow
@@ -16,6 +18,7 @@ machine cannot fail it.
 
 from functools import reduce
 
+import mpmath
 import numpy as np
 from hypothesis import settings
 
@@ -81,6 +84,52 @@ def matrix_log_psd(m, floor: float = POLICY.log_floor) -> np.ndarray:
         )
     out = (v * np.log(np.maximum(w, floor))) @ v.conj().T
     return 0.5 * (out + out.conj().T)
+
+
+MP_DPS = 60
+
+
+def _mp_eigh(m):
+    """Eigenvalues and eigenvectors of a Hermitian mpmath matrix."""
+    return mpmath.eighe(0.5 * (m + m.transpose_conj()))
+
+
+def _mp_spectral(m, fn) -> mpmath.matrix:
+    w, q = _mp_eigh(m)
+    return q * mpmath.diag([fn(x) for x in w]) * q.transpose_conj()
+
+
+def mp_matrix_log_psd(m, floor: float = POLICY.log_floor) -> np.ndarray:
+    """``matrix_log_psd`` of the float matrix ``m`` in 60-digit arithmetic,
+    rounded to complex floats. Eigenvalues below ``floor`` are floored."""
+    with mpmath.workdps(MP_DPS):
+        out = _mp_spectral(
+            mpmath.matrix(np.asarray(m, dtype=complex).tolist()),
+            lambda x: mpmath.log(max(x, floor)),
+        )
+        return np.array(out.tolist(), dtype=complex)
+
+
+def mp_density(ls) -> mpmath.matrix:
+    """exp(A)/Z of a LagrangeSet in 60-digit arithmetic, from the dense
+    exponent ``build_exponent(ls)``: the exact state of the float
+    multipliers, before any rounding to floats."""
+    with mpmath.workdps(MP_DPS):
+        e = _mp_spectral(mpmath.matrix(build_exponent(ls).tolist()), mpmath.exp)
+        return e / mpmath.fsum(e[i, i] for i in range(e.rows))
+
+
+def mp_fidelity(rho, sigma) -> float:
+    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 in 60-digit
+    arithmetic, of float arrays or of mpmath matrices. Eigenvalues below 0
+    count as 0; at 60 digits the square roots of the eigenvalues of
+    sqrt(rho) sigma sqrt(rho) still hold 30."""
+    with mpmath.workdps(MP_DPS):
+        r, s = (mpmath.matrix(np.asarray(m).tolist()) if isinstance(m, np.ndarray)
+                else m for m in (rho, sigma))
+        root = _mp_spectral(r, lambda x: mpmath.sqrt(max(x, 0)))
+        w, _ = _mp_eigh(root * s * root)
+        return float(mpmath.fsum(mpmath.sqrt(max(x, 0)) for x in w) ** 2)
 
 
 def build_exponent(ls) -> np.ndarray:

@@ -16,11 +16,11 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 PINS = {
     ("sweep", "sweep_exact.txt"):
-        "2010c67db72841f7fd2ebf7665a688c3b0936dc46cbce25c01d0fb35621882ff",
+        "930a98b894619dcb088d1008689b683f5945a016a822b89e2e7850cb46c46693",
     ("sweep", "sweep_noisy_mitigated.txt"):
-        "999818ed6fb19215558c0595c961cdcff86c828e97eb0bc674ab4595347d6ea5",
+        "d8102e19df598e38aa945f5b972d16f8c08d8487515220dc7640906900785c57",
     ("caseab", "caseab_shots.txt"):
-        "557fed17db83dfff59aab5d6d2acd2e2bb8fcfc03c2487f095ae08982c5a0228",
+        "e59043886e2c2afd106381b3c61ee923353fa18dec8dd1b3763d7c9c82ea02e9",
     ("heatmap", "heatmap.txt"):
         "24f1a4496657dd464af64d6904edd48e3bf035792e66fb02687eea3aa5f733ef",
 }
@@ -39,7 +39,7 @@ RECONSTRUCT_PINS = {
     ("complete", "text"):
         "79cf51ed6c43675f46607cc8f6b4b28f5bfbcee2ec4d63924da7ff9ca849b5ec",
     ("complete", "csv"):
-        "80be51abe4d82adeabfb0cbfae3f10c4e50cc1fc43a187222e7bc9d4c7f7daea",
+        "501bd9a0e3e8753a37e596f0447f910f3c2fea47c4967fcefb4d4b48d4ef4af2",
 }
 
 

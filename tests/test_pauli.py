@@ -133,6 +133,21 @@ class TestExpectation:
         with pytest.raises(IncompleteDataError, match="XI"):
             expectation_from_paulis(d, {})
 
+    def test_identity_tested_once_per_term_in_term_order(self, monkeypatch):
+        d = decompose_ketbra(2, 2, 2)  # has the all-identity term
+        means = {ps: 0.1 * (i + 1) for i, ps in enumerate(d.terms) if not ps.is_identity}
+        expected = complex(0.0)
+        for ps, coeff in d.terms.items():
+            expected += coeff * means.get(ps, 1.0)
+        seen = []
+        is_identity = PauliString.is_identity.fget
+        monkeypatch.setattr(
+            PauliString, "is_identity",
+            property(lambda ps: seen.append(ps) or is_identity(ps)),
+        )
+        assert expectation_from_paulis(d, means) == expected
+        assert seen == list(d.terms)
+
 
 class TestMeasurementSettings:
     def test_z_needs_no_rotation(self):

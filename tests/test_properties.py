@@ -5,7 +5,7 @@
 - The closed-form inverse reproduces every feasible record through the
   forward map: interior records, rank-one minors, and records whose
   populations sum to within 1e-9 of 1, moved off that boundary by
-  ``saturation_rescale``.
+  ``saturation_rescale``. Every rank-one minor is flagged near-singular.
 - The closed form agrees with the independent Newton oracle on every
   record that fixes its multipliers: one whose density matrix has no
   eigenvalue below 1e-6. On a rank-one or saturated record the multipliers
@@ -117,13 +117,13 @@ def test_record_text_parses_or_raises_a_toolkit_error(text):
 
 
 @st.composite
-def feasible_records(
+def feasible_minors(
     draw, kinds=("interior", "rank_one", "saturated", "near_saturated"), min_eigenvalue=0.0
-) -> MeasurementRecord:
+) -> tuple[MeasurementRecord, bool]:
     """A complete record from the interior to the edges of the feasible
-    set, already moved off the x11 + xKK = 1 boundary where it sits on it.
-    The smaller eigenvalue of an interior minor is at least
-    ``min_eigenvalue``."""
+    set, already moved off the x11 + xKK = 1 boundary where it sits on it,
+    and whether its minor was built with rank one. The smaller eigenvalue
+    of an interior minor is at least ``min_eigenvalue``."""
     n = draw(st.sampled_from([4, 8, 16]))
     k = draw(st.integers(2, n))
     kind = draw(st.sampled_from(kinds))
@@ -144,7 +144,11 @@ def feasible_records(
     xkk = big * s * s + small * c * c
     x1k = (big - small) * c * s * phase.conjugate()
     mr = MeasurementRecord(n, k, x11, x1k, xkk)
-    return saturation_rescale(mr)
+    return saturation_rescale(mr), small == 0.0
+
+
+def feasible_records(**kwargs):
+    return feasible_minors(**kwargs).map(lambda minor: minor[0])
 
 
 def deviation(a: MeasurementRecord, b: MeasurementRecord) -> float:
@@ -152,10 +156,12 @@ def deviation(a: MeasurementRecord, b: MeasurementRecord) -> float:
 
 
 @settings(max_examples=800)
-@given(feasible_records())
-def test_closed_form_reproduces_every_feasible_record(mr):
+@given(feasible_minors())
+def test_closed_form_reproduces_every_feasible_record(minor):
+    mr, rank_one = minor
     ls = solve_lagrange(mr)
     assert deviation(forward_expectations(ls), mr) <= 1e-8
+    assert ls.near_singular or not rank_one
 
 
 # Interior records have 1 - x11 - xKK >= 0.01, so the N - 2 unconstrained
