@@ -10,6 +10,13 @@ Config files are flat "key value" lines; see ``load_config`` for the keys.
 All randomness derives from the config seed: sweep point p uses sub-seed
 ``seed + 10007 * p``, and the coherence estimator consumes a further
 sub-seed per measurement basis.
+
+``_sweep_points`` is the one per-point loop. It does each piece of work
+once: the circuit text is tokenized once and bound per theta, the gates
+before the first theta-dependent one are simulated once per sweep and the
+rest once per theta, and the exact backend reads its populations once per
+theta. ``run_sweep`` and ``run_case_ab`` each enter the clamp-warning
+filter once, around the whole loop.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import circuits as bundled
-from .circuit import coherence, parse_circuit, simulate
+from .circuit import Circuit, coherence, parse_circuit, simulate, theta_free_prefix
 from .errors import InfeasibleRecordError, TomographyError, ValidationError
 from .linalg import POLICY
 from .maxent import (
@@ -224,12 +231,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def _solve_point(
     theta: float, k: int, dim_n: int, x11: float, x1k: complex, xkk_true: float
 ) -> CaseABRow:
-    """Case A (predicted xKK) and case B (true xKK) of one measured point."""
+    """Case A (predicted xKK) and case B (true xKK) of one measured point.
+    The callers of ``_sweep_points`` filter the clamp warning of case A."""
     measured = MeasurementRecord(dim_n, k, x11, x1k)
-    with warnings.catch_warnings():
-        # A clamped prediction shows in the row as xkk_pred = 1 - x11.
-        warnings.filterwarnings("ignore", "predicted population", RuntimeWarning)
-        completed_a, ls_a = solve_record(measured)
+    completed_a, ls_a = solve_record(measured)
     _, ls_b = solve_record(measured, xkk_true)
     fid = block_fidelity(ls_a, ls_b)
     return CaseABRow(theta, k, xkk_true, completed_a.x_kk, fid, ls_a, ls_b)
@@ -259,24 +264,33 @@ def _sweep_points(cfg: ExperimentConfig, base_dir: Path | None = None):
     # The exact backend reads exact probabilities whatever the config's shots.
     shots = None if cfg.backend == "exact" else cfg.shots
     calibration = build_calibration(cfg.noise, num_qubits) if cfg.mitigate else None
+    # Gates apply one at a time, so the state after the theta-free prefix
+    # is the same bytes whether it is simulated once or at every theta.
+    prefix = theta_free_prefix(circuit_text)
+    prefix_state = simulate(prefix)
+    skip = len(prefix.gates)
     point = 0
     for theta in thetas:
         theta = float(theta)
         # One simulation per theta serves every K target and Pauli setting.
-        sv = simulate(parse_circuit(circuit_text, theta=theta))
+        rest = parse_circuit(circuit_text, theta=theta).gates[skip:]
+        sv = simulate(Circuit(num_qubits, rest), prefix_state)
+        if shots is None:
+            exact_pops = estimate_populations(sv)
         for k in k_targets:
             seed = cfg.seed + _POINT_SEED_STRIDE * point
             point += 1
-            pops = estimate_populations(sv, shots, cfg.noise, seed, calibration)
-            x11, xkk_true = float(pops[0]), float(pops[k - 1])
             # x1K is rho[1, K], the mean of |K><1|: a_0 * conj(a_{K-1}).
             if shots is None:
+                pops = exact_pops
                 x1k = coherence(sv, k, 1)
             else:
+                pops = estimate_populations(sv, shots, cfg.noise, seed, calibration)
                 x1k = estimate_coherence(
                     sv, k, 1, shots, cfg.noise,
                     seed + _COHERENCE_SEED_OFFSET, calibration,
                 )
+            x11, xkk_true = float(pops[0]), float(pops[k - 1])
             case_ab = None
             if x11 > POLICY.population_floor:
                 case_ab = _solve_point(theta, k, dim_n, x11, x1k, xkk_true)
@@ -293,27 +307,40 @@ def run_sweep(cfg: ExperimentConfig, base_dir: Path | None = None) -> list[Sweep
     xkk_pred = 1 - x11.
     """
     rows: list[SweepRow] = []
-    for theta, k, x11, x1k, xkk_true, ab in _sweep_points(cfg, base_dir):
-        pred = ab.xkk_pred if ab else math.nan
-        rows.append(
-            SweepRow(
-                theta, k, x11, x1k.real, x1k.imag, xkk_true, pred,
-                abs(xkk_true - pred), ab.fidelity_ab if ab else math.nan,
-                ab is None or ab.lagrange_a.near_singular or ab.lagrange_b.near_singular,
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "predicted population", RuntimeWarning)
+        for theta, k, x11, x1k, xkk_true, ab in _sweep_points(cfg, base_dir):
+            pred = ab.xkk_pred if ab else math.nan
+            rows.append(
+                SweepRow(
+                    theta, k, x11, x1k.real, x1k.imag, xkk_true, pred,
+                    abs(xkk_true - pred), ab.fidelity_ab if ab else math.nan,
+                    ab is None
+                    or ab.lagrange_a.near_singular
+                    or ab.lagrange_b.near_singular,
+                )
             )
-        )
     return rows
 
 
 def run_case_ab(cfg: ExperimentConfig, base_dir: Path | None = None) -> CaseABReport:
     """Compare reconstructions with predicted versus true xKK; points at
-    the degeneracy floor are left out."""
-    points = _sweep_points(cfg, base_dir)
-    return CaseABReport(tuple(ab for *_, ab in points if ab is not None))
+    the degeneracy floor are left out. Clamp warnings are suppressed as in
+    ``run_sweep``."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "predicted population", RuntimeWarning)
+        points = _sweep_points(cfg, base_dir)
+        return CaseABReport(tuple(ab for *_, ab in points if ab is not None))
 
 
 def _fmt(value: float) -> str:
     return f"{value:.11e}"
+
+
+def _row_format(*fields: str) -> str:
+    """One format string for a CSV row: "e" is a 12-significant-digit
+    value as ``_fmt`` writes it, "s" a field written as it is."""
+    return ",".join("{:.11e}" if f == "e" else "{}" for f in fields)
 
 
 def _write_lines(lines: list[str], path: str | Path | None) -> None:
@@ -327,27 +354,26 @@ def _write_lines(lines: list[str], path: str | Path | None) -> None:
         Path(path).write_text(text, newline="\n")
 
 
-def _write_csv(header: str, rows: list[tuple[str, ...]], path: str | Path) -> None:
+def _write_csv(header: str, rows: list[str], path: str | Path) -> None:
     if not rows:
         raise ValidationError("no rows to emit")
-    _write_lines([header, *(",".join(fields) for fields in rows)], path)
+    _write_lines([header, *rows], path)
 
 
 SWEEP_HEADER = "theta,k,x11,re_x1k,im_x1k,xkk_true,xkk_pred,abs_diff,fidelity,near_singular"
+_SWEEP_ROW = _row_format("e", "s", "e", "e", "e", "e", "e", "e", "e", "s")
 
 
 def emit_csv(rows: list[SweepRow], path: str | Path) -> None:
     """Write sweep rows as CSV with 12-significant-digit values."""
-    fields = [
-        (
-            _fmt(r.theta), str(r.k), _fmt(r.x11), _fmt(r.re_x1k),
-            _fmt(r.im_x1k), _fmt(r.xkk_true), _fmt(r.xkk_pred),
-            _fmt(r.abs_diff), _fmt(r.fidelity),
-            "true" if r.near_singular else "false",
+    lines = [
+        _SWEEP_ROW.format(
+            r.theta, r.k, r.x11, r.re_x1k, r.im_x1k, r.xkk_true, r.xkk_pred,
+            r.abs_diff, r.fidelity, "true" if r.near_singular else "false",
         )
         for r in rows
     ]
-    _write_csv(SWEEP_HEADER, fields, path)
+    _write_csv(SWEEP_HEADER, lines, path)
 
 
 CASEAB_HEADER = (
@@ -355,23 +381,22 @@ CASEAB_HEADER = (
     "lam11_a,re_lam1k_a,im_lam1k_a,lamkk_a,"
     "lam11_b,re_lam1k_b,im_lam1k_b,lamkk_b"
 )
+_CASEAB_ROW = _row_format("e", "s", *"e" * 12)
 
 
 def emit_caseab_csv(report: CaseABReport, path: str | Path) -> None:
-    fields = []
+    lines = []
     for r in report.rows:
         a, b = r.lagrange_a, r.lagrange_b
-        fields.append(
-            (
-                _fmt(r.theta), str(r.k), _fmt(r.xkk_true), _fmt(r.xkk_pred),
-                _fmt(abs(r.xkk_true - r.xkk_pred)), _fmt(r.fidelity_ab),
-                _fmt(a.lam_11), _fmt(a.lam_1k.real), _fmt(a.lam_1k.imag),
-                _fmt(a.lam_kk),
-                _fmt(b.lam_11), _fmt(b.lam_1k.real), _fmt(b.lam_1k.imag),
-                _fmt(b.lam_kk),
+        lines.append(
+            _CASEAB_ROW.format(
+                r.theta, r.k, r.xkk_true, r.xkk_pred,
+                abs(r.xkk_true - r.xkk_pred), r.fidelity_ab,
+                a.lam_11, a.lam_1k.real, a.lam_1k.imag, a.lam_kk,
+                b.lam_11, b.lam_1k.real, b.lam_1k.imag, b.lam_kk,
             )
         )
-    _write_csv(CASEAB_HEADER, fields, path)
+    _write_csv(CASEAB_HEADER, lines, path)
 
 
 HEATMAP_HEADER = "lam11,re_lam1k,im_lam1k,x11,re_x1k,im_x1k"
@@ -406,12 +431,15 @@ def load_heatmap_config(path: str | Path) -> dict:
     return params
 
 
+_HEATMAP_ROW = _row_format(*"e" * 6)
+
+
 def emit_heatmap_csv(rows, path: str | Path) -> None:
-    fields = [
-        tuple(_fmt(v) for v in (lam11, lam1k.real, lam1k.imag, x11, x1k.real, x1k.imag))
+    lines = [
+        _HEATMAP_ROW.format(lam11, lam1k.real, lam1k.imag, x11, x1k.real, x1k.imag)
         for lam11, lam1k, x11, x1k in rows
     ]
-    _write_csv(HEATMAP_HEADER, fields, path)
+    _write_csv(HEATMAP_HEADER, lines, path)
 
 
 def _cmd_reconstruct(args) -> int:

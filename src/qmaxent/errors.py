@@ -13,10 +13,10 @@ class ParseError(ValidationError):
     """Circuit or config text could not be parsed."""
 
     def __init__(self, message: str, line: int | None = None):
+        self.reason, self.line = message, line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class DomainError(ValidationError):

@@ -57,7 +57,14 @@ from .linalg import POLICY, require_hermitian
 _SOURCES = ("measured", "predicted")
 
 
+_INTEGERS = (int, np.integer)
+
+
 def _check_dims(dim_n: int, index_k: int) -> None:
+    if not isinstance(dim_n, _INTEGERS):
+        raise ValidationError(f"dim_n must be an integer, got {dim_n!r}")
+    if not isinstance(index_k, _INTEGERS):
+        raise ValidationError(f"index_k must be an integer, got {index_k!r}")
     if dim_n < 4 or dim_n & (dim_n - 1):
         raise ValidationError(f"dim_n must be a power of two >= 4, got {dim_n}")
     if not 2 <= index_k <= dim_n:
@@ -66,17 +73,39 @@ def _check_dims(dim_n: int, index_k: int) -> None:
         )
 
 
-def _name_non_finite(obj, names: tuple[str, ...]) -> None:
-    """Raise for the first NaN or infinite field among ``names``.
+def _name_non_finite(**values) -> None:
+    """Raise for the first NaN or infinite value, by its name.
 
-    Callers first test one sum of the fields, which is finite whenever
-    every field is, and call this only when it is not: the sum can also
+    Callers first test one sum of the values, which is finite whenever
+    every value is, and call this only when it is not: the sum can also
     overflow, in which case this raises nothing.
     """
-    for name in names:
-        value = getattr(obj, name)
+    for name, value in values.items():
         if value is not None and not cmath.isfinite(value):
             raise ValidationError(f"{name} = {value!r} is not finite")
+
+
+def _check_record_values(x_11: float, x_1k: complex, x_kk: float | None) -> None:
+    """The invariants of a record's values: finite, populations in
+    [0, 1], |x1K| <= 1 and, with x_kk, x11 + xKK <= 1 and a positive
+    semidefinite minor, each within ``POLICY.record_atol``."""
+    if not math.isfinite(x_11 + abs(x_1k) + (x_kk or 0.0)):
+        _name_non_finite(x_11=x_11, x_1k=x_1k, x_kk=x_kk)
+    tol = POLICY.record_atol
+    if not -tol <= x_11 <= 1 + tol:
+        raise ValidationError(f"x_11 = {x_11} outside [0, 1]")
+    if abs(x_1k) > 1 + tol:
+        raise ValidationError(f"|x_1k| = {abs(x_1k)} exceeds 1")
+    if x_kk is not None:
+        if not -tol <= x_kk <= 1 + tol:
+            raise ValidationError(f"x_kk = {x_kk} outside [0, 1]")
+        if x_11 + x_kk > 1 + tol:
+            raise ValidationError(f"x_11 + x_kk = {x_11 + x_kk} exceeds 1")
+        if abs(x_1k) ** 2 > x_11 * x_kk + tol:
+            raise ValidationError(
+                "|x_1k|^2 exceeds x_11 * x_kk; the constraint minor is "
+                "not positive semidefinite"
+            )
 
 
 @dataclass(frozen=True)
@@ -102,7 +131,9 @@ class LagrangeSet:
         object.__setattr__(self, "lam_1k", complex(self.lam_1k))
         object.__setattr__(self, "lam_kk", float(self.lam_kk))
         if not math.isfinite(self.lam_11 + abs(self.lam_1k) + self.lam_kk):
-            _name_non_finite(self, ("lam_11", "lam_1k", "lam_kk"))
+            _name_non_finite(
+                lam_11=self.lam_11, lam_1k=self.lam_1k, lam_kk=self.lam_kk
+            )
 
     @cached_property
     def _spectrum(self) -> ExponentSpectrum:
@@ -117,7 +148,8 @@ class ExponentSpectrum:
     eigenvector slopes of the constrained block, a/b the spectral weights
     those eigenvectors contribute to the (1,1) entry, and z the partition
     function. k3 is infinite on the diagonal branch (lam_1k = 0), where the
-    eigenvectors are the basis vectors themselves.
+    eigenvectors are the basis vectors themselves. block holds the entries
+    (1,1), (1,K), (K,K) of exp(A) on the constrained block.
     """
 
     eps: tuple[float, ...]
@@ -126,6 +158,7 @@ class ExponentSpectrum:
     a: float
     b: float
     z: float
+    block: tuple[float, complex, float]
 
 
 @dataclass(frozen=True)
@@ -146,31 +179,13 @@ class MeasurementRecord:
 
     def __post_init__(self):
         _check_dims(self.dim_n, self.index_k)
+        if self.source not in _SOURCES:
+            raise ValidationError(f"source must be one of {_SOURCES}")
         object.__setattr__(self, "x_11", float(self.x_11))
         object.__setattr__(self, "x_1k", complex(self.x_1k))
         if self.x_kk is not None:
             object.__setattr__(self, "x_kk", float(self.x_kk))
-        if not math.isfinite(self.x_11 + abs(self.x_1k) + (self.x_kk or 0.0)):
-            _name_non_finite(self, ("x_11", "x_1k", "x_kk"))
-        if self.source not in _SOURCES:
-            raise ValidationError(f"source must be one of {_SOURCES}")
-        tol = POLICY.record_atol
-        if not -tol <= self.x_11 <= 1 + tol:
-            raise ValidationError(f"x_11 = {self.x_11} outside [0, 1]")
-        if abs(self.x_1k) > 1 + tol:
-            raise ValidationError(f"|x_1k| = {abs(self.x_1k)} exceeds 1")
-        if self.x_kk is not None:
-            if not -tol <= self.x_kk <= 1 + tol:
-                raise ValidationError(f"x_kk = {self.x_kk} outside [0, 1]")
-            if self.x_11 + self.x_kk > 1 + tol:
-                raise ValidationError(
-                    f"x_11 + x_kk = {self.x_11 + self.x_kk} exceeds 1"
-                )
-            if abs(self.x_1k) ** 2 > self.x_11 * self.x_kk + tol:
-                raise ValidationError(
-                    "|x_1k|^2 exceeds x_11 * x_kk; the constraint minor is "
-                    "not positive semidefinite"
-                )
+        _check_record_values(self.x_11, self.x_1k, self.x_kk)
 
     @property
     def complete(self) -> bool:
@@ -197,6 +212,7 @@ def _exponent_spectrum(ls: LagrangeSet) -> ExponentSpectrum:
             eps3, eps4 = -l11, -lkk
             k3, k4 = complex(math.inf), complex(0.0)
             a, b = math.exp(eps3), 0.0
+            block = (math.exp(eps3), complex(0.0), math.exp(eps4))
         else:
             gap = l11 - lkk
             quad = 4 * abs(l1k) ** 2
@@ -218,6 +234,11 @@ def _exponent_spectrum(ls: LagrangeSet) -> ExponentSpectrum:
             m3, m4 = abs(k3) ** 2, abs(k4) ** 2
             a = m3 * math.exp(eps3) / (m3 + 1)
             b = m4 * math.exp(eps4) / (m4 + 1)
+            # Written multiplicatively (a / conj(k) = k exp(eps) / (|k|^2 +
+            # 1)) so a vanishing slope cannot divide by zero.
+            w3 = math.exp(eps3) / (m3 + 1)
+            w4 = math.exp(eps4) / (m4 + 1)
+            block = (a + b, k3 * w3 + k4 * w4, w3 + w4)
         z = math.exp(eps3) + math.exp(eps4) + (n - 2)
     except OverflowError:
         z = math.inf
@@ -227,25 +248,9 @@ def _exponent_spectrum(ls: LagrangeSet) -> ExponentSpectrum:
             f"lam_1k = {l1k!r}, lam_kk = {lkk!r}"
         )
     return ExponentSpectrum(
-        eps=(0.0,) * (n - 2) + (eps3, eps4), k3=k3, k4=k4, a=a, b=b, z=z
+        eps=(0.0,) * (n - 2) + (eps3, eps4), k3=k3, k4=k4, a=a, b=b, z=z,
+        block=block,
     )
-
-
-def _block_entries(s: ExponentSpectrum) -> tuple[float, complex, float]:
-    """Entries (1,1), (1,K), (K,K) of exp(A) restricted to the block.
-
-    Written multiplicatively (a / conj(k) = k exp(eps) / (|k|^2 + 1)) so a
-    vanishing slope cannot divide by zero.
-    """
-    eps3, eps4 = s.eps[-2], s.eps[-1]
-    if math.isinf(abs(s.k3)):
-        return math.exp(eps3), complex(0.0), math.exp(eps4)
-    w3 = math.exp(eps3) / (abs(s.k3) ** 2 + 1)
-    w4 = math.exp(eps4) / (abs(s.k4) ** 2 + 1)
-    e00 = s.a + s.b
-    e01 = s.k3 * w3 + s.k4 * w4
-    e11 = w3 + w4
-    return e00, e01, e11
 
 
 def density_from_lagrange(ls: LagrangeSet) -> np.ndarray:
@@ -254,7 +259,7 @@ def density_from_lagrange(ls: LagrangeSet) -> np.ndarray:
     Every diagonal entry outside the {1, K} block equals 1/Z.
     """
     s = spectrum(ls)
-    e00, e01, e11 = _block_entries(s)
+    e00, e01, e11 = s.block
     n, k = ls.dim_n, ls.index_k - 1
     rho = np.zeros((n, n), dtype=complex)
     np.fill_diagonal(rho, 1.0 / s.z)
@@ -268,7 +273,7 @@ def density_from_lagrange(ls: LagrangeSet) -> np.ndarray:
 def forward_expectations(ls: LagrangeSet) -> MeasurementRecord:
     """Map multipliers to the mean values (x11, x1K, xKK) they generate."""
     s = spectrum(ls)
-    e00, e01, e11 = _block_entries(s)
+    e00, e01, e11 = s.block
     return MeasurementRecord(
         dim_n=ls.dim_n,
         index_k=ls.index_k,
@@ -285,8 +290,11 @@ def predict_population(x_11: float, x_1k: complex) -> float:
     Exact when the underlying state is pure. The result is clamped to
     [0, 1 - x11]; a RuntimeWarning is emitted when the clamp removes more
     than ``POLICY.feasibility_atol``, which can happen for noisy inputs
-    (a smaller excess is rounding on exact pure-state data).
+    (a smaller excess is rounding on exact pure-state data). A NaN or
+    infinite input raises ValidationError.
     """
+    if not math.isfinite(x_11 + abs(x_1k)):
+        _name_non_finite(x_11=x_11, x_1k=x_1k)
     if x_11 <= POLICY.population_floor:
         raise DomainError(
             f"x_11 = {x_11} is at or below the floor "
@@ -352,12 +360,13 @@ def saturation_rescale(mr: MeasurementRecord) -> MeasurementRecord:
 
 
 def _check_reproduction(ls: LagrangeSet, mr: MeasurementRecord) -> None:
-    fwd = forward_expectations(ls)
-    dev = max(
-        abs(fwd.x_11 - mr.x_11),
-        abs(fwd.x_1k - mr.x_1k),
-        abs(fwd.x_kk - mr.x_kk),
-    )
+    """Check that the forward values of ``ls`` are a valid record within
+    1e-6 of ``mr`` per component, on scalars (no record is built)."""
+    s = spectrum(ls)
+    e11, e1k, ekk = s.block
+    x_11, x_1k, x_kk = e11 / s.z, e1k / s.z, ekk / s.z
+    _check_record_values(x_11, x_1k, x_kk)
+    dev = max(abs(x_11 - mr.x_11), abs(x_1k - mr.x_1k), abs(x_kk - mr.x_kk))
     if dev > 1e-6:
         raise TomographyError(
             f"solver failed to reproduce the record (deviation {dev:.3e})"
@@ -529,8 +538,8 @@ def block_fidelity(a: LagrangeSet, b: LagrangeSet) -> float:
             f"({b.dim_n}, {b.index_k})"
         )
     sa, sb = spectrum(a), spectrum(b)
-    a11, a1k, akk = _block_entries(sa)
-    b11, b1k, bkk = _block_entries(sb)
+    a11, a1k, akk = sa.block
+    b11, b1k, bkk = sb.block
     overlap = a11 * b11 + akk * bkk + 2 * (a1k * b1k.conjugate()).real
     det_root = math.exp(-0.5 * (a.lam_11 + a.lam_kk + b.lam_11 + b.lam_kk))
     root = math.sqrt(max(overlap + 2 * det_root, 0.0))

@@ -10,12 +10,16 @@ the Kronecker matrices of Pauli strings, where the library works on the
 2x2 block in closed form and on state vectors. The ``mp_`` oracles repeat
 the dense matrix log, the density exp(A)/Z and the Uhlmann fidelity in
 60-digit mpmath arithmetic, so they bound the library's float error.
+``reference_parse_circuit`` is the circuit parser as it read when every
+call tokenized its text, kept to check the parse-once parser bit for bit.
 
 Every hypothesis property test runs under one profile: derandomized, with
 no example database and no deadline, so a run is repeatable and a slow
 machine cannot fail it.
 """
 
+import math
+import re
 from functools import reduce
 
 import mpmath
@@ -27,9 +31,11 @@ from qmaxent import (
     DomainError,
     LagrangeSet,
     MeasurementRecord,
+    ParseError,
     TomographyError,
     ValidationError,
 )
+from qmaxent.circuit import MAX_QUBITS, Circuit, Gate
 from qmaxent.linalg import hermitian_eig
 
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
@@ -315,3 +321,103 @@ def slsqp_simplex_lstsq(m: np.ndarray, f: np.ndarray) -> np.ndarray:
     )
     assert result.success, result.message
     return np.maximum(result.x, 0.0)
+
+
+def _reference_factor(tok: str, theta, line: int) -> float:
+    sign = 1.0
+    if tok.startswith("-"):
+        sign, tok = -1.0, tok[1:]
+    if tok == "pi":
+        return sign * math.pi
+    if tok == "theta":
+        if theta is None:
+            raise ParseError("angle uses 'theta' but no binding was supplied", line)
+        if not math.isfinite(theta):
+            raise ParseError(f"angle uses 'theta' bound to {theta!r}", line)
+        return sign * theta
+    try:
+        value = float(tok)
+    except ValueError:
+        raise ParseError(f"bad angle factor {tok!r}", line) from None
+    if not math.isfinite(value):
+        raise ParseError(f"angle factor {tok!r} is not finite", line)
+    return sign * value
+
+
+def _reference_angle(expr: str, theta, line: int) -> float:
+    expr = expr.strip()
+    if not expr:
+        raise ParseError("missing angle expression", line)
+    parts = re.split(r"([*/])", expr.replace(" ", ""))
+    value = _reference_factor(parts[0], theta, line)
+    for op, tok in zip(parts[1::2], parts[2::2]):
+        factor = _reference_factor(tok, theta, line)
+        if op == "*":
+            value *= factor
+        else:
+            if factor == 0:
+                raise ParseError("division by zero in angle expression", line)
+            value /= factor
+    if not math.isfinite(value):
+        raise ParseError(f"angle expression {expr!r} overflows", line)
+    return value
+
+
+def _reference_qubit(tok: str, num_qubits: int, line: int) -> int:
+    try:
+        q = int(tok)
+    except ValueError:
+        raise ParseError(f"bad qubit index {tok!r}", line) from None
+    if not 0 <= q < num_qubits:
+        raise ParseError(
+            f"qubit index {q} out of range for {num_qubits} qubit(s)", line
+        )
+    return q
+
+
+def reference_parse_circuit(text: str, theta=None) -> Circuit:
+    """Parse circuit text in one pass, tokenizing it on every call."""
+    num_qubits = None
+    gates = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if num_qubits is None:
+            if tokens[0] != "qubits" or len(tokens) != 2:
+                raise ParseError("expected header 'qubits <n>'", lineno)
+            try:
+                num_qubits = int(tokens[1])
+            except ValueError:
+                raise ParseError(f"bad qubit count {tokens[1]!r}", lineno) from None
+            if not 1 <= num_qubits <= MAX_QUBITS:
+                raise ParseError(f"qubit count must be in [1, {MAX_QUBITS}]", lineno)
+            continue
+        head = tokens[0]
+        rot = re.match(r"^(rx|ry|rz)\((.*)\)$", head)
+        if rot:
+            kind, expr = rot.group(1), rot.group(2)
+            if len(tokens) != 2:
+                raise ParseError(f"{kind} takes one qubit", lineno)
+            angle = _reference_angle(expr, theta, lineno)
+            gates.append(Gate(kind, (_reference_qubit(tokens[1], num_qubits, lineno),), angle))
+        elif head in ("rx", "ry", "rz"):
+            raise ParseError(f"{head} is missing its angle, write {head}(<expr>) q", lineno)
+        elif head in ("h", "x"):
+            if len(tokens) != 2:
+                raise ParseError(f"{head} takes one qubit", lineno)
+            gates.append(Gate(head, (_reference_qubit(tokens[1], num_qubits, lineno),)))
+        elif head in ("cx", "cz"):
+            if len(tokens) != 3:
+                raise ParseError(f"{head} takes two qubits", lineno)
+            a = _reference_qubit(tokens[1], num_qubits, lineno)
+            b = _reference_qubit(tokens[2], num_qubits, lineno)
+            if a == b:
+                raise ParseError(f"{head} needs two distinct qubits", lineno)
+            gates.append(Gate(head, (a, b)))
+        else:
+            raise ParseError(f"unknown gate mnemonic {head!r}", lineno)
+    if num_qubits is None:
+        raise ParseError("empty circuit text, expected 'qubits <n>' header")
+    return Circuit(num_qubits, tuple(gates))

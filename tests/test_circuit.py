@@ -283,3 +283,32 @@ class TestOneQubitKernel:
         minus = circuit._matrix_1q(Gate("rz", (0,), -0.0))
         assert np.array_equal(plus, minus)
         assert not _same_bits(plus, minus)
+
+
+class TestTypedInputErrors:
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_angle_names_the_angle(self, angle):
+        with pytest.raises(ValidationError, match="angle .* is not finite"):
+            Gate("rx", (0,), angle)
+
+    def test_string_angle_names_the_angle(self):
+        with pytest.raises(ValidationError, match="angle '0.5' is not a real number"):
+            Gate("ry", (0,), "0.5")
+
+    @pytest.mark.parametrize("targets", [(0.5,), ("0",), (None,)])
+    def test_non_integer_targets_name_the_targets(self, targets):
+        with pytest.raises(ValidationError, match="targets .* are not integers"):
+            Gate("h", targets)
+
+    def test_numpy_integer_targets_accepted(self):
+        assert Gate("cx", (np.int64(0), 1)) == Gate("cx", (0, 1))
+
+    @pytest.mark.parametrize(("i", "j", "name"), [(1.5, 1, "i"), (1, 2.0, "j")])
+    def test_non_integer_basis_index_names_it(self, i, j, name):
+        sv = simulate(parse_circuit(BELL))
+        with pytest.raises(ValidationError, match=f"basis index {name} = .* not an integer"):
+            coherence(sv, i, j)
+
+    def test_norm_message_prints_a_plain_float(self):
+        with pytest.raises(TomographyError, match=r"norm drifted to nan$"):
+            apply_gates(np.array([np.nan, 0.0], dtype=complex), (Gate("h", (0,)),), 1)

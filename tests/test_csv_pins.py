@@ -1,6 +1,7 @@
 """SHA-256 pins of the bytes the command line writes.
 
-The CSVs of the bundled example configs and the ``reconstruct`` output of
+The CSVs of the bundled example configs, of a short exact sweep of each
+bundled model those configs leave out, and the ``reconstruct`` output of
 two fixed records are part of the contract: a change that moves any of
 these hashes on purpose updates the pin and says why in CHANGES.md.
 """
@@ -23,6 +24,20 @@ PINS = {
         "e59043886e2c2afd106381b3c61ee923353fa18dec8dd1b3763d7c9c82ea02e9",
     ("heatmap", "heatmap.txt"):
         "24f1a4496657dd464af64d6904edd48e3bf035792e66fb02687eea3aa5f733ef",
+}
+
+# Short exact sweeps of the bundled models the example configs leave out.
+# Their theta-free prefixes, simulated once per sweep, are 0, 3 and 3 gates.
+MODEL_CONFIGS = {
+    "twoq_b": "circuit twoq_b\ntheta_start -3.0\ntheta_stop 9.5\ntheta_steps 13\n",
+    "twoq_c": "circuit twoq_c\ntheta_start 0.0\ntheta_stop 6.283185307179586\ntheta_steps 13\n",
+    "threeq_a": "circuit threeq_a\ntheta_start -0.0\ntheta_stop 12.566370614359172\ntheta_steps 9\n",
+}
+
+MODEL_PINS = {
+    "twoq_b": "2a849fec874a89fe58572730f0d5c887c81f0275e9e7b3189402d9399c88974e",
+    "twoq_c": "4172474ead2bb22348439c7f277efae391ef55aca53b77bc4d8a8ee07d4694ef",
+    "threeq_a": "a7199ba93645534e94a681bc2349010357b0d2f94612da69a5f79c6cb7c95072",
 }
 
 RECORDS = {
@@ -48,6 +63,15 @@ def test_config_output_bytes_are_pinned(command, config, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(["--out", str(out), command, str(CONFIGS / config)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINS[(command, config)]
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_PINS))
+def test_model_sweep_bytes_are_pinned(model, tmp_path, capsys):
+    config = tmp_path / "config.txt"
+    config.write_text(MODEL_CONFIGS[model])
+    out = tmp_path / "out.csv"
+    assert main(["--out", str(out), "sweep", str(config)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MODEL_PINS[model]
 
 
 @pytest.mark.parametrize(("record", "fmt"), sorted(RECONSTRUCT_PINS), ids=lambda v: v)

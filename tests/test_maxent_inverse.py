@@ -276,3 +276,35 @@ class TestProperties:
             mr = random_feasible_record(rng)
             s = spectrum(solve_lagrange(mr))
             assert s.z == pytest.approx(np.exp(np.array(s.eps)).sum(), rel=1e-12)
+
+
+class TestScalarInputErrors:
+    @pytest.mark.parametrize(
+        ("x11", "x1k", "name"),
+        [
+            (math.nan, 0.1, "x_11"),
+            (math.inf, 0.1, "x_11"),
+            (-math.inf, 0.1, "x_11"),
+            (0.5, math.inf, "x_1k"),
+            (0.5, complex(0.1, math.nan), "x_1k"),
+        ],
+    )
+    def test_non_finite_prediction_inputs_name_the_input(self, x11, x1k, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"{name} = .* is not finite"):
+                predict_population(x11, x1k)
+
+    @pytest.mark.parametrize(
+        ("dim_n", "index_k", "name"),
+        [(4.0, 2, "dim_n"), (4, 2.0, "index_k"), ("4", 2, "dim_n"), (4, None, "index_k")],
+    )
+    def test_non_integer_dimensions_name_the_input(self, dim_n, index_k, name):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            MeasurementRecord(dim_n, index_k, 0.5, 0.1)
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            LagrangeSet(dim_n, index_k, 0.0, 0.0, 0.0)
+
+    def test_numpy_integer_dimensions_accepted(self):
+        mr = MeasurementRecord(np.int64(4), np.int64(2), 0.5, 0.1)
+        assert (mr.dim_n, mr.index_k) == (4, 2)

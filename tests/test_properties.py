@@ -2,6 +2,9 @@
 
 - The circuit and record parsers either parse a text or raise a
   TomographyError subclass, never another exception.
+- The parse-once circuit parser gives the gates, angle bits and errors of
+  a parser that tokenizes the text on every call, on the first call and
+  on a repeated one.
 - The closed-form inverse reproduces every feasible record through the
   forward map: interior records, rank-one minors, and records whose
   populations sum to within 1e-9 of 1, moved off that boundary by
@@ -16,8 +19,9 @@
 
 import cmath
 import math
+import struct
 
-from conftest import newton_lagrange
+from conftest import newton_lagrange, reference_parse_circuit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -105,6 +109,28 @@ def test_circuit_text_parses_or_raises_a_toolkit_error(text, theta):
         parse_circuit(text, theta=theta)
     except TomographyError:
         pass
+
+
+def _parse_outcome(parse, text, theta):
+    try:
+        c = parse(text, theta)
+    except TomographyError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return c.num_qubits, [
+        (g.kind, g.targets, None if g.angle is None else struct.pack("<d", g.angle))
+        for g in c.gates
+    ]
+
+
+@settings(max_examples=600)
+@given(
+    circuit_texts(),
+    st.one_of(st.none(), st.floats(allow_nan=True, allow_infinity=True)),
+)
+def test_circuit_text_parses_as_the_reference_parser_does(text, theta):
+    want = _parse_outcome(reference_parse_circuit, text, theta)
+    assert _parse_outcome(parse_circuit, text, theta) == want
+    assert _parse_outcome(parse_circuit, text, theta) == want
 
 
 @settings(max_examples=600)
