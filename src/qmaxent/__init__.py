@@ -2,7 +2,7 @@
 
 Modules:
 
-- ``linalg``: Hermitian checks and eigendecomposition, tolerance policy.
+- ``linalg``: Hermitian checks and the tolerance policy.
 - ``maxent``: the reconstruction engine (multipliers, spectrum, density
   matrix, forward/inverse maps, population prediction, fidelity).
 - ``circuit``: gate DSL parser and exact statevector simulator.
@@ -29,12 +29,7 @@ from .errors import (
     TomographyError,
     ValidationError,
 )
-from .linalg import (
-    POLICY,
-    EigenSystem,
-    NumericPolicy,
-    hermitian_eig,
-)
+from .linalg import POLICY, NumericPolicy
 from .maxent import (
     ExponentSpectrum,
     LagrangeSet,

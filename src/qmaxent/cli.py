@@ -11,12 +11,13 @@ All randomness derives from the config seed: sweep point p uses sub-seed
 ``seed + 10007 * p``, and the coherence estimator consumes a further
 sub-seed per measurement basis.
 
-``_sweep_points`` is the one per-point loop. It does each piece of work
-once: the circuit text is tokenized once and bound per theta, the gates
-before the first theta-dependent one are simulated once per sweep and the
-rest once per theta, and the exact backend reads its populations once per
-theta. ``run_sweep`` and ``run_case_ab`` each enter the clamp-warning
-filter once, around the whole loop.
+``_sweep_points`` is the one per-point loop and ``SweepPoint`` the one
+result type: ``run_sweep`` returns every point and ``run_case_ab`` the
+solved ones, and the ``sweep`` and ``caseab`` CSVs are two views of them.
+The loop does each piece of work once: the circuit text is tokenized once
+and bound per theta, the gates before the first theta-dependent one are
+simulated once per sweep, the exact backend reads its populations once
+per theta, and the clamp-warning filter is entered once.
 """
 
 from __future__ import annotations
@@ -96,55 +97,43 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class SweepRow:
+class SweepPoint:
+    """One (theta, K) sweep point: the measured (x11, x1K), the backend's
+    true xKK, and the reconstructions from the predicted xKK (case A,
+    ``lagrange_a``) and from the true one (case B, ``lagrange_b``) with
+    their fidelity. A point whose x11 sits at the degeneracy floor has no
+    prediction: NaN ``xkk_pred`` and ``fidelity``, and no multipliers."""
+
     theta: float
     k: int
     x11: float
-    re_x1k: float
-    im_x1k: float
+    x1k: complex
     xkk_true: float
-    xkk_pred: float
-    abs_diff: float
-    fidelity: float
-    near_singular: bool
-
-
-@dataclass(frozen=True)
-class CaseABRow:
-    """One sweep point compared with (case A) and without (case B) the
-    predicted population replaced by the backend's true value."""
-
-    theta: float
-    k: int
-    xkk_true: float
-    xkk_pred: float
-    fidelity_ab: float
-    lagrange_a: LagrangeSet
-    lagrange_b: LagrangeSet
-
-
-@dataclass(frozen=True)
-class CaseABReport:
-    rows: tuple[CaseABRow, ...]
+    xkk_pred: float = math.nan
+    fidelity: float = math.nan
+    lagrange_a: LagrangeSet | None = None
+    lagrange_b: LagrangeSet | None = None
 
     @property
-    def median_abs_diff(self) -> float:
-        return float(np.median([abs(r.xkk_true - r.xkk_pred) for r in self.rows]))
+    def abs_diff(self) -> float:
+        return abs(self.xkk_true - self.xkk_pred)
 
     @property
-    def min_fidelity(self) -> float:
-        return float(min(r.fidelity_ab for r in self.rows))
+    def near_singular(self) -> bool:
+        return (
+            self.lagrange_a is None
+            or self.lagrange_a.near_singular
+            or self.lagrange_b.near_singular
+        )
 
 
-def resolve_circuit(spec_value: str, base_dir: Path | None = None) -> str:
-    """Circuit text for a config value: a bundled name or a file path."""
+def resolve_circuit(spec_value: str) -> str:
+    """Circuit text for a config value: a bundled name or a file path,
+    read relative to the working directory unless absolute."""
     if spec_value in bundled.names():
         return bundled.load(spec_value)
-    path = Path(spec_value)
-    if base_dir is not None and not path.is_absolute():
-        path = base_dir / path
     try:
-        return path.read_text()
+        return Path(spec_value).read_text()
     except OSError as exc:
         raise ValidationError(f"cannot read circuit {spec_value!r}: {exc}") from None
 
@@ -186,14 +175,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
     k_targets (comma separated), backend (exact|shots|noisy), shots,
     p01, p10, mitigate (true|false), seed, out. p01, p10 and mitigate are
     read by the noisy backend only; any other backend rejects them.
+
+    A circuit path is stored joined to the config's directory (an
+    absolute one stays as it is), so the config runs from any working
+    directory; a bundled name is stored as it is.
     """
     path = Path(path)
     values = parse_keyvals(path.read_text(), _CONFIG_KEYS, "config")
     if "circuit" not in values:
         raise ValidationError("config is missing the 'circuit' key")
 
-    circuit_text = resolve_circuit(values["circuit"], path.parent)
-    num_qubits = parse_circuit(circuit_text, theta=0.0).num_qubits
+    circuit_path = values["circuit"]
+    if circuit_path not in bundled.names():
+        circuit_path = str(path.parent / circuit_path)
+    # The theta-free prefix knows the qubit count without binding a theta.
+    num_qubits = theta_free_prefix(resolve_circuit(circuit_path)).num_qubits
 
     backend = values.get("backend", "exact")
     noise = None
@@ -214,7 +210,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if tok.strip()
     )
     return ExperimentConfig(
-        circuit_path=values["circuit"],
+        circuit_path=circuit_path,
         theta_start=read_number(values, "theta_start", 0.0),
         theta_stop=read_number(values, "theta_stop", 2 * math.pi),
         theta_steps=read_number(values, "theta_steps", 21, int),
@@ -228,28 +224,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
     )
 
 
-def _solve_point(
-    theta: float, k: int, dim_n: int, x11: float, x1k: complex, xkk_true: float
-) -> CaseABRow:
-    """Case A (predicted xKK) and case B (true xKK) of one measured point.
-    The callers of ``_sweep_points`` filter the clamp warning of case A."""
-    measured = MeasurementRecord(dim_n, k, x11, x1k)
-    completed_a, ls_a = solve_record(measured)
-    _, ls_b = solve_record(measured, xkk_true)
-    fid = block_fidelity(ls_a, ls_b)
-    return CaseABRow(theta, k, xkk_true, completed_a.x_kk, fid, ls_a, ls_b)
-
-
-def _sweep_points(cfg: ExperimentConfig, base_dir: Path | None = None):
+def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
     """Measure and reconstruct every (theta, K) point, theta outer, K inner.
 
-    Yields (theta, k, x11, x1k, xkk_true, case_ab), where case_ab is the
-    point's CaseABRow, or None when x11 sits at the degeneracy floor and
-    no prediction exists. Point p draws from sub-seed seed + 10007 * p,
-    floor points included.
+    Point p draws from sub-seed seed + 10007 * p, floor points included.
+    Clamp warnings from the case A prediction are suppressed; a clamped
+    point is recognizable by xkk_pred = 1 - x11.
     """
-    circuit_text = resolve_circuit(cfg.circuit_path, base_dir)
-    num_qubits = parse_circuit(circuit_text, theta=0.0).num_qubits
+    circuit_text = resolve_circuit(cfg.circuit_path)
+    # Gates apply one at a time, so the state after the theta-free prefix
+    # is the same bytes whether it is simulated once or at every theta.
+    prefix = theta_free_prefix(circuit_text)
+    num_qubits = prefix.num_qubits
     if num_qubits < 2:
         raise ValidationError(
             "reconstruction needs at least 2 qubits (no unconstrained "
@@ -264,73 +250,54 @@ def _sweep_points(cfg: ExperimentConfig, base_dir: Path | None = None):
     # The exact backend reads exact probabilities whatever the config's shots.
     shots = None if cfg.backend == "exact" else cfg.shots
     calibration = build_calibration(cfg.noise, num_qubits) if cfg.mitigate else None
-    # Gates apply one at a time, so the state after the theta-free prefix
-    # is the same bytes whether it is simulated once or at every theta.
-    prefix = theta_free_prefix(circuit_text)
     prefix_state = simulate(prefix)
     skip = len(prefix.gates)
-    point = 0
-    for theta in thetas:
-        theta = float(theta)
-        # One simulation per theta serves every K target and Pauli setting.
-        rest = parse_circuit(circuit_text, theta=theta).gates[skip:]
-        sv = simulate(Circuit(num_qubits, rest), prefix_state)
-        if shots is None:
-            exact_pops = estimate_populations(sv)
-        for k in k_targets:
-            seed = cfg.seed + _POINT_SEED_STRIDE * point
-            point += 1
-            # x1K is rho[1, K], the mean of |K><1|: a_0 * conj(a_{K-1}).
+    points: list[SweepPoint] = []
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "predicted population", RuntimeWarning)
+        for theta in thetas:
+            theta = float(theta)
+            # One simulation per theta serves every K target and Pauli setting.
+            rest = parse_circuit(circuit_text, theta=theta).gates[skip:]
+            sv = simulate(Circuit(num_qubits, rest), prefix_state)
             if shots is None:
-                pops = exact_pops
-                x1k = coherence(sv, k, 1)
-            else:
-                pops = estimate_populations(sv, shots, cfg.noise, seed, calibration)
-                x1k = estimate_coherence(
-                    sv, k, 1, shots, cfg.noise,
-                    seed + _COHERENCE_SEED_OFFSET, calibration,
-                )
-            x11, xkk_true = float(pops[0]), float(pops[k - 1])
-            case_ab = None
-            if x11 > POLICY.population_floor:
-                case_ab = _solve_point(theta, k, dim_n, x11, x1k, xkk_true)
-            yield theta, k, x11, x1k, xkk_true, case_ab
+                exact_pops = estimate_populations(sv)
+            for k in k_targets:
+                seed = cfg.seed + _POINT_SEED_STRIDE * len(points)
+                # x1K is rho[1, K], the mean of |K><1|: a_0 * conj(a_{K-1}).
+                if shots is None:
+                    pops = exact_pops
+                    x1k = coherence(sv, k, 1)
+                else:
+                    pops = estimate_populations(sv, shots, cfg.noise, seed, calibration)
+                    x1k = estimate_coherence(
+                        sv, k, 1, shots, cfg.noise,
+                        seed + _COHERENCE_SEED_OFFSET, calibration,
+                    )
+                x11, xkk_true = float(pops[0]), float(pops[k - 1])
+                solved = ()
+                if x11 > POLICY.population_floor:
+                    # Case A completes the record with the predicted xKK,
+                    # case B with the backend's true one.
+                    measured = MeasurementRecord(dim_n, k, x11, x1k)
+                    completed, ls_a = solve_record(measured)
+                    _, ls_b = solve_record(measured, xkk_true)
+                    solved = (completed.x_kk, block_fidelity(ls_a, ls_b), ls_a, ls_b)
+                points.append(SweepPoint(theta, k, x11, x1k, xkk_true, *solved))
+    return points
 
 
-def run_sweep(cfg: ExperimentConfig, base_dir: Path | None = None) -> list[SweepRow]:
-    """Measure, predict and reconstruct at every (theta, K) sweep point.
-
-    Rows are ordered theta-outer, K-inner. Points where the measured x11
-    sits at the degeneracy floor are emitted with NaN prediction fields and
-    the near_singular flag instead of aborting the sweep. Clamp warnings
-    from the predictor are suppressed; a clamped row is recognizable by
-    xkk_pred = 1 - x11.
-    """
-    rows: list[SweepRow] = []
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "predicted population", RuntimeWarning)
-        for theta, k, x11, x1k, xkk_true, ab in _sweep_points(cfg, base_dir):
-            pred = ab.xkk_pred if ab else math.nan
-            rows.append(
-                SweepRow(
-                    theta, k, x11, x1k.real, x1k.imag, xkk_true, pred,
-                    abs(xkk_true - pred), ab.fidelity_ab if ab else math.nan,
-                    ab is None
-                    or ab.lagrange_a.near_singular
-                    or ab.lagrange_b.near_singular,
-                )
-            )
-    return rows
+def run_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
+    """Every (theta, K) point, theta outer, K inner. A point whose x11 sits
+    at the degeneracy floor is kept, flagged near_singular, not raised."""
+    return _sweep_points(cfg)
 
 
-def run_case_ab(cfg: ExperimentConfig, base_dir: Path | None = None) -> CaseABReport:
-    """Compare reconstructions with predicted versus true xKK; points at
-    the degeneracy floor are left out. Clamp warnings are suppressed as in
-    ``run_sweep``."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "predicted population", RuntimeWarning)
-        points = _sweep_points(cfg, base_dir)
-        return CaseABReport(tuple(ab for *_, ab in points if ab is not None))
+def run_case_ab(cfg: ExperimentConfig) -> list[SweepPoint]:
+    """The points of ``run_sweep`` that have a case A and a case B
+    reconstruction to compare, in the same order: the floor points are
+    left out."""
+    return [p for p in _sweep_points(cfg) if p.lagrange_a is not None]
 
 
 def _fmt(value: float) -> str:
@@ -364,14 +331,14 @@ SWEEP_HEADER = "theta,k,x11,re_x1k,im_x1k,xkk_true,xkk_pred,abs_diff,fidelity,ne
 _SWEEP_ROW = _row_format("e", "s", "e", "e", "e", "e", "e", "e", "e", "s")
 
 
-def emit_csv(rows: list[SweepRow], path: str | Path) -> None:
-    """Write sweep rows as CSV with 12-significant-digit values."""
+def emit_csv(points: list[SweepPoint], path: str | Path) -> None:
+    """Write sweep points as CSV with 12-significant-digit values."""
     lines = [
         _SWEEP_ROW.format(
-            r.theta, r.k, r.x11, r.re_x1k, r.im_x1k, r.xkk_true, r.xkk_pred,
-            r.abs_diff, r.fidelity, "true" if r.near_singular else "false",
+            p.theta, p.k, p.x11, p.x1k.real, p.x1k.imag, p.xkk_true, p.xkk_pred,
+            p.abs_diff, p.fidelity, "true" if p.near_singular else "false",
         )
-        for r in rows
+        for p in points
     ]
     _write_csv(SWEEP_HEADER, lines, path)
 
@@ -384,14 +351,14 @@ CASEAB_HEADER = (
 _CASEAB_ROW = _row_format("e", "s", *"e" * 12)
 
 
-def emit_caseab_csv(report: CaseABReport, path: str | Path) -> None:
+def emit_caseab_csv(points: list[SweepPoint], path: str | Path) -> None:
+    """Write solved sweep points with both multiplier sets as CSV."""
     lines = []
-    for r in report.rows:
-        a, b = r.lagrange_a, r.lagrange_b
+    for p in points:
+        a, b = p.lagrange_a, p.lagrange_b
         lines.append(
             _CASEAB_ROW.format(
-                r.theta, r.k, r.xkk_true, r.xkk_pred,
-                abs(r.xkk_true - r.xkk_pred), r.fidelity_ab,
+                p.theta, p.k, p.xkk_true, p.xkk_pred, p.abs_diff, p.fidelity,
                 a.lam_11, a.lam_1k.real, a.lam_1k.imag, a.lam_kk,
                 b.lam_11, b.lam_1k.real, b.lam_1k.imag, b.lam_kk,
             )
@@ -492,24 +459,24 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 def _cmd_sweep(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    rows = run_sweep(cfg, Path(args.config).parent)
+    points = run_sweep(cfg)
     out = cfg.output_path or "sweep.csv"
-    emit_csv(rows, out)
-    diffs = [r.abs_diff for r in rows if not math.isnan(r.abs_diff)]
+    emit_csv(points, out)
+    diffs = [p.abs_diff for p in points if not math.isnan(p.abs_diff)]
     median = float(np.median(diffs)) if diffs else math.nan
-    print(f"wrote {len(rows)} rows to {out} (median abs_diff {median:.3e})")
+    print(f"wrote {len(points)} rows to {out} (median abs_diff {median:.3e})")
     return 0
 
 
 def _cmd_caseab(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    report = run_case_ab(cfg, Path(args.config).parent)
+    points = run_case_ab(cfg)
     out = cfg.output_path or "caseab.csv"
-    emit_caseab_csv(report, out)
+    emit_caseab_csv(points, out)
+    median = float(np.median([p.abs_diff for p in points]))
     print(
-        f"wrote {len(report.rows)} rows to {out} "
-        f"(median abs_diff {report.median_abs_diff:.3e}, "
-        f"min fidelity {report.min_fidelity:.6f})"
+        f"wrote {len(points)} rows to {out} (median abs_diff {median:.3e}, "
+        f"min fidelity {min(p.fidelity for p in points):.6f})"
     )
     return 0
 
@@ -553,8 +520,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="override the output path")
     parser.add_argument(
-        "--format", choices=("text", "csv"), default="text",
-        help="output format for printing commands",
+        "--format", choices=("text", "csv"), default=None,
+        help="output format for printing commands (default text)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -582,10 +549,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The commands that read each global flag; any other command rejects it,
+# as a backend rejects the settings it does not read.
+_FLAG_READERS = {"seed": ("sweep", "caseab"), "format": ("reconstruct", "decompose")}
+
+
 def main(argv=None) -> int:
     """Entry point. Exit codes: 0 success, 2 validation error, 3 infeasible."""
     args = _build_parser().parse_args(argv)
     try:
+        for flag, readers in _FLAG_READERS.items():
+            if getattr(args, flag) is not None and args.command not in readers:
+                raise ValidationError(
+                    f"--{flag} is read by {' and '.join(readers)} only, "
+                    f"not {args.command!r}"
+                )
         return args.func(args)
     except InfeasibleRecordError as exc:
         print(f"error: {exc}", file=sys.stderr)

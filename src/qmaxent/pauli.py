@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
-from .circuit import Gate
+from .circuit import MAX_QUBITS, Gate
 from .errors import IncompleteDataError, ValidationError
 
 _LETTERS = ("I", "X", "Y", "Z")
@@ -85,6 +86,11 @@ _FACTORS = {
 
 def decompose_ketbra(i: int, j: int, num_qubits: int) -> PauliDecomposition:
     """Expand |i><j| (1-based basis indices) over Pauli strings."""
+    # The expansion has 2^n terms, so n is bounded like a circuit's.
+    if not isinstance(num_qubits, numbers.Integral) or not 1 <= num_qubits <= MAX_QUBITS:
+        raise ValidationError(
+            f"num_qubits = {num_qubits!r} is not an integer in [1, {MAX_QUBITS}]"
+        )
     dim = 2**num_qubits
     _check_basis_index(i, dim)
     _check_basis_index(j, dim)

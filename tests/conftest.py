@@ -36,7 +36,6 @@ from qmaxent import (
     ValidationError,
 )
 from qmaxent.circuit import MAX_QUBITS, Circuit, Gate
-from qmaxent.linalg import hermitian_eig
 
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
 settings.load_profile("tier1")
@@ -70,7 +69,7 @@ def taylor_expm(a, terms: int = 40) -> np.ndarray:
 
 def matrix_exp_hermitian(m) -> np.ndarray:
     """exp(m) for Hermitian m via eigendecomposition; Hermitian PD result."""
-    w, v = hermitian_eig(m)
+    w, v = np.linalg.eigh(m)
     out = (v * np.exp(w)) @ v.conj().T
     return 0.5 * (out + out.conj().T)
 
@@ -83,7 +82,7 @@ def matrix_log_psd(m, floor: float = POLICY.log_floor) -> np.ndarray:
     """
     if floor <= 0:
         raise ValidationError(f"floor must be positive, got {floor}")
-    w, v = hermitian_eig(m)
+    w, v = np.linalg.eigh(m)
     if w.min() < -PSD_ATOL:
         raise DomainError(
             f"matrix has negative eigenvalue {w.min():.3e}; log undefined"

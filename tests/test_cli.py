@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import qmaxent
+import qmaxent.cli as cli
 from qmaxent import circuits
 from qmaxent.cli import (
     ExperimentConfig,
-    SweepRow,
+    SweepPoint,
     emit_csv,
     load_config,
     load_heatmap_config,
@@ -125,6 +126,34 @@ class TestConfig:
         path.write_text("circuit mine.qc\nk_targets 2\n")
         cfg = load_config(path)
         assert cfg.k_targets == (2,)
+        assert cfg.circuit_path == str(tmp_path / "mine.qc")
+
+    def test_bundled_and_absolute_circuit_paths_stored_as_given(self, tmp_path):
+        (tmp_path / "mine.qc").write_text("qubits 2\nh 0\n")
+        path = tmp_path / "cfg.txt"
+        for value in ("bell", str(tmp_path / "mine.qc")):
+            path.write_text(f"circuit {value}\n")
+            assert load_config(path).circuit_path == value
+
+    def test_relative_circuit_runs_from_another_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "bug").mkdir()
+        (tmp_path / "bug" / "mine.qc").write_text("qubits 2\nh 0\ncx 0 1\nry(theta) 1\n")
+        (tmp_path / "bug" / "cfg.txt").write_text("circuit mine.qc\ntheta_steps 3\n")
+        monkeypatch.chdir(tmp_path)
+        assert len(run_sweep(load_config("bug/cfg.txt"))) == 9
+
+    def test_qubit_count_read_without_binding_theta(self, tmp_path, capsys):
+        # No grid point has theta = 0, so pi/theta is defined at every one.
+        (tmp_path / "inv.qc").write_text("qubits 2\nh 0\ncx 0 1\nrx(pi/theta) 0\n")
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "o.csv"
+        cfg.write_text("circuit inv.qc\ntheta_start 1\ntheta_stop 2\ntheta_steps 3\n")
+        assert main(["--out", str(out), "sweep", str(cfg)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 9
+        out.unlink()
+        cfg.write_text("circuit inv.qc\ntheta_start 0\ntheta_stop 2\ntheta_steps 3\n")
+        assert main(["--out", str(out), "sweep", str(cfg)]) == 2
+        assert "line 4: division by zero" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bundled_names_resolve(self):
         for name in circuits.names():
@@ -182,6 +211,25 @@ class TestRunSweep:
             assert math.isnan(row.abs_diff)
             assert row.xkk_true == pytest.approx(1.0)
 
+    def test_floor_point_has_no_prediction(self):
+        point = SweepPoint(0.5, 2, 0.0, 0j, 1.0)
+        assert math.isnan(point.xkk_pred) and math.isnan(point.fidelity)
+        assert math.isnan(point.abs_diff)
+        assert point.lagrange_a is None and point.lagrange_b is None
+        assert point.near_singular
+
+    def test_near_singular_if_either_case_is(self):
+        from qmaxent.maxent import LagrangeSet
+
+        plain = LagrangeSet(4, 2, 0.5, 0.1, 0.2)
+        flagged = LagrangeSet(4, 2, 0.5, 0.1, 0.2, near_singular=True)
+        for a, b, want in (
+            (plain, plain, False), (flagged, plain, True), (plain, flagged, True),
+        ):
+            point = SweepPoint(0.5, 2, 0.4, 0.1j, 0.3, 0.25, 0.99, a, b)
+            assert point.near_singular is want
+            assert point.abs_diff == pytest.approx(0.05)
+
     def test_measured_record_matches_statevector(self):
         from qmaxent.circuit import parse_circuit, populations, simulate
 
@@ -192,15 +240,15 @@ class TestRunSweep:
             assert row.x11 == pytest.approx(pops[0], abs=1e-12)
             assert row.xkk_true == pytest.approx(pops[2], abs=1e-12)
             x1k = complex(sv[0] * np.conj(sv[2]))
-            assert complex(row.re_x1k, row.im_x1k) == pytest.approx(x1k, abs=1e-12)
+            assert row.x1k == pytest.approx(x1k, abs=1e-12)
 
 
 class TestCaseAB:
     def test_exact_backend_cases_agree(self):
-        report = run_case_ab(exact_config(steps=7))
-        assert report.min_fidelity >= 1 - 1e-8
-        assert report.median_abs_diff <= 1e-8
-        for row in report.rows:
+        points = run_case_ab(exact_config(steps=7))
+        assert min(p.fidelity for p in points) >= 1 - 1e-8
+        assert float(np.median([p.abs_diff for p in points])) <= 1e-8
+        for row in points:
             # same multipliers with and without the predicted population
             assert row.lagrange_a.lam_11 == pytest.approx(
                 row.lagrange_b.lam_11, abs=1e-5
@@ -222,14 +270,30 @@ class TestCaseAB:
             circuit_path="twoq_a", theta_steps=5, k_targets=(2, 3, 4),
             backend="shots", shots=8192, seed=3,
         )
-        report = run_case_ab(cfg)
-        fidelities = [r.fidelity_ab for r in report.rows]
+        fidelities = [p.fidelity for p in run_case_ab(cfg)]
         assert float(np.median(fidelities)) >= 0.99
+
+
+class TestOnePointList:
+    @pytest.mark.parametrize(
+        "config", ["sweep_exact.txt", "caseab_shots.txt", "sweep_noisy_mitigated.txt"]
+    )
+    def test_case_ab_is_the_solved_points_of_the_sweep(self, monkeypatch, config):
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / config)
+        solved = [p for p in run_sweep(cfg) if p.lagrange_a is not None]
+        assert solved
+
+        def forbidden(cfg):
+            raise AssertionError("run_case_ab called run_sweep")
+
+        # Each run is its own span in the benchmark, so neither calls the other.
+        monkeypatch.setattr(cli, "run_sweep", forbidden)
+        assert run_case_ab(cfg) == solved
 
 
 class TestEmitCsv:
     def test_single_row_layout(self, tmp_path):
-        row = SweepRow(0.0, 4, 0.5, 0.5, 0.0, 0.5, 0.5, 0.0, 1.0, True)
+        row = SweepPoint(0.0, 4, 0.5, 0.5 + 0.0j, 0.5, 0.5, 1.0)
         path = tmp_path / "one.csv"
         emit_csv([row], path)
         lines = path.read_text().splitlines()
@@ -256,7 +320,7 @@ class TestEmitCsv:
         assert b"\r" not in p1.read_bytes()
 
     def test_twelve_significant_digits(self, tmp_path):
-        row = SweepRow(1 / 3, 2, 0.1, 0.2, 0.3, 0.4, 0.5, 0.1, 0.9, False)
+        row = SweepPoint(1 / 3, 2, 0.1, 0.2 + 0.3j, 0.4, 0.5, 0.9)
         path = tmp_path / "digits.csv"
         emit_csv([row], path)
         first = path.read_text().splitlines()[1].split(",")[0]
@@ -502,6 +566,35 @@ class TestCommandLine:
         assert main(["--out", str(out1), "sweep", str(cfg)]) == 0
         assert main(["--seed", "99", "--out", str(out2), "sweep", str(cfg)]) == 0
         assert out1.read_bytes() != out2.read_bytes()
+
+    @pytest.mark.parametrize(
+        ("flag", "command", "readers"),
+        [
+            (("--seed", "3"), ("reconstruct", "rec.txt"), "sweep and caseab"),
+            (("--seed", "3"), ("heatmap", "hm.txt"), "sweep and caseab"),
+            (("--seed", "0"), ("decompose", "1", "2", "2"), "sweep and caseab"),
+            (("--format", "csv"), ("sweep", "cfg.txt"), "reconstruct and decompose"),
+            (("--format", "text"), ("caseab", "cfg.txt"), "reconstruct and decompose"),
+            (("--format", "csv"), ("heatmap", "hm.txt"), "reconstruct and decompose"),
+        ],
+    )
+    def test_unread_global_flag_exit_code(self, tmp_path, capsys, flag, command, readers):
+        out = tmp_path / "o.csv"
+        assert main([*flag, "--out", str(out), *command]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag[0]} is read by {readers} only, not {command[0]!r}" in err
+        assert not out.exists()
+
+    def test_decompose_reads_the_format_flag(self, capsys):
+        assert main(["--format", "csv", "decompose", "1", "2", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "string,re_coeff,im_coeff"
+
+    @pytest.mark.parametrize("n", ["-1", "0", "7", "16"])
+    def test_decompose_qubit_count_exit_code(self, tmp_path, capsys, n):
+        out = tmp_path / "d.txt"
+        assert main(["--out", str(out), "decompose", "1", "2", n]) == 2
+        assert f"num_qubits = {n} is not an integer in [1, 6]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cli_import_does_not_load_scipy(self):
         src = str(Path(qmaxent.__file__).resolve().parents[1])

@@ -11,70 +11,21 @@ from conftest import (
 )
 
 from qmaxent import DomainError, ValidationError
-from qmaxent.linalg import hermitian_eig, require_hermitian
+from qmaxent.linalg import require_hermitian
 
 
-class TestHermitianEig:
-    def test_zero_matrix(self):
-        w, v = hermitian_eig(np.zeros((2, 2)))
-        np.testing.assert_allclose(w, [0.0, 0.0])
-        np.testing.assert_allclose(v, np.eye(2))
-
-    def test_2x2_closed_form(self):
-        # [[-1, -0.5], [-0.5, 0]] has eigenvalues (-1 -+ sqrt(2)) / 2
-        w, v = hermitian_eig(np.array([[-1.0, -0.5], [-0.5, 0.0]]))
-        expected = np.array([(-1 - math.sqrt(2)) / 2, (-1 + math.sqrt(2)) / 2])
-        np.testing.assert_allclose(w, expected, atol=1e-12)
-        np.testing.assert_allclose(w, [-1.2071, 0.2071], atol=5e-5)
-
-    def test_zero_exponent_4x4(self):
-        w, _ = hermitian_eig(np.zeros((4, 4), dtype=complex))
-        np.testing.assert_allclose(w, np.zeros(4))
-
-    def test_residual_and_orthonormality(self):
-        rng = np.random.default_rng(11)
-        for dim in (2, 3, 5, 8, 16):
-            a = random_hermitian(rng, dim)
-            w, v = hermitian_eig(a)
-            scale = max(1.0, np.abs(a).max())
-            resid = np.abs(a @ v - v * w).max()
-            assert resid <= 1e-10 * scale
-            gram = v.conj().T @ v
-            assert np.abs(gram - np.eye(dim)).max() <= 1e-10
-            assert np.all(np.diff(w) >= -1e-14)
-
-    def test_spectral_reconstruction(self):
-        rng = np.random.default_rng(3)
-        for dim in (2, 4, 9, 16):
-            a = random_hermitian(rng, dim)
-            w, v = hermitian_eig(a)
-            back = (v * w) @ v.conj().T
-            np.testing.assert_allclose(back, a, atol=1e-10)
-
-    def test_phase_convention_deterministic(self):
-        rng = np.random.default_rng(7)
-        a = random_hermitian(rng, 6)
-        w1, v1 = hermitian_eig(a)
-        w2, v2 = hermitian_eig(a.copy())
-        np.testing.assert_array_equal(v1, v2)
-        # leading nonzero component of each eigenvector is real positive
-        for col in range(6):
-            lead = v1[np.flatnonzero(np.abs(v1[:, col]) > 1e-12)[0], col]
-            assert abs(lead.imag) < 1e-12 and lead.real > 0
-
+class TestRequireHermitian:
     def test_non_finite_entry_rejected(self):
         for bad in (np.nan, np.inf, complex(0.0, np.nan)):
             m = np.eye(3, dtype=complex)
             m[2, 1] = bad
             with pytest.raises(ValidationError, match=r"entry \(2,1\).*not finite"):
                 require_hermitian(m)
-            with pytest.raises(ValidationError, match="not finite"):
-                hermitian_eig(m)
 
     def test_non_hermitian_rejected_with_entry_pair(self):
         bad = np.array([[0.0, 1.0], [0.5, 0.0]])
         with pytest.raises(ValidationError, match=r"\(0,1\).*\(1,0\)"):
-            hermitian_eig(bad)
+            require_hermitian(bad)
 
 
 class TestMatrixExp:
@@ -107,7 +58,7 @@ class TestMatrixExp:
         rng = np.random.default_rng(23)
         for dim in (2, 5, 12):
             m = random_hermitian(rng, dim)
-            w, _ = hermitian_eig(m)
+            w = np.linalg.eigvalsh(m)
             e = matrix_exp_hermitian(m)
             tr = np.trace(e).real
             assert abs(tr - np.exp(w).sum()) <= 1e-10 * max(1.0, np.exp(w).sum())

@@ -91,12 +91,10 @@ class TestSpectrum:
 
     def test_matches_generic_eigendecomposition(self):
         rng = np.random.default_rng(2)
-        from qmaxent.linalg import hermitian_eig
-
         for _ in range(50):
             ls = random_lagrange(rng)
             s = spectrum(ls)
-            w, _ = hermitian_eig(build_exponent(ls))
+            w = np.linalg.eigvalsh(build_exponent(ls))
             np.testing.assert_allclose(sorted(s.eps), w, atol=1e-10)
             assert s.z == pytest.approx(np.exp(w).sum(), rel=1e-12)
 

@@ -5,7 +5,7 @@ import pytest
 from conftest import assemble, dense_expectation, to_matrix
 
 from qmaxent import IncompleteDataError, ValidationError
-from qmaxent.circuit import Circuit, parse_circuit, simulate
+from qmaxent.circuit import MAX_QUBITS, Circuit, parse_circuit, simulate
 from qmaxent.pauli import (
     PauliString,
     decompose_ketbra,
@@ -106,6 +106,15 @@ class TestDecompose:
             decompose_ketbra(0, 1, 1)
         with pytest.raises(ValidationError):
             decompose_ketbra(1, 5, 2)
+
+    @pytest.mark.parametrize("n", [-1, 0, MAX_QUBITS + 1, 16, 2.0, "2"])
+    def test_qubit_count_out_of_range(self, n):
+        with pytest.raises(ValidationError, match=f"num_qubits = {n!r} is not an integer"):
+            decompose_ketbra(1, 1, n)
+
+    def test_largest_qubit_count(self):
+        d = decompose_ketbra(1, 2, MAX_QUBITS)
+        assert len(d.terms) == 2**MAX_QUBITS
 
 
 class TestExpectation:

@@ -185,7 +185,7 @@ class TestClampWarningFilter:
         assert not [w for w in caught if "predicted population" in str(w.message)]
         clamped = [
             r for r in rows
-            if abs(complex(r.re_x1k, r.im_x1k)) ** 2 / r.x11 > 1 - r.x11 + 1e-9
+            if abs(r.x1k) ** 2 / r.x11 > 1 - r.x11 + 1e-9
         ]
         assert clamped and all(r.xkk_pred == max(0.0, 1 - r.x11) for r in clamped)
 
