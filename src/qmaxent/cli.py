@@ -352,10 +352,16 @@ _CASEAB_ROW = _row_format("e", "s", *"e" * 12)
 
 
 def emit_caseab_csv(points: list[SweepPoint], path: str | Path) -> None:
-    """Write solved sweep points with both multiplier sets as CSV."""
+    """Write solved sweep points with both multiplier sets as CSV. A
+    floor point, which has none, is rejected before anything is written."""
     lines = []
     for p in points:
         a, b = p.lagrange_a, p.lagrange_b
+        if a is None:
+            raise ValidationError(
+                f"point theta={p.theta}, k={p.k} has no multipliers (x11 at "
+                "the floor); pass the output of run_case_ab, not run_sweep"
+            )
         lines.append(
             _CASEAB_ROW.format(
                 p.theta, p.k, p.xkk_true, p.xkk_pred, p.abs_diff, p.fidelity,

@@ -25,13 +25,13 @@ rotated for the X basis of K = 2. Over every K of one state the
 rotations apply 3(3^n - 1)/2 one-qubit gates, not n 3^n, and each
 rotated state has the bytes of the same gates applied from the start.
 
-M is built once per noise model, its condition number and Gram matrix
-M^T M on first use. Mitigation solves ``M p = f`` directly and, when
-that leaves negative entries, solves ``min ||M p - f||^2`` over the
-probability simplex exactly with a small active-set method (the
-constrained treatment of Smolin, Gambetta & Smith, PRL 108, 070502,
-2012, on the dense N <= 64 problems of M3, Nation et al., PRX Quantum 2,
-040326, 2021).
+M is built once per noise model, its condition number and inverse on
+first use. Mitigation applies the cached M^-1 to the frequencies, one
+matvec per basis; when that leaves negative entries it returns their
+Euclidean projection onto the probability simplex (sort, threshold,
+clip), the constrained treatment of Smolin, Gambetta & Smith, PRL 108,
+070502, 2012, also used by M3 (Nation et al., PRX Quantum 2, 040326,
+2021).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Iterable
 import numpy as np
 
 from .circuit import Gate, apply_gates, populations
-from .errors import DomainError, TomographyError, ValidationError
+from .errors import DomainError, ValidationError
 from .pauli import (
     PauliDecomposition,
     PauliString,
@@ -92,8 +92,8 @@ class CalibrationMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        # A private read-only copy, so the cached condition number and Gram
-        # matrix stay valid.
+        # A private read-only copy, so the cached condition number and
+        # inverse stay valid.
         entries = np.array(self.entries, dtype=float)
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
@@ -122,9 +122,12 @@ class CalibrationMatrix:
         return float(np.linalg.cond(self.entries))
 
     @cached_property
-    def gram(self) -> np.ndarray:
-        """M^T M of the constrained mitigation solve, built on first use."""
-        return self.entries.T @ self.entries
+    def inverse(self) -> np.ndarray:
+        """M^-1, read-only, computed once per matrix. ``mitigate`` reads
+        it only after ``condition`` has ruled out a singular M."""
+        inverse = np.linalg.inv(self.entries)
+        inverse.flags.writeable = False
+        return inverse
 
 
 def _noise_matrix_1q(p01: float, p10: float) -> np.ndarray:
@@ -208,63 +211,24 @@ def _parity_signs(num_qubits: int, mask: int) -> np.ndarray:
     return signs
 
 
-def _simplex_least_squares(
-    cal: CalibrationMatrix, f: np.ndarray, start: np.ndarray
-) -> np.ndarray:
-    """Exact minimiser of ||M p - f||^2 over p >= 0, sum(p) = 1.
-
-    A primal active-set method started from ``start`` clipped to the
-    simplex. Each step solves the KKT system of the equality-constrained
-    problem on the free set
-
-        [G_FF  1] [p_F]   [t_F]
-        [1^T   0] [eta] = [ 1 ],    G = M^T M,  t = M^T f,
-
-    and either moves towards its solution until a free entry reaches zero
-    (that entry joins the zero set) or, when the solution is feasible,
-    frees the zero-set entry with the most negative multiplier
-    (G p - t)_i + eta. It stops when every such multiplier is >= 0.
-    """
-    gram = cal.gram
-    target = cal.entries.T @ f
-    # sum(start) = sum(f) = 1 for a column-stochastic M, so the clipped
-    # start has a positive sum.
-    p = np.maximum(start, 0.0)
-    p /= p.sum()
-    free = p > 0.0
-    tol = 1e-14 * max(1.0, float(np.abs(target).max()))
-    for _ in range(10 * f.size + 10):
-        idx = np.flatnonzero(free)
-        size = idx.size
-        kkt = np.ones((size + 1, size + 1))
-        kkt[:size, :size] = gram[np.ix_(idx, idx)]
-        kkt[size, size] = 0.0
-        solution = np.linalg.solve(kkt, np.append(target[idx], 1.0))
-        x, eta = solution[:size], solution[size]
-        if x.min() >= 0.0:
-            p = np.zeros(f.size)
-            p[idx] = x
-            multipliers = gram @ p - target + eta
-            multipliers[free] = np.inf
-            release = int(np.argmin(multipliers))
-            if multipliers[release] >= -tol:
-                return p
-            free[release] = True
-            continue
-        current = p[idx]
-        blocking = x < 0.0
-        ratios = current[blocking] / (current[blocking] - x[blocking])
-        step = ratios.min()
-        p[idx] = current + step * (x - current)
-        hit = idx[blocking][ratios == step]
-        p[hit] = 0.0
-        free[hit] = False
-    raise TomographyError("constrained mitigation solve did not converge")
+def _project_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection of v onto {p >= 0, sum(p) = 1}: max(v - tau, 0)
+    with the threshold tau that makes the result sum to 1."""
+    u = np.sort(v)[::-1]
+    excess = np.cumsum(u) - 1.0
+    # The last sorted entry still above the threshold of its prefix.
+    last = np.flatnonzero(u * np.arange(1, u.size + 1) > excess)[-1]
+    return np.maximum(v - excess[last] / (last + 1), 0.0)
 
 
 def mitigate(freqs: np.ndarray, cal: CalibrationMatrix) -> np.ndarray:
     """Readout-corrected outcome probabilities for observed frequencies,
-    which must be a distribution: finite, >= 0 and summing to 1."""
+    which must be a distribution: finite, >= 0 and summing to 1.
+
+    Returns M^-1 f from the calibration's cached inverse when it is >= 0,
+    else its Euclidean projection onto the probability simplex (Smolin,
+    Gambetta & Smith, PRL 108, 070502, 2012).
+    """
     freqs = np.asarray(freqs, dtype=float)
     if freqs.shape != (cal.dim,):
         raise ValidationError(
@@ -276,10 +240,10 @@ def mitigate(freqs: np.ndarray, cal: CalibrationMatrix) -> np.ndarray:
         )
     if cal.condition > 1e12:
         raise DomainError("calibration matrix is singular or ill-conditioned")
-    direct = np.linalg.solve(cal.entries, freqs)
+    direct = cal.inverse @ freqs
     if direct.min() >= 0.0:
         return direct
-    return _simplex_least_squares(cal, freqs, direct)
+    return _project_simplex(direct)
 
 
 @lru_cache(maxsize=64)

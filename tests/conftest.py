@@ -4,12 +4,13 @@ These deliberately avoid the code paths they are used to check: the matrix
 exponential is a scaled Taylor series (no eigendecomposition), entropy and
 dense expectations are direct formulas, the multiplier inverse is a damped
 Newton solve of the forward map on its own ``eigh`` kernel, and the
-simplex-constrained least squares is scipy's general-purpose SLSQP. The
-dense references build the full N x N exponent, its spectral exp/log and
-the Kronecker matrices of Pauli strings, where the library works on the
-2x2 block in closed form and on state vectors. The ``mp_`` oracles repeat
-the dense matrix log, the density exp(A)/Z and the Uhlmann fidelity in
-60-digit mpmath arithmetic, so they bound the library's float error.
+projection onto the probability simplex finds its threshold by bisection
+(no sort). The dense references build the full N x N exponent, its
+spectral exp/log and the Kronecker matrices of Pauli strings, where the
+library works on the 2x2 block in closed form and on state vectors. The
+``mp_`` oracles repeat the dense matrix log, the density exp(A)/Z and the
+Uhlmann fidelity in 60-digit mpmath arithmetic, so they bound the
+library's float error.
 ``reference_parse_circuit`` is the circuit parser as it read when every
 call tokenized its text, kept to check the parse-once parser bit for bit.
 
@@ -298,28 +299,21 @@ def dense_expectation(sv: np.ndarray, op: np.ndarray) -> complex:
     return complex(np.vdot(sv, op @ sv))
 
 
-def slsqp_simplex_lstsq(m: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """min ||M p - f||^2 over p >= 0, sum p = 1, by scipy's SLSQP."""
-    from scipy.optimize import minimize
-
-    direct = np.linalg.solve(m, f)
-    start = np.maximum(direct, 0.0)
-    start /= start.sum()
-    result = minimize(
-        lambda p: float(np.sum((m @ p - f) ** 2)),
-        start,
-        jac=lambda p: 2.0 * m.T @ (m @ p - f),
-        method="SLSQP",
-        bounds=[(0.0, 1.0)] * f.size,
-        constraints={
-            "type": "eq",
-            "fun": lambda p: p.sum() - 1.0,
-            "jac": lambda p: np.ones((1, p.size)),
-        },
-        options={"ftol": 1e-14, "maxiter": 300},
-    )
-    assert result.success, result.message
-    return np.maximum(result.x, 0.0)
+def bisection_simplex_projection(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """Euclidean projection of v onto the probability simplex and its
+    threshold tau: max(v - tau, 0) sums to 1, with tau bisected to 1e-15."""
+    # The sum is n + sum(v - min(v)) >= 1 at lo and 0 at hi, and falls in tau.
+    lo, hi = float(v.min()) - 1.0, float(v.max())
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if np.maximum(v - mid, 0.0).sum() > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    tau = 0.5 * (lo + hi)
+    return np.maximum(v - tau, 0.0), tau
 
 
 def _reference_factor(tok: str, theta, line: int) -> float:

@@ -12,6 +12,7 @@ from qmaxent import circuits
 from qmaxent.cli import (
     ExperimentConfig,
     SweepPoint,
+    emit_caseab_csv,
     emit_csv,
     load_config,
     load_heatmap_config,
@@ -210,6 +211,17 @@ class TestRunSweep:
             assert math.isnan(row.xkk_pred)
             assert math.isnan(row.abs_diff)
             assert row.xkk_true == pytest.approx(1.0)
+
+    def test_caseab_csv_of_a_floor_point_is_a_typed_error(self, tmp_path):
+        circuit = tmp_path / "flip.qc"
+        circuit.write_text("qubits 2\nx 0\n")
+        cfg = ExperimentConfig(
+            circuit_path=str(circuit), theta_steps=2, k_targets=(2,), backend="exact"
+        )
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValidationError, match=r"theta=0\.0, k=2 .*run_case_ab"):
+            emit_caseab_csv(run_sweep(cfg), out)
+        assert not out.exists()
 
     def test_floor_point_has_no_prediction(self):
         point = SweepPoint(0.5, 2, 0.0, 0j, 1.0)

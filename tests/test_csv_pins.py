@@ -19,7 +19,7 @@ PINS = {
     ("sweep", "sweep_exact.txt"):
         "930a98b894619dcb088d1008689b683f5945a016a822b89e2e7850cb46c46693",
     ("sweep", "sweep_noisy_mitigated.txt"):
-        "d8102e19df598e38aa945f5b972d16f8c08d8487515220dc7640906900785c57",
+        "bc7e92d7c74ff38cdeaa278096d506ac7ad8b82dda87126a4e61bdc3d6d1965f",
     ("caseab", "caseab_shots.txt"):
         "e59043886e2c2afd106381b3c61ee923353fa18dec8dd1b3763d7c9c82ea02e9",
     ("heatmap", "heatmap.txt"):

@@ -9,12 +9,16 @@
 - The reproduction check of a solve runs on scalars: it builds no
   record, and it still enforces the record invariants and the 1e-6
   deviation bound.
+- A sweep lists the bundled circuits at most once per process, and a
+  mitigated sweep inverts and conditions each calibration matrix once,
+  solving no linear system per basis.
 """
 
 import math
 import struct
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,9 @@ from qmaxent.maxent import (
     solve_lagrange,
     solve_record,
 )
+from qmaxent.sampler import build_calibration
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 MODELS = ("twoq_a", "twoq_b", "twoq_c", "threeq_a")
 PREFIX_GATES = {"twoq_a": 2, "twoq_b": 0, "twoq_c": 3, "threeq_a": 3}
@@ -269,3 +276,30 @@ class TestReproductionCheck:
         x11, x1k, xkk = (e / s.z for e in s.block)
         assert (x11, x1k, xkk) == (fwd.x_11, fwd.x_1k, fwd.x_kk)
         assert np.isfinite([x11, x1k, xkk]).all()
+
+
+class TestOncePerProcess:
+    def test_sweep_lists_the_bundled_circuits_once(self, monkeypatch):
+        circuits.names.cache_clear()
+        listed = []
+        iterdir = Path.iterdir
+        monkeypatch.setattr(
+            Path, "iterdir", lambda self: listed.append(self) or iterdir(self)
+        )
+        run_sweep(load_config(CONFIGS / "sweep_exact.txt"))
+        # The cache starts empty, so its one fill is the one listing.
+        assert len(listed) == 1
+
+    def test_mitigated_sweep_inverts_each_calibration_once(self, monkeypatch):
+        build_calibration.cache_clear()
+        calls = {"solve": 0, "inv": 0, "cond": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        run_sweep(load_config(CONFIGS / "sweep_noisy_mitigated.txt"))
+        assert calls == {"solve": 0, "inv": 1, "cond": 1}

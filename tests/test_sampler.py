@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_expectation, slsqp_simplex_lstsq, to_matrix
+from conftest import bisection_simplex_projection, dense_expectation, to_matrix
 
 from qmaxent import DomainError, ValidationError
 from qmaxent import sampler
@@ -419,10 +419,21 @@ class TestCalibration:
         with pytest.raises(ValidationError, match=rf"entry \[1, 0\] = {shown} is not finite"):
             CalibrationMatrix(1, entries)
 
-    def test_gram_matrix_is_m_transpose_m(self):
+    @pytest.mark.parametrize("num_qubits", range(1, 7))
+    def test_inverse_inverts_the_built_matrix(self, num_qubits):
+        rng = np.random.default_rng(30 + num_qubits)
+        noise = ReadoutNoise(
+            tuple(rng.uniform(0.0, 0.2, num_qubits)),
+            tuple(rng.uniform(0.0, 0.2, num_qubits)),
+        )
+        cal = build_calibration(noise, num_qubits)
+        assert np.abs(cal.inverse @ cal.entries - np.eye(cal.dim)).max() <= 1e-12
+
+    def test_inverse_is_read_only_and_cached(self):
         cal = build_calibration(ReadoutNoise((0.02, 0.07), (0.05, 0.01)), 2)
-        assert np.array_equal(cal.gram, cal.entries.T @ cal.entries)
-        assert cal.gram is cal.gram
+        assert cal.inverse is cal.inverse
+        with pytest.raises(ValueError):
+            cal.inverse[0, 0] = 0.5
 
 
 class TestMitigate:
@@ -467,6 +478,16 @@ class TestMitigate:
         with pytest.raises(ValidationError, match=">= 0 and sum to 1"):
             mitigate(np.array(freqs), cal)
 
+    def test_direct_path_is_the_inverse_matvec(self):
+        rng = np.random.default_rng(21)
+        cal = build_calibration(ReadoutNoise((0.02, 0.07, 0.03), (0.05, 0.01, 0.04)), 3)
+        for _ in range(20):
+            freqs = cal.entries @ rng.dirichlet(np.ones(cal.dim))
+            p = mitigate(freqs, cal)
+            assert p.min() >= 0.0
+            assert np.array_equal(p, cal.inverse @ freqs)
+            assert np.abs(p - np.linalg.solve(cal.entries, freqs)).max() <= 1e-12
+
     def test_mitigated_closer_than_raw(self):
         noise = ReadoutNoise.uniform(0.02, 0.04, 2)
         cal = build_calibration(noise, 2)
@@ -499,30 +520,22 @@ def _constrained_problem(rng, num_qubits):
 
 class TestSimplexSolve:
     @pytest.mark.parametrize(("num_qubits", "draws"), [(1, 30), (2, 30), (3, 30), (6, 6)])
-    def test_kkt_conditions_and_oracle_objective(self, num_qubits, draws):
+    def test_matches_the_bisection_oracle(self, num_qubits, draws):
         rng = np.random.default_rng(40 + num_qubits)
         constrained = 0
         for _ in range(draws):
             cal, freqs = _constrained_problem(rng, num_qubits)
-            m = cal.entries
-            if np.linalg.solve(m, freqs).min() >= 0.0:
+            direct = np.linalg.solve(cal.entries, freqs)
+            if direct.min() >= 0.0:
                 continue
             constrained += 1
             p = mitigate(freqs, cal)
-            assert p.min() >= 0.0
+            oracle, tau = bisection_simplex_projection(direct)
+            assert np.abs(p - oracle).max() <= 1e-12
             assert abs(p.sum() - 1.0) <= 1e-12
-            grad = m.T @ (m @ p - freqs)
+            assert p.min() >= 0.0
             free = p > 0.0
-            # Stationarity: the gradient is the same on every free entry,
-            # minus the multiplier eta of the sum constraint.
-            eta = -grad[free].mean()
-            assert np.abs(grad[free] + eta).max() <= 1e-12
-            # Zero-set multipliers are non-negative.
-            assert (grad[~free] + eta).min(initial=0.0) >= -1e-12
-            oracle = slsqp_simplex_lstsq(m, freqs)
-            objective = np.sum((m @ p - freqs) ** 2)
-            # Only rounding (about 1e-18 here) may put it above the oracle.
-            assert objective <= np.sum((m @ oracle - freqs) ** 2) + 1e-15
+            assert np.abs(p[free] - (direct[free] - tau)).max() <= 1e-12
         assert constrained >= draws // 3
 
     def test_singular_calibration_raises_domain_error(self):
