@@ -17,7 +17,10 @@ solved ones, and the ``sweep`` and ``caseab`` CSVs are two views of them.
 The loop does each piece of work once: the circuit text is tokenized once
 and bound per theta, the gates before the first theta-dependent one are
 simulated once per sweep, the exact backend reads its populations once
-per theta, and the clamp-warning filter is entered once.
+per theta, and the clamp-warning filter is entered once. Each point's
+measured (x11, x1K) is checked once and completed and solved on plain
+floats by ``maxent._complete_and_solve``, for case A and for case B; no
+record is built.
 """
 
 from __future__ import annotations
@@ -37,14 +40,18 @@ from .circuit import Circuit, coherence, parse_circuit, simulate, theta_free_pre
 from .errors import InfeasibleRecordError, TomographyError, ValidationError
 from .linalg import POLICY
 from .maxent import (
+    _INTEGERS,
     LagrangeSet,
-    MeasurementRecord,
+    _check_dims,
+    _check_record_values,
+    _complete_and_solve,
     block_fidelity,
     density_from_lagrange,
     dump_record,
     heatmap_scan,
     load_record,
     parse_keyvals,
+    predict_population,
     read_number,
     solve_record,
 )
@@ -82,6 +89,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.backend not in _BACKENDS:
             raise ValidationError(f"backend must be one of {_BACKENDS}")
+        for name in ("theta_steps", "seed", "shots"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, _INTEGERS):
+                raise ValidationError(f"{name} = {value!r} is not an integer")
         if self.theta_steps < 1:
             raise ValidationError("theta_steps must be >= 1")
         if self.seed < 0:
@@ -243,6 +254,8 @@ def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
         )
     dim_n = 2**num_qubits
     k_targets = _k_targets(cfg.k_targets, dim_n)
+    for k in k_targets:
+        _check_dims(dim_n, k)
     if cfg.theta_steps == 1:
         thetas = [cfg.theta_start]
     else:
@@ -274,15 +287,17 @@ def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
                         sv, k, 1, shots, cfg.noise,
                         seed + _COHERENCE_SEED_OFFSET, calibration,
                     )
-                x11, xkk_true = float(pops[0]), float(pops[k - 1])
+                x11, x1k = float(pops[0]), complex(x1k)
+                xkk_true = float(pops[k - 1])
                 solved = ()
                 if x11 > POLICY.population_floor:
-                    # Case A completes the record with the predicted xKK,
-                    # case B with the backend's true one.
-                    measured = MeasurementRecord(dim_n, k, x11, x1k)
-                    completed, ls_a = solve_record(measured)
-                    _, ls_b = solve_record(measured, xkk_true)
-                    solved = (completed.x_kk, block_fidelity(ls_a, ls_b), ls_a, ls_b)
+                    # The measured values are checked once; case A completes
+                    # them with the predicted xKK, case B with the true one.
+                    _check_record_values(x11, x1k, None)
+                    xkk = predict_population(x11, x1k)
+                    (_, _, xkk_pred), ls_a = _complete_and_solve(dim_n, k, x11, x1k, xkk)
+                    _, ls_b = _complete_and_solve(dim_n, k, x11, x1k, xkk_true)
+                    solved = (xkk_pred, block_fidelity(ls_a, ls_b), ls_a, ls_b)
                 points.append(SweepPoint(theta, k, x11, x1k, xkk_true, *solved))
     return points
 

@@ -28,10 +28,15 @@ Two such states share their N-2 unconstrained levels, so their Uhlmann
 fidelity also follows from the two 2x2 blocks (``block_fidelity``); the
 dense ``fidelity`` is kept for arbitrary density matrices.
 
-``solve_record`` holds the one completion and saturation policy: a
-complete record from the caller is solved as given, while a record
-completed from estimates is projected onto the feasible set and moved off
-the x11 + xKK = 1 boundary before the solve.
+``_complete_and_solve`` holds the one completion and saturation policy,
+on plain floats: estimates are projected onto the feasible set, moved off
+the x11 + xKK = 1 boundary and solved, and the solve's reproduction check
+runs the one forward kernel, ``_exponent_spectrum``, whose result the
+multiplier set keeps. ``feasible_record``, ``saturation_rescale``,
+``solve_lagrange`` and ``solve_record`` are record wrappers around the
+same float helpers, and the sweep calls ``_complete_and_solve`` directly
+on values it has checked once. A complete record from the caller is
+solved as given.
 """
 
 from __future__ import annotations
@@ -137,7 +142,18 @@ class LagrangeSet:
 
     @cached_property
     def _spectrum(self) -> ExponentSpectrum:
-        return _exponent_spectrum(self)
+        return _exponent_spectrum(self.dim_n, self.lam_11, self.lam_1k, self.lam_kk)
+
+    @classmethod
+    def _solved(cls, dim_n, index_k, lam_11, lam_1k, lam_kk, near_singular, spec):
+        """A set from ``_solve``, which has checked the dimensions and the
+        multipliers already, with its spectrum attached."""
+        ls = object.__new__(cls)
+        ls.__dict__.update(
+            dim_n=dim_n, index_k=index_k, lam_11=lam_11, lam_1k=lam_1k,
+            lam_kk=lam_kk, near_singular=near_singular, _spectrum=spec,
+        )
+        return ls
 
 
 @dataclass(frozen=True)
@@ -204,9 +220,9 @@ def spectrum(ls: LagrangeSet) -> ExponentSpectrum:
     return ls._spectrum
 
 
-def _exponent_spectrum(ls: LagrangeSet) -> ExponentSpectrum:
-    n = ls.dim_n
-    l11, l1k, lkk = ls.lam_11, ls.lam_1k, ls.lam_kk
+def _exponent_spectrum(n: int, l11: float, l1k: complex, lkk: float) -> ExponentSpectrum:
+    """The one forward kernel: the spectrum of the exponent of the
+    multipliers (l11, l1k, lkk) in dimension n, on plain floats."""
     try:
         if abs(l1k) < POLICY.lam_zero_atol:
             eps3, eps4 = -l11, -lkk
@@ -312,6 +328,31 @@ def predict_population(x_11: float, x_1k: complex) -> float:
     return min(value, ceiling)
 
 
+def _project(
+    x_11: float, x_1k: complex, x_kk: float | None
+) -> tuple[float, complex, float | None]:
+    """The estimates as floats, projected onto the feasible set as
+    ``feasible_record`` describes. A NaN or infinite estimate raises
+    ValidationError naming it; it is never clipped."""
+    x_11, x_1k = float(x_11), complex(x_1k)
+    if x_kk is not None:
+        x_kk = float(x_kk)
+    if not math.isfinite(x_11 + abs(x_1k) + (x_kk or 0.0)):
+        _name_non_finite(x_11=x_11, x_1k=x_1k, x_kk=x_kk)
+    x_11 = min(max(x_11, 0.0), 1.0)
+    if abs(x_1k) > 1.0:
+        x_1k *= 1.0 / abs(x_1k)
+    if x_kk is not None:
+        x_kk = min(max(x_kk, 0.0), 1.0)
+        total = x_11 + x_kk
+        if total > 1.0:
+            x_11, x_kk, x_1k = x_11 / total, x_kk / total, x_1k / total
+        bound = math.sqrt(x_11 * x_kk)
+        if abs(x_1k) > bound:
+            x_1k = x_1k * (bound / abs(x_1k)) if abs(x_1k) > 0 else complex(0.0)
+    return x_11, x_1k, x_kk
+
+
 def feasible_record(
     dim_n: int,
     index_k: int,
@@ -325,21 +366,19 @@ def feasible_record(
     Shot-noise estimates can leave the physical set: populations are
     clipped to [0, 1] and rescaled if they sum past 1, and the coherence is
     shrunk onto the boundary of the positive-semidefinite minor. Exact
-    inputs pass through unchanged.
+    inputs pass through unchanged. A NaN or infinite estimate raises
+    ValidationError.
     """
-    x_11 = min(max(float(x_11), 0.0), 1.0)
-    x_1k = complex(x_1k)
-    if abs(x_1k) > 1.0:
-        x_1k *= 1.0 / abs(x_1k)
-    if x_kk is not None:
-        x_kk = min(max(float(x_kk), 0.0), 1.0)
-        total = x_11 + x_kk
-        if total > 1.0:
-            x_11, x_kk, x_1k = x_11 / total, x_kk / total, x_1k / total
-        bound = math.sqrt(x_11 * x_kk)
-        if abs(x_1k) > bound:
-            x_1k = x_1k * (bound / abs(x_1k)) if abs(x_1k) > 0 else complex(0.0)
-    return MeasurementRecord(dim_n, index_k, x_11, x_1k, x_kk, source)
+    return MeasurementRecord(dim_n, index_k, *_project(x_11, x_1k, x_kk), source)
+
+
+def _saturation_scale(x_11: float, x_kk: float) -> float:
+    """The factor ``saturation_rescale`` applies to the minor: 1 unless
+    x11 + xKK lies within ``POLICY.feasibility_atol`` of 1."""
+    total = x_11 + x_kk
+    if total < 1.0 - POLICY.feasibility_atol:
+        return 1.0
+    return (1.0 - 1e-9) / total
 
 
 def saturation_rescale(mr: MeasurementRecord) -> MeasurementRecord:
@@ -352,21 +391,21 @@ def saturation_rescale(mr: MeasurementRecord) -> MeasurementRecord:
     """
     if not mr.complete:
         raise ValidationError("record has no x_kk; nothing to rescale")
-    total = mr.x_11 + mr.x_kk
-    if total < 1.0 - POLICY.feasibility_atol:
+    c = _saturation_scale(mr.x_11, mr.x_kk)
+    if c == 1.0:
         return mr
-    c = (1.0 - 1e-9) / total
     return replace(mr, x_11=c * mr.x_11, x_1k=c * mr.x_1k, x_kk=c * mr.x_kk)
 
 
-def _check_reproduction(ls: LagrangeSet, mr: MeasurementRecord) -> None:
-    """Check that the forward values of ``ls`` are a valid record within
-    1e-6 of ``mr`` per component, on scalars (no record is built)."""
-    s = spectrum(ls)
+def _check_reproduction(
+    s: ExponentSpectrum, x_11: float, x_1k: complex, x_kk: float
+) -> None:
+    """Check that the forward values of the spectrum ``s`` are a valid
+    record within 1e-6 of (x_11, x_1k, x_kk) per component."""
     e11, e1k, ekk = s.block
-    x_11, x_1k, x_kk = e11 / s.z, e1k / s.z, ekk / s.z
-    _check_record_values(x_11, x_1k, x_kk)
-    dev = max(abs(x_11 - mr.x_11), abs(x_1k - mr.x_1k), abs(x_kk - mr.x_kk))
+    f_11, f_1k, f_kk = e11 / s.z, e1k / s.z, ekk / s.z
+    _check_record_values(f_11, f_1k, f_kk)
+    dev = max(abs(f_11 - x_11), abs(f_1k - x_1k), abs(f_kk - x_kk))
     if dev > 1e-6:
         raise TomographyError(
             f"solver failed to reproduce the record (deviation {dev:.3e})"
@@ -376,6 +415,54 @@ def _check_reproduction(ls: LagrangeSet, mr: MeasurementRecord) -> None:
 # A minor eigenvalue at or below this share of the larger one is rounding
 # of a rank-one minor and counts as zero.
 _RANK_ONE_SHARE = 8 * sys.float_info.epsilon
+
+
+def _solve(
+    dim_n: int, index_k: int, x_11: float, x_1k: complex, x_kk: float
+) -> LagrangeSet:
+    """``solve_lagrange`` on the values of a valid record whose
+    dimensions the caller has checked."""
+    if x_11 + x_kk >= 1.0 - POLICY.feasibility_atol:
+        raise InfeasibleRecordError(
+            f"x_11 + x_kk = {x_11 + x_kk} saturates 1; the partition "
+            "function diverges (rescale the record first)"
+        )
+    z = (dim_n - 2) / (1.0 - x_11 - x_kk)
+    mid = 0.5 * (x_11 + x_kk)
+    half_gap = 0.5 * (x_11 - x_kk)
+    r = math.hypot(half_gap, abs(x_1k))
+    w_hi = mid + r
+    det = x_11 * x_kk - (x_1k.real ** 2 + x_1k.imag ** 2)
+    w_lo = det / w_hi if w_hi > 0 else 0.0
+    if w_lo < -POLICY.record_atol:
+        raise InfeasibleRecordError(
+            f"constraint minor has negative eigenvalue {w_lo:.3e}"
+        )
+    if w_lo <= _RANK_ONE_SHARE * w_hi:
+        w_lo = 0.0
+    floor = POLICY.log_floor
+    near_singular = z * w_lo <= floor
+    log_hi = math.log(max(z * max(w_hi, 0.0), floor))
+    log_lo = math.log(max(z * w_lo, floor))
+    if r == 0.0:
+        g = 0.0
+    elif near_singular:
+        g = (log_hi - log_lo) / (2 * r)
+    else:
+        g = math.log1p(2 * r / w_lo) / (2 * r)
+    avg = 0.5 * (log_hi + log_lo)
+    lam_11 = -(avg + g * half_gap)
+    # Adding 0j makes a zero part +0.0 before the negation, so a zero
+    # multiplier is -0.0 whatever the signs of the zeros in x1K.
+    lam_1k = -(g * x_1k + 0j)
+    lam_kk = -(avg - g * half_gap)
+    if not math.isfinite(lam_11 + abs(lam_1k) + lam_kk):
+        _name_non_finite(lam_11=lam_11, lam_1k=lam_1k, lam_kk=lam_kk)
+    spec = _exponent_spectrum(dim_n, lam_11, lam_1k, lam_kk)
+    _check_reproduction(spec, x_11, x_1k, x_kk)
+    return LagrangeSet._solved(
+        dim_n, index_k, lam_11, lam_1k, lam_kk, near_singular, spec
+    )
 
 
 def solve_lagrange(mr: MeasurementRecord) -> LagrangeSet:
@@ -401,69 +488,44 @@ def solve_lagrange(mr: MeasurementRecord) -> LagrangeSet:
     floored and the set is flagged ``near_singular``.
 
     The result reproduces the record to 1e-6 per component, which is
-    checked, or this raises. A minor with an eigenvalue below
-    -``POLICY.record_atol``, or a record that saturates x11 + xKK = 1,
-    raises InfeasibleRecordError.
+    checked, or this raises; the spectrum of that check is kept on the
+    set. A minor with an eigenvalue below -``POLICY.record_atol``, or a
+    record that saturates x11 + xKK = 1, raises InfeasibleRecordError.
     """
     if not mr.complete:
         raise ValidationError("record is incomplete: x_kk is absent")
-    if mr.x_11 + mr.x_kk >= 1.0 - POLICY.feasibility_atol:
-        raise InfeasibleRecordError(
-            f"x_11 + x_kk = {mr.x_11 + mr.x_kk} saturates 1; the partition "
-            "function diverges (rescale the record first)"
-        )
-    n = mr.dim_n
-    z = (n - 2) / (1.0 - mr.x_11 - mr.x_kk)
-    mid = 0.5 * (mr.x_11 + mr.x_kk)
-    half_gap = 0.5 * (mr.x_11 - mr.x_kk)
-    r = math.hypot(half_gap, abs(mr.x_1k))
-    w_hi = mid + r
-    det = mr.x_11 * mr.x_kk - (mr.x_1k.real ** 2 + mr.x_1k.imag ** 2)
-    w_lo = det / w_hi if w_hi > 0 else 0.0
-    if w_lo < -POLICY.record_atol:
-        raise InfeasibleRecordError(
-            f"constraint minor has negative eigenvalue {w_lo:.3e}"
-        )
-    if w_lo <= _RANK_ONE_SHARE * w_hi:
-        w_lo = 0.0
-    floor = POLICY.log_floor
-    near_singular = z * w_lo <= floor
-    log_hi = math.log(max(z * max(w_hi, 0.0), floor))
-    log_lo = math.log(max(z * w_lo, floor))
-    if r == 0.0:
-        g = 0.0
-    elif near_singular:
-        g = (log_hi - log_lo) / (2 * r)
-    else:
-        g = math.log1p(2 * r / w_lo) / (2 * r)
-    avg = 0.5 * (log_hi + log_lo)
-    ls = LagrangeSet(
-        dim_n=n,
-        index_k=mr.index_k,
-        lam_11=-(avg + g * half_gap),
-        # Adding 0j makes a zero part +0.0 before the negation, so a zero
-        # multiplier is -0.0 whatever the signs of the zeros in x1K.
-        lam_1k=-(g * mr.x_1k + 0j),
-        lam_kk=-(avg - g * half_gap),
-        near_singular=near_singular,
-    )
-    _check_reproduction(ls, mr)
-    return ls
+    return _solve(mr.dim_n, mr.index_k, mr.x_11, mr.x_1k, mr.x_kk)
+
+
+def _complete_and_solve(
+    dim_n: int, index_k: int, x_11: float, x_1k: complex, x_kk: float
+) -> tuple[tuple[float, complex, float], LagrangeSet]:
+    """The one completion and saturation policy, on plain floats.
+
+    The estimates are projected onto the feasible set (``feasible_record``),
+    moved off the x11 + xKK = 1 boundary, on which pure-state data sits
+    (``saturation_rescale``), and solved (``solve_lagrange``). The
+    dimensions are the caller's to check. Returns the projected values
+    (x_11, x_1k, x_kk), before any rescale, and the multipliers.
+    """
+    completed = _project(x_11, x_1k, x_kk)
+    x_11, x_1k, x_kk = completed
+    c = _saturation_scale(x_11, x_kk)
+    if c != 1.0:
+        x_11, x_1k, x_kk = c * x_11, c * x_1k, c * x_kk
+    return completed, _solve(dim_n, index_k, x_11, x_1k, x_kk)
 
 
 def solve_record(
     mr: MeasurementRecord, x_kk: float | None = None
 ) -> tuple[MeasurementRecord, LagrangeSet]:
-    """Complete a record and recover its multipliers: the one completion
-    and saturation policy.
+    """Complete a record and recover its multipliers.
 
     A complete record is the caller's and is solved as given; if it
     saturates x11 + xKK = 1 that raises InfeasibleRecordError. An
     incomplete one is completed with ``x_kk``, an estimate from elsewhere,
-    or else with ``predict_population``; ``feasible_record`` builds that
-    completion and ``saturation_rescale`` moves it off the boundary, on
-    which pure-state data sits. Returns the completed record, before any
-    rescale, and the multipliers.
+    or else with ``predict_population``, by ``_complete_and_solve``.
+    Returns the completed record, before any rescale, and the multipliers.
     """
     if mr.complete:
         if x_kk is not None:
@@ -472,10 +534,10 @@ def solve_record(
     source = "measured"
     if x_kk is None:
         x_kk, source = predict_population(mr.x_11, mr.x_1k), "predicted"
-    completed = feasible_record(
-        mr.dim_n, mr.index_k, mr.x_11, mr.x_1k, x_kk, source
+    completed, ls = _complete_and_solve(
+        mr.dim_n, mr.index_k, mr.x_11, mr.x_1k, x_kk
     )
-    return completed, solve_lagrange(saturation_rescale(completed))
+    return MeasurementRecord(mr.dim_n, mr.index_k, *completed, source), ls
 
 
 def reconstruct(mr: MeasurementRecord) -> tuple[np.ndarray, MeasurementRecord]:

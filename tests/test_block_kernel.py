@@ -211,10 +211,12 @@ class TestBlockFidelity:
             block_fidelity(LagrangeSet(4, 2, 0.0, 0.0, 0.0), LagrangeSet(n, k, 0.0, 0.0, 0.0))
 
     def test_spectrum_is_computed_once_per_set(self, monkeypatch):
+        # The forward kernel runs once per solve, in its reproduction check,
+        # and the set keeps that spectrum for every later reader.
         calls = []
         compute = maxent._exponent_spectrum
         monkeypatch.setattr(
-            maxent, "_exponent_spectrum", lambda ls: calls.append(ls) or compute(ls)
+            maxent, "_exponent_spectrum", lambda *lams: calls.append(lams) or compute(*lams)
         )
         mr = MeasurementRecord(8, 5, 0.3, 0.1 - 0.2j)
         _, a = solve_record(mr)
@@ -222,7 +224,7 @@ class TestBlockFidelity:
         block_fidelity(a, b)
         forward_expectations(a)
         assert spectrum(b) is spectrum(b)
-        assert calls == [a, b]
+        assert calls == [(8, a.lam_11, a.lam_1k, a.lam_kk), (8, b.lam_11, b.lam_1k, b.lam_kk)]
 
     def test_sweeps_build_no_dense_matrix_per_point(self, monkeypatch):
         def forbidden(*args, **kwargs):

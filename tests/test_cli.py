@@ -75,6 +75,11 @@ class TestConfig:
         with pytest.raises(ValidationError, match="seed"):
             ExperimentConfig(circuit_path="bell", backend="shots", shots=10, seed=-1)
 
+    @pytest.mark.parametrize("field", ["theta_steps", "seed", "shots"])
+    def test_non_integer_count_names_its_field(self, field):
+        with pytest.raises(ValidationError, match=f"^{field} = 2.5 is not an integer$"):
+            ExperimentConfig(**{"circuit_path": "twoq_a", "backend": "shots", "shots": 8, field: 2.5})
+
     def test_noise_settings_need_the_noisy_backend(self, tmp_path):
         noise = ReadoutNoise.uniform(0.02, 0.04, 2)
         with pytest.raises(ValidationError, match="mitigate"):
@@ -222,6 +227,24 @@ class TestRunSweep:
         with pytest.raises(ValidationError, match=r"theta=0\.0, k=2 .*run_case_ab"):
             emit_caseab_csv(run_sweep(cfg), out)
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("name", "fake", "message"),
+        [
+            ("coherence", lambda sv, i, j: complex(2.0), r"^\|x_1k\| = 2.0 exceeds 1$"),
+            (
+                "estimate_populations",
+                lambda sv: np.array([1.5, 0.0, 0.0, 0.0]),
+                r"^x_11 = 1.5 outside \[0, 1\]$",
+            ),
+        ],
+    )
+    def test_measured_values_are_validated(self, monkeypatch, name, fake, message):
+        # The projection would clip these silently; the sweep checks the
+        # measured (x11, x1K) before completing them.
+        monkeypatch.setattr(cli, name, fake)
+        with pytest.raises(ValidationError, match=message):
+            run_sweep(exact_config())
 
     def test_floor_point_has_no_prediction(self):
         point = SweepPoint(0.5, 2, 0.0, 0j, 1.0)

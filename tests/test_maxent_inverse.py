@@ -213,6 +213,18 @@ class TestNonFiniteRecords:
         with pytest.raises(ValidationError, match=f"{name} = .* not finite"):
             MeasurementRecord(4, 2, *values)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["x_11", "x_1k", "x_kk"])
+    def test_infinite_estimate_is_named_not_clipped(self, name, bad):
+        values = {"x_11": 0.3, "x_1k": 0.1, "x_kk": 0.2, name: bad}
+        match = f"^{name} = .*inf.* is not finite$"
+        with pytest.raises(ValidationError, match=match):
+            feasible_record(4, 2, **values)
+        x_kk = values.pop("x_kk")
+        # An infinite x_11 or x_1k is refused by the record solve_record takes.
+        with pytest.raises(ValidationError, match=match):
+            solve_record(MeasurementRecord(4, 2, **values), x_kk=x_kk)
+
 
 class TestProperties:
     def test_pure_state_records_satisfy_minor_equality(self):

@@ -15,6 +15,11 @@
   run off to infinity, and the forward map is flat enough there that
   distinct finite multipliers reproduce the record to Newton's 1e-9
   residual, so no agreement is defined.
+- The feasibility projection puts raw estimates inside the record
+  invariants, before and after the saturation rescale, so the float solve
+  path need not check them again; and that path gives the bits, flags and
+  errors of the public chain ``solve_lagrange(saturation_rescale(
+  feasible_record(...)))`` on estimates at every edge of the feasible set.
 """
 
 import cmath
@@ -25,9 +30,10 @@ from conftest import newton_lagrange, reference_parse_circuit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmaxent import TomographyError, load_record, parse_circuit
+from qmaxent import TomographyError, load_record, maxent, parse_circuit
 from qmaxent.maxent import (
     MeasurementRecord,
+    feasible_record,
     forward_expectations,
     saturation_rescale,
     solve_lagrange,
@@ -200,3 +206,73 @@ def test_closed_form_agrees_with_newton(mr):
     assert abs(closed.lam_11 - newton.lam_11) <= 1e-6
     assert abs(closed.lam_1k - newton.lam_1k) <= 1e-6
     assert abs(closed.lam_kk - newton.lam_kk) <= 1e-6
+
+
+# Populations in and just outside [0, 1], with x11 -> 0 among them.
+POPULATIONS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(-0.05, 1.05),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-12, 1.0, -1e-9, -1e-12, 1 + 1e-12, 1 + 1e-9]),
+)
+# Offsets from an edge: x11 + xKK from 1, |x1K| from sqrt(x11 xKK).
+NUDGES = st.one_of(
+    st.sampled_from([0.0, 1e-16, -1e-16, 1e-12, -1e-12, 1e-9, -1e-9]),
+    st.floats(-1e-9, 1e-9),
+)
+
+
+@st.composite
+def raw_estimates(draw) -> tuple[int, int, float, complex, float]:
+    """(N, K, x11, x1K, xKK) as a noisy backend may estimate them: inside,
+    on and just past the edges of the feasible set."""
+    n = draw(st.sampled_from([4, 8, 16]))
+    k = draw(st.integers(2, n))
+    x11 = draw(POPULATIONS)
+    if draw(st.booleans()):
+        xkk = 1.0 - x11 + draw(NUDGES)
+    else:
+        xkk = draw(POPULATIONS)
+    if draw(st.booleans()):
+        modulus = math.sqrt(max(x11, 0.0) * max(xkk, 0.0)) * (1.0 + draw(NUDGES))
+    else:
+        modulus = draw(st.floats(0.0, 1.1))
+    phase = draw(st.floats(0.0, 2 * math.pi))
+    x1k = draw(
+        st.sampled_from([
+            modulus * cmath.exp(1j * phase), complex(modulus, 0.0),
+            complex(-modulus, -0.0), complex(0.0, modulus),
+        ])
+    )
+    return n, k, x11, x1k, xkk
+
+
+def _bits(*values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _solve_outcome(solve):
+    """A solve's multipliers and flag as bits, or its error's type and message."""
+    try:
+        ls = solve()
+    except TomographyError as exc:
+        return type(exc), str(exc)
+    return _bits(ls.lam_11, ls.lam_1k.real, ls.lam_1k.imag, ls.lam_kk), ls.near_singular
+
+
+@settings(max_examples=800)
+@given(raw_estimates())
+def test_projection_is_feasible_and_the_float_path_is_the_public_chain(estimate):
+    n, k, x11, x1k, xkk = estimate
+    projected = maxent._project(x11, x1k, xkk)
+    maxent._check_record_values(*projected)
+    c = maxent._saturation_scale(projected[0], projected[2])
+    maxent._check_record_values(*(c * value for value in projected))
+
+    record = feasible_record(n, k, x11, x1k, xkk)
+    completed = maxent._complete_and_solve(n, k, x11, x1k, xkk)[0]
+    assert _bits(completed[0], completed[1].real, completed[1].imag, completed[2]) == _bits(
+        record.x_11, record.x_1k.real, record.x_1k.imag, record.x_kk
+    )
+    chain = _solve_outcome(lambda: solve_lagrange(saturation_rescale(record)))
+    floats = _solve_outcome(lambda: maxent._complete_and_solve(n, k, x11, x1k, xkk)[1])
+    assert floats == chain

@@ -8,7 +8,8 @@
 - The clamp-warning filter is entered once per run and always left.
 - The reproduction check of a solve runs on scalars: it builds no
   record, and it still enforces the record invariants and the 1e-6
-  deviation bound.
+  deviation bound. A sweep builds no record at all, and runs the forward
+  kernel once per solve.
 - A sweep lists the bundled circuits at most once per process, and a
   mitigated sweep inverts and conditions each calibration matrix once,
   solving no linear system per basis.
@@ -234,25 +235,39 @@ class TestReproductionCheck:
             original(self)
 
         monkeypatch.setattr(MeasurementRecord, "__post_init__", counted)
-        maxent._check_reproduction(ls, mr)
+        maxent._check_reproduction(maxent.spectrum(ls), mr.x_11, mr.x_1k, mr.x_kk)
         assert built == []
 
     def test_wrong_multipliers_raise(self):
         mr, ls = solved()
-        wrong = replace(ls, lam_11=ls.lam_11 + 0.1)
+        wrong = maxent.spectrum(replace(ls, lam_11=ls.lam_11 + 0.1))
         with pytest.raises(TomographyError, match="failed to reproduce"):
-            maxent._check_reproduction(wrong, mr)
+            maxent._check_reproduction(wrong, mr.x_11, mr.x_1k, mr.x_kk)
 
-    def test_forward_values_keep_the_record_invariants(self, monkeypatch):
+    @pytest.mark.parametrize("solve", ["library", "sweep"])
+    def test_every_solve_runs_the_check(self, monkeypatch, solve):
+        # A forward kernel that is off by 0.1 in lam_11 must fail the solve,
+        # through the library and through the sweep loop alike.
+        compute = maxent._exponent_spectrum
+        monkeypatch.setattr(
+            maxent, "_exponent_spectrum",
+            lambda n, l11, l1k, lkk: compute(n, l11 + 0.1, l1k, lkk),
+        )
+        with pytest.raises(TomographyError, match="failed to reproduce"):
+            if solve == "library":
+                solve_lagrange(MeasurementRecord(8, 5, 0.3, 0.1 - 0.2j, 0.25))
+            else:
+                run_sweep(load_config(CONFIGS / "sweep_exact.txt"))
+
+    def test_forward_values_keep_the_record_invariants(self):
         mr, ls = solved()
         s = maxent.spectrum(ls)
         # Forward values x11 = 2, x1K = 0, xKK = 0: x11 leaves [0, 1].
         broken = replace(s, block=(2 * s.z, complex(0.0), 0.0))
-        monkeypatch.setattr(maxent, "spectrum", lambda _: broken)
         with pytest.raises(ValidationError) as from_record:
             MeasurementRecord(mr.dim_n, mr.index_k, 2.0, complex(0.0), 0.0)
         with pytest.raises(ValidationError) as from_check:
-            maxent._check_reproduction(ls, mr)
+            maxent._check_reproduction(broken, mr.x_11, mr.x_1k, mr.x_kk)
         assert type(from_check.value) is type(from_record.value)
         assert str(from_check.value) == str(from_record.value)
 
@@ -260,7 +275,7 @@ class TestReproductionCheck:
         calls = []
         original = maxent._exponent_spectrum
         monkeypatch.setattr(
-            maxent, "_exponent_spectrum", lambda ls: calls.append(ls) or original(ls)
+            maxent, "_exponent_spectrum", lambda *lams: calls.append(lams) or original(*lams)
         )
         measured = MeasurementRecord(4, 2, 0.4, 0.2 + 0.1j)
         _, ls_a = solve_record(measured)
@@ -268,6 +283,24 @@ class TestReproductionCheck:
         block_fidelity(ls_a, ls_b)
         block_fidelity(ls_a, ls_b)
         assert len(calls) == 2
+
+    def test_sweep_builds_no_record_and_two_spectra_per_point(self, monkeypatch):
+        built, forward = [], []
+        original = MeasurementRecord.__post_init__
+        monkeypatch.setattr(
+            MeasurementRecord, "__post_init__", lambda self: built.append(self) or original(self)
+        )
+        compute = maxent._exponent_spectrum
+        monkeypatch.setattr(
+            maxent, "_exponent_spectrum", lambda *lams: forward.append(lams) or compute(*lams)
+        )
+        points = run_sweep(load_config(CONFIGS / "sweep_exact.txt"))
+        solved_points = [p for p in points if p.lagrange_a is not None]
+        assert solved_points
+        assert built == []
+        # One spectrum per case, from its reproduction check; the fidelity
+        # reads both and computes none.
+        assert len(forward) == 2 * len(solved_points)
 
     def test_block_entries_are_the_forward_map(self):
         _, ls = solved()
