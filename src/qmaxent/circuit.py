@@ -403,11 +403,16 @@ def apply_gates(state: np.ndarray, gates: tuple[Gate, ...], n: int) -> np.ndarra
             state = _apply_2q(state, gate, n)
         else:
             state = _apply_1q(state, _matrix_1q(gate), gate.targets[0], n)
+    _check_norm(state)
+    return state
+
+
+def _check_norm(state: np.ndarray) -> None:
+    """The norm check of every state ``apply_gates`` returns."""
     norm = float(np.linalg.norm(state))
     # Written so that a NaN norm fails too.
     if not abs(norm - 1.0) <= 1e-10:
         raise TomographyError(f"statevector norm drifted to {norm!r}")
-    return state
 
 
 def simulate(c: Circuit, state: np.ndarray | None = None) -> np.ndarray:

@@ -7,17 +7,22 @@ population, reconstructs the density matrix both with and without the
 true xKK, and emits the comparison as CSV.
 
 Config files are flat "key value" lines; see ``load_config`` for the keys.
-All randomness derives from the config seed: sweep point p uses sub-seed
-``seed + 10007 * p``, and the coherence estimator consumes a further
-sub-seed per measurement basis.
+All randomness derives from the config seed: sweep point p draws its
+populations with sub-seed ``seed + 10007 * p`` and its coherence with
+``seed + 10007 * p + 101`` plus the offset of each measurement basis,
+exactly as ``estimate_populations`` and ``estimate_coherence`` would.
 
 ``_sweep_points`` is the one per-point loop and ``SweepPoint`` the one
 result type: ``run_sweep`` returns every point and ``run_case_ab`` the
 solved ones, and the ``sweep`` and ``caseab`` CSVs are two views of them.
 The loop does each piece of work once: the circuit text is tokenized once
 and bound per theta, the gates before the first theta-dependent one are
-simulated once per sweep, the exact backend reads its populations once
-per theta, and the clamp-warning filter is entered once. Each point's
+simulated once per sweep, and the clamp-warning filter is entered once.
+The readout (shots, noise model and calibration) is validated once per
+sweep and then drawn on plain arrays by the sampler's kernel: the
+unrotated state's distribution is computed once per theta and serves
+the population draw of every K, and each K measures |K><1| through its
+cached plan, rotating each basis prefix once per theta. Each point's
 measured (x11, x1K) is checked once and completed and solved on plain
 floats by ``maxent._complete_and_solve``, for case A and for case B; no
 record is built.
@@ -58,9 +63,10 @@ from .maxent import (
 from .pauli import decompose_ketbra
 from .sampler import (
     ReadoutNoise,
+    _ketbra_plan,
+    _measure_ketbra,
+    _Readout,
     build_calibration,
-    estimate_coherence,
-    estimate_populations,
 )
 
 _POINT_SEED_STRIDE = 10007
@@ -263,6 +269,8 @@ def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
     # The exact backend reads exact probabilities whatever the config's shots.
     shots = None if cfg.backend == "exact" else cfg.shots
     calibration = build_calibration(cfg.noise, num_qubits) if cfg.mitigate else None
+    readout = _Readout(num_qubits, shots, cfg.noise, calibration)
+    plans = {} if shots is None else {k: _ketbra_plan(k, 1, num_qubits) for k in k_targets}
     prefix_state = simulate(prefix)
     skip = len(prefix.gates)
     points: list[SweepPoint] = []
@@ -273,19 +281,20 @@ def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
             # One simulation per theta serves every K target and Pauli setting.
             rest = parse_circuit(circuit_text, theta=theta).gates[skip:]
             sv = simulate(Circuit(num_qubits, rest), prefix_state)
-            if shots is None:
-                exact_pops = estimate_populations(sv)
+            # One distribution of the unrotated state serves the population
+            # draw of every K, and one trie the basis rotations of every K.
+            dist = readout.distribution(sv)
+            rotations: dict = {}
             for k in k_targets:
                 seed = cfg.seed + _POINT_SEED_STRIDE * len(points)
+                pops = readout.draw(dist, seed)
                 # x1K is rho[1, K], the mean of |K><1|: a_0 * conj(a_{K-1}).
                 if shots is None:
-                    pops = exact_pops
                     x1k = coherence(sv, k, 1)
                 else:
-                    pops = estimate_populations(sv, shots, cfg.noise, seed, calibration)
-                    x1k = estimate_coherence(
-                        sv, k, 1, shots, cfg.noise,
-                        seed + _COHERENCE_SEED_OFFSET, calibration,
+                    x1k = _measure_ketbra(
+                        plans[k], sv, num_qubits, readout,
+                        seed + _COHERENCE_SEED_OFFSET, rotations,
                     )
                 x11, x1k = float(pops[0]), complex(x1k)
                 xkk_true = float(pops[k - 1])

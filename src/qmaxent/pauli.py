@@ -70,7 +70,9 @@ class MeasurementSetting:
     parity_mask: int  # bit q set when qubit q enters the parity product
 
 
-def _check_basis_index(idx: int, dim: int) -> None:
+def _check_basis_index(name: str, idx: int, dim: int) -> None:
+    if not isinstance(idx, numbers.Integral):
+        raise ValidationError(f"basis index {name} = {idx!r} is not an integer")
     if not 1 <= idx <= dim:
         raise ValidationError(f"basis index {idx} out of range [1, {dim}]")
 
@@ -92,8 +94,8 @@ def decompose_ketbra(i: int, j: int, num_qubits: int) -> PauliDecomposition:
             f"num_qubits = {num_qubits!r} is not an integer in [1, {MAX_QUBITS}]"
         )
     dim = 2**num_qubits
-    _check_basis_index(i, dim)
-    _check_basis_index(j, dim)
+    _check_basis_index("i", i, dim)
+    _check_basis_index("j", j, dim)
     per_qubit = []
     for q in range(num_qubits):
         bits = ((i - 1) >> q & 1, (j - 1) >> q & 1)

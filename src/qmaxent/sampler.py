@@ -9,21 +9,33 @@ per-shot flips has that law). All randomness flows through numpy's
 default PCG64 generator seeded explicitly.
 
 Every estimator takes a state vector and ``shots=None, noise=None,
-seed=0, calibration=None``, and ``estimate_populations`` alone turns the
-state into a distribution: ``shots=None`` selects the exact mode.
+seed=0, calibration=None``; ``shots=None`` selects the exact mode.
 ``estimate_paulis`` rotates and samples each measurement basis once:
 strings that differ only in I vs Z share a basis, drawn with sub-seed
 seed + the position of its first string. ``estimate_coherence`` measures
-|i><j| through a plan that depends on (i, j, n) alone (its
-decomposition, its bases with their sub-seed offsets, and their parity
-signs), built once per target.
+|i><j| through a plan that depends on (i, j, n) alone (the coefficients
+of its strings in the order they are summed, its bases with their
+sub-seed offsets, and their parity signs), built once per target.
 
-The basis rotations of the last state measured are kept as a trie of
-gate prefixes. X on qubit q rotates by H and Y by RZ(-pi/2) then H, in
-qubit order, so the XX basis of K = 4 continues from the state already
-rotated for the X basis of K = 2. Over every K of one state the
-rotations apply 3(3^n - 1)/2 one-qubit gates, not n 3^n, and each
-rotated state has the bytes of the same gates applied from the start.
+One sampling kernel serves every estimator and the sweep: a readout
+(``_Readout``) is validated once, its shots, the noise model's qubit
+count and the calibration's shape and condition, and then drawn on plain
+arrays. ``distribution(sv)`` is the populations of ``sv`` (with their
+sum check) read through M and normalized; ``draw(dist, seed)`` is one
+``multinomial(shots, dist) / shots`` draw, and, with a calibration, the
+frequency check and the mitigation below. The public functions are
+validating wrappers around it: each call checks its arguments and builds
+its readout, and a sweep builds one readout and reuses it for every
+point.
+
+The basis rotations of a state are kept as a trie of gate prefixes: the
+public estimators keep the trie of the last state they measured, and a
+sweep keeps one per theta. X on qubit q rotates by H and Y by RZ(-pi/2)
+then H, in qubit order, so the XX basis of K = 4 continues from the
+state already rotated for the X basis of K = 2. Over every K of one
+state the rotations apply 3(3^n - 1)/2 one-qubit gates, not n 3^n, and
+each rotated state has the bytes, and the norm check, of the same gates
+applied from the start by ``apply_gates``.
 
 M is built once per noise model, its condition number and inverse on
 first use. Mitigation applies the cached M^-1 to the frequencies, one
@@ -42,13 +54,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .circuit import Gate, apply_gates, populations
+from .circuit import Gate, _apply_1q, _check_norm, _matrix_1q, populations
 from .errors import DomainError, ValidationError
 from .pauli import (
-    PauliDecomposition,
     PauliString,
+    _check_basis_index,
     decompose_ketbra,
-    expectation_from_paulis,
     measurement_settings,
 )
 
@@ -144,19 +155,92 @@ def _state_qubits(sv: np.ndarray) -> int:
     return size.bit_length() - 1
 
 
-def _readout_distribution(sv: np.ndarray, noise: ReadoutNoise | None) -> np.ndarray:
-    """The distribution every readout of ``sv`` draws from: |a_i|^2,
-    read through the noise model's calibration matrix when one is given."""
-    num_qubits = _state_qubits(sv)
-    probs = populations(sv)
-    if noise is not None:
-        probs = build_calibration(noise, num_qubits).entries @ probs
-    return probs
-
-
 def _check_seed(seed) -> None:
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+
+
+# A multinomial draw takes its shot count as a C long.
+_MAX_SHOTS = 2**63 - 1
+
+
+def _check_shots(shots) -> None:
+    if not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise ValidationError(f"shots must be an integer >= 1, got {shots!r}")
+    if shots > _MAX_SHOTS:
+        raise ValidationError(f"shots = {shots} is above the draw's limit 2^63 - 1")
+
+
+def _check_frequencies(freqs: np.ndarray) -> None:
+    # Written so that non-finite entries fail too: a NaN makes the min
+    # NaN, a -inf the min -inf and a +inf the sum non-finite.
+    if not (freqs.min() >= 0 and abs(freqs.sum() - 1) <= 1e-9):
+        # +inf and -inf together sum to NaN; that is reported, not warned.
+        with np.errstate(invalid="ignore"):
+            total = freqs.sum()
+        raise ValidationError(
+            f"frequencies must be >= 0 and sum to 1, got min {freqs.min()}, sum {total}"
+        )
+
+
+def _check_condition(cal: CalibrationMatrix) -> None:
+    if cal.condition > 1e12:
+        raise DomainError("calibration matrix is singular or ill-conditioned")
+
+
+class _Readout:
+    """The sampling kernel: a readout of n-qubit states, validated once.
+
+    The constructor checks ``shots`` (None selects the exact mode), the
+    noise model's qubit count and the mitigating calibration's shape and
+    condition. ``distribution`` and ``draw`` then work on plain arrays
+    and re-check only what each call produces: the population sum of
+    every state and the frequencies before mitigation.
+    """
+
+    __slots__ = ("shots", "matrix", "inverse")
+
+    def __init__(
+        self,
+        num_qubits: int,
+        shots: int | None,
+        noise: ReadoutNoise | None,
+        calibration: CalibrationMatrix | None,
+    ):
+        if shots is not None:
+            _check_shots(shots)
+        self.shots = shots
+        self.matrix = None if noise is None else build_calibration(noise, num_qubits).entries
+        self.inverse = None
+        if calibration is not None:
+            dim = 2**num_qubits
+            if calibration.dim != dim:
+                raise ValidationError(
+                    f"calibration covers {calibration.dim} outcomes, "
+                    f"frequencies have shape {(dim,)}"
+                )
+            _check_condition(calibration)
+            self.inverse = calibration.inverse
+
+    def distribution(self, sv: np.ndarray) -> np.ndarray:
+        """|a_i|^2 read through the noise model's matrix, normalized for
+        a draw in the sampled mode."""
+        probs = populations(sv)
+        if self.matrix is not None:
+            probs = self.matrix @ probs
+        return probs if self.shots is None else probs / probs.sum()
+
+    def tally(self, dist: np.ndarray, seed: int) -> np.ndarray:
+        return np.random.default_rng(seed).multinomial(self.shots, dist)
+
+    def draw(self, dist: np.ndarray, seed: int) -> np.ndarray:
+        """Frequencies of one seeded draw from ``dist`` (``dist`` itself
+        in the exact mode), mitigated when the readout has a calibration."""
+        freqs = dist if self.shots is None else self.tally(dist, seed) / self.shots
+        if self.inverse is None:
+            return freqs
+        _check_frequencies(freqs)
+        return _unmix(self.inverse, freqs)
 
 
 def sample_counts(
@@ -167,11 +251,13 @@ def sample_counts(
 ) -> np.ndarray:
     """Tally of ``shots`` noisy readouts of a state vector: one multinomial
     draw, an int array of length 2^n indexed by basis state - 1."""
-    if not isinstance(shots, (int, np.integer)) or shots < 1:
-        raise ValidationError(f"shots must be an integer >= 1, got {shots!r}")
+    # Checked here as well as by the readout, for which None is the
+    # exact mode: a tally needs shots.
+    _check_shots(shots)
     _check_seed(seed)
-    probs = _readout_distribution(np.asarray(sv), noise)
-    return np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+    sv = np.asarray(sv)
+    readout = _Readout(_state_qubits(sv), shots, noise, None)
+    return readout.tally(readout.distribution(sv), seed)
 
 
 def estimate_populations(
@@ -189,13 +275,9 @@ def estimate_populations(
     supplied, then corrects the distribution.
     """
     _check_seed(seed)
-    if shots is None:
-        freqs = _readout_distribution(np.asarray(sv), noise)
-    else:
-        freqs = sample_counts(sv, shots, noise, seed) / shots
-    if calibration is not None:
-        freqs = mitigate(freqs, calibration)
-    return freqs
+    sv = np.asarray(sv)
+    readout = _Readout(_state_qubits(sv), shots, noise, calibration)
+    return readout.draw(readout.distribution(sv), seed)
 
 
 # At most 126 read-only arrays: num_qubits <= 6 and mask < 2^num_qubits.
@@ -221,6 +303,14 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - excess[last] / (last + 1), 0.0)
 
 
+def _unmix(inverse: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """M^-1 f when it is >= 0, else its projection onto the simplex."""
+    direct = inverse @ freqs
+    if direct.min() >= 0.0:
+        return direct
+    return _project_simplex(direct)
+
+
 def mitigate(freqs: np.ndarray, cal: CalibrationMatrix) -> np.ndarray:
     """Readout-corrected outcome probabilities for observed frequencies,
     which must be a distribution: finite, >= 0 and summing to 1.
@@ -234,16 +324,9 @@ def mitigate(freqs: np.ndarray, cal: CalibrationMatrix) -> np.ndarray:
         raise ValidationError(
             f"calibration covers {cal.dim} outcomes, frequencies have shape {freqs.shape}"
         )
-    if not np.isfinite(freqs).all() or freqs.min() < 0 or abs(freqs.sum() - 1) > 1e-9:
-        raise ValidationError(
-            f"frequencies must be >= 0 and sum to 1, got min {freqs.min()}, sum {freqs.sum()}"
-        )
-    if cal.condition > 1e12:
-        raise DomainError("calibration matrix is singular or ill-conditioned")
-    direct = cal.inverse @ freqs
-    if direct.min() >= 0.0:
-        return direct
-    return _project_simplex(direct)
+    _check_frequencies(freqs)
+    _check_condition(cal)
+    return _unmix(cal.inverse, freqs)
 
 
 @lru_cache(maxsize=64)
@@ -263,40 +346,46 @@ def build_calibration(noise: ReadoutNoise, num_qubits: int) -> CalibrationMatrix
 @dataclass(frozen=True)
 class _Basis:
     """One measurement basis: its rotations, the sub-seed offset of its
-    draw and the (string, parity signs) pairs read from its distribution."""
+    draw and the (string position, parity signs) pairs read from its
+    distribution."""
 
     rotations: tuple[Gate, ...]
     offset: int
-    reads: tuple[tuple[PauliString, np.ndarray], ...]
+    reads: tuple[tuple[int, np.ndarray], ...]
 
 
-def _group_bases(strings: Iterable[PauliString], num_qubits: int) -> tuple[_Basis, ...]:
+def _group_bases(strings: tuple, num_qubits: int) -> tuple[_Basis, ...]:
     """Group strings by measurement basis: strings with equal rotations
     (they differ only in I vs Z) share one, whose offset is the position
     of its first string."""
     groups: dict[tuple[Gate, ...], tuple[int, list]] = {}
     for position, p in enumerate(strings):
+        if not isinstance(p, PauliString):
+            hint = f"; write PauliString(tuple({p!r}))" if isinstance(p, str) else ""
+            raise ValidationError(f"{p!r} is not a PauliString{hint}")
         if p.num_qubits != num_qubits:
             raise ValidationError(
                 f"string acts on {p.num_qubits} qubit(s), state has {num_qubits}"
             )
         setting = measurement_settings(p)
         _, reads = groups.setdefault(setting.rotations, (position, []))
-        reads.append((p, _parity_signs(num_qubits, setting.parity_mask)))
+        reads.append((position, _parity_signs(num_qubits, setting.parity_mask)))
     return tuple(
         _Basis(rotations, offset, tuple(reads))
         for rotations, (offset, reads) in groups.items()
     )
 
 
-# The plan of |i><j| depends on (i, j, n) alone; a sweep over every K
-# of a 6-qubit state keeps 63 of them.
+# The plan of |i><j| depends on (i, j, n) alone: the coefficients of its
+# strings in decomposition order, which is the order of recombination,
+# and its bases. A sweep over every K of a 6-qubit state keeps 63.
 @lru_cache(maxsize=256)
 def _ketbra_plan(
     i: int, j: int, num_qubits: int
-) -> tuple[PauliDecomposition, tuple[_Basis, ...]]:
+) -> tuple[tuple[complex, ...], tuple[_Basis, ...]]:
     decomposition = decompose_ketbra(i, j, num_qubits)
-    return decomposition, _group_bases(decomposition.terms, num_qubits)
+    terms = tuple(decomposition.terms)
+    return tuple(decomposition.terms.values()), _group_bases(terms, num_qubits)
 
 
 # Rotated states of the last state measured, keyed by its bytes (signed
@@ -310,46 +399,68 @@ def _ketbra_plan(
 _rotation_trie: tuple[bytes, dict] = (b"", {})
 
 
-def _rotation_children(sv: np.ndarray, num_qubits: int) -> dict:
+def _rotation_children(sv: np.ndarray) -> dict:
     global _rotation_trie
     key = sv.dtype.str.encode() + sv.tobytes()
     last_key, children = _rotation_trie
     if key != last_key:
-        # The norm check apply_gates gives every rotated state, on the
-        # unrotated one too.
-        apply_gates(sv, (), num_qubits)
+        # The norm check every rotated state gets, on the unrotated one too.
+        _check_norm(sv)
         children = {}
         _rotation_trie = (key, children)
     return children
 
 
-def _measure_bases(
+def _rotate(state: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
+    """``apply_gates(state, (gate,), num_qubits)`` for a basis rotation,
+    whose shape and target the plan has already checked: the same bytes
+    and the same norm check."""
+    rotated = _apply_1q(state, _matrix_1q(gate), gate.targets[0], num_qubits)
+    _check_norm(rotated)
+    return rotated
+
+
+def _read_bases(
     sv: np.ndarray,
     num_qubits: int,
     bases: tuple[_Basis, ...],
-    shots: int | None,
-    noise: ReadoutNoise | None,
+    readout: _Readout,
     seed: int,
-    calibration: CalibrationMatrix | None,
-) -> dict[PauliString, float]:
-    """Rotate into each basis, draw its distribution with sub-seed seed +
-    its offset, and read each of its strings' parity there."""
-    _check_seed(seed)
-    root = _rotation_children(sv, num_qubits)
-    means: dict[PauliString, float] = {}
+    root: dict,
+    means,
+):
+    """Rotate ``sv`` into each basis through the trie at ``root``, draw
+    its distribution with sub-seed seed + its offset, and store each of
+    its strings' parity at the string's position in ``means``."""
     for basis in bases:
         rotated, children = sv, root
         for gate in basis.rotations:
             node = children.get(gate)
             if node is None:
-                node = children[gate] = (apply_gates(rotated, (gate,), num_qubits), {})
+                node = children[gate] = (_rotate(rotated, gate, num_qubits), {})
             rotated, children = node
-        freqs = estimate_populations(
-            rotated, shots, noise, seed + basis.offset, calibration
-        )
-        for p, signs in basis.reads:
-            means[p] = float(signs @ freqs)
+        freqs = readout.draw(readout.distribution(rotated), seed + basis.offset)
+        for position, signs in basis.reads:
+            means[position] = float(signs @ freqs)
     return means
+
+
+def _measure_ketbra(
+    plan: tuple[tuple[complex, ...], tuple[_Basis, ...]],
+    sv: np.ndarray,
+    num_qubits: int,
+    readout: _Readout,
+    seed: int,
+    root: dict,
+) -> complex:
+    """The mean of a |i><j| from its plan: coeff * mean summed in the
+    decomposition's order, as ``expectation_from_paulis`` sums it."""
+    coeffs, bases = plan
+    means = _read_bases(sv, num_qubits, bases, readout, seed, root, [0.0] * len(coeffs))
+    total = complex(0.0)
+    for coeff, mean in zip(coeffs, means):
+        total += coeff * mean
+    return total
 
 
 def estimate_paulis(
@@ -365,13 +476,18 @@ def estimate_paulis(
 
     Strings with equal basis rotations (they differ only in I vs Z) share
     a basis. Each basis rotates ``sv`` (from ``simulate``) once and takes
-    its distribution from ``estimate_populations`` with sub-seed seed +
-    the position of its first string; each string reads its parity there.
+    its distribution as ``estimate_populations`` does, with sub-seed
+    seed + the position of its first string; each string reads its
+    parity there.
     """
     sv = np.asarray(sv)
     num_qubits = _state_qubits(sv)
+    strings = tuple(strings)
     bases = _group_bases(strings, num_qubits)
-    return _measure_bases(sv, num_qubits, bases, shots, noise, seed, calibration)
+    _check_seed(seed)
+    readout = _Readout(num_qubits, shots, noise, calibration)
+    means = _read_bases(sv, num_qubits, bases, readout, seed, _rotation_children(sv), {})
+    return {strings[position]: mean for position, mean in means.items()}
 
 
 def estimate_coherence(
@@ -390,13 +506,14 @@ def estimate_coherence(
     and j - 1 differ; each basis draws ``shots_per_setting`` shots. The
     statistical error of the recombined value scales as 1 / sqrt(shots).
     """
-    if i == j:
-        raise ValidationError("use populations for diagonal entries")
     sv = np.asarray(sv)
     num_qubits = _state_qubits(sv)
+    _check_basis_index("i", i, 2**num_qubits)
+    _check_basis_index("j", j, 2**num_qubits)
+    if i == j:
+        raise ValidationError("use populations for diagonal entries")
     # i != j, so every string has an X or a Y and none is the identity.
-    decomposition, bases = _ketbra_plan(i, j, num_qubits)
-    means = _measure_bases(
-        sv, num_qubits, bases, shots_per_setting, noise, seed, calibration
-    )
-    return expectation_from_paulis(decomposition, means)
+    plan = _ketbra_plan(i, j, num_qubits)
+    _check_seed(seed)
+    readout = _Readout(num_qubits, shots_per_setting, noise, calibration)
+    return _measure_ketbra(plan, sv, num_qubits, readout, seed, _rotation_children(sv))

@@ -8,6 +8,7 @@ import pytest
 
 import qmaxent
 import qmaxent.cli as cli
+import qmaxent.sampler as sampler
 from qmaxent import circuits
 from qmaxent.cli import (
     ExperimentConfig,
@@ -161,6 +162,16 @@ class TestConfig:
         assert "line 4: division by zero" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "caseab"])
+    def test_shots_beyond_the_draws_limit_exit_2(self, tmp_path, capsys, command):
+        # The multinomial draw used to die with an OverflowError, exit 1.
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "o.csv"
+        cfg.write_text("circuit bell\ntheta_steps 2\nbackend shots\nshots 9223372036854775808\n")
+        assert main(["--out", str(out), command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: shots = 9223372036854775808 is above the draw's limit 2^63 - 1\n"
+        assert not out.exists()
+
     def test_bundled_names_resolve(self):
         for name in circuits.names():
             assert resolve_circuit(name).startswith(("#", "qubits"))
@@ -233,7 +244,7 @@ class TestRunSweep:
         [
             ("coherence", lambda sv, i, j: complex(2.0), r"^\|x_1k\| = 2.0 exceeds 1$"),
             (
-                "estimate_populations",
+                "populations",
                 lambda sv: np.array([1.5, 0.0, 0.0, 0.0]),
                 r"^x_11 = 1.5 outside \[0, 1\]$",
             ),
@@ -241,8 +252,9 @@ class TestRunSweep:
     )
     def test_measured_values_are_validated(self, monkeypatch, name, fake, message):
         # The projection would clip these silently; the sweep checks the
-        # measured (x11, x1K) before completing them.
-        monkeypatch.setattr(cli, name, fake)
+        # measured (x11, x1K) before completing them. The exact backend's
+        # populations come from the sampler's kernel.
+        monkeypatch.setattr(cli if name == "coherence" else sampler, name, fake)
         with pytest.raises(ValidationError, match=message):
             run_sweep(exact_config())
 

@@ -107,6 +107,20 @@ class TestDecompose:
         with pytest.raises(ValidationError):
             decompose_ketbra(1, 5, 2)
 
+    @pytest.mark.parametrize(
+        ("i", "j", "message"),
+        [
+            (1.5, 2, r"^basis index i = 1\.5 is not an integer$"),
+            (2.0, 1, r"^basis index i = 2\.0 is not an integer$"),
+            (1, "2", r"^basis index j = '2' is not an integer$"),
+            (1, None, r"^basis index j = None is not an integer$"),
+        ],
+    )
+    def test_non_integer_index_rejected(self, i, j, message):
+        # 1.5 >> q used to raise an untyped TypeError.
+        with pytest.raises(ValidationError, match=message):
+            decompose_ketbra(i, j, 2)
+
     @pytest.mark.parametrize("n", [-1, 0, MAX_QUBITS + 1, 16, 2.0, "2"])
     def test_qubit_count_out_of_range(self, n):
         with pytest.raises(ValidationError, match=f"num_qubits = {n!r} is not an integer"):

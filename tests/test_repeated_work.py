@@ -13,6 +13,9 @@
 - A sweep lists the bundled circuits at most once per process, and a
   mitigated sweep inverts and conditions each calibration matrix once,
   solving no linear system per basis.
+- A sampled sweep validates its readout once and draws through the
+  sampler's kernel: one generator per draw, one distribution of the
+  unrotated state per theta, and no call of the public estimators.
 """
 
 import math
@@ -25,7 +28,16 @@ import numpy as np
 import pytest
 from conftest import reference_parse_circuit
 
-from qmaxent import ParseError, TomographyError, ValidationError, circuit, circuits, cli, maxent
+from qmaxent import (
+    ParseError,
+    TomographyError,
+    ValidationError,
+    circuit,
+    circuits,
+    cli,
+    maxent,
+    sampler,
+)
 from qmaxent.circuit import Circuit, parse_circuit, simulate, theta_free_prefix
 from qmaxent.cli import ExperimentConfig, load_config, run_case_ab, run_sweep
 from qmaxent.maxent import (
@@ -142,6 +154,20 @@ def count_gate_applications(monkeypatch) -> list[int]:
 
         monkeypatch.setattr(circuit, name, counted)
     return count
+
+
+def count_calls(monkeypatch, owner, names) -> dict[str, int]:
+    """Wrap ``owner.<name>`` for each name with a call counter."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 class TestThetaFreePrefix:
@@ -325,14 +351,42 @@ class TestOncePerProcess:
 
     def test_mitigated_sweep_inverts_each_calibration_once(self, monkeypatch):
         build_calibration.cache_clear()
-        calls = {"solve": 0, "inv": 0, "cond": 0}
-        for name in calls:
-            original = getattr(np.linalg, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = count_calls(monkeypatch, np.linalg, ("solve", "inv", "cond"))
         run_sweep(load_config(CONFIGS / "sweep_noisy_mitigated.txt"))
         assert calls == {"solve": 0, "inv": 1, "cond": 1}
+
+
+class TestSamplingKernel:
+    def test_mitigated_sweep_draws_one_generator_per_draw(self, monkeypatch):
+        cfg = load_config(CONFIGS / "sweep_noisy_mitigated.txt")
+        public = count_calls(
+            monkeypatch, sampler,
+            ("mitigate", "sample_counts", "estimate_populations", "estimate_coherence"),
+        )
+        generators = count_calls(monkeypatch, np.random, ("default_rng",))
+        kernel = count_calls(monkeypatch, sampler._Readout, ("__init__", "distribution", "draw"))
+        rotations = count_calls(monkeypatch, sampler, ("_rotate",))
+        points = run_sweep(cfg)
+        assert len(points) == cfg.theta_steps * len(cfg.k_targets) == 63
+        # One population draw per point and one draw per basis of |K><1|.
+        bases = [2 ** bin(p.k - 1).count("1") for p in points]
+        assert generators["default_rng"] == sum(1 + b for b in bases) == 231
+        assert public == dict.fromkeys(public, 0)
+        # One readout per sweep; the unrotated state's distribution once
+        # per theta, and one per rotated basis.
+        assert kernel == {
+            "__init__": 1,
+            "distribution": cfg.theta_steps + sum(bases),
+            "draw": len(points) + sum(bases),
+        }
+        # Every K of a 2-qubit state shares one trie per theta: 3(3^2 - 1)/2
+        # gates, where rotating each basis from the start applies 18.
+        assert rotations["_rotate"] == cfg.theta_steps * 12
+
+    def test_exact_sweep_reads_each_theta_once(self, monkeypatch):
+        cfg = load_config(CONFIGS / "sweep_exact.txt")
+        generators = count_calls(monkeypatch, np.random, ("default_rng",))
+        kernel = count_calls(monkeypatch, sampler._Readout, ("distribution",))
+        points = run_sweep(cfg)
+        assert generators["default_rng"] == 0
+        assert kernel["distribution"] == cfg.theta_steps < len(points)

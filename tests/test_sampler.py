@@ -1,12 +1,14 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
 from conftest import bisection_simplex_projection, dense_expectation, to_matrix
 
-from qmaxent import DomainError, ValidationError
+from qmaxent import DomainError, TomographyError, ValidationError, circuits
 from qmaxent import sampler
+from qmaxent.cli import ExperimentConfig, run_sweep
 from qmaxent.circuit import Gate, apply_gates, parse_circuit, populations, simulate
 from qmaxent.pauli import (
     PauliString,
@@ -91,6 +93,22 @@ class TestSampleCounts:
         # A multinomial draw would truncate 2.5 to 2 shots.
         with pytest.raises(ValidationError, match="shots must be an integer >= 1"):
             sample_counts(BELL_SV, shots)
+
+    @pytest.mark.parametrize("shots", [2**63, 2**64 + 5, np.uint64(2**63)])
+    def test_shots_beyond_the_draws_limit_rejected(self, shots):
+        # A multinomial draw used to raise an untyped OverflowError.
+        message = rf"^shots = {shots} is above the draw's limit 2\^63 - 1$"
+        with pytest.raises(ValidationError, match=message):
+            sample_counts(BELL_SV, shots)
+        with pytest.raises(ValidationError, match=message):
+            estimate_populations(BELL_SV, shots)
+        with pytest.raises(ValidationError, match=message):
+            estimate_coherence(BELL_SV, 4, 1, shots)
+
+    def test_largest_shot_count_draws(self):
+        tally = sample_counts(BELL_SV, 2**63 - 1, seed=4)
+        assert tally[1] == tally[2] == 0
+        assert int(tally[0]) + int(tally[3]) == 2**63 - 1
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed"):
@@ -192,6 +210,18 @@ class TestEstimatePauli:
         sampled = estimate_paulis(simulate(c), [ps], shots=100000, seed=8)[ps]
         assert sampled == pytest.approx(exact, abs=3 / math.sqrt(100000) + 1e-12)
 
+    @pytest.mark.parametrize(
+        ("strings", "message"),
+        [
+            (["XX"], r"^'XX' is not a PauliString; write PauliString\(tuple\('XX'\)\)$"),
+            ([PauliString(("Z", "Z")), None], r"^None is not a PauliString$"),
+        ],
+    )
+    def test_non_pauli_string_rejected(self, strings, message):
+        # A plain str used to raise an untyped AttributeError.
+        with pytest.raises(ValidationError, match=message):
+            estimate_paulis(BELL_SV, strings, 100)
+
     def test_strings_sharing_a_basis_share_one_tally(self):
         sv = simulate(parse_circuit("qubits 2\nry(0.8) 0\nrx(1.3) 1\ncx 0 1"))
         xi, zz, iz = (PauliString(tuple(s)) for s in ("XI", "ZZ", "IZ"))
@@ -224,6 +254,22 @@ class TestEstimateCoherence:
         value = estimate_coherence(simulate(PLUS), 1, 2, shots_per_setting=10000, seed=12)
         assert value == pytest.approx(0.5 + 0j, abs=0.02)
 
+    @pytest.mark.parametrize(
+        ("i", "j", "message"),
+        [
+            (2.0, 1, r"^basis index i = 2\.0 is not an integer$"),
+            (1, 1.5, r"^basis index j = 1\.5 is not an integer$"),
+            (np.float64(4.0), 1, r"^basis index i = np\.float64\(4\.0\) is not an integer$"),
+        ],
+    )
+    def test_non_integer_index_rejected(self, i, j, message):
+        # The message of circuit.coherence. An integral float used to hit
+        # the plan cached for its integer, or raise an untyped TypeError.
+        estimate_coherence(BELL_SV, 2, 1, shots_per_setting=10)
+        for shots in (None, 10):
+            with pytest.raises(ValidationError, match=message):
+                estimate_coherence(BELL_SV, i, j, shots_per_setting=shots)
+
     def test_diagonal_rejected(self):
         with pytest.raises(ValidationError):
             estimate_coherence(simulate(BELL), 2, 2, shots_per_setting=10)
@@ -244,12 +290,13 @@ class TestEstimateCoherence:
     def test_one_distribution_per_basis(self, monkeypatch):
         sv = simulate(parse_circuit("qubits 3\nh 0\nry(0.7) 1\ncx 1 2"))
         calls = []
+        draw = sampler._Readout.draw
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             calls.append(1)
-            return estimate_populations(*args, **kwargs)
+            return draw(*args)
 
-        monkeypatch.setattr(sampler, "estimate_populations", counting)
+        monkeypatch.setattr(sampler._Readout, "draw", counting)
         total = 0
         for k in range(2, 9):
             calls.clear()
@@ -312,11 +359,22 @@ def _uncached_coherence(sv, k, shots, noise, seed, calibration):
     return expectation_from_paulis(d, means)
 
 
+NOISE = ReadoutNoise((0.03, 0.08, 0.05), (0.06, 0.02, 0.1))
 MODES = {
     "exact": (None, None, False),
     "shots": (700, None, False),
-    "mitigated": (700, ReadoutNoise((0.03, 0.08, 0.05), (0.06, 0.02, 0.1)), True),
+    "noisy": (700, NOISE, False),
+    "mitigated": (700, NOISE, True),
 }
+
+
+def _bits(*values) -> bytes:
+    """The bytes of floats and complex numbers, signed zeros and NaNs included."""
+    parts = []
+    for v in values:
+        v = complex(v)
+        parts.append(struct.pack("<dd", v.real, v.imag))
+    return b"".join(parts)
 
 
 class TestSharedMeasurementWork:
@@ -344,17 +402,44 @@ class TestSharedMeasurementWork:
                     sv, k, shots, noise, seeds[k], calibration
                 )
 
+    @pytest.mark.parametrize("num_qubits", [2, 3])
+    @pytest.mark.parametrize("mode", ["shots", "noisy", "mitigated"])
+    def test_sweep_points_equal_the_public_estimators(self, num_qubits, mode):
+        # The seed contract: point p of a sampled sweep reads the bits of
+        # the public estimators at seed + 10007 p (populations) and at
+        # seed + 10007 p + 101 (coherence), each state simulated in full.
+        shots, noise, mitigated = MODES[mode]
+        if noise is not None:
+            noise = ReadoutNoise(noise.p01[:num_qubits], noise.p10[:num_qubits])
+        model = {2: "twoq_a", 3: "threeq_a"}[num_qubits]
+        cfg = ExperimentConfig(
+            circuit_path=model, theta_steps=5, backend=mode if mode != "mitigated" else "noisy",
+            shots=shots, noise=noise, mitigate=mitigated, seed=17,
+        )
+        calibration = build_calibration(noise, num_qubits) if mitigated else None
+        points = run_sweep(cfg)
+        assert len(points) == 5 * (2**num_qubits - 1)
+        for p, point in enumerate(points):
+            sv = simulate(parse_circuit(circuits.load(model), point.theta))
+            seed = cfg.seed + 10007 * p
+            pops = estimate_populations(sv, shots, noise, seed, calibration)
+            x1k = estimate_coherence(sv, point.k, 1, shots, noise, seed + 101, calibration)
+            assert _bits(point.x11, point.x1k, point.xkk_true) == _bits(
+                pops[0], x1k, pops[point.k - 1]
+            )
+
     @pytest.mark.parametrize(("num_qubits", "gates"), [(2, 12), (3, 39)])
     def test_rotations_apply_each_prefix_once(
         self, fresh_caches, monkeypatch, num_qubits, gates
     ):
         applied = []
+        rotate = sampler._rotate
 
-        def counting(state, sequence, n):
-            applied.append(len(sequence))
-            return apply_gates(state, sequence, n)
+        def counting(state, gate, n):
+            applied.append(1)
+            return rotate(state, gate, n)
 
-        monkeypatch.setattr(sampler, "apply_gates", counting)
+        monkeypatch.setattr(sampler, "_rotate", counting)
         sv = _random_state(np.random.default_rng(70), num_qubits)
         for k in range(2, 2**num_qubits + 1):
             estimate_coherence(sv, k, 1, shots_per_setting=50, seed=k)
@@ -388,6 +473,71 @@ class TestSharedMeasurementWork:
                 assert calls == {"decompose": 7, "settings": 56}
                 calls.update(decompose=0, settings=0)
         assert calls == {"decompose": 0, "settings": 0}
+
+
+def _sampled_config(mitigate=True, noise=ReadoutNoise.uniform(0.02, 0.04, 2)):
+    return ExperimentConfig(
+        circuit_path="twoq_a", theta_steps=3, backend="noisy", shots=500,
+        noise=noise, mitigate=mitigate, seed=2,
+    )
+
+
+class TestReadoutChecks:
+    """Each check of the readout fires with its message, through the
+    public estimators and through the sweep's kernel alike."""
+
+    def test_rotated_state_norm(self, fresh_caches, monkeypatch):
+        apply_1q = sampler._apply_1q
+        monkeypatch.setattr(
+            sampler, "_apply_1q", lambda *args: 1.5 * apply_1q(*args)
+        )
+        with pytest.raises(TomographyError, match="statevector norm drifted to 1.49"):
+            estimate_coherence(BELL_SV, 4, 1, 100)
+        with pytest.raises(TomographyError, match="statevector norm drifted to 1.49"):
+            run_sweep(_sampled_config())
+
+    def test_population_sum(self):
+        cal = build_calibration(ReadoutNoise.uniform(0.02, 0.04, 2), 2)
+        for shots in (None, 100):
+            with pytest.raises(ValidationError, match="state is not normalized"):
+                estimate_populations(1.1 * BELL_SV, shots, calibration=cal)
+            readout = sampler._Readout(2, shots, None, cal)
+            with pytest.raises(ValidationError, match="state is not normalized"):
+                readout.distribution(1.1 * BELL_SV)
+
+    def test_frequencies_before_mitigation(self, monkeypatch):
+        monkeypatch.setattr(
+            sampler._Readout, "tally",
+            lambda self, dist, seed: np.array([-1, 0, 0, self.shots + 1]),
+        )
+        with pytest.raises(ValidationError, match="frequencies must be >= 0 and sum to 1"):
+            estimate_populations(BELL_SV, 100, calibration=build_calibration(
+                ReadoutNoise.uniform(0.02, 0.04, 2), 2
+            ))
+        with pytest.raises(ValidationError, match="frequencies must be >= 0 and sum to 1"):
+            run_sweep(_sampled_config())
+        # Without a calibration nothing is mitigated and nothing checked.
+        run_sweep(_sampled_config(mitigate=False))
+
+    def test_ill_conditioned_calibration(self):
+        singular = ReadoutNoise.uniform(0.5, 0.5, 2)
+        cal = build_calibration(singular, 2)
+        for shots in (None, 100):
+            with pytest.raises(DomainError, match="singular or ill-conditioned"):
+                estimate_populations(BELL_SV, shots, singular, calibration=cal)
+            with pytest.raises(DomainError, match="singular or ill-conditioned"):
+                estimate_coherence(BELL_SV, 4, 1, shots, singular, calibration=cal)
+        with pytest.raises(DomainError, match="singular or ill-conditioned"):
+            run_sweep(_sampled_config(noise=singular))
+
+    def test_calibration_and_noise_widths(self):
+        three = ReadoutNoise.uniform(0.02, 0.04, 3)
+        with pytest.raises(ValidationError, match=r"covers 8 outcomes, frequencies have shape \(4,\)"):
+            estimate_populations(BELL_SV, 100, calibration=build_calibration(three, 3))
+        with pytest.raises(ValidationError, match=r"noise covers 3 qubit\(s\), asked for 2"):
+            estimate_coherence(BELL_SV, 4, 1, 100, three)
+        with pytest.raises(ValidationError, match=r"noise covers 3 qubit\(s\), asked for 2"):
+            run_sweep(_sampled_config(mitigate=False, noise=three))
 
 
 class TestCalibration:
@@ -468,6 +618,8 @@ class TestMitigate:
         [
             [math.nan, 0.5, 0.25, 0.25],
             [math.inf, 0.0, 0.0, 0.0],
+            [-math.inf, 1.0, 0.0, 0.0],
+            [math.inf, -math.inf, 0.5, 0.5],
             [-0.1, 0.0, 0.0, 0.0],
             [0.0, 0.0, 0.0, 0.0],
             [2.0, 0.0, 0.0, 0.0],
