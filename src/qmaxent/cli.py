@@ -12,20 +12,22 @@ populations with sub-seed ``seed + 10007 * p`` and its coherence with
 ``seed + 10007 * p + 101`` plus the offset of each measurement basis,
 exactly as ``estimate_populations`` and ``estimate_coherence`` would.
 
-``_sweep_points`` is the one per-point loop and ``SweepPoint`` the one
-result type: ``run_sweep`` returns every point and ``run_case_ab`` the
-solved ones, and the ``sweep`` and ``caseab`` CSVs are two views of them.
-The loop does each piece of work once: the circuit text is tokenized once
-and bound per theta, the gates before the first theta-dependent one are
-simulated once per sweep, and the clamp-warning filter is entered once.
-The readout (shots, noise model and calibration) is validated once per
-sweep and then drawn on plain arrays by the sampler's kernel: the
-unrotated state's distribution is computed once per theta and serves
-the population draw of every K, and each K measures |K><1| through its
-cached plan, rotating each basis prefix once per theta. Each point's
-measured (x11, x1K) is checked once and completed and solved on plain
-floats by ``maxent._complete_and_solve``, for case A and for case B; no
-record is built.
+``_sweep_points`` is the one sweep and ``SweepPoint`` the one result
+type: ``run_sweep`` returns every point and ``run_case_ab`` the solved
+ones, and the ``sweep`` and ``caseab`` CSVs are two views of them. The
+sweep does each piece of work once: the circuit text is tokenized once
+and bound per theta, and the gates before the first theta-dependent one
+are simulated once per sweep. The readout (shots, noise model and
+calibration) is validated once per sweep and then drawn on plain arrays
+by the sampler's kernel: the unrotated state's distribution is computed
+once per theta and serves the population draw of every K, and each K
+measures |K><1| through its cached plan, rotating each basis prefix once
+per theta. Each point's measured (x11, x1K) is checked once. Once every
+point is measured, one call of each of ``maxent``'s array kernels covers
+all the solved points: the prediction of xKK, the completion and solve
+of case A and of case B (``maxent._complete_and_solve``) and the
+fidelity. No record is built, no multiplier set is validated again, and
+no clamp warning is raised.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import argparse
 import dataclasses
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,16 +48,18 @@ from .linalg import POLICY
 from .maxent import (
     _INTEGERS,
     LagrangeSet,
+    _block_fidelity,
     _check_dims,
     _check_record_values,
     _complete_and_solve,
-    block_fidelity,
+    _earliest,
+    _predict_population,
+    _raise,
     density_from_lagrange,
     dump_record,
     heatmap_scan,
     load_record,
     parse_keyvals,
-    predict_population,
     read_number,
     solve_record,
 )
@@ -245,8 +248,12 @@ def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
     """Measure and reconstruct every (theta, K) point, theta outer, K inner.
 
     Point p draws from sub-seed seed + 10007 * p, floor points included.
-    Clamp warnings from the case A prediction are suppressed; a clamped
-    point is recognizable by xkk_pred = 1 - x11.
+    Every point is measured first; then one call of each array kernel
+    covers all solved points: the prediction, the case A and case B
+    completions and solves, and the fidelity. A prediction that exceeds
+    1 - x11 is clamped without a warning; a clamped point is recognizable
+    by xkk_pred = 1 - x11. Errors come in point order: the solve error of
+    a point comes before the error of any later point's measurement.
     """
     circuit_text = resolve_circuit(cfg.circuit_path)
     # Gates apply one at a time, so the state after the theta-free prefix
@@ -273,9 +280,13 @@ def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
     plans = {} if shots is None else {k: _ketbra_plan(k, 1, num_qubits) for k in k_targets}
     prefix_state = simulate(prefix)
     skip = len(prefix.gates)
-    points: list[SweepPoint] = []
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "predicted population", RuntimeWarning)
+    measured: list[tuple[float, int, float, complex, float]] = []
+    # A measurement error is raised after the solves of the points before
+    # it, which may fail first: the typed errors of the parser, the
+    # simulator, the sampler and the value checks, and abs()'s
+    # OverflowError on a coherence past the float range.
+    measure_error = None
+    try:
         for theta in thetas:
             theta = float(theta)
             # One simulation per theta serves every K target and Pauli setting.
@@ -286,7 +297,7 @@ def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
             dist = readout.distribution(sv)
             rotations: dict = {}
             for k in k_targets:
-                seed = cfg.seed + _POINT_SEED_STRIDE * len(points)
+                seed = cfg.seed + _POINT_SEED_STRIDE * len(measured)
                 pops = readout.draw(dist, seed)
                 # x1K is rho[1, K], the mean of |K><1|: a_0 * conj(a_{K-1}).
                 if shots is None:
@@ -297,17 +308,46 @@ def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
                         seed + _COHERENCE_SEED_OFFSET, rotations,
                     )
                 x11, x1k = float(pops[0]), complex(x1k)
-                xkk_true = float(pops[k - 1])
-                solved = ()
                 if x11 > POLICY.population_floor:
                     # The measured values are checked once; case A completes
                     # them with the predicted xKK, case B with the true one.
                     _check_record_values(x11, x1k, None)
-                    xkk = predict_population(x11, x1k)
-                    (_, _, xkk_pred), ls_a = _complete_and_solve(dim_n, k, x11, x1k, xkk)
-                    _, ls_b = _complete_and_solve(dim_n, k, x11, x1k, xkk_true)
-                    solved = (xkk_pred, block_fidelity(ls_a, ls_b), ls_a, ls_b)
-                points.append(SweepPoint(theta, k, x11, x1k, xkk_true, *solved))
+                measured.append((theta, k, x11, x1k, float(pops[k - 1])))
+    except (TomographyError, ArithmeticError) as exc:
+        measure_error = exc
+
+    solved = [m for m in measured if m[2] > POLICY.population_floor]
+    x11 = np.array([m[2] for m in solved], dtype=float)
+    x1k = np.array([m[3] for m in solved], dtype=complex)
+    xkk_true = np.array([m[4] for m in solved], dtype=float)
+    xkk = _predict_population(x11, x1k)[0]
+    (_, _, xkk_pred), lams_a, near_a, spec_a, failure_a = _complete_and_solve(
+        dim_n, x11, x1k, xkk
+    )
+    _, lams_b, near_b, spec_b, failure_b = _complete_and_solve(dim_n, x11, x1k, xkk_true)
+    # Errors in the order of a loop over the points: a point's case A
+    # before its case B, before the next point, before a later measurement.
+    _raise(_earliest(failure_a, failure_b))
+    if measure_error is not None:
+        raise measure_error
+    (*_, z_a, block_a), (*_, z_b, block_b) = spec_a, spec_b
+    fidelity = _block_fidelity(dim_n, lams_a, z_a, block_a, lams_b, z_b, block_b)
+    results = zip(
+        xkk_pred.tolist(), fidelity.tolist(),
+        *(v.tolist() for v in lams_a), near_a.tolist(),
+        *(v.tolist() for v in lams_b), near_b.tolist(),
+    )
+    points = []
+    for theta, k, x11, x1k, xkk_true in measured:
+        if x11 > POLICY.population_floor:
+            pred, fid, a11, a1k, akk, a_near, b11, b1k, bkk, b_near = next(results)
+            points.append(SweepPoint(
+                theta, k, x11, x1k, xkk_true, pred, fid,
+                LagrangeSet._solved(dim_n, k, a11, a1k, akk, a_near),
+                LagrangeSet._solved(dim_n, k, b11, b1k, bkk, b_near),
+            ))
+        else:
+            points.append(SweepPoint(theta, k, x11, x1k, xkk_true))
     return points
 
 

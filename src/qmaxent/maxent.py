@@ -28,14 +28,20 @@ Two such states share their N-2 unconstrained levels, so their Uhlmann
 fidelity also follows from the two 2x2 blocks (``block_fidelity``); the
 dense ``fidelity`` is kept for arbitrary density matrices.
 
-``_complete_and_solve`` holds the one completion and saturation policy,
-on plain floats: estimates are projected onto the feasible set, moved off
-the x11 + xKK = 1 boundary and solved, and the solve's reproduction check
-runs the one forward kernel, ``_exponent_spectrum``, whose result the
-multiplier set keeps. ``feasible_record``, ``saturation_rescale``,
-``solve_lagrange`` and ``solve_record`` are record wrappers around the
-same float helpers, and the sweep calls ``_complete_and_solve`` directly
-on values it has checked once. A complete record from the caller is
+The completion, the solve, the forward map, the prediction and the block
+fidelity are array kernels, one element per point, each element with the
+bits of the scalar float arithmetic that defines it (see the note above
+``_cmul``). ``_complete_and_solve`` holds the one completion and
+saturation policy: estimates are projected onto the feasible set
+(``_project``), moved off the x11 + xKK = 1 boundary (``_rescale``) and
+solved (``_solve``), and the solve's reproduction check runs the one
+forward kernel, ``_exponent_spectrum``. A sweep makes one call of each
+kernel over all its points. ``feasible_record``, ``saturation_rescale``,
+``solve_lagrange``, ``solve_record``, ``predict_population``,
+``spectrum`` and ``block_fidelity`` are one-point wrappers around the
+same kernels; a set from a wrapper's solve keeps the spectrum of its
+check, and a hand-built set computes its own once. ``heatmap_scan`` makes
+one forward call over its grid. A complete record from the caller is
 solved as given.
 """
 
@@ -47,6 +53,8 @@ import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -142,17 +150,24 @@ class LagrangeSet:
 
     @cached_property
     def _spectrum(self) -> ExponentSpectrum:
-        return _exponent_spectrum(self.dim_n, self.lam_11, self.lam_1k, self.lam_kk)
+        spec, failure = _exponent_spectrum(
+            self.dim_n, *_arrays(self.lam_11, self.lam_1k, self.lam_kk)
+        )
+        _raise(failure)
+        return _spectrum_at(self.dim_n, spec, 0)
 
     @classmethod
-    def _solved(cls, dim_n, index_k, lam_11, lam_1k, lam_kk, near_singular, spec):
+    def _solved(cls, dim_n, index_k, lam_11, lam_1k, lam_kk, near_singular, spec=None):
         """A set from ``_solve``, which has checked the dimensions and the
-        multipliers already, with its spectrum attached."""
+        multipliers already, with its spectrum attached when given (else
+        it is computed on first use)."""
         ls = object.__new__(cls)
         ls.__dict__.update(
             dim_n=dim_n, index_k=index_k, lam_11=lam_11, lam_1k=lam_1k,
-            lam_kk=lam_kk, near_singular=near_singular, _spectrum=spec,
+            lam_kk=lam_kk, near_singular=near_singular,
         )
+        if spec is not None:
+            ls.__dict__["_spectrum"] = spec
         return ls
 
 
@@ -220,53 +235,218 @@ def spectrum(ls: LagrangeSet) -> ExponentSpectrum:
     return ls._spectrum
 
 
-def _exponent_spectrum(n: int, l11: float, l1k: complex, lkk: float) -> ExponentSpectrum:
-    """The one forward kernel: the spectrum of the exponent of the
-    multipliers (l11, l1k, lkk) in dimension n, on plain floats."""
+# The kernels below take one array element per point and give each element
+# the bits of the scalar float arithmetic that defines it. numpy does only
+# +, -, *, /, sqrt, hypot (libm's, as abs(complex) is), comparisons and
+# selections, which round the same way. Python's own float calls do ** 2
+# (libm pow), exp, log, log1p and math.hypot: numpy's versions round
+# differently on a few percent of inputs, and it picks its exp and log
+# loops by CPU. Complex values are multiplied and divided on their parts
+# as CPython does (``_cmul``, ``_cdiv``), with a float promoted to
+# (f, 0.0) wherever Python promotes it; the 0.0 * im terms decide the
+# signs of zeros. The kernels silence numpy's floating-point warnings: a
+# branch not taken, or a point that has failed, may divide by zero.
+#
+# A kernel raises nothing. It returns its failure as (index, exception),
+# or None: the error that solving the points one at a time, in order,
+# would raise first, with its type and a message built from that
+# element's Python floats. A point that fails a step runs on through the
+# later steps on garbage, quietly; the earliest point's earliest step
+# wins (``_earliest``).
+
+
+def _cmul(ar, ai, br, bi):
+    """CPython's complex product of (ar, ai) and (br, bi)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cdiv(ar, ai, br, bi):
+    """CPython's complex quotient of (ar, ai) by (br, bi): Smith's
+    algorithm, scaled by the larger part of the divisor."""
+    by_real = np.abs(br) >= np.abs(bi)
+    by_imag = np.abs(bi) >= np.abs(br)
+    ratio = bi / br
+    denom = br + bi * ratio
+    re = np.where(by_real, (ar + ai * ratio) / denom, np.nan)
+    im = np.where(by_real, (ai - ar * ratio) / denom, np.nan)
+    ratio = br / bi
+    denom = br * ratio + bi
+    re = np.where(~by_real & by_imag, (ar * ratio + ai) / denom, re)
+    im = np.where(~by_real & by_imag, (ai * ratio - ar) / denom, im)
+    return re, im
+
+
+def _join(re, im) -> np.ndarray:
+    """The complex array with these parts, signed zeros kept."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _map(fn, *columns) -> np.ndarray:
+    """``fn`` on each element as Python floats; an OverflowError propagates."""
+    return np.array(list(map(fn, *columns)), dtype=float)
+
+
+def _map_or_inf(fn, *columns) -> np.ndarray:
+    """``_map`` with inf where ``fn`` overflows."""
     try:
-        if abs(l1k) < POLICY.lam_zero_atol:
-            eps3, eps4 = -l11, -lkk
-            k3, k4 = complex(math.inf), complex(0.0)
-            a, b = math.exp(eps3), 0.0
-            block = (math.exp(eps3), complex(0.0), math.exp(eps4))
-        else:
-            gap = l11 - lkk
-            quad = 4 * abs(l1k) ** 2
-            root = math.sqrt(quad + gap**2)
-            eps3 = -0.5 * (l11 + lkk + root)
-            eps4 = -0.5 * (l11 + lkk - root)
-            # eps + lkk = -+(root +- gap)/2; when |gap| dominates, the smaller
-            # of the two cancels catastrophically, so rewrite it through
-            # (root - |gap|)(root + |gap|) = quad.
-            if gap >= 0:
-                shift3 = -0.5 * (root + gap)
-                shift4 = 0.5 * quad / (root + gap) if root + gap else 0.0
-            else:
-                shift3 = -0.5 * quad / (root - gap)
-                shift4 = 0.5 * (root - gap)
-            conj = l1k.conjugate()
-            k3 = -shift3 / conj
-            k4 = -shift4 / conj
-            m3, m4 = abs(k3) ** 2, abs(k4) ** 2
-            a = m3 * math.exp(eps3) / (m3 + 1)
-            b = m4 * math.exp(eps4) / (m4 + 1)
-            # Written multiplicatively (a / conj(k) = k exp(eps) / (|k|^2 +
-            # 1)) so a vanishing slope cannot divide by zero.
-            w3 = math.exp(eps3) / (m3 + 1)
-            w4 = math.exp(eps4) / (m4 + 1)
-            block = (a + b, k3 * w3 + k4 * w4, w3 + w4)
-        z = math.exp(eps3) + math.exp(eps4) + (n - 2)
+        return _map(fn, *columns)
     except OverflowError:
-        z = math.inf
-    if not math.isfinite(z) or not math.isfinite(a + b):
-        raise DomainError(
-            f"exp(A) overflows for multipliers lam_11 = {l11!r}, "
-            f"lam_1k = {l1k!r}, lam_kk = {lkk!r}"
+        return np.array([_or_inf(fn, *args) for args in zip(*columns)], dtype=float)
+
+
+def _or_inf(fn, *args) -> float:
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.inf
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """x ** 2 of each element by Python's float power, inf where it
+    overflows."""
+    return _map_or_inf(pow, x.tolist(), repeat(2))
+
+
+def _clip_unit(x: np.ndarray) -> np.ndarray:
+    """min(max(x, 0.0), 1.0) as Python evaluates it: each keeps its first
+    argument unless the second compares strictly past it."""
+    x = np.where(0.0 > x, 0.0, x)
+    return np.where(1.0 < x, 1.0, x)
+
+
+def _scaled(z: np.ndarray, where: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """z * factor, the float factor promoted, at ``where``; z elsewhere."""
+    re, im = _cmul(z.real, z.imag, factor, 0.0)
+    return np.where(where, _join(re, im), z)
+
+
+def _raised(check, *args, **kwargs) -> Exception | None:
+    """The error ``check(*args, **kwargs)`` raises, or None."""
+    try:
+        check(*args, **kwargs)
+    except (TomographyError, ArithmeticError) as exc:
+        return exc
+    return None
+
+
+def _failure(mask: np.ndarray, error) -> tuple[int, Exception] | None:
+    """The first index of ``mask`` for which ``error(i)`` gives an
+    exception, with that exception; None when there is none."""
+    for i in np.flatnonzero(mask).tolist():
+        exc = error(i)
+        if exc is not None:
+            return i, exc
+    return None
+
+
+def _earliest(*failures):
+    """The failure of the earliest point; on a tie, the one listed first,
+    which is the earlier step."""
+    return min((f for f in failures if f is not None), key=itemgetter(0), default=None)
+
+
+def _raise(failure) -> None:
+    if failure is not None:
+        raise failure[1]
+
+
+def _record_failure(x11, x1k, xkk):
+    """The first point whose values fail ``_check_record_values``, with
+    its error. A vectorised test picks the candidates: every failing point
+    and, within rounding of the positive-semidefinite bound, perhaps a few
+    more; the scalar check on each candidate's Python floats decides."""
+    tol = POLICY.record_atol
+    with np.errstate(all="ignore"):
+        modulus = np.hypot(x1k.real, x1k.imag)
+        ok = (
+            np.isfinite(x11) & np.isfinite(modulus) & np.isfinite(xkk)
+            & (-tol <= x11) & (x11 <= 1 + tol) & (modulus <= 1 + tol)
+            & (-tol <= xkk) & (xkk <= 1 + tol) & (x11 + xkk <= 1 + tol)
+            & (modulus * modulus <= x11 * xkk + 0.5 * tol)
         )
+    return _failure(~ok, lambda i: _raised(
+        _check_record_values, x11[i].item(), x1k[i].item(), xkk[i].item()
+    ))
+
+
+def _exponent_spectrum(dim_n: int, l11, l1k, lkk):
+    """The one forward kernel: the spectrum of the exponent of the
+    multipliers (l11, l1k, lkk) of each point in dimension ``dim_n``.
+
+    Returns the arrays (eps3, eps4, k3, k4, a, b, z, (e11, e1k, ekk)), in
+    the order of ``ExponentSpectrum``'s fields with eps3, eps4 in place of
+    eps, and the first failure: a DomainError naming the multipliers where
+    exp(A) leaves the float range. Wherever Python's abs, ** 2 or exp
+    would raise OverflowError, the infinity taken in its place leaves z or
+    a + b infinite or NaN, so that one test finds every overflow.
+    """
+    with np.errstate(all="ignore"):
+        modulus = np.hypot(l1k.real, l1k.imag)
+        diagonal = modulus < POLICY.lam_zero_atol
+        gap = l11 - lkk
+        quad = 4.0 * _squares(modulus)
+        root = np.sqrt(quad + _squares(gap))
+        total = l11 + lkk
+        eps3 = np.where(diagonal, -l11, -0.5 * (total + root))
+        eps4 = np.where(diagonal, -lkk, -0.5 * (total - root))
+        # eps + lkk = -+(root +- gap)/2; when |gap| dominates, the smaller
+        # of the two cancels catastrophically, so rewrite it through
+        # (root - |gap|)(root + |gap|) = quad.
+        up, plus, minus = gap >= 0, root + gap, root - gap
+        shift3 = np.where(up, -0.5 * plus, -0.5 * quad / minus)
+        shift4 = np.where(up, np.where(plus != 0, 0.5 * quad / plus, 0.0), 0.5 * minus)
+        # k = -shift / conj(l1k), the float -shift promoted to a complex.
+        k3 = _join(*_cdiv(-shift3, 0.0, l1k.real, -l1k.imag))
+        k4 = _join(*_cdiv(-shift4, 0.0, l1k.real, -l1k.imag))
+        m3 = _squares(np.hypot(k3.real, k3.imag))
+        m4 = _squares(np.hypot(k4.real, k4.imag))
+        exp3 = _map_or_inf(math.exp, eps3.tolist())
+        exp4 = _map_or_inf(math.exp, eps4.tolist())
+        a = np.where(diagonal, exp3, m3 * exp3 / (m3 + 1.0))
+        b = np.where(diagonal, 0.0, m4 * exp4 / (m4 + 1.0))
+        # Written multiplicatively (a / conj(k) = k exp(eps) / (|k|^2 +
+        # 1)) so a vanishing slope cannot divide by zero.
+        w3 = exp3 / (m3 + 1.0)
+        w4 = exp4 / (m4 + 1.0)
+        c3, c4 = _cmul(k3.real, k3.imag, w3, 0.0), _cmul(k4.real, k4.imag, w4, 0.0)
+        block = (
+            np.where(diagonal, exp3, a + b),
+            np.where(diagonal, 0j, _join(c3[0] + c4[0], c3[1] + c4[1])),
+            np.where(diagonal, exp4, w3 + w4),
+        )
+        z = exp3 + exp4 + float(dim_n - 2)
+        domain = ~np.isfinite(z) | ~np.isfinite(a + b)
+    k3 = np.where(diagonal, complex(math.inf), k3)
+    k4 = np.where(diagonal, 0j, k4)
+    failure = _failure(domain, lambda i: DomainError(
+        f"exp(A) overflows for multipliers lam_11 = {l11[i].item()!r}, "
+        f"lam_1k = {l1k[i].item()!r}, lam_kk = {lkk[i].item()!r}"
+    ))
+    return (eps3, eps4, k3, k4, a, b, z, block), failure
+
+
+def _spectrum_at(dim_n: int, spec, i: int) -> ExponentSpectrum:
+    """Point ``i`` of a forward kernel's arrays as an ExponentSpectrum."""
+    eps3, eps4, k3, k4, a, b, z, block = spec
     return ExponentSpectrum(
-        eps=(0.0,) * (n - 2) + (eps3, eps4), k3=k3, k4=k4, a=a, b=b, z=z,
-        block=block,
+        eps=(0.0,) * (dim_n - 2) + (eps3[i].item(), eps4[i].item()),
+        k3=k3[i].item(), k4=k4[i].item(), a=a[i].item(), b=b[i].item(),
+        z=z[i].item(), block=tuple(e[i].item() for e in block),
     )
+
+
+def _expectations(spec):
+    """The mean values (x11, x1K, xKK) = block / z of each point."""
+    *_, z, (e11, e1k, ekk) = spec
+    with np.errstate(all="ignore"):
+        return e11 / z, _join(*_cdiv(e1k.real, e1k.imag, z, 0.0)), ekk / z
+
+
+def _arrays(*values) -> tuple[np.ndarray, ...]:
+    """Each value as a one-point array, for the kernels."""
+    return tuple(np.array([v]) for v in values)
 
 
 def density_from_lagrange(ls: LagrangeSet) -> np.ndarray:
@@ -289,15 +469,20 @@ def density_from_lagrange(ls: LagrangeSet) -> np.ndarray:
 def forward_expectations(ls: LagrangeSet) -> MeasurementRecord:
     """Map multipliers to the mean values (x11, x1K, xKK) they generate."""
     s = spectrum(ls)
-    e00, e01, e11 = s.block
+    values = _expectations((np.array([s.z]), _arrays(*s.block)))
     return MeasurementRecord(
-        dim_n=ls.dim_n,
-        index_k=ls.index_k,
-        x_11=e00 / s.z,
-        x_1k=e01 / s.z,
-        x_kk=e11 / s.z,
-        source="predicted",
+        ls.dim_n, ls.index_k, *(v.item() for v in values), source="predicted"
     )
+
+
+def _predict_population(x11, x1k):
+    """|x1K|^2 / x11 of each point clamped to [0, 1 - x11], the value
+    before the clamp, and the clamp's ceiling max(0, 1 - x11)."""
+    with np.errstate(all="ignore"):
+        value = _squares(np.hypot(x1k.real, x1k.imag)) / x11
+        ceiling = 1.0 - x11
+        ceiling = np.where(ceiling > 0.0, ceiling, 0.0)
+        return np.where(ceiling < value, ceiling, value), value, ceiling
 
 
 def predict_population(x_11: float, x_1k: complex) -> float:
@@ -316,8 +501,9 @@ def predict_population(x_11: float, x_1k: complex) -> float:
             f"x_11 = {x_11} is at or below the floor "
             f"{POLICY.population_floor}; prediction undefined"
         )
-    value = abs(x_1k) ** 2 / x_11
-    ceiling = max(0.0, 1.0 - x_11)
+    predicted, value, ceiling = (
+        v.item() for v in _predict_population(*_arrays(float(x_11), complex(x_1k)))
+    )
     if value - ceiling > POLICY.feasibility_atol:
         warnings.warn(
             f"predicted population {value:.6g} clamped to 1 - x_11 = "
@@ -325,32 +511,39 @@ def predict_population(x_11: float, x_1k: complex) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-    return min(value, ceiling)
+    return predicted
 
 
-def _project(
-    x_11: float, x_1k: complex, x_kk: float | None
-) -> tuple[float, complex, float | None]:
-    """The estimates as floats, projected onto the feasible set as
-    ``feasible_record`` describes. A NaN or infinite estimate raises
-    ValidationError naming it; it is never clipped."""
-    x_11, x_1k = float(x_11), complex(x_1k)
-    if x_kk is not None:
-        x_kk = float(x_kk)
-    if not math.isfinite(x_11 + abs(x_1k) + (x_kk or 0.0)):
-        _name_non_finite(x_11=x_11, x_1k=x_1k, x_kk=x_kk)
-    x_11 = min(max(x_11, 0.0), 1.0)
-    if abs(x_1k) > 1.0:
-        x_1k *= 1.0 / abs(x_1k)
-    if x_kk is not None:
-        x_kk = min(max(x_kk, 0.0), 1.0)
-        total = x_11 + x_kk
-        if total > 1.0:
-            x_11, x_kk, x_1k = x_11 / total, x_kk / total, x_1k / total
-        bound = math.sqrt(x_11 * x_kk)
-        if abs(x_1k) > bound:
-            x_1k = x_1k * (bound / abs(x_1k)) if abs(x_1k) > 0 else complex(0.0)
-    return x_11, x_1k, x_kk
+def _project(x11, x1k, xkk=None):
+    """The estimates of each point projected onto the feasible set as
+    ``feasible_record`` describes (with ``xkk`` None, x11 and x1K alone),
+    and the first failure: a NaN or infinite estimate raises
+    ValidationError naming it, and is never clipped."""
+    with np.errstate(all="ignore"):
+        modulus = np.hypot(x1k.real, x1k.imag)
+        finite = np.isfinite(x11) & np.isfinite(x1k.real) & np.isfinite(x1k.imag)
+        if xkk is not None:
+            finite &= np.isfinite(xkk)
+        # The first statement of the record check raises for exactly these
+        # points: ValidationError naming a non-finite estimate, or abs()'s
+        # OverflowError on a modulus past the float range.
+        failure = _failure(~finite | np.isinf(modulus), lambda i: _raised(
+            _check_record_values, x11[i].item(), x1k[i].item(),
+            None if xkk is None else xkk[i].item(),
+        ))
+        x11 = _clip_unit(x11)
+        x1k = _scaled(x1k, modulus > 1.0, 1.0 / modulus)
+        if xkk is not None:
+            xkk = _clip_unit(xkk)
+            total = x11 + xkk
+            over = total > 1.0
+            x11 = np.where(over, x11 / total, x11)
+            xkk = np.where(over, xkk / total, xkk)
+            x1k = np.where(over, _join(*_cdiv(x1k.real, x1k.imag, total, 0.0)), x1k)
+            bound = np.sqrt(x11 * xkk)
+            modulus = np.hypot(x1k.real, x1k.imag)
+            x1k = _scaled(x1k, modulus > bound, bound / modulus)
+    return (x11, x1k, xkk), failure
 
 
 def feasible_record(
@@ -369,16 +562,26 @@ def feasible_record(
     inputs pass through unchanged. A NaN or infinite estimate raises
     ValidationError.
     """
-    return MeasurementRecord(dim_n, index_k, *_project(x_11, x_1k, x_kk), source)
+    x11, x1k = _arrays(float(x_11), complex(x_1k))
+    xkk = None if x_kk is None else _arrays(float(x_kk))[0]
+    projected, failure = _project(x11, x1k, xkk)
+    _raise(failure)
+    values = (None if v is None else v.item() for v in projected)
+    return MeasurementRecord(dim_n, index_k, *values, source)
 
 
-def _saturation_scale(x_11: float, x_kk: float) -> float:
-    """The factor ``saturation_rescale`` applies to the minor: 1 unless
-    x11 + xKK lies within ``POLICY.feasibility_atol`` of 1."""
-    total = x_11 + x_kk
-    if total < 1.0 - POLICY.feasibility_atol:
-        return 1.0
-    return (1.0 - 1e-9) / total
+def _rescale(x11, x1k, xkk):
+    """``saturation_rescale`` on each point: (x11, x1K, xKK) with the
+    minors whose x11 + xKK lies within ``POLICY.feasibility_atol`` of 1
+    scaled by (1 - 1e-9)/(x11 + xKK), and the mask of those points."""
+    with np.errstate(all="ignore"):
+        total = x11 + xkk
+        c = np.where(total < 1.0 - POLICY.feasibility_atol, 1.0, (1.0 - 1e-9) / total)
+        fired = c != 1.0
+        rescaled = (
+            np.where(fired, c * x11, x11), _scaled(x1k, fired, c), np.where(fired, c * xkk, xkk)
+        )
+    return rescaled, fired
 
 
 def saturation_rescale(mr: MeasurementRecord) -> MeasurementRecord:
@@ -391,25 +594,29 @@ def saturation_rescale(mr: MeasurementRecord) -> MeasurementRecord:
     """
     if not mr.complete:
         raise ValidationError("record has no x_kk; nothing to rescale")
-    c = _saturation_scale(mr.x_11, mr.x_kk)
-    if c == 1.0:
+    (x11, x1k, xkk), fired = _rescale(*_arrays(mr.x_11, mr.x_1k, mr.x_kk))
+    if not fired[0]:
         return mr
-    return replace(mr, x_11=c * mr.x_11, x_1k=c * mr.x_1k, x_kk=c * mr.x_kk)
+    return replace(mr, x_11=x11.item(), x_1k=x1k.item(), x_kk=xkk.item())
 
 
-def _check_reproduction(
-    s: ExponentSpectrum, x_11: float, x_1k: complex, x_kk: float
-) -> None:
-    """Check that the forward values of the spectrum ``s`` are a valid
-    record within 1e-6 of (x_11, x_1k, x_kk) per component."""
-    e11, e1k, ekk = s.block
-    f_11, f_1k, f_kk = e11 / s.z, e1k / s.z, ekk / s.z
-    _check_record_values(f_11, f_1k, f_kk)
-    dev = max(abs(f_11 - x_11), abs(f_1k - x_1k), abs(f_kk - x_kk))
-    if dev > 1e-6:
-        raise TomographyError(
-            f"solver failed to reproduce the record (deviation {dev:.3e})"
-        )
+def _check_reproduction(spec, x11, x1k, xkk):
+    """The first point whose forward values, from the spectrum ``spec``,
+    are not a valid record within 1e-6 of (x11, x1k, xkk) per component,
+    with its error."""
+    f11, f1k, fkk = _expectations(spec)
+    with np.errstate(all="ignore"):
+        d11 = np.abs(f11 - x11)
+        d1k = np.hypot(f1k.real - x1k.real, f1k.imag - x1k.imag)
+        dkk = np.abs(fkk - xkk)
+        dev = np.where(d1k > d11, d1k, d11)
+        dev = np.where(dkk > dev, dkk, dev)
+    return _earliest(
+        _record_failure(f11, f1k, fkk),
+        _failure(dev > 1e-6, lambda i: TomographyError(
+            f"solver failed to reproduce the record (deviation {dev[i].item():.3e})"
+        )),
+    )
 
 
 # A minor eigenvalue at or below this share of the larger one is rounding
@@ -417,51 +624,82 @@ def _check_reproduction(
 _RANK_ONE_SHARE = 8 * sys.float_info.epsilon
 
 
-def _solve(
-    dim_n: int, index_k: int, x_11: float, x_1k: complex, x_kk: float
-) -> LagrangeSet:
-    """``solve_lagrange`` on the values of a valid record whose
-    dimensions the caller has checked."""
-    if x_11 + x_kk >= 1.0 - POLICY.feasibility_atol:
-        raise InfeasibleRecordError(
-            f"x_11 + x_kk = {x_11 + x_kk} saturates 1; the partition "
-            "function diverges (rescale the record first)"
+def _solve(dim_n: int, x11, x1k, xkk):
+    """``solve_lagrange`` on the values of valid records whose dimensions
+    the caller has checked, one per point.
+
+    Returns the multipliers (lam_11, lam_1k, lam_kk), the near_singular
+    mask, the spectrum of the reproduction check (``_exponent_spectrum``)
+    and the first failure.
+    """
+    with np.errstate(all="ignore"):
+        total = x11 + xkk
+        saturated = _failure(
+            total >= 1.0 - POLICY.feasibility_atol,
+            lambda i: InfeasibleRecordError(
+                f"x_11 + x_kk = {total[i].item()} saturates 1; the partition "
+                "function diverges (rescale the record first)"
+            ),
         )
-    z = (dim_n - 2) / (1.0 - x_11 - x_kk)
-    mid = 0.5 * (x_11 + x_kk)
-    half_gap = 0.5 * (x_11 - x_kk)
-    r = math.hypot(half_gap, abs(x_1k))
-    w_hi = mid + r
-    det = x_11 * x_kk - (x_1k.real ** 2 + x_1k.imag ** 2)
-    w_lo = det / w_hi if w_hi > 0 else 0.0
-    if w_lo < -POLICY.record_atol:
-        raise InfeasibleRecordError(
-            f"constraint minor has negative eigenvalue {w_lo:.3e}"
+        z = float(dim_n - 2) / (1.0 - x11 - xkk)
+        mid = 0.5 * total
+        half_gap = 0.5 * (x11 - xkk)
+        r = _map(math.hypot, half_gap.tolist(), np.hypot(x1k.real, x1k.imag).tolist())
+        w_hi = mid + r
+        det = x11 * xkk - (_squares(x1k.real) + _squares(x1k.imag))
+        w_lo = np.where(w_hi > 0, det / w_hi, 0.0)
+        negative = _failure(
+            w_lo < -POLICY.record_atol,
+            lambda i: InfeasibleRecordError(
+                f"constraint minor has negative eigenvalue {w_lo[i].item():.3e}"
+            ),
         )
-    if w_lo <= _RANK_ONE_SHARE * w_hi:
-        w_lo = 0.0
-    floor = POLICY.log_floor
-    near_singular = z * w_lo <= floor
-    log_hi = math.log(max(z * max(w_hi, 0.0), floor))
-    log_lo = math.log(max(z * w_lo, floor))
-    if r == 0.0:
-        g = 0.0
-    elif near_singular:
-        g = (log_hi - log_lo) / (2 * r)
-    else:
-        g = math.log1p(2 * r / w_lo) / (2 * r)
-    avg = 0.5 * (log_hi + log_lo)
-    lam_11 = -(avg + g * half_gap)
-    # Adding 0j makes a zero part +0.0 before the negation, so a zero
-    # multiplier is -0.0 whatever the signs of the zeros in x1K.
-    lam_1k = -(g * x_1k + 0j)
-    lam_kk = -(avg - g * half_gap)
-    if not math.isfinite(lam_11 + abs(lam_1k) + lam_kk):
-        _name_non_finite(lam_11=lam_11, lam_1k=lam_1k, lam_kk=lam_kk)
-    spec = _exponent_spectrum(dim_n, lam_11, lam_1k, lam_kk)
-    _check_reproduction(spec, x_11, x_1k, x_kk)
+        w_lo = np.where(w_lo <= _RANK_ONE_SHARE * w_hi, 0.0, w_lo)
+        floor = POLICY.log_floor
+        z_hi = z * np.where(0.0 > w_hi, 0.0, w_hi)
+        z_lo = z * w_lo
+        near_singular = z_lo <= floor
+        log_hi = _map(math.log, np.where(floor > z_hi, floor, z_hi).tolist())
+        log_lo = _map(math.log, np.where(floor > z_lo, floor, z_lo).tolist())
+        # log1p(2r / w_lo), where it is taken; a point that failed a check
+        # above may hold a value below -1 there, which log1p rejects.
+        ratio = 2 * r / w_lo
+        smooth = (r != 0.0) & ~near_singular & (ratio > -1.0)
+        log_ratio = _map(math.log1p, np.where(smooth, ratio, 0.0).tolist())
+        g = np.where(
+            r == 0.0,
+            0.0,
+            np.where(near_singular, (log_hi - log_lo) / (2 * r), log_ratio / (2 * r)),
+        )
+        avg = 0.5 * (log_hi + log_lo)
+        lam_11 = -(avg + g * half_gap)
+        # g * x1K + 0j: the 0j makes a zero part +0.0 before the negation,
+        # so a zero multiplier is -0.0 whatever the signs of the zeros in x1K.
+        re, im = _cmul(g, 0.0, x1k.real, x1k.imag)
+        lam_1k = _join(-(re + 0.0), -(im + 0.0))
+        lam_kk = -(avg - g * half_gap)
+        finite = (
+            np.isfinite(lam_11) & np.isfinite(lam_1k.real) & np.isfinite(lam_1k.imag)
+            & np.isfinite(lam_kk)
+        )
+    non_finite = _failure(~finite, lambda i: _raised(
+        _name_non_finite, lam_11=lam_11[i].item(), lam_1k=lam_1k[i].item(),
+        lam_kk=lam_kk[i].item(),
+    ))
+    spec, overflow = _exponent_spectrum(dim_n, lam_11, lam_1k, lam_kk)
+    failure = _earliest(
+        saturated, negative, non_finite, overflow,
+        _check_reproduction(spec, x11, x1k, xkk),
+    )
+    return (lam_11, lam_1k, lam_kk), near_singular, spec, failure
+
+
+def _solved_set(dim_n: int, index_k: int, lams, near_singular, spec) -> LagrangeSet:
+    """The one point of one-point solve arrays as a LagrangeSet that keeps
+    its spectrum."""
     return LagrangeSet._solved(
-        dim_n, index_k, lam_11, lam_1k, lam_kk, near_singular, spec
+        dim_n, index_k, *(v.item() for v in lams), near_singular.item(),
+        _spectrum_at(dim_n, spec, 0),
     )
 
 
@@ -494,26 +732,27 @@ def solve_lagrange(mr: MeasurementRecord) -> LagrangeSet:
     """
     if not mr.complete:
         raise ValidationError("record is incomplete: x_kk is absent")
-    return _solve(mr.dim_n, mr.index_k, mr.x_11, mr.x_1k, mr.x_kk)
+    lams, near_singular, spec, failure = _solve(
+        mr.dim_n, *_arrays(mr.x_11, mr.x_1k, mr.x_kk)
+    )
+    _raise(failure)
+    return _solved_set(mr.dim_n, mr.index_k, lams, near_singular, spec)
 
 
-def _complete_and_solve(
-    dim_n: int, index_k: int, x_11: float, x_1k: complex, x_kk: float
-) -> tuple[tuple[float, complex, float], LagrangeSet]:
-    """The one completion and saturation policy, on plain floats.
+def _complete_and_solve(dim_n: int, x11, x1k, xkk):
+    """The one completion and saturation policy, on arrays of points.
 
     The estimates are projected onto the feasible set (``feasible_record``),
     moved off the x11 + xKK = 1 boundary, on which pure-state data sits
     (``saturation_rescale``), and solved (``solve_lagrange``). The
-    dimensions are the caller's to check. Returns the projected values
-    (x_11, x_1k, x_kk), before any rescale, and the multipliers.
+    dimensions are the caller's to check. Returns the projected
+    (x11, x1K, xKK), before any rescale, the multipliers, the
+    near_singular mask, the spectrum and the first failure.
     """
-    completed = _project(x_11, x_1k, x_kk)
-    x_11, x_1k, x_kk = completed
-    c = _saturation_scale(x_11, x_kk)
-    if c != 1.0:
-        x_11, x_1k, x_kk = c * x_11, c * x_1k, c * x_kk
-    return completed, _solve(dim_n, index_k, x_11, x_1k, x_kk)
+    completed, bad_estimate = _project(x11, x1k, xkk)
+    rescaled, _ = _rescale(*completed)
+    lams, near_singular, spec, failure = _solve(dim_n, *rescaled)
+    return completed, lams, near_singular, spec, _earliest(bad_estimate, failure)
 
 
 def solve_record(
@@ -534,10 +773,12 @@ def solve_record(
     source = "measured"
     if x_kk is None:
         x_kk, source = predict_population(mr.x_11, mr.x_1k), "predicted"
-    completed, ls = _complete_and_solve(
-        mr.dim_n, mr.index_k, mr.x_11, mr.x_1k, x_kk
+    completed, lams, near_singular, spec, failure = _complete_and_solve(
+        mr.dim_n, *_arrays(mr.x_11, mr.x_1k, float(x_kk))
     )
-    return MeasurementRecord(mr.dim_n, mr.index_k, *completed, source), ls
+    _raise(failure)
+    record = MeasurementRecord(mr.dim_n, mr.index_k, *(v.item() for v in completed), source)
+    return record, _solved_set(mr.dim_n, mr.index_k, lams, near_singular, spec)
 
 
 def reconstruct(mr: MeasurementRecord) -> tuple[np.ndarray, MeasurementRecord]:
@@ -550,8 +791,12 @@ def reconstruct(mr: MeasurementRecord) -> tuple[np.ndarray, MeasurementRecord]:
     return density_from_lagrange(ls), completed
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+def _psd_sqrt(name: str, m: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(m)
+    if w[0] < -1e-8:
+        raise ValidationError(
+            f"{name} is not positive semidefinite: smallest eigenvalue {w[0]:.3e}"
+        )
     return (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
 
 
@@ -560,7 +805,11 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     evaluated as the squared nuclear norm ||sqrt(rho) sqrt(sigma)||_1^2
     (the sum of singular values). On near-singular states, such as the
     floored reconstructions, the eigenvalues of sqrt(rho) sigma sqrt(rho)
-    lose about half their digits; the singular values do not."""
+    lose about half their digits; the singular values do not.
+
+    Each matrix must be Hermitian, of trace one and positive semidefinite,
+    each within 1e-8; a smaller eigenvalue below -1e-8 raises
+    ValidationError naming the matrix."""
     checked = []
     for name, m in (("rho", rho), ("sigma", sigma)):
         try:
@@ -573,9 +822,25 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     r, s = checked
     if r.shape != s.shape:
         raise ValidationError(f"dimension mismatch: {r.shape} vs {s.shape}")
-    singular = np.linalg.svd(_psd_sqrt(r) @ _psd_sqrt(s), compute_uv=False)
+    singular = np.linalg.svd(_psd_sqrt("rho", r) @ _psd_sqrt("sigma", s), compute_uv=False)
     value = float(singular.sum() ** 2)
     return min(max(value, 0.0), 1.0)
+
+
+def _block_fidelity(dim_n: int, lams_a, z_a, block_a, lams_b, z_b, block_b) -> np.ndarray:
+    """``block_fidelity`` of each point's two multiplier sets, from their
+    multipliers (lam_11, lam_1k, lam_kk), partition functions and blocks
+    (e11, e1k, ekk) of exp(A)."""
+    (a11, a1k, akk), (b11, b1k, bkk) = block_a, block_b
+    with np.errstate(all="ignore"):
+        # (a1k * conj(b1k)).real, as CPython's complex product gives it.
+        cross = a1k.real * b1k.real - a1k.imag * -b1k.imag
+        overlap = a11 * b11 + akk * bkk + 2.0 * cross
+        half_trace = -0.5 * (lams_a[0] + lams_a[2] + lams_b[0] + lams_b[2])
+        total = overlap + 2.0 * _map(math.exp, half_trace.tolist())
+        root = np.sqrt(np.where(0.0 > total, 0.0, total))
+        value = _map(pow, (root + float(dim_n) - 2.0).tolist(), repeat(2)) / (z_a * z_b)
+    return _clip_unit(value)
 
 
 def block_fidelity(a: LagrangeSet, b: LagrangeSet) -> float:
@@ -600,13 +865,12 @@ def block_fidelity(a: LagrangeSet, b: LagrangeSet) -> float:
             f"({b.dim_n}, {b.index_k})"
         )
     sa, sb = spectrum(a), spectrum(b)
-    a11, a1k, akk = sa.block
-    b11, b1k, bkk = sb.block
-    overlap = a11 * b11 + akk * bkk + 2 * (a1k * b1k.conjugate()).real
-    det_root = math.exp(-0.5 * (a.lam_11 + a.lam_kk + b.lam_11 + b.lam_kk))
-    root = math.sqrt(max(overlap + 2 * det_root, 0.0))
-    value = (root + a.dim_n - 2) ** 2 / (sa.z * sb.z)
-    return min(max(value, 0.0), 1.0)
+    value = _block_fidelity(
+        a.dim_n,
+        _arrays(a.lam_11, a.lam_1k, a.lam_kk), np.array([sa.z]), _arrays(*sa.block),
+        _arrays(b.lam_11, b.lam_1k, b.lam_kk), np.array([sb.z]), _arrays(*sb.block),
+    )
+    return value.item()
 
 
 def heatmap_scan(
@@ -618,20 +882,29 @@ def heatmap_scan(
     dim_n: int = 4,
     index_k: int = 2,
 ) -> list[tuple[float, complex, float, complex]]:
-    """Forward map evaluated over a (lam11, Re lam1K) grid.
+    """Forward map evaluated over a (lam11, Re lam1K) grid, in one call of
+    the forward kernel.
 
     Rows come out in row-major order: lam11 outer, Re lam1K inner. Each
-    row is (lam11, lam1K, x11, x1K).
+    row is (lam11, lam1K, x11, x1K). The first point whose multipliers
+    ``LagrangeSet`` rejects, or whose exp(A) overflows, raises its error.
     """
-    rows = []
-    for l11 in lam11_values:
-        for re1k in re_lam1k_values:
-            ls = LagrangeSet(
-                dim_n, index_k, float(l11), complex(float(re1k), im_lam1k), lam_kk
-            )
-            fwd = forward_expectations(ls)
-            rows.append((float(l11), ls.lam_1k, fwd.x_11, fwd.x_1k))
-    return rows
+    grid = [(float(l11), float(re1k)) for l11 in lam11_values for re1k in re_lam1k_values]
+    if not grid:
+        return []
+    _check_dims(dim_n, index_k)
+    l11 = np.array([p[0] for p in grid])
+    l1k = _join(np.array([p[1] for p in grid]), float(im_lam1k))
+    lkk = np.full(len(grid), float(lam_kk))
+    with np.errstate(all="ignore"):
+        valid = np.isfinite(l11) & np.isfinite(np.hypot(l1k.real, l1k.imag)) & np.isfinite(lkk)
+    rejected = _failure(~valid, lambda i: _raised(
+        LagrangeSet, dim_n, index_k, l11[i].item(), l1k[i].item(), lkk[i].item()
+    ))
+    spec, overflow = _exponent_spectrum(dim_n, l11, l1k, lkk)
+    x11, x1k, xkk = _expectations(spec)
+    _raise(_earliest(rejected, overflow, _record_failure(x11, x1k, xkk)))
+    return list(zip(l11.tolist(), l1k.tolist(), x11.tolist(), x1k.tolist()))
 
 
 def parse_keyvals(text: str, known, what: str) -> dict[str, str]:

@@ -13,6 +13,9 @@ Uhlmann fidelity in 60-digit mpmath arithmetic, so they bound the
 library's float error.
 ``reference_parse_circuit`` is the circuit parser as it read when every
 call tokenized its text, kept to check the parse-once parser bit for bit.
+The ``reference_`` completion, solve, forward map and block fidelity are
+the scalar float code that the library's array kernels replaced, kept to
+check those kernels bit for bit, signed zeros and error messages included.
 
 Every hypothesis property test runs under one profile: derandomized, with
 no example database and no deadline, so a run is repeatable and a slow
@@ -21,6 +24,7 @@ machine cannot fail it.
 
 import math
 import re
+import sys
 from functools import reduce
 
 import mpmath
@@ -36,7 +40,10 @@ from qmaxent import (
     TomographyError,
     ValidationError,
 )
+from qmaxent import maxent
 from qmaxent.circuit import MAX_QUBITS, Circuit, Gate
+from qmaxent.errors import InfeasibleRecordError
+from qmaxent.maxent import ExponentSpectrum, _check_record_values, _name_non_finite
 
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
 settings.load_profile("tier1")
@@ -414,3 +421,162 @@ def reference_parse_circuit(text: str, theta=None) -> Circuit:
     if num_qubits is None:
         raise ParseError("empty circuit text, expected 'qubits <n>' header")
     return Circuit(num_qubits, tuple(gates))
+
+
+# The scalar completion, solve, forward map and block fidelity, one point
+# per call. The tolerances are read from ``maxent.POLICY`` at call time, so
+# a test that patches the policy patches both sides.
+
+
+def reference_project(x_11, x_1k, x_kk):
+    """The estimates as floats, projected onto the feasible set."""
+    x_11, x_1k = float(x_11), complex(x_1k)
+    if x_kk is not None:
+        x_kk = float(x_kk)
+    if not math.isfinite(x_11 + abs(x_1k) + (x_kk or 0.0)):
+        _name_non_finite(x_11=x_11, x_1k=x_1k, x_kk=x_kk)
+    x_11 = min(max(x_11, 0.0), 1.0)
+    if abs(x_1k) > 1.0:
+        x_1k *= 1.0 / abs(x_1k)
+    if x_kk is not None:
+        x_kk = min(max(x_kk, 0.0), 1.0)
+        total = x_11 + x_kk
+        if total > 1.0:
+            x_11, x_kk, x_1k = x_11 / total, x_kk / total, x_1k / total
+        bound = math.sqrt(x_11 * x_kk)
+        if abs(x_1k) > bound:
+            x_1k = x_1k * (bound / abs(x_1k)) if abs(x_1k) > 0 else complex(0.0)
+    return x_11, x_1k, x_kk
+
+
+def reference_saturation_scale(x_11, x_kk):
+    total = x_11 + x_kk
+    if total < 1.0 - maxent.POLICY.feasibility_atol:
+        return 1.0
+    return (1.0 - 1e-9) / total
+
+
+def reference_spectrum(n, l11, l1k, lkk) -> ExponentSpectrum:
+    """The forward map of the multipliers (l11, l1k, lkk) in dimension n."""
+    try:
+        if abs(l1k) < maxent.POLICY.lam_zero_atol:
+            eps3, eps4 = -l11, -lkk
+            k3, k4 = complex(math.inf), complex(0.0)
+            a, b = math.exp(eps3), 0.0
+            block = (math.exp(eps3), complex(0.0), math.exp(eps4))
+        else:
+            gap = l11 - lkk
+            quad = 4 * abs(l1k) ** 2
+            root = math.sqrt(quad + gap**2)
+            eps3 = -0.5 * (l11 + lkk + root)
+            eps4 = -0.5 * (l11 + lkk - root)
+            if gap >= 0:
+                shift3 = -0.5 * (root + gap)
+                shift4 = 0.5 * quad / (root + gap) if root + gap else 0.0
+            else:
+                shift3 = -0.5 * quad / (root - gap)
+                shift4 = 0.5 * (root - gap)
+            conj = l1k.conjugate()
+            k3 = -shift3 / conj
+            k4 = -shift4 / conj
+            m3, m4 = abs(k3) ** 2, abs(k4) ** 2
+            a = m3 * math.exp(eps3) / (m3 + 1)
+            b = m4 * math.exp(eps4) / (m4 + 1)
+            w3 = math.exp(eps3) / (m3 + 1)
+            w4 = math.exp(eps4) / (m4 + 1)
+            block = (a + b, k3 * w3 + k4 * w4, w3 + w4)
+        z = math.exp(eps3) + math.exp(eps4) + (n - 2)
+    except OverflowError:
+        z = math.inf
+    if not math.isfinite(z) or not math.isfinite(a + b):
+        raise DomainError(
+            f"exp(A) overflows for multipliers lam_11 = {l11!r}, "
+            f"lam_1k = {l1k!r}, lam_kk = {lkk!r}"
+        )
+    return ExponentSpectrum(
+        eps=(0.0,) * (n - 2) + (eps3, eps4), k3=k3, k4=k4, a=a, b=b, z=z,
+        block=block,
+    )
+
+
+def reference_check_reproduction(s, x_11, x_1k, x_kk):
+    e11, e1k, ekk = s.block
+    f_11, f_1k, f_kk = e11 / s.z, e1k / s.z, ekk / s.z
+    _check_record_values(f_11, f_1k, f_kk)
+    dev = max(abs(f_11 - x_11), abs(f_1k - x_1k), abs(f_kk - x_kk))
+    if dev > 1e-6:
+        raise TomographyError(
+            f"solver failed to reproduce the record (deviation {dev:.3e})"
+        )
+
+
+def reference_solve(dim_n, x_11, x_1k, x_kk):
+    """The multipliers (lam_11, lam_1k, lam_kk), near_singular and the
+    spectrum of the reproduction check of a valid record's values."""
+    policy = maxent.POLICY
+    if x_11 + x_kk >= 1.0 - policy.feasibility_atol:
+        raise InfeasibleRecordError(
+            f"x_11 + x_kk = {x_11 + x_kk} saturates 1; the partition "
+            "function diverges (rescale the record first)"
+        )
+    z = (dim_n - 2) / (1.0 - x_11 - x_kk)
+    mid = 0.5 * (x_11 + x_kk)
+    half_gap = 0.5 * (x_11 - x_kk)
+    r = math.hypot(half_gap, abs(x_1k))
+    w_hi = mid + r
+    det = x_11 * x_kk - (x_1k.real ** 2 + x_1k.imag ** 2)
+    w_lo = det / w_hi if w_hi > 0 else 0.0
+    if w_lo < -policy.record_atol:
+        raise InfeasibleRecordError(
+            f"constraint minor has negative eigenvalue {w_lo:.3e}"
+        )
+    if w_lo <= 8 * sys.float_info.epsilon * w_hi:
+        w_lo = 0.0
+    floor = policy.log_floor
+    near_singular = z * w_lo <= floor
+    log_hi = math.log(max(z * max(w_hi, 0.0), floor))
+    log_lo = math.log(max(z * w_lo, floor))
+    if r == 0.0:
+        g = 0.0
+    elif near_singular:
+        g = (log_hi - log_lo) / (2 * r)
+    else:
+        g = math.log1p(2 * r / w_lo) / (2 * r)
+    avg = 0.5 * (log_hi + log_lo)
+    lam_11 = -(avg + g * half_gap)
+    lam_1k = -(g * x_1k + 0j)
+    lam_kk = -(avg - g * half_gap)
+    if not math.isfinite(lam_11 + abs(lam_1k) + lam_kk):
+        _name_non_finite(lam_11=lam_11, lam_1k=lam_1k, lam_kk=lam_kk)
+    spec = reference_spectrum(dim_n, lam_11, lam_1k, lam_kk)
+    reference_check_reproduction(spec, x_11, x_1k, x_kk)
+    return (lam_11, lam_1k, lam_kk), near_singular, spec
+
+
+def reference_complete_and_solve(dim_n, x_11, x_1k, x_kk):
+    """The projected (x_11, x_1k, x_kk), before any rescale, and
+    ``reference_solve`` of the rescaled values."""
+    completed = reference_project(x_11, x_1k, x_kk)
+    x_11, x_1k, x_kk = completed
+    c = reference_saturation_scale(x_11, x_kk)
+    if c != 1.0:
+        x_11, x_1k, x_kk = c * x_11, c * x_1k, c * x_kk
+    return completed, *reference_solve(dim_n, x_11, x_1k, x_kk)
+
+
+def reference_predict(x_11, x_1k):
+    """|x1K|^2 / x11 clamped to [0, 1 - x11], without the warning."""
+    return min(abs(x_1k) ** 2 / x_11, max(0.0, 1.0 - x_11))
+
+
+def reference_block_fidelity(dim_n, lams_a, lams_b):
+    """Uhlmann fidelity of the states of two multiplier sets
+    (lam_11, lam_1k, lam_kk) of one N and K, from their 2x2 blocks."""
+    sa, sb = (reference_spectrum(dim_n, *lams) for lams in (lams_a, lams_b))
+    a11, a1k, akk = sa.block
+    b11, b1k, bkk = sb.block
+    overlap = a11 * b11 + akk * bkk + 2 * (a1k * b1k.conjugate()).real
+    det_root = math.exp(-0.5 * (lams_a[0] + lams_a[2] + lams_b[0] + lams_b[2]))
+    root = math.sqrt(max(overlap + 2 * det_root, 0.0))
+    value = (root + dim_n - 2) ** 2 / (sa.z * sb.z)
+    return min(max(value, 0.0), 1.0)

@@ -215,16 +215,21 @@ class TestBlockFidelity:
         # and the set keeps that spectrum for every later reader.
         calls = []
         compute = maxent._exponent_spectrum
-        monkeypatch.setattr(
-            maxent, "_exponent_spectrum", lambda *lams: calls.append(lams) or compute(*lams)
-        )
+
+        def counted(n, *lams):
+            calls.append((n, *(v.tolist() for v in lams)))
+            return compute(n, *lams)
+
+        monkeypatch.setattr(maxent, "_exponent_spectrum", counted)
         mr = MeasurementRecord(8, 5, 0.3, 0.1 - 0.2j)
         _, a = solve_record(mr)
         _, b = solve_record(mr, 0.2)
         block_fidelity(a, b)
         forward_expectations(a)
         assert spectrum(b) is spectrum(b)
-        assert calls == [(8, a.lam_11, a.lam_1k, a.lam_kk), (8, b.lam_11, b.lam_1k, b.lam_kk)]
+        assert calls == [
+            (8, [a.lam_11], [a.lam_1k], [a.lam_kk]), (8, [b.lam_11], [b.lam_1k], [b.lam_kk]),
+        ]
 
     def test_sweeps_build_no_dense_matrix_per_point(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -256,3 +261,27 @@ class TestDenseFidelity:
             a = density_from_lagrange(row.lagrange_a)
             b = density_from_lagrange(row.lagrange_b)
             assert fidelity(a, b) == pytest.approx(mp_fidelity(a, b), abs=1e-10)
+
+    @pytest.mark.parametrize(
+        ("rho", "sigma", "name", "eigenvalue"),
+        [
+            (np.diag([1.5, -0.5]), np.diag([0.5, 0.5]), "rho", "-5.000e-01"),
+            (np.diag([0.5, 0.5]), np.diag([1.5, -0.5]), "sigma", "-5.000e-01"),
+            (np.diag([1.0 + 1e-6, -1e-6]), np.eye(2) / 2, "rho", "-1.000e-06"),
+        ],
+    )
+    def test_a_negative_eigenvalue_is_rejected(self, rho, sigma, name, eigenvalue):
+        # Hermitian and trace one, but not a state: the square root would
+        # clip the negative eigenvalue and return a fidelity (0.75 for the
+        # first pair) of no state.
+        with pytest.raises(
+            ValidationError,
+            match=f"^{name} is not positive semidefinite: smallest eigenvalue {eigenvalue}$",
+        ):
+            fidelity(rho, sigma)
+
+    def test_rounding_below_zero_is_accepted(self):
+        # An eigenvalue above -1e-8, the tolerance of the Hermitian and
+        # trace checks, is rounding of a positive semidefinite matrix.
+        rho = np.diag([1.0 + 1e-9, -1e-9])
+        assert fidelity(rho, np.diag([1.0, 0.0])) == pytest.approx(1.0, abs=1e-8)

@@ -16,7 +16,7 @@
   distinct finite multipliers reproduce the record to Newton's 1e-9
   residual, so no agreement is defined.
 - The feasibility projection puts raw estimates inside the record
-  invariants, before and after the saturation rescale, so the float solve
+  invariants, before and after the saturation rescale, so the array solve
   path need not check them again; and that path gives the bits, flags and
   errors of the public chain ``solve_lagrange(saturation_rescale(
   feasible_record(...)))`` on estimates at every edge of the feasible set.
@@ -263,16 +263,25 @@ def _solve_outcome(solve):
 @given(raw_estimates())
 def test_projection_is_feasible_and_the_float_path_is_the_public_chain(estimate):
     n, k, x11, x1k, xkk = estimate
-    projected = maxent._project(x11, x1k, xkk)
-    maxent._check_record_values(*projected)
-    c = maxent._saturation_scale(projected[0], projected[2])
-    maxent._check_record_values(*(c * value for value in projected))
+    points = maxent._arrays(x11, x1k, xkk)
+    projected, failure = maxent._project(*points)
+    assert failure is None
+    maxent._check_record_values(*(v.item() for v in projected))
+    rescaled, _ = maxent._rescale(*projected)
+    maxent._check_record_values(*(v.item() for v in rescaled))
 
     record = feasible_record(n, k, x11, x1k, xkk)
-    completed = maxent._complete_and_solve(n, k, x11, x1k, xkk)[0]
+    completed, lams, near_singular, _, failure = maxent._complete_and_solve(n, *points)
+    completed = [v.item() for v in completed]
     assert _bits(completed[0], completed[1].real, completed[1].imag, completed[2]) == _bits(
         record.x_11, record.x_1k.real, record.x_1k.imag, record.x_kk
     )
     chain = _solve_outcome(lambda: solve_lagrange(saturation_rescale(record)))
-    floats = _solve_outcome(lambda: maxent._complete_and_solve(n, k, x11, x1k, xkk)[1])
+    if failure is not None:
+        floats = type(failure[1]), str(failure[1])
+    else:
+        lam_11, lam_1k, lam_kk = (v.item() for v in lams)
+        floats = (
+            _bits(lam_11, lam_1k.real, lam_1k.imag, lam_kk), near_singular.item()
+        )
     assert floats == chain

@@ -5,11 +5,15 @@
   tokenizes on every call (``reference_parse_circuit``).
 - The gates before the first theta-dependent one are simulated once per
   sweep, and each theta's state has the bits of a full simulation.
-- The clamp-warning filter is entered once per run and always left.
-- The reproduction check of a solve runs on scalars: it builds no
+- A sweep emits no clamp warning, and leaves the warning filters as it
+  found them, also when a point raises.
+- The reproduction check runs inside the array solve kernel: it builds no
   record, and it still enforces the record invariants and the 1e-6
-  deviation bound. A sweep builds no record at all, and runs the forward
-  kernel once per solve.
+  deviation bound. A sweep builds no record and validates no multiplier
+  set: it makes one prediction call, two completion-and-solve calls (case
+  A and case B), each running the forward kernel once, and one fidelity
+  call, whatever its number of points. A heatmap makes one forward-kernel
+  call, and a hand-built multiplier set computes its spectrum at most once.
 - A sweep lists the bundled circuits at most once per process, and a
   mitigated sweep inverts and conditions each calibration matrix once,
   solving no linear system per basis.
@@ -21,7 +25,6 @@
 import math
 import struct
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +47,12 @@ from qmaxent.maxent import (
     LagrangeSet,
     MeasurementRecord,
     block_fidelity,
+    density_from_lagrange,
+    forward_expectations,
+    heatmap_scan,
     solve_lagrange,
     solve_record,
+    spectrum,
 )
 from qmaxent.sampler import build_calibration
 
@@ -225,10 +232,10 @@ class TestClampWarningFilter:
 
     @pytest.mark.parametrize("run", [run_sweep, run_case_ab])
     def test_filters_restored_when_a_point_raises(self, monkeypatch, run):
-        def fail(a, b):
+        def fail(*args):
             raise TomographyError("point failed")
 
-        monkeypatch.setattr(cli, "block_fidelity", fail)
+        monkeypatch.setattr(cli, "_block_fidelity", fail)
         before = list(warnings.filters)
         with pytest.raises(TomographyError, match="point failed"):
             run(clamping_config())
@@ -250,25 +257,32 @@ def solved() -> tuple[MeasurementRecord, LagrangeSet]:
     return mr, solve_lagrange(mr)
 
 
+def forward(ls: LagrangeSet, l11_shift: float = 0.0):
+    """The forward kernel's arrays for one multiplier set."""
+    spec, failure = maxent._exponent_spectrum(
+        ls.dim_n, *maxent._arrays(ls.lam_11 + l11_shift, ls.lam_1k, ls.lam_kk)
+    )
+    assert failure is None
+    return spec
+
+
+def record_arrays(mr: MeasurementRecord):
+    return maxent._arrays(mr.x_11, mr.x_1k, mr.x_kk)
+
+
 class TestReproductionCheck:
     def test_builds_no_record(self, monkeypatch):
         mr, ls = solved()
-        built = []
-        original = MeasurementRecord.__post_init__
-
-        def counted(self):
-            built.append(self)
-            original(self)
-
-        monkeypatch.setattr(MeasurementRecord, "__post_init__", counted)
-        maxent._check_reproduction(maxent.spectrum(ls), mr.x_11, mr.x_1k, mr.x_kk)
-        assert built == []
+        built = count_calls(monkeypatch, MeasurementRecord, ("__post_init__",))
+        assert maxent._check_reproduction(forward(ls), *record_arrays(mr)) is None
+        assert built == {"__post_init__": 0}
 
     def test_wrong_multipliers_raise(self):
         mr, ls = solved()
-        wrong = maxent.spectrum(replace(ls, lam_11=ls.lam_11 + 0.1))
-        with pytest.raises(TomographyError, match="failed to reproduce"):
-            maxent._check_reproduction(wrong, mr.x_11, mr.x_1k, mr.x_kk)
+        failure = maxent._check_reproduction(forward(ls, 0.1), *record_arrays(mr))
+        assert failure[0] == 0
+        assert type(failure[1]) is TomographyError
+        assert "failed to reproduce" in str(failure[1])
 
     @pytest.mark.parametrize("solve", ["library", "sweep"])
     def test_every_solve_runs_the_check(self, monkeypatch, solve):
@@ -287,46 +301,62 @@ class TestReproductionCheck:
 
     def test_forward_values_keep_the_record_invariants(self):
         mr, ls = solved()
-        s = maxent.spectrum(ls)
+        *rest, z, _ = forward(ls)
         # Forward values x11 = 2, x1K = 0, xKK = 0: x11 leaves [0, 1].
-        broken = replace(s, block=(2 * s.z, complex(0.0), 0.0))
+        broken = (*rest, z, (2 * z, np.zeros(1, complex), np.zeros(1)))
         with pytest.raises(ValidationError) as from_record:
             MeasurementRecord(mr.dim_n, mr.index_k, 2.0, complex(0.0), 0.0)
-        with pytest.raises(ValidationError) as from_check:
-            maxent._check_reproduction(broken, mr.x_11, mr.x_1k, mr.x_kk)
-        assert type(from_check.value) is type(from_record.value)
-        assert str(from_check.value) == str(from_record.value)
+        index, error = maxent._check_reproduction(broken, *record_arrays(mr))
+        assert index == 0
+        assert type(error) is type(from_record.value)
+        assert str(error) == str(from_record.value)
 
-    def test_each_set_computes_its_spectrum_once(self, monkeypatch):
-        calls = []
-        original = maxent._exponent_spectrum
-        monkeypatch.setattr(
-            maxent, "_exponent_spectrum", lambda *lams: calls.append(lams) or original(*lams)
-        )
-        measured = MeasurementRecord(4, 2, 0.4, 0.2 + 0.1j)
-        _, ls_a = solve_record(measured)
-        _, ls_b = solve_record(measured, 0.2)
-        block_fidelity(ls_a, ls_b)
-        block_fidelity(ls_a, ls_b)
-        assert len(calls) == 2
+    def test_a_hand_built_set_computes_its_spectrum_once(self, monkeypatch):
+        kernel = count_calls(monkeypatch, maxent, ("_exponent_spectrum",))
+        ls = LagrangeSet(8, 3, 0.4, 0.2 - 0.7j, -0.3)
+        spectrum(ls)
+        forward_expectations(ls)
+        density_from_lagrange(ls)
+        block_fidelity(ls, ls)
+        assert spectrum(ls) is spectrum(ls)
+        assert kernel == {"_exponent_spectrum": 1}
 
-    def test_sweep_builds_no_record_and_two_spectra_per_point(self, monkeypatch):
-        built, forward = [], []
-        original = MeasurementRecord.__post_init__
-        monkeypatch.setattr(
-            MeasurementRecord, "__post_init__", lambda self: built.append(self) or original(self)
+    @pytest.mark.parametrize(
+        "config", ["sweep_exact.txt", "sweep_noisy_mitigated.txt", "caseab_shots.txt"]
+    )
+    def test_a_sweep_makes_one_call_per_kernel(self, monkeypatch, config):
+        kernels = count_calls(
+            monkeypatch, cli,
+            ("_predict_population", "_complete_and_solve", "_block_fidelity"),
         )
-        compute = maxent._exponent_spectrum
-        monkeypatch.setattr(
-            maxent, "_exponent_spectrum", lambda *lams: forward.append(lams) or compute(*lams)
+        forward_kernel = count_calls(monkeypatch, maxent, ("_exponent_spectrum",))
+        public = count_calls(
+            monkeypatch, maxent,
+            ("predict_population", "solve_lagrange", "block_fidelity", "spectrum"),
         )
-        points = run_sweep(load_config(CONFIGS / "sweep_exact.txt"))
-        solved_points = [p for p in points if p.lagrange_a is not None]
-        assert solved_points
-        assert built == []
-        # One spectrum per case, from its reproduction check; the fidelity
-        # reads both and computes none.
-        assert len(forward) == 2 * len(solved_points)
+        records = count_calls(monkeypatch, MeasurementRecord, ("__post_init__",))
+        sets = count_calls(monkeypatch, LagrangeSet, ("__post_init__",))
+        points = run_sweep(load_config(CONFIGS / config))
+        assert [p for p in points if p.lagrange_a is not None]
+        assert kernels == {
+            "_predict_population": 1, "_complete_and_solve": 2, "_block_fidelity": 1,
+        }
+        # One forward kernel call per completion call, for its
+        # reproduction check; the fidelity reads those blocks.
+        assert forward_kernel == {"_exponent_spectrum": 2}
+        assert public == dict.fromkeys(public, 0)
+        assert records == {"__post_init__": 0}
+        assert sets == {"__post_init__": 0}
+
+    def test_a_heatmap_makes_one_forward_call(self, monkeypatch):
+        forward_kernel = count_calls(monkeypatch, maxent, ("_exponent_spectrum",))
+        records = count_calls(monkeypatch, MeasurementRecord, ("__post_init__",))
+        sets = count_calls(monkeypatch, LagrangeSet, ("__post_init__",))
+        rows = heatmap_scan(np.linspace(-3, 3, 21), np.linspace(-3, 3, 21))
+        assert len(rows) == 441
+        assert forward_kernel == {"_exponent_spectrum": 1}
+        assert records == {"__post_init__": 0}
+        assert sets == {"__post_init__": 0}
 
     def test_block_entries_are_the_forward_map(self):
         _, ls = solved()
