@@ -15,23 +15,31 @@ starts a comment. Angles must be finite.
 
 Each text is tokenized once (the last 64 texts are kept): the gates that
 do not use theta are built then, and the factors of each angle before
-its first ``theta`` are multiplied out. ``parse_circuit(text, theta)``
-binds theta into that parse. An angle is computed with the same float
-operations in the same order whether or not its parse was kept, and
-errors come in line order with the same messages: a line that fails
-whatever theta is raises only after every earlier line has been bound.
+its first ``theta`` are multiplied out. One angle binding (``_bind``)
+binds a whole list of thetas into that parse at once: each angle is a
+float64 array over the thetas, computed with the ``*`` and ``/`` of the
+expression in the same order, which round as Python's floats do.
+``parse_circuit(text, theta)`` is its one-theta call. Each theta gets
+the errors of binding it alone, in line order with the same messages: a
+line that fails whatever theta is fails only after every earlier line
+has been bound. The first failing theta is reported as (index, error)
+(see ``linalg``), so that a sweep measures the thetas before it.
 
-``simulate`` is ``apply_gates`` on ``zero_state``; a caller that needs
-the same state under several extra gate sequences (basis rotations, for
-instance) simulates once and applies each sequence to the result. Gates
-apply one at a time, so the state after a shared prefix of two sequences
-is the same bytes in both, and a caller may apply the prefix once and
-continue each sequence from it: a theta sweep simulates
-``theta_free_prefix(text)`` once and simulates the rest of each bound
-circuit from its state. A one-qubit gate is one matrix product over the
-amplitude tensor with the target axis last; the axis orders per (qubit,
-n) and the matrices of the parameter-free gates and of the basis
-rotation rz(-pi/2) are built once.
+One set of gate kernels applies gates to a state, which is an amplitude
+vector or a (T, 2^n) stack of them, one row per theta. A one-qubit gate
+is one matrix product over the amplitude tensor with the target axis
+last and the rows as a leading batch axis, so every row gets the 2x2
+products, and the bytes, of a lone vector; a rotation bound to T angles
+applies its T matrices, one per row, in the same product. cx and cz swap
+or negate slices. ``simulate`` is ``apply_gates`` on ``zero_state``, the
+kernels on one vector; a caller that needs the same state under several
+extra gate sequences (basis rotations, for instance) simulates once and
+applies each sequence to the result. A theta sweep (``_sweep_states``)
+simulates ``theta_free_prefix(text)`` once, broadcasts its state to
+every row and applies each later gate once to the whole stack; its norm
+check screens the rows and gives each suspect row the one-vector check.
+The axis orders per (qubit, n) and the matrices of the parameter-free
+gates and of the basis rotation rz(-pi/2) are built once.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParseError, TomographyError, ValidationError
+from .linalg import _cmul, _earliest, _join, _raise, _raised
 
 GATE_KINDS = ("h", "x", "cx", "cz", "rx", "ry", "rz")
 _ROTATIONS = ("rx", "ry", "rz")
@@ -109,48 +118,84 @@ class Circuit:
 
 
 _GATE_RE = re.compile(r"^(rx|ry|rz)\((.*)\)$")
+# The tolerance of the norm check and of the population-sum check.
+_NORM_ATOL = 1e-10
 
 
 def _uses_theta(tok: str) -> bool:
     return (tok[1:] if tok.startswith("-") else tok) == "theta"
 
 
-def _eval_factor(tok: str, theta: float | None, line: int) -> float:
-    sign = 1.0
-    if tok.startswith("-"):
-        sign, tok = -1.0, tok[1:]
-    if tok == "pi":
-        return sign * math.pi
-    if tok == "theta":
-        if theta is None:
-            raise ParseError("angle uses 'theta' but no binding was supplied", line)
-        if not math.isfinite(theta):
-            raise ParseError(f"angle uses 'theta' bound to {theta!r}", line)
-        return sign * theta
-    try:
-        value = float(tok)
-    except ValueError:
-        raise ParseError(f"bad angle factor {tok!r}", line) from None
-    if not math.isfinite(value):
-        raise ParseError(f"angle factor {tok!r} is not finite", line)
-    return sign * value
+class _BindErrors:
+    """The first error of each theta of a binding. ``add(mask, reason,
+    line)`` gives (reason, line) to each theta in ``mask`` (a bool array,
+    or True for every theta) that has no error yet; a reason may be a
+    function of the theta's index."""
+
+    __slots__ = ("codes", "errors")
+
+    def __init__(self, size: int):
+        self.codes = np.zeros(size, dtype=np.intp)
+        self.errors: list = [None]
+
+    def add(self, mask, reason, line: int | None) -> None:
+        new = (self.codes == 0) & mask
+        if new.any():
+            self.codes[new] = len(self.errors)
+            self.errors.append((reason, line))
+
+    def first(self) -> tuple[int, ParseError] | None:
+        """The first theta that has an error, with that error."""
+        failed = np.flatnonzero(self.codes)
+        if not failed.size:
+            return None
+        i = int(failed[0])
+        reason, line = self.errors[self.codes[i]]
+        return i, ParseError(reason(i) if callable(reason) else reason, line)
 
 
-def _eval_terms(
-    value: float | None, terms: tuple[tuple[str, str], ...], theta: float | None, line: int
-) -> float | None:
+def _eval_terms(value, terms, thetas, theta, line: int, errors: _BindErrors):
     """Fold (op, factor) terms into ``value`` left to right; the first
-    term of an expression starts it (``value`` None)."""
+    term of an expression starts it (``value`` None). ``theta`` is the
+    float64 array of the bindings ``thetas`` (both None when theta is
+    unbound); each failure goes to ``errors``, and a theta that has
+    failed computes on garbage. Every value is a numpy float: its ``*``
+    and ``/`` round as Python's do."""
     for op, tok in terms:
-        factor = _eval_factor(tok, theta, line)
+        sign = 1.0
+        if tok.startswith("-"):
+            sign, tok = -1.0, tok[1:]
+        if tok == "theta":
+            if theta is None:
+                errors.add(True, "angle uses 'theta' but no binding was supplied", line)
+                factor = np.float64(math.nan)
+            else:
+                errors.add(
+                    ~np.isfinite(theta),
+                    lambda i: f"angle uses 'theta' bound to {thetas[i]!r}",
+                    line,
+                )
+                factor = sign * theta
+        else:
+            if tok == "pi":
+                factor = math.pi
+            else:
+                try:
+                    factor = float(tok)
+                except ValueError:
+                    errors.add(True, f"bad angle factor {tok!r}", line)
+                    factor = math.nan
+                else:
+                    if not math.isfinite(factor):
+                        errors.add(True, f"angle factor {tok!r} is not finite", line)
+            factor = np.float64(sign * factor)
         if value is None:
             value = factor
         elif op == "*":
-            value *= factor
+            value = value * factor
         else:
-            if factor == 0:
-                raise ParseError("division by zero in angle expression", line)
-            value /= factor
+            errors.add(factor == 0, "division by zero in angle expression", line)
+            value = value / factor
     return value
 
 
@@ -163,23 +208,29 @@ class _Angle(NamedTuple):
     head: float | None
     tail: tuple[tuple[str, str], ...]
 
-    def bind(self, theta: float | None, line: int) -> float:
-        value = _eval_terms(self.head, self.tail, theta, line)
-        if not math.isfinite(value):
-            raise ParseError(f"angle expression {self.expr!r} overflows", line)
-        return value
+
+def _overflow(value, expr: str, line: int, errors: _BindErrors) -> None:
+    """The last check of an angle: its value must be finite."""
+    errors.add(~np.isfinite(value), f"angle expression {expr!r} overflows", line)
 
 
 def _compile_angle(expr: str, line: int) -> _Angle:
     """Split an angle expression at its first ``theta`` factor and
-    evaluate the factors before it, raising their errors."""
+    evaluate the factors before it, raising their errors; an expression
+    without theta is checked whole."""
     expr = expr.strip()
     if not expr:
         raise ParseError("missing angle expression", line)
     parts = re.split(r"([*/])", expr.replace(" ", ""))
     terms = tuple(zip(["*", *parts[1::2]], parts[0::2]))
     cut = next((i for i, (_, tok) in enumerate(terms) if _uses_theta(tok)), len(terms))
-    return _Angle(expr, _eval_terms(None, terms[:cut], None, line), terms[cut:])
+    errors = _BindErrors(1)
+    with np.errstate(all="ignore"):
+        head = _eval_terms(None, terms[:cut], None, None, line, errors)
+        if cut == len(terms):
+            _overflow(head, expr, line, errors)
+    _raise(errors.first())
+    return _Angle(expr, head, terms[cut:])
 
 
 class _Rotation(NamedTuple):
@@ -237,8 +288,8 @@ def _parse_gate(tokens: list[str], num_qubits: int, line: int, gates: list) -> N
             raise ParseError(f"{kind} takes one qubit", line)
         angle = _compile_angle(expr, line)
         if not angle.tail:
-            value = angle.bind(None, line)
-            gates.append(Gate(kind, (_parse_qubit(tokens[1], num_qubits, line),), value))
+            qubit = _parse_qubit(tokens[1], num_qubits, line)
+            gates.append(Gate(kind, (qubit,), angle.head.item()))
             return
         try:
             qubit = _parse_qubit(tokens[1], num_qubits, line)
@@ -286,20 +337,47 @@ def _parse_text(text: str) -> _Parsed:
     return _Parsed(num_qubits, tuple(gates), None)
 
 
-def parse_circuit(text: str, theta: float | None = None) -> Circuit:
-    """Parse circuit text, substituting ``theta`` into angle expressions."""
-    parsed = _parse_text(text)
+def _bind(parsed: _Parsed, thetas: list | None):
+    """The one angle binding: every theta of ``thetas`` (None binds none)
+    bound into a parse at once.
+
+    Returns the gates in order, each a Gate or, for a rotation that uses
+    theta, a (kind, qubit, angles) triple with one float64 angle per
+    theta, and the first theta whose binding fails, as (index,
+    ParseError), or None. Each theta gets the error, line and message of
+    binding it alone; a failed theta's angles are 0.0.
+    """
+    errors = _BindErrors(1 if thetas is None else len(thetas))
+    theta = None
     gates = []
-    for gate in parsed.gates:
-        if isinstance(gate, _Rotation):
-            angle = gate.angle.bind(theta, gate.line)
-            if gate.qubit is None:
-                break
-            gate = Gate(gate.kind, (gate.qubit,), angle)
-        gates.append(gate)
+    with np.errstate(all="ignore"):
+        for gate in parsed.gates:
+            if isinstance(gate, _Rotation):
+                if theta is None and thetas is not None:
+                    # A product with a float rejects what the scalar
+                    # parser's float arithmetic rejected, a string say.
+                    theta = np.array([1.0 * t for t in thetas], dtype=float)
+                angle = gate.angle
+                value = _eval_terms(angle.head, angle.tail, thetas, theta, gate.line, errors)
+                _overflow(value, angle.expr, gate.line, errors)
+                if gate.qubit is None:
+                    break
+                gate = (gate.kind, gate.qubit, np.where(errors.codes == 0, value, 0.0))
+            gates.append(gate)
     if parsed.error is not None:
-        raise ParseError(*parsed.error)
-    return Circuit(parsed.num_qubits, tuple(gates))
+        errors.add(True, *parsed.error)
+    return gates, errors.first()
+
+
+def parse_circuit(text: str, theta: float | None = None) -> Circuit:
+    """Parse circuit text, substituting ``theta`` into angle expressions
+    (a one-theta call of the angle binding)."""
+    parsed = _parse_text(text)
+    gates, failure = _bind(parsed, None if theta is None else [theta])
+    _raise(failure)
+    return Circuit(parsed.num_qubits, tuple(
+        g if isinstance(g, Gate) else Gate(g[0], (g[1],), g[2].item()) for g in gates
+    ))
 
 
 def theta_free_prefix(text: str) -> Circuit:
@@ -313,22 +391,35 @@ def theta_free_prefix(text: str) -> Circuit:
     return Circuit(parsed.num_qubits, tuple(gates))
 
 
+def _rotation_matrices(kind: str, angles: np.ndarray) -> np.ndarray:
+    """The (T, 2, 2) matrices of a rotation at each of T angles, each one
+    the bits of a one-angle build: cos and sin of angle / 2 by Python's
+    math, -1j * sin a Python complex, and rz's entries numpy's exp of the
+    Python complexes -+1j * angle / 2."""
+    half = (angles / 2).tolist()
+    u = np.empty((len(half), 2, 2), dtype=complex)
+    if kind == "rz":
+        u[:, 0, 0] = np.exp([-1j * t for t in half])
+        u[:, 0, 1] = u[:, 1, 0] = 0
+        u[:, 1, 1] = np.exp([1j * t for t in half])
+        return u
+    cos = [math.cos(t) for t in half]
+    sin = [math.sin(t) for t in half]
+    u[:, 0, 0] = u[:, 1, 1] = cos
+    if kind == "rx":
+        u[:, 0, 1] = u[:, 1, 0] = [-1j * s for s in sin]
+    else:  # ry
+        u[:, 0, 1] = [-s for s in sin]
+        u[:, 1, 0] = sin
+    return u
+
+
 def _build_matrix_1q(gate: Gate) -> np.ndarray:
     if gate.kind == "h":
         return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     if gate.kind == "x":
         return np.array([[0, 1], [1, 0]], dtype=complex)
-    t = gate.angle / 2
-    if gate.kind == "rx":
-        return np.array(
-            [[math.cos(t), -1j * math.sin(t)], [-1j * math.sin(t), math.cos(t)]]
-        )
-    if gate.kind == "ry":
-        return np.array(
-            [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]], dtype=complex
-        )
-    # rz
-    return np.array([[np.exp(-1j * t), 0], [0, np.exp(1j * t)]])
+    return _rotation_matrices(gate.kind, np.array([gate.angle], dtype=float))[0]
 
 
 # The fixed gates, the Pauli basis rotations among them, built once. No
@@ -347,27 +438,40 @@ def _matrix_1q(gate: Gate) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _axis_orders(qubit: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Tensor shape and the two axis orders of ``_apply_1q``: the
-    transposes ``np.moveaxis(psi, axis, -1)`` and ``np.moveaxis(psi, -1,
-    axis)`` make, for axis = n - 1 - qubit."""
-    axis = n - 1 - qubit
-    to_last = tuple(a for a in range(n) if a != axis) + (axis,)
-    from_last = tuple(range(axis)) + (n - 1,) + tuple(range(axis, n - 1))
-    return (2,) * n, to_last, from_last
+    """The amplitude tensor of a stack, rows first, and the two axis
+    orders of ``_apply_1q``: the transposes ``np.moveaxis(psi, axis, -1)``
+    and ``np.moveaxis(psi, -1, axis)`` make, for axis = n - qubit. One
+    qubit's tensor is (rows, 1, 2), so that each row's product is the
+    vector-matrix product of a lone vector."""
+    if n == 1:
+        return (-1, 1, 2), (0, 1, 2), (0, 1, 2)
+    axis = n - qubit
+    to_last = tuple(a for a in range(n + 1) if a != axis) + (axis,)
+    from_last = tuple(range(axis)) + (n,) + tuple(range(axis, n))
+    return (-1,) + (2,) * n, to_last, from_last
 
 
 def _apply_1q(state: np.ndarray, u: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    """``u`` on ``qubit`` of every row of ``state``, an amplitude vector
+    (one row) or a (T, 2^n) stack; ``u`` is one 2x2 matrix, or a (T, 2, 2)
+    stack of one matrix per row. The rows are a leading batch axis, so
+    each 2x2 product has the operand strides of a one-row product."""
     shape, to_last, from_last = _axis_orders(qubit, n)
-    psi = state.reshape(shape).transpose(to_last) @ u.T
-    return psi.transpose(from_last).reshape(-1)
+    psi = state.reshape(shape).transpose(to_last)
+    if u.ndim == 2:
+        psi = psi @ u.T
+    else:
+        psi = psi @ u.transpose(0, 2, 1)[(slice(None),) + (None,) * (psi.ndim - 3)]
+    return psi.transpose(from_last).reshape(state.shape)
 
 
 def _apply_2q(state: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    psi = state.reshape([2] * n).copy()
-    a, b = (n - 1 - q for q in gate.targets)
+    """A cx or cz on every row of ``state``: slices swapped or negated."""
+    psi = state.reshape((-1,) + (2,) * n).copy()
+    a, b = (n - q for q in gate.targets)
 
     def sel(va, vb):
-        idx = [slice(None)] * n
+        idx = [slice(None)] * (n + 1)
         idx[a], idx[b] = va, vb
         return tuple(idx)
 
@@ -375,7 +479,22 @@ def _apply_2q(state: np.ndarray, gate: Gate, n: int) -> np.ndarray:
         psi[sel(1, 0)], psi[sel(1, 1)] = psi[sel(1, 1)].copy(), psi[sel(1, 0)].copy()
     else:  # cz
         psi[sel(1, 1)] = -psi[sel(1, 1)]
-    return psi.reshape(-1)
+    return psi.reshape(state.shape)
+
+
+def _apply(state: np.ndarray, gates, n: int) -> np.ndarray:
+    """The gate kernels: apply ``gates`` in order to every row of
+    ``state``. A gate is a Gate or a bound (kind, qubit, angles) rotation
+    with one angle per row."""
+    for gate in gates:
+        if not isinstance(gate, Gate):
+            kind, qubit, angles = gate
+            state = _apply_1q(state, _rotation_matrices(kind, angles), qubit, n)
+        elif gate.kind in _TWO_QUBIT:
+            state = _apply_2q(state, gate, n)
+        else:
+            state = _apply_1q(state, _matrix_1q(gate), gate.targets[0], n)
+    return state
 
 
 def zero_state(num_qubits: int) -> np.ndarray:
@@ -394,15 +513,13 @@ def apply_gates(state: np.ndarray, gates: tuple[Gate, ...], n: int) -> np.ndarra
     state = np.asarray(state)
     if state.shape != (2**n,):
         raise ValidationError(f"expected {2**n} amplitudes, got shape {state.shape}")
+    gates = tuple(gates)
     for gate in gates:
         if not all(0 <= q < n for q in gate.targets):
             raise ValidationError(
                 f"gate {gate.kind} targets {gate.targets} out of range for {n} qubit(s)"
             )
-        if gate.kind in _TWO_QUBIT:
-            state = _apply_2q(state, gate, n)
-        else:
-            state = _apply_1q(state, _matrix_1q(gate), gate.targets[0], n)
+    state = _apply(state, gates, n)
     _check_norm(state)
     return state
 
@@ -411,7 +528,7 @@ def _check_norm(state: np.ndarray) -> None:
     """The norm check of every state ``apply_gates`` returns."""
     norm = float(np.linalg.norm(state))
     # Written so that a NaN norm fails too.
-    if not abs(norm - 1.0) <= 1e-10:
+    if not abs(norm - 1.0) <= _NORM_ATOL:
         raise TomographyError(f"statevector norm drifted to {norm!r}")
 
 
@@ -424,10 +541,45 @@ def simulate(c: Circuit, state: np.ndarray | None = None) -> np.ndarray:
     return apply_gates(state, c.gates, c.num_qubits)
 
 
+def _sweep_states(text: str, thetas: list):
+    """The final amplitudes of ``text`` at every theta of ``thetas``, one
+    row per theta of a (T, 2^n) stack, and the first theta whose binding
+    or norm check fails, as (index, error), or None; on a tie the binding
+    error. Rows from that index on are not to be read.
+
+    The theta-free prefix is simulated once, its errors raised at once,
+    and its state broadcast to the rows; each later gate applies once to
+    the whole stack.
+    """
+    prefix = theta_free_prefix(text)
+    n = prefix.num_qubits
+    gates, failure = _bind(_parse_text(text), thetas)
+    states = np.broadcast_to(simulate(prefix), (len(thetas), 2**n))
+    states = _apply(states, gates[len(prefix.gates):], n)
+    with np.errstate(all="ignore"):
+        norms = np.linalg.norm(states, axis=1)
+    return states, _earliest(failure, _screen_rows(norms, _check_norm, states))
+
+
+def _screen_rows(sums, check, states: np.ndarray):
+    """The first row of ``states`` that fails ``check``, the one-row norm
+    or population-sum check, as (index, error), or None. A row of a stack
+    may sum differently from a lone vector, so its ``sums`` (norms or
+    population sums) only screen: each row off 1 by more than half the
+    tolerance gets the one-row check."""
+    for i, total in enumerate(sums.tolist()):
+        # Written so that a NaN sum is screened too.
+        if not abs(total - 1.0) <= 0.5 * _NORM_ATOL:
+            error = _raised(check, states[i])
+            if error is not None:
+                return i, error
+    return None
+
+
 def populations(sv: np.ndarray) -> np.ndarray:
     """Probabilities of the basis states, indexed by basis state - 1."""
     p = np.abs(np.asarray(sv)) ** 2
-    if not abs(p.sum() - 1.0) <= 1e-10:
+    if not abs(p.sum() - 1.0) <= _NORM_ATOL:
         raise ValidationError(f"state is not normalized: sum |a|^2 = {p.sum()!r}")
     return p
 
@@ -445,4 +597,11 @@ def coherence(sv: np.ndarray, i: int, j: int) -> complex:
             raise ValidationError(f"basis index {name} = {idx!r} is not an integer")
         if not 1 <= idx <= dim:
             raise ValidationError(f"basis index {idx} out of range [1, {dim}]")
-    return complex(np.conj(sv[i - 1]) * sv[j - 1])
+    return complex(_coherence(sv, i, j))
+
+
+def _coherence(states: np.ndarray, i: int, j: int) -> np.ndarray:
+    """conj(a_{i-1}) * a_{j-1} of each row of ``states`` (an amplitude
+    vector or a stack), numpy's complex product written on the parts."""
+    a, b = states[..., i - 1], states[..., j - 1]
+    return _join(*_cmul(a.real, -a.imag, b.real, b.imag))

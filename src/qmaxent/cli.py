@@ -15,17 +15,23 @@ exactly as ``estimate_populations`` and ``estimate_coherence`` would.
 ``_sweep_points`` is the one sweep and ``SweepPoint`` the one result
 type: ``run_sweep`` returns every point and ``run_case_ab`` the solved
 ones, and the ``sweep`` and ``caseab`` CSVs are two views of them. The
-sweep does each piece of work once: the circuit text is tokenized once
-and bound per theta, and the gates before the first theta-dependent one
-are simulated once per sweep. The readout (shots, noise model and
-calibration) is validated once per sweep and then drawn on plain arrays
-by the sampler's kernel: the unrotated state's distribution is computed
-once per theta and serves the population draw of every K, and each K
-measures |K><1| through its cached plan, rotating each basis prefix once
-per theta. Each point's measured (x11, x1K) is checked once. Once every
-point is measured, one call of each of ``maxent``'s array kernels covers
-all the solved points: the prediction of xKK, the completion and solve
-of case A and of case B (``maxent._complete_and_solve``) and the
+sweep does each piece of work once: the circuit text is tokenized once,
+every theta is bound into it at once, and the circuit is simulated as
+one (thetas, 2^n) stack of states (``circuit._sweep_states``), the
+gates before the first theta-dependent one once and each later gate
+once for all thetas. The readout (shots, noise model and calibration)
+is validated once per sweep and then drawn on plain arrays by the
+sampler's kernel: one call computes the distribution of every theta's
+state, which serves the population draw of every K, and each K measures
+|K><1| through its cached plan, rotating each basis prefix once per
+theta. The exact backend reads each K's x1K for every theta in one
+array product. Each point's measured (x11, x1K) is checked once. A
+theta that fails a check of the stack (its binding, its norm, its
+population sum) raises its error where the loop over the thetas
+reaches it, after the thetas before it are measured. Once every point
+is measured, one call of each of ``maxent``'s array kernels covers all
+the solved points: the prediction of xKK, the completion and solve of
+case A and of case B (``maxent._complete_and_solve``) and the
 fidelity. No record is built, no multiplier set is validated again, and
 no clamp warning is raised.
 """
@@ -42,9 +48,9 @@ from pathlib import Path
 import numpy as np
 
 from . import circuits as bundled
-from .circuit import Circuit, coherence, parse_circuit, simulate, theta_free_prefix
+from .circuit import _coherence, _sweep_states, theta_free_prefix
 from .errors import InfeasibleRecordError, TomographyError, ValidationError
-from .linalg import POLICY
+from .linalg import POLICY, _earliest, _raise
 from .maxent import (
     _INTEGERS,
     LagrangeSet,
@@ -52,9 +58,7 @@ from .maxent import (
     _check_dims,
     _check_record_values,
     _complete_and_solve,
-    _earliest,
     _predict_population,
-    _raise,
     density_from_lagrange,
     dump_record,
     heatmap_scan,
@@ -256,10 +260,7 @@ def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
     a point comes before the error of any later point's measurement.
     """
     circuit_text = resolve_circuit(cfg.circuit_path)
-    # Gates apply one at a time, so the state after the theta-free prefix
-    # is the same bytes whether it is simulated once or at every theta.
-    prefix = theta_free_prefix(circuit_text)
-    num_qubits = prefix.num_qubits
+    num_qubits = theta_free_prefix(circuit_text).num_qubits
     if num_qubits < 2:
         raise ValidationError(
             "reconstruction needs at least 2 qubits (no unconstrained "
@@ -270,41 +271,42 @@ def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
     for k in k_targets:
         _check_dims(dim_n, k)
     if cfg.theta_steps == 1:
-        thetas = [cfg.theta_start]
+        thetas = [float(cfg.theta_start)]
     else:
-        thetas = np.linspace(cfg.theta_start, cfg.theta_stop, cfg.theta_steps)
+        thetas = np.linspace(cfg.theta_start, cfg.theta_stop, cfg.theta_steps).tolist()
     # The exact backend reads exact probabilities whatever the config's shots.
     shots = None if cfg.backend == "exact" else cfg.shots
     calibration = build_calibration(cfg.noise, num_qubits) if cfg.mitigate else None
     readout = _Readout(num_qubits, shots, cfg.noise, calibration)
     plans = {} if shots is None else {k: _ketbra_plan(k, 1, num_qubits) for k in k_targets}
-    prefix_state = simulate(prefix)
-    skip = len(prefix.gates)
+    # One stack of states serves every K target and Pauli setting, and
+    # one distribution per state the population draw of every K. The
+    # thetas before the first one that fails a check are measured; its
+    # error is raised in the loop's place.
+    states, failure = _sweep_states(circuit_text, thetas)
+    dists, drifted = readout.distribution(states)
+    stop, error = _earliest(failure, drifted) or (len(thetas), None)
+    if shots is None:
+        # x1K is rho[1, K], the mean of |K><1|: a_0 * conj(a_{K-1}).
+        exact = {k: _coherence(states[:stop], k, 1).tolist() for k in k_targets}
     measured: list[tuple[float, int, float, complex, float]] = []
     # A measurement error is raised after the solves of the points before
     # it, which may fail first: the typed errors of the parser, the
-    # simulator, the sampler and the value checks, and abs()'s
-    # OverflowError on a coherence past the float range.
+    # simulator, the sampler and the value checks, or an ArithmeticError.
     measure_error = None
     try:
-        for theta in thetas:
-            theta = float(theta)
-            # One simulation per theta serves every K target and Pauli setting.
-            rest = parse_circuit(circuit_text, theta=theta).gates[skip:]
-            sv = simulate(Circuit(num_qubits, rest), prefix_state)
-            # One distribution of the unrotated state serves the population
-            # draw of every K, and one trie the basis rotations of every K.
-            dist = readout.distribution(sv)
+        for i, theta in enumerate(thetas[:stop]):
+            dist = dists[i]
+            # One trie holds the basis rotations of every K.
             rotations: dict = {}
             for k in k_targets:
                 seed = cfg.seed + _POINT_SEED_STRIDE * len(measured)
                 pops = readout.draw(dist, seed)
-                # x1K is rho[1, K], the mean of |K><1|: a_0 * conj(a_{K-1}).
                 if shots is None:
-                    x1k = coherence(sv, k, 1)
+                    x1k = exact[k][i]
                 else:
                     x1k = _measure_ketbra(
-                        plans[k], sv, num_qubits, readout,
+                        plans[k], states[i], num_qubits, readout,
                         seed + _COHERENCE_SEED_OFFSET, rotations,
                     )
                 x11, x1k = float(pops[0]), complex(x1k)
@@ -313,6 +315,8 @@ def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
                     # them with the predicted xKK, case B with the true one.
                     _check_record_values(x11, x1k, None)
                 measured.append((theta, k, x11, x1k, float(pops[k - 1])))
+        if error is not None:
+            raise error
     except (TomographyError, ArithmeticError) as exc:
         measure_error = exc
 

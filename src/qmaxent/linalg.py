@@ -1,16 +1,24 @@
-"""Hermitian matrix checks and the tolerance policy.
+"""Hermitian matrix checks, the tolerance policy and the helpers of the
+array kernels.
 
 Tolerances come from the module-wide ``POLICY`` record so callers and
 tests share one set of knobs.
+
+An array kernel (``maxent``'s solve and forward map, ``circuit``'s theta
+stack, the sampler's distributions) works on one element per point and
+raises nothing: it returns its first failure as (index, exception), or
+None, and its caller raises it when its own loop over the points reaches
+that index (``_failure``, ``_earliest``, ``_raise``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import TomographyError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -53,3 +61,45 @@ def require_hermitian(m, atol: float = POLICY.hermitian_atol) -> np.ndarray:
             f"differ by {worst:.3e} (tolerance {atol:.1e})"
         )
     return 0.5 * (a + a.conj().T)
+
+
+def _cmul(ar, ai, br, bi):
+    """CPython's complex product of (ar, ai) and (br, bi)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _join(re, im) -> np.ndarray:
+    """The complex array with these parts, signed zeros kept."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _raised(check, *args, **kwargs) -> Exception | None:
+    """The error ``check(*args, **kwargs)`` raises, or None."""
+    try:
+        check(*args, **kwargs)
+    except (TomographyError, ArithmeticError) as exc:
+        return exc
+    return None
+
+
+def _failure(mask: np.ndarray, error) -> tuple[int, Exception] | None:
+    """The first index of ``mask`` for which ``error(i)`` gives an
+    exception, with that exception; None when there is none."""
+    for i in np.flatnonzero(mask).tolist():
+        exc = error(i)
+        if exc is not None:
+            return i, exc
+    return None
+
+
+def _earliest(*failures):
+    """The failure of the earliest point; on a tie, the one listed first,
+    which is the earlier step."""
+    return min((f for f in failures if f is not None), key=itemgetter(0), default=None)
+
+
+def _raise(failure) -> None:
+    if failure is not None:
+        raise failure[1]

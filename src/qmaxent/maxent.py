@@ -54,7 +54,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -65,7 +64,16 @@ from .errors import (
     TomographyError,
     ValidationError,
 )
-from .linalg import POLICY, require_hermitian
+from .linalg import (
+    POLICY,
+    _cmul,
+    _earliest,
+    _failure,
+    _join,
+    _raise,
+    _raised,
+    require_hermitian,
+)
 
 _SOURCES = ("measured", "predicted")
 
@@ -98,11 +106,22 @@ def _name_non_finite(**values) -> None:
             raise ValidationError(f"{name} = {value!r} is not finite")
 
 
+def _too_large(name: str, value: complex) -> ValidationError:
+    """The error for a complex value whose modulus passes the float range,
+    where abs() raises OverflowError. Callers catch that error rather
+    than test for it, so a valid value pays nothing."""
+    return ValidationError(f"{name} = {value!r} has a modulus past the float range")
+
+
 def _check_record_values(x_11: float, x_1k: complex, x_kk: float | None) -> None:
     """The invariants of a record's values: finite, populations in
     [0, 1], |x1K| <= 1 and, with x_kk, x11 + xKK <= 1 and a positive
     semidefinite minor, each within ``POLICY.record_atol``."""
-    if not math.isfinite(x_11 + abs(x_1k) + (x_kk or 0.0)):
+    try:
+        finite = math.isfinite(x_11 + abs(x_1k) + (x_kk or 0.0))
+    except OverflowError:
+        raise _too_large("x_1k", x_1k) from None
+    if not finite:
         _name_non_finite(x_11=x_11, x_1k=x_1k, x_kk=x_kk)
     tol = POLICY.record_atol
     if not -tol <= x_11 <= 1 + tol:
@@ -143,7 +162,11 @@ class LagrangeSet:
         object.__setattr__(self, "lam_11", float(self.lam_11))
         object.__setattr__(self, "lam_1k", complex(self.lam_1k))
         object.__setattr__(self, "lam_kk", float(self.lam_kk))
-        if not math.isfinite(self.lam_11 + abs(self.lam_1k) + self.lam_kk):
+        try:
+            finite = math.isfinite(self.lam_11 + abs(self.lam_1k) + self.lam_kk)
+        except OverflowError:
+            raise _too_large("lam_1k", self.lam_1k) from None
+        if not finite:
             _name_non_finite(
                 lam_11=self.lam_11, lam_1k=self.lam_1k, lam_kk=self.lam_kk
             )
@@ -242,7 +265,7 @@ def spectrum(ls: LagrangeSet) -> ExponentSpectrum:
 # (libm pow), exp, log, log1p and math.hypot: numpy's versions round
 # differently on a few percent of inputs, and it picks its exp and log
 # loops by CPU. Complex values are multiplied and divided on their parts
-# as CPython does (``_cmul``, ``_cdiv``), with a float promoted to
+# as CPython does (``linalg._cmul``, ``_cdiv``), with a float promoted to
 # (f, 0.0) wherever Python promotes it; the 0.0 * im terms decide the
 # signs of zeros. The kernels silence numpy's floating-point warnings: a
 # branch not taken, or a point that has failed, may divide by zero.
@@ -253,11 +276,6 @@ def spectrum(ls: LagrangeSet) -> ExponentSpectrum:
 # element's Python floats. A point that fails a step runs on through the
 # later steps on garbage, quietly; the earliest point's earliest step
 # wins (``_earliest``).
-
-
-def _cmul(ar, ai, br, bi):
-    """CPython's complex product of (ar, ai) and (br, bi)."""
-    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def _cdiv(ar, ai, br, bi):
@@ -274,13 +292,6 @@ def _cdiv(ar, ai, br, bi):
     re = np.where(~by_real & by_imag, (ar * ratio + ai) / denom, re)
     im = np.where(~by_real & by_imag, (ai * ratio - ar) / denom, im)
     return re, im
-
-
-def _join(re, im) -> np.ndarray:
-    """The complex array with these parts, signed zeros kept."""
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out
 
 
 def _map(fn, *columns) -> np.ndarray:
@@ -320,36 +331,6 @@ def _scaled(z: np.ndarray, where: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """z * factor, the float factor promoted, at ``where``; z elsewhere."""
     re, im = _cmul(z.real, z.imag, factor, 0.0)
     return np.where(where, _join(re, im), z)
-
-
-def _raised(check, *args, **kwargs) -> Exception | None:
-    """The error ``check(*args, **kwargs)`` raises, or None."""
-    try:
-        check(*args, **kwargs)
-    except (TomographyError, ArithmeticError) as exc:
-        return exc
-    return None
-
-
-def _failure(mask: np.ndarray, error) -> tuple[int, Exception] | None:
-    """The first index of ``mask`` for which ``error(i)`` gives an
-    exception, with that exception; None when there is none."""
-    for i in np.flatnonzero(mask).tolist():
-        exc = error(i)
-        if exc is not None:
-            return i, exc
-    return None
-
-
-def _earliest(*failures):
-    """The failure of the earliest point; on a tie, the one listed first,
-    which is the earlier step."""
-    return min((f for f in failures if f is not None), key=itemgetter(0), default=None)
-
-
-def _raise(failure) -> None:
-    if failure is not None:
-        raise failure[1]
 
 
 def _record_failure(x11, x1k, xkk):
@@ -494,7 +475,11 @@ def predict_population(x_11: float, x_1k: complex) -> float:
     (a smaller excess is rounding on exact pure-state data). A NaN or
     infinite input raises ValidationError.
     """
-    if not math.isfinite(x_11 + abs(x_1k)):
+    try:
+        finite = math.isfinite(x_11 + abs(x_1k))
+    except OverflowError:
+        raise _too_large("x_1k", x_1k) from None
+    if not finite:
         _name_non_finite(x_11=x_11, x_1k=x_1k)
     if x_11 <= POLICY.population_floor:
         raise DomainError(
@@ -525,8 +510,8 @@ def _project(x11, x1k, xkk=None):
         if xkk is not None:
             finite &= np.isfinite(xkk)
         # The first statement of the record check raises for exactly these
-        # points: ValidationError naming a non-finite estimate, or abs()'s
-        # OverflowError on a modulus past the float range.
+        # points: ValidationError naming a non-finite estimate, or one
+        # whose modulus passes the float range.
         failure = _failure(~finite | np.isinf(modulus), lambda i: _raised(
             _check_record_values, x11[i].item(), x1k[i].item(),
             None if xkk is None else xkk[i].item(),
@@ -857,7 +842,8 @@ def block_fidelity(a: LagrangeSet, b: LagrangeSet) -> float:
         F = (sqrt(tr(E_a E_b) + 2 exp(-(lam11_a + lamKK_a + lam11_b
              + lamKK_b)/2)) + N - 2)^2 / (Z_a Z_b).
 
-    Sets whose N or K differ raise ValidationError.
+    Sets whose N or K differ raise ValidationError, and sets whose
+    multiplier sum makes that exp leave the float range DomainError.
     """
     if (a.dim_n, a.index_k) != (b.dim_n, b.index_k):
         raise ValidationError(
@@ -865,11 +851,18 @@ def block_fidelity(a: LagrangeSet, b: LagrangeSet) -> float:
             f"({b.dim_n}, {b.index_k})"
         )
     sa, sb = spectrum(a), spectrum(b)
-    value = _block_fidelity(
-        a.dim_n,
-        _arrays(a.lam_11, a.lam_1k, a.lam_kk), np.array([sa.z]), _arrays(*sa.block),
-        _arrays(b.lam_11, b.lam_1k, b.lam_kk), np.array([sb.z]), _arrays(*sb.block),
-    )
+    try:
+        value = _block_fidelity(
+            a.dim_n,
+            _arrays(a.lam_11, a.lam_1k, a.lam_kk), np.array([sa.z]), _arrays(*sa.block),
+            _arrays(b.lam_11, b.lam_1k, b.lam_kk), np.array([sb.z]), _arrays(*sb.block),
+        )
+    except OverflowError:
+        total = a.lam_11 + a.lam_kk + b.lam_11 + b.lam_kk
+        raise DomainError(
+            f"block fidelity overflows: lam11_a + lamKK_a + lam11_b + lamKK_b "
+            f"= {total!r}, and exp of minus half of it leaves the float range"
+        ) from None
     return value.item()
 
 

@@ -20,13 +20,15 @@ sub-seed offsets, and their parity signs), built once per target.
 One sampling kernel serves every estimator and the sweep: a readout
 (``_Readout``) is validated once, its shots, the noise model's qubit
 count and the calibration's shape and condition, and then drawn on plain
-arrays. ``distribution(sv)`` is the populations of ``sv`` (with their
-sum check) read through M and normalized; ``draw(dist, seed)`` is one
-``multinomial(shots, dist) / shots`` draw, and, with a calibration, the
-frequency check and the mitigation below. The public functions are
-validating wrappers around it: each call checks its arguments and builds
-its readout, and a sweep builds one readout and reuses it for every
-point.
+arrays. ``distribution(states)`` takes a stack of states, one row each
+(a sweep's thetas, or one state), and gives each row's populations read
+through M and normalized, one row at a time as for a lone state, with
+the first row that fails the population-sum check. ``draw(dist, seed)``
+is one ``multinomial(shots, dist) / shots`` draw, and, with a
+calibration, the frequency check and the mitigation below. The public
+functions are validating wrappers around it: each call checks its
+arguments and builds its readout, and a sweep builds one readout and
+reuses it for every point.
 
 The basis rotations of a state are kept as a trie of gate prefixes: the
 public estimators keep the trie of the last state they measured, and a
@@ -54,8 +56,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .circuit import Gate, _apply_1q, _check_norm, _matrix_1q, populations
+from .circuit import Gate, _apply_1q, _check_norm, _matrix_1q, _screen_rows, populations
 from .errors import DomainError, ValidationError
+from .linalg import _raise
 from .pauli import (
     PauliString,
     _check_basis_index,
@@ -222,13 +225,23 @@ class _Readout:
             _check_condition(calibration)
             self.inverse = calibration.inverse
 
-    def distribution(self, sv: np.ndarray) -> np.ndarray:
-        """|a_i|^2 read through the noise model's matrix, normalized for
-        a draw in the sampled mode."""
-        probs = populations(sv)
+    def distribution(self, states: np.ndarray):
+        """|a_i|^2 of each row of a (T, 2^n) stack of states, read through
+        the noise model's matrix and normalized for a draw in the sampled
+        mode, and the first row whose populations fail their sum check,
+        as (index, ValidationError), or None. Only the rows before that
+        one are returned."""
+        probs = np.abs(states) ** 2
+        failure = _screen_rows(probs.sum(axis=1), populations, states)
+        if failure is not None:
+            probs = probs[: failure[0]]
+        # M p and its normalization one row at a time, as for a lone
+        # state: a product of the whole stack rounds differently.
         if self.matrix is not None:
-            probs = self.matrix @ probs
-        return probs if self.shots is None else probs / probs.sum()
+            probs = [self.matrix @ p for p in probs]
+        if self.shots is not None:
+            probs = [p / p.sum() for p in probs]
+        return probs, failure
 
     def tally(self, dist: np.ndarray, seed: int) -> np.ndarray:
         return np.random.default_rng(seed).multinomial(self.shots, dist)
@@ -241,6 +254,13 @@ class _Readout:
             return freqs
         _check_frequencies(freqs)
         return _unmix(self.inverse, freqs)
+
+
+def _distribution(readout: _Readout, sv: np.ndarray) -> np.ndarray:
+    """``readout.distribution`` of one state, its sum check raised."""
+    dists, failure = readout.distribution(sv[None])
+    _raise(failure)
+    return dists[0]
 
 
 def sample_counts(
@@ -257,7 +277,7 @@ def sample_counts(
     _check_seed(seed)
     sv = np.asarray(sv)
     readout = _Readout(_state_qubits(sv), shots, noise, None)
-    return readout.tally(readout.distribution(sv), seed)
+    return readout.tally(_distribution(readout, sv), seed)
 
 
 def estimate_populations(
@@ -277,7 +297,7 @@ def estimate_populations(
     _check_seed(seed)
     sv = np.asarray(sv)
     readout = _Readout(_state_qubits(sv), shots, noise, calibration)
-    return readout.draw(readout.distribution(sv), seed)
+    return readout.draw(_distribution(readout, sv), seed)
 
 
 # At most 126 read-only arrays: num_qubits <= 6 and mask < 2^num_qubits.
@@ -439,7 +459,7 @@ def _read_bases(
             if node is None:
                 node = children[gate] = (_rotate(rotated, gate, num_qubits), {})
             rotated, children = node
-        freqs = readout.draw(readout.distribution(rotated), seed + basis.offset)
+        freqs = readout.draw(_distribution(readout, rotated), seed + basis.offset)
         for position, signs in basis.reads:
             means[position] = float(signs @ freqs)
     return means

@@ -13,6 +13,9 @@ Uhlmann fidelity in 60-digit mpmath arithmetic, so they bound the
 library's float error.
 ``reference_parse_circuit`` is the circuit parser as it read when every
 call tokenized its text, kept to check the parse-once parser bit for bit.
+``reference_simulate`` is the simulator as it read before states were
+stacked: one gate at a time on a lone vector, each matrix built from
+Python floats, each one-qubit product through ``np.moveaxis``.
 The ``reference_`` completion, solve, forward map and block fidelity are
 the scalar float code that the library's array kernels replaced, kept to
 check those kernels bit for bit, signed zeros and error messages included.
@@ -421,6 +424,44 @@ def reference_parse_circuit(text: str, theta=None) -> Circuit:
     if num_qubits is None:
         raise ParseError("empty circuit text, expected 'qubits <n>' header")
     return Circuit(num_qubits, tuple(gates))
+
+
+def _reference_matrix(gate: Gate) -> np.ndarray:
+    if gate.kind == "h":
+        return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+    if gate.kind == "x":
+        return np.array([[0, 1], [1, 0]], dtype=complex)
+    t = gate.angle / 2
+    if gate.kind == "rx":
+        return np.array([[math.cos(t), -1j * math.sin(t)], [-1j * math.sin(t), math.cos(t)]])
+    if gate.kind == "ry":
+        return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]], dtype=complex)
+    return np.array([[np.exp(-1j * t), 0], [0, np.exp(1j * t)]])
+
+
+def reference_simulate(c: Circuit) -> np.ndarray:
+    """The final amplitudes of ``c`` on |0...0>, one gate at a time."""
+    n = c.num_qubits
+    state = np.zeros(2**n, dtype=complex)
+    state[0] = 1.0
+    index = np.arange(2**n)
+    for gate in c.gates:
+        if gate.kind in ("cx", "cz"):
+            # Exact moves: cx swaps the amplitude pairs of the target where
+            # the control is 1, cz negates those with both bits 1.
+            first, second = (1 << q for q in gate.targets)
+            on = index & first != 0
+            state = state.copy()
+            if gate.kind == "cx":
+                state[on] = state[index[on] ^ second]
+            else:
+                on &= index & second != 0
+                state[on] = -state[on]
+        else:
+            axis = n - 1 - gate.targets[0]
+            psi = np.moveaxis(state.reshape([2] * n), axis, -1) @ _reference_matrix(gate).T
+            state = np.moveaxis(psi, -1, axis).reshape(-1)
+    return state
 
 
 # The scalar completion, solve, forward map and block fidelity, one point

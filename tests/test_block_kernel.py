@@ -26,7 +26,7 @@ from conftest import (
 import qmaxent.cli as cli
 import qmaxent.linalg as linalg
 import qmaxent.maxent as maxent
-from qmaxent import InfeasibleRecordError, ValidationError
+from qmaxent import DomainError, InfeasibleRecordError, ValidationError
 from qmaxent.cli import ExperimentConfig, load_config, run_case_ab, run_sweep
 from qmaxent.maxent import (
     LagrangeSet,
@@ -209,6 +209,14 @@ class TestBlockFidelity:
     def test_sets_of_different_shape_are_rejected(self, n, k):
         with pytest.raises(ValidationError, match="differ"):
             block_fidelity(LagrangeSet(4, 2, 0.0, 0.0, 0.0), LagrangeSet(n, k, 0.0, 0.0, 0.0))
+
+    def test_overflowing_multiplier_sum_is_a_domain_error(self):
+        # z = 2.03e304 is finite, but the cross term exp(-(sum)/2) is
+        # exp(1400); the error names the multiplier sum.
+        ls = LagrangeSet(4, 2, -700.0, 0.0, -700.0)
+        assert math.isfinite(spectrum(ls).z)
+        with pytest.raises(DomainError, match=r"lamKK_b = -2800\.0, and exp"):
+            block_fidelity(ls, ls)
 
     def test_spectrum_is_computed_once_per_set(self, monkeypatch):
         # The forward kernel runs once per solve, in its reproduction check,

@@ -242,19 +242,27 @@ class TestRunSweep:
     @pytest.mark.parametrize(
         ("name", "fake", "message"),
         [
-            ("coherence", lambda sv, i, j: complex(2.0), r"^\|x_1k\| = 2.0 exceeds 1$"),
+            (
+                "coherence",
+                lambda states, i, j: np.full(len(states), complex(2.0)),
+                r"^\|x_1k\| = 2.0 exceeds 1$",
+            ),
             (
                 "populations",
-                lambda sv: np.array([1.5, 0.0, 0.0, 0.0]),
+                lambda self, states: (np.tile([1.5, 0.0, 0.0, 0.0], (len(states), 1)), None),
                 r"^x_11 = 1.5 outside \[0, 1\]$",
             ),
         ],
     )
     def test_measured_values_are_validated(self, monkeypatch, name, fake, message):
         # The projection would clip these silently; the sweep checks the
-        # measured (x11, x1K) before completing them. The exact backend's
-        # populations come from the sampler's kernel.
-        monkeypatch.setattr(cli if name == "coherence" else sampler, name, fake)
+        # measured (x11, x1K) before completing them. The exact backend
+        # reads every theta's coherences and populations from the stack of
+        # states, the populations through the sampler's kernel.
+        if name == "coherence":
+            monkeypatch.setattr(cli, "_coherence", fake)
+        else:
+            monkeypatch.setattr(sampler._Readout, "distribution", fake)
         with pytest.raises(ValidationError, match=message):
             run_sweep(exact_config())
 

@@ -308,6 +308,24 @@ class TestScalarInputErrors:
                 predict_population(x11, x1k)
 
     @pytest.mark.parametrize(
+        "build",
+        [
+            lambda z: MeasurementRecord(4, 2, 0.5, z),
+            lambda z: MeasurementRecord(4, 2, 0.5, z, 0.25),
+            lambda z: predict_population(0.5, z),
+            lambda z: feasible_record(4, 2, 0.5, z),
+            lambda z: LagrangeSet(4, 2, 0.5, z, 0.25),
+        ],
+    )
+    def test_modulus_past_the_float_range_names_the_value(self, build):
+        # Each part is finite, but abs() of the value overflows.
+        huge = complex(1.5e308, 1.5e308)
+        with pytest.raises(
+            ValidationError, match=r"= \(1\.5e\+308\+1\.5e\+308j\) has a modulus past"
+        ):
+            build(huge)
+
+    @pytest.mark.parametrize(
         ("dim_n", "index_k", "name"),
         [(4.0, 2, "dim_n"), (4, 2.0, "index_k"), ("4", 2, "dim_n"), (4, None, "index_k")],
     )

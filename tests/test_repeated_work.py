@@ -1,10 +1,11 @@
 """The sweep does each piece of repeated work once, with the same bytes.
 
-- A circuit text is tokenized once and bound per theta; every angle has
-  the bits, and every error the message and line, of a parser that
-  tokenizes on every call (``reference_parse_circuit``).
+- A circuit text is tokenized once, and a sweep binds all its thetas at
+  once; every angle has the bits, and every error the message and line,
+  of a parser that tokenizes on every call (``reference_parse_circuit``).
 - The gates before the first theta-dependent one are simulated once per
-  sweep, and each theta's state has the bits of a full simulation.
+  sweep, each later gate once on the stack of every theta's state, and
+  each theta's state has the bits of a full simulation.
 - A sweep emits no clamp warning, and leaves the warning filters as it
   found them, also when a point raises.
 - The reproduction check runs inside the array solve kernel: it builds no
@@ -18,8 +19,9 @@
   mitigated sweep inverts and conditions each calibration matrix once,
   solving no linear system per basis.
 - A sampled sweep validates its readout once and draws through the
-  sampler's kernel: one generator per draw, one distribution of the
-  unrotated state per theta, and no call of the public estimators.
+  sampler's kernel: one generator per draw, one distribution call for
+  the unrotated states of every theta, and no call of the public
+  estimators.
 """
 
 import math
@@ -151,16 +153,19 @@ class TestParseOnce:
 
 
 def count_gate_applications(monkeypatch) -> list[int]:
-    count = [0]
+    """Wrap the gate kernels; the list gets the row count of the state of
+    each application (1 for a lone vector)."""
+    rows = []
     for name in ("_apply_1q", "_apply_2q"):
         original = getattr(circuit, name)
 
         def counted(*args, _original=original):
-            count[0] += 1
+            state = args[0]
+            rows.append(1 if state.ndim == 1 else len(state))
             return _original(*args)
 
         monkeypatch.setattr(circuit, name, counted)
-    return count
+    return rows
 
 
 def count_calls(monkeypatch, owner, names) -> dict[str, int]:
@@ -198,13 +203,16 @@ class TestThetaFreePrefix:
         with pytest.raises(ParseError, match="line 3"):
             theta_free_prefix("qubits 1\nh 0\nfoo 0")
 
-    @pytest.mark.parametrize(
-        ("model", "gates"), [("threeq_a", 3 + 201 * 5), ("twoq_b", 201 * 5)]
-    )
-    def test_gate_applications_per_sweep(self, monkeypatch, model, gates):
-        count = count_gate_applications(monkeypatch)
+    @pytest.mark.parametrize(("model", "prefix", "rest"), [("threeq_a", 3, 5), ("twoq_b", 0, 5)])
+    def test_gate_applications_per_sweep(self, monkeypatch, model, prefix, rest):
+        rows = count_gate_applications(monkeypatch)
+        per_theta = count_calls(monkeypatch, circuit, ("parse_circuit", "simulate"))
         run_sweep(ExperimentConfig(circuit_path=model, theta_steps=201))
-        assert count[0] == gates
+        # The prefix applies once to one vector, and each later gate once to
+        # the stack of all 201 thetas; no theta is parsed or simulated
+        # alone (the one simulate call is the prefix's).
+        assert rows == [1] * prefix + [201] * rest
+        assert per_theta == {"parse_circuit": 0, "simulate": 1}
 
 
 def clamping_config() -> ExperimentConfig:
@@ -402,11 +410,11 @@ class TestSamplingKernel:
         bases = [2 ** bin(p.k - 1).count("1") for p in points]
         assert generators["default_rng"] == sum(1 + b for b in bases) == 231
         assert public == dict.fromkeys(public, 0)
-        # One readout per sweep; the unrotated state's distribution once
-        # per theta, and one per rotated basis.
+        # One readout per sweep; one distribution call for the unrotated
+        # states of every theta, and one per rotated basis.
         assert kernel == {
             "__init__": 1,
-            "distribution": cfg.theta_steps + sum(bases),
+            "distribution": 1 + sum(bases),
             "draw": len(points) + sum(bases),
         }
         # Every K of a 2-qubit state shares one trie per theta: 3(3^2 - 1)/2
@@ -419,4 +427,6 @@ class TestSamplingKernel:
         kernel = count_calls(monkeypatch, sampler._Readout, ("distribution",))
         points = run_sweep(cfg)
         assert generators["default_rng"] == 0
-        assert kernel["distribution"] == cfg.theta_steps < len(points)
+        # One call reads the populations of the whole stack of states.
+        assert len(points) == cfg.theta_steps * len(cfg.k_targets)
+        assert kernel["distribution"] == 1
