@@ -54,7 +54,6 @@ from .pauli import (
     PauliDecomposition,
     PauliString,
     decompose_ketbra,
-    expectation_from_paulis,
     measurement_settings,
 )
 from .sampler import (

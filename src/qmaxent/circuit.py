@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParseError, TomographyError, ValidationError
-from .linalg import _cmul, _earliest, _join, _raise, _raised
+from .linalg import _earliest, _raise, _raised
 
 GATE_KINDS = ("h", "x", "cx", "cz", "rx", "ry", "rz")
 _ROTATIONS = ("rx", "ry", "rz")
@@ -602,6 +602,10 @@ def coherence(sv: np.ndarray, i: int, j: int) -> complex:
 
 def _coherence(states: np.ndarray, i: int, j: int) -> np.ndarray:
     """conj(a_{i-1}) * a_{j-1} of each row of ``states`` (an amplitude
-    vector or a stack), numpy's complex product written on the parts."""
+    vector or a stack), written on the parts as a scalar complex product
+    rounds; numpy's vector complex product can round differently."""
     a, b = states[..., i - 1], states[..., j - 1]
-    return _join(*_cmul(a.real, -a.imag, b.real, b.imag))
+    out = np.empty(np.shape(a), dtype=complex)
+    out.real = a.real * b.real + a.imag * b.imag
+    out.imag = a.real * b.imag - a.imag * b.real
+    return out

@@ -329,13 +329,14 @@ def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
         dim_n, x11, x1k, xkk
     )
     _, lams_b, near_b, spec_b, failure_b = _complete_and_solve(dim_n, x11, x1k, xkk_true)
+    (*_, z_a, block_a), (*_, z_b, block_b) = spec_a, spec_b
+    fidelity, failure_f = _block_fidelity(dim_n, lams_a, z_a, block_a, lams_b, z_b, block_b)
     # Errors in the order of a loop over the points: a point's case A
-    # before its case B, before the next point, before a later measurement.
-    _raise(_earliest(failure_a, failure_b))
+    # before its case B and its fidelity, before the next point, before a
+    # later measurement.
+    _raise(_earliest(failure_a, failure_b, failure_f))
     if measure_error is not None:
         raise measure_error
-    (*_, z_a, block_a), (*_, z_b, block_b) = spec_a, spec_b
-    fidelity = _block_fidelity(dim_n, lams_a, z_a, block_a, lams_b, z_b, block_b)
     results = zip(
         xkk_pred.tolist(), fidelity.tolist(),
         *(v.tolist() for v in lams_a), near_a.tolist(),

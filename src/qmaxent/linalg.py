@@ -1,5 +1,5 @@
-"""Hermitian matrix checks, the tolerance policy and the helpers of the
-array kernels.
+"""Hermitian matrix checks, the tolerance policy and the failure helpers
+of the array kernels.
 
 Tolerances come from the module-wide ``POLICY`` record so callers and
 tests share one set of knobs.
@@ -8,7 +8,9 @@ An array kernel (``maxent``'s solve and forward map, ``circuit``'s theta
 stack, the sampler's distributions) works on one element per point and
 raises nothing: it returns its first failure as (index, exception), or
 None, and its caller raises it when its own loop over the points reaches
-that index (``_failure``, ``_earliest``, ``_raise``).
+that index. ``_failure``, ``_earliest``, ``_raise`` and ``_raised``
+build, order and raise those failures for ``maxent``, ``circuit``,
+``sampler`` and ``cli``.
 """
 
 from __future__ import annotations
@@ -61,18 +63,6 @@ def require_hermitian(m, atol: float = POLICY.hermitian_atol) -> np.ndarray:
             f"differ by {worst:.3e} (tolerance {atol:.1e})"
         )
     return 0.5 * (a + a.conj().T)
-
-
-def _cmul(ar, ai, br, bi):
-    """CPython's complex product of (ar, ai) and (br, bi)."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _join(re, im) -> np.ndarray:
-    """The complex array with these parts, signed zeros kept."""
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out
 
 
 def _raised(check, *args, **kwargs) -> Exception | None:

@@ -29,10 +29,10 @@ fidelity also follows from the two 2x2 blocks (``block_fidelity``); the
 dense ``fidelity`` is kept for arbitrary density matrices.
 
 The completion, the solve, the forward map, the prediction and the block
-fidelity are array kernels, one element per point, each element with the
-bits of the scalar float arithmetic that defines it (see the note above
-``_cmul``). ``_complete_and_solve`` holds the one completion and
-saturation policy: estimates are projected onto the feasible set
+fidelity are array kernels in plain numpy, one element per point, exact
+to rounding (see the note above ``_record_failure``).
+``_complete_and_solve`` holds the one completion and saturation policy:
+estimates are projected onto the feasible set
 (``_project``), moved off the x11 + xKK = 1 boundary (``_rescale``) and
 solved (``_solve``), and the solve's reproduction check runs the one
 forward kernel, ``_exponent_spectrum``. A sweep makes one call of each
@@ -53,7 +53,6 @@ import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -64,16 +63,7 @@ from .errors import (
     TomographyError,
     ValidationError,
 )
-from .linalg import (
-    POLICY,
-    _cmul,
-    _earliest,
-    _failure,
-    _join,
-    _raise,
-    _raised,
-    require_hermitian,
-)
+from .linalg import POLICY, _earliest, _failure, _raise, _raised, require_hermitian
 
 _SOURCES = ("measured", "predicted")
 
@@ -258,17 +248,15 @@ def spectrum(ls: LagrangeSet) -> ExponentSpectrum:
     return ls._spectrum
 
 
-# The kernels below take one array element per point and give each element
-# the bits of the scalar float arithmetic that defines it. numpy does only
-# +, -, *, /, sqrt, hypot (libm's, as abs(complex) is), comparisons and
-# selections, which round the same way. Python's own float calls do ** 2
-# (libm pow), exp, log, log1p and math.hypot: numpy's versions round
-# differently on a few percent of inputs, and it picks its exp and log
-# loops by CPU. Complex values are multiplied and divided on their parts
-# as CPython does (``linalg._cmul``, ``_cdiv``), with a float promoted to
-# (f, 0.0) wherever Python promotes it; the 0.0 * im terms decide the
-# signs of zeros. The kernels silence numpy's floating-point warnings: a
-# branch not taken, or a point that has failed, may divide by zero.
+# The kernels below take one array element per point and compute each
+# element's formula with numpy's arithmetic, to within a few units of
+# rounding (tests/test_sweep_kernel.py bounds each stage against 60-digit
+# arithmetic). The last bits depend on numpy's build: it picks its exp and
+# log loops by CPU. Moduli are np.hypot of the parts, as abs() of a
+# Python complex is, which the scalar record checks use; numpy's complex
+# abs rounds differently on some inputs. The kernels silence numpy's
+# floating-point warnings: a branch not taken, or a point that has
+# failed, may divide by zero or overflow.
 #
 # A kernel raises nothing. It returns its failure as (index, exception),
 # or None: the error that solving the points one at a time, in order,
@@ -276,61 +264,6 @@ def spectrum(ls: LagrangeSet) -> ExponentSpectrum:
 # element's Python floats. A point that fails a step runs on through the
 # later steps on garbage, quietly; the earliest point's earliest step
 # wins (``_earliest``).
-
-
-def _cdiv(ar, ai, br, bi):
-    """CPython's complex quotient of (ar, ai) by (br, bi): Smith's
-    algorithm, scaled by the larger part of the divisor."""
-    by_real = np.abs(br) >= np.abs(bi)
-    by_imag = np.abs(bi) >= np.abs(br)
-    ratio = bi / br
-    denom = br + bi * ratio
-    re = np.where(by_real, (ar + ai * ratio) / denom, np.nan)
-    im = np.where(by_real, (ai - ar * ratio) / denom, np.nan)
-    ratio = br / bi
-    denom = br * ratio + bi
-    re = np.where(~by_real & by_imag, (ar * ratio + ai) / denom, re)
-    im = np.where(~by_real & by_imag, (ai * ratio - ar) / denom, im)
-    return re, im
-
-
-def _map(fn, *columns) -> np.ndarray:
-    """``fn`` on each element as Python floats; an OverflowError propagates."""
-    return np.array(list(map(fn, *columns)), dtype=float)
-
-
-def _map_or_inf(fn, *columns) -> np.ndarray:
-    """``_map`` with inf where ``fn`` overflows."""
-    try:
-        return _map(fn, *columns)
-    except OverflowError:
-        return np.array([_or_inf(fn, *args) for args in zip(*columns)], dtype=float)
-
-
-def _or_inf(fn, *args) -> float:
-    try:
-        return fn(*args)
-    except OverflowError:
-        return math.inf
-
-
-def _squares(x: np.ndarray) -> np.ndarray:
-    """x ** 2 of each element by Python's float power, inf where it
-    overflows."""
-    return _map_or_inf(pow, x.tolist(), repeat(2))
-
-
-def _clip_unit(x: np.ndarray) -> np.ndarray:
-    """min(max(x, 0.0), 1.0) as Python evaluates it: each keeps its first
-    argument unless the second compares strictly past it."""
-    x = np.where(0.0 > x, 0.0, x)
-    return np.where(1.0 < x, 1.0, x)
-
-
-def _scaled(z: np.ndarray, where: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """z * factor, the float factor promoted, at ``where``; z elsewhere."""
-    re, im = _cmul(z.real, z.imag, factor, 0.0)
-    return np.where(where, _join(re, im), z)
 
 
 def _record_failure(x11, x1k, xkk):
@@ -359,16 +292,15 @@ def _exponent_spectrum(dim_n: int, l11, l1k, lkk):
     Returns the arrays (eps3, eps4, k3, k4, a, b, z, (e11, e1k, ekk)), in
     the order of ``ExponentSpectrum``'s fields with eps3, eps4 in place of
     eps, and the first failure: a DomainError naming the multipliers where
-    exp(A) leaves the float range. Wherever Python's abs, ** 2 or exp
-    would raise OverflowError, the infinity taken in its place leaves z or
-    a + b infinite or NaN, so that one test finds every overflow.
+    exp(A) leaves the float range. An overflowing square or exp leaves z
+    or a + b infinite or NaN, so that one test finds every overflow.
     """
     with np.errstate(all="ignore"):
         modulus = np.hypot(l1k.real, l1k.imag)
         diagonal = modulus < POLICY.lam_zero_atol
         gap = l11 - lkk
-        quad = 4.0 * _squares(modulus)
-        root = np.sqrt(quad + _squares(gap))
+        quad = 4.0 * (modulus * modulus)
+        root = np.sqrt(quad + gap * gap)
         total = l11 + lkk
         eps3 = np.where(diagonal, -l11, -0.5 * (total + root))
         eps4 = np.where(diagonal, -lkk, -0.5 * (total - root))
@@ -378,23 +310,21 @@ def _exponent_spectrum(dim_n: int, l11, l1k, lkk):
         up, plus, minus = gap >= 0, root + gap, root - gap
         shift3 = np.where(up, -0.5 * plus, -0.5 * quad / minus)
         shift4 = np.where(up, np.where(plus != 0, 0.5 * quad / plus, 0.0), 0.5 * minus)
-        # k = -shift / conj(l1k), the float -shift promoted to a complex.
-        k3 = _join(*_cdiv(-shift3, 0.0, l1k.real, -l1k.imag))
-        k4 = _join(*_cdiv(-shift4, 0.0, l1k.real, -l1k.imag))
-        m3 = _squares(np.hypot(k3.real, k3.imag))
-        m4 = _squares(np.hypot(k4.real, k4.imag))
-        exp3 = _map_or_inf(math.exp, eps3.tolist())
-        exp4 = _map_or_inf(math.exp, eps4.tolist())
+        k3 = -shift3 / l1k.conj()
+        k4 = -shift4 / l1k.conj()
+        # |k|^2 = (shift / |l1k|)^2, on reals: rounding k first costs digits.
+        m3, m4 = shift3 / modulus, shift4 / modulus
+        m3, m4 = m3 * m3, m4 * m4
+        exp3, exp4 = np.exp(eps3), np.exp(eps4)
         a = np.where(diagonal, exp3, m3 * exp3 / (m3 + 1.0))
         b = np.where(diagonal, 0.0, m4 * exp4 / (m4 + 1.0))
         # Written multiplicatively (a / conj(k) = k exp(eps) / (|k|^2 +
         # 1)) so a vanishing slope cannot divide by zero.
         w3 = exp3 / (m3 + 1.0)
         w4 = exp4 / (m4 + 1.0)
-        c3, c4 = _cmul(k3.real, k3.imag, w3, 0.0), _cmul(k4.real, k4.imag, w4, 0.0)
         block = (
             np.where(diagonal, exp3, a + b),
-            np.where(diagonal, 0j, _join(c3[0] + c4[0], c3[1] + c4[1])),
+            np.where(diagonal, 0j, k3 * w3 + k4 * w4),
             np.where(diagonal, exp4, w3 + w4),
         )
         z = exp3 + exp4 + float(dim_n - 2)
@@ -422,7 +352,7 @@ def _expectations(spec):
     """The mean values (x11, x1K, xKK) = block / z of each point."""
     *_, z, (e11, e1k, ekk) = spec
     with np.errstate(all="ignore"):
-        return e11 / z, _join(*_cdiv(e1k.real, e1k.imag, z, 0.0)), ekk / z
+        return e11 / z, e1k / z, ekk / z
 
 
 def _arrays(*values) -> tuple[np.ndarray, ...]:
@@ -460,7 +390,8 @@ def _predict_population(x11, x1k):
     """|x1K|^2 / x11 of each point clamped to [0, 1 - x11], the value
     before the clamp, and the clamp's ceiling max(0, 1 - x11)."""
     with np.errstate(all="ignore"):
-        value = _squares(np.hypot(x1k.real, x1k.imag)) / x11
+        modulus = np.hypot(x1k.real, x1k.imag)
+        value = modulus * modulus / x11
         ceiling = 1.0 - x11
         ceiling = np.where(ceiling > 0.0, ceiling, 0.0)
         return np.where(ceiling < value, ceiling, value), value, ceiling
@@ -506,7 +437,7 @@ def _project(x11, x1k, xkk=None):
     ValidationError naming it, and is never clipped."""
     with np.errstate(all="ignore"):
         modulus = np.hypot(x1k.real, x1k.imag)
-        finite = np.isfinite(x11) & np.isfinite(x1k.real) & np.isfinite(x1k.imag)
+        finite = np.isfinite(x11) & np.isfinite(x1k)
         if xkk is not None:
             finite &= np.isfinite(xkk)
         # The first statement of the record check raises for exactly these
@@ -516,18 +447,18 @@ def _project(x11, x1k, xkk=None):
             _check_record_values, x11[i].item(), x1k[i].item(),
             None if xkk is None else xkk[i].item(),
         ))
-        x11 = _clip_unit(x11)
-        x1k = _scaled(x1k, modulus > 1.0, 1.0 / modulus)
+        x11 = np.clip(x11, 0.0, 1.0)
+        x1k = np.where(modulus > 1.0, x1k * (1.0 / modulus), x1k)
         if xkk is not None:
-            xkk = _clip_unit(xkk)
+            xkk = np.clip(xkk, 0.0, 1.0)
             total = x11 + xkk
             over = total > 1.0
             x11 = np.where(over, x11 / total, x11)
             xkk = np.where(over, xkk / total, xkk)
-            x1k = np.where(over, _join(*_cdiv(x1k.real, x1k.imag, total, 0.0)), x1k)
+            x1k = np.where(over, x1k / total, x1k)
             bound = np.sqrt(x11 * xkk)
             modulus = np.hypot(x1k.real, x1k.imag)
-            x1k = _scaled(x1k, modulus > bound, bound / modulus)
+            x1k = np.where(modulus > bound, x1k * (bound / modulus), x1k)
     return (x11, x1k, xkk), failure
 
 
@@ -564,7 +495,8 @@ def _rescale(x11, x1k, xkk):
         c = np.where(total < 1.0 - POLICY.feasibility_atol, 1.0, (1.0 - 1e-9) / total)
         fired = c != 1.0
         rescaled = (
-            np.where(fired, c * x11, x11), _scaled(x1k, fired, c), np.where(fired, c * xkk, xkk)
+            np.where(fired, c * x11, x11), np.where(fired, x1k * c, x1k),
+            np.where(fired, c * xkk, xkk),
         )
     return rescaled, fired
 
@@ -629,9 +561,9 @@ def _solve(dim_n: int, x11, x1k, xkk):
         z = float(dim_n - 2) / (1.0 - x11 - xkk)
         mid = 0.5 * total
         half_gap = 0.5 * (x11 - xkk)
-        r = _map(math.hypot, half_gap.tolist(), np.hypot(x1k.real, x1k.imag).tolist())
+        r = np.hypot(half_gap, np.hypot(x1k.real, x1k.imag))
         w_hi = mid + r
-        det = x11 * xkk - (_squares(x1k.real) + _squares(x1k.imag))
+        det = x11 * xkk - (x1k.real * x1k.real + x1k.imag * x1k.imag)
         w_lo = np.where(w_hi > 0, det / w_hi, 0.0)
         negative = _failure(
             w_lo < -POLICY.record_atol,
@@ -644,29 +576,22 @@ def _solve(dim_n: int, x11, x1k, xkk):
         z_hi = z * np.where(0.0 > w_hi, 0.0, w_hi)
         z_lo = z * w_lo
         near_singular = z_lo <= floor
-        log_hi = _map(math.log, np.where(floor > z_hi, floor, z_hi).tolist())
-        log_lo = _map(math.log, np.where(floor > z_lo, floor, z_lo).tolist())
-        # log1p(2r / w_lo), where it is taken; a point that failed a check
-        # above may hold a value below -1 there, which log1p rejects.
-        ratio = 2 * r / w_lo
-        smooth = (r != 0.0) & ~near_singular & (ratio > -1.0)
-        log_ratio = _map(math.log1p, np.where(smooth, ratio, 0.0).tolist())
+        log_hi = np.log(np.where(floor > z_hi, floor, z_hi))
+        log_lo = np.log(np.where(floor > z_lo, floor, z_lo))
         g = np.where(
             r == 0.0,
             0.0,
-            np.where(near_singular, (log_hi - log_lo) / (2 * r), log_ratio / (2 * r)),
+            np.where(
+                near_singular, (log_hi - log_lo) / (2 * r), np.log1p(2 * r / w_lo) / (2 * r)
+            ),
         )
         avg = 0.5 * (log_hi + log_lo)
         lam_11 = -(avg + g * half_gap)
-        # g * x1K + 0j: the 0j makes a zero part +0.0 before the negation,
-        # so a zero multiplier is -0.0 whatever the signs of the zeros in x1K.
-        re, im = _cmul(g, 0.0, x1k.real, x1k.imag)
-        lam_1k = _join(-(re + 0.0), -(im + 0.0))
+        # The + 0.0 makes a zero part +0.0 before the negation, so a zero
+        # multiplier is -0.0 whatever the signs of the zeros in x1K.
+        lam_1k = -(g * x1k + 0.0)
         lam_kk = -(avg - g * half_gap)
-        finite = (
-            np.isfinite(lam_11) & np.isfinite(lam_1k.real) & np.isfinite(lam_1k.imag)
-            & np.isfinite(lam_kk)
-        )
+        finite = np.isfinite(lam_11) & np.isfinite(lam_1k) & np.isfinite(lam_kk)
     non_finite = _failure(~finite, lambda i: _raised(
         _name_non_finite, lam_11=lam_11[i].item(), lam_1k=lam_1k[i].item(),
         lam_kk=lam_kk[i].item(),
@@ -812,20 +737,26 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _block_fidelity(dim_n: int, lams_a, z_a, block_a, lams_b, z_b, block_b) -> np.ndarray:
+def _block_fidelity(dim_n: int, lams_a, z_a, block_a, lams_b, z_b, block_b):
     """``block_fidelity`` of each point's two multiplier sets, from their
     multipliers (lam_11, lam_1k, lam_kk), partition functions and blocks
-    (e11, e1k, ekk) of exp(A)."""
+    (e11, e1k, ekk) of exp(A), and the first failure: a DomainError where
+    exp of minus half the multiplier sum overflows."""
     (a11, a1k, akk), (b11, b1k, bkk) = block_a, block_b
     with np.errstate(all="ignore"):
-        # (a1k * conj(b1k)).real, as CPython's complex product gives it.
-        cross = a1k.real * b1k.real - a1k.imag * -b1k.imag
+        # The real part of a1k * conj(b1k).
+        cross = a1k.real * b1k.real + a1k.imag * b1k.imag
         overlap = a11 * b11 + akk * bkk + 2.0 * cross
-        half_trace = -0.5 * (lams_a[0] + lams_a[2] + lams_b[0] + lams_b[2])
-        total = overlap + 2.0 * _map(math.exp, half_trace.tolist())
-        root = np.sqrt(np.where(0.0 > total, 0.0, total))
-        value = _map(pow, (root + float(dim_n) - 2.0).tolist(), repeat(2)) / (z_a * z_b)
-    return _clip_unit(value)
+        lam_sum = lams_a[0] + lams_a[2] + lams_b[0] + lams_b[2]
+        det_root = np.exp(-0.5 * lam_sum)
+        total = overlap + 2.0 * det_root
+        root = np.sqrt(np.where(0.0 > total, 0.0, total)) + float(dim_n) - 2.0
+        value = np.clip(root * root / (z_a * z_b), 0.0, 1.0)
+    failure = _failure(np.isinf(det_root) & np.isfinite(lam_sum), lambda i: DomainError(
+        f"block fidelity overflows: lam11_a + lamKK_a + lam11_b + lamKK_b "
+        f"= {lam_sum[i].item()!r}, and exp of minus half of it leaves the float range"
+    ))
+    return value, failure
 
 
 def block_fidelity(a: LagrangeSet, b: LagrangeSet) -> float:
@@ -851,18 +782,12 @@ def block_fidelity(a: LagrangeSet, b: LagrangeSet) -> float:
             f"({b.dim_n}, {b.index_k})"
         )
     sa, sb = spectrum(a), spectrum(b)
-    try:
-        value = _block_fidelity(
-            a.dim_n,
-            _arrays(a.lam_11, a.lam_1k, a.lam_kk), np.array([sa.z]), _arrays(*sa.block),
-            _arrays(b.lam_11, b.lam_1k, b.lam_kk), np.array([sb.z]), _arrays(*sb.block),
-        )
-    except OverflowError:
-        total = a.lam_11 + a.lam_kk + b.lam_11 + b.lam_kk
-        raise DomainError(
-            f"block fidelity overflows: lam11_a + lamKK_a + lam11_b + lamKK_b "
-            f"= {total!r}, and exp of minus half of it leaves the float range"
-        ) from None
+    value, failure = _block_fidelity(
+        a.dim_n,
+        _arrays(a.lam_11, a.lam_1k, a.lam_kk), np.array([sa.z]), _arrays(*sa.block),
+        _arrays(b.lam_11, b.lam_1k, b.lam_kk), np.array([sb.z]), _arrays(*sb.block),
+    )
+    _raise(failure)
     return value.item()
 
 
@@ -887,7 +812,8 @@ def heatmap_scan(
         return []
     _check_dims(dim_n, index_k)
     l11 = np.array([p[0] for p in grid])
-    l1k = _join(np.array([p[1] for p in grid]), float(im_lam1k))
+    im = float(im_lam1k)
+    l1k = np.array([complex(p[1], im) for p in grid])
     lkk = np.full(len(grid), float(lam_kk))
     with np.errstate(all="ignore"):
         valid = np.isfinite(l11) & np.isfinite(np.hypot(l1k.real, l1k.imag)) & np.isfinite(lkk)

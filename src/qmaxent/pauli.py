@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .circuit import MAX_QUBITS, Gate
-from .errors import IncompleteDataError, ValidationError
+from .errors import ValidationError
 
 _LETTERS = ("I", "X", "Y", "Z")
 
@@ -106,30 +106,6 @@ def decompose_ketbra(i: int, j: int, num_qubits: int) -> PauliDecomposition:
         coeff = math.prod((c for _, c in combo), start=complex(1.0))
         terms[PauliString(letters)] = coeff
     return PauliDecomposition(num_qubits, terms)
-
-
-def expectation_from_paulis(
-    d: PauliDecomposition, pauli_means: Mapping[PauliString, float]
-) -> complex:
-    """Recombine measured string means into the operator's expectation.
-
-    The all-identity string contributes mean 1 and need not be supplied.
-    Raises IncompleteDataError listing any other strings that are missing.
-    """
-    total = complex(0.0)
-    missing = []
-    for ps, coeff in d.terms.items():
-        if ps.is_identity:
-            mean = 1.0
-        elif ps in pauli_means:
-            mean = pauli_means[ps]
-        else:
-            missing.append(str(ps))
-            continue
-        total += coeff * mean
-    if missing:
-        raise IncompleteDataError(f"missing Pauli means for: {', '.join(sorted(missing))}")
-    return total
 
 
 def measurement_settings(p: PauliString) -> MeasurementSetting:

@@ -474,7 +474,7 @@ def _measure_ketbra(
     root: dict,
 ) -> complex:
     """The mean of a |i><j| from its plan: coeff * mean summed in the
-    decomposition's order, as ``expectation_from_paulis`` sums it."""
+    decomposition's order."""
     coeffs, bases = plan
     means = _read_bases(sv, num_qubits, bases, readout, seed, root, [0.0] * len(coeffs))
     total = complex(0.0)

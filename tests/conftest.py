@@ -10,15 +10,16 @@ spectral exp/log and the Kronecker matrices of Pauli strings, where the
 library works on the 2x2 block in closed form and on state vectors. The
 ``mp_`` oracles repeat the dense matrix log, the density exp(A)/Z and the
 Uhlmann fidelity in 60-digit mpmath arithmetic, so they bound the
-library's float error.
+library's float error; the ``mp_`` kernels do the same for each stage of
+the library's array kernels, formula by formula.
 ``reference_parse_circuit`` is the circuit parser as it read when every
 call tokenized its text, kept to check the parse-once parser bit for bit.
 ``reference_simulate`` is the simulator as it read before states were
 stacked: one gate at a time on a lone vector, each matrix built from
 Python floats, each one-qubit product through ``np.moveaxis``.
-The ``reference_`` completion, solve, forward map and block fidelity are
-the scalar float code that the library's array kernels replaced, kept to
-check those kernels bit for bit, signed zeros and error messages included.
+The ``reference_`` completion, solve and forward map are the scalar
+float code of one point at a time, kept to check which point of an array
+kernel's call fails first, and with which error type and message.
 
 Every hypothesis property test runs under one profile: derandomized, with
 no example database and no deadline, so a run is repeatable and a slow
@@ -28,7 +29,7 @@ machine cannot fail it.
 import math
 import re
 import sys
-from functools import reduce
+from functools import lru_cache, reduce
 
 import mpmath
 import numpy as np
@@ -146,6 +147,116 @@ def mp_fidelity(rho, sigma) -> float:
         root = _mp_spectral(r, lambda x: mpmath.sqrt(max(x, 0)))
         w, _ = _mp_eigh(root * s * root)
         return float(mpmath.fsum(mpmath.sqrt(max(x, 0)) for x in w) ** 2)
+
+
+# The 60-digit kernels: each stage of the completion, the solve, the forward
+# map, the prediction and the block fidelity, by its formula, on the float
+# inputs of that stage and with its branches taken on the exact values.
+# They return mpmath numbers, so a test measures the float kernels' own
+# rounding. The tolerances are read from ``maxent.POLICY`` at call time, so
+# a test that patches the policy patches both sides.
+
+
+def mp_project(x_11, x_1k, x_kk):
+    """The estimates (x11, x1K, xKK) projected onto the feasible set."""
+    with mpmath.workdps(MP_DPS):
+        x11, x1k, xkk = mpmath.mpf(x_11), mpmath.mpc(x_1k), mpmath.mpf(x_kk)
+        x11, xkk = (min(max(v, 0), 1) for v in (x11, xkk))
+        if abs(x1k) > 1:
+            x1k = x1k / abs(x1k)
+        total = x11 + xkk
+        if total > 1:
+            x11, x1k, xkk = x11 / total, x1k / total, xkk / total
+        bound = mpmath.sqrt(x11 * xkk)
+        if abs(x1k) > bound:
+            x1k = x1k * bound / abs(x1k)
+        return x11, x1k, xkk
+
+
+def mp_rescale(x_11, x_1k, x_kk):
+    """A feasible record moved off x11 + xKK = 1 by (1 - 1e-9)/(x11 + xKK)."""
+    with mpmath.workdps(MP_DPS):
+        x11, x1k, xkk = mpmath.mpf(x_11), mpmath.mpc(x_1k), mpmath.mpf(x_kk)
+        total = x11 + xkk
+        if total < 1.0 - maxent.POLICY.feasibility_atol:
+            return x11, x1k, xkk
+        c = (1.0 - 1e-9) / total
+        return c * x11, c * x1k, c * xkk
+
+
+def mp_solve(dim_n, x_11, x_1k, x_kk, near_singular):
+    """The multipliers (lam_11, lam_1k, lam_kk) of a record whose minor the
+    float solve flagged ``near_singular`` or not, and the condition of the
+    solve: 1/(1 - x11 - xKK), plus w+/w- when w- is not floored."""
+    with mpmath.workdps(MP_DPS):
+        x11, x1k, xkk = mpmath.mpf(x_11), mpmath.mpc(x_1k), mpmath.mpf(x_kk)
+        floor = maxent.POLICY.log_floor
+        z = (dim_n - 2) / (1 - x11 - xkk)
+        half_gap = (x11 - xkk) / 2
+        r = mpmath.sqrt(half_gap**2 + abs(x1k) ** 2)
+        w_hi = (x11 + xkk) / 2 + r
+        w_lo = (x11 * xkk - abs(x1k) ** 2) / w_hi if w_hi > 0 else 0
+        log_hi = mpmath.log(max(z * w_hi, floor))
+        log_lo = mpmath.log(floor if near_singular else z * w_lo)
+        if r == 0:
+            g = 0
+        elif near_singular:
+            g = (log_hi - log_lo) / (2 * r)
+        else:
+            g = mpmath.log1p(2 * r / w_lo) / (2 * r)
+        avg = (log_hi + log_lo) / 2
+        lams = (-(avg + g * half_gap), -g * x1k, -(avg - g * half_gap))
+        condition = 1 / (1 - x11 - xkk) + (0 if near_singular else w_hi / w_lo)
+        return lams, condition
+
+
+@lru_cache(maxsize=8192)
+def mp_forward(dim_n, l_11, l_1k, l_kk):
+    """The forward map of float multipliers: ((eps3, eps4), (k3, k4),
+    (a, b), z, (e11, e1k, ekk)) with the fields of ``ExponentSpectrum``,
+    the diagonal branch below ``POLICY.lam_zero_atol`` included. Kept for
+    repeated multipliers: a set's case B solve is its record's solve."""
+    with mpmath.workdps(MP_DPS):
+        l11, l1k, lkk = mpmath.mpf(l_11), mpmath.mpc(l_1k), mpmath.mpf(l_kk)
+        square = l1k.real**2 + l1k.imag**2
+        if square < mpmath.mpf(maxent.POLICY.lam_zero_atol) ** 2:
+            e3, e4 = mpmath.exp(-l11), mpmath.exp(-lkk)
+            return (-l11, -lkk), (mpmath.inf, 0), (e3, 0), e3 + e4 + dim_n - 2, (e3, 0, e4)
+        gap = l11 - lkk
+        root = mpmath.sqrt(4 * square + gap**2)
+        eps = (-(l11 + lkk + root) / 2, -(l11 + lkk - root) / 2)
+        # eps + lkk, without the cancellation of its smaller root.
+        if gap >= 0:
+            shifts = (-(root + gap) / 2, 2 * square / (root + gap))
+        else:
+            shifts = (-2 * square / (root - gap), (root - gap) / 2)
+        ks = tuple(-s / mpmath.conj(l1k) for s in shifts)
+        exps = tuple(mpmath.exp(e) for e in eps)
+        ws = tuple(e / (s**2 / square + 1) for e, s in zip(exps, shifts))
+        ab = tuple(w * s**2 / square for w, s in zip(ws, shifts))
+        block = (ab[0] + ab[1], ks[0] * ws[0] + ks[1] * ws[1], ws[0] + ws[1])
+        return eps, ks, ab, exps[0] + exps[1] + dim_n - 2, block
+
+
+def mp_predict(x_11, x_1k):
+    """|x1K|^2 / x11 clamped to [0, 1 - x11]."""
+    with mpmath.workdps(MP_DPS):
+        x11 = mpmath.mpf(x_11)
+        return min(abs(mpmath.mpc(x_1k)) ** 2 / x11, max(0, 1 - x11))
+
+
+def mp_block_fidelity(dim_n, lams_a, lams_b):
+    """The block formula of ``block_fidelity`` on two float multiplier
+    sets (lam_11, lam_1k, lam_kk) of one N and K."""
+    with mpmath.workdps(MP_DPS):
+        (*_, za, (a11, a1k, akk)), (*_, zb, (b11, b1k, bkk)) = (
+            mp_forward(dim_n, *lams) for lams in (lams_a, lams_b)
+        )
+        overlap = a11 * b11 + akk * bkk + 2 * mpmath.re(a1k * mpmath.conj(b1k))
+        lam_sum = sum(mpmath.mpf(v) for v in (lams_a[0], lams_a[2], lams_b[0], lams_b[2]))
+        total = overlap + 2 * mpmath.exp(-lam_sum / 2)
+        value = (mpmath.sqrt(max(total, 0)) + dim_n - 2) ** 2 / (za * zb)
+        return min(max(value, 0), 1)
 
 
 def build_exponent(ls) -> np.ndarray:
@@ -464,8 +575,7 @@ def reference_simulate(c: Circuit) -> np.ndarray:
     return state
 
 
-# The scalar completion, solve, forward map and block fidelity, one point
-# per call. The tolerances are read from ``maxent.POLICY`` at call time, so
+# The scalar completion, solve and forward map, one point per call. The tolerances are read from ``maxent.POLICY`` at call time, so
 # a test that patches the policy patches both sides.
 
 
@@ -603,21 +713,3 @@ def reference_complete_and_solve(dim_n, x_11, x_1k, x_kk):
     if c != 1.0:
         x_11, x_1k, x_kk = c * x_11, c * x_1k, c * x_kk
     return completed, *reference_solve(dim_n, x_11, x_1k, x_kk)
-
-
-def reference_predict(x_11, x_1k):
-    """|x1K|^2 / x11 clamped to [0, 1 - x11], without the warning."""
-    return min(abs(x_1k) ** 2 / x_11, max(0.0, 1.0 - x_11))
-
-
-def reference_block_fidelity(dim_n, lams_a, lams_b):
-    """Uhlmann fidelity of the states of two multiplier sets
-    (lam_11, lam_1k, lam_kk) of one N and K, from their 2x2 blocks."""
-    sa, sb = (reference_spectrum(dim_n, *lams) for lams in (lams_a, lams_b))
-    a11, a1k, akk = sa.block
-    b11, b1k, bkk = sb.block
-    overlap = a11 * b11 + akk * bkk + 2 * (a1k * b1k.conjugate()).real
-    det_root = math.exp(-0.5 * (lams_a[0] + lams_a[2] + lams_b[0] + lams_b[2]))
-    root = math.sqrt(max(overlap + 2 * det_root, 0.0))
-    value = (root + dim_n - 2) ** 2 / (sa.z * sb.z)
-    return min(max(value, 0.0), 1.0)

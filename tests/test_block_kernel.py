@@ -218,6 +218,25 @@ class TestBlockFidelity:
         with pytest.raises(DomainError, match=r"lamKK_b = -2800\.0, and exp"):
             block_fidelity(ls, ls)
 
+    def test_the_kernel_returns_its_first_overflow(self):
+        # Like every array kernel, the fidelity kernel raises nothing: it
+        # returns the first overflowing point with block_fidelity's error,
+        # and still gives the other points their values.
+        sets = [
+            LagrangeSet(4, 2, 0.1, 0.2j, 0.3),
+            LagrangeSet(4, 2, -705.0, 0.0, -700.0),
+            LagrangeSet(4, 2, -700.0, 0.0, -700.0),
+        ]
+        lams = tuple(np.array([getattr(s, f) for s in sets]) for f in ("lam_11", "lam_1k", "lam_kk"))
+        z = np.array([spectrum(s).z for s in sets])
+        block = tuple(np.array([spectrum(s).block[i] for s in sets]) for i in range(3))
+        value, failure = maxent._block_fidelity(4, lams, z, block, lams, z, block)
+        assert failure[0] == 1
+        with pytest.raises(DomainError) as caught:
+            block_fidelity(sets[1], sets[1])
+        assert (type(failure[1]), str(failure[1])) == (DomainError, str(caught.value))
+        assert value[0] == block_fidelity(sets[0], sets[0])
+
     def test_spectrum_is_computed_once_per_set(self, monkeypatch):
         # The forward kernel runs once per solve, in its reproduction check,
         # and the set keeps that spectrum for every later reader.

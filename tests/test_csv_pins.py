@@ -4,6 +4,13 @@ The CSVs of the bundled example configs, of a short exact sweep of each
 bundled model those configs leave out, and the ``reconstruct`` output of
 two fixed records are part of the contract: a change that moves any of
 these hashes on purpose updates the pin and says why in CHANGES.md.
+
+The pins depend on numpy's SIMD dispatch. On x86-64 they hold with the
+default dispatch and with
+``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``. Held to its
+baseline loops (``"X86_V3 X86_V4 AVX512_ICL AVX512_SPR"``), numpy's
+complex abs, which gives the populations |a|^2, rounds differently, and
+the twoq_b and twoq_c pins fail in the abs_diff column.
 """
 
 import hashlib

@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 from conftest import assemble, dense_expectation, to_matrix
 
-from qmaxent import IncompleteDataError, ValidationError
+from qmaxent import ValidationError, sampler
 from qmaxent.circuit import MAX_QUBITS, Circuit, parse_circuit, simulate
-from qmaxent.pauli import (
-    PauliString,
-    decompose_ketbra,
-    expectation_from_paulis,
-    measurement_settings,
-)
+from qmaxent.pauli import PauliString, decompose_ketbra, measurement_settings
+from qmaxent.sampler import estimate_coherence, estimate_populations
 
 
 def ketbra(i, j, n):
@@ -131,45 +127,43 @@ class TestDecompose:
         assert len(d.terms) == 2**MAX_QUBITS
 
 
-class TestExpectation:
-    def test_projector_on_ground_state(self):
-        d = decompose_ketbra(1, 1, 1)
-        assert expectation_from_paulis(d, {PauliString(("Z",)): 1.0}) == pytest.approx(1.0)
+class TestRecombination:
+    """The mean of |i><j| is its strings' means, each times its
+    coefficient, summed in the decomposition's order."""
 
     def test_plus_state_coherence(self):
-        d = decompose_ketbra(1, 2, 1)
-        means = {PauliString(("X",)): 1.0, PauliString(("Y",)): 0.0}
-        assert expectation_from_paulis(d, means) == pytest.approx(0.5)
-
-    def test_bell_coherence_from_enumerated_means(self):
-        sv = simulate(parse_circuit("qubits 2\nh 0\ncx 0 1"))
-        d = decompose_ketbra(1, 4, 2)
-        means = {}
-        for letters in itertools.product("IXYZ", repeat=2):
-            ps = PauliString(letters)
-            if not ps.is_identity:
-                means[ps] = dense_expectation(sv, to_matrix(ps)).real
-        assert expectation_from_paulis(d, means) == pytest.approx(0.5, abs=1e-12)
-
-    def test_missing_strings_listed(self):
-        d = decompose_ketbra(1, 2, 2)
-        with pytest.raises(IncompleteDataError, match="XI"):
-            expectation_from_paulis(d, {})
-
-    def test_identity_tested_once_per_term_in_term_order(self, monkeypatch):
-        d = decompose_ketbra(2, 2, 2)  # has the all-identity term
-        means = {ps: 0.1 * (i + 1) for i, ps in enumerate(d.terms) if not ps.is_identity}
-        expected = complex(0.0)
-        for ps, coeff in d.terms.items():
-            expected += coeff * means.get(ps, 1.0)
-        seen = []
-        is_identity = PauliString.is_identity.fget
-        monkeypatch.setattr(
-            PauliString, "is_identity",
-            property(lambda ps: seen.append(ps) or is_identity(ps)),
+        assert estimate_coherence(simulate(parse_circuit("qubits 1\nh 0")), 1, 2) == (
+            pytest.approx(0.5)
         )
-        assert expectation_from_paulis(d, means) == expected
-        assert seen == list(d.terms)
+
+    def test_bell_coherence_is_the_dense_expectation(self):
+        sv = simulate(parse_circuit("qubits 2\nh 0\ncx 0 1"))
+        want = dense_expectation(sv, ketbra(1, 4, 2))
+        assert want == pytest.approx(0.5)
+        assert estimate_coherence(sv, 1, 4) == pytest.approx(want, abs=1e-12)
+
+    def test_diagonal_entries_are_populations(self):
+        sv = simulate(parse_circuit("qubits 1"))
+        with pytest.raises(ValidationError, match="use populations"):
+            estimate_coherence(sv, 1, 1)
+        assert estimate_populations(sv)[0] == 1.0
+
+    @pytest.mark.parametrize(("i", "j", "n"), [(1, 2, 2), (3, 8, 3), (1, 64, 6)])
+    def test_every_string_is_read_once(self, i, j, n):
+        coeffs, bases = sampler._ketbra_plan(i, j, n)
+        assert coeffs == tuple(decompose_ketbra(i, j, n).terms.values())
+        positions = sorted(p for basis in bases for p, _ in basis.reads)
+        assert positions == list(range(len(coeffs)))
+
+    def test_means_are_summed_in_term_order(self, monkeypatch):
+        plan = sampler._ketbra_plan(2, 3, 2)
+        means = [0.1 * (i + 1) for i in range(len(plan[0]))]
+        expected = complex(0.0)
+        for coeff, mean in zip(decompose_ketbra(2, 3, 2).terms.values(), means):
+            expected += coeff * mean
+        monkeypatch.setattr(sampler, "_read_bases", lambda *args: means)
+        readout = sampler._Readout(2, None, None, None)
+        assert sampler._measure_ketbra(plan, None, 2, readout, 0, {}) == expected
 
 
 class TestMeasurementSettings:

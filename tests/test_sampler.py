@@ -10,12 +10,7 @@ from qmaxent import DomainError, TomographyError, ValidationError, circuits
 from qmaxent import sampler
 from qmaxent.cli import ExperimentConfig, run_sweep
 from qmaxent.circuit import Gate, apply_gates, parse_circuit, populations, simulate
-from qmaxent.pauli import (
-    PauliString,
-    decompose_ketbra,
-    expectation_from_paulis,
-    measurement_settings,
-)
+from qmaxent.pauli import PauliString, decompose_ketbra, measurement_settings
 from qmaxent.sampler import (
     CalibrationMatrix,
     ReadoutNoise,
@@ -356,7 +351,10 @@ def _uncached_coherence(sv, k, shots, noise, seed, calibration):
             rotated, shots, noise, seed + firsts[setting.rotations], calibration
         )
         means[p] = float(sampler._parity_signs(num_qubits, setting.parity_mask) @ freqs)
-    return expectation_from_paulis(d, means)
+    total = complex(0.0)
+    for p, coeff in d.terms.items():
+        total += coeff * means[p]
+    return total
 
 
 NOISE = ReadoutNoise((0.03, 0.08, 0.05), (0.06, 0.02, 0.1))

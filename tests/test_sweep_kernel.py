@@ -1,11 +1,14 @@
-"""The array kernels give the bits of the scalar path, point by point.
+"""The array kernels compute their formulas to rounding, point by point.
 
 ``maxent._complete_and_solve``, ``_exponent_spectrum``,
 ``_predict_population`` and ``_block_fidelity`` take one array element per
-point. Each element must carry the bits of the scalar reference in
-``conftest`` (signed zeros included), whatever the other points of the
-call, and a call with failing points must report the first failing
-point's error with the reference's type and message. The inputs reach
+point. Each stage of each element must lie within a few units of
+rounding of the same formula in 60-digit arithmetic (the ``mp_`` kernels
+of ``conftest``), taken on that stage's float inputs, whatever the other
+points of the call. The bounds are in units of the float epsilon, scaled
+by each quantity's size and its condition (see ``BOUNDS``). A call with
+failing points must report the first failing point's error with the type
+and message of the scalar reference in ``conftest``. The inputs reach
 every branch of the completion, the solve and the forward map, one point
 per call and mixed in one call.
 
@@ -15,16 +18,22 @@ B, and a solve error before the error of any later point's measurement.
 """
 
 import math
-import struct
+import sys
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import (
-    reference_block_fidelity,
+    MP_DPS,
+    mp_block_fidelity,
+    mp_forward,
+    mp_predict,
+    mp_project,
+    mp_rescale,
+    mp_solve,
     reference_check_reproduction,
     reference_complete_and_solve,
-    reference_predict,
     reference_project,
     reference_saturation_scale,
     reference_solve,
@@ -50,17 +59,71 @@ from qmaxent.maxent import (
     solve_lagrange,
 )
 
+EPS = sys.float_info.epsilon
+# The product of two values below this underflows.
+UNDERFLOW = math.sqrt(sys.float_info.min)
 
-def bits(*values) -> bytes:
-    """The bits of floats and complexes, so 0.0 and -0.0 differ."""
-    parts = []
-    for v in values:
-        parts += [v.real, v.imag] if isinstance(v, complex) else [v]
-    return struct.pack(f"<{len(parts)}d", *parts)
+# The bound on each quantity's error over this module's inputs, in units
+# of EPS times the scale ``error`` is given. Each is the largest error the
+# scalar float code these kernels replaced made on the same inputs,
+# rounded up in the third decimal.
+BOUNDS = {
+    "project": 1.047,
+    "rescale": 0.912,
+    "lam": 0.990,
+    "eps": 1.238,
+    "k": 2.264,
+    "block": 1.061,
+    "z": 1.068,
+    "expectation": 0.395,
+    "prediction": 1.643,
+    "fidelity": 3.755,
+}
 
 
-def spectrum_bits(s) -> bytes:
-    return bits(*s.eps, s.k3, s.k4, s.a, s.b, s.z, *s.block)
+def error(got, want, scale) -> float:
+    """|got - want| in units of EPS * scale: the float ``got`` against the
+    mpmath ``want``, whose difference mpmath rounds once."""
+    return float(abs(mpmath.mpmathify(got) - want)) / (EPS * float(scale))
+
+
+def within(name: str, *errors: float) -> None:
+    assert max(errors) <= BOUNDS[name], f"{name}: {max(errors):.3g} EPS"
+
+
+def check_record(name, got, want):
+    """Record values (x11, x1K, xKK), against the largest of them, or
+    against UNDERFLOW when that is larger."""
+    norm = max(*(abs(v) for v in want), UNDERFLOW)
+    within(name, *(error(g, w, norm) for g, w in zip(got, want)))
+
+
+def check_solve(dim_n, record, lams, near_singular):
+    """Multipliers from the float record values, against the largest
+    multiplier plus the solve's condition."""
+    want, condition = mp_solve(dim_n, *record, near_singular)
+    scale = 1 + max(abs(w) for w in want) + condition
+    within("lam", *(error(g, w, scale) for g, w in zip(lams, want)))
+
+
+def check_forward(dim_n, lams, spectrum):
+    """A spectrum from float multipliers. An exponential magnifies an
+    error of its argument by that argument's size, so with g = 1 + the
+    largest multiplier modulus: the exponents against g, the slopes each
+    against itself, the weights and the block against g times the block's
+    larger diagonal entry, and z against g z."""
+    eps, ks, ab, z, block = mp_forward(dim_n, *lams)
+    g = 1 + max(abs(v) for v in lams)
+    within("eps", *(error(got, want, g) for got, want in zip(spectrum.eps[-2:], eps)))
+    for got, want in zip((spectrum.k3, spectrum.k4), ks):
+        if mpmath.isinf(want):
+            assert math.isinf(got.real)
+        else:
+            within("k", error(got, want, abs(want) or 1.0))
+    norm = g * max(block[0], block[2])
+    within("block", *(error(got, want, norm) for got, want in zip((spectrum.a, spectrum.b), ab)))
+    within("block", *(error(got, want, norm) for got, want in zip(spectrum.block, block)))
+    within("z", error(spectrum.z, z, g * z))
 
 
 def outcome(call):
@@ -84,30 +147,35 @@ def points(records):
     )
 
 
+def at(arrays, i):
+    return [v[i].item() for v in arrays]
+
+
 def check_complete_and_solve(dim_n, records):
-    """Compare one kernel call over ``records`` with the reference on each."""
+    """One kernel call over ``records``, stage by stage against mpmath on
+    each point the reference solves, and its first failure against the
+    reference's."""
     completed, lams, near_singular, spec, failure = maxent._complete_and_solve(
         dim_n, *points(records)
     )
+    rescaled, _ = maxent._rescale(*completed)
     first = None
     for i, (x11, x1k, xkk) in enumerate(records):
         want = outcome(lambda: reference_complete_and_solve(dim_n, x11, x1k, xkk))
         if isinstance(want[0], type):
             first = first or (i, *want)
             continue
-        (c11, c1k, ckk), ref_lams, ref_near, ref_spec = want
-        assert bits(*(v[i].item() for v in completed)) == bits(c11, c1k, ckk), i
-        assert bits(*(v[i].item() for v in lams)) == bits(*ref_lams), i
-        assert near_singular[i].item() is ref_near, i
-        got_spec = maxent._spectrum_at(dim_n, spec, i)
-        assert spectrum_bits(got_spec) == spectrum_bits(ref_spec), i
+        check_record("project", at(completed, i), mp_project(x11, x1k, xkk))
+        check_record("rescale", at(rescaled, i), mp_rescale(*at(completed, i)))
+        check_solve(dim_n, at(rescaled, i), at(lams, i), near_singular[i].item())
+        check_forward(dim_n, at(lams, i), maxent._spectrum_at(dim_n, spec, i))
     assert (failure and (failure[0], *error_of(failure))) == first
 
 
 def check_sweep_kernels(dim_n, records):
-    """The prediction, the case A and B solves and the fidelity of one
-    sweep's kernel calls against the reference, on the points a sweep
-    solves: x11 above the floor, measured values valid."""
+    """The prediction and the fidelity of one sweep's kernel calls against
+    mpmath, on the points a sweep solves: x11 above the floor, measured
+    values valid."""
     solved = [
         r for r in records
         if r[0] > POLICY.population_floor and maxent._raised(
@@ -125,13 +193,13 @@ def check_sweep_kernels(dim_n, records):
         dim_n, x11, x1k, xkk_true
     )
     assert failure_a is None and failure_b is None
-    fid = maxent._block_fidelity(dim_n, lams_a, z_a, block_a, lams_b, z_b, block_b)
-    for i, (x11_i, x1k_i, xkk_i) in enumerate(solved):
-        pred = reference_predict(x11_i, x1k_i)
-        assert bits(predicted[i].item()) == bits(pred)
-        lams_a = reference_complete_and_solve(dim_n, x11_i, x1k_i, pred)[1]
-        lams_b = reference_complete_and_solve(dim_n, x11_i, x1k_i, xkk_i)[1]
-        assert bits(fid[i].item()) == bits(reference_block_fidelity(dim_n, lams_a, lams_b))
+    fid, failure = maxent._block_fidelity(dim_n, lams_a, z_a, block_a, lams_b, z_b, block_b)
+    assert failure is None
+    for i, (x11_i, x1k_i, _) in enumerate(solved):
+        want = mp_predict(x11_i, x1k_i)
+        within("prediction", error(predicted[i].item(), want, max(abs(want), EPS)))
+        want = mp_block_fidelity(dim_n, at(lams_a, i), at(lams_b, i))
+        within("fidelity", error(fid[i].item(), want, 1.0))
 
 
 # One record per branch of the completion and the solve, as raw
@@ -208,16 +276,21 @@ def test_every_branch_alone_and_in_one_call(dim_n):
 
 def test_a_zero_root_plus_gap(monkeypatch):
     # With |lam_1k| below 1e-162 its square underflows, so root = gap = 0
-    # once the diagonal branch is off; shift4 is then 0 by definition.
+    # once the diagonal branch is off; shift4 is then 0 by definition, and
+    # both slopes are 0 instead of NaN. The exponents and z still hold.
     monkeypatch.setattr(maxent, "POLICY", replace(POLICY, lam_zero_atol=0.0))
     lams = [(0.5, 1e-170 + 0j, 0.5), (-0.0, complex(0.0, -1e-200), -0.0), (0.2, 0.3j, -0.1)]
     l11, l1k, lkk = points(lams)
     assert (np.sqrt(4 * np.abs(l1k[:2]) ** 2 + (l11[:2] - lkk[:2]) ** 2) == 0).all()
     spec, failure = maxent._exponent_spectrum(8, l11, l1k, lkk)
     assert failure is None
-    for i, values in enumerate(lams):
-        want = reference_spectrum(8, *values)
-        assert spectrum_bits(maxent._spectrum_at(8, spec, i)) == spectrum_bits(want)
+    for i, values in enumerate(lams[:2]):
+        got = maxent._spectrum_at(8, spec, i)
+        assert got.k3 == 0 and got.k4 == 0
+        eps, _, _, z, _ = mp_forward(8, *values)
+        within("eps", *(error(g, w, 1 + abs(values[0])) for g, w in zip(got.eps[-2:], eps)))
+        within("z", error(got.z, z, (1 + abs(values[0])) * z))
+    check_forward(8, lams[2], maxent._spectrum_at(8, spec, 2))
 
 
 # Raw estimates at and past every edge of the feasible set, with
@@ -255,14 +328,14 @@ RECORDS = st.one_of(raw_estimates(), st.sampled_from(list(BRANCH_CASES.values())
 
 @settings(max_examples=250)
 @given(st.sampled_from([4, 8, 16]), RECORDS)
-def test_one_point_matches_the_reference(dim_n, record):
+def test_one_point_matches_mpmath(dim_n, record):
     check_complete_and_solve(dim_n, [record])
     check_sweep_kernels(dim_n, [record])
 
 
 @settings(max_examples=100)
 @given(st.sampled_from([4, 8]), st.lists(RECORDS, min_size=2, max_size=12))
-def test_mixed_calls_match_the_reference(dim_n, records):
+def test_mixed_calls_match_mpmath(dim_n, records):
     check_complete_and_solve(dim_n, records)
     check_sweep_kernels(dim_n, records)
 
@@ -308,7 +381,7 @@ MULTIPLIERS = st.one_of(
         min_size=1, max_size=10,
     )
 )
-def test_forward_kernel_matches_the_reference(lams):
+def test_forward_kernel_matches_mpmath(lams):
     spec, failure = maxent._exponent_spectrum(8, *points(lams))
     first = None
     for i, values in enumerate(lams):
@@ -316,22 +389,24 @@ def test_forward_kernel_matches_the_reference(lams):
         if isinstance(want, tuple):
             first = first or (i, *want)
             continue
-        assert spectrum_bits(maxent._spectrum_at(8, spec, i)) == spectrum_bits(want)
+        check_forward(8, values, maxent._spectrum_at(8, spec, i))
     assert (failure and (failure[0], *error_of(failure))) == first
 
 
 @pytest.mark.parametrize(("im_lam1k", "lam_kk"), [(0.0, 0.0), (-0.0, 1.5), (0.7, -2.0)])
-def test_heatmap_rows_match_the_reference(im_lam1k, lam_kk):
+def test_heatmap_rows_match_mpmath(im_lam1k, lam_kk):
     lam11 = [-3.0, -0.0, 0.0, 1e-15, 0.35, 2.9, 40.0]
     re1k = [-3.0, -1e-16, -0.0, 0.0, 1e-300, 0.61, 3.0]
     rows = heatmap_scan(lam11, re1k, lam_kk=lam_kk, im_lam1k=im_lam1k, dim_n=8, index_k=3)
-    want = []
-    for l11 in lam11:
-        for re in re1k:
-            l1k = complex(re, im_lam1k)
-            s = reference_spectrum(8, l11, l1k, lam_kk)
-            want.append((l11, l1k, s.block[0] / s.z, s.block[1] / s.z))
-    assert [bits(*row) for row in rows] == [bits(*row) for row in want]
+    grid = [(l11, complex(re, im_lam1k)) for l11 in lam11 for re in re1k]
+    # The multipliers come back as given, signed zeros included.
+    assert [repr(row[:2]) for row in rows] == [repr(point) for point in grid]
+    for (l11, l1k, x11, x1k) in rows:
+        with mpmath.workdps(MP_DPS):
+            *_, z, (e11, e1k, ekk) = mp_forward(8, l11, l1k, lam_kk)
+            want = (e11 / z, e1k / z)
+        norm = (1 + max(abs(l11), abs(l1k), abs(lam_kk))) * max(e11, ekk) / z
+        within("expectation", *(error(g, w, norm) for g, w in zip((x11, x1k), want)))
 
 
 def reference_error(call):
@@ -452,5 +527,28 @@ class TestSweepErrorOrder:
             return (*values, (at, TomographyError(f"{name} at {at}")))
 
         monkeypatch.setattr(cli, "_complete_and_solve", failing)
+        with pytest.raises(TomographyError, match=f"^{raised}$"):
+            run_sweep(ExperimentConfig("twoq_a", theta_steps=3))
+
+    @pytest.mark.parametrize(
+        ("b_at", "fidelity_at", "raised"),
+        [(1, 0, "fidelity at 0"), (0, 0, "case B at 0"), (0, 1, "case B at 0")],
+    )
+    def test_a_fidelity_error_in_point_order(self, monkeypatch, b_at, fidelity_at, raised):
+        # A point's fidelity comes after its case B, before the next point.
+        solve, fidelity = cli._complete_and_solve, cli._block_fidelity
+        cases = iter([None, b_at])
+
+        def failing_solve(*args):
+            at = next(cases)
+            *values, failure = solve(*args)
+            return (*values, failure if at is None else (at, TomographyError(f"case B at {at}")))
+
+        def failing_fidelity(*args):
+            value, _ = fidelity(*args)
+            return value, (fidelity_at, DomainError(f"fidelity at {fidelity_at}"))
+
+        monkeypatch.setattr(cli, "_complete_and_solve", failing_solve)
+        monkeypatch.setattr(cli, "_block_fidelity", failing_fidelity)
         with pytest.raises(TomographyError, match=f"^{raised}$"):
             run_sweep(ExperimentConfig("twoq_a", theta_steps=3))
