@@ -23,7 +23,6 @@ from .circuit import (
 )
 from .errors import (
     DomainError,
-    IncompleteDataError,
     InfeasibleRecordError,
     ParseError,
     TomographyError,

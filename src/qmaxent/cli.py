@@ -22,13 +22,18 @@ gates before the first theta-dependent one once and each later gate
 once for all thetas. The readout (shots, noise model and calibration)
 is validated once per sweep and then drawn on plain arrays by the
 sampler's kernel: one call computes the distribution of every theta's
-state, which serves the population draw of every K, and each K measures
-|K><1| through its cached plan, rotating each basis prefix once per
-theta. The exact backend reads each K's x1K for every theta in one
-array product. Each point's measured (x11, x1K) is checked once. A
-theta that fails a check of the stack (its binding, its norm, its
-population sum) raises its error where the loop over the thetas
-reaches it, after the thetas before it are measured. Once every point
+state, which serves the population draw of every K. A sampled sweep
+measures |K><1| through each K's cached plan: one trie of basis
+rotations serves every K, each prefix applied once to the stack of
+states, and each basis is one distribution call over its rotated stack
+(``sampler._basis_reads``); each draw then reads its theta's row. The
+exact backend reads every point's x11 and xKK from the one distribution
+and each K's x1K for every theta in one array product, with no draw.
+The measured (x11, x1K) of all points are checked once, as arrays. A
+theta that fails a check of a stack (its binding, its norm, its
+population sum, a rotated row's norm or population sum) raises its
+error where a loop over the points would reach it, after the points
+before it are measured. Once every point
 is measured, one call of each of ``maxent``'s array kernels covers all
 the solved points: the prediction of xKK, the completion and solve of
 case A and of case B (``maxent._complete_and_solve``) and the
@@ -56,9 +61,9 @@ from .maxent import (
     LagrangeSet,
     _block_fidelity,
     _check_dims,
-    _check_record_values,
     _complete_and_solve,
     _predict_population,
+    _record_failure,
     density_from_lagrange,
     dump_record,
     heatmap_scan,
@@ -70,6 +75,7 @@ from .maxent import (
 from .pauli import decompose_ketbra
 from .sampler import (
     ReadoutNoise,
+    _basis_reads,
     _ketbra_plan,
     _measure_ketbra,
     _Readout,
@@ -272,13 +278,18 @@ def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
         _check_dims(dim_n, k)
     if cfg.theta_steps == 1:
         thetas = [float(cfg.theta_start)]
-    else:
+    elif math.isfinite(cfg.theta_stop - cfg.theta_start):
         thetas = np.linspace(cfg.theta_start, cfg.theta_stop, cfg.theta_steps).tolist()
+    else:
+        # numpy would warn and bind NaN and infinite thetas.
+        raise ValidationError(
+            f"theta_stop - theta_start = {cfg.theta_stop!r} - {cfg.theta_start!r} "
+            "is not finite"
+        )
     # The exact backend reads exact probabilities whatever the config's shots.
     shots = None if cfg.backend == "exact" else cfg.shots
     calibration = build_calibration(cfg.noise, num_qubits) if cfg.mitigate else None
     readout = _Readout(num_qubits, shots, cfg.noise, calibration)
-    plans = {} if shots is None else {k: _ketbra_plan(k, 1, num_qubits) for k in k_targets}
     # One stack of states serves every K target and Pauli setting, and
     # one distribution per state the population draw of every K. The
     # thetas before the first one that fails a check are measured; its
@@ -287,64 +298,54 @@ def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
     dists, drifted = readout.distribution(states)
     stop, error = _earliest(failure, drifted) or (len(thetas), None)
     if shots is None:
-        # x1K is rho[1, K], the mean of |K><1|: a_0 * conj(a_{K-1}).
-        exact = {k: _coherence(states[:stop], k, 1).tolist() for k in k_targets}
-    measured: list[tuple[float, int, float, complex, float]] = []
-    # A measurement error is raised after the solves of the points before
-    # it, which may fail first: the typed errors of the parser, the
-    # simulator, the sampler and the value checks, or an ArithmeticError.
-    measure_error = None
-    try:
-        for i, theta in enumerate(thetas[:stop]):
-            dist = dists[i]
-            # One trie holds the basis rotations of every K.
-            rotations: dict = {}
-            for k in k_targets:
-                seed = cfg.seed + _POINT_SEED_STRIDE * len(measured)
-                pops = readout.draw(dist, seed)
-                if shots is None:
-                    x1k = exact[k][i]
-                else:
-                    x1k = _measure_ketbra(
-                        plans[k], states[i], num_qubits, readout,
-                        seed + _COHERENCE_SEED_OFFSET, rotations,
-                    )
-                x11, x1k = float(pops[0]), complex(x1k)
-                if x11 > POLICY.population_floor:
-                    # The measured values are checked once; case A completes
-                    # them with the predicted xKK, case B with the true one.
-                    _check_record_values(x11, x1k, None)
-                measured.append((theta, k, x11, x1k, float(pops[k - 1])))
-        if error is not None:
-            raise error
-    except (TomographyError, ArithmeticError) as exc:
-        measure_error = exc
+        # Point (theta i, K) reads row i: x11 and xKK are its exact
+        # populations, x1K is rho[1, K], the mean of |K><1|: a_0 * conj(a_{K-1}).
+        pops = dists[:stop]
+        x11 = np.repeat(pops[:, 0], len(k_targets))
+        x1k = np.stack([_coherence(states[:stop], k, 1) for k in k_targets], axis=1).ravel()
+        xkk_true = pops[:, [k - 1 for k in k_targets]].ravel()
+    else:
+        x11, x1k, xkk_true, error = _sampled_values(
+            states[:stop], num_qubits, dists, k_targets, readout, cfg.seed, error
+        )
+    # The measured values are checked once, where x11 is above the floor;
+    # case A completes them with the predicted xKK, case B with the true
+    # one. A point that fails is not measured, nor any after it.
+    solved = x11 > POLICY.population_floor
+    invalid = _record_failure(x11[solved], x1k[solved])
+    if invalid is not None:
+        count = int(np.flatnonzero(solved)[invalid[0]])
+        error = invalid[1]
+        x11, x1k, xkk_true, solved = x11[:count], x1k[:count], xkk_true[:count], solved[:count]
 
-    solved = [m for m in measured if m[2] > POLICY.population_floor]
-    x11 = np.array([m[2] for m in solved], dtype=float)
-    x1k = np.array([m[3] for m in solved], dtype=complex)
-    xkk_true = np.array([m[4] for m in solved], dtype=float)
-    xkk = _predict_population(x11, x1k)[0]
+    x11_s, x1k_s = x11[solved], x1k[solved]
+    xkk = _predict_population(x11_s, x1k_s)[0]
     (_, _, xkk_pred), lams_a, near_a, spec_a, failure_a = _complete_and_solve(
-        dim_n, x11, x1k, xkk
+        dim_n, x11_s, x1k_s, xkk
     )
-    _, lams_b, near_b, spec_b, failure_b = _complete_and_solve(dim_n, x11, x1k, xkk_true)
+    _, lams_b, near_b, spec_b, failure_b = _complete_and_solve(
+        dim_n, x11_s, x1k_s, xkk_true[solved]
+    )
     (*_, z_a, block_a), (*_, z_b, block_b) = spec_a, spec_b
     fidelity, failure_f = _block_fidelity(dim_n, lams_a, z_a, block_a, lams_b, z_b, block_b)
     # Errors in the order of a loop over the points: a point's case A
     # before its case B and its fidelity, before the next point, before a
-    # later measurement.
+    # later measurement. A measurement error is raised after the solves
+    # of the points before it: the typed errors of the parser, the
+    # simulator, the sampler and the value checks, or an ArithmeticError.
     _raise(_earliest(failure_a, failure_b, failure_f))
-    if measure_error is not None:
-        raise measure_error
+    if error is not None:
+        raise error
     results = zip(
         xkk_pred.tolist(), fidelity.tolist(),
         *(v.tolist() for v in lams_a), near_a.tolist(),
         *(v.tolist() for v in lams_b), near_b.tolist(),
     )
     points = []
-    for theta, k, x11, x1k, xkk_true in measured:
-        if x11 > POLICY.population_floor:
+    measured = zip(x11.tolist(), x1k.tolist(), xkk_true.tolist(), solved.tolist())
+    for p, (x11, x1k, xkk_true, is_solved) in enumerate(measured):
+        theta, k = thetas[p // len(k_targets)], k_targets[p % len(k_targets)]
+        if is_solved:
             pred, fid, a11, a1k, akk, a_near, b11, b1k, bkk, b_near = next(results)
             points.append(SweepPoint(
                 theta, k, x11, x1k, xkk_true, pred, fid,
@@ -354,6 +355,40 @@ def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
         else:
             points.append(SweepPoint(theta, k, x11, x1k, xkk_true))
     return points
+
+
+def _sampled_values(states, num_qubits, dists, k_targets, readout, seed, error):
+    """The measured (x11, x1K, xKK) of every point of a sampled sweep over
+    ``states``, theta outer and K inner, as arrays, and the error that
+    ends the measurement: the first draw's error, or else ``error``.
+
+    Point p draws its populations with sub-seed seed + 10007 p and
+    measures |K><1| through its plan with seed + 10007 p + 101. Every
+    basis of every K is rotated and read once for the whole stack
+    (``sampler._basis_reads``); each draw then takes its row.
+    """
+    plans = {k: _ketbra_plan(k, 1, num_qubits) for k in k_targets}
+    by_basis = _basis_reads(
+        states, num_qubits, (b.rotations for _, bases in plans.values() for b in bases), readout
+    )
+    reads = {k: [by_basis[b.rotations] for b in bases] for k, (_, bases) in plans.items()}
+    values = []
+    try:
+        for i in range(len(states)):
+            for k in k_targets:
+                point_seed = seed + _POINT_SEED_STRIDE * len(values)
+                pops = readout.draw(dists[i], point_seed)
+                x1k = _measure_ketbra(
+                    plans[k], reads[k], i, readout, point_seed + _COHERENCE_SEED_OFFSET
+                )
+                values.append((float(pops[0]), x1k, float(pops[k - 1])))
+    except (TomographyError, ArithmeticError) as exc:
+        error = exc
+    x11, x1k, xkk_true = zip(*values) if values else ((), (), ())
+    return (
+        np.array(x11, dtype=float), np.array(x1k, dtype=complex),
+        np.array(xkk_true, dtype=float), error,
+    )
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:

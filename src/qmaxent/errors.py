@@ -23,9 +23,5 @@ class DomainError(ValidationError):
     """Numerical-domain violation (negative eigenvalue, vanishing population)."""
 
 
-class IncompleteDataError(ValidationError):
-    """Pauli means are missing for strings required by a decomposition."""
-
-
 class InfeasibleRecordError(TomographyError):
     """The measured record admits no normalizable maximal-entropy state."""

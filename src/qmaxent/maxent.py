@@ -266,22 +266,27 @@ def spectrum(ls: LagrangeSet) -> ExponentSpectrum:
 # wins (``_earliest``).
 
 
-def _record_failure(x11, x1k, xkk):
+def _record_failure(x11, x1k, xkk=None):
     """The first point whose values fail ``_check_record_values``, with
-    its error. A vectorised test picks the candidates: every failing point
-    and, within rounding of the positive-semidefinite bound, perhaps a few
-    more; the scalar check on each candidate's Python floats decides."""
+    its error; without ``xkk``, the check of measured (x11, x1K) alone. A
+    vectorised test picks the candidates: every failing point and, within
+    rounding of the positive-semidefinite bound, perhaps a few more; the
+    scalar check on each candidate's Python floats decides."""
     tol = POLICY.record_atol
     with np.errstate(all="ignore"):
         modulus = np.hypot(x1k.real, x1k.imag)
         ok = (
-            np.isfinite(x11) & np.isfinite(modulus) & np.isfinite(xkk)
+            np.isfinite(x11) & np.isfinite(modulus)
             & (-tol <= x11) & (x11 <= 1 + tol) & (modulus <= 1 + tol)
-            & (-tol <= xkk) & (xkk <= 1 + tol) & (x11 + xkk <= 1 + tol)
-            & (modulus * modulus <= x11 * xkk + 0.5 * tol)
         )
+        if xkk is not None:
+            ok &= (
+                np.isfinite(xkk) & (-tol <= xkk) & (xkk <= 1 + tol) & (x11 + xkk <= 1 + tol)
+                & (modulus * modulus <= x11 * xkk + 0.5 * tol)
+            )
     return _failure(~ok, lambda i: _raised(
-        _check_record_values, x11[i].item(), x1k[i].item(), xkk[i].item()
+        _check_record_values, x11[i].item(), x1k[i].item(),
+        None if xkk is None else xkk[i].item(),
     ))
 
 

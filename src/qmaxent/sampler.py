@@ -30,14 +30,20 @@ functions are validating wrappers around it: each call checks its
 arguments and builds its readout, and a sweep builds one readout and
 reuses it for every point.
 
-The basis rotations of a state are kept as a trie of gate prefixes: the
-public estimators keep the trie of the last state they measured, and a
-sweep keeps one per theta. X on qubit q rotates by H and Y by RZ(-pi/2)
-then H, in qubit order, so the XX basis of K = 4 continues from the
-state already rotated for the X basis of K = 2. Over every K of one
-state the rotations apply 3(3^n - 1)/2 one-qubit gates, not n 3^n, and
-each rotated state has the bytes, and the norm check, of the same gates
-applied from the start by ``apply_gates``.
+The basis rotations are a trie of gate prefixes (``_basis_reads``),
+built per call over a (T, 2^n) stack of states: a sweep's thetas, or the
+one state of a public estimator. X on qubit q rotates by H and Y by
+RZ(-pi/2) then H, in qubit order, so the XX basis of K = 4 continues
+from the stack already rotated for the X basis of K = 2. Each prefix is
+one batched gate call on every row, 3(3^n - 1)/2 calls over every K, and
+each basis is one distribution call over its rotated stack. Each row has
+the bytes, and the norm check, of the same gates applied to it alone
+from the start by ``apply_gates``. The trie is walked depth first and a
+rotated stack is dropped once its subtree is read: at most n stacks
+(about n T 2^n 16 bytes) are alive, with T 2^n 8 bytes of distributions
+per basis. Nothing is kept between calls. Each draw then reads its row
+and raises, in the draw's place, the first check its row failed on the
+way to its basis.
 
 M is built once per noise model, its condition number and inverse on
 first use. Mitigation applies the cached M^-1 to the frequencies, one
@@ -56,9 +62,17 @@ from typing import Iterable
 
 import numpy as np
 
-from .circuit import Gate, _apply_1q, _check_norm, _matrix_1q, _screen_rows, populations
+from .circuit import (
+    Gate,
+    _apply_1q,
+    _check_norm,
+    _matrix_1q,
+    _norm_failure,
+    _screen_rows,
+    populations,
+)
 from .errors import DomainError, ValidationError
-from .linalg import _raise
+from .linalg import _earliest, _raise
 from .pauli import (
     PauliString,
     _check_basis_index,
@@ -408,58 +422,60 @@ def _ketbra_plan(
     return tuple(decomposition.terms.values()), _group_bases(terms, num_qubits)
 
 
-# Rotated states of the last state measured, keyed by its bytes (signed
-# zeros included): a trie whose node (state, children) holds the state
-# after the gates on its path, with the children of the unrotated state
-# at its root. One state's trie is kept, at most 3(3^n - 1)/2 states
-# (every prefix of a basis rotation; 1092 states of 64 amplitudes at
-# n = 6); measuring another state replaces it. Each call holds its own
-# reference to the trie it uses, so callers measuring different states
-# never read each other's.
-_rotation_trie: tuple[bytes, dict] = (b"", {})
+def _basis_reads(
+    states: np.ndarray,
+    num_qubits: int,
+    bases: Iterable[tuple[Gate, ...]],
+    readout: _Readout,
+) -> dict:
+    """The distributions of a (T, 2^n) stack of states rotated into each
+    basis of ``bases`` (its rotation gates), keyed by the basis, with the
+    first row that fails in that basis as (index, error), or None.
 
+    The rotations are a trie of gate prefixes, walked depth first: each
+    node applies its gate once to every row of its parent's stack and
+    screens the rows' norms, and each basis makes one distribution call
+    over its rotated stack. A stack is dropped once its subtree is read,
+    so at most n rotated stacks are alive at once. A row fails in a basis
+    at the first check a lone state would fail on its way there: a
+    rotation's norm check in path order, then its population sum.
+    """
+    wanted = dict.fromkeys(bases)
+    trie: dict = {}
+    for rotations in wanted:
+        children = trie
+        for gate in rotations:
+            children = children.setdefault(gate, {})
+    reads = {}
 
-def _rotation_children(sv: np.ndarray) -> dict:
-    global _rotation_trie
-    key = sv.dtype.str.encode() + sv.tobytes()
-    last_key, children = _rotation_trie
-    if key != last_key:
-        # The norm check every rotated state gets, on the unrotated one too.
-        _check_norm(sv)
-        children = {}
-        _rotation_trie = (key, children)
-    return children
+    def walk(stack, children, path, failures):
+        if path in wanted:
+            dists, drifted = readout.distribution(stack)
+            reads[path] = dists, _earliest(*failures, drifted)
+        for gate, below in children.items():
+            rotated = _apply_1q(stack, _matrix_1q(gate), gate.targets[0], num_qubits)
+            walk(rotated, below, path + (gate,), failures + (_norm_failure(rotated),))
 
-
-def _rotate(state: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
-    """``apply_gates(state, (gate,), num_qubits)`` for a basis rotation,
-    whose shape and target the plan has already checked: the same bytes
-    and the same norm check."""
-    rotated = _apply_1q(state, _matrix_1q(gate), gate.targets[0], num_qubits)
-    _check_norm(rotated)
-    return rotated
+    walk(states, trie, (), ())
+    return reads
 
 
 def _read_bases(
-    sv: np.ndarray,
-    num_qubits: int,
     bases: tuple[_Basis, ...],
+    reads: list,
+    row: int,
     readout: _Readout,
     seed: int,
-    root: dict,
     means,
 ):
-    """Rotate ``sv`` into each basis through the trie at ``root``, draw
-    its distribution with sub-seed seed + its offset, and store each of
-    its strings' parity at the string's position in ``means``."""
-    for basis in bases:
-        rotated, children = sv, root
-        for gate in basis.rotations:
-            node = children.get(gate)
-            if node is None:
-                node = children[gate] = (_rotate(rotated, gate, num_qubits), {})
-            rotated, children = node
-        freqs = readout.draw(_distribution(readout, rotated), seed + basis.offset)
+    """Draw row ``row`` of each basis's distributions (``reads``, in the
+    order of ``bases``) with sub-seed seed + its offset, and store each of
+    its strings' parity at the string's position in ``means``. A basis
+    whose row failed raises that error in the draw's place."""
+    for basis, (dists, failure) in zip(bases, reads):
+        if failure is not None and failure[0] == row:
+            raise failure[1]
+        freqs = readout.draw(dists[row], seed + basis.offset)
         for position, signs in basis.reads:
             means[position] = float(signs @ freqs)
     return means
@@ -467,20 +483,27 @@ def _read_bases(
 
 def _measure_ketbra(
     plan: tuple[tuple[complex, ...], tuple[_Basis, ...]],
-    sv: np.ndarray,
-    num_qubits: int,
+    reads: list,
+    row: int,
     readout: _Readout,
     seed: int,
-    root: dict,
 ) -> complex:
-    """The mean of a |i><j| from its plan: coeff * mean summed in the
-    decomposition's order."""
+    """The mean of a |i><j| on row ``row`` from its plan and the reads of
+    its bases: coeff * mean summed in the decomposition's order."""
     coeffs, bases = plan
-    means = _read_bases(sv, num_qubits, bases, readout, seed, root, [0.0] * len(coeffs))
+    means = _read_bases(bases, reads, row, readout, seed, [0.0] * len(coeffs))
     total = complex(0.0)
     for coeff, mean in zip(coeffs, means):
         total += coeff * mean
     return total
+
+
+def _lone_reads(sv: np.ndarray, num_qubits: int, bases, readout: _Readout) -> list:
+    """The reads of ``bases`` on one state, in their order, after the
+    norm check every rotated state gets, on the unrotated one too."""
+    _check_norm(sv)
+    reads = _basis_reads(sv[None], num_qubits, (b.rotations for b in bases), readout)
+    return [reads[b.rotations] for b in bases]
 
 
 def estimate_paulis(
@@ -506,7 +529,8 @@ def estimate_paulis(
     bases = _group_bases(strings, num_qubits)
     _check_seed(seed)
     readout = _Readout(num_qubits, shots, noise, calibration)
-    means = _read_bases(sv, num_qubits, bases, readout, seed, _rotation_children(sv), {})
+    reads = _lone_reads(sv, num_qubits, bases, readout)
+    means = _read_bases(bases, reads, 0, readout, seed, {})
     return {strings[position]: mean for position, mean in means.items()}
 
 
@@ -536,4 +560,5 @@ def estimate_coherence(
     plan = _ketbra_plan(i, j, num_qubits)
     _check_seed(seed)
     readout = _Readout(num_qubits, shots_per_setting, noise, calibration)
-    return _measure_ketbra(plan, sv, num_qubits, readout, seed, _rotation_children(sv))
+    reads = _lone_reads(sv, num_qubits, plan[1], readout)
+    return _measure_ketbra(plan, reads, 0, readout, seed)

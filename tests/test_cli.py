@@ -535,6 +535,16 @@ class TestCommandLine:
         assert main(["--out", str(tmp_path / "o.csv"), "sweep", str(cfg)]) == 2
         assert "theta_start" in capsys.readouterr().err
 
+    def test_overflowing_theta_range_exit_code(self, tmp_path, capsys):
+        # Both ends are finite, their difference is not: numpy's linspace
+        # warned and bound NaN and infinite thetas.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("circuit twoq_b\ntheta_start -1e308\ntheta_stop 1e308\ntheta_steps 3\n")
+        assert main(["--out", str(tmp_path / "o.csv"), "sweep", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: theta_stop - theta_start = 1e+308 - -1e+308 is not finite\n"
+        )
+
     @pytest.mark.parametrize(
         ("lines", "key"),
         [

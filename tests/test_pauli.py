@@ -163,7 +163,7 @@ class TestRecombination:
             expected += coeff * mean
         monkeypatch.setattr(sampler, "_read_bases", lambda *args: means)
         readout = sampler._Readout(2, None, None, None)
-        assert sampler._measure_ketbra(plan, None, 2, readout, 0, {}) == expected
+        assert sampler._measure_ketbra(plan, None, 0, readout, 0) == expected
 
 
 class TestMeasurementSettings:

@@ -1,7 +1,9 @@
 """Properties of the library's boundaries on generated inputs.
 
 - The circuit and record parsers either parse a text or raise a
-  TomographyError subclass, never another exception.
+  TomographyError subclass, never another exception; ``qmaxent sweep``
+  and ``qmaxent caseab`` on generated config text exit 0, 2 or 3 and
+  never print a traceback.
 - The parse-once circuit parser gives the gates, angle bits and errors of
   a parser that tokenizes the text on every call, on the first call and
   on a repeated one.
@@ -23,6 +25,8 @@
 """
 
 import cmath
+import contextlib
+import io
 import math
 import struct
 
@@ -30,7 +34,7 @@ from conftest import newton_lagrange, reference_parse_circuit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmaxent import TomographyError, load_record, maxent, parse_circuit
+from qmaxent import TomographyError, cli, load_record, maxent, parse_circuit
 from qmaxent.maxent import (
     MeasurementRecord,
     feasible_record,
@@ -146,6 +150,64 @@ def test_record_text_parses_or_raises_a_toolkit_error(text):
         load_record(text)
     except TomographyError:
         pass
+
+
+# Config values: a valid one first, then damaged ones. The circuit files
+# are written beside the config.
+CONFIG_VALUES = {
+    "circuit": ["twoq_a", "threeq_a", "one.qc", "bad.qc", "missing.qc", "twoq_a x"],
+    "theta_start": ["-1.5", "0", "nan", "1e308", "-1e308", "x"],
+    "theta_stop": ["3", "0", "inf", "1e308", "-1e308", "1e-320"],
+    "theta_steps": ["2", "1", "0", "-2", "2.5", "x"],
+    "k_targets": ["2,3", "4", "8", "9", "1", "2,2", "x", ","],
+    "backend": ["exact", "shots", "noisy", "quantum"],
+    "shots": ["50", "1", "0", "-5", "2.5", "x", "9223372036854775808"],
+    "p01": ["0.02", "0.5", "0.6", "-0.1", "nan"],
+    "p10": ["0.04", "0.5", "0", "x"],
+    "mitigate": ["true", "false", "yes", "maybe"],
+    "seed": ["7", "0", "-1", "1.5", "x"],
+}
+CIRCUIT_FILES = {
+    "one.qc": "qubits 1\nrx(theta) 0\n",
+    "bad.qc": "qubits 2\nrx(theta 0\n",
+}
+BACKEND_KEYS = {
+    "exact": ["circuit", "theta_steps"],
+    "shots": ["circuit", "theta_steps", "backend", "shots"],
+    "noisy": ["circuit", "theta_steps", "backend", "shots", "mitigate"],
+}
+
+
+@st.composite
+def config_texts(draw) -> str:
+    """A config that runs, with some keys added, dropped or damaged, and
+    perhaps a line that is no ``key value`` pair."""
+    backend = draw(st.sampled_from(sorted(BACKEND_KEYS)))
+    values = {key: CONFIG_VALUES[key][0] for key in BACKEND_KEYS[backend]}
+    values["circuit"] = draw(st.sampled_from(["twoq_a", "threeq_a"]))
+    values["backend"] = backend
+    for key in draw(st.lists(st.sampled_from(sorted(CONFIG_VALUES)), max_size=3)):
+        values[key] = draw(st.sampled_from(CONFIG_VALUES[key]))
+    for key in draw(st.lists(st.sampled_from(sorted(values)), max_size=1)):
+        del values[key]
+    lines = [f"{key} {value}" for key, value in values.items()]
+    lines += draw(st.lists(st.sampled_from(["# note", "", "junk", "out", "seed 1"]), max_size=1))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@settings(max_examples=150)
+@given(config_texts(), st.sampled_from(["sweep", "caseab"]))
+def test_config_text_exits_0_2_or_3_without_a_traceback(tmp_path_factory, text, command):
+    directory = tmp_path_factory.mktemp("config")
+    for name, circuit_text in CIRCUIT_FILES.items():
+        (directory / name).write_text(circuit_text)
+    config = directory / "run.txt"
+    config.write_text(text)
+    output = io.StringIO()
+    with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+        code = cli.main(["--out", str(directory / "out.csv"), command, str(config)])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in output.getvalue()
 
 
 @st.composite

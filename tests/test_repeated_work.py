@@ -403,7 +403,7 @@ class TestSamplingKernel:
         )
         generators = count_calls(monkeypatch, np.random, ("default_rng",))
         kernel = count_calls(monkeypatch, sampler._Readout, ("__init__", "distribution", "draw"))
-        rotations = count_calls(monkeypatch, sampler, ("_rotate",))
+        rotations = count_calls(monkeypatch, sampler, ("_apply_1q",))
         points = run_sweep(cfg)
         assert len(points) == cfg.theta_steps * len(cfg.k_targets) == 63
         # One population draw per point and one draw per basis of |K><1|.
@@ -411,15 +411,16 @@ class TestSamplingKernel:
         assert generators["default_rng"] == sum(1 + b for b in bases) == 231
         assert public == dict.fromkeys(public, 0)
         # One readout per sweep; one distribution call for the unrotated
-        # states of every theta, and one per rotated basis.
+        # states of every theta, and one per distinct basis of every K
+        # (2 + 2 + 4) over the stack of rotated states.
         assert kernel == {
             "__init__": 1,
-            "distribution": 1 + sum(bases),
+            "distribution": 1 + 8,
             "draw": len(points) + sum(bases),
         }
-        # Every K of a 2-qubit state shares one trie per theta: 3(3^2 - 1)/2
-        # gates, where rotating each basis from the start applies 18.
-        assert rotations["_rotate"] == cfg.theta_steps * 12
+        # Every K of a 2-qubit sweep shares one trie: 3(3^2 - 1)/2 gates,
+        # each applied once to every theta's state.
+        assert rotations["_apply_1q"] == 12
 
     def test_exact_sweep_reads_each_theta_once(self, monkeypatch):
         cfg = load_config(CONFIGS / "sweep_exact.txt")

@@ -316,16 +316,11 @@ class TestEstimateCoherence:
 
 
 @pytest.fixture
-def fresh_caches(monkeypatch):
-    """Empty the per-K plan cache and the rotated-state trie; the returned
-    function empties them again."""
-
-    def reset():
-        sampler._ketbra_plan.cache_clear()
-        monkeypatch.setattr(sampler, "_rotation_trie", (b"", {}))
-
-    reset()
-    yield reset
+def fresh_caches():
+    """Empty the per-K plan cache, the one cache of the measurement path;
+    the returned function empties it again."""
+    sampler._ketbra_plan.cache_clear()
+    yield sampler._ketbra_plan.cache_clear
     sampler._ketbra_plan.cache_clear()
 
 
@@ -431,19 +426,22 @@ class TestSharedMeasurementWork:
         self, fresh_caches, monkeypatch, num_qubits, gates
     ):
         applied = []
-        rotate = sampler._rotate
+        apply_1q = sampler._apply_1q
 
-        def counting(state, gate, n):
-            applied.append(1)
-            return rotate(state, gate, n)
+        def counting(state, u, qubit, n):
+            applied.append(len(state))
+            return apply_1q(state, u, qubit, n)
 
-        monkeypatch.setattr(sampler, "_rotate", counting)
-        sv = _random_state(np.random.default_rng(70), num_qubits)
-        for k in range(2, 2**num_qubits + 1):
-            estimate_coherence(sv, k, 1, shots_per_setting=50, seed=k)
-        # 3(3^n - 1)/2 one-qubit gates, where rotating every basis from
-        # the start applies n 3^n (18 and 81).
-        assert sum(applied) == gates == 3 * (3**num_qubits - 1) // 2
+        monkeypatch.setattr(sampler, "_apply_1q", counting)
+        model = {2: "twoq_a", 3: "threeq_a"}[num_qubits]
+        cfg = ExperimentConfig(circuit_path=model, theta_steps=7, backend="shots", shots=50)
+        run_sweep(cfg)
+        # One trie per sweep: each gate prefix of a basis rotation applies
+        # once to the stack of every theta, 3(3^n - 1)/2 calls, where
+        # rotating every basis of every theta from the start applies
+        # 7 n 3^n (126 and 567).
+        assert applied == [7] * gates
+        assert gates == 3 * (3**num_qubits - 1) // 2
 
     def test_second_sweep_builds_no_plan(self, fresh_caches, monkeypatch):
         calls = {"decompose": 0, "settings": 0}
@@ -493,6 +491,41 @@ class TestReadoutChecks:
             estimate_coherence(BELL_SV, 4, 1, 100)
         with pytest.raises(TomographyError, match="statevector norm drifted to 1.49"):
             run_sweep(_sampled_config())
+
+    @pytest.mark.parametrize(
+        ("scale", "message"),
+        [(1.5, "statevector norm drifted to 1.49"), (1 + 0.75e-10, "state is not normalized")],
+    )
+    def test_rotated_row_fails_where_the_point_loop_reaches_it(
+        self, monkeypatch, scale, message
+    ):
+        # Rotations on qubit 1 leave theta 2's row off by ``scale``: the
+        # norm check fails at the first such rotation, or, within the
+        # norm tolerance, the population sum of its basis does.
+        mid = 2
+        apply_1q = sampler._apply_1q
+
+        def faulty(state, u, qubit, n):
+            rotated = apply_1q(state, u, qubit, n)
+            if qubit == 1:
+                rotated[mid] *= scale
+            return rotated
+
+        monkeypatch.setattr(sampler, "_apply_1q", faulty)
+        draws = []
+        draw = sampler._Readout.draw
+        monkeypatch.setattr(
+            sampler._Readout, "draw", lambda *args: draws.append(1) or draw(*args)
+        )
+        cfg = ExperimentConfig(
+            circuit_path="twoq_a", theta_steps=5, backend="shots", shots=100, seed=3
+        )
+        with pytest.raises(TomographyError, match=message):
+            run_sweep(cfg)
+        # Every theta before: 3 population draws and 2 + 2 + 4 basis draws.
+        # Theta 2: K = 2 with its two bases on qubit 0, then the
+        # population draw of K = 3, whose first basis rotates qubit 1.
+        assert len(draws) == mid * 11 + 3 + 1
 
     def test_population_sum(self):
         cal = build_calibration(ReadoutNoise.uniform(0.02, 0.04, 2), 2)

@@ -13,12 +13,22 @@ make of the same point, with none of the library's kernels:
   states ``mp_density`` gives for the case A and case B multipliers;
 - each set of multipliers reproduces its completed record through the
   dense ``matrix_exp_hermitian`` of its exponent.
+
+The sampled half runs the same circuits on the shots and the mitigated
+backends. It does not depend on the random stream: each point has the
+bits of ``estimate_populations`` and ``estimate_coherence`` at the
+documented sub-seeds (seed + 10007 p and seed + 10007 p + 101) on the
+state simulated alone, its populations lie within 5 sigma of the dense
+state's, a second run gives the same bits, and a mitigated run gives a
+fidelity in [0, 1] on every solved point or raises a TomographyError.
 """
 
 import math
+import struct
 from functools import reduce
 
 import numpy as np
+import pytest
 from conftest import (
     PAULI_MATRICES,
     build_exponent,
@@ -30,7 +40,16 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmaxent import POLICY
+from qmaxent import (
+    POLICY,
+    ReadoutNoise,
+    TomographyError,
+    build_calibration,
+    estimate_coherence,
+    estimate_populations,
+    parse_circuit,
+    simulate,
+)
 from qmaxent.cli import ExperimentConfig, run_sweep
 
 I2, X, Y, Z = (PAULI_MATRICES[p] for p in "IXYZ")
@@ -153,3 +172,77 @@ def test_every_exact_row_matches_the_dense_pipeline(tmp_path_factory, sweep):
         assert_reproduces(p.lagrange_b, p.x11, p.x1k, p.xkk_true)
         want = mp_fidelity(mp_density(p.lagrange_a), mp_density(p.lagrange_b))
         assert abs(p.fidelity - want) <= FIDELITY_ATOL
+
+
+SHOTS = 400
+# Sampled populations against the dense state's, in standard deviations.
+SIGMAS = 5.0
+
+
+def sampled_sigma(p: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Standard deviation of each population estimate M^-1 f, f the
+    frequencies of SHOTS draws from M p; M is the identity without
+    noise. A simplex projection only moves an estimate towards the
+    simplex. One shot's worth is added so that a population of 0 or 1
+    keeps a width."""
+    inverse = np.linalg.inv(matrix)
+    read = matrix @ p
+    variance = (inverse * inverse) @ read - p * p
+    return np.sqrt(np.maximum(variance, 0.0) / SHOTS) + 1.0 / SHOTS
+
+
+def sweep_bits(points) -> bytes:
+    """The bits of every measured and derived float of a sweep."""
+    floats = []
+    for p in points:
+        floats += [p.theta, p.x11, p.x1k.real, p.x1k.imag, p.xkk_true, p.xkk_pred, p.fidelity]
+    return struct.pack(f"<{len(floats)}d", *floats)
+
+
+@settings(max_examples=40)
+@given(
+    sweeps(),
+    st.sampled_from(["shots", "mitigated"]),
+    st.integers(0, 2**20),
+    st.sampled_from([(0.02, 0.04), (0.05, 0.01), (0.1, 0.15)]),
+)
+def test_every_sampled_row_is_the_public_estimators_draw(
+    tmp_path_factory, sweep, backend, seed, flips
+):
+    n, text, gates, (start, stop, steps), ks = sweep
+    path = tmp_path_factory.mktemp("circuit") / "sweep.qc"
+    path.write_text(text)
+    noise = ReadoutNoise.uniform(*flips, n) if backend == "mitigated" else None
+    cfg = ExperimentConfig(
+        str(path), theta_start=start, theta_stop=stop, theta_steps=steps, k_targets=ks,
+        backend="shots" if noise is None else "noisy", shots=SHOTS, noise=noise,
+        mitigate=noise is not None, seed=seed,
+    )
+    try:
+        rows = run_sweep(cfg)
+    except TomographyError as exc:
+        assert noise is not None, exc
+        with pytest.raises(type(exc)) as again:
+            run_sweep(cfg)
+        assert str(again.value) == str(exc)
+        return
+    assert sweep_bits(run_sweep(cfg)) == sweep_bits(rows)
+    calibration = None if noise is None else build_calibration(noise, n)
+    matrix = np.eye(2**n) if noise is None else calibration.entries
+    thetas = [start] if steps == 1 else np.linspace(start, stop, steps).tolist()
+    assert [(p.theta, p.k) for p in rows] == [(t, k) for t in thetas for k in ks]
+    for index, p in enumerate(rows):
+        sv = simulate(parse_circuit(text, p.theta))
+        point_seed = seed + 10007 * index
+        pops = estimate_populations(sv, SHOTS, noise, point_seed, calibration)
+        x1k = estimate_coherence(sv, p.k, 1, SHOTS, noise, point_seed + 101, calibration)
+        assert struct.pack("<4d", p.x11, p.x1k.real, p.x1k.imag, p.xkk_true) == struct.pack(
+            "<4d", pops[0], x1k.real, x1k.imag, pops[p.k - 1]
+        )
+        exact = np.abs(dense_state(n, gates, p.theta)) ** 2
+        sigma = sampled_sigma(exact, matrix)
+        k = p.k - 1
+        assert abs(p.x11 - exact[0]) <= SIGMAS * sigma[0]
+        assert abs(p.xkk_true - exact[k]) <= SIGMAS * sigma[k]
+        if noise is not None and p.lagrange_a is not None:
+            assert 0.0 <= p.fidelity <= 1.0

@@ -183,17 +183,20 @@ class TestErrorOrder:
             "overflow": ParseError, "division_by_zero": ParseError,
             "norm_drift": TomographyError, "population_sum": ValidationError,
         }[name]
-        draws = []
-        draw = sampler._Readout.draw
+        # The exact backend reads its points off the stack without a
+        # draw; the prediction kernel gets every measured point.
+        measured = []
+        predict = cli._predict_population
         monkeypatch.setattr(
-            sampler._Readout, "draw", lambda *args: draws.append(1) or draw(*args)
+            cli, "_predict_population",
+            lambda x11, x1k: measured.append(len(x11)) or predict(x11, x1k),
         )
         with pytest.raises(TomographyError) as got:
             run_sweep(cfg)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
         # Every K of every theta before the failing one was measured.
-        assert len(draws) == mid * len(cfg.k_targets)
+        assert measured == [mid * len(cfg.k_targets)]
 
     @pytest.mark.parametrize("name", CASES)
     def test_an_earlier_solve_error_comes_first(self, monkeypatch, tmp_path, name):
