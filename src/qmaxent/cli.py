@@ -7,44 +7,42 @@ population, reconstructs the density matrix both with and without the
 true xKK, and emits the comparison as CSV.
 
 Config files are flat "key value" lines; see ``load_config`` for the keys.
-All randomness derives from the config seed: sweep point p draws its
-populations with sub-seed ``seed + 10007 * p`` and its coherence with
-``seed + 10007 * p + 101`` plus the offset of each measurement basis,
-exactly as ``estimate_populations`` and ``estimate_coherence`` would.
+All randomness derives from the config seed: a sampled sweep makes one
+generator, ``np.random.default_rng(seed)``, and one multinomial call on
+it, one row per draw in the order (theta, K, [populations, then each
+basis of K's plan in plan order]). Each K draws its own populations.
 
 ``_sweep_points`` is the one sweep and ``SweepPoint`` the one result
 type: ``run_sweep`` returns every point and ``run_case_ab`` the solved
 ones, and the ``sweep`` and ``caseab`` CSVs are two views of them. The
-sweep does each piece of work once: the circuit text is tokenized once,
+sweep does each piece of work once. The circuit text is tokenized once,
 every theta is bound into it at once, and the circuit is simulated as
-one (thetas, 2^n) stack of states (``circuit._sweep_states``), the
-gates before the first theta-dependent one once and each later gate
-once for all thetas. The readout (shots, noise model and calibration)
-is validated once per sweep and then drawn on plain arrays by the
-sampler's kernel: one call computes the distribution of every theta's
-state, which serves the population draw of every K. A sampled sweep
-measures |K><1| through each K's cached plan: one trie of basis
-rotations serves every K, each prefix applied once to the stack of
-states, and each basis is one distribution call over its rotated stack
-(``sampler._basis_reads``); each draw then reads its theta's row. The
-exact backend reads every point's x11 and xKK from the one distribution
-and each K's x1K for every theta in one array product, with no draw.
+one (thetas, 2^n) stack of states (``circuit._sweep_states``). The
+readout is validated once per sweep, and one call reads the distribution
+of every theta's state. The exact backend reads every point's x11 and
+xKK from it and each K's x1K for every theta in one array product. A
+sampled sweep rotates the stack into every basis of every K's plan
+through one trie (``sampler._basis_reads``); the draws, the frequency
+check, the mitigation and the recombination of |K><1| are then array
+operations over the whole matrix of rows (``sampler._draw_slots``).
 The measured (x11, x1K) of all points are checked once, as arrays. A
 theta that fails a check of a stack (its binding, its norm, its
 population sum, a rotated row's norm or population sum) raises its
 error where a loop over the points would reach it, after the points
-before it are measured. Once every point
-is measured, one call of each of ``maxent``'s array kernels covers all
-the solved points: the prediction of xKK, the completion and solve of
-case A and of case B (``maxent._complete_and_solve``) and the
-fidelity. No record is built, no multiplier set is validated again, and
-no clamp warning is raised.
+before it are measured; a drawn row that fails the frequency check ends
+the points at its own in the same way. Then one call of each of
+``maxent``'s array kernels covers all the solved points: the prediction
+of xKK, the completion and solve of case A and of case B
+(``maxent._complete_and_solve``) and the fidelity. No record is built,
+no multiplier set is validated again, and no clamp warning is raised.
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
 import dataclasses
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -76,14 +74,13 @@ from .pauli import decompose_ketbra
 from .sampler import (
     ReadoutNoise,
     _basis_reads,
+    _draw_slots,
     _ketbra_plan,
-    _measure_ketbra,
     _Readout,
+    _recombine,
     build_calibration,
 )
 
-_POINT_SEED_STRIDE = 10007
-_COHERENCE_SEED_OFFSET = 101
 _BACKENDS = ("exact", "shots", "noisy")
 
 # Illustrative readout-flip rates used when a noisy config omits its own.
@@ -257,9 +254,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
     """Measure and reconstruct every (theta, K) point, theta outer, K inner.
 
-    Point p draws from sub-seed seed + 10007 * p, floor points included.
-    Every point is measured first; then one call of each array kernel
-    covers all solved points: the prediction, the case A and case B
+    A sampled sweep draws every point, floor points included, from one
+    generator. Every point is measured first; then one call of each array
+    kernel covers all solved points: the prediction, the case A and case B
     completions and solves, and the fidelity. A prediction that exceeds
     1 - x11 is clamped without a warning; a clamped point is recognizable
     by xkk_pred = 1 - x11. Errors come in point order: the solve error of
@@ -362,32 +359,30 @@ def _sampled_values(states, num_qubits, dists, k_targets, readout, seed, error):
     ``states``, theta outer and K inner, as arrays, and the error that
     ends the measurement: the first draw's error, or else ``error``.
 
-    Point p draws its populations with sub-seed seed + 10007 p and
-    measures |K><1| through its plan with seed + 10007 p + 101. Every
-    basis of every K is rotated and read once for the whole stack
-    (``sampler._basis_reads``); each draw then takes its row.
+    Every basis of every K is rotated and read once for the whole stack
+    (``sampler._basis_reads``); then one ``sampler._draw_slots`` call
+    draws every row from one generator seeded with ``seed``. A draw that
+    fails ends the points at its own.
     """
-    plans = {k: _ketbra_plan(k, 1, num_qubits) for k in k_targets}
-    by_basis = _basis_reads(
-        states, num_qubits, (b.rotations for _, bases in plans.values() for b in bases), readout
+    plans = [_ketbra_plan(k, 1, num_qubits) for k in k_targets]
+    reads = _basis_reads(states, num_qubits, (b for plan in plans for b in plan[0]), readout)
+    # One theta's rows: per K, its populations, then its plan's bases.
+    slots, starts = [], []
+    for plan in plans:
+        starts.append(len(slots))
+        slots += [(dists, None), *(reads[b] for b in plan[0])]
+    freqs, end, draw_error = _draw_slots(readout, slots, len(states), seed)
+    # A point is measured once its last draw is made.
+    ends = starts[1:] + [len(slots)]
+    count = end // len(slots) * len(plans) + bisect.bisect_right(ends, end % len(slots))
+    x1k = np.stack(
+        [_recombine(plan, freqs[:, s + 1 : s + 1 + len(plan[0])]) for plan, s in zip(plans, starts)],
+        axis=1,
     )
-    reads = {k: [by_basis[b.rotations] for b in bases] for k, (_, bases) in plans.items()}
-    values = []
-    try:
-        for i in range(len(states)):
-            for k in k_targets:
-                point_seed = seed + _POINT_SEED_STRIDE * len(values)
-                pops = readout.draw(dists[i], point_seed)
-                x1k = _measure_ketbra(
-                    plans[k], reads[k], i, readout, point_seed + _COHERENCE_SEED_OFFSET
-                )
-                values.append((float(pops[0]), x1k, float(pops[k - 1])))
-    except (TomographyError, ArithmeticError) as exc:
-        error = exc
-    x11, x1k, xkk_true = zip(*values) if values else ((), (), ())
     return (
-        np.array(x11, dtype=float), np.array(x1k, dtype=complex),
-        np.array(xkk_true, dtype=float), error,
+        freqs[:, starts, 0].ravel()[:count], x1k.ravel()[:count],
+        freqs[:, starts, [k - 1 for k in k_targets]].ravel()[:count],
+        error if draw_error is None else draw_error,
     )
 
 
@@ -622,6 +617,8 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+# Built on the first call and reused: parsing keeps no state between calls.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmaxent",

@@ -11,47 +11,44 @@ default PCG64 generator seeded explicitly.
 Every estimator takes a state vector and ``shots=None, noise=None,
 seed=0, calibration=None``; ``shots=None`` selects the exact mode.
 ``estimate_paulis`` rotates and samples each measurement basis once:
-strings that differ only in I vs Z share a basis, drawn with sub-seed
-seed + the position of its first string. ``estimate_coherence`` measures
-|i><j| through a plan that depends on (i, j, n) alone (the coefficients
-of its strings in the order they are summed, its bases with their
-sub-seed offsets, and their parity signs), built once per target.
+strings that differ only in I vs Z share a basis. ``estimate_coherence``
+measures |i><j| through a plan built once per (i, j, n): its bases, the
+parity signs of the strings each reads, and their coefficients.
 
-One sampling kernel serves every estimator and the sweep: a readout
-(``_Readout``) is validated once, its shots, the noise model's qubit
-count and the calibration's shape and condition, and then drawn on plain
-arrays. ``distribution(states)`` takes a stack of states, one row each
-(a sweep's thetas, or one state), and gives each row's populations read
-through M and normalized, one row at a time as for a lone state, with
-the first row that fails the population-sum check. ``draw(dist, seed)``
-is one ``multinomial(shots, dist) / shots`` draw, and, with a
-calibration, the frequency check and the mitigation below. The public
-functions are validating wrappers around it: each call checks its
-arguments and builds its readout, and a sweep builds one readout and
-reuses it for every point.
+One sampling kernel, ``_Readout``, serves every estimator and the sweep.
+It validates shots, noise and calibration once, then works on arrays.
+``distribution(states)`` reads a (T, 2^n) stack of states through M and
+normalizes it, as one product over the stack. ``draw(dists, seed)`` is
+one ``default_rng(seed).multinomial(shots, dists)`` call, which has the
+bits of drawing its rows one at a time from that generator; with a
+calibration, every row is then checked and mitigated. A lone row
+(``sample_counts``, ``estimate_populations``, ``mitigate``) keeps the
+bytes of a one-vector draw and matvec.
 
 The basis rotations are a trie of gate prefixes (``_basis_reads``),
-built per call over a (T, 2^n) stack of states: a sweep's thetas, or the
-one state of a public estimator. X on qubit q rotates by H and Y by
-RZ(-pi/2) then H, in qubit order, so the XX basis of K = 4 continues
-from the stack already rotated for the X basis of K = 2. Each prefix is
-one batched gate call on every row, 3(3^n - 1)/2 calls over every K, and
-each basis is one distribution call over its rotated stack. Each row has
-the bytes, and the norm check, of the same gates applied to it alone
-from the start by ``apply_gates``. The trie is walked depth first and a
-rotated stack is dropped once its subtree is read: at most n stacks
-(about n T 2^n 16 bytes) are alive, with T 2^n 8 bytes of distributions
-per basis. Nothing is kept between calls. Each draw then reads its row
-and raises, in the draw's place, the first check its row failed on the
-way to its basis.
+walked depth first over the stack: X on qubit q rotates by H and Y by
+RZ(-pi/2) then H, in qubit order, so each prefix is one gate call on
+every row, 3(3^n - 1)/2 calls over every K. Each row has the bytes and
+the norm check of the same gates applied to it alone by ``apply_gates``.
+At most n rotated stacks (about n T 2^n 16 bytes) are alive, with
+T 2^n 8 bytes of distributions per basis.
+
+``_draw_slots`` interleaves the distributions into one matrix P of rows
+to draw, theta outer: a sweep's rows per theta are, per K, its
+populations and then each basis of its plan in plan order. P has about
+T (K + 3^n - 1) 2^n 8 bytes, and the tallies and frequencies as much
+again. A row that failed a check on the way to its basis is left out of
+P with every row after it, and its error is raised in the draw's place;
+a drawn row that fails the frequency check ends the rows the same way.
+Each |i><j| is recombined for every theta at once: the string parities
+as one product with the plan's signs, then one with its coefficients.
 
 M is built once per noise model, its condition number and inverse on
-first use. Mitigation applies the cached M^-1 to the frequencies, one
-matvec per basis; when that leaves negative entries it returns their
+first use. Mitigation applies the cached M^-1 to every row in one
+product, and replaces each row left with a negative entry by its
 Euclidean projection onto the probability simplex (sort, threshold,
-clip), the constrained treatment of Smolin, Gambetta & Smith, PRL 108,
-070502, 2012, also used by M3 (Nation et al., PRX Quantum 2, 040326,
-2021).
+clip; Smolin, Gambetta & Smith, PRL 108, 070502, 2012, also used by M3,
+Nation et al., PRX Quantum 2, 040326, 2021).
 """
 
 from __future__ import annotations
@@ -188,16 +185,20 @@ def _check_shots(shots) -> None:
         raise ValidationError(f"shots = {shots} is above the draw's limit 2^63 - 1")
 
 
-def _check_frequencies(freqs: np.ndarray) -> None:
-    # Written so that non-finite entries fail too: a NaN makes the min
-    # NaN, a -inf the min -inf and a +inf the sum non-finite.
-    if not (freqs.min() >= 0 and abs(freqs.sum() - 1) <= 1e-9):
-        # +inf and -inf together sum to NaN; that is reported, not warned.
-        with np.errstate(invalid="ignore"):
-            total = freqs.sum()
-        raise ValidationError(
-            f"frequencies must be >= 0 and sum to 1, got min {freqs.min()}, sum {total}"
-        )
+def _frequency_failure(freqs: np.ndarray):
+    """The first row of ``freqs`` that is not a distribution (>= 0 and
+    summing to 1), as (index, ValidationError), or None."""
+    # Non-finite entries fail too: a NaN makes the min NaN, a -inf the min
+    # -inf, a +inf the sum non-finite, and +inf and -inf a reported NaN sum.
+    with np.errstate(invalid="ignore"):
+        low, total = freqs.min(axis=1, initial=np.inf), freqs.sum(axis=1)
+    bad = np.flatnonzero(~((low >= 0) & (np.abs(total - 1) <= 1e-9)))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    return i, ValidationError(
+        f"frequencies must be >= 0 and sum to 1, got min {low[i]}, sum {total[i]}"
+    )
 
 
 def _check_condition(cal: CalibrationMatrix) -> None:
@@ -249,25 +250,28 @@ class _Readout:
         failure = _screen_rows(probs.sum(axis=1), populations, states)
         if failure is not None:
             probs = probs[: failure[0]]
-        # M p and its normalization one row at a time, as for a lone
-        # state: a product of the whole stack rounds differently.
         if self.matrix is not None:
-            probs = [self.matrix @ p for p in probs]
+            probs = probs @ self.matrix.T
         if self.shots is not None:
-            probs = [p / p.sum() for p in probs]
+            probs = probs / probs.sum(axis=1, keepdims=True)
         return probs, failure
 
-    def tally(self, dist: np.ndarray, seed: int) -> np.ndarray:
-        return np.random.default_rng(seed).multinomial(self.shots, dist)
+    def tally(self, dists: np.ndarray, seed: int) -> np.ndarray:
+        """A multinomial tally of each row of ``dists``, from one generator."""
+        return np.random.default_rng(seed).multinomial(self.shots, dists)
 
-    def draw(self, dist: np.ndarray, seed: int) -> np.ndarray:
-        """Frequencies of one seeded draw from ``dist`` (``dist`` itself
-        in the exact mode), mitigated when the readout has a calibration."""
-        freqs = dist if self.shots is None else self.tally(dist, seed) / self.shots
+    def draw(self, dists: np.ndarray, seed: int):
+        """The frequencies of ``tally``'s draw of ``dists`` (``dists`` itself
+        in the exact mode), mitigated with a calibration, and the first row
+        that fails the frequency check as (index, ValidationError), or
+        None. Only the rows before that one are returned."""
+        freqs = dists if self.shots is None else self.tally(dists, seed) / self.shots
         if self.inverse is None:
-            return freqs
-        _check_frequencies(freqs)
-        return _unmix(self.inverse, freqs)
+            return freqs, None
+        failure = _frequency_failure(freqs)
+        if failure is not None:
+            freqs = freqs[: failure[0]]
+        return _unmix(self.inverse, freqs), failure
 
 
 def _distribution(readout: _Readout, sv: np.ndarray) -> np.ndarray:
@@ -311,7 +315,9 @@ def estimate_populations(
     _check_seed(seed)
     sv = np.asarray(sv)
     readout = _Readout(_state_qubits(sv), shots, noise, calibration)
-    return readout.draw(_distribution(readout, sv), seed)
+    freqs, failure = readout.draw(_distribution(readout, sv)[None], seed)
+    _raise(failure)
+    return freqs[0]
 
 
 # At most 126 read-only arrays: num_qubits <= 6 and mask < 2^num_qubits.
@@ -328,21 +334,25 @@ def _parity_signs(num_qubits: int, mask: int) -> np.ndarray:
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of v onto {p >= 0, sum(p) = 1}: max(v - tau, 0)
-    with the threshold tau that makes the result sum to 1."""
-    u = np.sort(v)[::-1]
-    excess = np.cumsum(u) - 1.0
-    # The last sorted entry still above the threshold of its prefix.
-    last = np.flatnonzero(u * np.arange(1, u.size + 1) > excess)[-1]
-    return np.maximum(v - excess[last] / (last + 1), 0.0)
+    """Euclidean projection of each row of v onto {p >= 0, sum(p) = 1}:
+    max(v - tau, 0) with the row's threshold tau that makes it sum to 1."""
+    rows, dim = v.shape
+    u = np.sort(v, axis=1)[:, ::-1]
+    excess = np.cumsum(u, axis=1) - 1.0
+    # Each row's last sorted entry above its prefix's threshold (the first is).
+    above = u * np.arange(1, dim + 1) > excess
+    last = dim - 1 - np.argmax(above[:, ::-1], axis=1)
+    return np.maximum(v - (excess[np.arange(rows), last] / (last + 1))[:, None], 0.0)
 
 
 def _unmix(inverse: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """M^-1 f when it is >= 0, else its projection onto the simplex."""
-    direct = inverse @ freqs
-    if direct.min() >= 0.0:
-        return direct
-    return _project_simplex(direct)
+    """M^-1 f of each row f of ``freqs`` where it is >= 0, else its
+    projection onto the simplex."""
+    unmixed = freqs @ inverse.T
+    negative = ~(unmixed.min(axis=1, initial=np.inf) >= 0.0)
+    if negative.any():
+        unmixed[negative] = _project_simplex(unmixed[negative])
+    return unmixed
 
 
 def mitigate(freqs: np.ndarray, cal: CalibrationMatrix) -> np.ndarray:
@@ -358,9 +368,9 @@ def mitigate(freqs: np.ndarray, cal: CalibrationMatrix) -> np.ndarray:
         raise ValidationError(
             f"calibration covers {cal.dim} outcomes, frequencies have shape {freqs.shape}"
         )
-    _check_frequencies(freqs)
+    _raise(_frequency_failure(freqs[None]))
     _check_condition(cal)
-    return _unmix(cal.inverse, freqs)
+    return _unmix(cal.inverse, freqs[None])[0]
 
 
 @lru_cache(maxsize=64)
@@ -377,22 +387,11 @@ def build_calibration(noise: ReadoutNoise, num_qubits: int) -> CalibrationMatrix
     return CalibrationMatrix(num_qubits, reduce(np.kron, reversed(singles)))
 
 
-@dataclass(frozen=True)
-class _Basis:
-    """One measurement basis: its rotations, the sub-seed offset of its
-    draw and the (string position, parity signs) pairs read from its
-    distribution."""
-
-    rotations: tuple[Gate, ...]
-    offset: int
-    reads: tuple[tuple[int, np.ndarray], ...]
-
-
-def _group_bases(strings: tuple, num_qubits: int) -> tuple[_Basis, ...]:
-    """Group strings by measurement basis: strings with equal rotations
-    (they differ only in I vs Z) share one, whose offset is the position
-    of its first string."""
-    groups: dict[tuple[Gate, ...], tuple[int, list]] = {}
+def _group_bases(strings: tuple, num_qubits: int) -> dict:
+    """The (string position, parity signs) pairs of each measurement basis,
+    keyed by its rotations in the order of its first string: strings that
+    differ only in I vs Z share one."""
+    groups: dict[tuple[Gate, ...], list] = {}
     for position, p in enumerate(strings):
         if not isinstance(p, PauliString):
             hint = f"; write PauliString(tuple({p!r}))" if isinstance(p, str) else ""
@@ -402,24 +401,34 @@ def _group_bases(strings: tuple, num_qubits: int) -> tuple[_Basis, ...]:
                 f"string acts on {p.num_qubits} qubit(s), state has {num_qubits}"
             )
         setting = measurement_settings(p)
-        _, reads = groups.setdefault(setting.rotations, (position, []))
-        reads.append((position, _parity_signs(num_qubits, setting.parity_mask)))
-    return tuple(
-        _Basis(rotations, offset, tuple(reads))
-        for rotations, (offset, reads) in groups.items()
-    )
+        groups.setdefault(setting.rotations, []).append(
+            (position, _parity_signs(num_qubits, setting.parity_mask))
+        )
+    return groups
 
 
-# The plan of |i><j| depends on (i, j, n) alone: the coefficients of its
-# strings in decomposition order, which is the order of recombination,
-# and its bases. A sweep over every K of a 6-qubit state keeps 63.
+# The plan of |i><j|: its bases' rotations, the (bases, 2^n, strings per
+# basis) parity signs of the strings each reads and their coefficients in
+# the same order, flattened. A 6-qubit sweep over every K keeps 63.
 @lru_cache(maxsize=256)
-def _ketbra_plan(
-    i: int, j: int, num_qubits: int
-) -> tuple[tuple[complex, ...], tuple[_Basis, ...]]:
+def _ketbra_plan(i: int, j: int, num_qubits: int):
     decomposition = decompose_ketbra(i, j, num_qubits)
-    terms = tuple(decomposition.terms)
-    return tuple(decomposition.terms.values()), _group_bases(terms, num_qubits)
+    coeffs = tuple(decomposition.terms.values())
+    groups = _group_bases(tuple(decomposition.terms), num_qubits)
+    # Each of the 2^d bases reads 2^(n - d) strings (d bits of i-1, j-1 differ).
+    signs = np.array([[s for _, s in reads] for reads in groups.values()]).transpose(0, 2, 1)
+    weights = np.array([coeffs[p] for reads in groups.values() for p, _ in reads])
+    signs.flags.writeable = weights.flags.writeable = False
+    return tuple(groups), signs, weights
+
+
+def _recombine(plan, freqs: np.ndarray) -> np.ndarray:
+    """The mean of a |i><j| on each row of ``freqs``, the (T, bases, 2^n)
+    frequencies of its plan's bases: the parity of every string, then one
+    product with the coefficients."""
+    _, signs, coeffs = plan
+    means = np.einsum("tbi,bis->tbs", freqs, signs)
+    return means.reshape(len(freqs), coeffs.size) @ coeffs
 
 
 def _basis_reads(
@@ -460,50 +469,41 @@ def _basis_reads(
     return reads
 
 
-def _read_bases(
-    bases: tuple[_Basis, ...],
-    reads: list,
-    row: int,
-    readout: _Readout,
-    seed: int,
-    means,
-):
-    """Draw row ``row`` of each basis's distributions (``reads``, in the
-    order of ``bases``) with sub-seed seed + its offset, and store each of
-    its strings' parity at the string's position in ``means``. A basis
-    whose row failed raises that error in the draw's place."""
-    for basis, (dists, failure) in zip(bases, reads):
-        if failure is not None and failure[0] == row:
-            raise failure[1]
-        freqs = readout.draw(dists[row], seed + basis.offset)
-        for position, signs in basis.reads:
-            means[position] = float(signs @ freqs)
-    return means
+def _draw_slots(readout: _Readout, slots: list, count: int, seed: int):
+    """Draw ``count`` rows of each of ``slots``, (distributions, failure)
+    pairs, in one ``readout.draw``: row i of slot s is draw i * len(slots)
+    + s. A slot's failure (index, error) ends the draws before its row, as
+    does a row that fails the frequency check. Returns the (count,
+    len(slots), 2^n) frequencies, zero from the first draw not made, the
+    number of draws made, and the error that ended them, or None."""
+    if not slots:
+        return np.empty((count, 0, 0)), 0, None
+    width = len(slots)
+    end, error = count * width, None
+    for s, (_, failure) in enumerate(slots):
+        if failure is not None and failure[0] * width + s < end:
+            end, error = failure[0] * width + s, failure[1]
+    dim = slots[0][0].shape[1]
+    probs = np.empty((end, dim))
+    for s, (dists, _) in enumerate(slots):
+        probs[s::width] = dists[: len(range(s, end, width))]
+    drawn, failure = readout.draw(probs, seed)
+    if failure is not None:
+        end, error = failure
+    freqs = np.zeros((count * width, dim))
+    freqs[:end] = drawn
+    return freqs.reshape(count, width, dim), end, error
 
 
-def _measure_ketbra(
-    plan: tuple[tuple[complex, ...], tuple[_Basis, ...]],
-    reads: list,
-    row: int,
-    readout: _Readout,
-    seed: int,
-) -> complex:
-    """The mean of a |i><j| on row ``row`` from its plan and the reads of
-    its bases: coeff * mean summed in the decomposition's order."""
-    coeffs, bases = plan
-    means = _read_bases(bases, reads, row, readout, seed, [0.0] * len(coeffs))
-    total = complex(0.0)
-    for coeff, mean in zip(coeffs, means):
-        total += coeff * mean
-    return total
-
-
-def _lone_reads(sv: np.ndarray, num_qubits: int, bases, readout: _Readout) -> list:
-    """The reads of ``bases`` on one state, in their order, after the
-    norm check every rotated state gets, on the unrotated one too."""
+def _lone_draw(sv: np.ndarray, num_qubits: int, bases, readout: _Readout, seed: int):
+    """The (bases, 2^n) frequencies of ``bases`` (their rotations) on one
+    state, which gets the norm check of a rotated one; failures raised."""
     _check_norm(sv)
-    reads = _basis_reads(sv[None], num_qubits, (b.rotations for b in bases), readout)
-    return [reads[b.rotations] for b in bases]
+    reads = _basis_reads(sv[None], num_qubits, bases, readout)
+    freqs, _, error = _draw_slots(readout, [reads[r] for r in bases], 1, seed)
+    if error is not None:
+        raise error
+    return freqs[0]
 
 
 def estimate_paulis(
@@ -519,19 +519,22 @@ def estimate_paulis(
 
     Strings with equal basis rotations (they differ only in I vs Z) share
     a basis. Each basis rotates ``sv`` (from ``simulate``) once and takes
-    its distribution as ``estimate_populations`` does, with sub-seed
-    seed + the position of its first string; each string reads its
-    parity there.
+    its distribution as ``estimate_populations`` does; the bases draw in
+    the order of their first strings from one generator seeded with
+    ``seed``, and each string reads its parity there.
     """
     sv = np.asarray(sv)
     num_qubits = _state_qubits(sv)
     strings = tuple(strings)
-    bases = _group_bases(strings, num_qubits)
+    groups = _group_bases(strings, num_qubits)
     _check_seed(seed)
     readout = _Readout(num_qubits, shots, noise, calibration)
-    reads = _lone_reads(sv, num_qubits, bases, readout)
-    means = _read_bases(bases, reads, 0, readout, seed, {})
-    return {strings[position]: mean for position, mean in means.items()}
+    freqs = _lone_draw(sv, num_qubits, tuple(groups), readout, seed)
+    return {
+        strings[position]: float(signs @ f)
+        for reads, f in zip(groups.values(), freqs)
+        for position, signs in reads
+    }
 
 
 def estimate_coherence(
@@ -560,5 +563,5 @@ def estimate_coherence(
     plan = _ketbra_plan(i, j, num_qubits)
     _check_seed(seed)
     readout = _Readout(num_qubits, shots_per_setting, noise, calibration)
-    reads = _lone_reads(sv, num_qubits, plan[1], readout)
-    return _measure_ketbra(plan, reads, 0, readout, seed)
+    freqs = _lone_draw(sv, num_qubits, plan[0], readout, seed)
+    return complex(_recombine(plan, freqs[None])[0])

@@ -129,7 +129,7 @@ class TestDecompose:
 
 class TestRecombination:
     """The mean of |i><j| is its strings' means, each times its
-    coefficient, summed in the decomposition's order."""
+    coefficient, summed."""
 
     def test_plus_state_coherence(self):
         assert estimate_coherence(simulate(parse_circuit("qubits 1\nh 0")), 1, 2) == (
@@ -150,20 +150,35 @@ class TestRecombination:
 
     @pytest.mark.parametrize(("i", "j", "n"), [(1, 2, 2), (3, 8, 3), (1, 64, 6)])
     def test_every_string_is_read_once(self, i, j, n):
-        coeffs, bases = sampler._ketbra_plan(i, j, n)
-        assert coeffs == tuple(decompose_ketbra(i, j, n).terms.values())
-        positions = sorted(p for basis in bases for p, _ in basis.reads)
-        assert positions == list(range(len(coeffs)))
+        # Each string has one (basis, column) slot of the plan: its basis's
+        # rotations, its parity signs and its coefficient.
+        rotations, signs_of, coeffs = sampler._ketbra_plan(i, j, n)
+        bases, dim, reads = signs_of.shape
+        assert (bases, dim) == (len(rotations), 2**n)
+        slots = []
+        for p, coeff in decompose_ketbra(i, j, n).terms.items():
+            setting = measurement_settings(p)
+            basis = rotations.index(setting.rotations)
+            signs = sampler._parity_signs(n, setting.parity_mask)
+            (column,) = [c for c in range(reads) if (signs_of[basis, :, c] == signs).all()]
+            assert coeffs[basis * reads + column] == coeff
+            slots.append((basis, column))
+        assert sorted(slots) == list(itertools.product(range(bases), range(reads)))
 
-    def test_means_are_summed_in_term_order(self, monkeypatch):
-        plan = sampler._ketbra_plan(2, 3, 2)
-        means = [0.1 * (i + 1) for i in range(len(plan[0]))]
-        expected = complex(0.0)
-        for coeff, mean in zip(decompose_ketbra(2, 3, 2).terms.values(), means):
-            expected += coeff * mean
-        monkeypatch.setattr(sampler, "_read_bases", lambda *args: means)
-        readout = sampler._Readout(2, None, None, None)
-        assert sampler._measure_ketbra(plan, None, 0, readout, 0) == expected
+    def test_means_are_weighted_by_their_coefficients(self):
+        # Any frequencies: the recombined value of each row is
+        # sum coeff * (signs @ f) over the strings, to rounding.
+        n = 3
+        plan = sampler._ketbra_plan(2, 7, n)
+        freqs = np.random.default_rng(5).random((4, len(plan[0]), 2**n))
+        got = sampler._recombine(plan, freqs)
+        for row, value in zip(freqs, got):
+            want = complex(0.0)
+            for p, coeff in decompose_ketbra(2, 7, n).terms.items():
+                setting = measurement_settings(p)
+                f = row[plan[0].index(setting.rotations)]
+                want += coeff * float(sampler._parity_signs(n, setting.parity_mask) @ f)
+            assert abs(value - want) <= 1e-14
 
 
 class TestMeasurementSettings:

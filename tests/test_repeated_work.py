@@ -395,29 +395,36 @@ class TestOncePerProcess:
 
 
 class TestSamplingKernel:
-    def test_mitigated_sweep_draws_one_generator_per_draw(self, monkeypatch):
+    def test_mitigated_sweep_draws_every_row_from_one_generator(self, monkeypatch):
         cfg = load_config(CONFIGS / "sweep_noisy_mitigated.txt")
         public = count_calls(
             monkeypatch, sampler,
             ("mitigate", "sample_counts", "estimate_populations", "estimate_coherence"),
         )
         generators = count_calls(monkeypatch, np.random, ("default_rng",))
-        kernel = count_calls(monkeypatch, sampler._Readout, ("__init__", "distribution", "draw"))
+        kernel = count_calls(
+            monkeypatch, sampler._Readout, ("__init__", "distribution", "draw", "tally")
+        )
+        rows = []
+        tally = sampler._Readout.tally
+        monkeypatch.setattr(
+            sampler._Readout, "tally",
+            lambda self, dists, seed: rows.append(len(dists)) or tally(self, dists, seed),
+        )
         rotations = count_calls(monkeypatch, sampler, ("_apply_1q",))
         points = run_sweep(cfg)
         assert len(points) == cfg.theta_steps * len(cfg.k_targets) == 63
-        # One population draw per point and one draw per basis of |K><1|.
+        # One generator and one multinomial call per sweep, whose rows are
+        # one population draw per point and one draw per basis of |K><1|
+        # (231 generators, one per row, before).
         bases = [2 ** bin(p.k - 1).count("1") for p in points]
-        assert generators["default_rng"] == sum(1 + b for b in bases) == 231
+        assert generators["default_rng"] == 1
+        assert rows == [sum(1 + b for b in bases)] == [231]
         assert public == dict.fromkeys(public, 0)
         # One readout per sweep; one distribution call for the unrotated
         # states of every theta, and one per distinct basis of every K
         # (2 + 2 + 4) over the stack of rotated states.
-        assert kernel == {
-            "__init__": 1,
-            "distribution": 1 + 8,
-            "draw": len(points) + sum(bases),
-        }
+        assert kernel == {"__init__": 1, "distribution": 1 + 8, "draw": 1, "tally": 1}
         # Every K of a 2-qubit sweep shares one trie: 3(3^2 - 1)/2 gates,
         # each applied once to every theta's state.
         assert rotations["_apply_1q"] == 12

@@ -4,10 +4,16 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import bisection_simplex_projection, dense_expectation, to_matrix
+from conftest import (
+    SAMPLED_ATOL,
+    bisection_simplex_projection,
+    dense_expectation,
+    reference_sampled_sweep,
+    to_matrix,
+)
 
 from qmaxent import DomainError, TomographyError, ValidationError, circuits
-from qmaxent import sampler
+from qmaxent import cli, sampler
 from qmaxent.cli import ExperimentConfig, run_sweep
 from qmaxent.circuit import Gate, apply_gates, parse_circuit, populations, simulate
 from qmaxent.pauli import PauliString, decompose_ketbra, measurement_settings
@@ -217,6 +223,10 @@ class TestEstimatePauli:
         with pytest.raises(ValidationError, match=message):
             estimate_paulis(BELL_SV, strings, 100)
 
+    def test_no_strings_no_draw(self):
+        for shots in (None, 100):
+            assert estimate_paulis(BELL_SV, [], shots) == {}
+
     def test_strings_sharing_a_basis_share_one_tally(self):
         sv = simulate(parse_circuit("qubits 2\nry(0.8) 0\nrx(1.3) 1\ncx 0 1"))
         xi, zz, iz = (PauliString(tuple(s)) for s in ("XI", "ZZ", "IZ"))
@@ -227,13 +237,15 @@ class TestEstimatePauli:
             signs = np.array([(-1.0) ** bin(i & mask).count("1") for i in range(4)])
             return float(signs @ (tally / shots))
 
-        # ZZ and IZ need no rotation: both read the tally of seed + 1,
-        # the position of the first of them.
-        shared = sample_counts(sv, shots, seed=seed + 1)
+        # The bases draw in the order of their first strings from one
+        # generator: XI's, then the unrotated one that ZZ and IZ share.
+        rng = np.random.default_rng(seed)
+        rotated = populations(apply_gates(sv, (Gate("h", (0,)),), 2))
+        first = rng.multinomial(shots, rotated / rotated.sum())
+        shared = rng.multinomial(shots, populations(sv) / populations(sv).sum())
+        assert means[xi] == parity(first, 0b01)
         assert means[zz] == parity(shared, 0b11)
         assert means[iz] == parity(shared, 0b10)
-        rotated = apply_gates(sv, (Gate("h", (0,)),), 2)
-        assert means[xi] == parity(sample_counts(rotated, shots, seed=seed), 0b01)
 
 
 class TestEstimateCoherence:
@@ -284,22 +296,20 @@ class TestEstimateCoherence:
 
     def test_one_distribution_per_basis(self, monkeypatch):
         sv = simulate(parse_circuit("qubits 3\nh 0\nry(0.7) 1\ncx 1 2"))
-        calls = []
+        rows = []
         draw = sampler._Readout.draw
 
-        def counting(*args):
-            calls.append(1)
-            return draw(*args)
+        def counting(self, dists, seed):
+            rows.append(len(dists))
+            return draw(self, dists, seed)
 
         monkeypatch.setattr(sampler._Readout, "draw", counting)
-        total = 0
         for k in range(2, 9):
-            calls.clear()
             estimate_coherence(sv, k, 1, shots_per_setting=100, seed=k)
-            # |K><1| has 2^3 strings but 2^popcount(K-1) bases.
-            assert len(calls) == 2 ** bin(k - 1).count("1")
-            total += len(calls)
-        assert total == 26
+        # One draw call per estimate; |K><1| has 2^3 strings but
+        # 2^popcount(K-1) bases, one row each.
+        assert rows == [2 ** bin(k - 1).count("1") for k in range(2, 9)]
+        assert sum(rows) == 26
 
     def test_error_halves_when_shots_quadruple(self):
         seeds = range(50)
@@ -330,26 +340,16 @@ def _random_state(rng, num_qubits):
 
 
 def _uncached_coherence(sv, k, shots, noise, seed, calibration):
-    """Reference x1K from the public pieces: each string's basis rotates
-    ``sv`` from the start and draws on its own, with the sub-seed of the
-    basis's first string, so strings of one basis read equal tallies."""
+    """Reference x1K from the one-generator reference: each basis rotates
+    ``sv`` from the start and draws in plan order from ``default_rng(seed)``,
+    with no population draw before them."""
     num_qubits = int(math.log2(sv.size))
-    d = decompose_ketbra(k, 1, num_qubits)
-    firsts = {}
-    for position, p in enumerate(d.terms):
-        firsts.setdefault(measurement_settings(p).rotations, position)
-    means = {}
-    for p in d.terms:
-        setting = measurement_settings(p)
-        rotated = apply_gates(sv, setting.rotations, num_qubits)
-        freqs = estimate_populations(
-            rotated, shots, noise, seed + firsts[setting.rotations], calibration
-        )
-        means[p] = float(sampler._parity_signs(num_qubits, setting.parity_mask) @ freqs)
-    total = complex(0.0)
-    for p, coeff in d.terms.items():
-        total += coeff * means[p]
-    return total
+    matrix = None if noise is None else build_calibration(noise, num_qubits).entries
+    inverse = None if calibration is None else calibration.inverse
+    _, values = reference_sampled_sweep(
+        sv[None], (k,), shots, matrix, inverse, seed, populations=False
+    )
+    return values[0][1]
 
 
 NOISE = ReadoutNoise((0.03, 0.08, 0.05), (0.06, 0.02, 0.1))
@@ -391,16 +391,19 @@ class TestSharedMeasurementWork:
                 fresh_caches()
                 alone = estimate_coherence(sv, k, 1, shots, noise, seeds[k], calibration)
                 assert swept[k] == alone
-                assert swept[k] == _uncached_coherence(
-                    sv, k, shots, noise, seeds[k], calibration
-                )
+                want = _uncached_coherence(sv, k, shots, noise, seeds[k], calibration)
+                assert abs(swept[k].real - want.real) <= SAMPLED_ATOL
+                assert abs(swept[k].imag - want.imag) <= SAMPLED_ATOL
 
     @pytest.mark.parametrize("num_qubits", [2, 3])
     @pytest.mark.parametrize("mode", ["shots", "noisy", "mitigated"])
-    def test_sweep_points_equal_the_public_estimators(self, num_qubits, mode):
-        # The seed contract: point p of a sampled sweep reads the bits of
-        # the public estimators at seed + 10007 p (populations) and at
-        # seed + 10007 p + 101 (coherence), each state simulated in full.
+    def test_sweep_points_are_the_one_generator_reference(
+        self, monkeypatch, num_qubits, mode
+    ):
+        # The stream contract: a sampled sweep draws every row from one
+        # generator seeded with the config seed, in the order (theta, K,
+        # [populations, then each basis of K's plan]), each theta's state
+        # simulated in full and rotated from the start.
         shots, noise, mitigated = MODES[mode]
         if noise is not None:
             noise = ReadoutNoise(noise.p01[:num_qubits], noise.p10[:num_qubits])
@@ -409,17 +412,34 @@ class TestSharedMeasurementWork:
             circuit_path=model, theta_steps=5, backend=mode if mode != "mitigated" else "noisy",
             shots=shots, noise=noise, mitigate=mitigated, seed=17,
         )
-        calibration = build_calibration(noise, num_qubits) if mitigated else None
+        tallies = []
+        tally = sampler._Readout.tally
+        monkeypatch.setattr(
+            sampler._Readout, "tally",
+            lambda self, dists, seed: tallies.append(tally(self, dists, seed)) or tallies[-1],
+        )
         points = run_sweep(cfg)
-        assert len(points) == 5 * (2**num_qubits - 1)
-        for p, point in enumerate(points):
-            sv = simulate(parse_circuit(circuits.load(model), point.theta))
-            seed = cfg.seed + 10007 * p
-            pops = estimate_populations(sv, shots, noise, seed, calibration)
-            x1k = estimate_coherence(sv, point.k, 1, shots, noise, seed + 101, calibration)
-            assert _bits(point.x11, point.x1k, point.xkk_true) == _bits(
-                pops[0], x1k, pops[point.k - 1]
-            )
+        targets = tuple(range(2, 2**num_qubits + 1))
+        assert len(points) == 5 * len(targets)
+        states = np.array([
+            simulate(parse_circuit(circuits.load(model), theta))
+            for theta in dict.fromkeys(point.theta for point in points)
+        ])
+        calibration = build_calibration(noise, num_qubits) if noise is not None else None
+        want_tallies, want = reference_sampled_sweep(
+            states, targets, shots, None if noise is None else calibration.entries,
+            calibration.inverse if mitigated else None, cfg.seed,
+        )
+        # One multinomial call, with the reference's tallies bit for bit.
+        assert len(tallies) == 1
+        assert tallies[0].tobytes() == np.array(want_tallies).tobytes()
+        for point, (x11, x1k, xkk) in zip(points, want, strict=True):
+            got = (point.x11, point.x1k.real, point.x1k.imag, point.xkk_true)
+            if not mitigated:
+                # Unmitigated populations are the tally over shots itself.
+                assert _bits(point.x11, point.xkk_true) == _bits(x11, xkk)
+            for a, b in zip(got, (x11, x1k.real, x1k.imag, xkk)):
+                assert abs(a - b) <= SAMPLED_ATOL
 
     @pytest.mark.parametrize(("num_qubits", "gates"), [(2, 12), (3, 39)])
     def test_rotations_apply_each_prefix_once(
@@ -478,6 +498,26 @@ def _sampled_config(mitigate=True, noise=ReadoutNoise.uniform(0.02, 0.04, 2)):
     )
 
 
+def _count_rows_and_points(monkeypatch):
+    """Record the rows of each multinomial call and the points of each
+    sampled sweep's measurement."""
+    rows, measured = [], []
+    tally = sampler._Readout.tally
+    monkeypatch.setattr(
+        sampler._Readout, "tally",
+        lambda self, dists, seed: rows.append(len(dists)) or tally(self, dists, seed),
+    )
+    sampled_values = cli._sampled_values
+
+    def counting(*args):
+        values = sampled_values(*args)
+        measured.append(len(values[0]))
+        return values
+
+    monkeypatch.setattr(cli, "_sampled_values", counting)
+    return rows, measured
+
+
 class TestReadoutChecks:
     """Each check of the readout fires with its message, through the
     public estimators and through the sweep's kernel alike."""
@@ -512,11 +552,7 @@ class TestReadoutChecks:
             return rotated
 
         monkeypatch.setattr(sampler, "_apply_1q", faulty)
-        draws = []
-        draw = sampler._Readout.draw
-        monkeypatch.setattr(
-            sampler._Readout, "draw", lambda *args: draws.append(1) or draw(*args)
-        )
+        rows, measured = _count_rows_and_points(monkeypatch)
         cfg = ExperimentConfig(
             circuit_path="twoq_a", theta_steps=5, backend="shots", shots=100, seed=3
         )
@@ -525,7 +561,10 @@ class TestReadoutChecks:
         # Every theta before: 3 population draws and 2 + 2 + 4 basis draws.
         # Theta 2: K = 2 with its two bases on qubit 0, then the
         # population draw of K = 3, whose first basis rotates qubit 1.
-        assert len(draws) == mid * 11 + 3 + 1
+        # Those rows go to the one multinomial call; the points measured
+        # are every K of the thetas before and theta 2's K = 2.
+        assert rows == [mid * 11 + 3 + 1]
+        assert measured == [mid * 3 + 1]
 
     def test_population_sum(self):
         cal = build_calibration(ReadoutNoise.uniform(0.02, 0.04, 2), 2)
@@ -540,19 +579,35 @@ class TestReadoutChecks:
             assert type(error) is ValidationError
             assert str(error).startswith("state is not normalized")
 
-    def test_frequencies_before_mitigation(self, monkeypatch):
-        monkeypatch.setattr(
-            sampler._Readout, "tally",
-            lambda self, dist, seed: np.array([-1, 0, 0, self.shots + 1]),
-        )
-        with pytest.raises(ValidationError, match="frequencies must be >= 0 and sum to 1"):
-            estimate_populations(BELL_SV, 100, calibration=build_calibration(
-                ReadoutNoise.uniform(0.02, 0.04, 2), 2
-            ))
-        with pytest.raises(ValidationError, match="frequencies must be >= 0 and sum to 1"):
-            run_sweep(_sampled_config())
-        # Without a calibration nothing is mitigated and nothing checked.
-        run_sweep(_sampled_config(mitigate=False))
+    def test_frequencies_before_mitigation(self):
+        # Row ``bad`` of the one draw is not a distribution. A 3-theta
+        # sweep of twoq_a draws 11 rows per theta: K = 2 its populations
+        # and 2 bases, K = 3 its populations and 2 bases, K = 4 its
+        # populations and 4 bases.
+        tally = sampler._Readout.tally
+        # Row 14 is theta 1's K = 3 populations, the first row after a point.
+        for bad, points in [(0, 0), (14, 4), (15, 4), (32, 8)]:
+
+            def faulty(self, dists, seed, bad=bad):
+                counts = tally(self, dists, seed)
+                # A lone state's draw has one row.
+                counts[min(bad, len(counts) - 1)] = [-1, 0, 0, self.shots + 1]
+                return counts
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sampler._Readout, "tally", faulty)
+                with pytest.raises(ValidationError, match="frequencies must be >= 0 and sum to 1"):
+                    estimate_populations(BELL_SV, 100, calibration=build_calibration(
+                        ReadoutNoise.uniform(0.02, 0.04, 2), 2
+                    ))
+                rows, measured = _count_rows_and_points(patch)
+                with pytest.raises(ValidationError, match="frequencies must be >= 0 and sum to 1"):
+                    run_sweep(_sampled_config())
+                # Every row was drawn, and the points before the one that
+                # owns the failing row were measured.
+                assert rows == [33] and measured == [points]
+                # Without a calibration nothing is mitigated and nothing checked.
+                run_sweep(_sampled_config(mitigate=False))
 
     def test_ill_conditioned_calibration(self):
         singular = ReadoutNoise.uniform(0.5, 0.5, 2)

@@ -15,12 +15,14 @@ make of the same point, with none of the library's kernels:
   dense ``matrix_exp_hermitian`` of its exponent.
 
 The sampled half runs the same circuits on the shots and the mitigated
-backends. It does not depend on the random stream: each point has the
-bits of ``estimate_populations`` and ``estimate_coherence`` at the
-documented sub-seeds (seed + 10007 p and seed + 10007 p + 101) on the
-state simulated alone, its populations lie within 5 sigma of the dense
-state's, a second run gives the same bits, and a mitigated run gives a
-fidelity in [0, 1] on every solved point or raises a TomographyError.
+backends. The sweep's one multinomial call has the tallies of
+``reference_sampled_sweep`` bit for bit: one generator seeded with the
+config seed, drawn one row at a time in the order (theta, K,
+[populations, then each basis of K's plan]), each state simulated alone.
+Each point's values lie within ``SAMPLED_ATOL`` of the reference's, its
+populations within 5 sigma of the dense state's, a second run gives the
+same bits, and a mitigated run gives a fidelity in [0, 1] on every solved
+point or raises a TomographyError.
 """
 
 import math
@@ -31,10 +33,12 @@ import numpy as np
 import pytest
 from conftest import (
     PAULI_MATRICES,
+    SAMPLED_ATOL,
     build_exponent,
     matrix_exp_hermitian,
     mp_density,
     mp_fidelity,
+    reference_sampled_sweep,
     taylor_expm,
 )
 from hypothesis import given, settings
@@ -45,9 +49,8 @@ from qmaxent import (
     ReadoutNoise,
     TomographyError,
     build_calibration,
-    estimate_coherence,
-    estimate_populations,
     parse_circuit,
+    sampler,
     simulate,
 )
 from qmaxent.cli import ExperimentConfig, run_sweep
@@ -206,7 +209,7 @@ def sweep_bits(points) -> bytes:
     st.integers(0, 2**20),
     st.sampled_from([(0.02, 0.04), (0.05, 0.01), (0.1, 0.15)]),
 )
-def test_every_sampled_row_is_the_public_estimators_draw(
+def test_every_sampled_row_is_the_one_generator_draw(
     tmp_path_factory, sweep, backend, seed, flips
 ):
     n, text, gates, (start, stop, steps), ks = sweep
@@ -218,27 +221,38 @@ def test_every_sampled_row_is_the_public_estimators_draw(
         backend="shots" if noise is None else "noisy", shots=SHOTS, noise=noise,
         mitigate=noise is not None, seed=seed,
     )
-    try:
-        rows = run_sweep(cfg)
-    except TomographyError as exc:
-        assert noise is not None, exc
-        with pytest.raises(type(exc)) as again:
-            run_sweep(cfg)
-        assert str(again.value) == str(exc)
-        return
-    assert sweep_bits(run_sweep(cfg)) == sweep_bits(rows)
+    tallies = []
+    tally = sampler._Readout.tally
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            sampler._Readout, "tally",
+            lambda self, dists, seed: tallies.append(tally(self, dists, seed)) or tallies[-1],
+        )
+        try:
+            rows = run_sweep(cfg)
+        except TomographyError as exc:
+            assert noise is not None, exc
+            with pytest.raises(type(exc)) as again:
+                run_sweep(cfg)
+            assert str(again.value) == str(exc)
+            return
+        assert sweep_bits(run_sweep(cfg)) == sweep_bits(rows)
     calibration = None if noise is None else build_calibration(noise, n)
     matrix = np.eye(2**n) if noise is None else calibration.entries
     thetas = [start] if steps == 1 else np.linspace(start, stop, steps).tolist()
     assert [(p.theta, p.k) for p in rows] == [(t, k) for t in thetas for k in ks]
-    for index, p in enumerate(rows):
-        sv = simulate(parse_circuit(text, p.theta))
-        point_seed = seed + 10007 * index
-        pops = estimate_populations(sv, SHOTS, noise, point_seed, calibration)
-        x1k = estimate_coherence(sv, p.k, 1, SHOTS, noise, point_seed + 101, calibration)
-        assert struct.pack("<4d", p.x11, p.x1k.real, p.x1k.imag, p.xkk_true) == struct.pack(
-            "<4d", pops[0], x1k.real, x1k.imag, pops[p.k - 1]
-        )
+    states = np.array([simulate(parse_circuit(text, t)) for t in thetas])
+    want_tallies, want = reference_sampled_sweep(
+        states, ks, SHOTS, None if noise is None else matrix,
+        None if noise is None else calibration.inverse, seed,
+    )
+    # Two runs, one multinomial call each.
+    assert len(tallies) == 2
+    assert tallies[0].tobytes() == np.array(want_tallies).tobytes()
+    for p, (x11, x1k, xkk) in zip(rows, want, strict=True):
+        got = (p.x11, p.x1k.real, p.x1k.imag, p.xkk_true)
+        for a, b in zip(got, (x11, x1k.real, x1k.imag, xkk)):
+            assert abs(a - b) <= SAMPLED_ATOL
         exact = np.abs(dense_state(n, gates, p.theta)) ** 2
         sigma = sampled_sigma(exact, matrix)
         k = p.k - 1

@@ -101,21 +101,29 @@ def test_every_row_has_the_bytes_of_one_theta(text, grid):
 
 
 @pytest.mark.parametrize("shots", [None, 100])
-def test_noisy_rows_are_read_one_state_at_a_time(shots):
-    # A product of the whole stack with M rounds differently from M p on
-    # each state; every row must have the bytes of a lone state's read.
+def test_noisy_rows_are_read_as_one_product(shots):
+    # The stack is read through M as one product, which rounds
+    # differently from M p on each state, by at most an ulp or two; a
+    # lone state's read keeps the bytes of M p.
     thetas = np.linspace(-3.0, 3.0, 41).tolist()
     states, failure = circuit._sweep_states(circuits.load("threeq_a"), thetas)
     assert failure is None
     noise = ReadoutNoise.uniform(0.02, 0.04, 3)
     matrix = build_calibration(noise, 3).entries
-    dists, drifted = sampler._Readout(3, shots, noise, None).distribution(states)
+    readout = sampler._Readout(3, shots, noise, None)
+    dists, drifted = readout.distribution(states)
     assert drifted is None and len(dists) == len(thetas)
+    product = np.abs(states) ** 2 @ matrix.T
+    if shots is not None:
+        product = product / product.sum(axis=1, keepdims=True)
+    assert dists.tobytes() == product.tobytes()
     for state, dist in zip(states, dists):
         want = matrix @ populations(state)
         if shots is not None:
             want = want / want.sum()
-        assert dist.tobytes() == want.tobytes()
+        assert np.abs(dist - want).max() <= 2 * np.finfo(float).eps
+        lone, _ = readout.distribution(state[None])
+        assert lone[0].tobytes() == want.tobytes()
 
 
 PREP = "qubits 2\nry(0.7) 0\nry(1.1) 1\n"
