@@ -317,13 +317,12 @@ def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
 
     x11_s, x1k_s = x11[solved], x1k[solved]
     xkk = _predict_population(x11_s, x1k_s)[0]
-    (_, _, xkk_pred), lams_a, near_a, spec_a, failure_a = _complete_and_solve(
+    (_, _, xkk_pred), lams_a, near_a, (z_a, block_a), failure_a = _complete_and_solve(
         dim_n, x11_s, x1k_s, xkk
     )
-    _, lams_b, near_b, spec_b, failure_b = _complete_and_solve(
+    _, lams_b, near_b, (z_b, block_b), failure_b = _complete_and_solve(
         dim_n, x11_s, x1k_s, xkk_true[solved]
     )
-    (*_, z_a, block_a), (*_, z_b, block_b) = spec_a, spec_b
     fidelity, failure_f = _block_fidelity(dim_n, lams_a, z_a, block_a, lams_b, z_b, block_b)
     # Errors in the order of a loop over the points: a point's case A
     # before its case B and its fidelity, before the next point, before a

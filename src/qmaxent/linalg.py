@@ -29,7 +29,6 @@ class NumericPolicy:
 
     hermitian_atol: float = 1e-12    # allowed |m[i,j] - conj(m[j,i])|
     log_floor: float = 1e-12         # default eigenvalue floor inside logs
-    lam_zero_atol: float = 1e-14     # |lam_1k| below this takes the diagonal branch
     population_floor: float = 1e-12  # x11 below this makes the prediction undefined
     feasibility_atol: float = 1e-12  # x11 + xkk within this of 1 is infeasible
     record_atol: float = 1e-9        # slack on measurement-record invariants

@@ -8,21 +8,21 @@ consistent with them is
     rho = exp(A) / Z,   Z = tr exp(A),
 
 where A is zero outside the 2x2 block on indices {1, K} that holds the
-(negated) Lagrange multipliers. Everything here follows from the closed
-form of that block's spectrum:
+(negated) Lagrange multipliers, A = -L with
+L = [[lam11, lam1K], [lam1K*, lamKK]]. L has the eigenvalues m +- r, with
+m = (lam11 + lamKK)/2, h = (lam11 - lamKK)/2 and r = hypot(h, |lam1K|), so
 
-    eps_{3,4} = -(lam11 + lamKK)/2 -+ sqrt(4|lam1K|^2 + (lam11-lamKK)^2)/2
+    exp(A) = e^-m [cosh r I - (sinh r / r)(L - m I)]
 
-with unnormalized eigenvectors (k, 1), k = -(eps + lamKK)/conj(lam1K).
-Each eigenvector contributes weight exp(eps)/(|k|^2 + 1) to the block, and
-the N-2 unconstrained basis states each carry probability 1/Z.
+on the block, taken on scalars from e^(-m -+ r) with no eigensolver
+(``_exponent_spectrum``), and the N-2 unconstrained basis states each
+carry probability 1/Z.
 
-Because exp and log are mutually inverse on the block, the multipliers are
-recovered from a complete record in closed form: Z = (N-2)/(1-x11-xKK) and
-the exponent block is the matrix log of Z times the constraint minor, taken
-on scalars from the minor's two eigenvalues (no eigensolver). That closed
-form is the one inverse; the test suite checks it against an independent
-damped Newton solve of the forward map.
+The inverse is the mirror of that closed form: Z = (N-2)/(1-x11-xKK), and
+the exponent block is the matrix log of Z times the constraint minor,
+taken on scalars from the minor's two eigenvalues. It is the one inverse;
+the test suite checks it against an independent damped Newton solve of
+the forward map, and the forward map against mpmath's matrix exponential.
 
 Two such states share their N-2 unconstrained levels, so their Uhlmann
 fidelity also follows from the two 2x2 blocks (``block_fidelity``); the
@@ -167,7 +167,7 @@ class LagrangeSet:
             self.dim_n, *_arrays(self.lam_11, self.lam_1k, self.lam_kk)
         )
         _raise(failure)
-        return _spectrum_at(self.dim_n, spec, 0)
+        return _spectrum_at(spec, 0)
 
     @classmethod
     def _solved(cls, dim_n, index_k, lam_11, lam_1k, lam_kk, near_singular, spec=None):
@@ -186,21 +186,11 @@ class LagrangeSet:
 
 @dataclass(frozen=True)
 class ExponentSpectrum:
-    """Spectral data of the constraint exponent.
-
-    eps holds the N eigenvalues (the N-2 structural zeros first), k3/k4 the
-    eigenvector slopes of the constrained block, a/b the spectral weights
-    those eigenvectors contribute to the (1,1) entry, and z the partition
-    function. k3 is infinite on the diagonal branch (lam_1k = 0), where the
-    eigenvectors are the basis vectors themselves. block holds the entries
-    (1,1), (1,K), (K,K) of exp(A) on the constrained block.
+    """exp(A) of the constraint exponent: z is the partition function
+    tr exp(A), and block holds the entries (1,1), (1,K), (K,K) of exp(A)
+    on the constrained block; every other diagonal entry is 1.
     """
 
-    eps: tuple[float, ...]
-    k3: complex
-    k4: complex
-    a: float
-    b: float
     z: float
     block: tuple[float, complex, float]
 
@@ -237,13 +227,10 @@ class MeasurementRecord:
 
 
 def spectrum(ls: LagrangeSet) -> ExponentSpectrum:
-    """Closed-form spectrum of the constraint exponent, computed once per
-    LagrangeSet and shared by every later call on it.
-
-    When |lam_1k| is below the zero threshold the block is diagonal and the
-    eigenvector-slope parametrization degenerates; that branch reports
-    k3 = inf, k4 = 0 with weights a = exp(eps3), b = 0. Multipliers whose
-    exp(A) leaves the float range raise DomainError.
+    """The closed-form exp(A) of the constraint exponent (z and the
+    block, see ``_exponent_spectrum``), computed once per LagrangeSet and
+    shared by every later call on it. Multipliers whose exp(A) leaves the
+    float range raise DomainError.
     """
     return ls._spectrum
 
@@ -290,74 +277,79 @@ def _record_failure(x11, x1k, xkk=None):
     ))
 
 
-def _exponent_spectrum(dim_n: int, l11, l1k, lkk):
-    """The one forward kernel: the spectrum of the exponent of the
-    multipliers (l11, l1k, lkk) of each point in dimension ``dim_n``.
+def _exp_sum(a, b):
+    """exp(a + b) free of the rounding of the sum: with s = a + b rounded
+    and e = (a + b) - s, exact by Knuth's two-sum, exp(s) (1 + e). The
+    rounding e is up to half an ulp of s, so exp(s) alone would be off by
+    up to |a + b| EPS/2 relative."""
+    s = a + b
+    v = s - a
+    return np.exp(s) * (1.0 + ((a - (s - v)) + (b - v)))
 
-    Returns the arrays (eps3, eps4, k3, k4, a, b, z, (e11, e1k, ekk)), in
-    the order of ``ExponentSpectrum``'s fields with eps3, eps4 in place of
-    eps, and the first failure: a DomainError naming the multipliers where
-    exp(A) leaves the float range. An overflowing square or exp leaves z
-    or a + b infinite or NaN, so that one test finds every overflow.
+
+def _exponent_spectrum(dim_n: int, l11, l1k, lkk):
+    """The one forward kernel: z and the block (e11, e1k, ekk) of exp(A)
+    for the multipliers (l11, l1k, lkk) of each point in dimension
+    ``dim_n``, and the first failure: a DomainError naming the
+    multipliers where exp(A) leaves the float range.
+
+    This is the mirror of ``_solve``'s log. With A = -L on the block,
+    m = (l11 + lkk)/2, h = (l11 - lkk)/2, c = |l1k| and r = hypot(h, c),
+
+        exp(A) = e^-m [cosh r I - (sinh r / r)(L - m I)],
+
+    taken from its eigenvalues lo = e^(-m-r) and hi = e^(-m+r) and
+    s = e^-m sinh r / r (Moler and Van Loan, SIAM Rev. 45, 3, 2003).
+    r - |h| = c^2/(r + |h|) = t, so the exponents are -max(l11, lkk) - t
+    and -min(l11, lkk) + t, which do not cancel when |h| >> c. Both go
+    through ``_exp_sum``: rounded, each sum would put its own error of up
+    to |m| EPS/2 on lo and hi, which the block and z carry in different
+    shares, and ``block_fidelity`` would see the mismatch. s is
+    lo expm1(2r)/(2r) while 2r < 1 and (hi - lo)/(2r) beyond. The smaller
+    diagonal entry is lo + s t and the larger lo + s (r + |h|); (1,1) is
+    the smaller one when h >= 0. An overflow leaves z infinite or NaN, so
+    that one test finds every overflow.
     """
     with np.errstate(all="ignore"):
-        modulus = np.hypot(l1k.real, l1k.imag)
-        diagonal = modulus < POLICY.lam_zero_atol
-        gap = l11 - lkk
-        quad = 4.0 * (modulus * modulus)
-        root = np.sqrt(quad + gap * gap)
-        total = l11 + lkk
-        eps3 = np.where(diagonal, -l11, -0.5 * (total + root))
-        eps4 = np.where(diagonal, -lkk, -0.5 * (total - root))
-        # eps + lkk = -+(root +- gap)/2; when |gap| dominates, the smaller
-        # of the two cancels catastrophically, so rewrite it through
-        # (root - |gap|)(root + |gap|) = quad.
-        up, plus, minus = gap >= 0, root + gap, root - gap
-        shift3 = np.where(up, -0.5 * plus, -0.5 * quad / minus)
-        shift4 = np.where(up, np.where(plus != 0, 0.5 * quad / plus, 0.0), 0.5 * minus)
-        k3 = -shift3 / l1k.conj()
-        k4 = -shift4 / l1k.conj()
-        # |k|^2 = (shift / |l1k|)^2, on reals: rounding k first costs digits.
-        m3, m4 = shift3 / modulus, shift4 / modulus
-        m3, m4 = m3 * m3, m4 * m4
-        exp3, exp4 = np.exp(eps3), np.exp(eps4)
-        a = np.where(diagonal, exp3, m3 * exp3 / (m3 + 1.0))
-        b = np.where(diagonal, 0.0, m4 * exp4 / (m4 + 1.0))
-        # Written multiplicatively (a / conj(k) = k exp(eps) / (|k|^2 +
-        # 1)) so a vanishing slope cannot divide by zero.
-        w3 = exp3 / (m3 + 1.0)
-        w4 = exp4 / (m4 + 1.0)
-        block = (
-            np.where(diagonal, exp3, a + b),
-            np.where(diagonal, 0j, k3 * w3 + k4 * w4),
-            np.where(diagonal, exp4, w3 + w4),
-        )
-        z = exp3 + exp4 + float(dim_n - 2)
-        domain = ~np.isfinite(z) | ~np.isfinite(a + b)
-    k3 = np.where(diagonal, complex(math.inf), k3)
-    k4 = np.where(diagonal, 0j, k4)
+        c = np.hypot(l1k.real, l1k.imag)
+        h = 0.5 * (l11 - lkk)
+        r = np.hypot(h, c)
+        outer = r + np.abs(h)
+        q = np.where(r > 0.0, c / outer, 0.0)
+        t = c * q
+        lo = _exp_sum(-np.maximum(l11, lkk), -t)
+        hi = _exp_sum(-np.minimum(l11, lkk), t)
+        two_r = 2.0 * r
+        ratio = np.where(two_r > 0.0, np.expm1(two_r) / two_r, 1.0)
+        s = np.where(two_r < 1.0, lo * ratio, (hi - lo) / two_r)
+        # s t as (s c) q: t underflows first.
+        small, large = lo + (s * c) * q, lo + s * outer
+        up = h >= 0.0
+        # The + 0.0 makes a zero part +0.0, whatever the signs in l1k.
+        block = (np.where(up, small, large), -(s * l1k) + 0.0, np.where(up, large, small))
+        z = lo + hi + float(dim_n - 2)
+        domain = ~np.isfinite(z)
     failure = _failure(domain, lambda i: DomainError(
         f"exp(A) overflows for multipliers lam_11 = {l11[i].item()!r}, "
         f"lam_1k = {l1k[i].item()!r}, lam_kk = {lkk[i].item()!r}"
     ))
-    return (eps3, eps4, k3, k4, a, b, z, block), failure
+    return (z, block), failure
 
 
-def _spectrum_at(dim_n: int, spec, i: int) -> ExponentSpectrum:
+def _spectrum_at(spec, i: int) -> ExponentSpectrum:
     """Point ``i`` of a forward kernel's arrays as an ExponentSpectrum."""
-    eps3, eps4, k3, k4, a, b, z, block = spec
-    return ExponentSpectrum(
-        eps=(0.0,) * (dim_n - 2) + (eps3[i].item(), eps4[i].item()),
-        k3=k3[i].item(), k4=k4[i].item(), a=a[i].item(), b=b[i].item(),
-        z=z[i].item(), block=tuple(e[i].item() for e in block),
-    )
+    z, block = spec
+    return ExponentSpectrum(z=z[i].item(), block=tuple(e[i].item() for e in block))
 
 
 def _expectations(spec):
     """The mean values (x11, x1K, xKK) = block / z of each point."""
-    *_, z, (e11, e1k, ekk) = spec
+    z, (e11, e1k, ekk) = spec
+    # x1K part by part: numpy divides a complex by multiplying by 1/z.
+    x1k = np.empty_like(e1k)
     with np.errstate(all="ignore"):
-        return e11 / z, e1k / z, ekk / z
+        x1k.real, x1k.imag = e1k.real / z, e1k.imag / z
+        return e11 / z, x1k, ekk / z
 
 
 def _arrays(*values) -> tuple[np.ndarray, ...]:
@@ -368,17 +360,18 @@ def _arrays(*values) -> tuple[np.ndarray, ...]:
 def density_from_lagrange(ls: LagrangeSet) -> np.ndarray:
     """The maximal-entropy density matrix exp(A)/Z for the given multipliers.
 
-    Every diagonal entry outside the {1, K} block equals 1/Z.
+    Every diagonal entry outside the {1, K} block equals 1/Z, and the
+    block holds ``forward_expectations(ls)`` bit for bit.
     """
     s = spectrum(ls)
-    e00, e01, e11 = s.block
+    x11, x1k, xkk = (v.item() for v in _expectations((np.array([s.z]), _arrays(*s.block))))
     n, k = ls.dim_n, ls.index_k - 1
     rho = np.zeros((n, n), dtype=complex)
     np.fill_diagonal(rho, 1.0 / s.z)
-    rho[0, 0] = e00 / s.z
-    rho[0, k] = e01 / s.z
-    rho[k, 0] = e01.conjugate() / s.z
-    rho[k, k] = e11 / s.z
+    rho[0, 0] = x11
+    rho[0, k] = x1k
+    rho[k, 0] = x1k.conjugate()
+    rho[k, k] = xkk
     return rho
 
 
@@ -614,7 +607,7 @@ def _solved_set(dim_n: int, index_k: int, lams, near_singular, spec) -> Lagrange
     its spectrum."""
     return LagrangeSet._solved(
         dim_n, index_k, *(v.item() for v in lams), near_singular.item(),
-        _spectrum_at(dim_n, spec, 0),
+        _spectrum_at(spec, 0),
     )
 
 

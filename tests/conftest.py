@@ -17,9 +17,10 @@ call tokenized its text, kept to check the parse-once parser bit for bit.
 ``reference_simulate`` is the simulator as it read before states were
 stacked: one gate at a time on a lone vector, each matrix built from
 Python floats, each one-qubit product through ``np.moveaxis``.
-The ``reference_`` completion, solve and forward map are the scalar
-float code of one point at a time, kept to check which point of an array
-kernel's call fails first, and with which error type and message.
+The ``reference_`` completion and solve are the scalar float code of
+one point at a time, and the ``reference_`` forward map is ``mp_forward``
+rounded to floats, kept to check which point of an array kernel's call
+fails first, and with which error type and message.
 ``reference_sampled_sweep`` and ``reference_coherence`` are the sampled
 measurement drawn one row at a time from one generator, each state
 rotated from the start, read through ``M @ p``, and mitigated and
@@ -217,31 +218,27 @@ def mp_solve(dim_n, x_11, x_1k, x_kk, near_singular):
 
 
 @lru_cache(maxsize=8192)
-def mp_forward(dim_n, l_11, l_1k, l_kk):
-    """The forward map of float multipliers: ((eps3, eps4), (k3, k4),
-    (a, b), z, (e11, e1k, ekk)) with the fields of ``ExponentSpectrum``,
-    the diagonal branch below ``POLICY.lam_zero_atol`` included. Kept for
+def _mp_block(l_11, l_1k, l_kk):
+    """exp(A) on the block A = -[[l11, l1k], [l1k*, lkk]] of float
+    multipliers, as (e11, e1k, ekk), by ``mpmath.expm``: a Taylor series
+    with scaling and squaring, with no eigenvalues and nothing of the
+    library's closed form. expm runs on the real block with c = |l1k| in
+    place of l1k, which diag(1, conj(l1k)/c) carries to A, so e1k is its
+    (1, 2) entry times l1k/c; real arithmetic halves the cost. Kept for
     repeated multipliers: a set's case B solve is its record's solve."""
     with mpmath.workdps(MP_DPS):
         l11, l1k, lkk = mpmath.mpf(l_11), mpmath.mpc(l_1k), mpmath.mpf(l_kk)
-        square = l1k.real**2 + l1k.imag**2
-        if square < mpmath.mpf(maxent.POLICY.lam_zero_atol) ** 2:
-            e3, e4 = mpmath.exp(-l11), mpmath.exp(-lkk)
-            return (-l11, -lkk), (mpmath.inf, 0), (e3, 0), e3 + e4 + dim_n - 2, (e3, 0, e4)
-        gap = l11 - lkk
-        root = mpmath.sqrt(4 * square + gap**2)
-        eps = (-(l11 + lkk + root) / 2, -(l11 + lkk - root) / 2)
-        # eps + lkk, without the cancellation of its smaller root.
-        if gap >= 0:
-            shifts = (-(root + gap) / 2, 2 * square / (root + gap))
-        else:
-            shifts = (-2 * square / (root - gap), (root - gap) / 2)
-        ks = tuple(-s / mpmath.conj(l1k) for s in shifts)
-        exps = tuple(mpmath.exp(e) for e in eps)
-        ws = tuple(e / (s**2 / square + 1) for e, s in zip(exps, shifts))
-        ab = tuple(w * s**2 / square for w, s in zip(ws, shifts))
-        block = (ab[0] + ab[1], ks[0] * ws[0] + ks[1] * ws[1], ws[0] + ws[1])
-        return eps, ks, ab, exps[0] + exps[1] + dim_n - 2, block
+        c = abs(l1k)
+        e = mpmath.expm(-mpmath.matrix([[l11, c], [c, lkk]]))
+        return e[0, 0], e[0, 1] * l1k / c if c else mpmath.mpc(0), e[1, 1]
+
+
+def mp_forward(dim_n, l_11, l_1k, l_kk):
+    """The forward map of float multipliers: (z, (e11, e1k, ekk)) with the
+    fields of ``ExponentSpectrum``, from ``_mp_block``."""
+    with mpmath.workdps(MP_DPS):
+        e11, e1k, ekk = _mp_block(l_11, l_1k, l_kk)
+        return e11 + ekk + dim_n - 2, (e11, e1k, ekk)
 
 
 def mp_predict(x_11, x_1k):
@@ -255,7 +252,7 @@ def mp_block_fidelity(dim_n, lams_a, lams_b):
     """The block formula of ``block_fidelity`` on two float multiplier
     sets (lam_11, lam_1k, lam_kk) of one N and K."""
     with mpmath.workdps(MP_DPS):
-        (*_, za, (a11, a1k, akk)), (*_, zb, (b11, b1k, bkk)) = (
+        (za, (a11, a1k, akk)), (zb, (b11, b1k, bkk)) = (
             mp_forward(dim_n, *lams) for lams in (lams_a, lams_b)
         )
         overlap = a11 * b11 + akk * bkk + 2 * mpmath.re(a1k * mpmath.conj(b1k))
@@ -263,6 +260,53 @@ def mp_block_fidelity(dim_n, lams_a, lams_b):
         total = overlap + 2 * mpmath.exp(-lam_sum / 2)
         value = (mpmath.sqrt(max(total, 0)) + dim_n - 2) ** 2 / (za * zb)
         return min(max(value, 0), 1)
+
+
+EPS = sys.float_info.epsilon
+# The smallest normal float; a value below it has fewer than 53 bits.
+TINY = sys.float_info.min
+
+# The bound on each quantity's error over the inputs of the tests that
+# check it (``test_sweep_kernel``'s, and the spectrum tests that call
+# ``check_forward``), in units of EPS times the scale ``error`` is given,
+# rounded up in the third decimal. The forward map's own bounds (block, z
+# and expectation) are the closed-form kernel's largest error on those
+# inputs; the others, fidelity included, are the largest error of the
+# float code that came before.
+BOUNDS = {
+    "project": 1.047,
+    "rescale": 0.912,
+    "lam": 0.990,
+    "block": 1.283,
+    "z": 1.090,
+    "expectation": 0.943,
+    "prediction": 1.643,
+    "fidelity": 3.755,
+}
+
+
+def error(got, want, scale) -> float:
+    """|got - want| in units of EPS * scale: the float ``got`` against the
+    mpmath ``want``, whose difference mpmath rounds once."""
+    return float(abs(mpmath.mpmathify(got) - want)) / (EPS * float(scale))
+
+
+def within(name: str, *errors: float) -> None:
+    assert max(errors) <= BOUNDS[name], f"{name}: {max(errors):.3g} EPS"
+
+
+def check_forward(dim_n, lams, spectrum):
+    """A spectrum (z and the block of exp(A)) from float multipliers,
+    component by component. An exponential magnifies an error of its
+    argument by that argument's size, so with g = 1 + the largest
+    multiplier modulus each block entry is measured against g times its
+    own modulus, or TINY when that is smaller, and z against g z."""
+    z, block = mp_forward(dim_n, *lams)
+    g = 1 + max(abs(v) for v in lams)
+    within("block", *(
+        error(got, want, g * max(abs(want), TINY)) for got, want in zip(spectrum.block, block)
+    ))
+    within("z", error(spectrum.z, z, g * z))
 
 
 def build_exponent(ls) -> np.ndarray:
@@ -695,46 +739,16 @@ def reference_saturation_scale(x_11, x_kk):
 
 
 def reference_spectrum(n, l11, l1k, lkk) -> ExponentSpectrum:
-    """The forward map of the multipliers (l11, l1k, lkk) in dimension n."""
-    try:
-        if abs(l1k) < maxent.POLICY.lam_zero_atol:
-            eps3, eps4 = -l11, -lkk
-            k3, k4 = complex(math.inf), complex(0.0)
-            a, b = math.exp(eps3), 0.0
-            block = (math.exp(eps3), complex(0.0), math.exp(eps4))
-        else:
-            gap = l11 - lkk
-            quad = 4 * abs(l1k) ** 2
-            root = math.sqrt(quad + gap**2)
-            eps3 = -0.5 * (l11 + lkk + root)
-            eps4 = -0.5 * (l11 + lkk - root)
-            if gap >= 0:
-                shift3 = -0.5 * (root + gap)
-                shift4 = 0.5 * quad / (root + gap) if root + gap else 0.0
-            else:
-                shift3 = -0.5 * quad / (root - gap)
-                shift4 = 0.5 * (root - gap)
-            conj = l1k.conjugate()
-            k3 = -shift3 / conj
-            k4 = -shift4 / conj
-            m3, m4 = abs(k3) ** 2, abs(k4) ** 2
-            a = m3 * math.exp(eps3) / (m3 + 1)
-            b = m4 * math.exp(eps4) / (m4 + 1)
-            w3 = math.exp(eps3) / (m3 + 1)
-            w4 = math.exp(eps4) / (m4 + 1)
-            block = (a + b, k3 * w3 + k4 * w4, w3 + w4)
-        z = math.exp(eps3) + math.exp(eps4) + (n - 2)
-    except OverflowError:
-        z = math.inf
-    if not math.isfinite(z) or not math.isfinite(a + b):
+    """The forward map of the multipliers (l11, l1k, lkk) in dimension n:
+    ``mp_forward`` rounded to floats, or the DomainError of an exp(A) that
+    leaves the float range."""
+    z, (e11, e1k, ekk) = mp_forward(n, l11, l1k, lkk)
+    if not math.isfinite(float(z)):
         raise DomainError(
             f"exp(A) overflows for multipliers lam_11 = {l11!r}, "
             f"lam_1k = {l1k!r}, lam_kk = {lkk!r}"
         )
-    return ExponentSpectrum(
-        eps=(0.0,) * (n - 2) + (eps3, eps4), k3=k3, k4=k4, a=a, b=b, z=z,
-        block=block,
-    )
+    return ExponentSpectrum(z=float(z), block=(float(e11), complex(e1k), float(ekk)))
 
 
 def reference_check_reproduction(s, x_11, x_1k, x_kk):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import build_exponent, matrix_exp_hermitian, taylor_expm
+from conftest import EPS, build_exponent, check_forward, matrix_exp_hermitian, taylor_expm
 
 from qmaxent import DomainError, ValidationError
 from qmaxent.maxent import (
@@ -80,47 +80,95 @@ class TestBuildExponent:
         np.testing.assert_array_equal(a, a.conj().T)
 
 
+def lams_of(ls: LagrangeSet):
+    return ls.lam_11, ls.lam_1k, ls.lam_kk
+
+
+# Multiplier sets whose coupling is 1e-14 down to 1e-20 of their scale,
+# or subnormal.
+TINY_COUPLING = [
+    (3.0, 3e-14, -2.0),
+    (0.3, 1e-20 + 1e-20j, 0.2),
+    (-1.5, -2e-18j, -1.5),
+    (40.0, 4e-19 - 1e-19j, -0.5),
+    (-700.0, 1e-300, -699.0),
+    (0.7, 5e-324j, -0.1),
+    (1e-15, complex(1e-310, -1e-310), -1e-300),
+]
+# Two sets whose |lam_11 - lam_kk| squared passes the float range
+# although exp(A) does not (z = 3 for both).
+WIDE_SPLIT = [(1e200, 1.0, 0.0), (2e154, 0.5j, 0.0)]
+
+
 class TestSpectrum:
+    """The closed-form exp(A) (z and the block), component by component
+    against ``mpmath.expm`` of the block (``check_forward``)."""
+
     def test_reference_values(self):
-        s = spectrum(LagrangeSet(4, 2, 1.0, 0.5, 0.0))
-        root = math.sqrt(2.0)
-        assert s.eps[-2] == pytest.approx(-(1 + root) / 2, abs=1e-12)
-        assert s.eps[-1] == pytest.approx(-(1 - root) / 2, abs=1e-12)
-        assert s.eps[-2:] == pytest.approx((-1.2071, 0.2071), abs=5e-5)
+        ls = LagrangeSet(4, 2, 1.0, 0.5, 0.0)
+        s = spectrum(ls)
         assert s.z == pytest.approx(3.52918, abs=5e-5)
+        assert s.block == pytest.approx((0.435411, -0.329177 + 0j, 1.093764), abs=5e-6)
+        check_forward(4, lams_of(ls), s)
 
     def test_matches_generic_eigendecomposition(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             ls = random_lagrange(rng)
             s = spectrum(ls)
-            w = np.linalg.eigvalsh(build_exponent(ls))
-            np.testing.assert_allclose(sorted(s.eps), w, atol=1e-10)
-            assert s.z == pytest.approx(np.exp(w).sum(), rel=1e-12)
+            e = matrix_exp_hermitian(build_exponent(ls))
+            k = ls.index_k - 1
+            np.testing.assert_allclose(s.block, (e[0, 0], e[0, k], e[k, k]), rtol=1e-12)
+            assert s.z == pytest.approx(np.trace(e).real, rel=1e-12)
+            check_forward(ls.dim_n, lams_of(ls), s)
 
-    def test_zero_coupling_branch(self):
+    def test_zero_and_vanishing_coupling(self):
         s = spectrum(LagrangeSet(4, 2, 0.0, 0.0, 0.0))
-        assert s.eps == (0.0, 0.0, 0.0, 0.0)
-        assert s.z == pytest.approx(4.0)
-        assert math.isinf(abs(s.k3))
+        assert s.z == 4.0 and s.block == (1.0, 0j, 1.0)
+        s = spectrum(LagrangeSet(4, 2, 1.0, complex(-0.0, -0.0), -2.0))
+        assert s.block[1] == 0 and s.block[0] == math.exp(-1.0)
+        for lams in TINY_COUPLING:
+            s = spectrum(LagrangeSet(8, 3, *lams))
+            # The coherence is -s lam_1k, never 0 for a nonzero lam_1k.
+            assert s.block[1] != 0
+            check_forward(8, lams, s)
+
+    def test_widely_split_multipliers_stay_in_range(self):
+        for lams in WIDE_SPLIT:
+            s = spectrum(LagrangeSet(4, 2, *lams))
+            assert s.z == 3.0 and s.block[2] == 1.0
+            check_forward(4, lams, s)
+        assert forward_expectations(LagrangeSet(4, 2, *WIDE_SPLIT[0])).x_kk == 1 / 3
 
     def test_unconstrained_states_add_unit_weight(self):
         four = spectrum(LagrangeSet(4, 2, 1.0, 0.5, 0.0))
         eight = spectrum(LagrangeSet(8, 2, 1.0, 0.5, 0.0))
-        assert eight.eps[-2:] == pytest.approx(four.eps[-2:], abs=1e-14)
+        assert eight.block == four.block
         assert eight.z - four.z == pytest.approx(4.0, abs=1e-12)
 
     def test_structural_zeros_and_trace(self):
+        # tr exp(A) = Z - (N-2), to the rounding of Z, and
+        # det exp(A) = exp(tr A) on the block; the determinant cancels by
+        # the ratio of the block's eigenvalues, so it is bounded against
+        # e11 ekk. Outside the block rho is 1/Z on the diagonal and 0
+        # elsewhere.
         rng = np.random.default_rng(8)
         for _ in range(100):
             ls = random_lagrange(rng)
             s = spectrum(ls)
-            assert len(s.eps) == ls.dim_n
-            assert all(e == 0.0 for e in s.eps[: ls.dim_n - 2])
-            assert s.eps[-2] + s.eps[-1] == pytest.approx(
-                -(ls.lam_11 + ls.lam_kk), abs=1e-12 * max(1, abs(ls.lam_11 + ls.lam_kk))
-            )
-            assert s.a >= 0 and s.b >= 0 and s.z > 0
+            e11, e1k, ekk = s.block
+            g = 1 + max(abs(v) for v in lams_of(ls))
+            assert e11 > 0 and ekk > 0 and s.z > 0
+            assert e11 + ekk + (ls.dim_n - 2) == pytest.approx(s.z, rel=2 * EPS)
+            det = e11 * ekk - (e1k.real**2 + e1k.imag**2)
+            assert abs(det - math.exp(-(ls.lam_11 + ls.lam_kk))) <= 2 * g * EPS * e11 * ekk
+            rho = density_from_lagrange(ls)
+            k = ls.index_k - 1
+            rest = [i for i in range(ls.dim_n) if i not in (0, k)]
+            np.testing.assert_array_equal(np.diag(rho)[rest], 1 / s.z)
+            off = rho - np.diag(np.diag(rho))
+            off[0, k] = off[k, 0] = 0
+            assert not off.any()
 
 
 class TestDensity:

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from conftest import newton_lagrange, random_feasible_record, vn_entropy
+from conftest import (
+    EPS,
+    check_forward,
+    newton_lagrange,
+    random_feasible_record,
+    vn_entropy,
+)
 
 import math
 import warnings
@@ -283,11 +289,19 @@ class TestProperties:
         assert clean.x_1k == 0.1 + 0.1j
 
     def test_spectrum_weights_reconstruct_partition_function(self):
+        # The forward z of the solved multipliers is the inverse's
+        # Z = (N-2)/(1 - x11 - xKK), and the trace of the block plus the
+        # N-2 unit weights of the unconstrained states; each block entry
+        # is mpmath.expm's.
         rng = np.random.default_rng(123)
         for _ in range(100):
             mr = random_feasible_record(rng)
-            s = spectrum(solve_lagrange(mr))
-            assert s.z == pytest.approx(np.exp(np.array(s.eps)).sum(), rel=1e-12)
+            ls = solve_lagrange(mr)
+            s = spectrum(ls)
+            e11, _, ekk = s.block
+            assert s.z == pytest.approx(e11 + ekk + (mr.dim_n - 2), rel=2 * EPS)
+            assert s.z == pytest.approx((mr.dim_n - 2) / (1 - mr.x_11 - mr.x_kk), rel=1e-13)
+            check_forward(ls.dim_n, (ls.lam_11, ls.lam_1k, ls.lam_kk), s)
 
 
 class TestScalarInputErrors:

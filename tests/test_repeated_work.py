@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import reference_parse_circuit
+from conftest import check_forward, reference_parse_circuit
 
 from qmaxent import (
     ParseError,
@@ -367,12 +367,20 @@ class TestReproductionCheck:
         assert sets == {"__post_init__": 0}
 
     def test_block_entries_are_the_forward_map(self):
+        # The spectrum the solve kept is the forward kernel's on the
+        # solved multipliers, entry for entry, and mpmath.expm's to
+        # rounding; its block over z is the forward map and the density's
+        # block, bit for bit.
         _, ls = solved()
         s = maxent.spectrum(ls)
+        assert s == maxent._spectrum_at(forward(ls), 0)
+        check_forward(ls.dim_n, (ls.lam_11, ls.lam_1k, ls.lam_kk), s)
         fwd = maxent.forward_expectations(ls)
         x11, x1k, xkk = (e / s.z for e in s.block)
         assert (x11, x1k, xkk) == (fwd.x_11, fwd.x_1k, fwd.x_kk)
         assert np.isfinite([x11, x1k, xkk]).all()
+        rho, k = density_from_lagrange(ls), ls.index_k - 1
+        assert (rho[0, 0], rho[0, k], rho[k, k]) == (x11, x1k, xkk)
 
 
 class TestOncePerProcess:

@@ -19,13 +19,16 @@ B, and a solve error before the error of any later point's measurement.
 
 import math
 import sys
-from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 from conftest import (
+    EPS,
     MP_DPS,
+    TINY,
+    check_forward,
+    error,
     mp_block_fidelity,
     mp_forward,
     mp_predict,
@@ -38,6 +41,7 @@ from conftest import (
     reference_saturation_scale,
     reference_solve,
     reference_spectrum,
+    within,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,36 +63,8 @@ from qmaxent.maxent import (
     solve_lagrange,
 )
 
-EPS = sys.float_info.epsilon
 # The product of two values below this underflows.
 UNDERFLOW = math.sqrt(sys.float_info.min)
-
-# The bound on each quantity's error over this module's inputs, in units
-# of EPS times the scale ``error`` is given. Each is the largest error the
-# scalar float code these kernels replaced made on the same inputs,
-# rounded up in the third decimal.
-BOUNDS = {
-    "project": 1.047,
-    "rescale": 0.912,
-    "lam": 0.990,
-    "eps": 1.238,
-    "k": 2.264,
-    "block": 1.061,
-    "z": 1.068,
-    "expectation": 0.395,
-    "prediction": 1.643,
-    "fidelity": 3.755,
-}
-
-
-def error(got, want, scale) -> float:
-    """|got - want| in units of EPS * scale: the float ``got`` against the
-    mpmath ``want``, whose difference mpmath rounds once."""
-    return float(abs(mpmath.mpmathify(got) - want)) / (EPS * float(scale))
-
-
-def within(name: str, *errors: float) -> None:
-    assert max(errors) <= BOUNDS[name], f"{name}: {max(errors):.3g} EPS"
 
 
 def check_record(name, got, want):
@@ -104,26 +80,6 @@ def check_solve(dim_n, record, lams, near_singular):
     want, condition = mp_solve(dim_n, *record, near_singular)
     scale = 1 + max(abs(w) for w in want) + condition
     within("lam", *(error(g, w, scale) for g, w in zip(lams, want)))
-
-
-def check_forward(dim_n, lams, spectrum):
-    """A spectrum from float multipliers. An exponential magnifies an
-    error of its argument by that argument's size, so with g = 1 + the
-    largest multiplier modulus: the exponents against g, the slopes each
-    against itself, the weights and the block against g times the block's
-    larger diagonal entry, and z against g z."""
-    eps, ks, ab, z, block = mp_forward(dim_n, *lams)
-    g = 1 + max(abs(v) for v in lams)
-    within("eps", *(error(got, want, g) for got, want in zip(spectrum.eps[-2:], eps)))
-    for got, want in zip((spectrum.k3, spectrum.k4), ks):
-        if mpmath.isinf(want):
-            assert math.isinf(got.real)
-        else:
-            within("k", error(got, want, abs(want) or 1.0))
-    norm = g * max(block[0], block[2])
-    within("block", *(error(got, want, norm) for got, want in zip((spectrum.a, spectrum.b), ab)))
-    within("block", *(error(got, want, norm) for got, want in zip(spectrum.block, block)))
-    within("z", error(spectrum.z, z, g * z))
 
 
 def outcome(call):
@@ -168,7 +124,7 @@ def check_complete_and_solve(dim_n, records):
         check_record("project", at(completed, i), mp_project(x11, x1k, xkk))
         check_record("rescale", at(rescaled, i), mp_rescale(*at(completed, i)))
         check_solve(dim_n, at(rescaled, i), at(lams, i), near_singular[i].item())
-        check_forward(dim_n, at(lams, i), maxent._spectrum_at(dim_n, spec, i))
+        check_forward(dim_n, at(lams, i), maxent._spectrum_at(spec, i))
     assert (failure and (failure[0], *error_of(failure))) == first
 
 
@@ -186,10 +142,10 @@ def check_sweep_kernels(dim_n, records):
         return
     x11, x1k, xkk_true = points(solved)
     predicted = maxent._predict_population(x11, x1k)[0]
-    _, lams_a, _, (*_, z_a, block_a), failure_a = maxent._complete_and_solve(
+    _, lams_a, _, (z_a, block_a), failure_a = maxent._complete_and_solve(
         dim_n, x11, x1k, predicted
     )
-    _, lams_b, _, (*_, z_b, block_b), failure_b = maxent._complete_and_solve(
+    _, lams_b, _, (z_b, block_b), failure_b = maxent._complete_and_solve(
         dim_n, x11, x1k, xkk_true
     )
     assert failure_a is None and failure_b is None
@@ -202,9 +158,9 @@ def check_sweep_kernels(dim_n, records):
         within("fidelity", error(fid[i].item(), want, 1.0))
 
 
-# One record per branch of the completion and the solve, as raw
-# (x11, x1K, xKK) estimates; ``test_each_case_reaches_its_branch`` shows
-# that each reaches its branch.
+# One record per branch of the completion, the solve and the forward
+# map, as raw (x11, x1K, xKK) estimates; ``test_each_case_reaches_its_branch``
+# shows that each reaches its branch.
 BRANCH_CASES = {
     "coherence above 1": (0.5, 1.2 - 0.3j, 0.4),
     "populations above 1": (0.7, 0.1 + 0.1j, 0.6),
@@ -216,10 +172,11 @@ BRANCH_CASES = {
     "saturated full rank": (0.5, 0.1 + 0.2j, 0.5 - 1e-13),
     "rank-one floor": (0.28, math.sqrt(0.28 * 0.21) + 0j, 0.21),
     "near singular": (0.3, math.sqrt(0.3 * 0.2 - 1e-14) * 1j, 0.2),
-    "diagonal lam_1k": (0.3, 1e-20 + 1e-20j, 0.2),
+    "tiny lam_1k": (0.3, 1e-20 + 1e-20j, 0.2),
     "lam_11 above lam_kk": (0.2, 0.1 - 0.05j, 0.5),
     "lam_11 below lam_kk": (0.5, -0.1 + 0.05j, 0.2),
     "equal populations": (0.3, 0.1 + 0.0j, 0.3),
+    "scalar block": (0.3, 0j, 0.3),
 }
 
 
@@ -255,13 +212,25 @@ def test_each_case_reaches_its_branch():
     }
     assert solved["rank-one floor"][2] and solved["near singular"][2]
     assert not solved["lam_11 above lam_kk"][2]
-    _, l1k, _ = solved["diagonal lam_1k"][1]
-    assert abs(l1k) < POLICY.lam_zero_atol
-    for name, sign in (("lam_11 above lam_kk", 1), ("lam_11 below lam_kk", -1)):
+
+    # The forward map of the solved multipliers: (1,1) is the smaller
+    # diagonal entry when h >= 0, s comes from expm1 while 2r < 1 and
+    # from hi - lo beyond, and r = 0 is a multiple of the identity.
+    def forward_branch(name):
         l11, l1k, lkk = solved[name][1]
-        assert (l11 - lkk) * sign > 0 and abs(l1k) > POLICY.lam_zero_atol, name
-    l11, _, lkk = solved["equal populations"][1]
-    assert l11 == lkk
+        h = 0.5 * (l11 - lkk)
+        return h, abs(l1k), math.hypot(h, abs(l1k))
+
+    h, c, r = forward_branch("tiny lam_1k")
+    assert h < 0 and 0 < c <= 1e-14 and 2 * r < 1
+    h, c, r = forward_branch("negative zero coherence")
+    assert h > 0 and c == 0 and 2 * r < 1
+    for name, sign in (("lam_11 above lam_kk", 1), ("lam_11 below lam_kk", -1)):
+        h, c, r = forward_branch(name)
+        assert h * sign > 0 and c > 0 and 2 * r >= 1, name
+    h, c, r = forward_branch("equal populations")
+    assert h == 0 and 0 < 2 * r < 1
+    assert forward_branch("scalar block")[2] == 0
 
 
 @pytest.mark.parametrize("dim_n", [4, 8, 16])
@@ -274,27 +243,8 @@ def test_every_branch_alone_and_in_one_call(dim_n):
     check_sweep_kernels(dim_n, cases)
 
 
-def test_a_zero_root_plus_gap(monkeypatch):
-    # With |lam_1k| below 1e-162 its square underflows, so root = gap = 0
-    # once the diagonal branch is off; shift4 is then 0 by definition, and
-    # both slopes are 0 instead of NaN. The exponents and z still hold.
-    monkeypatch.setattr(maxent, "POLICY", replace(POLICY, lam_zero_atol=0.0))
-    lams = [(0.5, 1e-170 + 0j, 0.5), (-0.0, complex(0.0, -1e-200), -0.0), (0.2, 0.3j, -0.1)]
-    l11, l1k, lkk = points(lams)
-    assert (np.sqrt(4 * np.abs(l1k[:2]) ** 2 + (l11[:2] - lkk[:2]) ** 2) == 0).all()
-    spec, failure = maxent._exponent_spectrum(8, l11, l1k, lkk)
-    assert failure is None
-    for i, values in enumerate(lams[:2]):
-        got = maxent._spectrum_at(8, spec, i)
-        assert got.k3 == 0 and got.k4 == 0
-        eps, _, _, z, _ = mp_forward(8, *values)
-        within("eps", *(error(g, w, 1 + abs(values[0])) for g, w in zip(got.eps[-2:], eps)))
-        within("z", error(got.z, z, (1 + abs(values[0])) * z))
-    check_forward(8, lams[2], maxent._spectrum_at(8, spec, 2))
-
-
 # Raw estimates at and past every edge of the feasible set, with
-# coherences down to the diagonal branch, and the branch cases.
+# coherences down to subnormal, and the branch cases.
 POPULATIONS = st.one_of(
     st.floats(0.0, 1.0),
     st.floats(-0.05, 1.05),
@@ -389,7 +339,7 @@ def test_forward_kernel_matches_mpmath(lams):
         if isinstance(want, tuple):
             first = first or (i, *want)
             continue
-        check_forward(8, values, maxent._spectrum_at(8, spec, i))
+        check_forward(8, values, maxent._spectrum_at(spec, i))
     assert (failure and (failure[0], *error_of(failure))) == first
 
 
@@ -403,10 +353,12 @@ def test_heatmap_rows_match_mpmath(im_lam1k, lam_kk):
     assert [repr(row[:2]) for row in rows] == [repr(point) for point in grid]
     for (l11, l1k, x11, x1k) in rows:
         with mpmath.workdps(MP_DPS):
-            *_, z, (e11, e1k, ekk) = mp_forward(8, l11, l1k, lam_kk)
+            z, (e11, e1k, _) = mp_forward(8, l11, l1k, lam_kk)
             want = (e11 / z, e1k / z)
-        norm = (1 + max(abs(l11), abs(l1k), abs(lam_kk))) * max(e11, ekk) / z
-        within("expectation", *(error(g, w, norm) for g, w in zip((x11, x1k), want)))
+        g = 1 + max(abs(l11), abs(l1k), abs(lam_kk))
+        within("expectation", *(
+            error(got, w, g * max(abs(w), TINY)) for got, w in zip((x11, x1k), want)
+        ))
 
 
 def reference_error(call):
