@@ -12,10 +12,14 @@ generator, ``np.random.default_rng(seed)``, and one multinomial call on
 it, one row per draw in the order (theta, K, [populations, then each
 basis of K's plan in plan order]). Each K draws its own populations.
 
-``_sweep_points`` is the one sweep and ``SweepPoint`` the one result
-type: ``run_sweep`` returns every point and ``run_case_ab`` the solved
-ones, and the ``sweep`` and ``caseab`` CSVs are two views of them. The
-sweep does each piece of work once. The circuit text is tokenized once,
+``_sweep_points`` is the one sweep and ``Sweep`` the one result: the
+kernels' arrays as columns, one row per point. ``run_sweep`` returns
+every row and ``run_case_ab`` the solved ones, and the ``sweep`` and
+``caseab`` CSVs are two views of them, formatted from the columns. No
+per-point object is built between the kernels and the CSV; a
+``SweepPoint`` is built only when a row of a ``Sweep`` is read as one.
+The sweep does each piece of work once. The circuit file is read once,
+by ``load_config``, and its text is tokenized once,
 every theta is bound into it at once, and the circuit is simulated as
 one (thetas, 2^n) stack of states (``circuit._sweep_states``). The
 readout is validated once per sweep, and one call reads the distribution
@@ -33,7 +37,8 @@ before it are measured; a drawn row that fails the frequency check ends
 the points at its own in the same way. Then one call of each of
 ``maxent``'s array kernels covers all the solved points: the prediction
 of xKK, the completion and solve of case A and of case B
-(``maxent._complete_and_solve``) and the fidelity. No record is built,
+(``maxent._complete_and_solve``) and the fidelity, and the solved rows'
+results are scattered into columns of every row. No record is built,
 no multiplier set is validated again, and no clamp warning is raised.
 """
 
@@ -44,9 +49,12 @@ import bisect
 import dataclasses
 import functools
 import math
+import operator
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -101,6 +109,10 @@ class ExperimentConfig:
     mitigate: bool = False
     seed: int = 0
     output_path: str | None = None
+    # The text of the circuit as ``load_config`` read it, so a sweep reads
+    # its circuit file once; None reads ``circuit_path`` when it runs. A
+    # copy with another ``circuit_path`` must set this to None as well.
+    circuit_text: str | None = dataclasses.field(default=None, repr=False)
 
     def __post_init__(self):
         if self.backend not in _BACKENDS:
@@ -152,6 +164,107 @@ class SweepPoint:
             or self.lagrange_a.near_singular
             or self.lagrange_b.near_singular
         )
+
+
+@dataclass(frozen=True, eq=False)
+class Sweep(Sequence):
+    """Every (theta, K) point of a sweep as columns, one row per point,
+    theta outer, K inner: the arrays the kernels produce.
+
+    ``solved`` marks the rows above the degeneracy floor. A floor row has
+    NaN ``xkk_pred``, ``fidelity`` and multipliers, and False ``near_a``
+    and ``near_b``. ``lams_a`` and ``lams_b`` are the (lam_11, lam_1K,
+    lam_KK) columns of case A and case B.
+
+    As a sequence it is read-only: ``len``, iteration and ``sweep[i]``
+    build the ``SweepPoint`` of row i when asked, and two sweeps are equal
+    when their points are.
+    """
+
+    dim_n: int
+    theta: np.ndarray
+    k: np.ndarray
+    x11: np.ndarray
+    x1k: np.ndarray
+    xkk_true: np.ndarray
+    xkk_pred: np.ndarray
+    fidelity: np.ndarray
+    lams_a: tuple[np.ndarray, np.ndarray, np.ndarray]
+    near_a: np.ndarray
+    lams_b: tuple[np.ndarray, np.ndarray, np.ndarray]
+    near_b: np.ndarray
+    solved: np.ndarray
+
+    @property
+    def abs_diff(self) -> np.ndarray:
+        return np.abs(self.xkk_true - self.xkk_pred)
+
+    @property
+    def near_singular(self) -> np.ndarray:
+        return ~self.solved | self.near_a | self.near_b
+
+    def __len__(self) -> int:
+        return len(self.solved)
+
+    def __getitem__(self, index) -> SweepPoint:
+        i = range(len(self))[operator.index(index)]
+        theta, k, x11, x1k, xkk_true = (
+            c[i].item() for c in (self.theta, self.k, self.x11, self.x1k, self.xkk_true)
+        )
+        if not self.solved[i]:
+            return SweepPoint(theta, k, x11, x1k, xkk_true)
+        a, b = (
+            LagrangeSet._solved(self.dim_n, k, *(v[i].item() for v in lams), bool(near[i]))
+            for lams, near in ((self.lams_a, self.near_a), (self.lams_b, self.near_b))
+        )
+        return SweepPoint(
+            theta, k, x11, x1k, xkk_true, self.xkk_pred[i].item(), self.fidelity[i].item(), a, b
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Sweep):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def _rows(self, mask) -> Sweep:
+        """The rows ``mask`` selects, as a sweep of their own."""
+        return Sweep(self.dim_n, *(
+            tuple(v[mask] for v in column) if isinstance(column, tuple) else column[mask]
+            for column in (getattr(self, f.name) for f in dataclasses.fields(self)[1:])
+        ))
+
+
+# The multiplier columns of a hand-built floor point, as a sweep holds them.
+_NO_SET = SimpleNamespace(lam_11=math.nan, lam_1k=math.nan, lam_kk=math.nan, near_singular=False)
+
+
+def _as_sweep(points: Sweep | Sequence[SweepPoint]) -> Sweep:
+    """The columns of ``points``: a sweep as it is, or a list of points
+    (hand-built ones, say) in the columns its row view gives back when the
+    points come from one sweep."""
+    if isinstance(points, Sweep):
+        return points
+    solved = [p.lagrange_a is not None for p in points]
+
+    def column(values, dtype=float):
+        return np.array(list(values), dtype)
+
+    def case(attr):
+        sets = [getattr(p, attr) if ok else _NO_SET for p, ok in zip(points, solved)]
+        lams = tuple(
+            column((getattr(s, name) for s in sets), dtype)
+            for name, dtype in (("lam_11", float), ("lam_1k", complex), ("lam_kk", float))
+        )
+        return lams, column((s.near_singular for s in sets), bool)
+
+    dim_n = next((p.lagrange_a.dim_n for p, ok in zip(points, solved) if ok), 0)
+    return Sweep(
+        dim_n, column(p.theta for p in points), column((p.k for p in points), int),
+        column(p.x11 for p in points), column((p.x1k for p in points), complex),
+        column(p.xkk_true for p in points), column(p.xkk_pred for p in points),
+        column(p.fidelity for p in points), *case("lagrange_a"), *case("lagrange_b"),
+        column(solved, bool),
+    )
 
 
 def resolve_circuit(spec_value: str) -> str:
@@ -215,8 +328,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     circuit_path = values["circuit"]
     if circuit_path not in bundled.names():
         circuit_path = str(path.parent / circuit_path)
+    circuit_text = resolve_circuit(circuit_path)
     # The theta-free prefix knows the qubit count without binding a theta.
-    num_qubits = theta_free_prefix(resolve_circuit(circuit_path)).num_qubits
+    num_qubits = theta_free_prefix(circuit_text).num_qubits
 
     backend = values.get("backend", "exact")
     noise = None
@@ -248,10 +362,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
         mitigate=_parse_bool(values.get("mitigate", "false"), "mitigate"),
         seed=read_number(values, "seed", 0, int),
         output_path=values.get("out"),
+        circuit_text=circuit_text,
     )
 
 
-def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
+def _sweep_points(cfg: ExperimentConfig) -> Sweep:
     """Measure and reconstruct every (theta, K) point, theta outer, K inner.
 
     A sampled sweep draws every point, floor points included, from one
@@ -262,7 +377,9 @@ def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
     by xkk_pred = 1 - x11. Errors come in point order: the solve error of
     a point comes before the error of any later point's measurement.
     """
-    circuit_text = resolve_circuit(cfg.circuit_path)
+    circuit_text = cfg.circuit_text
+    if circuit_text is None:
+        circuit_text = resolve_circuit(cfg.circuit_path)
     num_qubits = theta_free_prefix(circuit_text).num_qubits
     if num_qubits < 2:
         raise ValidationError(
@@ -332,25 +449,20 @@ def _sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
     _raise(_earliest(failure_a, failure_b, failure_f))
     if error is not None:
         raise error
-    results = zip(
-        xkk_pred.tolist(), fidelity.tolist(),
-        *(v.tolist() for v in lams_a), near_a.tolist(),
-        *(v.tolist() for v in lams_b), near_b.tolist(),
+
+    def every_row(values, fill):
+        # The solved rows' values scattered into a column of every row.
+        column = np.full(len(solved), fill, values.dtype)
+        column[solved] = values
+        return column
+
+    return Sweep(
+        dim_n, np.repeat(thetas, len(k_targets)), np.tile(k_targets, len(thetas)),
+        x11, x1k, xkk_true, every_row(xkk_pred, math.nan), every_row(fidelity, math.nan),
+        tuple(every_row(v, math.nan) for v in lams_a), every_row(near_a, False),
+        tuple(every_row(v, math.nan) for v in lams_b), every_row(near_b, False),
+        solved,
     )
-    points = []
-    measured = zip(x11.tolist(), x1k.tolist(), xkk_true.tolist(), solved.tolist())
-    for p, (x11, x1k, xkk_true, is_solved) in enumerate(measured):
-        theta, k = thetas[p // len(k_targets)], k_targets[p % len(k_targets)]
-        if is_solved:
-            pred, fid, a11, a1k, akk, a_near, b11, b1k, bkk, b_near = next(results)
-            points.append(SweepPoint(
-                theta, k, x11, x1k, xkk_true, pred, fid,
-                LagrangeSet._solved(dim_n, k, a11, a1k, akk, a_near),
-                LagrangeSet._solved(dim_n, k, b11, b1k, bkk, b_near),
-            ))
-        else:
-            points.append(SweepPoint(theta, k, x11, x1k, xkk_true))
-    return points
 
 
 def _sampled_values(states, num_qubits, dists, k_targets, readout, seed, error):
@@ -385,17 +497,18 @@ def _sampled_values(states, num_qubits, dists, k_targets, readout, seed, error):
     )
 
 
-def run_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
+def run_sweep(cfg: ExperimentConfig) -> Sweep:
     """Every (theta, K) point, theta outer, K inner. A point whose x11 sits
     at the degeneracy floor is kept, flagged near_singular, not raised."""
     return _sweep_points(cfg)
 
 
-def run_case_ab(cfg: ExperimentConfig) -> list[SweepPoint]:
+def run_case_ab(cfg: ExperimentConfig) -> Sweep:
     """The points of ``run_sweep`` that have a case A and a case B
     reconstruction to compare, in the same order: the floor points are
     left out."""
-    return [p for p in _sweep_points(cfg) if p.lagrange_a is not None]
+    sweep = _sweep_points(cfg)
+    return sweep._rows(sweep.solved)
 
 
 def _fmt(value: float) -> str:
@@ -429,16 +542,14 @@ SWEEP_HEADER = "theta,k,x11,re_x1k,im_x1k,xkk_true,xkk_pred,abs_diff,fidelity,ne
 _SWEEP_ROW = _row_format("e", "s", "e", "e", "e", "e", "e", "e", "e", "s")
 
 
-def emit_csv(points: list[SweepPoint], path: str | Path) -> None:
+def emit_csv(points: Sweep | Sequence[SweepPoint], path: str | Path) -> None:
     """Write sweep points as CSV with 12-significant-digit values."""
-    lines = [
-        _SWEEP_ROW.format(
-            p.theta, p.k, p.x11, p.x1k.real, p.x1k.imag, p.xkk_true, p.xkk_pred,
-            p.abs_diff, p.fidelity, "true" if p.near_singular else "false",
-        )
-        for p in points
-    ]
-    _write_csv(SWEEP_HEADER, lines, path)
+    s = _as_sweep(points)
+    columns = (
+        s.theta, s.k, s.x11, s.x1k.real, s.x1k.imag, s.xkk_true, s.xkk_pred,
+        s.abs_diff, s.fidelity, np.where(s.near_singular, "true", "false"),
+    )
+    _write_csv(SWEEP_HEADER, list(map(_SWEEP_ROW.format, *(c.tolist() for c in columns))), path)
 
 
 CASEAB_HEADER = (
@@ -449,25 +560,22 @@ CASEAB_HEADER = (
 _CASEAB_ROW = _row_format("e", "s", *"e" * 12)
 
 
-def emit_caseab_csv(points: list[SweepPoint], path: str | Path) -> None:
+def emit_caseab_csv(points: Sweep | Sequence[SweepPoint], path: str | Path) -> None:
     """Write solved sweep points with both multiplier sets as CSV. A
     floor point, which has none, is rejected before anything is written."""
-    lines = []
-    for p in points:
-        a, b = p.lagrange_a, p.lagrange_b
-        if a is None:
-            raise ValidationError(
-                f"point theta={p.theta}, k={p.k} has no multipliers (x11 at "
-                "the floor); pass the output of run_case_ab, not run_sweep"
-            )
-        lines.append(
-            _CASEAB_ROW.format(
-                p.theta, p.k, p.xkk_true, p.xkk_pred, p.abs_diff, p.fidelity,
-                a.lam_11, a.lam_1k.real, a.lam_1k.imag, a.lam_kk,
-                b.lam_11, b.lam_1k.real, b.lam_1k.imag, b.lam_kk,
-            )
+    s = _as_sweep(points)
+    if not s.solved.all():
+        i = int(np.argmin(s.solved))
+        raise ValidationError(
+            f"point theta={s.theta[i].item()}, k={s.k[i].item()} has no multipliers "
+            "(x11 at the floor); pass the output of run_case_ab, not run_sweep"
         )
-    _write_csv(CASEAB_HEADER, lines, path)
+    (a11, a1k, akk), (b11, b1k, bkk) = s.lams_a, s.lams_b
+    columns = (
+        s.theta, s.k, s.xkk_true, s.xkk_pred, s.abs_diff, s.fidelity,
+        a11, a1k.real, a1k.imag, akk, b11, b1k.real, b1k.imag, bkk,
+    )
+    _write_csv(CASEAB_HEADER, list(map(_CASEAB_ROW.format, *(c.tolist() for c in columns))), path)
 
 
 HEATMAP_HEADER = "lam11,re_lam1k,im_lam1k,x11,re_x1k,im_x1k"
@@ -563,24 +671,25 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 def _cmd_sweep(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    points = run_sweep(cfg)
+    sweep = run_sweep(cfg)
     out = cfg.output_path or "sweep.csv"
-    emit_csv(points, out)
-    diffs = [p.abs_diff for p in points if not math.isnan(p.abs_diff)]
-    median = float(np.median(diffs)) if diffs else math.nan
-    print(f"wrote {len(points)} rows to {out} (median abs_diff {median:.3e})")
+    emit_csv(sweep, out)
+    diffs = sweep.abs_diff
+    diffs = diffs[~np.isnan(diffs)]
+    median = float(np.median(diffs)) if diffs.size else math.nan
+    print(f"wrote {len(sweep)} rows to {out} (median abs_diff {median:.3e})")
     return 0
 
 
 def _cmd_caseab(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    points = run_case_ab(cfg)
+    sweep = run_case_ab(cfg)
     out = cfg.output_path or "caseab.csv"
-    emit_caseab_csv(points, out)
-    median = float(np.median([p.abs_diff for p in points]))
+    emit_caseab_csv(sweep, out)
+    median = float(np.median(sweep.abs_diff))
     print(
-        f"wrote {len(points)} rows to {out} (median abs_diff {median:.3e}, "
-        f"min fidelity {min(p.fidelity for p in points):.6f})"
+        f"wrote {len(sweep)} rows to {out} (median abs_diff {median:.3e}, "
+        f"min fidelity {min(sweep.fidelity.tolist()):.6f})"
     )
     return 0
 

@@ -25,7 +25,9 @@ fails first, and with which error type and message.
 measurement drawn one row at a time from one generator, each state
 rotated from the start, read through ``M @ p``, and mitigated and
 recombined by the scalar code of one draw; the sweep's batched draw must
-give the same tallies.
+give the same tallies. ``reference_sweep_points`` is the sweep as it
+read when it built one ``SweepPoint`` per point in a loop, kept to check
+the row view of the sweep's columns bit for bit.
 
 Every hypothesis property test runs under one profile: derandomized, with
 no example database and no deadline, so a run is repeatable and a slow
@@ -51,10 +53,21 @@ from qmaxent import (
     ValidationError,
 )
 from qmaxent import maxent
-from qmaxent.circuit import MAX_QUBITS, Circuit, Gate, apply_gates
+from qmaxent.circuit import (
+    MAX_QUBITS,
+    Circuit,
+    Gate,
+    _coherence,
+    _sweep_states,
+    apply_gates,
+    theta_free_prefix,
+)
+from qmaxent.cli import SweepPoint, _k_targets, _sampled_values, resolve_circuit
 from qmaxent.pauli import decompose_ketbra, measurement_settings
 from qmaxent.errors import InfeasibleRecordError
+from qmaxent.linalg import _earliest, _raise
 from qmaxent.maxent import ExponentSpectrum, _check_record_values, _name_non_finite
+from qmaxent.sampler import _Readout, build_calibration
 
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
 settings.load_profile("tier1")
@@ -814,3 +827,72 @@ def reference_complete_and_solve(dim_n, x_11, x_1k, x_kk):
     if c != 1.0:
         x_11, x_1k, x_kk = c * x_11, c * x_1k, c * x_kk
     return completed, *reference_solve(dim_n, x_11, x_1k, x_kk)
+
+
+def reference_sweep_points(cfg) -> list:
+    """The points of a sweep as they were built before the sweep returned
+    columns: the same measurement and one call of each array kernel, then
+    one ``SweepPoint``, and one ``LagrangeSet`` per case, per point, in a
+    loop over the points. It reads the circuit from ``cfg.circuit_path``."""
+    from qmaxent.circuit import _coherence, _sweep_states, theta_free_prefix
+    from qmaxent.cli import SweepPoint, _k_targets, _sampled_values, resolve_circuit
+    from qmaxent.linalg import _earliest, _raise
+    from qmaxent.sampler import _Readout, build_calibration
+
+    circuit_text = resolve_circuit(cfg.circuit_path)
+    num_qubits = theta_free_prefix(circuit_text).num_qubits
+    dim_n = 2**num_qubits
+    k_targets = _k_targets(cfg.k_targets, dim_n)
+    if cfg.theta_steps == 1:
+        thetas = [float(cfg.theta_start)]
+    else:
+        thetas = np.linspace(cfg.theta_start, cfg.theta_stop, cfg.theta_steps).tolist()
+    shots = None if cfg.backend == "exact" else cfg.shots
+    calibration = build_calibration(cfg.noise, num_qubits) if cfg.mitigate else None
+    readout = _Readout(num_qubits, shots, cfg.noise, calibration)
+    states, failure = _sweep_states(circuit_text, thetas)
+    dists, drifted = readout.distribution(states)
+    assert failure is None and drifted is None
+    if shots is None:
+        pops = dists
+        x11 = np.repeat(pops[:, 0], len(k_targets))
+        x1k = np.stack([_coherence(states, k, 1) for k in k_targets], axis=1).ravel()
+        xkk_true = pops[:, [k - 1 for k in k_targets]].ravel()
+    else:
+        x11, x1k, xkk_true, error = _sampled_values(
+            states, num_qubits, dists, k_targets, readout, cfg.seed, None
+        )
+        assert error is None
+    solved = x11 > POLICY.population_floor
+    assert maxent._record_failure(x11[solved], x1k[solved]) is None
+    x11_s, x1k_s = x11[solved], x1k[solved]
+    xkk = maxent._predict_population(x11_s, x1k_s)[0]
+    (_, _, xkk_pred), lams_a, near_a, (z_a, block_a), failure_a = (
+        maxent._complete_and_solve(dim_n, x11_s, x1k_s, xkk)
+    )
+    _, lams_b, near_b, (z_b, block_b), failure_b = maxent._complete_and_solve(
+        dim_n, x11_s, x1k_s, xkk_true[solved]
+    )
+    fidelity, failure_f = maxent._block_fidelity(
+        dim_n, lams_a, z_a, block_a, lams_b, z_b, block_b
+    )
+    _raise(_earliest(failure_a, failure_b, failure_f))
+    results = zip(
+        xkk_pred.tolist(), fidelity.tolist(),
+        *(v.tolist() for v in lams_a), near_a.tolist(),
+        *(v.tolist() for v in lams_b), near_b.tolist(),
+    )
+    points = []
+    measured = zip(x11.tolist(), x1k.tolist(), xkk_true.tolist(), solved.tolist())
+    for p, (x11, x1k, xkk_true, is_solved) in enumerate(measured):
+        theta, k = thetas[p // len(k_targets)], k_targets[p % len(k_targets)]
+        if is_solved:
+            pred, fid, a11, a1k, akk, a_near, b11, b1k, bkk, b_near = next(results)
+            points.append(SweepPoint(
+                theta, k, x11, x1k, xkk_true, pred, fid,
+                LagrangeSet._solved(dim_n, k, a11, a1k, akk, a_near),
+                LagrangeSet._solved(dim_n, k, b11, b1k, bkk, b_near),
+            ))
+        else:
+            points.append(SweepPoint(theta, k, x11, x1k, xkk_true))
+    return points

@@ -12,6 +12,7 @@ import qmaxent.sampler as sampler
 from qmaxent import circuits
 from qmaxent.cli import (
     ExperimentConfig,
+    Sweep,
     SweepPoint,
     emit_caseab_csv,
     emit_csv,
@@ -335,7 +336,8 @@ class TestOnePointList:
     )
     def test_case_ab_is_the_solved_points_of_the_sweep(self, monkeypatch, config):
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / config)
-        solved = [p for p in run_sweep(cfg) if p.lagrange_a is not None]
+        sweep = run_sweep(cfg)
+        solved = [p for p in sweep if p.lagrange_a is not None]
         assert solved
 
         def forbidden(cfg):
@@ -343,7 +345,17 @@ class TestOnePointList:
 
         # Each run is its own span in the benchmark, so neither calls the other.
         monkeypatch.setattr(cli, "run_sweep", forbidden)
-        assert run_case_ab(cfg) == solved
+        case_ab = run_case_ab(cfg)
+        # Its columns are the sweep's under the solved mask, bit for bit,
+        # and its row view is the sweep's solved points.
+        assert isinstance(case_ab, Sweep) and case_ab.solved.all()
+        for name in ("theta", "k", "x11", "x1k", "xkk_true", "xkk_pred", "fidelity",
+                     "near_a", "near_b"):
+            want = getattr(sweep, name)[sweep.solved]
+            assert getattr(case_ab, name).tobytes() == want.tobytes()
+        for got, want in zip((*case_ab.lams_a, *case_ab.lams_b), (*sweep.lams_a, *sweep.lams_b)):
+            assert got.tobytes() == want[sweep.solved].tobytes()
+        assert list(case_ab) == solved
 
 
 class TestEmitCsv:
