@@ -18,6 +18,9 @@ every row and ``run_case_ab`` the solved ones, and the ``sweep`` and
 ``caseab`` CSVs are two views of them, formatted from the columns. No
 per-point object is built between the kernels and the CSV; a
 ``SweepPoint`` is built only when a row of a ``Sweep`` is read as one.
+Every CSV is written by one emitter (``_write_csv``) as one byte matrix,
+whose float cells numpy fills with the text ``'%.11e'`` gives
+(``_float_cells``).
 The sweep does each piece of work once. The circuit file is read once,
 by ``load_config``, and its text is tokenized once,
 every theta is bound into it at once, and the circuit is simulated as
@@ -515,31 +518,149 @@ def _fmt(value: float) -> str:
     return f"{value:.11e}"
 
 
-def _row_format(*fields: str) -> str:
-    """One format string for a CSV row: "e" is a 12-significant-digit
-    value as ``_fmt`` writes it, "s" a field written as it is."""
-    return ",".join("{:.11e}" if f == "e" else "{}" for f in fields)
+# A CSV cell holds at most this many bytes, five 4-byte words; the
+# longest ``_fmt`` text is "-4.94065645841e-324". A shorter text is padded
+# with zero bytes, which mark absent bytes; no CSV byte is zero.
+_CELL = 20
+# Row i: the four ASCII digits of i < 10^4, read as one word.
+_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T) + ord("0")
+_WORDS = _DIGITS.view(np.uint32).ravel()
+
+
+def _heads() -> np.ndarray:
+    """8-byte word s 10^4 + h: the sign s and the first four digits h of a
+    mantissa, as "-D.DDD" (s = 1) or "D.DDD" (s = 0), zero-padded."""
+    heads = np.zeros((2, 10**4, 8), np.uint8)
+    heads[0, :, 0] = _DIGITS[:, 0]
+    heads[0, :, 1] = ord(".")
+    heads[0, :, 2:5] = _DIGITS[:, 1:]
+    heads[1, :, 0] = ord("-")
+    heads[1, :, 1:6] = heads[0, :, :5]
+    return heads.view(np.uint64).ravel()
+
+
+def _exponents() -> np.ndarray:
+    """Word e + 99: the exponent e in -99..99 as "e+05" or "e-12"."""
+    e = np.arange(-99, 100)
+    words = np.empty((len(e), 4), np.uint8)
+    words[:, 0] = ord("e")
+    words[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    words[:, 2:] = _DIGITS[np.abs(e), 2:]
+    return words.view(np.uint32).ravel()
+
+
+def _scale_steps() -> np.ndarray:
+    """Column p + 44: (up, down, up2, down2), so that a * 10^p for
+    |p| <= 44 is a * up / down * up2 / down2. Each is an exact power
+    10^0..10^22 and at most two are not 1: the product carries at most
+    two roundings."""
+    p = np.arange(-44, 45)
+    powers = np.array([10**q for q in range(23)], dtype=float)
+    return powers[np.clip(np.stack([p, -p, p - 22, -p - 22]), 0, 22)]
+
+
+_HEADS = _heads()
+_EXPONENTS = _exponents()
+_SCALE_STEPS = _scale_steps()
+
+
+def _scale(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a * 10^p for |p| <= 44 with at most two roundings."""
+    up, down, up2, down2 = _SCALE_STEPS[:, p + 44]
+    return a * up / down * up2 / down2
+
+
+def _text_cells(texts) -> np.ndarray:
+    """Each ASCII text as one zero-padded row of ``_CELL`` bytes."""
+    data = "".join(t.ljust(_CELL, "\0") for t in texts).encode("ascii")
+    return np.frombuffer(data, np.uint8).reshape(-1, _CELL)
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """The ``_fmt`` text of every value of ``x``, one ``_CELL``-byte row
+    each (see ``_text_cells``), in the order of ``x.ravel()``.
+
+    The 12 digits of a value are rint(m) for m = |x| 10^(11 - e), where the
+    exponent e starts from floor(log10 |x|) and exact comparisons of m
+    with 10^11 and 10^12 correct it, so the last bits of log10 never reach
+    the text. m carries at most two roundings (``_scale``), an error below
+    3e-4, so rint(m) is the correctly rounded mantissa unless m lies within
+    1e-3 of a rounding tie. Such a value, one that needs a power of ten
+    beyond 10^44, and NaN and +-inf are written by ``_fmt``.
+    """
+    x = x.ravel()
+    a = np.abs(x)
+    finite = np.isfinite(a)
+    nonzero = finite & (a != 0)
+    with np.errstate(all="ignore"):
+        e = np.floor(np.log10(np.where(nonzero, a, 1.0))).astype(np.int64)
+        m = _scale(a, np.clip(11 - e, -44, 44))
+        off = nonzero & ((m < 1e11) | (m >= 1e12))
+        if off.any():
+            e[off] += np.where(m[off] < 1e11, -1, 1)
+            m[off] = _scale(a[off], np.clip(11 - e[off], -44, 44))
+        d = np.rint(m)
+        python = (
+            ~finite | (np.abs(11 - e) > 44) | (np.abs(m - d) >= 0.499)
+            | (nonzero & ((d < 1e11) | (d > 1e12)))
+        )
+        carry = d == 1e12
+        d = np.where(python, 0, np.where(carry, 1e11, d)).astype(np.int64)
+    high, low = np.divmod(d, 10**8)
+    middle, low = np.divmod(low, 10**4)
+    cells = np.empty((len(x), _CELL // 4), np.uint32)
+    cells[:, :2] = _HEADS[np.signbit(x) * 10**4 + high].view(np.uint32).reshape(-1, 2)
+    cells[:, 2] = _WORDS[middle]
+    cells[:, 3] = _WORDS[low]
+    cells[:, 4] = _EXPONENTS[np.clip(e + carry, -99, 99) + 99]
+    cells = cells.view(np.uint8)
+    if python.any():
+        cells[python] = _text_cells(map(_fmt, x[python].tolist()))
+    return cells
+
+
+def _write(data: bytes, path: str | Path | None) -> None:
+    """Write ``data`` to ``path``, or to stdout when ``path`` is None."""
+    if path is None:
+        sys.stdout.write(data.decode())
+    else:
+        Path(path).write_bytes(data)
 
 
 def _write_lines(lines: list[str], path: str | Path | None) -> None:
     """Write a header and its rows as LF-terminated lines to ``path``, or
     to stdout when ``path`` is None. No timestamps: the bytes are a pure
     function of the lines."""
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, newline="\n")
+    _write(("\n".join(lines) + "\n").encode(), path)
 
 
-def _write_csv(header: str, rows: list[str], path: str | Path) -> None:
-    if not rows:
+def _write_csv(header: str, columns: Sequence[np.ndarray], path: str | Path) -> None:
+    """Write ``columns`` under ``header`` as CSV, one row per index: a
+    float as ``_fmt`` writes it, an integer in decimal, a bool as
+    true/false.
+
+    The body is built as one (rows, columns, ``_CELL`` + 1) byte matrix, a
+    cell and its comma or newline per column; its zero bytes are dropped.
+    """
+    rows = len(columns[0])
+    if rows == 0:
         raise ValidationError("no rows to emit")
-    _write_lines([header, *rows], path)
+    matrix = np.zeros((rows, len(columns), _CELL + 1), np.uint8)
+    matrix[:, :, _CELL] = ord(",")
+    matrix[:, -1, _CELL] = ord("\n")
+    floats = [i for i, c in enumerate(columns) if c.dtype.kind == "f"]
+    cells = _float_cells(np.stack([columns[i] for i in floats], axis=1))
+    matrix[:, floats, :_CELL] = cells.reshape(rows, len(floats), _CELL)
+    for i, column in enumerate(columns):
+        if column.dtype.kind == "b":
+            matrix[:, i, :_CELL] = _text_cells(("false", "true"))[column.view(np.uint8)]
+        elif column.dtype.kind in "iu":
+            values, index = np.unique(column, return_inverse=True)
+            matrix[:, i, :_CELL] = _text_cells(map(str, values.tolist()))[index]
+    _write(f"{header}\n".encode() + matrix[matrix != 0].tobytes(), path)
 
 
 SWEEP_HEADER = "theta,k,x11,re_x1k,im_x1k,xkk_true,xkk_pred,abs_diff,fidelity,near_singular"
-_SWEEP_ROW = _row_format("e", "s", "e", "e", "e", "e", "e", "e", "e", "s")
 
 
 def emit_csv(points: Sweep | Sequence[SweepPoint], path: str | Path) -> None:
@@ -547,9 +668,9 @@ def emit_csv(points: Sweep | Sequence[SweepPoint], path: str | Path) -> None:
     s = _as_sweep(points)
     columns = (
         s.theta, s.k, s.x11, s.x1k.real, s.x1k.imag, s.xkk_true, s.xkk_pred,
-        s.abs_diff, s.fidelity, np.where(s.near_singular, "true", "false"),
+        s.abs_diff, s.fidelity, s.near_singular,
     )
-    _write_csv(SWEEP_HEADER, list(map(_SWEEP_ROW.format, *(c.tolist() for c in columns))), path)
+    _write_csv(SWEEP_HEADER, columns, path)
 
 
 CASEAB_HEADER = (
@@ -557,7 +678,6 @@ CASEAB_HEADER = (
     "lam11_a,re_lam1k_a,im_lam1k_a,lamkk_a,"
     "lam11_b,re_lam1k_b,im_lam1k_b,lamkk_b"
 )
-_CASEAB_ROW = _row_format("e", "s", *"e" * 12)
 
 
 def emit_caseab_csv(points: Sweep | Sequence[SweepPoint], path: str | Path) -> None:
@@ -575,7 +695,7 @@ def emit_caseab_csv(points: Sweep | Sequence[SweepPoint], path: str | Path) -> N
         s.theta, s.k, s.xkk_true, s.xkk_pred, s.abs_diff, s.fidelity,
         a11, a1k.real, a1k.imag, akk, b11, b1k.real, b1k.imag, bkk,
     )
-    _write_csv(CASEAB_HEADER, list(map(_CASEAB_ROW.format, *(c.tolist() for c in columns))), path)
+    _write_csv(CASEAB_HEADER, columns, path)
 
 
 HEATMAP_HEADER = "lam11,re_lam1k,im_lam1k,x11,re_x1k,im_x1k"
@@ -610,15 +730,11 @@ def load_heatmap_config(path: str | Path) -> dict:
     return params
 
 
-_HEATMAP_ROW = _row_format(*"e" * 6)
-
-
 def emit_heatmap_csv(rows, path: str | Path) -> None:
-    lines = [
-        _HEATMAP_ROW.format(lam11, lam1k.real, lam1k.imag, x11, x1k.real, x1k.imag)
-        for lam11, lam1k, x11, x1k in rows
-    ]
-    _write_csv(HEATMAP_HEADER, lines, path)
+    """Write ``heatmap_scan`` rows, (lam11, lam1K, x11, x1K) each, as CSV."""
+    lam11, lam1k, x11, x1k = np.array(rows, dtype=complex).reshape(-1, 4).T
+    columns = (lam11.real, lam1k.real, lam1k.imag, x11.real, x1k.real, x1k.imag)
+    _write_csv(HEATMAP_HEADER, columns, path)
 
 
 def _cmd_reconstruct(args) -> int:

@@ -27,7 +27,10 @@ rotated from the start, read through ``M @ p``, and mitigated and
 recombined by the scalar code of one draw; the sweep's batched draw must
 give the same tallies. ``reference_sweep_points`` is the sweep as it
 read when it built one ``SweepPoint`` per point in a loop, kept to check
-the row view of the sweep's columns bit for bit.
+the row view of the sweep's columns bit for bit. The ``reference_emit``
+functions are the CSV emit as it read when every row was one Python
+format call of a row template, kept to check the byte-matrix emit of
+whole files byte for byte.
 
 Every hypothesis property test runs under one profile: derandomized, with
 no example database and no deadline, so a run is repeatable and a slow
@@ -38,6 +41,7 @@ import math
 import re
 import sys
 from functools import lru_cache, reduce
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -896,3 +900,55 @@ def reference_sweep_points(cfg) -> list:
         else:
             points.append(SweepPoint(theta, k, x11, x1k, xkk_true))
     return points
+
+
+def _row_format(*fields: str) -> str:
+    """One format string for a CSV row: "e" is a 12-significant-digit
+    value as ``'%.11e'`` writes it, "s" a field written as it is."""
+    return ",".join("{:.11e}" if f == "e" else "{}" for f in fields)
+
+
+_SWEEP_ROW = _row_format("e", "s", "e", "e", "e", "e", "e", "e", "e", "s")
+_CASEAB_ROW = _row_format("e", "s", *"e" * 12)
+_HEATMAP_ROW = _row_format(*"e" * 6)
+
+
+def _reference_write_csv(header: str, rows: list[str], path) -> None:
+    if not rows:
+        raise ValidationError("no rows to emit")
+    Path(path).write_text("\n".join([header, *rows]) + "\n", newline="\n")
+
+
+def reference_emit_csv(points, path) -> None:
+    from qmaxent.cli import SWEEP_HEADER, _as_sweep
+
+    s = _as_sweep(points)
+    columns = (
+        s.theta, s.k, s.x11, s.x1k.real, s.x1k.imag, s.xkk_true, s.xkk_pred,
+        s.abs_diff, s.fidelity, np.where(s.near_singular, "true", "false"),
+    )
+    rows = list(map(_SWEEP_ROW.format, *(c.tolist() for c in columns)))
+    _reference_write_csv(SWEEP_HEADER, rows, path)
+
+
+def reference_emit_caseab_csv(points, path) -> None:
+    from qmaxent.cli import CASEAB_HEADER, _as_sweep
+
+    s = _as_sweep(points)
+    (a11, a1k, akk), (b11, b1k, bkk) = s.lams_a, s.lams_b
+    columns = (
+        s.theta, s.k, s.xkk_true, s.xkk_pred, s.abs_diff, s.fidelity,
+        a11, a1k.real, a1k.imag, akk, b11, b1k.real, b1k.imag, bkk,
+    )
+    rows = list(map(_CASEAB_ROW.format, *(c.tolist() for c in columns)))
+    _reference_write_csv(CASEAB_HEADER, rows, path)
+
+
+def reference_emit_heatmap_csv(rows, path) -> None:
+    from qmaxent.cli import HEATMAP_HEADER
+
+    lines = [
+        _HEATMAP_ROW.format(lam11, lam1k.real, lam1k.imag, x11, x1k.real, x1k.imag)
+        for lam11, lam1k, x11, x1k in rows
+    ]
+    _reference_write_csv(HEATMAP_HEADER, lines, path)

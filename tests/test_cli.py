@@ -16,6 +16,7 @@ from qmaxent.cli import (
     SweepPoint,
     emit_caseab_csv,
     emit_csv,
+    emit_heatmap_csv,
     load_config,
     load_heatmap_config,
     main,
@@ -372,8 +373,21 @@ class TestEmitCsv:
         assert lines[1].split(",")[1] == "4"
 
     def test_empty_rows_rejected(self, tmp_path):
-        with pytest.raises(ValidationError):
-            emit_csv([], tmp_path / "none.csv")
+        path = tmp_path / "none.csv"
+        for emit in (emit_csv, emit_caseab_csv, emit_heatmap_csv):
+            with pytest.raises(ValidationError, match="^no rows to emit$"):
+                emit([], path)
+            assert not path.exists()
+
+    def test_caseab_of_a_sweep_all_at_the_floor_exits_2(self, tmp_path, capsys):
+        # x on qubit 0 keeps x11 at 0: run_case_ab returns no rows.
+        (tmp_path / "flip.qc").write_text("qubits 2\nx 0\nry(theta) 1\n")
+        config = tmp_path / "config.txt"
+        config.write_text("circuit flip.qc\ntheta_steps 3\n")
+        out = tmp_path / "caseab.csv"
+        assert main(["--out", str(out), "caseab", str(config)]) == 2
+        assert capsys.readouterr().err == "error: no rows to emit\n"
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = ExperimentConfig(
