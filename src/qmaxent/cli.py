@@ -586,7 +586,9 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     the text. m carries at most two roundings (``_scale``), an error below
     3e-4, so rint(m) is the correctly rounded mantissa unless m lies within
     1e-3 of a rounding tie. Such a value, one that needs a power of ten
-    beyond 10^44, and NaN and +-inf are written by ``_fmt``.
+    beyond 10^44, NaN and +-inf, and any value whose rint(m) still lies
+    outside [10^11, 10^12] (a log10 off by more than one) are written by
+    ``_fmt``.
     """
     x = x.ravel()
     a = np.abs(x)

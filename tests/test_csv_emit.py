@@ -90,7 +90,8 @@ def ties(rng) -> np.ndarray:
     13-digit integers ending in 5 times 10^s, all exactly representable.
     Near ties: the double nearest to d.ddddddddddd5 x 10^e for random
     12-digit d over every decade of numpy's range and beyond, and its
-    neighbours.
+    neighbours, and the values 1.1e-3 units of the 12th digit either side
+    of it, just outside the window that ``_fmt`` writes.
     """
     counts = np.arange(8193) / 8192
     dyadic = np.concatenate([
@@ -101,7 +102,8 @@ def ties(rng) -> np.ndarray:
     ])
     digits = rng.integers(10**11, 10**12, 2000)
     near = np.array([
-        float(Decimal(f"{d}5e{e - 12}")) for e in range(-40, 60) for d in digits[:20].tolist()
+        float(Decimal(f"{d}{tail}e{e - 11 - len(tail)}"))
+        for e in range(-40, 60) for d in digits[:20].tolist() for tail in ("5", "4989", "5011")
     ] + [float(Decimal(f"{d}5e{rng.integers(-30, 50)}")) for d in digits.tolist()])
     return np.concatenate([counts, dyadic, integers, neighbours(near, 2)])
 
@@ -164,8 +166,8 @@ def test_hypothesis_floats(values):
     assert_formats_as_python(values)
 
 
-# numpy's dispatch settings of ROADMAP item 3: AVX-512 loops off, and the
-# AVX2 loops off as well. Each names the features the child must lose.
+# numpy's x86-64 dispatch settings: AVX-512 loops off, and the AVX2 loops
+# off as well. Each names the features the child must lose.
 DISPATCH = {
     "avx512_off": ("X86_V4 AVX512_ICL AVX512_SPR AVX512_SKX AVX512_CLX AVX512_CNL", "X86_V4"),
     "avx2_off": (
