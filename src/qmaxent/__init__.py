@@ -3,11 +3,12 @@
 Modules:
 
 - ``linalg``: Hermitian checks and the tolerance policy.
-- ``maxent``: the reconstruction engine (multipliers, spectrum, density
-  matrix, forward/inverse maps, population prediction, fidelity).
+- ``maxent``: the reconstruction engine (the population prediction, the
+  completion and multiplier solve, the density matrix, the fidelity).
 - ``circuit``: gate DSL parser and exact statevector simulator.
-- ``pauli``: Pauli expansion of coherence operators and measurement settings.
-- ``sampler``: seeded shot sampling, readout noise, calibration mitigation.
+- ``pauli``: Pauli expansion of coherence operators.
+- ``sampler``: seeded shot sampling, readout noise, calibration mitigation,
+  and the Pauli measurement bases.
 - ``cli``: sweep/experiment harness and the ``qmaxent`` command.
 """
 
@@ -30,30 +31,23 @@ from .errors import (
 )
 from .linalg import POLICY, NumericPolicy
 from .maxent import (
-    ExponentSpectrum,
     LagrangeSet,
     MeasurementRecord,
     block_fidelity,
     density_from_lagrange,
     dump_record,
-    feasible_record,
     fidelity,
-    forward_expectations,
     heatmap_scan,
     load_record,
     predict_population,
     reconstruct,
-    saturation_rescale,
     solve_lagrange,
     solve_record,
-    spectrum,
 )
 from .pauli import (
-    MeasurementSetting,
     PauliDecomposition,
     PauliString,
     decompose_ketbra,
-    measurement_settings,
 )
 from .sampler import (
     CalibrationMatrix,

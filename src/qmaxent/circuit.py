@@ -556,15 +556,9 @@ def _sweep_states(text: str, thetas: list):
     gates, failure = _bind(_parse_text(text), thetas)
     states = np.broadcast_to(simulate(prefix), (len(thetas), 2**n))
     states = _apply(states, gates[len(prefix.gates):], n)
-    return states, _earliest(failure, _norm_failure(states))
-
-
-def _norm_failure(states: np.ndarray):
-    """The first row of a (T, 2^n) stack that fails the norm check, as
-    (index, error), or None."""
     with np.errstate(all="ignore"):
         norms = np.linalg.norm(states, axis=1)
-    return _screen_rows(norms, _check_norm, states)
+    return states, _earliest(failure, _screen_rows(norms, _check_norm, states))
 
 
 def _screen_rows(sums, check, states: np.ndarray):

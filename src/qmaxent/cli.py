@@ -16,8 +16,7 @@ basis of K's plan in plan order]). Each K draws its own populations.
 kernels' arrays as columns, one row per point. ``run_sweep`` returns
 every row and ``run_case_ab`` the solved ones, and the ``sweep`` and
 ``caseab`` CSVs are two views of them, formatted from the columns. No
-per-point object is built between the kernels and the CSV; a
-``SweepPoint`` is built only when a row of a ``Sweep`` is read as one.
+per-point object is built between the kernels and the CSV.
 Every CSV is written by one emitter (``_write_csv``) as one byte matrix,
 whose float cells numpy fills with the text ``'%.11e'`` gives
 (``_float_cells``).
@@ -33,11 +32,12 @@ through one trie (``sampler._basis_reads``); the draws, the frequency
 check, the mitigation and the recombination of |K><1| are then array
 operations over the whole matrix of rows (``sampler._draw_slots``).
 The measured (x11, x1K) of all points are checked once, as arrays. A
-theta that fails a check of a stack (its binding, its norm, its
-population sum, a rotated row's norm or population sum) raises its
-error where a loop over the points would reach it, after the points
-before it are measured; a drawn row that fails the frequency check ends
-the points at its own in the same way. Then one call of each of
+theta that fails a check of its state (its binding, its norm, its
+population sum) raises its error where a loop over the points would
+reach it, after the points before it are measured; a drawn row that
+fails the frequency check ends the points at its own in the same way.
+The rotated rows are not checked again: a unitary rotation moves a
+norm by rounding only. Then one call of each of
 ``maxent``'s array kernels covers all the solved points: the prediction
 of xKK, the completion and solve of case A and of case B
 (``maxent._complete_and_solve``) and the fidelity, and the solved rows'
@@ -52,12 +52,9 @@ import bisect
 import dataclasses
 import functools
 import math
-import operator
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -67,7 +64,6 @@ from .errors import InfeasibleRecordError, TomographyError, ValidationError
 from .linalg import POLICY, _earliest, _raise
 from .maxent import (
     _INTEGERS,
-    LagrangeSet,
     _block_fidelity,
     _check_dims,
     _complete_and_solve,
@@ -87,6 +83,7 @@ from .sampler import (
     _basis_reads,
     _draw_slots,
     _ketbra_plan,
+    _population_failure,
     _Readout,
     _recombine,
     build_calibration,
@@ -138,53 +135,21 @@ class ExperimentConfig:
             raise ValidationError(f"backend {self.backend!r} cannot mitigate")
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One (theta, K) sweep point: the measured (x11, x1K), the backend's
-    true xKK, and the reconstructions from the predicted xKK (case A,
-    ``lagrange_a``) and from the true one (case B, ``lagrange_b``) with
-    their fidelity. A point whose x11 sits at the degeneracy floor has no
-    prediction: NaN ``xkk_pred`` and ``fidelity``, and no multipliers."""
-
-    theta: float
-    k: int
-    x11: float
-    x1k: complex
-    xkk_true: float
-    xkk_pred: float = math.nan
-    fidelity: float = math.nan
-    lagrange_a: LagrangeSet | None = None
-    lagrange_b: LagrangeSet | None = None
-
-    @property
-    def abs_diff(self) -> float:
-        return abs(self.xkk_true - self.xkk_pred)
-
-    @property
-    def near_singular(self) -> bool:
-        return (
-            self.lagrange_a is None
-            or self.lagrange_a.near_singular
-            or self.lagrange_b.near_singular
-        )
-
-
 @dataclass(frozen=True, eq=False)
-class Sweep(Sequence):
+class Sweep:
     """Every (theta, K) point of a sweep as columns, one row per point,
-    theta outer, K inner: the arrays the kernels produce.
+    theta outer, K inner: the arrays the kernels produce. ``len`` is the
+    number of rows.
 
-    ``solved`` marks the rows above the degeneracy floor. A floor row has
-    NaN ``xkk_pred``, ``fidelity`` and multipliers, and False ``near_a``
-    and ``near_b``. ``lams_a`` and ``lams_b`` are the (lam_11, lam_1K,
-    lam_KK) columns of case A and case B.
-
-    As a sequence it is read-only: ``len``, iteration and ``sweep[i]``
-    build the ``SweepPoint`` of row i when asked, and two sweeps are equal
-    when their points are.
+    Each point holds the measured (x11, x1K), the backend's true xKK, and
+    the reconstructions from the predicted xKK (case A) and from the true
+    one (case B) with their fidelity. ``solved`` marks the rows above the
+    degeneracy floor. A floor row has no prediction: NaN ``xkk_pred``,
+    ``fidelity`` and multipliers, and False ``near_a`` and ``near_b``.
+    ``lams_a`` and ``lams_b`` are the (lam_11, lam_1K, lam_KK) columns of
+    case A and case B.
     """
 
-    dim_n: int
     theta: np.ndarray
     k: np.ndarray
     x11: np.ndarray
@@ -209,65 +174,12 @@ class Sweep(Sequence):
     def __len__(self) -> int:
         return len(self.solved)
 
-    def __getitem__(self, index) -> SweepPoint:
-        i = range(len(self))[operator.index(index)]
-        theta, k, x11, x1k, xkk_true = (
-            c[i].item() for c in (self.theta, self.k, self.x11, self.x1k, self.xkk_true)
-        )
-        if not self.solved[i]:
-            return SweepPoint(theta, k, x11, x1k, xkk_true)
-        a, b = (
-            LagrangeSet._solved(self.dim_n, k, *(v[i].item() for v in lams), bool(near[i]))
-            for lams, near in ((self.lams_a, self.near_a), (self.lams_b, self.near_b))
-        )
-        return SweepPoint(
-            theta, k, x11, x1k, xkk_true, self.xkk_pred[i].item(), self.fidelity[i].item(), a, b
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, Sweep):
-            return NotImplemented
-        return list(self) == list(other)
-
     def _rows(self, mask) -> Sweep:
         """The rows ``mask`` selects, as a sweep of their own."""
-        return Sweep(self.dim_n, *(
+        return Sweep(*(
             tuple(v[mask] for v in column) if isinstance(column, tuple) else column[mask]
-            for column in (getattr(self, f.name) for f in dataclasses.fields(self)[1:])
+            for column in (getattr(self, f.name) for f in dataclasses.fields(self))
         ))
-
-
-# The multiplier columns of a hand-built floor point, as a sweep holds them.
-_NO_SET = SimpleNamespace(lam_11=math.nan, lam_1k=math.nan, lam_kk=math.nan, near_singular=False)
-
-
-def _as_sweep(points: Sweep | Sequence[SweepPoint]) -> Sweep:
-    """The columns of ``points``: a sweep as it is, or a list of points
-    (hand-built ones, say) in the columns its row view gives back when the
-    points come from one sweep."""
-    if isinstance(points, Sweep):
-        return points
-    solved = [p.lagrange_a is not None for p in points]
-
-    def column(values, dtype=float):
-        return np.array(list(values), dtype)
-
-    def case(attr):
-        sets = [getattr(p, attr) if ok else _NO_SET for p, ok in zip(points, solved)]
-        lams = tuple(
-            column((getattr(s, name) for s in sets), dtype)
-            for name, dtype in (("lam_11", float), ("lam_1k", complex), ("lam_kk", float))
-        )
-        return lams, column((s.near_singular for s in sets), bool)
-
-    dim_n = next((p.lagrange_a.dim_n for p, ok in zip(points, solved) if ok), 0)
-    return Sweep(
-        dim_n, column(p.theta for p in points), column((p.k for p in points), int),
-        column(p.x11 for p in points), column((p.x1k for p in points), complex),
-        column(p.xkk_true for p in points), column(p.xkk_pred for p in points),
-        column(p.fidelity for p in points), *case("lagrange_a"), *case("lagrange_b"),
-        column(solved, bool),
-    )
 
 
 def resolve_circuit(spec_value: str) -> str:
@@ -412,15 +324,14 @@ def _sweep_points(cfg: ExperimentConfig) -> Sweep:
     # thetas before the first one that fails a check are measured; its
     # error is raised in the loop's place.
     states, failure = _sweep_states(circuit_text, thetas)
-    dists, drifted = readout.distribution(states)
-    stop, error = _earliest(failure, drifted) or (len(thetas), None)
+    stop, error = _earliest(failure, _population_failure(states)) or (len(thetas), None)
+    dists = readout.distribution(states[:stop])
     if shots is None:
         # Point (theta i, K) reads row i: x11 and xKK are its exact
         # populations, x1K is rho[1, K], the mean of |K><1|: a_0 * conj(a_{K-1}).
-        pops = dists[:stop]
-        x11 = np.repeat(pops[:, 0], len(k_targets))
+        x11 = np.repeat(dists[:, 0], len(k_targets))
         x1k = np.stack([_coherence(states[:stop], k, 1) for k in k_targets], axis=1).ravel()
-        xkk_true = pops[:, [k - 1 for k in k_targets]].ravel()
+        xkk_true = dists[:, [k - 1 for k in k_targets]].ravel()
     else:
         x11, x1k, xkk_true, error = _sampled_values(
             states[:stop], num_qubits, dists, k_targets, readout, cfg.seed, error
@@ -460,7 +371,7 @@ def _sweep_points(cfg: ExperimentConfig) -> Sweep:
         return column
 
     return Sweep(
-        dim_n, np.repeat(thetas, len(k_targets)), np.tile(k_targets, len(thetas)),
+        np.repeat(thetas, len(k_targets)), np.tile(k_targets, len(thetas)),
         x11, x1k, xkk_true, every_row(xkk_pred, math.nan), every_row(fidelity, math.nan),
         tuple(every_row(v, math.nan) for v in lams_a), every_row(near_a, False),
         tuple(every_row(v, math.nan) for v in lams_b), every_row(near_b, False),
@@ -484,8 +395,8 @@ def _sampled_values(states, num_qubits, dists, k_targets, readout, seed, error):
     slots, starts = [], []
     for plan in plans:
         starts.append(len(slots))
-        slots += [(dists, None), *(reads[b] for b in plan[0])]
-    freqs, end, draw_error = _draw_slots(readout, slots, len(states), seed)
+        slots += [dists, *(reads[b] for b in plan[0])]
+    freqs, end, draw_error = _draw_slots(readout, slots, seed)
     # A point is measured once its last draw is made.
     ends = starts[1:] + [len(slots)]
     count = end // len(slots) * len(plans) + bisect.bisect_right(ends, end % len(slots))
@@ -636,7 +547,7 @@ def _write_lines(lines: list[str], path: str | Path | None) -> None:
     _write(("\n".join(lines) + "\n").encode(), path)
 
 
-def _write_csv(header: str, columns: Sequence[np.ndarray], path: str | Path) -> None:
+def _write_csv(header: str, columns: tuple[np.ndarray, ...], path: str | Path) -> None:
     """Write ``columns`` under ``header`` as CSV, one row per index: a
     float as ``_fmt`` writes it, an integer in decimal, a bool as
     true/false.
@@ -665,9 +576,8 @@ def _write_csv(header: str, columns: Sequence[np.ndarray], path: str | Path) -> 
 SWEEP_HEADER = "theta,k,x11,re_x1k,im_x1k,xkk_true,xkk_pred,abs_diff,fidelity,near_singular"
 
 
-def emit_csv(points: Sweep | Sequence[SweepPoint], path: str | Path) -> None:
-    """Write sweep points as CSV with 12-significant-digit values."""
-    s = _as_sweep(points)
+def emit_csv(s: Sweep, path: str | Path) -> None:
+    """Write a sweep's rows as CSV with 12-significant-digit values."""
     columns = (
         s.theta, s.k, s.x11, s.x1k.real, s.x1k.imag, s.xkk_true, s.xkk_pred,
         s.abs_diff, s.fidelity, s.near_singular,
@@ -682,10 +592,9 @@ CASEAB_HEADER = (
 )
 
 
-def emit_caseab_csv(points: Sweep | Sequence[SweepPoint], path: str | Path) -> None:
-    """Write solved sweep points with both multiplier sets as CSV. A
-    floor point, which has none, is rejected before anything is written."""
-    s = _as_sweep(points)
+def emit_caseab_csv(s: Sweep, path: str | Path) -> None:
+    """Write a sweep's solved rows with both multiplier sets as CSV. A
+    floor row, which has none, is rejected before anything is written."""
     if not s.solved.all():
         i = int(np.argmin(s.solved))
         raise ValidationError(

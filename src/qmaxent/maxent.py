@@ -36,13 +36,11 @@ estimates are projected onto the feasible set
 (``_project``), moved off the x11 + xKK = 1 boundary (``_rescale``) and
 solved (``_solve``), and the solve's reproduction check runs the one
 forward kernel, ``_exponent_spectrum``. A sweep makes one call of each
-kernel over all its points. ``feasible_record``, ``saturation_rescale``,
-``solve_lagrange``, ``solve_record``, ``predict_population``,
-``spectrum`` and ``block_fidelity`` are one-point wrappers around the
-same kernels; a set from a wrapper's solve keeps the spectrum of its
-check, and a hand-built set computes its own once. ``heatmap_scan`` makes
-one forward call over its grid. A complete record from the caller is
-solved as given.
+kernel over all its points. ``solve_lagrange``, ``solve_record``,
+``predict_population``, ``density_from_lagrange`` and ``block_fidelity``
+call the same kernels on one point, for ``qmaxent reconstruct`` and
+library users. ``heatmap_scan`` makes one forward call over its grid. A
+complete record from the caller is solved as given.
 """
 
 from __future__ import annotations
@@ -51,8 +49,7 @@ import cmath
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -161,39 +158,6 @@ class LagrangeSet:
                 lam_11=self.lam_11, lam_1k=self.lam_1k, lam_kk=self.lam_kk
             )
 
-    @cached_property
-    def _spectrum(self) -> ExponentSpectrum:
-        spec, failure = _exponent_spectrum(
-            self.dim_n, *_arrays(self.lam_11, self.lam_1k, self.lam_kk)
-        )
-        _raise(failure)
-        return _spectrum_at(spec, 0)
-
-    @classmethod
-    def _solved(cls, dim_n, index_k, lam_11, lam_1k, lam_kk, near_singular, spec=None):
-        """A set from ``_solve``, which has checked the dimensions and the
-        multipliers already, with its spectrum attached when given (else
-        it is computed on first use)."""
-        ls = object.__new__(cls)
-        ls.__dict__.update(
-            dim_n=dim_n, index_k=index_k, lam_11=lam_11, lam_1k=lam_1k,
-            lam_kk=lam_kk, near_singular=near_singular,
-        )
-        if spec is not None:
-            ls.__dict__["_spectrum"] = spec
-        return ls
-
-
-@dataclass(frozen=True)
-class ExponentSpectrum:
-    """exp(A) of the constraint exponent: z is the partition function
-    tr exp(A), and block holds the entries (1,1), (1,K), (K,K) of exp(A)
-    on the constrained block; every other diagonal entry is 1.
-    """
-
-    z: float
-    block: tuple[float, complex, float]
-
 
 @dataclass(frozen=True)
 class MeasurementRecord:
@@ -224,15 +188,6 @@ class MeasurementRecord:
     @property
     def complete(self) -> bool:
         return self.x_kk is not None
-
-
-def spectrum(ls: LagrangeSet) -> ExponentSpectrum:
-    """The closed-form exp(A) of the constraint exponent (z and the
-    block, see ``_exponent_spectrum``), computed once per LagrangeSet and
-    shared by every later call on it. Multipliers whose exp(A) leaves the
-    float range raise DomainError.
-    """
-    return ls._spectrum
 
 
 # The kernels below take one array element per point and compute each
@@ -336,12 +291,6 @@ def _exponent_spectrum(dim_n: int, l11, l1k, lkk):
     return (z, block), failure
 
 
-def _spectrum_at(spec, i: int) -> ExponentSpectrum:
-    """Point ``i`` of a forward kernel's arrays as an ExponentSpectrum."""
-    z, block = spec
-    return ExponentSpectrum(z=z[i].item(), block=tuple(e[i].item() for e in block))
-
-
 def _expectations(spec):
     """The mean values (x11, x1K, xKK) = block / z of each point."""
     z, (e11, e1k, ekk) = spec
@@ -357,31 +306,34 @@ def _arrays(*values) -> tuple[np.ndarray, ...]:
     return tuple(np.array([v]) for v in values)
 
 
+def _forward(ls: LagrangeSet):
+    """The multipliers of ``ls`` as one-point arrays and their forward
+    map (``_exponent_spectrum``); an exp(A) that leaves the float range
+    raises DomainError."""
+    lams = _arrays(ls.lam_11, ls.lam_1k, ls.lam_kk)
+    spec, failure = _exponent_spectrum(ls.dim_n, *lams)
+    _raise(failure)
+    return lams, spec
+
+
 def density_from_lagrange(ls: LagrangeSet) -> np.ndarray:
     """The maximal-entropy density matrix exp(A)/Z for the given multipliers.
 
     Every diagonal entry outside the {1, K} block equals 1/Z, and the
-    block holds ``forward_expectations(ls)`` bit for bit.
+    block holds the mean values (x11, x1K, xKK) the multipliers generate,
+    the forward map of the solve's reproduction check. Multipliers whose
+    exp(A) leaves the float range raise DomainError.
     """
-    s = spectrum(ls)
-    x11, x1k, xkk = (v.item() for v in _expectations((np.array([s.z]), _arrays(*s.block))))
+    spec = _forward(ls)[1]
+    x11, x1k, xkk = (v.item() for v in _expectations(spec))
     n, k = ls.dim_n, ls.index_k - 1
     rho = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(rho, 1.0 / s.z)
+    np.fill_diagonal(rho, 1.0 / spec[0].item())
     rho[0, 0] = x11
     rho[0, k] = x1k
     rho[k, 0] = x1k.conjugate()
     rho[k, k] = xkk
     return rho
-
-
-def forward_expectations(ls: LagrangeSet) -> MeasurementRecord:
-    """Map multipliers to the mean values (x11, x1K, xKK) they generate."""
-    s = spectrum(ls)
-    values = _expectations((np.array([s.z]), _arrays(*s.block)))
-    return MeasurementRecord(
-        ls.dim_n, ls.index_k, *(v.item() for v in values), source="predicted"
-    )
 
 
 def _predict_population(x11, x1k):
@@ -429,10 +381,16 @@ def predict_population(x_11: float, x_1k: complex) -> float:
 
 
 def _project(x11, x1k, xkk=None):
-    """The estimates of each point projected onto the feasible set as
-    ``feasible_record`` describes (with ``xkk`` None, x11 and x1K alone),
-    and the first failure: a NaN or infinite estimate raises
-    ValidationError naming it, and is never clipped."""
+    """The estimates of each point projected onto the feasible set (with
+    ``xkk`` None, x11 and x1K alone), and the first failure: a NaN or
+    infinite estimate raises ValidationError naming it, and is never
+    clipped.
+
+    Shot-noise estimates can leave the physical set: populations are
+    clipped to [0, 1] and rescaled if they sum past 1, and the coherence is
+    shrunk onto the boundary of the positive-semidefinite minor. Exact
+    inputs pass through unchanged.
+    """
     with np.errstate(all="ignore"):
         modulus = np.hypot(x1k.real, x1k.imag)
         finite = np.isfinite(x11) & np.isfinite(x1k)
@@ -460,34 +418,15 @@ def _project(x11, x1k, xkk=None):
     return (x11, x1k, xkk), failure
 
 
-def feasible_record(
-    dim_n: int,
-    index_k: int,
-    x_11: float,
-    x_1k: complex,
-    x_kk: float | None = None,
-    source: str = "measured",
-) -> MeasurementRecord:
-    """Build a valid record from raw estimates, projecting onto feasibility.
-
-    Shot-noise estimates can leave the physical set: populations are
-    clipped to [0, 1] and rescaled if they sum past 1, and the coherence is
-    shrunk onto the boundary of the positive-semidefinite minor. Exact
-    inputs pass through unchanged. A NaN or infinite estimate raises
-    ValidationError.
-    """
-    x11, x1k = _arrays(float(x_11), complex(x_1k))
-    xkk = None if x_kk is None else _arrays(float(x_kk))[0]
-    projected, failure = _project(x11, x1k, xkk)
-    _raise(failure)
-    values = (None if v is None else v.item() for v in projected)
-    return MeasurementRecord(dim_n, index_k, *values, source)
-
-
 def _rescale(x11, x1k, xkk):
-    """``saturation_rescale`` on each point: (x11, x1K, xKK) with the
-    minors whose x11 + xKK lies within ``POLICY.feasibility_atol`` of 1
-    scaled by (1 - 1e-9)/(x11 + xKK), and the mask of those points."""
+    """(x11, x1K, xKK) of each point with the minors whose x11 + xKK lies
+    within ``POLICY.feasibility_atol`` of 1 scaled by (1 - 1e-9)/(x11 + xKK),
+    and the mask of those points.
+
+    Rank-one (pure-state) records sit exactly on that boundary, where the
+    partition function diverges. The scaling restores feasibility while
+    perturbing each component by at most 1e-9.
+    """
     with np.errstate(all="ignore"):
         total = x11 + xkk
         c = np.where(total < 1.0 - POLICY.feasibility_atol, 1.0, (1.0 - 1e-9) / total)
@@ -497,22 +436,6 @@ def _rescale(x11, x1k, xkk):
             np.where(fired, c * xkk, xkk),
         )
     return rescaled, fired
-
-
-def saturation_rescale(mr: MeasurementRecord) -> MeasurementRecord:
-    """Shrink a record whose populations saturate x11 + xKK = 1.
-
-    Rank-one (pure-state) records sit exactly on that boundary, where the
-    partition function diverges. Scaling the whole minor by
-    (1 - 1e-9)/(x11 + xKK) restores feasibility while perturbing each
-    component by at most 1e-9.
-    """
-    if not mr.complete:
-        raise ValidationError("record has no x_kk; nothing to rescale")
-    (x11, x1k, xkk), fired = _rescale(*_arrays(mr.x_11, mr.x_1k, mr.x_kk))
-    if not fired[0]:
-        return mr
-    return replace(mr, x_11=x11.item(), x_1k=x1k.item(), x_kk=xkk.item())
 
 
 def _check_reproduction(spec, x11, x1k, xkk):
@@ -602,15 +525,6 @@ def _solve(dim_n: int, x11, x1k, xkk):
     return (lam_11, lam_1k, lam_kk), near_singular, spec, failure
 
 
-def _solved_set(dim_n: int, index_k: int, lams, near_singular, spec) -> LagrangeSet:
-    """The one point of one-point solve arrays as a LagrangeSet that keeps
-    its spectrum."""
-    return LagrangeSet._solved(
-        dim_n, index_k, *(v.item() for v in lams), near_singular.item(),
-        _spectrum_at(spec, 0),
-    )
-
-
 def solve_lagrange(mr: MeasurementRecord) -> LagrangeSet:
     """Recover the multipliers that reproduce a complete record, in closed
     form: Z = (N-2)/(1 - x11 - xKK), and the exponent block is the matrix
@@ -629,30 +543,27 @@ def solve_lagrange(mr: MeasurementRecord) -> LagrangeSet:
 
     A smaller eigenvalue at or below 8 ulps of the larger is rounding of a
     rank-one minor and is set to 0 before the scaling by Z (which is about
-    1e9 after ``saturation_rescale`` and would lift that residue over the
+    1e9 after the saturation rescale and would lift that residue over the
     floor). When Z w- is at or below ``POLICY.log_floor`` the eigenvalue is
     floored and the set is flagged ``near_singular``.
 
     The result reproduces the record to 1e-6 per component, which is
-    checked, or this raises; the spectrum of that check is kept on the
-    set. A minor with an eigenvalue below -``POLICY.record_atol``, or a
+    checked, or this raises. A minor with an eigenvalue below -``POLICY.record_atol``, or a
     record that saturates x11 + xKK = 1, raises InfeasibleRecordError.
     """
     if not mr.complete:
         raise ValidationError("record is incomplete: x_kk is absent")
-    lams, near_singular, spec, failure = _solve(
-        mr.dim_n, *_arrays(mr.x_11, mr.x_1k, mr.x_kk)
-    )
+    lams, near_singular, _, failure = _solve(mr.dim_n, *_arrays(mr.x_11, mr.x_1k, mr.x_kk))
     _raise(failure)
-    return _solved_set(mr.dim_n, mr.index_k, lams, near_singular, spec)
+    return LagrangeSet(mr.dim_n, mr.index_k, *(v.item() for v in lams), near_singular.item())
 
 
 def _complete_and_solve(dim_n: int, x11, x1k, xkk):
     """The one completion and saturation policy, on arrays of points.
 
-    The estimates are projected onto the feasible set (``feasible_record``),
+    The estimates are projected onto the feasible set (``_project``),
     moved off the x11 + xKK = 1 boundary, on which pure-state data sits
-    (``saturation_rescale``), and solved (``solve_lagrange``). The
+    (``_rescale``), and solved (``_solve``). The
     dimensions are the caller's to check. Returns the projected
     (x11, x1K, xKK), before any rescale, the multipliers, the
     near_singular mask, the spectrum and the first failure.
@@ -681,12 +592,13 @@ def solve_record(
     source = "measured"
     if x_kk is None:
         x_kk, source = predict_population(mr.x_11, mr.x_1k), "predicted"
-    completed, lams, near_singular, spec, failure = _complete_and_solve(
+    completed, lams, near_singular, _, failure = _complete_and_solve(
         mr.dim_n, *_arrays(mr.x_11, mr.x_1k, float(x_kk))
     )
     _raise(failure)
     record = MeasurementRecord(mr.dim_n, mr.index_k, *(v.item() for v in completed), source)
-    return record, _solved_set(mr.dim_n, mr.index_k, lams, near_singular, spec)
+    ls = LagrangeSet(mr.dim_n, mr.index_k, *(v.item() for v in lams), near_singular.item())
+    return record, ls
 
 
 def reconstruct(mr: MeasurementRecord) -> tuple[np.ndarray, MeasurementRecord]:
@@ -779,12 +691,8 @@ def block_fidelity(a: LagrangeSet, b: LagrangeSet) -> float:
             f"multiplier sets differ: (N, K) = ({a.dim_n}, {a.index_k}) vs "
             f"({b.dim_n}, {b.index_k})"
         )
-    sa, sb = spectrum(a), spectrum(b)
-    value, failure = _block_fidelity(
-        a.dim_n,
-        _arrays(a.lam_11, a.lam_1k, a.lam_kk), np.array([sa.z]), _arrays(*sa.block),
-        _arrays(b.lam_11, b.lam_1k, b.lam_kk), np.array([sb.z]), _arrays(*sb.block),
-    )
+    (lams_a, (z_a, block_a)), (lams_b, (z_b, block_b)) = _forward(a), _forward(b)
+    value, failure = _block_fidelity(a.dim_n, lams_a, z_a, block_a, lams_b, z_b, block_b)
     _raise(failure)
     return value.item()
 

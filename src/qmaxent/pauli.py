@@ -1,4 +1,4 @@
-"""Pauli decomposition of basis coherence operators and measurement settings.
+"""Pauli decomposition of basis coherence operators.
 
 A basis transfer operator |i><j| factors qubit-wise into the four
 single-qubit operators
@@ -19,7 +19,7 @@ import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
-from .circuit import MAX_QUBITS, Gate
+from .circuit import MAX_QUBITS
 from .errors import ValidationError
 
 _LETTERS = ("I", "X", "Y", "Z")
@@ -62,14 +62,6 @@ class PauliDecomposition:
                 )
 
 
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """Pre-rotations mapping a Pauli string onto a Z-basis parity readout."""
-
-    rotations: tuple[Gate, ...]
-    parity_mask: int  # bit q set when qubit q enters the parity product
-
-
 def _check_basis_index(name: str, idx: int, dim: int) -> None:
     if not isinstance(idx, numbers.Integral):
         raise ValidationError(f"basis index {name} = {idx!r} is not an integer")
@@ -106,26 +98,3 @@ def decompose_ketbra(i: int, j: int, num_qubits: int) -> PauliDecomposition:
         coeff = math.prod((c for _, c in combo), start=complex(1.0))
         terms[PauliString(letters)] = coeff
     return PauliDecomposition(num_qubits, terms)
-
-
-def measurement_settings(p: PauliString) -> MeasurementSetting:
-    """Pre-rotations and parity mask to estimate <P> from Z-basis counts.
-
-    X on qubit q becomes H(q); Y becomes RZ(-pi/2) then H (the phase
-    dagger followed by Hadamard, up to a global phase); Z and I need no
-    rotation. The estimator is the mean of (-1)^(parity of masked bits)
-    over observed bitstrings.
-    """
-    if p.is_identity:
-        raise ValidationError("all-identity string has mean 1 by definition")
-    rotations: list[Gate] = []
-    mask = 0
-    for q, letter in enumerate(p.letters):
-        if letter == "X":
-            rotations.append(Gate("h", (q,)))
-        elif letter == "Y":
-            rotations.append(Gate("rz", (q,), -math.pi / 2))
-            rotations.append(Gate("h", (q,)))
-        if letter != "I":
-            mask |= 1 << q
-    return MeasurementSetting(tuple(rotations), mask)

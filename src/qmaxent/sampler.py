@@ -28,18 +28,20 @@ bytes of a one-vector draw and matvec.
 The basis rotations are a trie of gate prefixes (``_basis_reads``),
 walked depth first over the stack: X on qubit q rotates by H and Y by
 RZ(-pi/2) then H, in qubit order, so each prefix is one gate call on
-every row, 3(3^n - 1)/2 calls over every K. Each row has the bytes and
-the norm check of the same gates applied to it alone by ``apply_gates``.
-At most n rotated stacks (about n T 2^n 16 bytes) are alive, with
-T 2^n 8 bytes of distributions per basis.
+every row, 3(3^n - 1)/2 calls over every K. Each row has the bytes of
+the same gates applied to it alone by ``apply_gates``. The rotated rows
+are not checked: the norm and population sum of each state are checked
+before its rotations (``circuit._sweep_states``, ``_population_failure``),
+and a unitary rotation moves them by rounding only. At most n rotated
+stacks (about n T 2^n 16 bytes) are alive, with T 2^n 8 bytes of
+distributions per basis.
 
 ``_draw_slots`` interleaves the distributions into one matrix P of rows
 to draw, theta outer: a sweep's rows per theta are, per K, its
 populations and then each basis of its plan in plan order. P has about
 T (K + 3^n - 1) 2^n 8 bytes, and the tallies and frequencies as much
-again. A row that failed a check on the way to its basis is left out of
-P with every row after it, and its error is raised in the draw's place;
-a drawn row that fails the frequency check ends the rows the same way.
+again. A drawn row that fails the frequency check ends the rows: its
+error is raised in the draw's place, after the rows before it.
 Each |i><j| is recombined for every theta at once: the string parities
 as one product with the plan's signs, then one with its coefficients.
 
@@ -53,29 +55,17 @@ Nation et al., PRX Quantum 2, 040326, 2021).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Iterable
 
 import numpy as np
 
-from .circuit import (
-    Gate,
-    _apply_1q,
-    _check_norm,
-    _matrix_1q,
-    _norm_failure,
-    _screen_rows,
-    populations,
-)
+from .circuit import Gate, _apply_1q, _check_norm, _matrix_1q, _screen_rows, populations
 from .errors import DomainError, ValidationError
-from .linalg import _earliest, _raise
-from .pauli import (
-    PauliString,
-    _check_basis_index,
-    decompose_ketbra,
-    measurement_settings,
-)
+from .linalg import _raise
+from .pauli import PauliString, _check_basis_index, decompose_ketbra
 
 
 @dataclass(frozen=True)
@@ -211,9 +201,9 @@ class _Readout:
 
     The constructor checks ``shots`` (None selects the exact mode), the
     noise model's qubit count and the mitigating calibration's shape and
-    condition. ``distribution`` and ``draw`` then work on plain arrays
-    and re-check only what each call produces: the population sum of
-    every state and the frequencies before mitigation.
+    condition. ``distribution`` and ``draw`` then work on plain arrays;
+    ``draw`` re-checks the frequencies before mitigation. The population
+    sums of the states are the caller's to screen (``_population_failure``).
     """
 
     __slots__ = ("shots", "matrix", "inverse")
@@ -240,21 +230,16 @@ class _Readout:
             _check_condition(calibration)
             self.inverse = calibration.inverse
 
-    def distribution(self, states: np.ndarray):
+    def distribution(self, states: np.ndarray) -> np.ndarray:
         """|a_i|^2 of each row of a (T, 2^n) stack of states, read through
         the noise model's matrix and normalized for a draw in the sampled
-        mode, and the first row whose populations fail their sum check,
-        as (index, ValidationError), or None. Only the rows before that
-        one are returned."""
+        mode."""
         probs = np.abs(states) ** 2
-        failure = _screen_rows(probs.sum(axis=1), populations, states)
-        if failure is not None:
-            probs = probs[: failure[0]]
         if self.matrix is not None:
             probs = probs @ self.matrix.T
         if self.shots is not None:
             probs = probs / probs.sum(axis=1, keepdims=True)
-        return probs, failure
+        return probs
 
     def tally(self, dists: np.ndarray, seed: int) -> np.ndarray:
         """A multinomial tally of each row of ``dists``, from one generator."""
@@ -274,11 +259,18 @@ class _Readout:
         return _unmix(self.inverse, freqs), failure
 
 
+def _population_failure(states: np.ndarray):
+    """The first row of a (T, 2^n) stack of states whose populations fail
+    the sum check of ``circuit.populations``, as (index, ValidationError),
+    or None. A unitary rotation moves the sum by rounding only, so the
+    rotated rows of a screened stack are not screened again."""
+    return _screen_rows((np.abs(states) ** 2).sum(axis=1), populations, states)
+
+
 def _distribution(readout: _Readout, sv: np.ndarray) -> np.ndarray:
     """``readout.distribution`` of one state, its sum check raised."""
-    dists, failure = readout.distribution(sv[None])
-    _raise(failure)
-    return dists[0]
+    _raise(_population_failure(sv[None]))
+    return readout.distribution(sv[None])[0]
 
 
 def sample_counts(
@@ -390,7 +382,14 @@ def build_calibration(noise: ReadoutNoise, num_qubits: int) -> CalibrationMatrix
 def _group_bases(strings: tuple, num_qubits: int) -> dict:
     """The (string position, parity signs) pairs of each measurement basis,
     keyed by its rotations in the order of its first string: strings that
-    differ only in I vs Z share one."""
+    differ only in I vs Z share one.
+
+    A string is read in the Z basis after its pre-rotations, in qubit
+    order: X on qubit q becomes H(q), and Y becomes RZ(-pi/2) then H (the
+    phase dagger followed by Hadamard, up to a global phase); Z and I need
+    none. Its mean is that of (-1)^(parity of the outcome's bits on the
+    qubits where it is not I). The all-identity string is rejected.
+    """
     groups: dict[tuple[Gate, ...], list] = {}
     for position, p in enumerate(strings):
         if not isinstance(p, PauliString):
@@ -400,9 +399,18 @@ def _group_bases(strings: tuple, num_qubits: int) -> dict:
             raise ValidationError(
                 f"string acts on {p.num_qubits} qubit(s), state has {num_qubits}"
             )
-        setting = measurement_settings(p)
-        groups.setdefault(setting.rotations, []).append(
-            (position, _parity_signs(num_qubits, setting.parity_mask))
+        if p.is_identity:
+            raise ValidationError("all-identity string has mean 1 by definition")
+        rotations, mask = [], 0
+        for q, letter in enumerate(p.letters):
+            if letter == "Y":
+                rotations.append(Gate("rz", (q,), -math.pi / 2))
+            if letter in ("X", "Y"):
+                rotations.append(Gate("h", (q,)))
+            if letter != "I":
+                mask |= 1 << q
+        groups.setdefault(tuple(rotations), []).append(
+            (position, _parity_signs(num_qubits, mask))
         )
     return groups
 
@@ -438,16 +446,14 @@ def _basis_reads(
     readout: _Readout,
 ) -> dict:
     """The distributions of a (T, 2^n) stack of states rotated into each
-    basis of ``bases`` (its rotation gates), keyed by the basis, with the
-    first row that fails in that basis as (index, error), or None.
+    basis of ``bases`` (its rotation gates), keyed by the basis.
 
     The rotations are a trie of gate prefixes, walked depth first: each
-    node applies its gate once to every row of its parent's stack and
-    screens the rows' norms, and each basis makes one distribution call
-    over its rotated stack. A stack is dropped once its subtree is read,
-    so at most n rotated stacks are alive at once. A row fails in a basis
-    at the first check a lone state would fail on its way there: a
-    rotation's norm check in path order, then its population sum.
+    node applies its gate once to every row of its parent's stack, and
+    each basis makes one distribution call over its rotated stack. A stack
+    is dropped once its subtree is read, so at most n rotated stacks are
+    alive at once. The rotations are unitary, so the rows are not checked
+    again: the caller screens the unrotated stack.
     """
     wanted = dict.fromkeys(bases)
     trie: dict = {}
@@ -457,50 +463,42 @@ def _basis_reads(
             children = children.setdefault(gate, {})
     reads = {}
 
-    def walk(stack, children, path, failures):
+    def walk(stack, children, path):
         if path in wanted:
-            dists, drifted = readout.distribution(stack)
-            reads[path] = dists, _earliest(*failures, drifted)
+            reads[path] = readout.distribution(stack)
         for gate, below in children.items():
             rotated = _apply_1q(stack, _matrix_1q(gate), gate.targets[0], num_qubits)
-            walk(rotated, below, path + (gate,), failures + (_norm_failure(rotated),))
+            walk(rotated, below, path + (gate,))
 
-    walk(states, trie, (), ())
+    walk(states, trie, ())
     return reads
 
 
-def _draw_slots(readout: _Readout, slots: list, count: int, seed: int):
-    """Draw ``count`` rows of each of ``slots``, (distributions, failure)
-    pairs, in one ``readout.draw``: row i of slot s is draw i * len(slots)
-    + s. A slot's failure (index, error) ends the draws before its row, as
-    does a row that fails the frequency check. Returns the (count,
-    len(slots), 2^n) frequencies, zero from the first draw not made, the
-    number of draws made, and the error that ended them, or None."""
-    if not slots:
-        return np.empty((count, 0, 0)), 0, None
-    width = len(slots)
-    end, error = count * width, None
-    for s, (_, failure) in enumerate(slots):
-        if failure is not None and failure[0] * width + s < end:
-            end, error = failure[0] * width + s, failure[1]
-    dim = slots[0][0].shape[1]
-    probs = np.empty((end, dim))
-    for s, (dists, _) in enumerate(slots):
-        probs[s::width] = dists[: len(range(s, end, width))]
-    drawn, failure = readout.draw(probs, seed)
-    if failure is not None:
-        end, error = failure
-    freqs = np.zeros((count * width, dim))
-    freqs[:end] = drawn
-    return freqs.reshape(count, width, dim), end, error
+def _draw_slots(readout: _Readout, slots: list, seed: int):
+    """Draw every row of each of ``slots``, (count, 2^n) distribution
+    stacks, in one ``readout.draw``: row i of slot s is draw
+    i * len(slots) + s. A row that fails the frequency check ends the
+    draws before it. Returns the (count, len(slots), 2^n) frequencies,
+    zero from the first draw not made, the number of draws made, and the
+    error that ended them, or None."""
+    probs = np.stack(slots, axis=1)
+    flat = probs.reshape(-1, probs.shape[2])
+    drawn, failure = readout.draw(flat, seed)
+    freqs = np.zeros_like(flat)
+    freqs[: len(drawn)] = drawn
+    end, error = failure or (len(flat), None)
+    return freqs.reshape(probs.shape), end, error
 
 
 def _lone_draw(sv: np.ndarray, num_qubits: int, bases, readout: _Readout, seed: int):
     """The (bases, 2^n) frequencies of ``bases`` (their rotations) on one
-    state, which gets the norm check of a rotated one; failures raised."""
+    state, whose norm and population sum are checked; failures raised."""
     _check_norm(sv)
+    _raise(_population_failure(sv[None]))
+    if not bases:
+        return np.empty((0, 0))
     reads = _basis_reads(sv[None], num_qubits, bases, readout)
-    freqs, _, error = _draw_slots(readout, [reads[r] for r in bases], 1, seed)
+    freqs, _, error = _draw_slots(readout, [reads[r] for r in bases], seed)
     if error is not None:
         raise error
     return freqs[0]

@@ -21,13 +21,14 @@ The ``reference_`` completion and solve are the scalar float code of
 one point at a time, and the ``reference_`` forward map is ``mp_forward``
 rounded to floats, kept to check which point of an array kernel's call
 fails first, and with which error type and message.
-``reference_sampled_sweep`` and ``reference_coherence`` are the sampled
-measurement drawn one row at a time from one generator, each state
-rotated from the start, read through ``M @ p``, and mitigated and
-recombined by the scalar code of one draw; the sweep's batched draw must
-give the same tallies. ``reference_sweep_points`` is the sweep as it
-read when it built one ``SweepPoint`` per point in a loop, kept to check
-the row view of the sweep's columns bit for bit. The ``reference_emit``
+``reference_sampled_sweep`` is the sampled measurement drawn one row at
+a time from one generator, each state rotated from the start by its own
+basis rotations (written out here, not taken from the library), read
+through ``M``, and mitigated and recombined by the scalar code of one
+draw; the sweep's batched draw must give the same tallies.
+``reference_sweep_points`` is the sweep as it read when it built one
+point at a time in a loop, kept to check the sweep's columns bit for
+bit. The ``reference_emit``
 functions are the CSV emit as it read when every row was one Python
 format call of a row template, kept to check the byte-matrix emit of
 whole files byte for byte.
@@ -66,12 +67,9 @@ from qmaxent.circuit import (
     apply_gates,
     theta_free_prefix,
 )
-from qmaxent.cli import SweepPoint, _k_targets, _sampled_values, resolve_circuit
-from qmaxent.pauli import decompose_ketbra, measurement_settings
+from qmaxent.pauli import decompose_ketbra
 from qmaxent.errors import InfeasibleRecordError
-from qmaxent.linalg import _earliest, _raise
-from qmaxent.maxent import ExponentSpectrum, _check_record_values, _name_non_finite
-from qmaxent.sampler import _Readout, build_calibration
+from qmaxent.maxent import _check_record_values, _name_non_finite
 
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
 settings.load_profile("tier1")
@@ -237,12 +235,42 @@ def mp_solve(dim_n, x_11, x_1k, x_kk, near_singular):
 @lru_cache(maxsize=8192)
 def _mp_block(l_11, l_1k, l_kk):
     """exp(A) on the block A = -[[l11, l1k], [l1k*, lkk]] of float
-    multipliers, as (e11, e1k, ekk), by ``mpmath.expm``: a Taylor series
-    with scaling and squaring, with no eigenvalues and nothing of the
-    library's closed form. expm runs on the real block with c = |l1k| in
-    place of l1k, which diag(1, conj(l1k)/c) carries to A, so e1k is its
-    (1, 2) entry times l1k/c; real arithmetic halves the cost. Kept for
-    repeated multipliers: a set's case B solve is its record's solve."""
+    multipliers, as (e11, e1k, ekk), by Sylvester's formula on the block's
+    two eigenvalues at 60 digits (the Lagrange-interpolation method of
+    Moler and Van Loan, SIAM Rev. 45, 2003; Higham, Functions of Matrices,
+    SIAM 2008, ch. 10). With h = (lkk - l11)/2, c = |l1k|,
+    r = sqrt(h^2 + c^2) and t = c^2/(r + |h|), the eigenvalues of A are
+    taken from the multipliers, -max(l11, lkk) - t and -min(l11, lkk) + t:
+    written as -m -+ r they would lose a small multiplier beside a huge
+    one. With s = (hi - lo)/(2r), or exp(-(l11 + lkk)/2) sinh(r)/r while
+    2r < 1, the smaller diagonal entry is lo + s t, the larger
+    lo + s (r + |h|), and the (1, K) entry -s l1k.
+
+    It shares the library's algebra, not its float arithmetic, so
+    ``mp_block_expm`` referees it in the tests. Kept for repeated
+    multipliers: a set's case B solve is its record's solve."""
+    with mpmath.workdps(MP_DPS):
+        l11, l1k, lkk = mpmath.mpf(l_11), mpmath.mpc(l_1k), mpmath.mpf(l_kk)
+        h, c = (lkk - l11) / 2, abs(l1k)
+        r = mpmath.sqrt(h * h + c * c)
+        t = c * c / (r + abs(h)) if c else mpmath.mpf(0)
+        lo = mpmath.exp(-max(l11, lkk) - t)
+        hi = mpmath.exp(-min(l11, lkk) + t)
+        if 2 * r >= 1:
+            s = (hi - lo) / (2 * r)
+        else:
+            s = mpmath.exp(-(l11 + lkk) / 2) * (mpmath.sinh(r) / r if r else 1)
+        small, large = lo + s * t, lo + s * (r + abs(h))
+        e11, ekk = (small, large) if l11 >= lkk else (large, small)
+        return e11, -s * l1k, ekk
+
+
+def mp_block_expm(l_11, l_1k, l_kk):
+    """``_mp_block`` by ``mpmath.expm``: a Taylor series with scaling and
+    squaring, with no eigenvalues and nothing of the library's closed
+    form. expm runs on the real block with c = |l1k| in place of l1k,
+    which diag(1, conj(l1k)/c) carries to A, so e1k is its (1, 2) entry
+    times l1k/c."""
     with mpmath.workdps(MP_DPS):
         l11, l1k, lkk = mpmath.mpf(l_11), mpmath.mpc(l_1k), mpmath.mpf(l_kk)
         c = abs(l1k)
@@ -251,8 +279,8 @@ def _mp_block(l_11, l_1k, l_kk):
 
 
 def mp_forward(dim_n, l_11, l_1k, l_kk):
-    """The forward map of float multipliers: (z, (e11, e1k, ekk)) with the
-    fields of ``ExponentSpectrum``, from ``_mp_block``."""
+    """The forward map of float multipliers: (z, (e11, e1k, ekk)), the z
+    and block of ``maxent._exponent_spectrum``, from ``_mp_block``."""
     with mpmath.workdps(MP_DPS):
         e11, e1k, ekk = _mp_block(l_11, l_1k, l_kk)
         return e11 + ekk + dim_n - 2, (e11, e1k, ekk)
@@ -312,18 +340,18 @@ def within(name: str, *errors: float) -> None:
     assert max(errors) <= BOUNDS[name], f"{name}: {max(errors):.3g} EPS"
 
 
-def check_forward(dim_n, lams, spectrum):
-    """A spectrum (z and the block of exp(A)) from float multipliers,
-    component by component. An exponential magnifies an error of its
-    argument by that argument's size, so with g = 1 + the largest
-    multiplier modulus each block entry is measured against g times its
-    own modulus, or TINY when that is smaller, and z against g z."""
+def check_forward(dim_n, lams, got_z, got_block):
+    """The forward map (z and the block (e11, e1k, ekk) of exp(A)) of float
+    multipliers, component by component. An exponential magnifies an
+    error of its argument by that argument's size, so with g = 1 + the
+    largest multiplier modulus each block entry is measured against g
+    times its own modulus, or TINY when that is smaller, and z against g z."""
     z, block = mp_forward(dim_n, *lams)
     g = 1 + max(abs(v) for v in lams)
     within("block", *(
-        error(got, want, g * max(abs(want), TINY)) for got, want in zip(spectrum.block, block)
+        error(got, want, g * max(abs(want), TINY)) for got, want in zip(got_block, block)
     ))
-    within("z", error(spectrum.z, z, g * z))
+    within("z", error(got_z, z, g * z))
 
 
 def build_exponent(ls) -> np.ndarray:
@@ -547,6 +575,22 @@ def _reference_draw(rng, dist, shots, inverse, tallies: list) -> np.ndarray:
     return np.maximum(direct - excess[last] / (last + 1), 0.0)
 
 
+def reference_basis(p) -> tuple[tuple[Gate, ...], int]:
+    """The pre-rotations that read a Pauli string in the Z basis, in qubit
+    order, and the mask of the qubits whose parity is its value: S-dagger
+    then H maps Y to Z, written as RZ(-pi/2) (S-dagger up to a global
+    phase), and H maps X to Z."""
+    rotations, mask = [], 0
+    for q, letter in enumerate(p.letters):
+        if letter == "X":
+            rotations.append(Gate("h", (q,)))
+        elif letter == "Y":
+            rotations += [Gate("rz", (q,), -math.pi / 2), Gate("h", (q,))]
+        if letter != "I":
+            mask |= 1 << q
+    return tuple(rotations), mask
+
+
 def reference_sampled_sweep(
     states, k_targets, shots, matrix, inverse, seed, populations: bool = True
 ):
@@ -571,16 +615,16 @@ def reference_sampled_sweep(
         for k in k_targets:
             pops = draw(row, ()) if populations else np.full(2**n, math.nan)
             terms = decompose_ketbra(k, 1, n).terms
-            settings_of = {p: measurement_settings(p) for p in terms}
+            basis_of = {p: reference_basis(p) for p in terms}
             freqs = {}
-            for setting in settings_of.values():
-                if setting.rotations not in freqs:
-                    freqs[setting.rotations] = draw(row, setting.rotations)
+            for rotations, _ in basis_of.values():
+                if rotations not in freqs:
+                    freqs[rotations] = draw(row, rotations)
             x1k = complex(0.0)
             for p, coeff in terms.items():
-                mask = settings_of[p].parity_mask
+                rotations, mask = basis_of[p]
                 signs = np.array([(-1.0) ** bin(i & mask).count("1") for i in range(2**n)])
-                x1k += coeff * float(signs @ freqs[settings_of[p].rotations])
+                x1k += coeff * float(signs @ freqs[rotations])
             values.append((float(pops[0]), x1k, float(pops[k - 1])))
     return tallies, values
 
@@ -755,22 +799,22 @@ def reference_saturation_scale(x_11, x_kk):
     return (1.0 - 1e-9) / total
 
 
-def reference_spectrum(n, l11, l1k, lkk) -> ExponentSpectrum:
-    """The forward map of the multipliers (l11, l1k, lkk) in dimension n:
-    ``mp_forward`` rounded to floats, or the DomainError of an exp(A) that
-    leaves the float range."""
+def reference_spectrum(n, l11, l1k, lkk):
+    """The forward map (z, (e11, e1k, ekk)) of the multipliers
+    (l11, l1k, lkk) in dimension n: ``mp_forward`` rounded to floats, or
+    the DomainError of an exp(A) that leaves the float range."""
     z, (e11, e1k, ekk) = mp_forward(n, l11, l1k, lkk)
     if not math.isfinite(float(z)):
         raise DomainError(
             f"exp(A) overflows for multipliers lam_11 = {l11!r}, "
             f"lam_1k = {l1k!r}, lam_kk = {lkk!r}"
         )
-    return ExponentSpectrum(z=float(z), block=(float(e11), complex(e1k), float(ekk)))
+    return float(z), (float(e11), complex(e1k), float(ekk))
 
 
-def reference_check_reproduction(s, x_11, x_1k, x_kk):
-    e11, e1k, ekk = s.block
-    f_11, f_1k, f_kk = e11 / s.z, e1k / s.z, ekk / s.z
+def reference_check_reproduction(spec, x_11, x_1k, x_kk):
+    z, (e11, e1k, ekk) = spec
+    f_11, f_1k, f_kk = e11 / z, e1k / z, ekk / z
     _check_record_values(f_11, f_1k, f_kk)
     dev = max(abs(f_11 - x_11), abs(f_1k - x_1k), abs(f_kk - x_kk))
     if dev > 1e-6:
@@ -833,15 +877,16 @@ def reference_complete_and_solve(dim_n, x_11, x_1k, x_kk):
     return completed, *reference_solve(dim_n, x_11, x_1k, x_kk)
 
 
-def reference_sweep_points(cfg) -> list:
-    """The points of a sweep as they were built before the sweep returned
+def reference_sweep_points(cfg):
+    """The rows of a sweep as they were built before the sweep returned
     columns: the same measurement and one call of each array kernel, then
-    one ``SweepPoint``, and one ``LagrangeSet`` per case, per point, in a
-    loop over the points. It reads the circuit from ``cfg.circuit_path``."""
-    from qmaxent.circuit import _coherence, _sweep_states, theta_free_prefix
-    from qmaxent.cli import SweepPoint, _k_targets, _sampled_values, resolve_circuit
+    one row of Python values per point in a loop over the points, a floor
+    row with NaN prediction, fidelity and multipliers. The rows are
+    returned as the columns of a ``Sweep``. It reads the circuit from
+    ``cfg.circuit_path``."""
+    from qmaxent.cli import Sweep, _k_targets, _sampled_values, resolve_circuit
     from qmaxent.linalg import _earliest, _raise
-    from qmaxent.sampler import _Readout, build_calibration
+    from qmaxent.sampler import _population_failure, _Readout, build_calibration
 
     circuit_text = resolve_circuit(cfg.circuit_path)
     num_qubits = theta_free_prefix(circuit_text).num_qubits
@@ -855,8 +900,8 @@ def reference_sweep_points(cfg) -> list:
     calibration = build_calibration(cfg.noise, num_qubits) if cfg.mitigate else None
     readout = _Readout(num_qubits, shots, cfg.noise, calibration)
     states, failure = _sweep_states(circuit_text, thetas)
-    dists, drifted = readout.distribution(states)
-    assert failure is None and drifted is None
+    assert failure is None and _population_failure(states) is None
+    dists = readout.distribution(states)
     if shots is None:
         pops = dists
         x11 = np.repeat(pops[:, 0], len(k_targets))
@@ -886,20 +931,42 @@ def reference_sweep_points(cfg) -> list:
         *(v.tolist() for v in lams_a), near_a.tolist(),
         *(v.tolist() for v in lams_b), near_b.tolist(),
     )
-    points = []
+    floor = (math.nan, math.nan) + (math.nan, complex(math.nan), math.nan, False) * 2
+    rows = []
     measured = zip(x11.tolist(), x1k.tolist(), xkk_true.tolist(), solved.tolist())
     for p, (x11, x1k, xkk_true, is_solved) in enumerate(measured):
         theta, k = thetas[p // len(k_targets)], k_targets[p % len(k_targets)]
-        if is_solved:
-            pred, fid, a11, a1k, akk, a_near, b11, b1k, bkk, b_near = next(results)
-            points.append(SweepPoint(
-                theta, k, x11, x1k, xkk_true, pred, fid,
-                LagrangeSet._solved(dim_n, k, a11, a1k, akk, a_near),
-                LagrangeSet._solved(dim_n, k, b11, b1k, bkk, b_near),
-            ))
-        else:
-            points.append(SweepPoint(theta, k, x11, x1k, xkk_true))
-    return points
+        values = next(results) if is_solved else floor
+        rows.append((theta, k, x11, x1k, xkk_true, *values, is_solved))
+    dtypes = (float, int, float, complex, float, float, float) + (float, complex, float, bool) * 2
+    c = [np.array(column, dtype) for column, dtype in zip(zip(*rows), dtypes + (bool,))]
+    return Sweep(*c[:7], tuple(c[7:10]), c[10], tuple(c[11:14]), c[14], c[15])
+
+
+def case_sets(sweep, dim_n: int) -> list:
+    """The (case A, case B) multiplier sets of each row of a solved sweep,
+    built from its columns, for the oracles that take a ``LagrangeSet``."""
+    k = sweep.k.tolist()
+    cases = (
+        [LagrangeSet(dim_n, *row) for row in zip(k, *(v.tolist() for v in lams), near.tolist())]
+        for lams, near in ((sweep.lams_a, sweep.near_a), (sweep.lams_b, sweep.near_b))
+    )
+    return list(zip(*cases))
+
+
+def sweep_bits(sweep) -> dict:
+    """Every column of a sweep, and its ``abs_diff`` and ``near_singular``,
+    by name as (dtype, bytes): equal sweeps have equal bits, NaN and -0.0
+    included."""
+    columns = {
+        name: getattr(sweep, name)
+        for name in ("theta", "k", "x11", "x1k", "xkk_true", "xkk_pred", "fidelity",
+                     "near_a", "near_b", "solved", "abs_diff", "near_singular")
+    }
+    for case in ("a", "b"):
+        for name, column in zip(("lam_11", "lam_1k", "lam_kk"), getattr(sweep, f"lams_{case}")):
+            columns[f"{name}_{case}"] = column
+    return {name: (c.dtype.str, c.tobytes()) for name, c in columns.items()}
 
 
 def _row_format(*fields: str) -> str:
@@ -919,10 +986,9 @@ def _reference_write_csv(header: str, rows: list[str], path) -> None:
     Path(path).write_text("\n".join([header, *rows]) + "\n", newline="\n")
 
 
-def reference_emit_csv(points, path) -> None:
-    from qmaxent.cli import SWEEP_HEADER, _as_sweep
+def reference_emit_csv(s, path) -> None:
+    from qmaxent.cli import SWEEP_HEADER
 
-    s = _as_sweep(points)
     columns = (
         s.theta, s.k, s.x11, s.x1k.real, s.x1k.imag, s.xkk_true, s.xkk_pred,
         s.abs_diff, s.fidelity, np.where(s.near_singular, "true", "false"),
@@ -931,10 +997,9 @@ def reference_emit_csv(points, path) -> None:
     _reference_write_csv(SWEEP_HEADER, rows, path)
 
 
-def reference_emit_caseab_csv(points, path) -> None:
-    from qmaxent.cli import CASEAB_HEADER, _as_sweep
+def reference_emit_caseab_csv(s, path) -> None:
+    from qmaxent.cli import CASEAB_HEADER
 
-    s = _as_sweep(points)
     (a11, a1k, akk), (b11, b1k, bkk) = s.lams_a, s.lams_b
     columns = (
         s.theta, s.k, s.xkk_true, s.xkk_pred, s.abs_diff, s.fidelity,

@@ -18,7 +18,6 @@ from qmaxent.cli import ExperimentConfig, run_sweep
 from qmaxent.maxent import (
     LagrangeSet,
     density_from_lagrange,
-    forward_expectations,
     solve_lagrange,
 )
 from qmaxent.pauli import decompose_ketbra
@@ -62,11 +61,11 @@ def test_criterion_1_prediction_accuracy_two_qubit():
     start = time.perf_counter()
     worst = 0.0
     for circuit in TWO_QUBIT_MODELS:
-        rows = run_sweep(_exact_config(circuit, (2, 3, 4)))
-        assert len(rows) == 63
-        for row in rows:
-            assert row.abs_diff <= 1e-8, (circuit, row.theta, row.k, row.abs_diff)
-            worst = max(worst, row.abs_diff)
+        sweep = run_sweep(_exact_config(circuit, (2, 3, 4)))
+        assert len(sweep) == 63
+        for theta, k, abs_diff in zip(sweep.theta, sweep.k, sweep.abs_diff.tolist()):
+            assert abs_diff <= 1e-8, (circuit, theta, k, abs_diff)
+            worst = max(worst, abs_diff)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _report(
@@ -78,9 +77,9 @@ def test_criterion_1_prediction_accuracy_two_qubit():
 
 def test_criterion_2_prediction_accuracy_three_qubit():
     start = time.perf_counter()
-    rows = run_sweep(_exact_config(THREE_QUBIT_MODEL, range(2, 9)))
-    assert len(rows) == 21 * 7
-    worst = max(row.abs_diff for row in rows)
+    sweep = run_sweep(_exact_config(THREE_QUBIT_MODEL, range(2, 9)))
+    assert len(sweep) == 21 * 7
+    worst = float(sweep.abs_diff.max())
     assert worst <= 1e-8
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -100,13 +99,14 @@ def test_criterion_3_forward_inverse_roundtrip():
         mr = random_feasible_record(rng)
         closed = solve_lagrange(mr)
         newton = newton_lagrange(mr)
+        k = mr.index_k - 1
         for solution in (closed, newton):
-            fwd = forward_expectations(solution)
+            rho = density_from_lagrange(solution)
             worst_roundtrip = max(
                 worst_roundtrip,
-                abs(fwd.x_11 - mr.x_11),
-                abs(fwd.x_1k - mr.x_1k),
-                abs(fwd.x_kk - mr.x_kk),
+                abs(rho[0, 0].real - mr.x_11),
+                abs(rho[0, k] - mr.x_1k),
+                abs(rho[k, k].real - mr.x_kk),
             )
         worst_agreement = max(
             worst_agreement,
@@ -214,30 +214,20 @@ def test_criterion_7_backend_ordering_and_mitigation():
     start = time.perf_counter()
     exact_diffs = []
     for circuit in CORPUS:
-        exact_diffs += [
-            r.abs_diff for r in run_sweep(_sampling_config(circuit, "exact", 0))
-        ]
+        exact_diffs += run_sweep(_sampling_config(circuit, "exact", 0)).abs_diff.tolist()
     shot_diffs = []
     for seed in range(3):
         for circuit in CORPUS:
-            shot_diffs += [
-                r.abs_diff for r in run_sweep(_sampling_config(circuit, "shots", seed))
-            ]
+            shot_diffs += run_sweep(_sampling_config(circuit, "shots", seed)).abs_diff.tolist()
     noisy_by_seed = {}
     mitigated_by_seed = {}
     for seed in range(20):
         raw, corrected = [], []
         for circuit in CORPUS:
-            raw += [
-                r.abs_diff
-                for r in run_sweep(_sampling_config(circuit, "noisy", seed))
-            ]
-            corrected += [
-                r.abs_diff
-                for r in run_sweep(
-                    _sampling_config(circuit, "noisy", seed, mitigate=True)
-                )
-            ]
+            raw += run_sweep(_sampling_config(circuit, "noisy", seed)).abs_diff.tolist()
+            corrected += run_sweep(
+                _sampling_config(circuit, "noisy", seed, mitigate=True)
+            ).abs_diff.tolist()
         noisy_by_seed[seed] = raw
         mitigated_by_seed[seed] = corrected
 

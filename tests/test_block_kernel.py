@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from conftest import (
     EPS,
+    case_sets,
     matrix_log_psd,
     mp_density,
     mp_fidelity,
@@ -28,6 +29,7 @@ import qmaxent.cli as cli
 import qmaxent.linalg as linalg
 import qmaxent.maxent as maxent
 from qmaxent import DomainError, InfeasibleRecordError, ValidationError
+from qmaxent.circuit import theta_free_prefix
 from qmaxent.cli import ExperimentConfig, load_config, run_case_ab, run_sweep
 from qmaxent.maxent import (
     LagrangeSet,
@@ -35,21 +37,33 @@ from qmaxent.maxent import (
     block_fidelity,
     density_from_lagrange,
     fidelity,
-    forward_expectations,
-    saturation_rescale,
     solve_lagrange,
-    solve_record,
-    spectrum,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 PINNED_CONFIGS = ("sweep_exact.txt", "sweep_noisy_mitigated.txt", "caseab_shots.txt")
 
 
+def dim_of(cfg) -> int:
+    return 2 ** theta_free_prefix(cfg.circuit_text).num_qubits
+
+
 def scaled_minor(mr: MeasurementRecord) -> np.ndarray:
     """Z times the constraint minor, the matrix whose log is the block."""
     z = (mr.dim_n - 2) / (1.0 - mr.x_11 - mr.x_kk)
     return z * np.array([[mr.x_11, mr.x_1k], [mr.x_1k.conjugate(), mr.x_kk]])
+
+
+def rescaled(records) -> list:
+    """Saturated records moved off x11 + xKK = 1 by one call of the
+    completion's rescale, ``maxent._rescale``."""
+    x11, x1k, xkk = (np.array(v) for v in zip(*((r.x_11, r.x_1k, r.x_kk) for r in records)))
+    values, fired = maxent._rescale(x11, x1k, xkk)
+    assert fired.all()
+    return [
+        MeasurementRecord(r.dim_n, r.index_k, *point)
+        for r, point in zip(records, zip(*(v.tolist() for v in values)))
+    ]
 
 
 def exponent_block(ls: LagrangeSet) -> np.ndarray:
@@ -77,14 +91,14 @@ FLOORED = [  # an eigenvalue exactly 0: Z w- is floored
     MeasurementRecord(4, 2, 0.3, 0.0, 0.0),
     MeasurementRecord(4, 2, 0.0, 0.0, 0.4),
 ]
-SATURATED_RANK_ONE = [  # x11 + xKK = 1 moved off the boundary: Z ~ 1e9
-    saturation_rescale(MeasurementRecord(4, 4, 0.5, 0.5, 0.5)),
-    saturation_rescale(MeasurementRecord(8, 3, 0.5, 0.5j, 0.5)),
-]
-SATURATED_FULL_RANK = [
-    saturation_rescale(MeasurementRecord(4, 2, 0.6, 0.0, 0.4)),
-    saturation_rescale(MeasurementRecord(4, 2, 0.7, 0.1 - 0.2j, 0.3)),
-]
+SATURATED_RANK_ONE = rescaled([  # x11 + xKK = 1 moved off the boundary: Z ~ 1e9
+    MeasurementRecord(4, 4, 0.5, 0.5, 0.5),
+    MeasurementRecord(8, 3, 0.5, 0.5j, 0.5),
+])
+SATURATED_FULL_RANK = rescaled([
+    MeasurementRecord(4, 2, 0.6, 0.0, 0.4),
+    MeasurementRecord(4, 2, 0.7, 0.1 - 0.2j, 0.3),
+])
 EDGES = [
     (mr, flagged)
     for records, flagged in (
@@ -163,15 +177,15 @@ class TestRankOne:
         )
         ls = solve_lagrange(mr)
         assert ls.near_singular
-        deviation = forward_expectations(ls).x_1k - mr.x_1k
+        deviation = density_from_lagrange(ls)[0, 1] - mr.x_1k
         assert abs(deviation) <= 1e-8
 
     def test_every_exact_pinned_sweep_row_is_flagged(self):
         # Pure-state data is rank one at every point, theta = pi, K = 4 too.
-        rows = run_sweep(load_config(CONFIGS / "sweep_exact.txt"))
-        (row,) = [r for r in rows if r.k == 4 and r.theta == pytest.approx(math.pi)]
-        assert row.near_singular
-        assert all(r.near_singular for r in rows)
+        sweep = run_sweep(load_config(CONFIGS / "sweep_exact.txt"))
+        (row,) = np.flatnonzero((sweep.k == 4) & (np.abs(sweep.theta - math.pi) < 1e-12))
+        assert sweep.near_singular[row]
+        assert sweep.near_singular.all()
 
 
 class TestBlockFidelity:
@@ -201,10 +215,11 @@ class TestBlockFidelity:
 
     @pytest.mark.parametrize("config", PINNED_CONFIGS)
     def test_within_1e10_of_mpmath_on_every_pinned_row(self, config):
-        for row in run_case_ab(load_config(CONFIGS / config)):
-            a, b = row.lagrange_a, row.lagrange_b
+        cfg = load_config(CONFIGS / config)
+        sweep = run_case_ab(cfg)
+        for i, (a, b) in enumerate(case_sets(sweep, dim_of(cfg))):
             reference = mp_fidelity(mp_density(a), mp_density(b))
-            assert abs(row.fidelity - reference) <= 1e-10, (row.theta, row.k)
+            assert abs(sweep.fidelity[i] - reference) <= 1e-10, (sweep.theta[i], sweep.k[i])
 
     @pytest.mark.parametrize(("n", "k"), [(4, 3), (8, 2)])
     def test_sets_of_different_shape_are_rejected(self, n, k):
@@ -215,7 +230,7 @@ class TestBlockFidelity:
         # z = 2.03e304 is finite, but the cross term exp(-(sum)/2) is
         # exp(1400); the error names the multiplier sum.
         ls = LagrangeSet(4, 2, -700.0, 0.0, -700.0)
-        assert math.isfinite(spectrum(ls).z)
+        assert math.isfinite(density_from_lagrange(ls)[1, 1].real)
         with pytest.raises(DomainError, match=r"lamKK_b = -2800\.0, and exp"):
             block_fidelity(ls, ls)
 
@@ -229,35 +244,14 @@ class TestBlockFidelity:
             LagrangeSet(4, 2, -700.0, 0.0, -700.0),
         ]
         lams = tuple(np.array([getattr(s, f) for s in sets]) for f in ("lam_11", "lam_1k", "lam_kk"))
-        z = np.array([spectrum(s).z for s in sets])
-        block = tuple(np.array([spectrum(s).block[i] for s in sets]) for i in range(3))
+        (z, block), overflow = maxent._exponent_spectrum(4, *lams)
+        assert overflow is None
         value, failure = maxent._block_fidelity(4, lams, z, block, lams, z, block)
         assert failure[0] == 1
         with pytest.raises(DomainError) as caught:
             block_fidelity(sets[1], sets[1])
         assert (type(failure[1]), str(failure[1])) == (DomainError, str(caught.value))
         assert value[0] == block_fidelity(sets[0], sets[0])
-
-    def test_spectrum_is_computed_once_per_set(self, monkeypatch):
-        # The forward kernel runs once per solve, in its reproduction check,
-        # and the set keeps that spectrum for every later reader.
-        calls = []
-        compute = maxent._exponent_spectrum
-
-        def counted(n, *lams):
-            calls.append((n, *(v.tolist() for v in lams)))
-            return compute(n, *lams)
-
-        monkeypatch.setattr(maxent, "_exponent_spectrum", counted)
-        mr = MeasurementRecord(8, 5, 0.3, 0.1 - 0.2j)
-        _, a = solve_record(mr)
-        _, b = solve_record(mr, 0.2)
-        block_fidelity(a, b)
-        forward_expectations(a)
-        assert spectrum(b) is spectrum(b)
-        assert calls == [
-            (8, [a.lam_11], [a.lam_1k], [a.lam_kk]), (8, [b.lam_11], [b.lam_1k], [b.lam_kk]),
-        ]
 
     def test_sweeps_build_no_dense_matrix_per_point(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -311,11 +305,12 @@ class TestDenseFidelity:
         # eigenvalue near 1e-21 is below rounding, so its square root is
         # known to about 1.5e-8 only, and the error is that times the
         # weight of the other state on its eigenvector.
-        for row in run_case_ab(load_config(CONFIGS / "sweep_noisy_mitigated.txt")):
-            a = density_from_lagrange(row.lagrange_a)
-            b = density_from_lagrange(row.lagrange_b)
+        cfg = load_config(CONFIGS / "sweep_noisy_mitigated.txt")
+        sweep = run_case_ab(cfg)
+        for i, sets in enumerate(case_sets(sweep, dim_of(cfg))):
+            a, b = (density_from_lagrange(ls) for ls in sets)
             want = mp_fidelity(a, b)
-            assert abs(fidelity(a, b) - want) <= fidelity_conditioning(a, b, want), row.theta
+            assert abs(fidelity(a, b) - want) <= fidelity_conditioning(a, b, want), sweep.theta[i]
 
     @pytest.mark.parametrize(
         ("rho", "sigma", "name", "eigenvalue"),

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import sweep_bits
 
 import qmaxent
 import qmaxent.cli as cli
@@ -13,7 +14,6 @@ from qmaxent import circuits
 from qmaxent.cli import (
     ExperimentConfig,
     Sweep,
-    SweepPoint,
     emit_caseab_csv,
     emit_csv,
     emit_heatmap_csv,
@@ -27,6 +27,20 @@ from qmaxent.cli import (
 from qmaxent.errors import ParseError, ValidationError
 from qmaxent.maxent import dump_record, load_record
 from qmaxent.sampler import ReadoutNoise
+
+
+def one_row(theta, k, x11, x1k, xkk_true, xkk_pred, fidelity, near=(False, False), solved=False):
+    """A hand-built one-row sweep; an unsolved row has NaN multipliers."""
+    def col(value, dtype=float):
+        return np.array([value], dtype)
+
+    lams = (col(0.5), col(0.1, complex), col(0.2)) if solved else (
+        col(math.nan), col(math.nan, complex), col(math.nan)
+    )
+    return Sweep(
+        col(theta), col(k, int), col(x11), col(x1k, complex), col(xkk_true), col(xkk_pred),
+        col(fidelity), lams, col(near[0], bool), lams, col(near[1], bool), col(solved, bool),
+    )
 
 
 def exact_config(circuit="twoq_a", steps=21, k_targets=(2, 3, 4)):
@@ -184,22 +198,22 @@ class TestRunSweep:
         cfg = ExperimentConfig(
             circuit_path="bell", theta_steps=1, k_targets=(4,), backend="exact"
         )
-        (row,) = run_sweep(cfg)
-        assert row.k == 4
-        assert row.xkk_true == pytest.approx(0.5, abs=1e-12)
-        assert row.xkk_pred == pytest.approx(0.5, abs=1e-12)
-        assert row.abs_diff <= 1e-12
-        assert row.near_singular  # pure-state record sits on the boundary
+        sweep = run_sweep(cfg)
+        assert len(sweep) == 1 and sweep.k[0] == 4
+        assert sweep.xkk_true[0] == pytest.approx(0.5, abs=1e-12)
+        assert sweep.xkk_pred[0] == pytest.approx(0.5, abs=1e-12)
+        assert sweep.abs_diff[0] <= 1e-12
+        assert sweep.near_singular[0]  # pure-state record sits on the boundary
 
     def test_exact_backend_prediction_is_exact(self):
-        rows = run_sweep(exact_config())
-        assert len(rows) == 63
-        assert max(r.abs_diff for r in rows) <= 1e-8
-        assert min(r.fidelity for r in rows) >= 1 - 1e-8
+        sweep = run_sweep(exact_config())
+        assert len(sweep) == 63
+        assert sweep.abs_diff.max() <= 1e-8
+        assert sweep.fidelity.min() >= 1 - 1e-8
 
     def test_rows_ordered_theta_outer_k_inner(self):
-        rows = run_sweep(exact_config(steps=3, k_targets=(2, 3)))
-        assert [(round(r.theta, 6), r.k) for r in rows] == [
+        sweep = run_sweep(exact_config(steps=3, k_targets=(2, 3)))
+        assert [(round(t, 6), k) for t, k in zip(sweep.theta.tolist(), sweep.k.tolist())] == [
             (0.0, 2), (0.0, 3),
             (round(math.pi, 6), 2), (round(math.pi, 6), 3),
             (round(2 * math.pi, 6), 2), (round(2 * math.pi, 6), 3),
@@ -210,9 +224,7 @@ class TestRunSweep:
             circuit_path="twoq_b", theta_steps=3, k_targets=(2,),
             backend="shots", shots=512, seed=5,
         )
-        first = run_sweep(cfg)
-        second = run_sweep(cfg)
-        assert first == second
+        assert sweep_bits(run_sweep(cfg)) == sweep_bits(run_sweep(cfg))
 
     def test_degenerate_x11_emits_flagged_row(self, tmp_path):
         # |0...0> population is identically zero after a bit flip; the sweep
@@ -222,13 +234,13 @@ class TestRunSweep:
         cfg = ExperimentConfig(
             circuit_path=str(circuit), theta_steps=2, k_targets=(2,), backend="exact"
         )
-        rows = run_sweep(cfg)
-        assert len(rows) == 2
-        for row in rows:
-            assert row.near_singular
-            assert math.isnan(row.xkk_pred)
-            assert math.isnan(row.abs_diff)
-            assert row.xkk_true == pytest.approx(1.0)
+        sweep = run_sweep(cfg)
+        assert len(sweep) == 2 and not sweep.solved.any()
+        assert sweep.near_singular.all()
+        assert np.isnan(sweep.xkk_pred).all() and np.isnan(sweep.fidelity).all()
+        assert np.isnan(sweep.abs_diff).all()
+        assert all(np.isnan(v).all() for v in (*sweep.lams_a, *sweep.lams_b))
+        assert sweep.xkk_true == pytest.approx([1.0, 1.0])
 
     def test_caseab_csv_of_a_floor_point_is_a_typed_error(self, tmp_path):
         circuit = tmp_path / "flip.qc"
@@ -251,7 +263,7 @@ class TestRunSweep:
             ),
             (
                 "populations",
-                lambda self, states: (np.tile([1.5, 0.0, 0.0, 0.0], (len(states), 1)), None),
+                lambda self, states: np.tile([1.5, 0.0, 0.0, 0.0], (len(states), 1)),
                 r"^x_11 = 1.5 outside \[0, 1\]$",
             ),
         ],
@@ -268,48 +280,36 @@ class TestRunSweep:
         with pytest.raises(ValidationError, match=message):
             run_sweep(exact_config())
 
-    def test_floor_point_has_no_prediction(self):
-        point = SweepPoint(0.5, 2, 0.0, 0j, 1.0)
-        assert math.isnan(point.xkk_pred) and math.isnan(point.fidelity)
-        assert math.isnan(point.abs_diff)
-        assert point.lagrange_a is None and point.lagrange_b is None
-        assert point.near_singular
-
-    def test_near_singular_if_either_case_is(self):
-        from qmaxent.maxent import LagrangeSet
-
-        plain = LagrangeSet(4, 2, 0.5, 0.1, 0.2)
-        flagged = LagrangeSet(4, 2, 0.5, 0.1, 0.2, near_singular=True)
-        for a, b, want in (
-            (plain, plain, False), (flagged, plain, True), (plain, flagged, True),
+    def test_near_singular_if_a_floor_row_or_either_case_is(self):
+        floor = one_row(0.5, 2, 0.0, 0j, 1.0, math.nan, math.nan)
+        assert floor.near_singular.tolist() == [True] and np.isnan(floor.abs_diff).all()
+        for near, want in (
+            ((False, False), False), ((True, False), True), ((False, True), True),
         ):
-            point = SweepPoint(0.5, 2, 0.4, 0.1j, 0.3, 0.25, 0.99, a, b)
-            assert point.near_singular is want
-            assert point.abs_diff == pytest.approx(0.05)
+            sweep = one_row(0.5, 2, 0.4, 0.1j, 0.3, 0.25, 0.99, near, solved=True)
+            assert sweep.near_singular.tolist() == [want]
+            assert sweep.abs_diff[0] == pytest.approx(0.05)
 
     def test_measured_record_matches_statevector(self):
         from qmaxent.circuit import parse_circuit, populations, simulate
 
-        rows = run_sweep(exact_config("twoq_c", steps=4, k_targets=(3,)))
-        for row in rows:
-            sv = simulate(parse_circuit(circuits.load("twoq_c"), theta=row.theta))
+        sweep = run_sweep(exact_config("twoq_c", steps=4, k_targets=(3,)))
+        for i, theta in enumerate(sweep.theta.tolist()):
+            sv = simulate(parse_circuit(circuits.load("twoq_c"), theta=theta))
             pops = populations(sv)
-            assert row.x11 == pytest.approx(pops[0], abs=1e-12)
-            assert row.xkk_true == pytest.approx(pops[2], abs=1e-12)
+            assert sweep.x11[i] == pytest.approx(pops[0], abs=1e-12)
+            assert sweep.xkk_true[i] == pytest.approx(pops[2], abs=1e-12)
             x1k = complex(sv[0] * np.conj(sv[2]))
-            assert row.x1k == pytest.approx(x1k, abs=1e-12)
+            assert sweep.x1k[i] == pytest.approx(x1k, abs=1e-12)
 
 
 class TestCaseAB:
     def test_exact_backend_cases_agree(self):
-        points = run_case_ab(exact_config(steps=7))
-        assert min(p.fidelity for p in points) >= 1 - 1e-8
-        assert float(np.median([p.abs_diff for p in points])) <= 1e-8
-        for row in points:
-            # same multipliers with and without the predicted population
-            assert row.lagrange_a.lam_11 == pytest.approx(
-                row.lagrange_b.lam_11, abs=1e-5
-            )
+        sweep = run_case_ab(exact_config(steps=7))
+        assert sweep.fidelity.min() >= 1 - 1e-8
+        assert float(np.median(sweep.abs_diff)) <= 1e-8
+        # same multipliers with and without the predicted population
+        assert np.abs(sweep.lams_a[0] - sweep.lams_b[0]).max() <= 1e-5
 
     def test_synthetic_maximally_mixed_record(self):
         from qmaxent.maxent import MeasurementRecord, reconstruct
@@ -327,8 +327,7 @@ class TestCaseAB:
             circuit_path="twoq_a", theta_steps=5, k_targets=(2, 3, 4),
             backend="shots", shots=8192, seed=3,
         )
-        fidelities = [p.fidelity for p in run_case_ab(cfg)]
-        assert float(np.median(fidelities)) >= 0.99
+        assert float(np.median(run_case_ab(cfg).fidelity)) >= 0.99
 
 
 class TestOnePointList:
@@ -338,8 +337,7 @@ class TestOnePointList:
     def test_case_ab_is_the_solved_points_of_the_sweep(self, monkeypatch, config):
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / config)
         sweep = run_sweep(cfg)
-        solved = [p for p in sweep if p.lagrange_a is not None]
-        assert solved
+        assert sweep.solved.any()
 
         def forbidden(cfg):
             raise AssertionError("run_case_ab called run_sweep")
@@ -347,8 +345,7 @@ class TestOnePointList:
         # Each run is its own span in the benchmark, so neither calls the other.
         monkeypatch.setattr(cli, "run_sweep", forbidden)
         case_ab = run_case_ab(cfg)
-        # Its columns are the sweep's under the solved mask, bit for bit,
-        # and its row view is the sweep's solved points.
+        # Its columns are the sweep's under the solved mask, bit for bit.
         assert isinstance(case_ab, Sweep) and case_ab.solved.all()
         for name in ("theta", "k", "x11", "x1k", "xkk_true", "xkk_pred", "fidelity",
                      "near_a", "near_b"):
@@ -356,14 +353,12 @@ class TestOnePointList:
             assert getattr(case_ab, name).tobytes() == want.tobytes()
         for got, want in zip((*case_ab.lams_a, *case_ab.lams_b), (*sweep.lams_a, *sweep.lams_b)):
             assert got.tobytes() == want[sweep.solved].tobytes()
-        assert list(case_ab) == solved
 
 
 class TestEmitCsv:
     def test_single_row_layout(self, tmp_path):
-        row = SweepPoint(0.0, 4, 0.5, 0.5 + 0.0j, 0.5, 0.5, 1.0)
         path = tmp_path / "one.csv"
-        emit_csv([row], path)
+        emit_csv(one_row(0.0, 4, 0.5, 0.5 + 0.0j, 0.5, 0.5, 1.0), path)
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "theta,k,x11,re_x1k,im_x1k,xkk_true,xkk_pred,abs_diff,fidelity,near_singular"
@@ -374,9 +369,11 @@ class TestEmitCsv:
 
     def test_empty_rows_rejected(self, tmp_path):
         path = tmp_path / "none.csv"
-        for emit in (emit_csv, emit_caseab_csv, emit_heatmap_csv):
+        sweep = run_sweep(exact_config(steps=1))
+        empty = sweep._rows(np.zeros(len(sweep), bool))
+        for emit, rows in ((emit_csv, empty), (emit_caseab_csv, empty), (emit_heatmap_csv, [])):
             with pytest.raises(ValidationError, match="^no rows to emit$"):
-                emit([], path)
+                emit(rows, path)
             assert not path.exists()
 
     def test_caseab_of_a_sweep_all_at_the_floor_exits_2(self, tmp_path, capsys):
@@ -401,9 +398,8 @@ class TestEmitCsv:
         assert b"\r" not in p1.read_bytes()
 
     def test_twelve_significant_digits(self, tmp_path):
-        row = SweepPoint(1 / 3, 2, 0.1, 0.2 + 0.3j, 0.4, 0.5, 0.9)
         path = tmp_path / "digits.csv"
-        emit_csv([row], path)
+        emit_csv(one_row(1 / 3, 2, 0.1, 0.2 + 0.3j, 0.4, 0.5, 0.9), path)
         first = path.read_text().splitlines()[1].split(",")[0]
         assert first == "3.33333333333e-01"
 

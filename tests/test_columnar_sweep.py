@@ -1,32 +1,31 @@
 """A sweep is columns from the kernels to the CSV.
 
-- ``run_sweep`` returns one ``Sweep`` of columns; its row view builds the
-  ``SweepPoint`` of a row when asked, with the bits, types and multiplier
-  sets of the loop that built one point at a time
-  (``reference_sweep_points``). ``run_case_ab`` returns its solved rows.
-- The ``sweep`` and ``caseab`` commands build no point and no multiplier
-  set, and read a circuit file once.
-- A list of points is formatted through the same columns as a sweep.
+- ``run_sweep`` returns one ``Sweep`` of columns with the bits and types
+  of the loop that built one point at a time (``reference_sweep_points``).
+  ``run_case_ab`` returns its solved rows. A ``Sweep`` is not a sequence
+  of points.
+- The ``sweep`` and ``caseab`` commands build no multiplier set, and read
+  a circuit file once.
 """
 
+from collections.abc import Sequence
 from pathlib import Path
 
+import numpy as np
 import pytest
-from conftest import reference_sweep_points
+from conftest import reference_sweep_points, sweep_bits
 
 from qmaxent.cli import (
     ExperimentConfig,
     Sweep,
-    SweepPoint,
     emit_caseab_csv,
-    emit_csv,
     load_config,
     main,
     run_case_ab,
     run_sweep,
 )
 from qmaxent.errors import ValidationError
-from qmaxent.maxent import LagrangeSet
+from qmaxent.maxent import LagrangeSet, MeasurementRecord, solve_lagrange
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 BUNDLED = ["sweep_exact.txt", "sweep_noisy_mitigated.txt", "caseab_shots.txt"]
@@ -37,30 +36,6 @@ COMMANDS = {"sweep_exact.txt": "sweep", "sweep_noisy_mitigated.txt": "sweep",
 # it at the floor at theta = pi only, between solved rows.
 FLIP = "qubits 2\nx 0\nry(theta) 1\n"
 MIXED = "qubits 2\nh 1\nrx(theta) 0\n"
-
-
-def bits(value):
-    """A value's type and bits: floats by their hex, so NaN and -0.0
-    compare too."""
-    if isinstance(value, complex):
-        return type(value).__name__, value.real.hex(), value.imag.hex()
-    if isinstance(value, float):
-        return type(value).__name__, value.hex()
-    return type(value).__name__, value
-
-
-def point_bits(p: SweepPoint):
-    """Every field of a point, its multiplier sets' and its properties'."""
-    sets = [
-        None if s is None else tuple(
-            bits(getattr(s, name))
-            for name in ("dim_n", "index_k", "lam_11", "lam_1k", "lam_kk", "near_singular")
-        )
-        for s in (p.lagrange_a, p.lagrange_b)
-    ]
-    fields = ("theta", "k", "x11", "x1k", "xkk_true", "xkk_pred", "fidelity",
-              "abs_diff", "near_singular")
-    return (*(bits(getattr(p, name)) for name in fields), *sets)
 
 
 def configs(tmp_path) -> dict[str, ExperimentConfig]:
@@ -79,81 +54,61 @@ def configs(tmp_path) -> dict[str, ExperimentConfig]:
 
 
 @pytest.mark.parametrize("name", [*BUNDLED, "flip", "mixed", "mixed_shots"])
-def test_row_view_is_the_point_loop_bit_for_bit(tmp_path, name):
+def test_columns_are_the_point_loop_bit_for_bit(tmp_path, name):
     cfg = configs(tmp_path)[name]
     want = reference_sweep_points(cfg)
     sweep = run_sweep(cfg)
     assert isinstance(sweep, Sweep) and len(sweep) == len(want)
-    assert [point_bits(p) for p in sweep] == [point_bits(p) for p in want]
-    assert list(sweep) == want
-    solved = [p for p in want if p.lagrange_a is not None]
-    assert [point_bits(p) for p in run_case_ab(cfg)] == [point_bits(p) for p in solved]
+    assert sweep_bits(sweep) == sweep_bits(want)
+    # The derived columns, row by row in Python floats.
+    true, pred = want.xkk_true.tolist(), want.xkk_pred.tolist()
+    assert sweep.abs_diff.tobytes() == np.array([abs(t - p) for t, p in zip(true, pred)]).tobytes()
+    flags = zip(want.solved.tolist(), want.near_a.tolist(), want.near_b.tolist())
+    assert sweep.near_singular.tolist() == [not s or a or b for s, a, b in flags]
+    assert sweep_bits(run_case_ab(cfg)) == sweep_bits(want._rows(want.solved))
     if name in ("flip", "mixed"):
-        assert len(solved) == {"flip": 0, "mixed": 12}[name]
+        assert int(want.solved.sum()) == {"flip": 0, "mixed": 12}[name]
 
 
-def test_row_view_indexes_as_a_sequence(tmp_path):
+def test_a_sweep_is_columns_not_a_sequence(tmp_path):
     sweep = run_sweep(configs(tmp_path)["mixed"])
-    points = list(sweep)
-    assert sweep[-1] == points[-1] and sweep[3] == points[3]
-    assert sweep == run_sweep(configs(tmp_path)["mixed"])
-    with pytest.raises(IndexError):
-        sweep[len(points)]
+    assert len(sweep) == 15 and not isinstance(sweep, Sequence)
     with pytest.raises(TypeError):
-        sweep[1:3]
-
-
-@pytest.mark.parametrize("name", [*BUNDLED, "mixed"])
-def test_a_list_of_points_writes_the_bytes_of_its_sweep(tmp_path, name):
-    # One formatting path: a list of points is turned into columns first.
-    sweep = run_sweep(configs(tmp_path)[name])
-    emit_csv(sweep, tmp_path / "columns.csv")
-    emit_csv(list(sweep), tmp_path / "points.csv")
-    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "points.csv").read_bytes()
-    solved = sweep._rows(sweep.solved)
-    emit_caseab_csv(solved, tmp_path / "columns.csv")
-    emit_caseab_csv(list(solved), tmp_path / "points.csv")
-    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "points.csv").read_bytes()
+        sweep[0]
 
 
 def test_caseab_csv_names_the_first_floor_row(tmp_path):
     sweep = run_sweep(configs(tmp_path)["mixed"])
     out = tmp_path / "out.csv"
-    for points in (sweep, list(sweep)):
-        with pytest.raises(ValidationError, match=r"^point theta=3\.14159\S*, k=2 has no"):
-            emit_caseab_csv(points, out)
-        assert not out.exists()
+    with pytest.raises(ValidationError, match=r"^point theta=3\.14159\S*, k=2 has no"):
+        emit_caseab_csv(sweep, out)
+    assert not out.exists()
 
 
-def count_point_work(monkeypatch) -> dict[str, int]:
-    """Count ``SweepPoint`` constructions and ``LagrangeSet._solved`` calls."""
-    calls = {"SweepPoint": 0, "LagrangeSet._solved": 0}
-    init, solved = SweepPoint.__init__, LagrangeSet._solved
+def count_sets(monkeypatch) -> list:
+    """Count ``LagrangeSet`` constructions."""
+    built = []
+    check = LagrangeSet.__post_init__
 
-    def counted_init(self, *args, **kwargs):
-        calls["SweepPoint"] += 1
-        init(self, *args, **kwargs)
+    def counted(self):
+        built.append(self)
+        check(self)
 
-    def counted_solved(cls, *args, **kwargs):
-        calls["LagrangeSet._solved"] += 1
-        return solved(*args, **kwargs)
-
-    monkeypatch.setattr(SweepPoint, "__init__", counted_init)
-    monkeypatch.setattr(LagrangeSet, "_solved", classmethod(counted_solved))
-    return calls
+    monkeypatch.setattr(LagrangeSet, "__post_init__", counted)
+    return built
 
 
 @pytest.mark.parametrize("command", ["sweep", "caseab"])
 @pytest.mark.parametrize("config", BUNDLED)
-def test_commands_build_no_point(tmp_path, monkeypatch, capsys, command, config):
-    calls = count_point_work(monkeypatch)
+def test_commands_build_no_multiplier_set(tmp_path, monkeypatch, capsys, command, config):
+    built = count_sets(monkeypatch)
     out = tmp_path / "out.csv"
     assert main(["--out", str(out), command, str(CONFIGS / config)]) == 0
     assert out.read_text().count("\n") > 1
-    assert calls == {"SweepPoint": 0, "LagrangeSet._solved": 0}
-    # The counters count: the row view builds one point per row.
-    run_sweep(load_config(CONFIGS / config))[0]
-    assert calls == {"SweepPoint": 1, "LagrangeSet._solved": 2}
+    assert built == []
+    # The counter counts: a one-point solve builds its set.
+    solve_lagrange(MeasurementRecord(4, 2, 0.3, 0.1, 0.2))
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("command", ["sweep", "caseab"])
@@ -182,11 +137,11 @@ def test_a_sweep_runs_the_text_load_config_read(tmp_path):
     (tmp_path / "cfg.txt").write_text("circuit mine.qc\ntheta_steps 5\n")
     cfg = load_config(tmp_path / "cfg.txt")
     hand_built = ExperimentConfig(str(circuit), theta_steps=5)
-    want = run_sweep(hand_built)
+    want = sweep_bits(run_sweep(hand_built))
     circuit.write_text(FLIP)
-    assert run_sweep(cfg) == want
-    assert run_sweep(hand_built) != want
+    assert sweep_bits(run_sweep(cfg)) == want
+    assert sweep_bits(run_sweep(hand_built)) != want
     circuit.unlink()
-    assert run_sweep(cfg) == want
+    assert sweep_bits(run_sweep(cfg)) == want
     with pytest.raises(ValidationError, match="cannot read circuit"):
         run_sweep(hand_built)

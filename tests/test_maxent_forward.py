@@ -2,17 +2,26 @@ import math
 
 import numpy as np
 import pytest
-from conftest import EPS, build_exponent, check_forward, matrix_exp_hermitian, taylor_expm
+import mpmath
+from conftest import (
+    EPS,
+    MP_DPS,
+    _mp_block,
+    build_exponent,
+    check_forward,
+    matrix_exp_hermitian,
+    mp_block_expm,
+    taylor_expm,
+)
 
-from qmaxent import DomainError, ValidationError
+from qmaxent import DomainError, ValidationError, maxent
 from qmaxent.maxent import (
     LagrangeSet,
     MeasurementRecord,
+    block_fidelity,
     density_from_lagrange,
     fidelity,
-    forward_expectations,
     heatmap_scan,
-    spectrum,
 )
 
 
@@ -84,6 +93,19 @@ def lams_of(ls: LagrangeSet):
     return ls.lam_11, ls.lam_1k, ls.lam_kk
 
 
+def forward(dim_n, sets):
+    """One call of the forward kernel over multiplier triples: z and the
+    block (e11, e1k, ekk) of each, as arrays. No triple may overflow."""
+    l11, l1k, lkk = (np.array(v) for v in zip(*sets))
+    (z, block), failure = maxent._exponent_spectrum(dim_n, l11, l1k.astype(complex), lkk)
+    assert failure is None
+    return z, block
+
+
+def at(arrays, i):
+    return tuple(v[i].item() for v in arrays)
+
+
 # Multiplier sets whose coupling is 1e-14 down to 1e-20 of their scale,
 # or subnormal.
 TINY_COUPLING = [
@@ -100,51 +122,80 @@ TINY_COUPLING = [
 WIDE_SPLIT = [(1e200, 1.0, 0.0), (2e154, 0.5j, 0.0)]
 
 
+def random_blocks(count):
+    """Random multiplier sets with couplings from 1e-300 to 40."""
+    rng = np.random.default_rng(5)
+    return [
+        (float(rng.uniform(-40, 40)),
+         complex(10 ** rng.uniform(-300, 1.6) * np.exp(2j * np.pi * rng.random())),
+         float(rng.uniform(-40, 40)))
+        for _ in range(count)
+    ]
+
+
+# The sets on which the 60-digit reference is refereed: the tiny couplings
+# and wide splits above, sets that lose a small multiplier beside a huge
+# one when the eigenvalues are taken as m -+ r, and random blocks.
+REFEREE_SETS = {
+    "tiny coupling": TINY_COUPLING,
+    "wide split": WIDE_SPLIT,
+    "lost multiplier": [(-705.0, 0j, 1e200), (700.0, 1.0, -5.0), (-705.0, 1e-15, 40.0)],
+    "random": random_blocks(200),
+}
+
+
+@pytest.mark.parametrize("group", REFEREE_SETS)
+def test_the_mpmath_reference_is_mpmath_expm(group):
+    # ``_mp_block`` shares the library's algebra, so ``mpmath.expm`` of the
+    # block, which shares none of it, referees it entry by entry.
+    with mpmath.workdps(MP_DPS):
+        for lams in REFEREE_SETS[group]:
+            for got, want in zip(_mp_block(*lams), mp_block_expm(*lams)):
+                assert abs(got - want) <= 1e-50 * abs(want), lams
+
+
 class TestSpectrum:
-    """The closed-form exp(A) (z and the block), component by component
-    against ``mpmath.expm`` of the block (``check_forward``)."""
+    """The closed-form exp(A) (z and the block) of the forward kernel,
+    component by component against 60-digit mpmath (``check_forward``)."""
 
     def test_reference_values(self):
-        ls = LagrangeSet(4, 2, 1.0, 0.5, 0.0)
-        s = spectrum(ls)
-        assert s.z == pytest.approx(3.52918, abs=5e-5)
-        assert s.block == pytest.approx((0.435411, -0.329177 + 0j, 1.093764), abs=5e-6)
-        check_forward(4, lams_of(ls), s)
+        z, block = forward(4, [(1.0, 0.5, 0.0)])
+        assert z[0] == pytest.approx(3.52918, abs=5e-5)
+        assert at(block, 0) == pytest.approx((0.435411, -0.329177 + 0j, 1.093764), abs=5e-6)
+        check_forward(4, (1.0, 0.5, 0.0), z[0], at(block, 0))
 
     def test_matches_generic_eigendecomposition(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             ls = random_lagrange(rng)
-            s = spectrum(ls)
+            z, block = forward(ls.dim_n, [lams_of(ls)])
             e = matrix_exp_hermitian(build_exponent(ls))
             k = ls.index_k - 1
-            np.testing.assert_allclose(s.block, (e[0, 0], e[0, k], e[k, k]), rtol=1e-12)
-            assert s.z == pytest.approx(np.trace(e).real, rel=1e-12)
-            check_forward(ls.dim_n, lams_of(ls), s)
+            np.testing.assert_allclose(at(block, 0), (e[0, 0], e[0, k], e[k, k]), rtol=1e-12)
+            assert z[0] == pytest.approx(np.trace(e).real, rel=1e-12)
+            check_forward(ls.dim_n, lams_of(ls), z[0], at(block, 0))
 
     def test_zero_and_vanishing_coupling(self):
-        s = spectrum(LagrangeSet(4, 2, 0.0, 0.0, 0.0))
-        assert s.z == 4.0 and s.block == (1.0, 0j, 1.0)
-        s = spectrum(LagrangeSet(4, 2, 1.0, complex(-0.0, -0.0), -2.0))
-        assert s.block[1] == 0 and s.block[0] == math.exp(-1.0)
-        for lams in TINY_COUPLING:
-            s = spectrum(LagrangeSet(8, 3, *lams))
+        z, block = forward(4, [(0.0, 0.0, 0.0), (1.0, complex(-0.0, -0.0), -2.0)])
+        assert z[0] == 4.0 and at(block, 0) == (1.0, 0j, 1.0)
+        assert block[1][1] == 0 and block[0][1] == math.exp(-1.0)
+        z, block = forward(8, TINY_COUPLING)
+        for i, lams in enumerate(TINY_COUPLING):
             # The coherence is -s lam_1k, never 0 for a nonzero lam_1k.
-            assert s.block[1] != 0
-            check_forward(8, lams, s)
+            assert block[1][i] != 0
+            check_forward(8, lams, z[i], at(block, i))
 
     def test_widely_split_multipliers_stay_in_range(self):
-        for lams in WIDE_SPLIT:
-            s = spectrum(LagrangeSet(4, 2, *lams))
-            assert s.z == 3.0 and s.block[2] == 1.0
-            check_forward(4, lams, s)
-        assert forward_expectations(LagrangeSet(4, 2, *WIDE_SPLIT[0])).x_kk == 1 / 3
+        z, block = forward(4, WIDE_SPLIT)
+        for i, lams in enumerate(WIDE_SPLIT):
+            assert z[i] == 3.0 and block[2][i] == 1.0
+            check_forward(4, lams, z[i], at(block, i))
+        assert density_from_lagrange(LagrangeSet(4, 2, *WIDE_SPLIT[0]))[1, 1].real == 1 / 3
 
     def test_unconstrained_states_add_unit_weight(self):
-        four = spectrum(LagrangeSet(4, 2, 1.0, 0.5, 0.0))
-        eight = spectrum(LagrangeSet(8, 2, 1.0, 0.5, 0.0))
-        assert eight.block == four.block
-        assert eight.z - four.z == pytest.approx(4.0, abs=1e-12)
+        four, eight = (forward(n, [(1.0, 0.5, 0.0)]) for n in (4, 8))
+        assert at(eight[1], 0) == at(four[1], 0)
+        assert eight[0][0] - four[0][0] == pytest.approx(4.0, abs=1e-12)
 
     def test_structural_zeros_and_trace(self):
         # tr exp(A) = Z - (N-2), to the rounding of Z, and
@@ -155,17 +206,17 @@ class TestSpectrum:
         rng = np.random.default_rng(8)
         for _ in range(100):
             ls = random_lagrange(rng)
-            s = spectrum(ls)
-            e11, e1k, ekk = s.block
+            z, block = forward(ls.dim_n, [lams_of(ls)])
+            z, (e11, e1k, ekk) = z[0], at(block, 0)
             g = 1 + max(abs(v) for v in lams_of(ls))
-            assert e11 > 0 and ekk > 0 and s.z > 0
-            assert e11 + ekk + (ls.dim_n - 2) == pytest.approx(s.z, rel=2 * EPS)
+            assert e11 > 0 and ekk > 0 and z > 0
+            assert e11 + ekk + (ls.dim_n - 2) == pytest.approx(z, rel=2 * EPS)
             det = e11 * ekk - (e1k.real**2 + e1k.imag**2)
             assert abs(det - math.exp(-(ls.lam_11 + ls.lam_kk))) <= 2 * g * EPS * e11 * ekk
             rho = density_from_lagrange(ls)
             k = ls.index_k - 1
             rest = [i for i in range(ls.dim_n) if i not in (0, k)]
-            np.testing.assert_array_equal(np.diag(rho)[rest], 1 / s.z)
+            np.testing.assert_array_equal(np.diag(rho)[rest], 1 / z)
             off = rho - np.diag(np.diag(rho))
             off[0, k] = off[k, 0] = 0
             assert not off.any()
@@ -222,7 +273,7 @@ class TestDensity:
         for _ in range(100):
             ls = random_lagrange(rng)
             rho = density_from_lagrange(ls)
-            z = spectrum(ls).z
+            z = forward(ls.dim_n, [lams_of(ls)])[0][0]
             for i in range(ls.dim_n):
                 if i in (0, ls.index_k - 1):
                     continue
@@ -232,24 +283,30 @@ class TestDensity:
                 assert np.abs(row).max() <= 1e-14
 
 
+def block_values(ls: LagrangeSet):
+    """The mean values (x11, x1K, xKK) the density of ``ls`` holds."""
+    rho, k = density_from_lagrange(ls), ls.index_k - 1
+    return rho[0, 0].real, complex(rho[0, k]), rho[k, k].real
+
+
 class TestForward:
     def test_maximally_mixed(self):
-        mr = forward_expectations(LagrangeSet(4, 2, 0.0, 0.0, 0.0))
-        assert (mr.x_11, mr.x_1k, mr.x_kk) == pytest.approx((0.25, 0.0, 0.25))
+        values = block_values(LagrangeSet(4, 2, 0.0, 0.0, 0.0))
+        assert values == pytest.approx((0.25, 0.0, 0.25))
 
     def test_reference_values(self):
-        mr = forward_expectations(LagrangeSet(4, 2, 1.0, 0.5, 0.0))
-        assert mr.x_11 == pytest.approx(0.123375, abs=1e-6)
-        assert mr.x_1k == pytest.approx(-0.093273 + 0j, abs=1e-6)
-        assert mr.x_kk == pytest.approx(0.309921, abs=1e-6)
+        x11, x1k, xkk = block_values(LagrangeSet(4, 2, 1.0, 0.5, 0.0))
+        assert x11 == pytest.approx(0.123375, abs=1e-6)
+        assert x1k == pytest.approx(-0.093273 + 0j, abs=1e-6)
+        assert xkk == pytest.approx(0.309921, abs=1e-6)
 
     def test_block_log_inverse_example(self):
         # multipliers recovered by hand from exp(block) = 5 * [[.4,.2],[.2,.2]]
         ls = LagrangeSet(4, 2, -0.43040894096, -0.86081788193, 0.43040894096)
-        mr = forward_expectations(ls)
-        assert mr.x_11 == pytest.approx(0.4, abs=1e-9)
-        assert mr.x_1k == pytest.approx(0.2 + 0j, abs=1e-9)
-        assert mr.x_kk == pytest.approx(0.2, abs=1e-9)
+        x11, x1k, xkk = block_values(ls)
+        assert x11 == pytest.approx(0.4, abs=1e-9)
+        assert x1k == pytest.approx(0.2 + 0j, abs=1e-9)
+        assert xkk == pytest.approx(0.2, abs=1e-9)
 
     @pytest.mark.parametrize(
         "ls",
@@ -261,24 +318,22 @@ class TestForward:
         ],
     )
     def test_overflow_raises_domain_error_naming_multipliers(self, ls):
-        for fn in (forward_expectations, density_from_lagrange):
+        for fn in (density_from_lagrange, lambda ls: block_fidelity(ls, ls)):
             with pytest.raises(DomainError, match=f"lam_11 = {ls.lam_11!r}"):
                 fn(ls)
 
     def test_large_in_range_multipliers_still_map(self):
-        mr = forward_expectations(LagrangeSet(4, 2, -700.0, 0.0, 0.0))
-        assert mr.x_11 == pytest.approx(1.0, abs=1e-12)
+        x11, _, _ = block_values(LagrangeSet(4, 2, -700.0, 0.0, 0.0))
+        assert x11 == pytest.approx(1.0, abs=1e-12)
 
-    def test_matches_density_entries(self):
+    def test_density_block_is_the_kernels_expectations(self):
+        # The density's block holds the forward kernel's mean values, the
+        # values of the solve's reproduction check, bit for bit.
         rng = np.random.default_rng(14)
         for _ in range(300):
             ls = random_lagrange(rng)
-            mr = forward_expectations(ls)
-            rho = density_from_lagrange(ls)
-            k = ls.index_k - 1
-            assert mr.x_11 == pytest.approx(rho[0, 0].real, abs=1e-12)
-            assert mr.x_1k == pytest.approx(complex(rho[0, k]), abs=1e-12)
-            assert mr.x_kk == pytest.approx(rho[k, k].real, abs=1e-12)
+            spec = forward(ls.dim_n, [lams_of(ls)])
+            assert block_values(ls) == at(maxent._expectations(spec), 0)
 
 
 class TestFidelity:

@@ -11,24 +11,39 @@ from conftest import (
 import math
 import warnings
 
-from qmaxent import DomainError, InfeasibleRecordError, ValidationError
+from qmaxent import DomainError, InfeasibleRecordError, ValidationError, maxent
+from qmaxent.linalg import _raise
 from qmaxent.maxent import (
     LagrangeSet,
     MeasurementRecord,
     density_from_lagrange,
-    feasible_record,
-    forward_expectations,
     predict_population,
     reconstruct,
-    saturation_rescale,
     solve_lagrange,
     solve_record,
-    spectrum,
 )
 
 
-def record_deviation(a: MeasurementRecord, b: MeasurementRecord) -> float:
-    return max(abs(a.x_11 - b.x_11), abs(a.x_1k - b.x_1k), abs(a.x_kk - b.x_kk))
+def block_record(ls: LagrangeSet) -> MeasurementRecord:
+    """The mean values (x11, x1K, xKK) the multipliers generate, read from
+    the block of their density."""
+    rho, k = density_from_lagrange(ls), ls.index_k - 1
+    return MeasurementRecord(ls.dim_n, ls.index_k, rho[0, 0].real, rho[0, k], rho[k, k].real)
+
+
+def record_deviation(ls: LagrangeSet, mr: MeasurementRecord) -> float:
+    """How far the mean values the multipliers generate lie from a record."""
+    a = block_record(ls)
+    return max(abs(a.x_11 - mr.x_11), abs(a.x_1k - mr.x_1k), abs(a.x_kk - mr.x_kk))
+
+
+def arrays(*values):
+    return tuple(np.array([v]) for v in values)
+
+
+def kernel_record(mr: MeasurementRecord, values) -> MeasurementRecord:
+    """``mr`` with the one-point (x11, x1K, xKK) arrays of a kernel."""
+    return MeasurementRecord(mr.dim_n, mr.index_k, *(v.item() for v in values))
 
 
 class TestPredict:
@@ -94,16 +109,15 @@ class TestSolveClosedForm:
         assert ls.lam_1k == pytest.approx(-0.8608 + 0j, abs=1e-4)
         assert ls.lam_kk == pytest.approx(0.4304, abs=1e-4)
         assert not ls.near_singular
-        reproduced = forward_expectations(ls)
-        assert record_deviation(reproduced, MeasurementRecord(4, 2, 0.4, 0.2, 0.2)) <= 1e-12
+        assert record_deviation(ls, MeasurementRecord(4, 2, 0.4, 0.2, 0.2)) <= 1e-12
 
     def test_forward_reference_roundtrip(self):
-        target = forward_expectations(LagrangeSet(4, 2, 1.0, 0.5, 0.0))
+        target = block_record(LagrangeSet(4, 2, 1.0, 0.5, 0.0))
         mr = MeasurementRecord(4, 2, 0.1234, -0.0933, 0.3099)  # 4-digit inputs
         ls = solve_lagrange(mr)
         assert ls.lam_11 == pytest.approx(1.0, abs=1e-3 * 10)
         assert ls.lam_1k.real == pytest.approx(0.5, abs=1e-2)
-        assert record_deviation(forward_expectations(ls), mr) <= 1e-8
+        assert record_deviation(ls, mr) <= 1e-8
         # exact inputs recover the multipliers tightly
         ls_exact = solve_lagrange(target)
         assert ls_exact.lam_11 == pytest.approx(1.0, abs=1e-9)
@@ -119,10 +133,13 @@ class TestSolveClosedForm:
             solve_lagrange(MeasurementRecord(4, 2, 0.4, 0.2, None))
 
     def test_rank_deficient_record_flagged(self):
-        mr = saturation_rescale(MeasurementRecord(4, 4, 0.5, 0.5, 0.5))
+        saturated = MeasurementRecord(4, 4, 0.5, 0.5, 0.5)
+        values, fired = maxent._rescale(*arrays(0.5, 0.5 + 0j, 0.5))
+        assert fired[0]
+        mr = kernel_record(saturated, values)
         ls = solve_lagrange(mr)
         assert ls.near_singular
-        assert record_deviation(forward_expectations(ls), mr) <= 1e-8
+        assert record_deviation(ls, mr) <= 1e-8
 
 
 class TestSolverAgreement:
@@ -131,9 +148,9 @@ class TestSolverAgreement:
         for _ in range(300):
             mr = random_feasible_record(rng)
             cf = solve_lagrange(mr)
-            assert record_deviation(forward_expectations(cf), mr) <= 1e-8
+            assert record_deviation(cf, mr) <= 1e-8
             nt = newton_lagrange(mr)
-            assert record_deviation(forward_expectations(nt), mr) <= 1e-8
+            assert record_deviation(nt, mr) <= 1e-8
             assert abs(cf.lam_11 - nt.lam_11) <= 1e-6
             assert abs(cf.lam_1k - nt.lam_1k) <= 1e-6
             assert abs(cf.lam_kk - nt.lam_kk) <= 1e-6
@@ -185,12 +202,16 @@ class TestSolveRecord:
         assert completed.source == "measured"
         assert (completed.x_11, completed.x_1k, completed.x_kk) == (0.5, 0.5, 0.5)
         assert ls.near_singular
-        rescaled = saturation_rescale(completed)
-        assert record_deviation(forward_expectations(ls), rescaled) <= 1e-8
+        values, fired = maxent._rescale(*arrays(0.5, 0.5 + 0j, 0.5))
+        assert fired[0]
+        assert record_deviation(ls, kernel_record(completed, values)) <= 1e-8
 
     def test_noisy_estimate_is_projected(self):
         completed, _ = solve_record(MeasurementRecord(4, 2, 0.52, 0.53), 0.51)
-        assert completed == feasible_record(4, 2, 0.52, 0.53, 0.51)
+        projected, failure = maxent._project(*arrays(0.52, 0.53 + 0j, 0.51))
+        assert failure is None
+        assert completed == kernel_record(completed, projected)
+        assert (completed.x_11, completed.x_kk) != (0.52, 0.51)
 
     def test_prediction_matches_reconstruct(self):
         mr = MeasurementRecord(8, 6, 0.3, 0.2 - 0.1j)
@@ -225,7 +246,7 @@ class TestNonFiniteRecords:
         values = {"x_11": 0.3, "x_1k": 0.1, "x_kk": 0.2, name: bad}
         match = f"^{name} = .*inf.* is not finite$"
         with pytest.raises(ValidationError, match=match):
-            feasible_record(4, 2, **values)
+            _raise(maxent._project(*arrays(values["x_11"], complex(values["x_1k"]), values["x_kk"]))[1])
         x_kk = values.pop("x_kk")
         # An infinite x_11 or x_1k is refused by the record solve_record takes.
         with pytest.raises(ValidationError, match=match):
@@ -277,16 +298,18 @@ class TestProperties:
                 assert vn_entropy(perturbed) <= base_entropy + 1e-9
 
     def test_saturation_rescale_changes_nothing_for_interior_records(self):
-        mr = MeasurementRecord(4, 2, 0.3, 0.1, 0.2)
-        assert saturation_rescale(mr) is mr
+        values = arrays(0.3, 0.1 + 0j, 0.2)
+        rescaled, fired = maxent._rescale(*values)
+        assert not fired[0]
+        assert [v.tobytes() for v in rescaled] == [v.tobytes() for v in values]
 
-    def test_feasible_record_projects_noisy_estimates(self):
-        raw = feasible_record(4, 2, 0.52, 0.53, 0.51)
-        assert raw.x_11 + raw.x_kk <= 1.0 + 1e-12
-        assert abs(raw.x_1k) ** 2 <= raw.x_11 * raw.x_kk + 1e-12
-        clean = feasible_record(4, 2, 0.25, 0.1 + 0.1j, 0.25)
-        assert clean.x_11 == 0.25 and clean.x_kk == 0.25
-        assert clean.x_1k == 0.1 + 0.1j
+    def test_projection_of_noisy_estimates_is_feasible(self):
+        (x11, x1k, xkk), _ = maxent._project(*arrays(0.52, 0.53 + 0j, 0.51))
+        assert x11[0] + xkk[0] <= 1.0 + 1e-12
+        assert abs(x1k[0]) ** 2 <= x11[0] * xkk[0] + 1e-12
+        (x11, x1k, xkk), _ = maxent._project(*arrays(0.25, 0.1 + 0.1j, 0.25))
+        assert x11[0] == 0.25 and xkk[0] == 0.25
+        assert x1k[0] == 0.1 + 0.1j
 
     def test_spectrum_weights_reconstruct_partition_function(self):
         # The forward z of the solved multipliers is the inverse's
@@ -296,12 +319,14 @@ class TestProperties:
         rng = np.random.default_rng(123)
         for _ in range(100):
             mr = random_feasible_record(rng)
-            ls = solve_lagrange(mr)
-            s = spectrum(ls)
-            e11, _, ekk = s.block
-            assert s.z == pytest.approx(e11 + ekk + (mr.dim_n - 2), rel=2 * EPS)
-            assert s.z == pytest.approx((mr.dim_n - 2) / (1 - mr.x_11 - mr.x_kk), rel=1e-13)
-            check_forward(ls.dim_n, (ls.lam_11, ls.lam_1k, ls.lam_kk), s)
+            lams, _, (z, block), failure = maxent._solve(
+                mr.dim_n, *arrays(mr.x_11, mr.x_1k, mr.x_kk)
+            )
+            assert failure is None
+            z, (e11, e1k, ekk) = z[0].item(), (v[0].item() for v in block)
+            assert z == pytest.approx(e11 + ekk + (mr.dim_n - 2), rel=2 * EPS)
+            assert z == pytest.approx((mr.dim_n - 2) / (1 - mr.x_11 - mr.x_kk), rel=1e-13)
+            check_forward(mr.dim_n, tuple(v[0].item() for v in lams), z, (e11, e1k, ekk))
 
 
 class TestScalarInputErrors:
@@ -327,7 +352,7 @@ class TestScalarInputErrors:
             lambda z: MeasurementRecord(4, 2, 0.5, z),
             lambda z: MeasurementRecord(4, 2, 0.5, z, 0.25),
             lambda z: predict_population(0.5, z),
-            lambda z: feasible_record(4, 2, 0.5, z),
+            lambda z: _raise(maxent._project(np.array([0.5]), np.array([z]))[1]),
             lambda z: LagrangeSet(4, 2, 0.5, z, 0.25),
         ],
     )

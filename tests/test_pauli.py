@@ -1,13 +1,14 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from conftest import assemble, dense_expectation, to_matrix
+from conftest import assemble, dense_expectation, reference_basis, to_matrix
 
 from qmaxent import ValidationError, sampler
-from qmaxent.circuit import MAX_QUBITS, Circuit, parse_circuit, simulate
-from qmaxent.pauli import PauliString, decompose_ketbra, measurement_settings
-from qmaxent.sampler import estimate_coherence, estimate_populations
+from qmaxent.circuit import MAX_QUBITS, Circuit, Gate, parse_circuit, simulate
+from qmaxent.pauli import PauliString, decompose_ketbra
+from qmaxent.sampler import estimate_coherence, estimate_paulis, estimate_populations
 
 
 def ketbra(i, j, n):
@@ -157,9 +158,9 @@ class TestRecombination:
         assert (bases, dim) == (len(rotations), 2**n)
         slots = []
         for p, coeff in decompose_ketbra(i, j, n).terms.items():
-            setting = measurement_settings(p)
-            basis = rotations.index(setting.rotations)
-            signs = sampler._parity_signs(n, setting.parity_mask)
+            basis_rotations, mask = reference_basis(p)
+            basis = rotations.index(basis_rotations)
+            signs = sampler._parity_signs(n, mask)
             (column,) = [c for c in range(reads) if (signs_of[basis, :, c] == signs).all()]
             assert coeffs[basis * reads + column] == coeff
             slots.append((basis, column))
@@ -175,42 +176,54 @@ class TestRecombination:
         for row, value in zip(freqs, got):
             want = complex(0.0)
             for p, coeff in decompose_ketbra(2, 7, n).terms.items():
-                setting = measurement_settings(p)
-                f = row[plan[0].index(setting.rotations)]
-                want += coeff * float(sampler._parity_signs(n, setting.parity_mask) @ f)
+                rotations, mask = reference_basis(p)
+                f = row[plan[0].index(rotations)]
+                want += coeff * float(sampler._parity_signs(n, mask) @ f)
             assert abs(value - want) <= 1e-14
 
 
-class TestMeasurementSettings:
-    def test_z_needs_no_rotation(self):
-        setting = measurement_settings(PauliString(("Z",)))
-        assert setting.rotations == ()
-        assert setting.parity_mask == 0b1
+def parity_signs(n: int, mask: int) -> np.ndarray:
+    idx = np.arange(2**n)
+    signs = np.ones(idx.size)
+    for q in range(n):
+        if mask >> q & 1:
+            signs *= 1.0 - 2.0 * ((idx >> q) & 1)
+    return signs
 
-    def test_x_on_second_qubit(self):
-        setting = measurement_settings(PauliString(("I", "X")))
-        assert len(setting.rotations) == 1
-        assert setting.rotations[0].kind == "h"
-        assert setting.rotations[0].targets == (1,)
-        assert setting.parity_mask == 0b10
+
+class TestMeasurementBases:
+    """The bases and parity masks ``sampler._group_bases`` gives the
+    strings of a plan: H for X, RZ(-pi/2) then H for Y, in qubit order."""
+
+    def test_z_needs_no_rotation(self):
+        ((rotations, reads),) = sampler._group_bases((PauliString(("Z",)),), 1).items()
+        assert rotations == ()
+        assert reads[0][0] == 0 and (reads[0][1] == parity_signs(1, 0b1)).all()
+
+    def test_x_and_y_on_the_second_qubit(self):
+        # |1><3| on 2 qubits: I or Z on qubit 0, X or Y on qubit 1.
+        rotations, signs, _ = sampler._ketbra_plan(1, 3, 2)
+        h, rz = Gate("h", (1,)), Gate("rz", (1,), -math.pi / 2)
+        assert rotations == ((h,), (rz, h))
+        # Each basis reads the string with I (mask 0b10) and with Z (0b11).
+        for basis in range(2):
+            assert sorted(map(tuple, signs[basis].T)) == sorted(
+                tuple(parity_signs(2, mask)) for mask in (0b10, 0b11)
+            )
 
     def test_identity_rejected(self):
-        with pytest.raises(ValidationError):
-            measurement_settings(PauliString(("I", "I")))
+        identity = PauliString(("I", "I"))
+        with pytest.raises(ValidationError, match="all-identity"):
+            sampler._group_bases((identity,), 2)
+        with pytest.raises(ValidationError, match="all-identity"):
+            estimate_paulis(simulate(parse_circuit("qubits 2")), [identity])
 
     @staticmethod
     def _rotated_parity_mean(sv_circuit: Circuit, ps: PauliString) -> float:
-        setting = measurement_settings(ps)
-        rotated = simulate(
-            Circuit(sv_circuit.num_qubits, sv_circuit.gates + setting.rotations)
-        )
-        probs = np.abs(rotated) ** 2
-        idx = np.arange(probs.size)
-        signs = np.ones(probs.size)
-        for q in range(ps.num_qubits):
-            if setting.parity_mask >> q & 1:
-                signs *= 1.0 - 2.0 * ((idx >> q) & 1)
-        return float(signs @ probs)
+        groups = sampler._group_bases((ps,), ps.num_qubits)
+        ((rotations, ((_, signs),)),) = groups.items()
+        rotated = simulate(Circuit(sv_circuit.num_qubits, sv_circuit.gates + rotations))
+        return float(signs @ np.abs(rotated) ** 2)
 
     def test_xy_string_matches_dense_expectation(self):
         c = parse_circuit("qubits 2\nry(0.8) 0\nrx(0.3) 1\ncx 0 1")

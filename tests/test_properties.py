@@ -9,8 +9,9 @@
   on a repeated one.
 - The closed-form inverse reproduces every feasible record through the
   forward map: interior records, rank-one minors, and records whose
-  populations sum to within 1e-9 of 1, moved off that boundary by
-  ``saturation_rescale``. Every rank-one minor is flagged near-singular.
+  populations sum to within 1e-9 of 1, moved off that boundary by the
+  completion's rescale (``maxent._rescale``). Every rank-one minor is
+  flagged near-singular.
 - The closed form agrees with the independent Newton oracle on every
   record that fixes its multipliers: one whose density matrix has no
   eigenvalue below 1e-6. On a rank-one or saturated record the multipliers
@@ -20,8 +21,9 @@
 - The feasibility projection puts raw estimates inside the record
   invariants, before and after the saturation rescale, so the array solve
   path need not check them again; and that path gives the bits, flags and
-  errors of the public chain ``solve_lagrange(saturation_rescale(
-  feasible_record(...)))`` on estimates at every edge of the feasible set.
+  errors of the chain ``_project``, ``_rescale``, then the public
+  ``solve_lagrange`` of the rescaled record, on estimates at every edge of
+  the feasible set.
 """
 
 import cmath
@@ -35,13 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmaxent import TomographyError, cli, load_record, maxent, parse_circuit
-from qmaxent.maxent import (
-    MeasurementRecord,
-    feasible_record,
-    forward_expectations,
-    saturation_rescale,
-    solve_lagrange,
-)
+from qmaxent.maxent import MeasurementRecord, density_from_lagrange, solve_lagrange
 
 # Tokens of both text formats, with numbers at and past their edges.
 NUMBERS = [
@@ -237,16 +233,20 @@ def feasible_minors(
     x11 = big * c * c + small * s * s
     xkk = big * s * s + small * c * c
     x1k = (big - small) * c * s * phase.conjugate()
-    mr = MeasurementRecord(n, k, x11, x1k, xkk)
-    return saturation_rescale(mr), small == 0.0
+    rescaled, _ = maxent._rescale(*maxent._arrays(x11, x1k, xkk))
+    return MeasurementRecord(n, k, *(v.item() for v in rescaled)), small == 0.0
 
 
 def feasible_records(**kwargs):
     return feasible_minors(**kwargs).map(lambda minor: minor[0])
 
 
-def deviation(a: MeasurementRecord, b: MeasurementRecord) -> float:
-    return max(abs(a.x_11 - b.x_11), abs(a.x_1k - b.x_1k), abs(a.x_kk - b.x_kk))
+def deviation(rho, mr: MeasurementRecord) -> float:
+    """How far the block of a density lies from a record's values."""
+    k = mr.index_k - 1
+    return max(
+        abs(rho[0, 0].real - mr.x_11), abs(rho[0, k] - mr.x_1k), abs(rho[k, k].real - mr.x_kk)
+    )
 
 
 @settings(max_examples=800)
@@ -254,7 +254,7 @@ def deviation(a: MeasurementRecord, b: MeasurementRecord) -> float:
 def test_closed_form_reproduces_every_feasible_record(minor):
     mr, rank_one = minor
     ls = solve_lagrange(mr)
-    assert deviation(forward_expectations(ls), mr) <= 1e-8
+    assert deviation(density_from_lagrange(ls), mr) <= 1e-8
     assert ls.near_singular or not rank_one
 
 
@@ -328,17 +328,17 @@ def test_projection_is_feasible_and_the_float_path_is_the_public_chain(estimate)
     points = maxent._arrays(x11, x1k, xkk)
     projected, failure = maxent._project(*points)
     assert failure is None
-    maxent._check_record_values(*(v.item() for v in projected))
+    # The records check the invariants of the projected and rescaled values.
+    record = MeasurementRecord(n, k, *(v.item() for v in projected))
     rescaled, _ = maxent._rescale(*projected)
-    maxent._check_record_values(*(v.item() for v in rescaled))
+    rescaled = MeasurementRecord(n, k, *(v.item() for v in rescaled))
 
-    record = feasible_record(n, k, x11, x1k, xkk)
     completed, lams, near_singular, _, failure = maxent._complete_and_solve(n, *points)
     completed = [v.item() for v in completed]
     assert _bits(completed[0], completed[1].real, completed[1].imag, completed[2]) == _bits(
         record.x_11, record.x_1k.real, record.x_1k.imag, record.x_kk
     )
-    chain = _solve_outcome(lambda: solve_lagrange(saturation_rescale(record)))
+    chain = _solve_outcome(lambda: solve_lagrange(rescaled))
     if failure is not None:
         floats = type(failure[1]), str(failure[1])
     else:

@@ -14,7 +14,7 @@
   set: it makes one prediction call, two completion-and-solve calls (case
   A and case B), each running the forward kernel once, and one fidelity
   call, whatever its number of points. A heatmap makes one forward-kernel
-  call, and a hand-built multiplier set computes its spectrum at most once.
+  call.
 - A sweep lists the bundled circuits at most once per process, and a
   mitigated sweep inverts and conditions each calibration matrix once,
   solving no linear system per basis.
@@ -48,13 +48,10 @@ from qmaxent.cli import ExperimentConfig, load_config, run_case_ab, run_sweep
 from qmaxent.maxent import (
     LagrangeSet,
     MeasurementRecord,
-    block_fidelity,
     density_from_lagrange,
-    forward_expectations,
     heatmap_scan,
     solve_lagrange,
     solve_record,
-    spectrum,
 )
 from qmaxent.sampler import build_calibration
 
@@ -228,15 +225,13 @@ class TestClampWarningFilter:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             inner = list(warnings.filters)
-            rows = run_sweep(clamping_config())
+            sweep = run_sweep(clamping_config())
             assert list(warnings.filters) == inner
         assert list(warnings.filters) == before
         assert not [w for w in caught if "predicted population" in str(w.message)]
-        clamped = [
-            r for r in rows
-            if abs(r.x1k) ** 2 / r.x11 > 1 - r.x11 + 1e-9
-        ]
-        assert clamped and all(r.xkk_pred == max(0.0, 1 - r.x11) for r in clamped)
+        rows = zip(sweep.x11.tolist(), sweep.x1k.tolist(), sweep.xkk_pred.tolist())
+        clamped = [(x11, pred) for x11, x1k, pred in rows if abs(x1k) ** 2 / x11 > 1 - x11 + 1e-9]
+        assert clamped and all(pred == max(0.0, 1 - x11) for x11, pred in clamped)
 
     @pytest.mark.parametrize("run", [run_sweep, run_case_ab])
     def test_filters_restored_when_a_point_raises(self, monkeypatch, run):
@@ -319,16 +314,6 @@ class TestReproductionCheck:
         assert type(error) is type(from_record.value)
         assert str(error) == str(from_record.value)
 
-    def test_a_hand_built_set_computes_its_spectrum_once(self, monkeypatch):
-        kernel = count_calls(monkeypatch, maxent, ("_exponent_spectrum",))
-        ls = LagrangeSet(8, 3, 0.4, 0.2 - 0.7j, -0.3)
-        spectrum(ls)
-        forward_expectations(ls)
-        density_from_lagrange(ls)
-        block_fidelity(ls, ls)
-        assert spectrum(ls) is spectrum(ls)
-        assert kernel == {"_exponent_spectrum": 1}
-
     @pytest.mark.parametrize(
         "config", ["sweep_exact.txt", "sweep_noisy_mitigated.txt", "caseab_shots.txt"]
     )
@@ -340,12 +325,11 @@ class TestReproductionCheck:
         forward_kernel = count_calls(monkeypatch, maxent, ("_exponent_spectrum",))
         public = count_calls(
             monkeypatch, maxent,
-            ("predict_population", "solve_lagrange", "block_fidelity", "spectrum"),
+            ("predict_population", "solve_lagrange", "block_fidelity", "density_from_lagrange"),
         )
         records = count_calls(monkeypatch, MeasurementRecord, ("__post_init__",))
         sets = count_calls(monkeypatch, LagrangeSet, ("__post_init__",))
-        points = run_sweep(load_config(CONFIGS / config))
-        assert [p for p in points if p.lagrange_a is not None]
+        assert run_sweep(load_config(CONFIGS / config)).solved.any()
         assert kernels == {
             "_predict_population": 1, "_complete_and_solve": 2, "_block_fidelity": 1,
         }
@@ -367,17 +351,16 @@ class TestReproductionCheck:
         assert sets == {"__post_init__": 0}
 
     def test_block_entries_are_the_forward_map(self):
-        # The spectrum the solve kept is the forward kernel's on the
-        # solved multipliers, entry for entry, and mpmath.expm's to
-        # rounding; its block over z is the forward map and the density's
-        # block, bit for bit.
-        _, ls = solved()
-        s = maxent.spectrum(ls)
-        assert s == maxent._spectrum_at(forward(ls), 0)
-        check_forward(ls.dim_n, (ls.lam_11, ls.lam_1k, ls.lam_kk), s)
-        fwd = maxent.forward_expectations(ls)
-        x11, x1k, xkk = (e / s.z for e in s.block)
-        assert (x11, x1k, xkk) == (fwd.x_11, fwd.x_1k, fwd.x_kk)
+        # The spectrum of the solve's check is the forward kernel's on the
+        # solved multipliers, entry for entry, and 60-digit mpmath's to
+        # rounding; its block over z is the density's block, bit for bit.
+        mr, ls = solved()
+        spec = maxent._solve(mr.dim_n, *record_arrays(mr))[2]
+        z, block = forward(ls)
+        assert [v.tobytes() for v in (spec[0], *spec[1])] == [v.tobytes() for v in (z, *block)]
+        z, block = z[0].item(), tuple(e[0].item() for e in block)
+        check_forward(ls.dim_n, (ls.lam_11, ls.lam_1k, ls.lam_kk), z, block)
+        x11, x1k, xkk = (e / z for e in block)
         assert np.isfinite([x11, x1k, xkk]).all()
         rho, k = density_from_lagrange(ls), ls.index_k - 1
         assert (rho[0, 0], rho[0, k], rho[k, k]) == (x11, x1k, xkk)
@@ -420,12 +403,12 @@ class TestSamplingKernel:
             lambda self, dists, seed: rows.append(len(dists)) or tally(self, dists, seed),
         )
         rotations = count_calls(monkeypatch, sampler, ("_apply_1q",))
-        points = run_sweep(cfg)
-        assert len(points) == cfg.theta_steps * len(cfg.k_targets) == 63
+        sweep = run_sweep(cfg)
+        assert len(sweep) == cfg.theta_steps * len(cfg.k_targets) == 63
         # One generator and one multinomial call per sweep, whose rows are
         # one population draw per point and one draw per basis of |K><1|
         # (231 generators, one per row, before).
-        bases = [2 ** bin(p.k - 1).count("1") for p in points]
+        bases = [2 ** bin(k - 1).count("1") for k in sweep.k.tolist()]
         assert generators["default_rng"] == 1
         assert rows == [sum(1 + b for b in bases)] == [231]
         assert public == dict.fromkeys(public, 0)
@@ -441,8 +424,8 @@ class TestSamplingKernel:
         cfg = load_config(CONFIGS / "sweep_exact.txt")
         generators = count_calls(monkeypatch, np.random, ("default_rng",))
         kernel = count_calls(monkeypatch, sampler._Readout, ("distribution",))
-        points = run_sweep(cfg)
+        sweep = run_sweep(cfg)
         assert generators["default_rng"] == 0
         # One call reads the populations of the whole stack of states.
-        assert len(points) == cfg.theta_steps * len(cfg.k_targets)
+        assert len(sweep) == cfg.theta_steps * len(cfg.k_targets)
         assert kernel["distribution"] == 1

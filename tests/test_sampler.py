@@ -1,6 +1,7 @@
 import itertools
 import math
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -12,11 +13,19 @@ from conftest import (
     to_matrix,
 )
 
-from qmaxent import DomainError, TomographyError, ValidationError, circuits
+from qmaxent import DomainError, ValidationError, circuits
 from qmaxent import cli, sampler
 from qmaxent.cli import ExperimentConfig, run_sweep
-from qmaxent.circuit import Gate, apply_gates, parse_circuit, populations, simulate
-from qmaxent.pauli import PauliString, decompose_ketbra, measurement_settings
+from qmaxent.circuit import (
+    Gate,
+    _matrix_1q,
+    _sweep_states,
+    apply_gates,
+    parse_circuit,
+    populations,
+    simulate,
+)
+from qmaxent.pauli import PauliString, decompose_ketbra
 from qmaxent.sampler import (
     CalibrationMatrix,
     ReadoutNoise,
@@ -418,12 +427,12 @@ class TestSharedMeasurementWork:
             sampler._Readout, "tally",
             lambda self, dists, seed: tallies.append(tally(self, dists, seed)) or tallies[-1],
         )
-        points = run_sweep(cfg)
+        sweep = run_sweep(cfg)
         targets = tuple(range(2, 2**num_qubits + 1))
-        assert len(points) == 5 * len(targets)
+        assert len(sweep) == 5 * len(targets)
         states = np.array([
             simulate(parse_circuit(circuits.load(model), theta))
-            for theta in dict.fromkeys(point.theta for point in points)
+            for theta in dict.fromkeys(sweep.theta.tolist())
         ])
         calibration = build_calibration(noise, num_qubits) if noise is not None else None
         want_tallies, want = reference_sampled_sweep(
@@ -433,11 +442,12 @@ class TestSharedMeasurementWork:
         # One multinomial call, with the reference's tallies bit for bit.
         assert len(tallies) == 1
         assert tallies[0].tobytes() == np.array(want_tallies).tobytes()
-        for point, (x11, x1k, xkk) in zip(points, want, strict=True):
-            got = (point.x11, point.x1k.real, point.x1k.imag, point.xkk_true)
+        points = zip(sweep.x11.tolist(), sweep.x1k.tolist(), sweep.xkk_true.tolist())
+        for (got_x11, got_x1k, got_xkk), (x11, x1k, xkk) in zip(points, want, strict=True):
+            got = (got_x11, got_x1k.real, got_x1k.imag, got_xkk)
             if not mitigated:
                 # Unmitigated populations are the tally over shots itself.
-                assert _bits(point.x11, point.xkk_true) == _bits(x11, xkk)
+                assert _bits(got_x11, got_xkk) == _bits(x11, xkk)
             for a, b in zip(got, (x11, x1k.real, x1k.imag, xkk)):
                 assert abs(a - b) <= SAMPLED_ATOL
 
@@ -464,7 +474,7 @@ class TestSharedMeasurementWork:
         assert gates == 3 * (3**num_qubits - 1) // 2
 
     def test_second_sweep_builds_no_plan(self, fresh_caches, monkeypatch):
-        calls = {"decompose": 0, "settings": 0}
+        calls = {"decompose": 0, "bases": 0}
 
         def counted(name, original):
             def wrapper(*args):
@@ -476,19 +486,18 @@ class TestSharedMeasurementWork:
         monkeypatch.setattr(
             sampler, "decompose_ketbra", counted("decompose", decompose_ketbra)
         )
-        monkeypatch.setattr(
-            sampler, "measurement_settings", counted("settings", measurement_settings)
-        )
+        monkeypatch.setattr(sampler, "_group_bases", counted("bases", sampler._group_bases))
         rng = np.random.default_rng(71)
         for sweep in range(2):
             sv = _random_state(rng, 3)
             for k in range(2, 9):
                 estimate_coherence(sv, k, 1, shots_per_setting=50, seed=k)
             if sweep == 0:
-                # One plan per K: 7 decompositions of 8 strings each.
-                assert calls == {"decompose": 7, "settings": 56}
-                calls.update(decompose=0, settings=0)
-        assert calls == {"decompose": 0, "settings": 0}
+                # One plan per K: 7 decompositions of 8 strings each,
+                # grouped into bases once each.
+                assert calls == {"decompose": 7, "bases": 7}
+                calls.update(decompose=0, bases=0)
+        assert calls == {"decompose": 0, "bases": 0}
 
 
 def _sampled_config(mitigate=True, noise=ReadoutNoise.uniform(0.02, 0.04, 2)):
@@ -522,62 +531,55 @@ class TestReadoutChecks:
     """Each check of the readout fires with its message, through the
     public estimators and through the sweep's kernel alike."""
 
-    def test_rotated_state_norm(self, fresh_caches, monkeypatch):
-        apply_1q = sampler._apply_1q
-        monkeypatch.setattr(
-            sampler, "_apply_1q", lambda *args: 1.5 * apply_1q(*args)
-        )
-        with pytest.raises(TomographyError, match="statevector norm drifted to 1.49"):
-            estimate_coherence(BELL_SV, 4, 1, 100)
-        with pytest.raises(TomographyError, match="statevector norm drifted to 1.49"):
-            run_sweep(_sampled_config())
+    def test_basis_rotations_are_unitary(self):
+        # The rotated rows are not checked again because every gate of a
+        # basis is unitary to rounding: H and RZ(-pi/2), on any qubit.
+        gates = {
+            gate
+            for k in range(2, 9)
+            for basis in sampler._ketbra_plan(k, 1, 3)[0]
+            for gate in basis
+        }
+        assert {(g.kind, g.angle) for g in gates} == {("h", None), ("rz", -math.pi / 2)}
+        for gate in gates:
+            u = _matrix_1q(gate)
+            assert np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-15, gate
 
-    @pytest.mark.parametrize(
-        ("scale", "message"),
-        [(1.5, "statevector norm drifted to 1.49"), (1 + 0.75e-10, "state is not normalized")],
-    )
-    def test_rotated_row_fails_where_the_point_loop_reaches_it(
-        self, monkeypatch, scale, message
-    ):
-        # Rotations on qubit 1 leave theta 2's row off by ``scale``: the
-        # norm check fails at the first such rotation, or, within the
-        # norm tolerance, the population sum of its basis does.
-        mid = 2
-        apply_1q = sampler._apply_1q
-
-        def faulty(state, u, qubit, n):
-            rotated = apply_1q(state, u, qubit, n)
-            if qubit == 1:
-                rotated[mid] *= scale
-            return rotated
-
-        monkeypatch.setattr(sampler, "_apply_1q", faulty)
-        rows, measured = _count_rows_and_points(monkeypatch)
-        cfg = ExperimentConfig(
-            circuit_path="twoq_a", theta_steps=5, backend="shots", shots=100, seed=3
-        )
-        with pytest.raises(TomographyError, match=message):
-            run_sweep(cfg)
-        # Every theta before: 3 population draws and 2 + 2 + 4 basis draws.
-        # Theta 2: K = 2 with its two bases on qubit 0, then the
-        # population draw of K = 3, whose first basis rotates qubit 1.
-        # Those rows go to the one multinomial call; the points measured
-        # are every K of the thetas before and theta 2's K = 2.
-        assert rows == [mid * 11 + 3 + 1]
-        assert measured == [mid * 3 + 1]
+    @pytest.mark.parametrize("model", circuits.names())
+    def test_rotated_rows_keep_their_norm(self, model):
+        # Every basis of every K of each bundled model at 401 thetas: the
+        # norm of a rotated row moves by rounding only, far inside the
+        # 1e-10 tolerance of the checks made before the rotations.
+        text = circuits.load(model)
+        states, failure = _sweep_states(text, np.linspace(0.0, 2 * np.pi, 401).tolist())
+        assert failure is None
+        n = states.shape[1].bit_length() - 1
+        bases = {b for k in range(2, 2**n + 1) for b in sampler._ketbra_plan(k, 1, n)[0]}
+        norms = types.SimpleNamespace(distribution=lambda stack: np.linalg.norm(stack, axis=1))
+        reads = sampler._basis_reads(states, n, bases, norms)
+        assert reads.keys() == bases
+        assert max(float(np.abs(v - 1.0).max()) for v in reads.values()) <= 1e-14
 
     def test_population_sum(self):
         cal = build_calibration(ReadoutNoise.uniform(0.02, 0.04, 2), 2)
         for shots in (None, 100):
             with pytest.raises(ValidationError, match="state is not normalized"):
                 estimate_populations(1.1 * BELL_SV, shots, calibration=cal)
-            # The kernel takes a stack of states and returns the first
-            # failing row's error, and only the rows before it.
-            readout = sampler._Readout(2, shots, None, cal)
-            dists, (index, error) = readout.distribution((1.1 * BELL_SV)[None])
-            assert index == 0 and len(dists) == 0
-            assert type(error) is ValidationError
-            assert str(error).startswith("state is not normalized")
+        # The screen takes a stack of states and returns the first failing
+        # row's error.
+        index, error = sampler._population_failure(np.stack([BELL_SV, 1.1 * BELL_SV]))
+        assert index == 1 and type(error) is ValidationError
+        assert str(error).startswith("state is not normalized")
+
+    def test_a_lone_state_within_the_norm_tolerance_fails_its_population_sum(self):
+        # |a| off by 0.75e-10 passes the 1e-10 norm check, but sum |a|^2 is
+        # off by 1.5e-10; the estimators check the unrotated state.
+        sv = (1 + 0.75e-10) * BELL_SV
+        for shots in (None, 100):
+            with pytest.raises(ValidationError, match="state is not normalized"):
+                estimate_coherence(sv, 4, 1, shots)
+            with pytest.raises(ValidationError, match="state is not normalized"):
+                estimate_paulis(sv, [PauliString(("X", "X"))], shots)
 
     def test_frequencies_before_mitigation(self):
         # Row ``bad`` of the one draw is not a distribution. A 3-theta

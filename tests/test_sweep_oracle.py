@@ -26,7 +26,6 @@ point or raises a TomographyError.
 """
 
 import math
-import struct
 from functools import reduce
 
 import numpy as np
@@ -35,10 +34,12 @@ from conftest import (
     PAULI_MATRICES,
     SAMPLED_ATOL,
     build_exponent,
+    case_sets,
     matrix_exp_hermitian,
     mp_density,
     mp_fidelity,
     reference_sampled_sweep,
+    sweep_bits,
     taylor_expm,
 )
 from hypothesis import given, settings
@@ -158,23 +159,28 @@ def test_every_exact_row_matches_the_dense_pipeline(tmp_path_factory, sweep):
     )
     rows = run_sweep(cfg)
     thetas = [start] if steps == 1 else np.linspace(start, stop, steps).tolist()
-    assert [(p.theta, p.k) for p in rows] == [(t, k) for t in thetas for k in ks]
-    for p in rows:
-        psi = dense_state(n, gates, p.theta)
+    points = list(zip(rows.theta.tolist(), rows.k.tolist()))
+    assert points == [(t, k) for t in thetas for k in ks]
+    sets = iter(case_sets(rows._rows(rows.solved), 2**n))
+    for i, (theta, k) in enumerate(points):
+        x11, x1k, xkk_true = rows.x11[i], rows.x1k[i], rows.xkk_true[i]
+        psi = dense_state(n, gates, theta)
         rho = np.outer(psi, psi.conj())
-        k = p.k - 1
-        assert abs(p.x11 - rho[0, 0].real) <= STATE_ATOL
-        assert abs(p.x1k - rho[0, k]) <= STATE_ATOL
-        assert abs(p.xkk_true - rho[k, k].real) <= STATE_ATOL
-        if p.x11 <= POLICY.population_floor:
-            assert p.lagrange_a is None and p.lagrange_b is None
-            assert math.isnan(p.xkk_pred) and math.isnan(p.fidelity)
+        k -= 1
+        assert abs(x11 - rho[0, 0].real) <= STATE_ATOL
+        assert abs(x1k - rho[0, k]) <= STATE_ATOL
+        assert abs(xkk_true - rho[k, k].real) <= STATE_ATOL
+        if x11 <= POLICY.population_floor:
+            assert not rows.solved[i]
+            assert all(np.isnan(v[i]) for v in (*rows.lams_a, *rows.lams_b))
+            assert math.isnan(rows.xkk_pred[i]) and math.isnan(rows.fidelity[i])
             continue
-        assert p.abs_diff <= ABS_DIFF_BOUND
-        assert_reproduces(p.lagrange_a, p.x11, p.x1k, p.xkk_pred)
-        assert_reproduces(p.lagrange_b, p.x11, p.x1k, p.xkk_true)
-        want = mp_fidelity(mp_density(p.lagrange_a), mp_density(p.lagrange_b))
-        assert abs(p.fidelity - want) <= FIDELITY_ATOL
+        a, b = next(sets)
+        assert rows.abs_diff[i] <= ABS_DIFF_BOUND
+        assert_reproduces(a, x11, x1k, rows.xkk_pred[i])
+        assert_reproduces(b, x11, x1k, xkk_true)
+        want = mp_fidelity(mp_density(a), mp_density(b))
+        assert abs(rows.fidelity[i] - want) <= FIDELITY_ATOL
 
 
 SHOTS = 400
@@ -192,14 +198,6 @@ def sampled_sigma(p: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     read = matrix @ p
     variance = (inverse * inverse) @ read - p * p
     return np.sqrt(np.maximum(variance, 0.0) / SHOTS) + 1.0 / SHOTS
-
-
-def sweep_bits(points) -> bytes:
-    """The bits of every measured and derived float of a sweep."""
-    floats = []
-    for p in points:
-        floats += [p.theta, p.x11, p.x1k.real, p.x1k.imag, p.xkk_true, p.xkk_pred, p.fidelity]
-    return struct.pack(f"<{len(floats)}d", *floats)
 
 
 @settings(max_examples=40)
@@ -240,7 +238,8 @@ def test_every_sampled_row_is_the_one_generator_draw(
     calibration = None if noise is None else build_calibration(noise, n)
     matrix = np.eye(2**n) if noise is None else calibration.entries
     thetas = [start] if steps == 1 else np.linspace(start, stop, steps).tolist()
-    assert [(p.theta, p.k) for p in rows] == [(t, k) for t in thetas for k in ks]
+    points = list(zip(rows.theta.tolist(), rows.k.tolist()))
+    assert points == [(t, k) for t in thetas for k in ks]
     states = np.array([simulate(parse_circuit(text, t)) for t in thetas])
     want_tallies, want = reference_sampled_sweep(
         states, ks, SHOTS, None if noise is None else matrix,
@@ -249,14 +248,13 @@ def test_every_sampled_row_is_the_one_generator_draw(
     # Two runs, one multinomial call each.
     assert len(tallies) == 2
     assert tallies[0].tobytes() == np.array(want_tallies).tobytes()
-    for p, (x11, x1k, xkk) in zip(rows, want, strict=True):
-        got = (p.x11, p.x1k.real, p.x1k.imag, p.xkk_true)
+    for i, ((theta, k), (x11, x1k, xkk)) in enumerate(zip(points, want, strict=True)):
+        got = (rows.x11[i], rows.x1k[i].real, rows.x1k[i].imag, rows.xkk_true[i])
         for a, b in zip(got, (x11, x1k.real, x1k.imag, xkk)):
             assert abs(a - b) <= SAMPLED_ATOL
-        exact = np.abs(dense_state(n, gates, p.theta)) ** 2
+        exact = np.abs(dense_state(n, gates, theta)) ** 2
         sigma = sampled_sigma(exact, matrix)
-        k = p.k - 1
-        assert abs(p.x11 - exact[0]) <= SIGMAS * sigma[0]
-        assert abs(p.xkk_true - exact[k]) <= SIGMAS * sigma[k]
-        if noise is not None and p.lagrange_a is not None:
-            assert 0.0 <= p.fidelity <= 1.0
+        assert abs(rows.x11[i] - exact[0]) <= SIGMAS * sigma[0]
+        assert abs(rows.xkk_true[i] - exact[k - 1]) <= SIGMAS * sigma[k - 1]
+        if noise is not None and rows.solved[i]:
+            assert 0.0 <= rows.fidelity[i] <= 1.0

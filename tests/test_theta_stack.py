@@ -89,8 +89,8 @@ def test_every_row_has_the_bytes_of_one_theta(text, grid):
     else:
         assert failure is None
     n = states.shape[1].bit_length() - 1
-    dists, drifted = sampler._Readout(n, None, None, None).distribution(states[:stop])
-    assert drifted is None
+    assert sampler._population_failure(states[:stop]) is None
+    dists = sampler._Readout(n, None, None, None).distribution(states[:stop])
     coherences = np.array(
         [circuit._coherence(states[:stop], k, 1) for k in range(1, 2**n + 1)]
     ).T
@@ -111,8 +111,9 @@ def test_noisy_rows_are_read_as_one_product(shots):
     noise = ReadoutNoise.uniform(0.02, 0.04, 3)
     matrix = build_calibration(noise, 3).entries
     readout = sampler._Readout(3, shots, noise, None)
-    dists, drifted = readout.distribution(states)
-    assert drifted is None and len(dists) == len(thetas)
+    assert sampler._population_failure(states) is None
+    dists = readout.distribution(states)
+    assert len(dists) == len(thetas)
     product = np.abs(states) ** 2 @ matrix.T
     if shots is not None:
         product = product / product.sum(axis=1, keepdims=True)
@@ -122,7 +123,7 @@ def test_noisy_rows_are_read_as_one_product(shots):
         if shots is not None:
             want = want / want.sum()
         assert np.abs(dist - want).max() <= 2 * np.finfo(float).eps
-        lone, _ = readout.distribution(state[None])
+        lone = readout.distribution(state[None])
         assert lone[0].tobytes() == want.tobytes()
 
 
