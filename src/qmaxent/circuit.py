@@ -27,11 +27,14 @@ has been bound. The first failing theta is reported as (index, error)
 
 One set of gate kernels applies gates to a state, which is an amplitude
 vector or a (T, 2^n) stack of them, one row per theta. A one-qubit gate
-is one matrix product over the amplitude tensor with the target axis
-last and the rows as a leading batch axis, so every row gets the 2x2
-products, and the bytes, of a lone vector; a rotation bound to T angles
-applies its T matrices, one per row, in the same product. cx and cz swap
-or negate slices. ``simulate`` is ``apply_gates`` on ``zero_state``, the
+on n >= 2 qubits is one BLAS product: the amplitude tensor is copied
+with the target axis last, an (M, 2) matrix of amplitude pairs, and
+multiplied by u^T; a rotation bound to T angles is one batched
+(T, M/T, 2) @ u^T product, one matrix per row. Each pair's product does
+not depend on M, so every row gets the bytes of a lone vector. One
+qubit keeps each row a (1, 2) vector of a batch, as a lone vector is:
+a flat (T, 2) product rounds differently. cx and cz swap or negate
+slices. ``simulate`` is ``apply_gates`` on ``zero_state``, the
 kernels on one vector; a caller that needs the same state under several
 extra gate sequences (basis rotations, for instance) simulates once and
 applies each sequence to the result. A theta sweep (``_sweep_states``)
@@ -454,15 +457,22 @@ def _axis_orders(qubit: int, n: int) -> tuple[tuple[int, ...], ...]:
 def _apply_1q(state: np.ndarray, u: np.ndarray, qubit: int, n: int) -> np.ndarray:
     """``u`` on ``qubit`` of every row of ``state``, an amplitude vector
     (one row) or a (T, 2^n) stack; ``u`` is one 2x2 matrix, or a (T, 2, 2)
-    stack of one matrix per row. The rows are a leading batch axis, so
-    each 2x2 product has the operand strides of a one-row product."""
+    stack of one matrix per row.
+
+    For n >= 2 the amplitude pairs of the target, copied with its axis
+    last and contiguous, are one (M, 2) matrix: a fixed gate is one
+    (M, 2) @ u^T product and a per-row one a single batched
+    (T, M/T, 2) @ u^T product, whatever T is. One qubit's rows stay
+    (1, 2) vectors of a batch, each the product of a lone vector."""
     shape, to_last, from_last = _axis_orders(qubit, n)
     psi = state.reshape(shape).transpose(to_last)
-    if u.ndim == 2:
-        psi = psi @ u.T
+    if n == 1:
+        out = psi @ (u.T if u.ndim == 2 else u.transpose(0, 2, 1))
+    elif u.ndim == 2:
+        out = psi.reshape(-1, 2) @ u.T
     else:
-        psi = psi @ u.transpose(0, 2, 1)[(slice(None),) + (None,) * (psi.ndim - 3)]
-    return psi.transpose(from_last).reshape(state.shape)
+        out = psi.reshape(len(u), 2 ** (n - 1), 2) @ u.transpose(0, 2, 1)
+    return out.reshape(psi.shape).transpose(from_last).reshape(state.shape)
 
 
 def _apply_2q(state: np.ndarray, gate: Gate, n: int) -> np.ndarray:

@@ -28,9 +28,11 @@ readout is validated once per sweep, and one call reads the distribution
 of every theta's state. The exact backend reads every point's x11 and
 xKK from it and each K's x1K for every theta in one array product. A
 sampled sweep rotates the stack into every basis of every K's plan
-through one trie (``sampler._basis_reads``); the draws, the frequency
-check, the mitigation and the recombination of |K><1| are then array
-operations over the whole matrix of rows (``sampler._draw_slots``).
+level by level, in at most 3n gate calls, and reads them all in one
+more distribution call (``sampler._basis_reads``); the draws, the
+frequency check, the mitigation and the recombination of |K><1| are
+then array operations over the whole matrix of rows
+(``sampler._draw_slots``).
 The measured (x11, x1K) of all points are checked once, as arrays. A
 theta that fails a check of its state (its binding, its norm, its
 population sum) raises its error where a loop over the points would
@@ -39,7 +41,7 @@ fails the frequency check ends the points at its own in the same way.
 The rotated rows are not checked again: a unitary rotation moves a
 norm by rounding only. Then one call of each of
 ``maxent``'s array kernels covers all the solved points: the prediction
-of xKK, the completion and solve of case A and of case B
+of xKK, the completion and solve of case A and case B side by side
 (``maxent._complete_and_solve``) and the fidelity, and the solved rows'
 results are scattered into columns of every row. No record is built,
 no multiplier set is validated again, and no clamp warning is raised.
@@ -287,7 +289,8 @@ def _sweep_points(cfg: ExperimentConfig) -> Sweep:
     A sampled sweep draws every point, floor points included, from one
     generator. Every point is measured first; then one call of each array
     kernel covers all solved points: the prediction, the case A and case B
-    completions and solves, and the fidelity. A prediction that exceeds
+    completions and solves (one call, each point's A and B side by side),
+    and the fidelity. A prediction that exceeds
     1 - x11 is clamped without a warning; a clamped point is recognizable
     by xkk_pred = 1 - x11. Errors come in point order: the solve error of
     a point comes before the error of any later point's measurement.
@@ -348,19 +351,25 @@ def _sweep_points(cfg: ExperimentConfig) -> Sweep:
 
     x11_s, x1k_s = x11[solved], x1k[solved]
     xkk = _predict_population(x11_s, x1k_s)[0]
-    (_, _, xkk_pred), lams_a, near_a, (z_a, block_a), failure_a = _complete_and_solve(
-        dim_n, x11_s, x1k_s, xkk
+    # Case A completes each point with its predicted xKK, case B with the
+    # true one. One call solves both, point first: row 2i is point i's
+    # case A and row 2i + 1 its case B.
+    completed, lams, near, (z, block), failure = _complete_and_solve(
+        dim_n, np.repeat(x11_s, 2), np.repeat(x1k_s, 2),
+        np.stack([xkk, xkk_true[solved]], 1).ravel(),
     )
-    _, lams_b, near_b, (z_b, block_b), failure_b = _complete_and_solve(
-        dim_n, x11_s, x1k_s, xkk_true[solved]
-    )
-    fidelity, failure_f = _block_fidelity(dim_n, lams_a, z_a, block_a, lams_b, z_b, block_b)
+    lams_a, lams_b = (tuple(v[i::2] for v in lams) for i in (0, 1))
+    block_a, block_b = (tuple(v[i::2] for v in block) for i in (0, 1))
+    fidelity, failure_f = _block_fidelity(dim_n, lams_a, z[::2], block_a, lams_b, z[1::2], block_b)
     # Errors in the order of a loop over the points: a point's case A
-    # before its case B and its fidelity, before the next point, before a
-    # later measurement. A measurement error is raised after the solves
-    # of the points before it: the typed errors of the parser, the
-    # simulator, the sampler and the value checks, or an ArithmeticError.
-    _raise(_earliest(failure_a, failure_b, failure_f))
+    # before its case B (the stacked order) and its fidelity, before the
+    # next point, before a later measurement. A measurement error is
+    # raised after the solves of the points before it: the typed errors
+    # of the parser, the simulator, the sampler and the value checks, or
+    # an ArithmeticError.
+    if failure is not None:
+        failure = (failure[0] // 2, failure[1])
+    _raise(_earliest(failure, failure_f))
     if error is not None:
         raise error
 
@@ -372,9 +381,9 @@ def _sweep_points(cfg: ExperimentConfig) -> Sweep:
 
     return Sweep(
         np.repeat(thetas, len(k_targets)), np.tile(k_targets, len(thetas)),
-        x11, x1k, xkk_true, every_row(xkk_pred, math.nan), every_row(fidelity, math.nan),
-        tuple(every_row(v, math.nan) for v in lams_a), every_row(near_a, False),
-        tuple(every_row(v, math.nan) for v in lams_b), every_row(near_b, False),
+        x11, x1k, xkk_true, every_row(completed[2][::2], math.nan), every_row(fidelity, math.nan),
+        tuple(every_row(v, math.nan) for v in lams_a), every_row(near[::2], False),
+        tuple(every_row(v, math.nan) for v in lams_b), every_row(near[1::2], False),
         solved,
     )
 

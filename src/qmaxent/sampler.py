@@ -17,24 +17,28 @@ parity signs of the strings each reads, and their coefficients.
 
 One sampling kernel, ``_Readout``, serves every estimator and the sweep.
 It validates shots, noise and calibration once, then works on arrays.
-``distribution(states)`` reads a (T, 2^n) stack of states through M and
-normalizes it, as one product over the stack. ``draw(dists, seed)`` is
+``distribution(states)`` reads a (T, 2^n) stack of states, or a
+(bases, T, 2^n) block of such stacks, through M and normalizes it, as
+one product per stack. ``draw(dists, seed)`` is
 one ``default_rng(seed).multinomial(shots, dists)`` call, which has the
 bits of drawing its rows one at a time from that generator; with a
 calibration, every row is then checked and mitigated. A lone row
 (``sample_counts``, ``estimate_populations``, ``mitigate``) keeps the
 bytes of a one-vector draw and matvec.
 
-The basis rotations are a trie of gate prefixes (``_basis_reads``),
-walked depth first over the stack: X on qubit q rotates by H and Y by
-RZ(-pi/2) then H, in qubit order, so each prefix is one gate call on
-every row, 3(3^n - 1)/2 calls over every K. Each row has the bytes of
-the same gates applied to it alone by ``apply_gates``. The rotated rows
-are not checked: the norm and population sum of each state are checked
+A measurement basis is its index sum(d_q 3^q), with digit d_q 0 for I
+or Z on qubit q, 1 for X and 2 for Y. Its rotations (``_basis_reads``)
+are made level by level over the stack: at qubit q, one H call rotates
+every wanted prefix that takes X there, and one RZ(-pi/2) call then one
+H call every prefix that takes Y, so a sweep makes at most 3n gate
+calls, and only the prefixes of the bases it draws are built. Each row
+has the bytes of the same gates applied to it alone by ``apply_gates``.
+One distribution call reads every wanted basis. The rotated rows are
+not checked: the norm and population sum of each state are checked
 before its rotations (``circuit._sweep_states``, ``_population_failure``),
-and a unitary rotation moves them by rounding only. At most n rotated
-stacks (about n T 2^n 16 bytes) are alive, with T 2^n 8 bytes of
-distributions per basis.
+and a unitary rotation moves them by rounding only. The rotated stacks
+of the wanted bases, about T |bases| 2^n 16 bytes, are alive at the
+last level, with half as much again of distributions.
 
 ``_draw_slots`` interleaves the distributions into one matrix P of rows
 to draw, theta outer: a sweep's rows per theta are, per K, its
@@ -62,7 +66,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .circuit import Gate, _apply_1q, _check_norm, _matrix_1q, _screen_rows, populations
+from .circuit import _FIXED_1Q, _apply_1q, _check_norm, _screen_rows, populations
 from .errors import DomainError, ValidationError
 from .linalg import _raise
 from .pauli import PauliString, _check_basis_index, decompose_ketbra
@@ -231,14 +235,16 @@ class _Readout:
             self.inverse = calibration.inverse
 
     def distribution(self, states: np.ndarray) -> np.ndarray:
-        """|a_i|^2 of each row of a (T, 2^n) stack of states, read through
-        the noise model's matrix and normalized for a draw in the sampled
-        mode."""
+        """|a_i|^2 of each row of a (T, 2^n) stack of states, or of a
+        (bases, T, 2^n) block of stacks, read through the noise model's
+        matrix and normalized for a draw in the sampled mode. A block's
+        noise product is batched, one product per stack, which has the
+        bits of a call on each stack."""
         probs = np.abs(states) ** 2
         if self.matrix is not None:
             probs = probs @ self.matrix.T
         if self.shots is not None:
-            probs = probs / probs.sum(axis=1, keepdims=True)
+            probs = probs / probs.sum(axis=-1, keepdims=True)
         return probs
 
     def tally(self, dists: np.ndarray, seed: int) -> np.ndarray:
@@ -379,18 +385,27 @@ def build_calibration(noise: ReadoutNoise, num_qubits: int) -> CalibrationMatrix
     return CalibrationMatrix(num_qubits, reduce(np.kron, reversed(singles)))
 
 
+# The gates that read a Pauli letter in the Z basis, in order, by the
+# letter's digit of a basis index: none for I and Z (0), H for X (1), and
+# RZ(-pi/2) then H for Y (2), the phase dagger then Hadamard up to a
+# global phase.
+_H = _FIXED_1Q["h", None]
+_DIGIT_GATES = ((), (_H,), (_FIXED_1Q["rz", -math.pi / 2], _H))
+_DIGITS = {"I": 0, "Z": 0, "X": 1, "Y": 2}
+
+
 def _group_bases(strings: tuple, num_qubits: int) -> dict:
     """The (string position, parity signs) pairs of each measurement basis,
-    keyed by its rotations in the order of its first string: strings that
+    keyed by its index in the order of its first string: strings that
     differ only in I vs Z share one.
 
-    A string is read in the Z basis after its pre-rotations, in qubit
-    order: X on qubit q becomes H(q), and Y becomes RZ(-pi/2) then H (the
-    phase dagger followed by Hadamard, up to a global phase); Z and I need
-    none. Its mean is that of (-1)^(parity of the outcome's bits on the
-    qubits where it is not I). The all-identity string is rejected.
+    A string's basis index is sum(d_q 3^q) over its letters' digits
+    (``_DIGITS``). It is read in the Z basis after the gates of its
+    digits (``_DIGIT_GATES``), in qubit order, and its mean is that of
+    (-1)^(parity of the outcome's bits on the qubits where it is not I).
+    The all-identity string is rejected.
     """
-    groups: dict[tuple[Gate, ...], list] = {}
+    groups: dict[int, list] = {}
     for position, p in enumerate(strings):
         if not isinstance(p, PauliString):
             hint = f"; write PauliString(tuple({p!r}))" if isinstance(p, str) else ""
@@ -401,21 +416,18 @@ def _group_bases(strings: tuple, num_qubits: int) -> dict:
             )
         if p.is_identity:
             raise ValidationError("all-identity string has mean 1 by definition")
-        rotations, mask = [], 0
+        index, mask = 0, 0
         for q, letter in enumerate(p.letters):
-            if letter == "Y":
-                rotations.append(Gate("rz", (q,), -math.pi / 2))
-            if letter in ("X", "Y"):
-                rotations.append(Gate("h", (q,)))
+            index += _DIGITS[letter] * 3**q
             if letter != "I":
                 mask |= 1 << q
-        groups.setdefault(tuple(rotations), []).append(
+        groups.setdefault(index, []).append(
             (position, _parity_signs(num_qubits, mask))
         )
     return groups
 
 
-# The plan of |i><j|: its bases' rotations, the (bases, 2^n, strings per
+# The plan of |i><j|: its basis indices, the (bases, 2^n, strings per
 # basis) parity signs of the strings each reads and their coefficients in
 # the same order, flattened. A 6-qubit sweep over every K keeps 63.
 @lru_cache(maxsize=256)
@@ -440,38 +452,38 @@ def _recombine(plan, freqs: np.ndarray) -> np.ndarray:
 
 
 def _basis_reads(
-    states: np.ndarray,
-    num_qubits: int,
-    bases: Iterable[tuple[Gate, ...]],
-    readout: _Readout,
+    states: np.ndarray, num_qubits: int, bases: Iterable[int], readout: _Readout
 ) -> dict:
     """The distributions of a (T, 2^n) stack of states rotated into each
-    basis of ``bases`` (its rotation gates), keyed by the basis.
+    basis of ``bases`` (basis indices), keyed by the basis.
 
-    The rotations are a trie of gate prefixes, walked depth first: each
-    node applies its gate once to every row of its parent's stack, and
-    each basis makes one distribution call over its rotated stack. A stack
-    is dropped once its subtree is read, so at most n rotated stacks are
-    alive at once. The rotations are unitary, so the rows are not checked
-    again: the caller screens the unrotated stack.
+    The rotations are made level by level. Level q + 1 holds one rotated
+    stack per wanted prefix, the index of a wanted basis modulo 3^(q+1):
+    each is its parent prefix at level q, rotated by the gates of its
+    digit on qubit q. Every prefix that takes X at qubit q is rotated by
+    one H call, and every one that takes Y by one RZ(-pi/2) call then one
+    H call, each over all their rows: at most 3n gate calls. One
+    distribution call then reads the leaves as one block. The rotations
+    are unitary, so the rows are not checked again: the caller screens
+    the unrotated stack.
     """
-    wanted = dict.fromkeys(bases)
-    trie: dict = {}
-    for rotations in wanted:
-        children = trie
-        for gate in rotations:
-            children = children.setdefault(gate, {})
-    reads = {}
-
-    def walk(stack, children, path):
-        if path in wanted:
-            reads[path] = readout.distribution(stack)
-        for gate, below in children.items():
-            rotated = _apply_1q(stack, _matrix_1q(gate), gate.targets[0], num_qubits)
-            walk(rotated, below, path + (gate,))
-
-    walk(states, trie, ())
-    return reads
+    wanted = set(bases)
+    keys, stack = [0], states[None]
+    for q in range(num_qubits):
+        unit = 3**q
+        level = sorted({b % (3 * unit) for b in wanted})
+        parent = {key: i for i, key in enumerate(keys)}
+        rotated = np.empty((len(level),) + states.shape, states.dtype)
+        for digit, gates in enumerate(_DIGIT_GATES):
+            at = [i for i, key in enumerate(level) if key // unit == digit]
+            if not at:
+                continue
+            part = stack[[parent[level[i] - digit * unit] for i in at]]
+            for u in gates:
+                part = _apply_1q(part.reshape(-1, states.shape[-1]), u, q, num_qubits)
+            rotated[at] = part.reshape(len(at), *states.shape)
+        keys, stack = level, rotated
+    return dict(zip(keys, readout.distribution(stack)))
 
 
 def _draw_slots(readout: _Readout, slots: list, seed: int):
@@ -491,7 +503,7 @@ def _draw_slots(readout: _Readout, slots: list, seed: int):
 
 
 def _lone_draw(sv: np.ndarray, num_qubits: int, bases, readout: _Readout, seed: int):
-    """The (bases, 2^n) frequencies of ``bases`` (their rotations) on one
+    """The (bases, 2^n) frequencies of ``bases`` (basis indices) on one
     state, whose norm and population sum are checked; failures raised."""
     _check_norm(sv)
     _raise(_population_failure(sv[None]))

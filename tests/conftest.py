@@ -591,6 +591,20 @@ def reference_basis(p) -> tuple[tuple[Gate, ...], int]:
     return tuple(rotations), mask
 
 
+def basis_gates(index: int, num_qubits: int) -> tuple[Gate, ...]:
+    """The rotations of the basis with index ``index`` (``sampler._group_bases``):
+    its base-3 digit on qubit q is 0 for I or Z (no gate), 1 for X (H)
+    and 2 for Y (RZ(-pi/2) then H), in qubit order."""
+    rotations = []
+    for q in range(num_qubits):
+        digit = index // 3**q % 3
+        if digit == 2:
+            rotations.append(Gate("rz", (q,), -math.pi / 2))
+        if digit:
+            rotations.append(Gate("h", (q,)))
+    return tuple(rotations)
+
+
 def reference_sampled_sweep(
     states, k_targets, shots, matrix, inverse, seed, populations: bool = True
 ):

@@ -29,6 +29,21 @@ default dispatch and with
 baseline loops (``"X86_V3 X86_V4 AVX512_ICL AVX512_SPR"``), numpy's
 complex abs, which gives the populations |a|^2, rounds differently, and
 the twoq_b and twoq_c pins fail in the abs_diff column.
+
+The pins depend on the kernel OpenBLAS picks as well: the 2x2 gate
+products of ``circuit._apply_1q`` go to ``zgemm`` and the sampler's
+matrix products to ``dgemm``. They hold under the default kernel on an
+AVX-512 machine (SkylakeX). With ``OPENBLAS_CORETYPE=Haswell`` the
+caseab_shots pin fails, and with ``OPENBLAS_CORETYPE=Prescott`` six of
+the eleven pins above fail (caseab_shots, sweep_exact,
+sweep_noisy_mitigated and the three model pins). Both settings fail the
+two sampled pins below as well.
+
+The two sampled pins of threeq_a, noisy and mitigated over every K and
+shots over the K subset (3, 8), cover the 3-qubit basis rotations that
+the example configs leave out: every prefix at each qubit, and the
+pruned prefixes of a subset. They were computed before the rotations
+were made level by level, and did not move.
 """
 
 import hashlib
@@ -65,6 +80,23 @@ MODEL_PINS = {
     "threeq_a": "a7199ba93645534e94a681bc2349010357b0d2f94612da69a5f79c6cb7c95072",
 }
 
+# Sampled sweeps of threeq_a: noisy and mitigated over every K, and shots
+# over a K subset.
+SAMPLED_CONFIGS = {
+    "threeq_a-mitigated": (
+        "circuit threeq_a\ntheta_steps 11\nbackend noisy\nshots 8192\n"
+        "p01 0.02\np10 0.04\nmitigate true\nseed 4\n"
+    ),
+    "threeq_a-shots-k3,8": (
+        "circuit threeq_a\ntheta_steps 11\nk_targets 3,8\nbackend shots\nshots 8192\nseed 6\n"
+    ),
+}
+
+SAMPLED_PINS = {
+    "threeq_a-mitigated": "a1b19fafbd0a7b8fcf1b66f6a739ca1ff7a744d8db06197168984dacac2ffb87",
+    "threeq_a-shots-k3,8": "d7b1c800b3ab90f599b9ddf052608bfb3143c0c437717de6898457cc866e22f0",
+}
+
 RECORDS = {
     # x_kk is predicted: a pure-state completion, rescaled before the solve
     "incomplete": "n 4\nk 2\nx11 0.4\nre_x1k 0.2\nim_x1k 0\n",
@@ -97,6 +129,15 @@ def test_model_sweep_bytes_are_pinned(model, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(["--out", str(out), "sweep", str(config)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == MODEL_PINS[model]
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_PINS))
+def test_sampled_sweep_bytes_are_pinned(name, tmp_path, capsys):
+    config = tmp_path / "config.txt"
+    config.write_text(SAMPLED_CONFIGS[name])
+    out = tmp_path / "out.csv"
+    assert main(["--out", str(out), "sweep", str(config)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLED_PINS[name]
 
 
 @pytest.mark.parametrize(("record", "fmt"), sorted(RECONSTRUCT_PINS), ids=lambda v: v)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import assemble, dense_expectation, reference_basis, to_matrix
+from conftest import assemble, basis_gates, dense_expectation, reference_basis, to_matrix
 
 from qmaxent import ValidationError, sampler
 from qmaxent.circuit import MAX_QUBITS, Circuit, Gate, parse_circuit, simulate
@@ -153,7 +153,8 @@ class TestRecombination:
     def test_every_string_is_read_once(self, i, j, n):
         # Each string has one (basis, column) slot of the plan: its basis's
         # rotations, its parity signs and its coefficient.
-        rotations, signs_of, coeffs = sampler._ketbra_plan(i, j, n)
+        indices, signs_of, coeffs = sampler._ketbra_plan(i, j, n)
+        rotations = [basis_gates(b, n) for b in indices]
         bases, dim, reads = signs_of.shape
         assert (bases, dim) == (len(rotations), 2**n)
         slots = []
@@ -173,11 +174,12 @@ class TestRecombination:
         plan = sampler._ketbra_plan(2, 7, n)
         freqs = np.random.default_rng(5).random((4, len(plan[0]), 2**n))
         got = sampler._recombine(plan, freqs)
+        rotations_of = [basis_gates(b, n) for b in plan[0]]
         for row, value in zip(freqs, got):
             want = complex(0.0)
             for p, coeff in decompose_ketbra(2, 7, n).terms.items():
                 rotations, mask = reference_basis(p)
-                f = row[plan[0].index(rotations)]
+                f = row[rotations_of.index(rotations)]
                 want += coeff * float(sampler._parity_signs(n, mask) @ f)
             assert abs(value - want) <= 1e-14
 
@@ -193,18 +195,20 @@ def parity_signs(n: int, mask: int) -> np.ndarray:
 
 class TestMeasurementBases:
     """The bases and parity masks ``sampler._group_bases`` gives the
-    strings of a plan: H for X, RZ(-pi/2) then H for Y, in qubit order."""
+    strings of a plan: a basis is its index sum(d_q 3^q), with digit 0
+    for I or Z, 1 for X (read after H) and 2 for Y (RZ(-pi/2) then H)."""
 
     def test_z_needs_no_rotation(self):
-        ((rotations, reads),) = sampler._group_bases((PauliString(("Z",)),), 1).items()
-        assert rotations == ()
+        ((index, reads),) = sampler._group_bases((PauliString(("Z",)),), 1).items()
+        assert index == 0 and basis_gates(index, 1) == ()
         assert reads[0][0] == 0 and (reads[0][1] == parity_signs(1, 0b1)).all()
 
     def test_x_and_y_on_the_second_qubit(self):
         # |1><3| on 2 qubits: I or Z on qubit 0, X or Y on qubit 1.
-        rotations, signs, _ = sampler._ketbra_plan(1, 3, 2)
+        indices, signs, _ = sampler._ketbra_plan(1, 3, 2)
+        assert indices == (3, 6)
         h, rz = Gate("h", (1,)), Gate("rz", (1,), -math.pi / 2)
-        assert rotations == ((h,), (rz, h))
+        assert [basis_gates(b, 2) for b in indices] == [(h,), (rz, h)]
         # Each basis reads the string with I (mask 0b10) and with Z (0b11).
         for basis in range(2):
             assert sorted(map(tuple, signs[basis].T)) == sorted(
@@ -221,7 +225,8 @@ class TestMeasurementBases:
     @staticmethod
     def _rotated_parity_mean(sv_circuit: Circuit, ps: PauliString) -> float:
         groups = sampler._group_bases((ps,), ps.num_qubits)
-        ((rotations, ((_, signs),)),) = groups.items()
+        ((index, ((_, signs),)),) = groups.items()
+        rotations = basis_gates(index, ps.num_qubits)
         rotated = simulate(Circuit(sv_circuit.num_qubits, sv_circuit.gates + rotations))
         return float(signs @ np.abs(rotated) ** 2)
 

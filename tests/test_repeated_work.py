@@ -330,12 +330,13 @@ class TestReproductionCheck:
         records = count_calls(monkeypatch, MeasurementRecord, ("__post_init__",))
         sets = count_calls(monkeypatch, LagrangeSet, ("__post_init__",))
         assert run_sweep(load_config(CONFIGS / config)).solved.any()
+        # One completion call solves case A and case B side by side.
         assert kernels == {
-            "_predict_population": 1, "_complete_and_solve": 2, "_block_fidelity": 1,
+            "_predict_population": 1, "_complete_and_solve": 1, "_block_fidelity": 1,
         }
-        # One forward kernel call per completion call, for its
-        # reproduction check; the fidelity reads those blocks.
-        assert forward_kernel == {"_exponent_spectrum": 2}
+        # One forward kernel call, for the completion's reproduction
+        # check; the fidelity reads its blocks.
+        assert forward_kernel == {"_exponent_spectrum": 1}
         assert public == dict.fromkeys(public, 0)
         assert records == {"__post_init__": 0}
         assert sets == {"__post_init__": 0}
@@ -413,12 +414,12 @@ class TestSamplingKernel:
         assert rows == [sum(1 + b for b in bases)] == [231]
         assert public == dict.fromkeys(public, 0)
         # One readout per sweep; one distribution call for the unrotated
-        # states of every theta, and one per distinct basis of every K
-        # (2 + 2 + 4) over the stack of rotated states.
-        assert kernel == {"__init__": 1, "distribution": 1 + 8, "draw": 1, "tally": 1}
-        # Every K of a 2-qubit sweep shares one trie: 3(3^2 - 1)/2 gates,
-        # each applied once to every theta's state.
-        assert rotations["_apply_1q"] == 12
+        # states of every theta, and one for the block of every distinct
+        # basis of every K (2 + 2 + 4).
+        assert kernel == {"__init__": 1, "distribution": 2, "draw": 1, "tally": 1}
+        # Every K of a 2-qubit sweep: per qubit, one H call for the X
+        # prefixes and RZ(-pi/2) then H for the Y prefixes, 3n = 6 calls.
+        assert rotations["_apply_1q"] == 6
 
     def test_exact_sweep_reads_each_theta_once(self, monkeypatch):
         cfg = load_config(CONFIGS / "sweep_exact.txt")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import (
     SAMPLED_ATOL,
+    basis_gates,
     bisection_simplex_projection,
     dense_expectation,
     reference_sampled_sweep,
@@ -407,7 +408,7 @@ class TestSharedMeasurementWork:
     @pytest.mark.parametrize("num_qubits", [2, 3])
     @pytest.mark.parametrize("mode", ["shots", "noisy", "mitigated"])
     def test_sweep_points_are_the_one_generator_reference(
-        self, monkeypatch, num_qubits, mode
+        self, monkeypatch, tmp_path, num_qubits, mode
     ):
         # The stream contract: a sampled sweep draws every row from one
         # generator seeded with the config seed, in the order (theta, K,
@@ -416,9 +417,19 @@ class TestSharedMeasurementWork:
         shots, noise, mitigated = MODES[mode]
         if noise is not None:
             noise = ReadoutNoise(noise.p01[:num_qubits], noise.p10[:num_qubits])
-        model = {2: "twoq_a", 3: "threeq_a"}[num_qubits]
+        # threeq_a's states give every string with an odd number of Y mean
+        # 0, so a Y basis rotated the wrong way would read the same
+        # distributions; two more phases give those strings means of up
+        # to 0.87 at every theta.
+        text = {
+            2: circuits.load("twoq_a"),
+            3: circuits.load("threeq_a") + "rz(pi/3) 0\nrx(0.7) 1\n",
+        }[num_qubits]
+        path = tmp_path / "model.qc"
+        path.write_text(text)
         cfg = ExperimentConfig(
-            circuit_path=model, theta_steps=5, backend=mode if mode != "mitigated" else "noisy",
+            circuit_path=str(path), theta_steps=5,
+            backend=mode if mode != "mitigated" else "noisy",
             shots=shots, noise=noise, mitigate=mitigated, seed=17,
         )
         tallies = []
@@ -431,8 +442,7 @@ class TestSharedMeasurementWork:
         targets = tuple(range(2, 2**num_qubits + 1))
         assert len(sweep) == 5 * len(targets)
         states = np.array([
-            simulate(parse_circuit(circuits.load(model), theta))
-            for theta in dict.fromkeys(sweep.theta.tolist())
+            simulate(parse_circuit(text, theta)) for theta in dict.fromkeys(sweep.theta.tolist())
         ])
         calibration = build_calibration(noise, num_qubits) if noise is not None else None
         want_tallies, want = reference_sampled_sweep(
@@ -451,27 +461,44 @@ class TestSharedMeasurementWork:
             for a, b in zip(got, (x11, x1k.real, x1k.imag, xkk)):
                 assert abs(a - b) <= SAMPLED_ATOL
 
-    @pytest.mark.parametrize(("num_qubits", "gates"), [(2, 12), (3, 39)])
+    @pytest.mark.parametrize(
+        ("model", "k_targets", "rows"),
+        [
+            # Every K: all 3^n - 1 bases, so every prefix is wanted.
+            ("twoq_a", (), [1, 1, 1, 3, 3, 3]),
+            ("threeq_a", (), [1, 1, 1, 3, 3, 3, 9, 9, 9]),
+            # K = 3 reads X or Y on qubit 1 alone: bases 3 and 6, and no
+            # prefix takes X or Y on qubits 0 and 2.
+            ("threeq_a", (3,), [1, 1, 1]),
+            # K = 3 and K = 8: qubits 0 and 2 rotate the prefixes of K = 8
+            # alone (one, then four per digit), qubit 1 those of both K.
+            ("threeq_a", (3, 8), [1, 1, 1, 3, 3, 3, 4, 4, 4]),
+        ],
+        ids=["twoq_a-every_k", "threeq_a-every_k", "threeq_a-k3", "threeq_a-k3,8"],
+    )
     def test_rotations_apply_each_prefix_once(
-        self, fresh_caches, monkeypatch, num_qubits, gates
+        self, fresh_caches, monkeypatch, model, k_targets, rows
     ):
         applied = []
         apply_1q = sampler._apply_1q
 
         def counting(state, u, qubit, n):
-            applied.append(len(state))
+            applied.append((qubit, len(state)))
             return apply_1q(state, u, qubit, n)
 
         monkeypatch.setattr(sampler, "_apply_1q", counting)
-        model = {2: "twoq_a", 3: "threeq_a"}[num_qubits]
-        cfg = ExperimentConfig(circuit_path=model, theta_steps=7, backend="shots", shots=50)
+        cfg = ExperimentConfig(
+            circuit_path=model, theta_steps=7, k_targets=k_targets, backend="shots", shots=50
+        )
         run_sweep(cfg)
-        # One trie per sweep: each gate prefix of a basis rotation applies
-        # once to the stack of every theta, 3(3^n - 1)/2 calls, where
-        # rotating every basis of every theta from the start applies
-        # 7 n 3^n (126 and 567).
-        assert applied == [7] * gates
-        assert gates == 3 * (3**num_qubits - 1) // 2
+        # The rotations go level by level: at each qubit, one H call on
+        # every wanted prefix that takes X there and one RZ(-pi/2) call
+        # then one H call on every prefix that takes Y, each over all
+        # their thetas' rows. So at most 3n calls, where rotating every
+        # basis of every theta from the start applies 7 n 3^n (126 and
+        # 567), and each call has 7 rows per prefix it rotates.
+        assert [length for _, length in applied] == [7 * r for r in rows]
+        assert [qubit for qubit, _ in applied] == sorted(qubit for qubit, _ in applied)
 
     def test_second_sweep_builds_no_plan(self, fresh_caches, monkeypatch):
         calls = {"decompose": 0, "bases": 0}
@@ -535,15 +562,19 @@ class TestReadoutChecks:
         # The rotated rows are not checked again because every gate of a
         # basis is unitary to rounding: H and RZ(-pi/2), on any qubit.
         gates = {
-            gate
+            (gate.kind, gate.angle)
             for k in range(2, 9)
             for basis in sampler._ketbra_plan(k, 1, 3)[0]
-            for gate in basis
+            for gate in basis_gates(basis, 3)
         }
-        assert {(g.kind, g.angle) for g in gates} == {("h", None), ("rz", -math.pi / 2)}
-        for gate in gates:
-            u = _matrix_1q(gate)
-            assert np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-15, gate
+        assert gates == {("h", None), ("rz", -math.pi / 2)}
+        h, rz = (_matrix_1q(Gate(kind, (0,), angle)) for kind, angle in sorted(gates))
+        # The matrices the sampler applies for each digit are these bits.
+        assert [[u.tobytes() for u in digit] for digit in sampler._DIGIT_GATES] == [
+            [], [h.tobytes()], [rz.tobytes(), h.tobytes()]
+        ]
+        for u in (h, rz):
+            assert np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-15
 
     @pytest.mark.parametrize("model", circuits.names())
     def test_rotated_rows_keep_their_norm(self, model):
@@ -555,7 +586,7 @@ class TestReadoutChecks:
         assert failure is None
         n = states.shape[1].bit_length() - 1
         bases = {b for k in range(2, 2**n + 1) for b in sampler._ketbra_plan(k, 1, n)[0]}
-        norms = types.SimpleNamespace(distribution=lambda stack: np.linalg.norm(stack, axis=1))
+        norms = types.SimpleNamespace(distribution=lambda block: np.linalg.norm(block, axis=-1))
         reads = sampler._basis_reads(states, n, bases, norms)
         assert reads.keys() == bases
         assert max(float(np.abs(v - 1.0).max()) for v in reads.values()) <= 1e-14

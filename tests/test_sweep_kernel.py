@@ -465,13 +465,18 @@ class TestSweepErrorOrder:
         ("a_at", "b_at", "raised"), [(1, 0, "case B at 0"), (0, 0, "case A at 0"), (0, 1, "case A at 0")]
     )
     def test_case_a_before_case_b_before_the_next_point(self, monkeypatch, a_at, b_at, raised):
+        # One completion call solves both cases, point first: point i's
+        # case A is row 2i and its case B row 2i + 1, and the call reports
+        # its earliest failing row.
         solve = cli._complete_and_solve
-        cases = iter([("case A", a_at), ("case B", b_at)])
 
         def failing(*args):
-            name, at = next(cases)
             *values, _ = solve(*args)
-            return (*values, (at, TomographyError(f"{name} at {at}")))
+            return (*values, min(
+                (2 * a_at, TomographyError(f"case A at {a_at}")),
+                (2 * b_at + 1, TomographyError(f"case B at {b_at}")),
+                key=lambda failure: failure[0],
+            ))
 
         monkeypatch.setattr(cli, "_complete_and_solve", failing)
         with pytest.raises(TomographyError, match=f"^{raised}$"):
@@ -484,12 +489,11 @@ class TestSweepErrorOrder:
     def test_a_fidelity_error_in_point_order(self, monkeypatch, b_at, fidelity_at, raised):
         # A point's fidelity comes after its case B, before the next point.
         solve, fidelity = cli._complete_and_solve, cli._block_fidelity
-        cases = iter([None, b_at])
 
         def failing_solve(*args):
-            at = next(cases)
-            *values, failure = solve(*args)
-            return (*values, failure if at is None else (at, TomographyError(f"case B at {at}")))
+            # Point b_at's case B is row 2 b_at + 1 of the one call.
+            *values, _ = solve(*args)
+            return (*values, (2 * b_at + 1, TomographyError(f"case B at {b_at}")))
 
         def failing_fidelity(*args):
             value, _ = fidelity(*args)
