@@ -14,11 +14,12 @@ The text format is one gate per line after a ``qubits <n>`` header:
 starts a comment. Angles must be finite.
 
 Each text is tokenized once (the last 64 texts are kept): the gates that
-do not use theta are built then, and the factors of each angle before
-its first ``theta`` are multiplied out. One angle binding (``_bind``)
-binds a whole list of thetas into that parse at once: each angle is a
-float64 array over the thetas, computed with the ``*`` and ``/`` of the
-expression in the same order, which round as Python's floats do.
+do not use theta and the theta-free prefix are built then, and the
+factors of each angle before its first ``theta`` are multiplied out.
+One angle binding (``_bind``) binds a whole list of thetas into that
+parse at once: each angle is a float64 array over the thetas, computed
+with the ``*`` and ``/`` of the expression in the same order, which
+round as Python's floats do.
 ``parse_circuit(text, theta)`` is its one-theta call. Each theta gets
 the errors of binding it alone, in line order with the same messages: a
 line that fails whatever theta is fails only after every earlier line
@@ -40,7 +41,9 @@ extra gate sequences (basis rotations, for instance) simulates once and
 applies each sequence to the result. A theta sweep (``_sweep_states``)
 simulates ``theta_free_prefix(text)`` once, broadcasts its state to
 every row and applies each later gate once to the whole stack; its norm
-check screens the rows and gives each suspect row the one-vector check.
+check screens the rows' norms in numpy and gives each suspect row the
+one-vector check. A rotation's T matrices are built as arrays, with
+the bits of T one-angle builds (``_rotation_matrices``).
 The axis orders per (qubit, n) and the matrices of the parameter-free
 gates and of the basis rotation rz(-pi/2) are built once.
 """
@@ -249,12 +252,14 @@ class _Rotation(NamedTuple):
 
 class _Parsed(NamedTuple):
     """The theta-free parse of a circuit text: its gates in order, each a
-    Gate or a _Rotation, and the (reason, line) of the first line that
-    fails whatever theta is, raised once every earlier gate is bound."""
+    Gate or a _Rotation, the (reason, line) of the first line that fails
+    whatever theta is, raised once every earlier gate is bound, and the
+    theta-free prefix of a text without such a line (else None)."""
 
     num_qubits: int | None
     gates: tuple[Gate | _Rotation, ...]
     error: tuple[str, int | None] | None
+    prefix: Circuit | None = None
 
 
 def _parse_qubit(tok: str, num_qubits: int, line: int) -> int:
@@ -337,7 +342,8 @@ def _parse_text(text: str) -> _Parsed:
         return _Parsed(num_qubits, tuple(gates), (exc.reason, exc.line))
     if num_qubits is None:
         return _Parsed(None, (), ("empty circuit text, expected 'qubits <n>' header", None))
-    return _Parsed(num_qubits, tuple(gates), None)
+    prefix = Circuit(num_qubits, tuple(takewhile(lambda g: isinstance(g, Gate), gates)))
+    return _Parsed(num_qubits, tuple(gates), None, prefix)
 
 
 def _bind(parsed: _Parsed, thetas: list | None):
@@ -386,34 +392,41 @@ def parse_circuit(text: str, theta: float | None = None) -> Circuit:
 def theta_free_prefix(text: str) -> Circuit:
     """The gates of ``text`` before its first gate that uses theta: the
     same in every circuit ``parse_circuit(text, theta)`` returns. Raises
-    the first theta-free parse error of ``text``, if it has one."""
+    the first theta-free parse error of ``text``, if it has one. It is
+    built once, when the text is tokenized."""
     parsed = _parse_text(text)
     if parsed.error is not None:
         raise ParseError(*parsed.error)
-    gates = takewhile(lambda g: isinstance(g, Gate), parsed.gates)
-    return Circuit(parsed.num_qubits, tuple(gates))
+    return parsed.prefix
 
 
 def _rotation_matrices(kind: str, angles: np.ndarray) -> np.ndarray:
     """The (T, 2, 2) matrices of a rotation at each of T angles, each one
-    the bits of a one-angle build: cos and sin of angle / 2 by Python's
-    math, -1j * sin a Python complex, and rz's entries numpy's exp of the
-    Python complexes -+1j * angle / 2."""
-    half = (angles / 2).tolist()
-    u = np.empty((len(half), 2, 2), dtype=complex)
+    the bits of a one-angle build with Python's complex arithmetic: cos
+    and sin of angle / 2 by Python's math, -1j * sin, and rz's entries
+    numpy's exp of -1j * angle / 2 and 1j * angle / 2.
+
+    No Python complex is built: the parts of each product are written as
+    Python's complex multiplication rounds them for a finite real t,
+    -1j * t = (0.0, -t) and 1j * t = (0.0 * t - 0.0, 0.0 + t), which keep
+    the signs of zeros."""
+    half = angles / 2
+    u = np.zeros((len(half), 2, 2), dtype=complex)
     if kind == "rz":
-        u[:, 0, 0] = np.exp([-1j * t for t in half])
-        u[:, 0, 1] = u[:, 1, 0] = 0
-        u[:, 1, 1] = np.exp([1j * t for t in half])
+        z = np.empty((2, len(half)), dtype=complex)
+        z.real[0], z.imag[0] = 0.0, -half
+        z.real[1], z.imag[1] = 0.0 * half - 0.0, 0.0 + half
+        u[:, 0, 0], u[:, 1, 1] = np.exp(z)
         return u
-    cos = [math.cos(t) for t in half]
-    sin = [math.sin(t) for t in half]
-    u[:, 0, 0] = u[:, 1, 1] = cos
+    half = half.tolist()
+    cos = np.fromiter(map(math.cos, half), float, len(half))
+    sin = np.fromiter(map(math.sin, half), float, len(half))
+    u.real[:, 0, 0] = u.real[:, 1, 1] = cos
     if kind == "rx":
-        u[:, 0, 1] = u[:, 1, 0] = [-1j * s for s in sin]
+        u.imag[:, 0, 1] = u.imag[:, 1, 0] = -sin
     else:  # ry
-        u[:, 0, 1] = [-s for s in sin]
-        u[:, 1, 0] = sin
+        u.real[:, 0, 1] = -sin
+        u.real[:, 1, 0] = sin
     return u
 
 
@@ -576,13 +589,13 @@ def _screen_rows(sums, check, states: np.ndarray):
     or population-sum check, as (index, error), or None. A row of a stack
     may sum differently from a lone vector, so its ``sums`` (norms or
     population sums) only screen: each row off 1 by more than half the
-    tolerance gets the one-row check."""
-    for i, total in enumerate(sums.tolist()):
-        # Written so that a NaN sum is screened too.
-        if not abs(total - 1.0) <= 0.5 * _NORM_ATOL:
-            error = _raised(check, states[i])
-            if error is not None:
-                return i, error
+    tolerance, a suspect, gets the one-row check."""
+    # Written so that a NaN sum is a suspect too.
+    suspects = ~(np.abs(sums - 1.0) <= 0.5 * _NORM_ATOL)
+    for i in np.flatnonzero(suspects).tolist():
+        error = _raised(check, states[i])
+        if error is not None:
+            return i, error
     return None
 
 

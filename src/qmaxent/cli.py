@@ -20,8 +20,12 @@ per-point object is built between the kernels and the CSV.
 Every CSV is written by one emitter (``_write_csv``) as one byte matrix,
 whose float cells numpy fills with the text ``'%.11e'`` gives
 (``_float_cells``).
+A command derives each of its inputs once: its config is validated once
+(again only for a --seed or --out override), its ``abs_diff`` column is
+computed once for the CSV and the printed median.
 The sweep does each piece of work once. The circuit file is read once,
-by ``load_config``, and its text is tokenized once,
+by ``load_config``, and its text is tokenized once, its theta-free
+prefix built with that tokenization,
 every theta is bound into it at once, and the circuit is simulated as
 one (thetas, 2^n) stack of states (``circuit._sweep_states``). The
 readout is validated once per sweep, and one call reads the distribution
@@ -42,8 +46,9 @@ The rotated rows are not checked again: a unitary rotation moves a
 norm by rounding only. Then one call of each of
 ``maxent``'s array kernels covers all the solved points: the prediction
 of xKK, the completion and solve of case A and case B side by side
-(``maxent._complete_and_solve``) and the fidelity, and the solved rows'
-results are scattered into columns of every row. No record is built,
+(``maxent._complete_and_solve``) and the fidelity; when a row is at
+the floor, the solved rows' results are scattered into columns of every
+row. No record is built,
 no multiplier set is validated again, and no clamp warning is raised.
 """
 
@@ -165,8 +170,10 @@ class Sweep:
     near_b: np.ndarray
     solved: np.ndarray
 
-    @property
+    @functools.cached_property
     def abs_diff(self) -> np.ndarray:
+        """|xkk_true - xkk_pred|, computed on first use and kept: the CSV
+        and the printed median read the same column."""
         return np.abs(self.xkk_true - self.xkk_pred)
 
     @property
@@ -373,8 +380,13 @@ def _sweep_points(cfg: ExperimentConfig) -> Sweep:
     if error is not None:
         raise error
 
+    every_solved = bool(solved.all())
+
     def every_row(values, fill):
-        # The solved rows' values scattered into a column of every row.
+        # The solved rows' values scattered into a column of every row;
+        # with every row solved, they are that column already.
+        if every_solved:
+            return values
         column = np.full(len(solved), fill, values.dtype)
         column[solved] = values
         return column
@@ -469,25 +481,26 @@ def _exponents() -> np.ndarray:
     return words.view(np.uint32).ravel()
 
 
-def _scale_steps() -> np.ndarray:
-    """Column p + 44: (up, down, up2, down2), so that a * 10^p for
-    |p| <= 44 is a * up / down * up2 / down2. Each is an exact power
-    10^0..10^22 and at most two are not 1: the product carries at most
-    two roundings."""
+def _scale_steps() -> tuple[np.ndarray, ...]:
+    """Four tables (up, down, up2, down2), entry p + 44 of each such that
+    a * 10^p for |p| <= 44 is a * up / down * up2 / down2. Each entry is
+    an exact power 10^0..10^22 and at most two are not 1: the product
+    carries at most two roundings. Each table is its own contiguous
+    array, so that a lookup reads one table, not a column of four."""
     p = np.arange(-44, 45)
     powers = np.array([10**q for q in range(23)], dtype=float)
-    return powers[np.clip(np.stack([p, -p, p - 22, -p - 22]), 0, 22)]
+    return tuple(powers[np.clip(q, 0, 22)] for q in (p, -p, p - 22, -p - 22))
 
 
 _HEADS = _heads()
 _EXPONENTS = _exponents()
-_SCALE_STEPS = _scale_steps()
+_UP, _DOWN, _UP2, _DOWN2 = _scale_steps()
 
 
 def _scale(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     """a * 10^p for |p| <= 44 with at most two roundings."""
-    up, down, up2, down2 = _SCALE_STEPS[:, p + 44]
-    return a * up / down * up2 / down2
+    i = p + 44
+    return a * _UP[i] / _DOWN[i] * _UP2[i] / _DOWN2[i]
 
 
 def _text_cells(texts) -> np.ndarray:
@@ -698,11 +711,28 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
+    """The config with the command line's --seed and --out; without
+    either it is ``cfg`` itself, not validated again."""
+    if args.seed is None and args.out is None:
+        return cfg
     return dataclasses.replace(
         cfg,
         seed=cfg.seed if args.seed is None else args.seed,
         output_path=cfg.output_path if args.out is None else args.out,
     )
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-D float array, from one sort: NaN when it is
+    empty or holds a NaN (a sort puts NaN last), else the middle value or
+    the mean of the two middle ones, (a + b) / 2 as numpy's mean rounds
+    it. Only the sign of a zero median may differ, which no ``abs_diff``
+    column has."""
+    s = np.sort(values)
+    if not s.size or math.isnan(s[-1]):
+        return math.nan
+    h = s.size // 2
+    return float(s[h] if s.size % 2 else (s[h - 1] + s[h]) / 2)
 
 
 def _cmd_sweep(args) -> int:
@@ -711,8 +741,7 @@ def _cmd_sweep(args) -> int:
     out = cfg.output_path or "sweep.csv"
     emit_csv(sweep, out)
     diffs = sweep.abs_diff
-    diffs = diffs[~np.isnan(diffs)]
-    median = float(np.median(diffs)) if diffs.size else math.nan
+    median = _median(diffs[~np.isnan(diffs)])
     print(f"wrote {len(sweep)} rows to {out} (median abs_diff {median:.3e})")
     return 0
 
@@ -722,7 +751,7 @@ def _cmd_caseab(args) -> int:
     sweep = run_case_ab(cfg)
     out = cfg.output_path or "caseab.csv"
     emit_caseab_csv(sweep, out)
-    median = float(np.median(sweep.abs_diff))
+    median = _median(sweep.abs_diff)
     print(
         f"wrote {len(sweep)} rows to {out} (median abs_diff {median:.3e}, "
         f"min fidelity {min(sweep.fidelity.tolist()):.6f})"

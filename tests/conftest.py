@@ -17,6 +17,9 @@ call tokenized its text, kept to check the parse-once parser bit for bit.
 ``reference_simulate`` is the simulator as it read before states were
 stacked: one gate at a time on a lone vector, each matrix built from
 Python floats, each one-qubit product through ``np.moveaxis``.
+``reference_rotation_matrices`` builds a rotation's matrices from
+per-angle lists of Python floats and complexes, kept to check the
+array build of ``circuit._rotation_matrices`` bit for bit.
 The ``reference_`` completion and solve are the scalar float code of
 one point at a time, and the ``reference_`` forward map is ``mp_forward``
 rounded to floats, kept to check which point of an array kernel's call
@@ -754,6 +757,30 @@ def _reference_matrix(gate: Gate) -> np.ndarray:
     if gate.kind == "ry":
         return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]], dtype=complex)
     return np.array([[np.exp(-1j * t), 0], [0, np.exp(1j * t)]])
+
+
+def reference_rotation_matrices(kind: str, angles: np.ndarray) -> np.ndarray:
+    """The (T, 2, 2) matrices of a rotation at each of T angles, built
+    from per-angle lists of Python floats and complexes, the reference
+    for ``circuit._rotation_matrices``: cos and sin of angle / 2 by
+    Python's math, -1j * sin a Python complex, and rz's entries numpy's
+    exp of the Python complexes -+1j * angle / 2."""
+    half = (angles / 2).tolist()
+    u = np.empty((len(half), 2, 2), dtype=complex)
+    if kind == "rz":
+        u[:, 0, 0] = np.exp([-1j * t for t in half])
+        u[:, 0, 1] = u[:, 1, 0] = 0
+        u[:, 1, 1] = np.exp([1j * t for t in half])
+        return u
+    cos = [math.cos(t) for t in half]
+    sin = [math.sin(t) for t in half]
+    u[:, 0, 0] = u[:, 1, 1] = cos
+    if kind == "rx":
+        u[:, 0, 1] = u[:, 1, 0] = [-1j * s for s in sin]
+    else:  # ry
+        u[:, 0, 1] = [-s for s in sin]
+        u[:, 1, 0] = sin
+    return u
 
 
 def reference_simulate(c: Circuit) -> np.ndarray:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import reference_rotation_matrices
 
 from qmaxent import ParseError, TomographyError, ValidationError, circuit
 from qmaxent.circuit import (
@@ -258,6 +259,15 @@ ONE_QUBIT_GATES = [Gate("h", (0,)), Gate("x", (0,))] + [
     for angle in (0.0, -0.0, -math.pi / 2, math.pi, 0.731, -2.9)
 ]
 
+# Signed zeros, multiples of pi, values near the tiniest and the largest
+# finite floats: the angles where the signs and last bits of a rotation's
+# entries are easiest to lose.
+ROTATION_ANGLES = [
+    0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, math.pi / 2, -math.pi / 2,
+    1e-300, -1e-300, 5e-324, -5e-324, 2.2250738585072014e-308, 1e10, -1e10, 1e300,
+    -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+]
+
 
 class TestOneQubitKernel:
     @pytest.mark.parametrize("n", range(1, 7))
@@ -277,6 +287,16 @@ class TestOneQubitKernel:
                     circuit._apply_1q(state, u, qubit, n),
                     _moveaxis_apply_1q(state, u, qubit, n),
                 )
+
+    @pytest.mark.parametrize("kind", ["rx", "ry", "rz"])
+    def test_rotation_matrices_are_the_python_complex_build(self, kind):
+        # The array build writes each Python complex product on its parts;
+        # every bit, the signs of zeros included, must be the per-angle
+        # list build's.
+        angles = np.array(ROTATION_ANGLES + np.random.default_rng(7).uniform(-40, 40, 2000).tolist())
+        got = circuit._rotation_matrices(kind, angles)
+        assert got.shape == (len(angles), 2, 2)
+        assert got.tobytes() == reference_rotation_matrices(kind, angles).tobytes()
 
     def test_signed_zero_angles_keep_their_matrices(self):
         plus = circuit._matrix_1q(Gate("rz", (0,), 0.0))

@@ -15,6 +15,8 @@
   A and case B), each running the forward kernel once, and one fidelity
   call, whatever its number of points. A heatmap makes one forward-kernel
   call.
+- A ``sweep`` or ``caseab`` command builds its theta-free prefix once,
+  and, given no --seed or --out, validates its config once.
 - A sweep lists the bundled circuits at most once per process, and a
   mitigated sweep inverts and conditions each calibration matrix once,
   solving no linear system per basis.
@@ -365,6 +367,29 @@ class TestReproductionCheck:
         assert np.isfinite([x11, x1k, xkk]).all()
         rho, k = density_from_lagrange(ls), ls.index_k - 1
         assert (rho[0, 0], rho[0, k], rho[k, k]) == (x11, x1k, xkk)
+
+
+class TestOncePerCommand:
+    @pytest.mark.parametrize("command", ["sweep", "caseab"])
+    @pytest.mark.parametrize("config", ["sweep_exact.txt", "caseab_shots.txt"])
+    def test_a_command_builds_its_prefix_once(self, monkeypatch, tmp_path, command, config):
+        # The config load, the sweep and its theta stack all read the
+        # theta-free prefix; it is built once, with the text's parse.
+        circuit._parse_text.cache_clear()
+        built = count_calls(monkeypatch, Circuit, ("__post_init__",))
+        assert cli.main(["--out", str(tmp_path / "o.csv"), command, str(CONFIGS / config)]) == 0
+        assert built == {"__post_init__": 1}
+
+    @pytest.mark.parametrize("command", ["sweep", "caseab"])
+    def test_a_command_without_flags_validates_its_config_once(self, monkeypatch, tmp_path, command):
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"circuit twoq_a\ntheta_steps 3\nout {tmp_path / 'o.csv'}\n")
+        validated = count_calls(monkeypatch, ExperimentConfig, ("__post_init__",))
+        assert cli.main([command, str(config)]) == 0
+        assert validated == {"__post_init__": 1}
+        # A flag makes a copy of the config, validated in its turn.
+        assert cli.main(["--seed", "5", command, str(config)]) == 0
+        assert validated == {"__post_init__": 3}
 
 
 class TestOncePerProcess:
