@@ -42,8 +42,9 @@ applies each sequence to the result. A theta sweep (``_sweep_states``)
 simulates ``theta_free_prefix(text)`` once, broadcasts its state to
 every row and applies each later gate once to the whole stack; its norm
 check screens the rows' norms in numpy and gives each suspect row the
-one-vector check. A rotation's T matrices are built as arrays, with
-the bits of T one-angle builds (``_rotation_matrices``).
+one-vector check. A rotation's T matrices are built as arrays, their
+bits fixed by formulas written on the real and imaginary parts
+(``_rotation_matrices``).
 The axis orders per (qubit, n) and the matrices of the parameter-free
 gates and of the basis rotation rz(-pi/2) are built once.
 """
@@ -401,15 +402,16 @@ def theta_free_prefix(text: str) -> Circuit:
 
 
 def _rotation_matrices(kind: str, angles: np.ndarray) -> np.ndarray:
-    """The (T, 2, 2) matrices of a rotation at each of T angles, each one
-    the bits of a one-angle build with Python's complex arithmetic: cos
-    and sin of angle / 2 by Python's math, -1j * sin, and rz's entries
-    numpy's exp of -1j * angle / 2 and 1j * angle / 2.
+    """The (T, 2, 2) matrices of a rotation at each of T angles, for
+    t = angle / 2: cos t and sin t by Python's math, rx's off-diagonal
+    entries (0.0, -sin t), and rz's entries numpy's exp of (0.0, -t) and
+    (0.0 * t - 0.0, 0.0 + t).
 
-    No Python complex is built: the parts of each product are written as
-    Python's complex multiplication rounds them for a finite real t,
-    -1j * t = (0.0, -t) and 1j * t = (0.0 * t - 0.0, 0.0 + t), which keep
-    the signs of zeros."""
+    The bits are fixed by these formulas, signs of zeros included, on
+    every Python version. They are the parts CPython before 3.14 gives
+    for the complex products -1j * t and 1j * t; from 3.14 on, a complex
+    times a float rounds by C99 Annex G and differs from them in the
+    signs of zeros. No Python complex is built."""
     half = angles / 2
     u = np.zeros((len(half), 2, 2), dtype=complex)
     if kind == "rz":

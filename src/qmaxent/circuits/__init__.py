@@ -1,23 +1,28 @@
 """Access to the bundled circuit models (see README.md in this directory).
 
-The models are the ``.qc`` files of this package's directory, read as
-plain files next to this module.
+The models are the ``.qc`` resources of this package, found through
+``importlib.resources`` once per process, so that they load from any
+package loader, a zip file included.
 """
 
 from functools import cache
-from pathlib import Path
+from importlib import resources
 
-_DIR = Path(__file__).parent
+
+@cache
+def _files():
+    """The package's resource directory, looked up once per process."""
+    return resources.files(__name__)
 
 
 @cache
 def names() -> tuple[str, ...]:
     """Names of the bundled circuit models, listed once per process."""
-    return tuple(sorted(p.name[:-3] for p in _DIR.iterdir() if p.name.endswith(".qc")))
+    return tuple(sorted(p.name[:-3] for p in _files().iterdir() if p.name.endswith(".qc")))
 
 
 def load(name: str) -> str:
     """Text of a bundled circuit model."""
     if name not in names():
         raise KeyError(f"no bundled circuit {name!r}; have {names()}")
-    return (_DIR / f"{name}.qc").read_text(encoding="utf-8")
+    return (_files() / f"{name}.qc").read_text()

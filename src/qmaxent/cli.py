@@ -46,9 +46,8 @@ The rotated rows are not checked again: a unitary rotation moves a
 norm by rounding only. Then one call of each of
 ``maxent``'s array kernels covers all the solved points: the prediction
 of xKK, the completion and solve of case A and case B side by side
-(``maxent._complete_and_solve``) and the fidelity; when a row is at
-the floor, the solved rows' results are scattered into columns of every
-row. No record is built,
+(``maxent._complete_and_solve``) and the fidelity, and the solved rows'
+results are scattered into columns of every row. No record is built,
 no multiplier set is validated again, and no clamp warning is raised.
 """
 
@@ -380,13 +379,8 @@ def _sweep_points(cfg: ExperimentConfig) -> Sweep:
     if error is not None:
         raise error
 
-    every_solved = bool(solved.all())
-
     def every_row(values, fill):
-        # The solved rows' values scattered into a column of every row;
-        # with every row solved, they are that column already.
-        if every_solved:
-            return values
+        # The solved rows' values scattered into a column of every row.
         column = np.full(len(solved), fill, values.dtype)
         column[solved] = values
         return column
@@ -722,26 +716,14 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     )
 
 
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a 1-D float array, from one sort: NaN when it is
-    empty or holds a NaN (a sort puts NaN last), else the middle value or
-    the mean of the two middle ones, (a + b) / 2 as numpy's mean rounds
-    it. Only the sign of a zero median may differ, which no ``abs_diff``
-    column has."""
-    s = np.sort(values)
-    if not s.size or math.isnan(s[-1]):
-        return math.nan
-    h = s.size // 2
-    return float(s[h] if s.size % 2 else (s[h - 1] + s[h]) / 2)
-
-
 def _cmd_sweep(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     sweep = run_sweep(cfg)
     out = cfg.output_path or "sweep.csv"
     emit_csv(sweep, out)
     diffs = sweep.abs_diff
-    median = _median(diffs[~np.isnan(diffs)])
+    diffs = diffs[~np.isnan(diffs)]
+    median = float(np.median(diffs)) if diffs.size else math.nan
     print(f"wrote {len(sweep)} rows to {out} (median abs_diff {median:.3e})")
     return 0
 
@@ -751,7 +733,7 @@ def _cmd_caseab(args) -> int:
     sweep = run_case_ab(cfg)
     out = cfg.output_path or "caseab.csv"
     emit_caseab_csv(sweep, out)
-    median = _median(sweep.abs_diff)
+    median = float(np.median(sweep.abs_diff))
     print(
         f"wrote {len(sweep)} rows to {out} (median abs_diff {median:.3e}, "
         f"min fidelity {min(sweep.fidelity.tolist()):.6f})"

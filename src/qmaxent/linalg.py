@@ -75,10 +75,7 @@ def _raised(check, *args, **kwargs) -> Exception | None:
 
 def _failure(mask: np.ndarray, error) -> tuple[int, Exception] | None:
     """The first index of ``mask`` for which ``error(i)`` gives an
-    exception, with that exception; None when there is none, at once
-    when ``mask`` is all False."""
-    if not mask.any():
-        return None
+    exception, with that exception; None when there is none."""
     for i in np.flatnonzero(mask).tolist():
         exc = error(i)
         if exc is not None:

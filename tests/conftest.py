@@ -18,8 +18,11 @@ call tokenized its text, kept to check the parse-once parser bit for bit.
 stacked: one gate at a time on a lone vector, each matrix built from
 Python floats, each one-qubit product through ``np.moveaxis``.
 ``reference_rotation_matrices`` builds a rotation's matrices from
-per-angle lists of Python floats and complexes, kept to check the
-array build of ``circuit._rotation_matrices`` bit for bit.
+per-angle lists of Python floats and complexes, to check the array
+build of ``circuit._rotation_matrices`` bit for bit. Both references
+write -1j * s and 1j * t as ``_times_minus_i`` and ``_times_i``: the
+parts CPython before 3.14 gives them, which do not change with the
+Python version.
 The ``reference_`` completion and solve are the scalar float code of
 one point at a time, and the ``reference_`` forward map is ``mp_forward``
 rounded to floats, kept to check which point of an array kernel's call
@@ -746,6 +749,18 @@ def reference_parse_circuit(text: str, theta=None) -> Circuit:
     return Circuit(num_qubits, tuple(gates))
 
 
+def _times_minus_i(s: float) -> complex:
+    """-1j * s for a finite float s, as CPython before 3.14 rounds it
+    (from 3.14 the real part is -0.0 * s)."""
+    return complex(0.0, -s)
+
+
+def _times_i(t: float) -> complex:
+    """1j * t for a finite float t, as CPython before 3.14 rounds it
+    (from 3.14 it is (0.0 * t, t))."""
+    return complex(0.0 * t - 0.0, 0.0 + t)
+
+
 def _reference_matrix(gate: Gate) -> np.ndarray:
     if gate.kind == "h":
         return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -753,30 +768,32 @@ def _reference_matrix(gate: Gate) -> np.ndarray:
         return np.array([[0, 1], [1, 0]], dtype=complex)
     t = gate.angle / 2
     if gate.kind == "rx":
-        return np.array([[math.cos(t), -1j * math.sin(t)], [-1j * math.sin(t), math.cos(t)]])
+        s = _times_minus_i(math.sin(t))
+        return np.array([[math.cos(t), s], [s, math.cos(t)]])
     if gate.kind == "ry":
         return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]], dtype=complex)
-    return np.array([[np.exp(-1j * t), 0], [0, np.exp(1j * t)]])
+    return np.array([[np.exp(_times_minus_i(t)), 0], [0, np.exp(_times_i(t))]])
 
 
 def reference_rotation_matrices(kind: str, angles: np.ndarray) -> np.ndarray:
     """The (T, 2, 2) matrices of a rotation at each of T angles, built
     from per-angle lists of Python floats and complexes, the reference
-    for ``circuit._rotation_matrices``: cos and sin of angle / 2 by
-    Python's math, -1j * sin a Python complex, and rz's entries numpy's
-    exp of the Python complexes -+1j * angle / 2."""
+    for ``circuit._rotation_matrices``: for t = angle / 2, cos t and
+    sin t by Python's math, rx's off-diagonal entries -1j * sin t, and
+    rz's entries numpy's exp of -1j * t and 1j * t, each product one
+    Python complex."""
     half = (angles / 2).tolist()
     u = np.empty((len(half), 2, 2), dtype=complex)
     if kind == "rz":
-        u[:, 0, 0] = np.exp([-1j * t for t in half])
+        u[:, 0, 0] = np.exp([_times_minus_i(t) for t in half])
         u[:, 0, 1] = u[:, 1, 0] = 0
-        u[:, 1, 1] = np.exp([1j * t for t in half])
+        u[:, 1, 1] = np.exp([_times_i(t) for t in half])
         return u
     cos = [math.cos(t) for t in half]
     sin = [math.sin(t) for t in half]
     u[:, 0, 0] = u[:, 1, 1] = cos
     if kind == "rx":
-        u[:, 0, 1] = u[:, 1, 0] = [-1j * s for s in sin]
+        u[:, 0, 1] = u[:, 1, 0] = [_times_minus_i(s) for s in sin]
     else:  # ry
         u[:, 0, 1] = [-s for s in sin]
         u[:, 1, 0] = sin

@@ -289,10 +289,10 @@ class TestOneQubitKernel:
                 )
 
     @pytest.mark.parametrize("kind", ["rx", "ry", "rz"])
-    def test_rotation_matrices_are_the_python_complex_build(self, kind):
-        # The array build writes each Python complex product on its parts;
-        # every bit, the signs of zeros included, must be the per-angle
-        # list build's.
+    def test_rotation_matrices_are_the_per_angle_build(self, kind):
+        # The array build writes each complex product on its parts; every
+        # bit, the signs of zeros included, must be the per-angle list
+        # build's.
         angles = np.array(ROTATION_ANGLES + np.random.default_rng(7).uniform(-40, 40, 2000).tolist())
         got = circuit._rotation_matrices(kind, angles)
         assert got.shape == (len(angles), 2, 2)
