@@ -44,11 +44,7 @@ from .maxent import (
     solve_lagrange,
     solve_record,
 )
-from .pauli import (
-    PauliDecomposition,
-    PauliString,
-    decompose_ketbra,
-)
+from .pauli import PauliString, decompose_ketbra
 from .sampler import (
     CalibrationMatrix,
     ReadoutNoise,

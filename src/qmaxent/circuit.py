@@ -557,13 +557,9 @@ def _check_norm(state: np.ndarray) -> None:
         raise TomographyError(f"statevector norm drifted to {norm!r}")
 
 
-def simulate(c: Circuit, state: np.ndarray | None = None) -> np.ndarray:
-    """Run the circuit on |0...0>, or on ``state`` when one is given (the
-    state after a shared prefix, say), and return the final amplitude
-    vector."""
-    if state is None:
-        state = zero_state(c.num_qubits)
-    return apply_gates(state, c.gates, c.num_qubits)
+def simulate(c: Circuit) -> np.ndarray:
+    """Run the circuit on |0...0> and return the final amplitude vector."""
+    return apply_gates(zero_state(c.num_qubits), c.gates, c.num_qubits)
 
 
 def _sweep_states(text: str, thetas: list):

@@ -34,16 +34,14 @@ xKK from it and each K's x1K for every theta in one array product. A
 sampled sweep rotates the stack into every basis of every K's plan
 level by level, in at most 3n gate calls, and reads them all in one
 more distribution call (``sampler._basis_reads``); the draws, the
-frequency check, the mitigation and the recombination of |K><1| are
-then array operations over the whole matrix of rows
-(``sampler._draw_slots``).
+mitigation and the recombination of |K><1| are then array operations
+over the whole matrix of rows (``sampler._draw_slots``).
 The measured (x11, x1K) of all points are checked once, as arrays. A
 theta that fails a check of its state (its binding, its norm, its
 population sum) raises its error where a loop over the points would
-reach it, after the points before it are measured; a drawn row that
-fails the frequency check ends the points at its own in the same way.
-The rotated rows are not checked again: a unitary rotation moves a
-norm by rounding only. Then one call of each of
+reach it, after the points before it are measured. The rotated rows
+are not checked again: a unitary rotation moves a norm by rounding
+only. Then one call of each of
 ``maxent``'s array kernels covers all the solved points: the prediction
 of xKK, the completion and solve of case A and case B side by side
 (``maxent._complete_and_solve``) and the fidelity, and the solved rows'
@@ -54,7 +52,6 @@ no multiplier set is validated again, and no clamp warning is raised.
 from __future__ import annotations
 
 import argparse
-import bisect
 import dataclasses
 import functools
 import math
@@ -267,12 +264,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 raise ValidationError(
                     f"{key} is read by the noisy backend only, not {backend!r}"
                 )
-    # Each token is read as a k_targets value, so a bad one names the key.
-    k_targets = tuple(
-        read_number({"k_targets": tok}, "k_targets", None, int)
-        for tok in values.get("k_targets", "").split(",")
-        if tok.strip()
-    )
+    # Each entry is read as a k_targets value, so a bad one, an empty one
+    # included, names the key.
+    k_targets = ()
+    if "k_targets" in values:
+        k_targets = tuple(
+            read_number({"k_targets": tok}, "k_targets", None, int)
+            for tok in values["k_targets"].split(",")
+        )
     return ExperimentConfig(
         circuit_path=circuit_path,
         theta_start=read_number(values, "theta_start", 0.0),
@@ -342,8 +341,8 @@ def _sweep_points(cfg: ExperimentConfig) -> Sweep:
         x1k = np.stack([_coherence(states[:stop], k, 1) for k in k_targets], axis=1).ravel()
         xkk_true = dists[:, [k - 1 for k in k_targets]].ravel()
     else:
-        x11, x1k, xkk_true, error = _sampled_values(
-            states[:stop], num_qubits, dists, k_targets, readout, cfg.seed, error
+        x11, x1k, xkk_true = _sampled_values(
+            states[:stop], num_qubits, dists, k_targets, readout, cfg.seed
         )
     # The measured values are checked once, where x11 is above the floor;
     # case A completes them with the predicted xKK, case B with the true
@@ -394,15 +393,13 @@ def _sweep_points(cfg: ExperimentConfig) -> Sweep:
     )
 
 
-def _sampled_values(states, num_qubits, dists, k_targets, readout, seed, error):
+def _sampled_values(states, num_qubits, dists, k_targets, readout, seed):
     """The measured (x11, x1K, xKK) of every point of a sampled sweep over
-    ``states``, theta outer and K inner, as arrays, and the error that
-    ends the measurement: the first draw's error, or else ``error``.
+    ``states``, theta outer and K inner, as arrays.
 
     Every basis of every K is rotated and read once for the whole stack
     (``sampler._basis_reads``); then one ``sampler._draw_slots`` call
-    draws every row from one generator seeded with ``seed``. A draw that
-    fails ends the points at its own.
+    draws every row from one generator seeded with ``seed``.
     """
     plans = [_ketbra_plan(k, 1, num_qubits) for k in k_targets]
     reads = _basis_reads(states, num_qubits, (b for plan in plans for b in plan[0]), readout)
@@ -411,18 +408,14 @@ def _sampled_values(states, num_qubits, dists, k_targets, readout, seed, error):
     for plan in plans:
         starts.append(len(slots))
         slots += [dists, *(reads[b] for b in plan[0])]
-    freqs, end, draw_error = _draw_slots(readout, slots, seed)
-    # A point is measured once its last draw is made.
-    ends = starts[1:] + [len(slots)]
-    count = end // len(slots) * len(plans) + bisect.bisect_right(ends, end % len(slots))
+    freqs = _draw_slots(readout, slots, seed)
     x1k = np.stack(
         [_recombine(plan, freqs[:, s + 1 : s + 1 + len(plan[0])]) for plan, s in zip(plans, starts)],
         axis=1,
     )
     return (
-        freqs[:, starts, 0].ravel()[:count], x1k.ravel()[:count],
-        freqs[:, starts, [k - 1 for k in k_targets]].ravel()[:count],
-        error if draw_error is None else draw_error,
+        freqs[:, starts, 0].ravel(), x1k.ravel(),
+        freqs[:, starts, [k - 1 for k in k_targets]].ravel(),
     )
 
 
@@ -657,11 +650,10 @@ def load_heatmap_config(path: str | Path) -> dict:
     return params
 
 
-def emit_heatmap_csv(rows, path: str | Path) -> None:
-    """Write ``heatmap_scan`` rows, (lam11, lam1K, x11, x1K) each, as CSV."""
-    lam11, lam1k, x11, x1k = np.array(rows, dtype=complex).reshape(-1, 4).T
-    columns = (lam11.real, lam1k.real, lam1k.imag, x11.real, x1k.real, x1k.imag)
-    _write_csv(HEATMAP_HEADER, columns, path)
+def emit_heatmap_csv(scan, path: str | Path) -> None:
+    """Write the ``heatmap_scan`` columns (lam11, lam1K, x11, x1K) as CSV."""
+    lam11, lam1k, x11, x1k = scan
+    _write_csv(HEATMAP_HEADER, (lam11, lam1k.real, lam1k.imag, x11, x1k.real, x1k.imag), path)
 
 
 def _cmd_reconstruct(args) -> int:
@@ -743,7 +735,7 @@ def _cmd_caseab(args) -> int:
 
 def _cmd_heatmap(args) -> int:
     params = load_heatmap_config(args.config)
-    rows = heatmap_scan(
+    scan = heatmap_scan(
         params["lam11"],
         params["re_lam1k"],
         lam_kk=params["lam_kk"],
@@ -752,21 +744,21 @@ def _cmd_heatmap(args) -> int:
         index_k=params["index_k"],
     )
     out = args.out or params["out"] or "heatmap.csv"
-    emit_heatmap_csv(rows, out)
-    print(f"wrote {len(rows)} rows to {out}")
+    emit_heatmap_csv(scan, out)
+    print(f"wrote {len(scan[0])} rows to {out}")
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    d = decompose_ketbra(args.i, args.j, args.n)
+    terms = decompose_ketbra(args.i, args.j, args.n)
     if args.format == "csv":
         lines = ["string,re_coeff,im_coeff"]
-        for ps, coeff in d.terms.items():
+        for ps, coeff in terms.items():
             lines.append(f"{ps},{coeff.real!r},{coeff.imag!r}")
     else:
-        width = max(len(str(ps)) for ps in d.terms)
+        width = max(len(str(ps)) for ps in terms)
         lines = [f"|{args.i}><{args.j}| on {args.n} qubit(s):"]
-        for ps, coeff in d.terms.items():
+        for ps, coeff in terms.items():
             lines.append(f"  {str(ps):<{width}}  {coeff.real:+.6f}{coeff.imag:+.6f}j")
     _write_lines(lines, args.out or None)
     return 0

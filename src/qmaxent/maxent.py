@@ -39,8 +39,8 @@ forward kernel, ``_exponent_spectrum``. A sweep makes one call of each
 kernel over all its points. ``solve_lagrange``, ``solve_record``,
 ``predict_population``, ``density_from_lagrange`` and ``block_fidelity``
 call the same kernels on one point, for ``qmaxent reconstruct`` and
-library users. ``heatmap_scan`` makes one forward call over its grid. A
-complete record from the caller is solved as given.
+library users. ``heatmap_scan`` makes one forward call over its grid and
+returns its columns. A complete record from the caller is solved as given.
 """
 
 from __future__ import annotations
@@ -93,23 +93,27 @@ def _name_non_finite(**values) -> None:
             raise ValidationError(f"{name} = {value!r} is not finite")
 
 
-def _too_large(name: str, value: complex) -> ValidationError:
-    """The error for a complex value whose modulus passes the float range,
-    where abs() raises OverflowError. Callers catch that error rather
-    than test for it, so a valid value pays nothing."""
-    return ValidationError(f"{name} = {value!r} has a modulus past the float range")
+def _check_finite(prefix: str, v11: float, v1k: complex, vkk: float | None = None) -> None:
+    """Raise ValidationError unless ``{prefix}_11``, ``{prefix}_1k`` and
+    ``{prefix}_kk`` (skipped when None) are finite: one sum is tested, and
+    only a non-finite sum names a value (``_name_non_finite``). A complex
+    value whose modulus passes the float range, where abs() raises
+    OverflowError, is named for that; the error is caught, not tested for."""
+    try:
+        finite = math.isfinite(v11 + abs(v1k) + (vkk or 0.0))
+    except OverflowError:
+        raise ValidationError(
+            f"{prefix}_1k = {v1k!r} has a modulus past the float range"
+        ) from None
+    if not finite:
+        _name_non_finite(**{f"{prefix}_11": v11, f"{prefix}_1k": v1k, f"{prefix}_kk": vkk})
 
 
 def _check_record_values(x_11: float, x_1k: complex, x_kk: float | None) -> None:
     """The invariants of a record's values: finite, populations in
     [0, 1], |x1K| <= 1 and, with x_kk, x11 + xKK <= 1 and a positive
     semidefinite minor, each within ``POLICY.record_atol``."""
-    try:
-        finite = math.isfinite(x_11 + abs(x_1k) + (x_kk or 0.0))
-    except OverflowError:
-        raise _too_large("x_1k", x_1k) from None
-    if not finite:
-        _name_non_finite(x_11=x_11, x_1k=x_1k, x_kk=x_kk)
+    _check_finite("x", x_11, x_1k, x_kk)
     tol = POLICY.record_atol
     if not -tol <= x_11 <= 1 + tol:
         raise ValidationError(f"x_11 = {x_11} outside [0, 1]")
@@ -149,14 +153,7 @@ class LagrangeSet:
         object.__setattr__(self, "lam_11", float(self.lam_11))
         object.__setattr__(self, "lam_1k", complex(self.lam_1k))
         object.__setattr__(self, "lam_kk", float(self.lam_kk))
-        try:
-            finite = math.isfinite(self.lam_11 + abs(self.lam_1k) + self.lam_kk)
-        except OverflowError:
-            raise _too_large("lam_1k", self.lam_1k) from None
-        if not finite:
-            _name_non_finite(
-                lam_11=self.lam_11, lam_1k=self.lam_1k, lam_kk=self.lam_kk
-            )
+        _check_finite("lam", self.lam_11, self.lam_1k, self.lam_kk)
 
 
 @dataclass(frozen=True)
@@ -356,12 +353,7 @@ def predict_population(x_11: float, x_1k: complex) -> float:
     (a smaller excess is rounding on exact pure-state data). A NaN or
     infinite input raises ValidationError.
     """
-    try:
-        finite = math.isfinite(x_11 + abs(x_1k))
-    except OverflowError:
-        raise _too_large("x_1k", x_1k) from None
-    if not finite:
-        _name_non_finite(x_11=x_11, x_1k=x_1k)
+    _check_finite("x", x_11, x_1k)
     if x_11 <= POLICY.population_floor:
         raise DomainError(
             f"x_11 = {x_11} is at or below the floor "
@@ -705,17 +697,18 @@ def heatmap_scan(
     im_lam1k: float = 0.0,
     dim_n: int = 4,
     index_k: int = 2,
-) -> list[tuple[float, complex, float, complex]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Forward map evaluated over a (lam11, Re lam1K) grid, in one call of
     the forward kernel.
 
-    Rows come out in row-major order: lam11 outer, Re lam1K inner. Each
-    row is (lam11, lam1K, x11, x1K). The first point whose multipliers
-    ``LagrangeSet`` rejects, or whose exp(A) overflows, raises its error.
+    Returns the columns (lam11, lam1K, x11, x1K), one row per grid point
+    in row-major order: lam11 outer, Re lam1K inner. The first point
+    whose multipliers ``LagrangeSet`` rejects, or whose exp(A)
+    overflows, raises its error.
     """
     grid = [(float(l11), float(re1k)) for l11 in lam11_values for re1k in re_lam1k_values]
     if not grid:
-        return []
+        return np.empty(0), np.empty(0, complex), np.empty(0), np.empty(0, complex)
     _check_dims(dim_n, index_k)
     l11 = np.array([p[0] for p in grid])
     im = float(im_lam1k)
@@ -729,7 +722,7 @@ def heatmap_scan(
     spec, overflow = _exponent_spectrum(dim_n, l11, l1k, lkk)
     x11, x1k, xkk = _expectations(spec)
     _raise(_earliest(rejected, overflow, _record_failure(x11, x1k, xkk)))
-    return list(zip(l11.tolist(), l1k.tolist(), x11.tolist(), x1k.tolist()))
+    return l11, l1k, x11, x1k
 
 
 def parse_keyvals(text: str, known, what: str) -> dict[str, str]:

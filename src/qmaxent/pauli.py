@@ -7,8 +7,9 @@ single-qubit operators
     |1><1| = (I - Z)/2      |1><0| = (X - iY)/2
 
 so its expansion over Pauli strings has exactly 2^n nonzero terms, each of
-magnitude 2^-n. Strings are written qubit 0 first ("XZ" is X on qubit 0,
-Z on qubit 1).
+magnitude 2^-n. ``decompose_ketbra`` returns it as a plain
+{PauliString: coefficient} dict. Strings are written qubit 0 first ("XZ"
+is X on qubit 0, Z on qubit 1).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Mapping
 
 from .circuit import MAX_QUBITS
 from .errors import ValidationError
@@ -49,19 +49,6 @@ class PauliString:
         return "".join(self.letters)
 
 
-@dataclass(frozen=True)
-class PauliDecomposition:
-    num_qubits: int
-    terms: Mapping["PauliString", complex]
-
-    def __post_init__(self):
-        for ps in self.terms:
-            if ps.num_qubits != self.num_qubits:
-                raise ValidationError(
-                    f"string {ps} does not act on {self.num_qubits} qubit(s)"
-                )
-
-
 def _check_basis_index(name: str, idx: int, dim: int) -> None:
     if not isinstance(idx, numbers.Integral):
         raise ValidationError(f"basis index {name} = {idx!r} is not an integer")
@@ -78,8 +65,10 @@ _FACTORS = {
 }
 
 
-def decompose_ketbra(i: int, j: int, num_qubits: int) -> PauliDecomposition:
-    """Expand |i><j| (1-based basis indices) over Pauli strings."""
+def decompose_ketbra(i: int, j: int, num_qubits: int) -> dict[PauliString, complex]:
+    """Expand |i><j| (1-based basis indices) over Pauli strings: the
+    coefficient of each of its 2^n strings, in the order of
+    ``itertools.product`` over the qubits' factors."""
     # The expansion has 2^n terms, so n is bounded like a circuit's.
     if not isinstance(num_qubits, numbers.Integral) or not 1 <= num_qubits <= MAX_QUBITS:
         raise ValidationError(
@@ -97,4 +86,4 @@ def decompose_ketbra(i: int, j: int, num_qubits: int) -> PauliDecomposition:
         letters = tuple(letter for letter, _ in combo)
         coeff = math.prod((c for _, c in combo), start=complex(1.0))
         terms[PauliString(letters)] = coeff
-    return PauliDecomposition(num_qubits, terms)
+    return terms

@@ -22,7 +22,7 @@ It validates shots, noise and calibration once, then works on arrays.
 one product per stack. ``draw(dists, seed)`` is
 one ``default_rng(seed).multinomial(shots, dists)`` call, which has the
 bits of drawing its rows one at a time from that generator; with a
-calibration, every row is then checked and mitigated. A lone row
+calibration, every row is then mitigated. A lone row
 (``sample_counts``, ``estimate_populations``, ``mitigate``) keeps the
 bytes of a one-vector draw and matvec.
 
@@ -44,8 +44,10 @@ last level, with half as much again of distributions.
 to draw, theta outer: a sweep's rows per theta are, per K, its
 populations and then each basis of its plan in plan order. P has about
 T (K + 3^n - 1) 2^n 8 bytes, and the tallies and frequencies as much
-again. A drawn row that fails the frequency check ends the rows: its
-error is raised in the draw's place, after the rows before it.
+again. The frequencies are not checked before mitigation, since each
+row is a distribution: a tally over shots is >= 0 and sums to 1 within
+2^n ulps, and the exact p M^T of a screened state, M column-stochastic
+with entries >= 0, sums to 1 within about 1e-10.
 Each |i><j| is recombined for every theta at once: the string parities
 as one product with the plan's signs, then one with its coefficients.
 
@@ -181,7 +183,8 @@ def _check_shots(shots) -> None:
 
 def _frequency_failure(freqs: np.ndarray):
     """The first row of ``freqs`` that is not a distribution (>= 0 and
-    summing to 1), as (index, ValidationError), or None."""
+    summing to 1), as (index, ValidationError), or None: the check of
+    frequencies given to ``mitigate``. A draw's own rows pass it."""
     # Non-finite entries fail too: a NaN makes the min NaN, a -inf the min
     # -inf, a +inf the sum non-finite, and +inf and -inf a reported NaN sum.
     with np.errstate(invalid="ignore"):
@@ -205,9 +208,9 @@ class _Readout:
 
     The constructor checks ``shots`` (None selects the exact mode), the
     noise model's qubit count and the mitigating calibration's shape and
-    condition. ``distribution`` and ``draw`` then work on plain arrays;
-    ``draw`` re-checks the frequencies before mitigation. The population
-    sums of the states are the caller's to screen (``_population_failure``).
+    condition. ``distribution`` and ``draw`` then work on plain arrays.
+    The population sums of the states are the caller's to screen
+    (``_population_failure``).
     """
 
     __slots__ = ("shots", "matrix", "inverse")
@@ -251,18 +254,11 @@ class _Readout:
         """A multinomial tally of each row of ``dists``, from one generator."""
         return np.random.default_rng(seed).multinomial(self.shots, dists)
 
-    def draw(self, dists: np.ndarray, seed: int):
+    def draw(self, dists: np.ndarray, seed: int) -> np.ndarray:
         """The frequencies of ``tally``'s draw of ``dists`` (``dists`` itself
-        in the exact mode), mitigated with a calibration, and the first row
-        that fails the frequency check as (index, ValidationError), or
-        None. Only the rows before that one are returned."""
+        in the exact mode), mitigated with a calibration."""
         freqs = dists if self.shots is None else self.tally(dists, seed) / self.shots
-        if self.inverse is None:
-            return freqs, None
-        failure = _frequency_failure(freqs)
-        if failure is not None:
-            freqs = freqs[: failure[0]]
-        return _unmix(self.inverse, freqs), failure
+        return freqs if self.inverse is None else _unmix(self.inverse, freqs)
 
 
 def _population_failure(states: np.ndarray):
@@ -313,9 +309,7 @@ def estimate_populations(
     _check_seed(seed)
     sv = np.asarray(sv)
     readout = _Readout(_state_qubits(sv), shots, noise, calibration)
-    freqs, failure = readout.draw(_distribution(readout, sv)[None], seed)
-    _raise(failure)
-    return freqs[0]
+    return readout.draw(_distribution(readout, sv)[None], seed)[0]
 
 
 # At most 126 read-only arrays: num_qubits <= 6 and mask < 2^num_qubits.
@@ -432,9 +426,9 @@ def _group_bases(strings: tuple, num_qubits: int) -> dict:
 # the same order, flattened. A 6-qubit sweep over every K keeps 63.
 @lru_cache(maxsize=256)
 def _ketbra_plan(i: int, j: int, num_qubits: int):
-    decomposition = decompose_ketbra(i, j, num_qubits)
-    coeffs = tuple(decomposition.terms.values())
-    groups = _group_bases(tuple(decomposition.terms), num_qubits)
+    terms = decompose_ketbra(i, j, num_qubits)
+    coeffs = tuple(terms.values())
+    groups = _group_bases(tuple(terms), num_qubits)
     # Each of the 2^d bases reads 2^(n - d) strings (d bits of i-1, j-1 differ).
     signs = np.array([[s for _, s in reads] for reads in groups.values()]).transpose(0, 2, 1)
     weights = np.array([coeffs[p] for reads in groups.values() for p, _ in reads])
@@ -486,34 +480,23 @@ def _basis_reads(
     return dict(zip(keys, readout.distribution(stack)))
 
 
-def _draw_slots(readout: _Readout, slots: list, seed: int):
-    """Draw every row of each of ``slots``, (count, 2^n) distribution
-    stacks, in one ``readout.draw``: row i of slot s is draw
-    i * len(slots) + s. A row that fails the frequency check ends the
-    draws before it. Returns the (count, len(slots), 2^n) frequencies,
-    zero from the first draw not made, the number of draws made, and the
-    error that ended them, or None."""
+def _draw_slots(readout: _Readout, slots: list, seed: int) -> np.ndarray:
+    """The (count, len(slots), 2^n) frequencies of every row of each of
+    ``slots``, (count, 2^n) distribution stacks, drawn in one
+    ``readout.draw``: row i of slot s is draw i * len(slots) + s."""
     probs = np.stack(slots, axis=1)
-    flat = probs.reshape(-1, probs.shape[2])
-    drawn, failure = readout.draw(flat, seed)
-    freqs = np.zeros_like(flat)
-    freqs[: len(drawn)] = drawn
-    end, error = failure or (len(flat), None)
-    return freqs.reshape(probs.shape), end, error
+    return readout.draw(probs.reshape(-1, probs.shape[2]), seed).reshape(probs.shape)
 
 
 def _lone_draw(sv: np.ndarray, num_qubits: int, bases, readout: _Readout, seed: int):
     """The (bases, 2^n) frequencies of ``bases`` (basis indices) on one
-    state, whose norm and population sum are checked; failures raised."""
+    state, whose norm and population sum are checked first."""
     _check_norm(sv)
     _raise(_population_failure(sv[None]))
     if not bases:
         return np.empty((0, 0))
     reads = _basis_reads(sv[None], num_qubits, bases, readout)
-    freqs, _, error = _draw_slots(readout, [reads[r] for r in bases], seed)
-    if error is not None:
-        raise error
-    return freqs[0]
+    return _draw_slots(readout, [reads[r] for r in bases], seed)[0]
 
 
 def estimate_paulis(

@@ -376,11 +376,11 @@ def to_matrix(p) -> np.ndarray:
     return reduce(np.kron, (PAULI_MATRICES[l] for l in reversed(p.letters)))
 
 
-def assemble(d) -> np.ndarray:
+def assemble(terms) -> np.ndarray:
     """Dense matrix of a decomposition, sum of coefficient * string."""
-    dim = 2**d.num_qubits
+    dim = 2**next(iter(terms)).num_qubits
     out = np.zeros((dim, dim), dtype=complex)
-    for ps, coeff in d.terms.items():
+    for ps, coeff in terms.items():
         out += coeff * to_matrix(ps)
     return out
 
@@ -634,7 +634,7 @@ def reference_sampled_sweep(
     for row in range(len(states)):
         for k in k_targets:
             pops = draw(row, ()) if populations else np.full(2**n, math.nan)
-            terms = decompose_ketbra(k, 1, n).terms
+            terms = decompose_ketbra(k, 1, n)
             basis_of = {p: reference_basis(p) for p in terms}
             freqs = {}
             for rotations, _ in basis_of.values():
@@ -966,10 +966,9 @@ def reference_sweep_points(cfg):
         x1k = np.stack([_coherence(states, k, 1) for k in k_targets], axis=1).ravel()
         xkk_true = pops[:, [k - 1 for k in k_targets]].ravel()
     else:
-        x11, x1k, xkk_true, error = _sampled_values(
-            states, num_qubits, dists, k_targets, readout, cfg.seed, None
+        x11, x1k, xkk_true = _sampled_values(
+            states, num_qubits, dists, k_targets, readout, cfg.seed
         )
-        assert error is None
     solved = x11 > POLICY.population_floor
     assert maxent._record_failure(x11[solved], x1k[solved]) is None
     x11_s, x1k_s = x11[solved], x1k[solved]
@@ -1067,11 +1066,11 @@ def reference_emit_caseab_csv(s, path) -> None:
     _reference_write_csv(CASEAB_HEADER, rows, path)
 
 
-def reference_emit_heatmap_csv(rows, path) -> None:
+def reference_emit_heatmap_csv(scan, path) -> None:
     from qmaxent.cli import HEATMAP_HEADER
 
     lines = [
         _HEATMAP_ROW.format(lam11, lam1k.real, lam1k.imag, x11, x1k.real, x1k.imag)
-        for lam11, lam1k, x11, x1k in rows
+        for lam11, lam1k, x11, x1k in zip(*(column.tolist() for column in scan))
     ]
     _reference_write_csv(HEATMAP_HEADER, lines, path)

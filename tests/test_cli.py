@@ -26,7 +26,7 @@ from qmaxent.cli import (
     run_sweep,
 )
 from qmaxent.errors import ParseError, ValidationError
-from qmaxent.maxent import dump_record, load_record
+from qmaxent.maxent import dump_record, heatmap_scan, load_record
 from qmaxent.sampler import ReadoutNoise
 
 
@@ -386,7 +386,9 @@ class TestEmitCsv:
         path = tmp_path / "none.csv"
         sweep = run_sweep(exact_config(steps=1))
         empty = sweep._rows(np.zeros(len(sweep), bool))
-        for emit, rows in ((emit_csv, empty), (emit_caseab_csv, empty), (emit_heatmap_csv, [])):
+        no_scan = heatmap_scan([], [])
+        cases = ((emit_csv, empty), (emit_caseab_csv, empty), (emit_heatmap_csv, no_scan))
+        for emit, rows in cases:
             with pytest.raises(ValidationError, match="^no rows to emit$"):
                 emit(rows, path)
             assert not path.exists()
@@ -592,6 +594,9 @@ class TestCommandLine:
             ("backend shots\nshots 1e3\n", "shots"),
             ("seed 1.0\n", "seed"),
             ("k_targets 2,three\n", "k_targets"),
+            ("k_targets ,\n", "k_targets"),
+            ("k_targets 2,,3\n", "k_targets"),
+            ("k_targets 2,3,\n", "k_targets"),
             ("n x\nk 2\nx11 0.4\nre_x1k 0.2\nim_x1k 0\n", "n"),
             ("n 4\nk 2.5\nx11 0.4\nre_x1k 0.2\nim_x1k 0\n", "k"),
             ("n 4\nk 2\nx11 abc\nre_x1k 0.2\nim_x1k 0\n", "x11"),

@@ -251,10 +251,10 @@ def test_sweep_and_caseab_bytes_are_the_row_template_bytes(name, tmp_path):
 
 def test_heatmap_bytes_are_the_row_template_bytes(tmp_path):
     params = load_heatmap_config(CONFIGS / "heatmap.txt")
-    rows = heatmap_scan(
+    scan = heatmap_scan(
         params["lam11"], params["re_lam1k"], lam_kk=params["lam_kk"],
         im_lam1k=params["im_lam1k"], dim_n=params["dim_n"], index_k=params["index_k"],
     )
-    emit_heatmap_csv(rows, tmp_path / "got.csv")
-    reference_emit_heatmap_csv(rows, tmp_path / "want.csv")
+    emit_heatmap_csv(scan, tmp_path / "got.csv")
+    reference_emit_heatmap_csv(scan, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

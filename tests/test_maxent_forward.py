@@ -376,29 +376,28 @@ class TestFidelity:
 
 class TestHeatmap:
     def test_origin_has_no_coherence(self):
-        rows = heatmap_scan([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0])
-        at_origin = [r for r in rows if r[0] == 0.0 and r[1] == 0.0]
-        assert len(at_origin) == 1
-        assert at_origin[0][3] == pytest.approx(0.0, abs=1e-15)
-        assert at_origin[0][2] == pytest.approx(0.25, abs=1e-12)
+        lam11, lam1k, x11, x1k = heatmap_scan([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0])
+        (at_origin,) = np.flatnonzero((lam11 == 0.0) & (lam1k == 0.0))
+        assert x1k[at_origin] == pytest.approx(0.0, abs=1e-15)
+        assert x11[at_origin] == pytest.approx(0.25, abs=1e-12)
 
     def test_single_point_grid(self):
-        ((lam11, lam1k, x11, x1k),) = heatmap_scan([1.0], [0.5])
+        (lam11,), (lam1k,), (x11,), (x1k,) = heatmap_scan([1.0], [0.5])
         assert (lam11, lam1k) == (1.0, 0.5 + 0j)
         assert x11 == pytest.approx(0.123375, abs=1e-6)
         assert x1k == pytest.approx(-0.093273 + 0j, abs=1e-6)
 
     def test_coherence_odd_in_coupling_when_diagonal_matches(self):
         grid = np.linspace(-2.0, 2.0, 9)
-        rows = heatmap_scan([0.7], grid, lam_kk=0.7)
-        by_re = {round(r[1].real, 12): r[3] for r in rows}
+        _, lam1k, _, x1k = heatmap_scan([0.7], grid, lam_kk=0.7)
+        by_re = {round(l.real, 12): x for l, x in zip(lam1k.tolist(), x1k.tolist())}
         for re in grid:
             assert by_re[round(re, 12)] == pytest.approx(
                 -by_re[round(-re, 12)], abs=1e-12
             )
 
     def test_row_major_order(self):
-        rows = heatmap_scan([0.0, 1.0], [2.0, 3.0])
-        assert [(r[0], r[1].real) for r in rows] == [
+        lam11, lam1k, _, _ = heatmap_scan([0.0, 1.0], [2.0, 3.0])
+        assert list(zip(lam11.tolist(), lam1k.real.tolist())) == [
             (0.0, 2.0), (0.0, 3.0), (1.0, 2.0), (1.0, 3.0),
         ]

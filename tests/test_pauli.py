@@ -21,7 +21,7 @@ class TestDecompose:
     def test_single_qubit_raising(self):
         # |1><2| on one qubit is (X + iY)/2
         d = decompose_ketbra(1, 2, 1)
-        assert d.terms == {
+        assert d == {
             PauliString(("X",)): pytest.approx(0.5),
             PauliString(("Y",)): pytest.approx(0.5j),
         }
@@ -29,19 +29,19 @@ class TestDecompose:
     def test_single_qubit_projectors(self):
         # |1><1| = (I + Z)/2 and |2><2| = (I - Z)/2
         top = decompose_ketbra(1, 1, 1)
-        assert top.terms == {
+        assert top == {
             PauliString(("I",)): pytest.approx(0.5),
             PauliString(("Z",)): pytest.approx(0.5),
         }
         bottom = decompose_ketbra(2, 2, 1)
-        assert bottom.terms == {
+        assert bottom == {
             PauliString(("I",)): pytest.approx(0.5),
             PauliString(("Z",)): pytest.approx(-0.5),
         }
 
     def test_single_qubit_lowering(self):
         d = decompose_ketbra(2, 1, 1)
-        assert d.terms == {
+        assert d == {
             PauliString(("X",)): pytest.approx(0.5),
             PauliString(("Y",)): pytest.approx(-0.5j),
         }
@@ -68,17 +68,17 @@ class TestDecompose:
             PauliString(("Y", "I")): 0.25j,
             PauliString(("Y", "Z")): 0.25j,
         }
-        assert set(d.terms) == set(expected)
+        assert set(d) == set(expected)
         for ps, coeff in expected.items():
-            assert d.terms[ps] == pytest.approx(coeff)
+            assert d[ps] == pytest.approx(coeff)
         np.testing.assert_allclose(assemble(d), ketbra(1, 2, 2), atol=1e-15)
 
     def test_term_count_and_magnitude(self):
         for n in (1, 2, 3):
             for i, j in ((1, 2), (2, 2**n), (1, 1)):
                 d = decompose_ketbra(i, j, n)
-                assert len(d.terms) == 2**n
-                for coeff in d.terms.values():
+                assert len(d) == 2**n
+                for coeff in d.values():
                     assert abs(coeff) == pytest.approx(2.0**-n)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -94,9 +94,9 @@ class TestDecompose:
             for i, j in ((1, 2), (1, 2**n), (3, 2) if n > 1 else (2, 1)):
                 d_ij = decompose_ketbra(i, j, n)
                 d_ji = decompose_ketbra(j, i, n)
-                assert set(d_ij.terms) == set(d_ji.terms)
-                for ps, coeff in d_ij.terms.items():
-                    assert d_ji.terms[ps] == pytest.approx(np.conj(coeff))
+                assert set(d_ij) == set(d_ji)
+                for ps, coeff in d_ij.items():
+                    assert d_ji[ps] == pytest.approx(np.conj(coeff))
 
     def test_index_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -125,7 +125,7 @@ class TestDecompose:
 
     def test_largest_qubit_count(self):
         d = decompose_ketbra(1, 2, MAX_QUBITS)
-        assert len(d.terms) == 2**MAX_QUBITS
+        assert len(d) == 2**MAX_QUBITS
 
 
 class TestRecombination:
@@ -158,7 +158,7 @@ class TestRecombination:
         bases, dim, reads = signs_of.shape
         assert (bases, dim) == (len(rotations), 2**n)
         slots = []
-        for p, coeff in decompose_ketbra(i, j, n).terms.items():
+        for p, coeff in decompose_ketbra(i, j, n).items():
             basis_rotations, mask = reference_basis(p)
             basis = rotations.index(basis_rotations)
             signs = sampler._parity_signs(n, mask)
@@ -177,7 +177,7 @@ class TestRecombination:
         rotations_of = [basis_gates(b, n) for b in plan[0]]
         for row, value in zip(freqs, got):
             want = complex(0.0)
-            for p, coeff in decompose_ketbra(2, 7, n).terms.items():
+            for p, coeff in decompose_ketbra(2, 7, n).items():
                 rotations, mask = reference_basis(p)
                 f = row[rotations_of.index(rotations)]
                 want += coeff * float(sampler._parity_signs(n, mask) @ f)

@@ -45,7 +45,7 @@ from qmaxent import (
     maxent,
     sampler,
 )
-from qmaxent.circuit import Circuit, parse_circuit, simulate, theta_free_prefix
+from qmaxent.circuit import Circuit, apply_gates, parse_circuit, simulate, theta_free_prefix
 from qmaxent.cli import ExperimentConfig, load_config, run_case_ab, run_sweep
 from qmaxent.maxent import (
     LagrangeSet,
@@ -196,7 +196,7 @@ class TestThetaFreePrefix:
             c = parse_circuit(text, theta)
             assert c.gates[: len(prefix.gates)] == prefix.gates
             rest = Circuit(c.num_qubits, c.gates[len(prefix.gates):])
-            assert simulate(rest, start).tobytes() == simulate(c).tobytes()
+            assert apply_gates(start, rest.gates, c.num_qubits).tobytes() == simulate(c).tobytes()
 
     def test_prefix_of_a_failing_text_raises(self):
         with pytest.raises(ParseError, match="line 3"):
@@ -347,8 +347,8 @@ class TestReproductionCheck:
         forward_kernel = count_calls(monkeypatch, maxent, ("_exponent_spectrum",))
         records = count_calls(monkeypatch, MeasurementRecord, ("__post_init__",))
         sets = count_calls(monkeypatch, LagrangeSet, ("__post_init__",))
-        rows = heatmap_scan(np.linspace(-3, 3, 21), np.linspace(-3, 3, 21))
-        assert len(rows) == 441
+        columns = heatmap_scan(np.linspace(-3, 3, 21), np.linspace(-3, 3, 21))
+        assert [len(c) for c in columns] == [441] * 4
         assert forward_kernel == {"_exponent_spectrum": 1}
         assert records == {"__post_init__": 0}
         assert sets == {"__post_init__": 0}

@@ -15,7 +15,7 @@ from conftest import (
 )
 
 from qmaxent import DomainError, ValidationError, circuits
-from qmaxent import cli, sampler
+from qmaxent import circuit, sampler
 from qmaxent.cli import ExperimentConfig, run_sweep
 from qmaxent.circuit import (
     Gate,
@@ -534,26 +534,6 @@ def _sampled_config(mitigate=True, noise=ReadoutNoise.uniform(0.02, 0.04, 2)):
     )
 
 
-def _count_rows_and_points(monkeypatch):
-    """Record the rows of each multinomial call and the points of each
-    sampled sweep's measurement."""
-    rows, measured = [], []
-    tally = sampler._Readout.tally
-    monkeypatch.setattr(
-        sampler._Readout, "tally",
-        lambda self, dists, seed: rows.append(len(dists)) or tally(self, dists, seed),
-    )
-    sampled_values = cli._sampled_values
-
-    def counting(*args):
-        values = sampled_values(*args)
-        measured.append(len(values[0]))
-        return values
-
-    monkeypatch.setattr(cli, "_sampled_values", counting)
-    return rows, measured
-
-
 class TestReadoutChecks:
     """Each check of the readout fires with its message, through the
     public estimators and through the sweep's kernel alike."""
@@ -612,35 +592,33 @@ class TestReadoutChecks:
             with pytest.raises(ValidationError, match="state is not normalized"):
                 estimate_paulis(sv, [PauliString(("X", "X"))], shots)
 
-    def test_frequencies_before_mitigation(self):
-        # Row ``bad`` of the one draw is not a distribution. A 3-theta
-        # sweep of twoq_a draws 11 rows per theta: K = 2 its populations
-        # and 2 bases, K = 3 its populations and 2 bases, K = 4 its
-        # populations and 4 bases.
-        tally = sampler._Readout.tally
-        # Row 14 is theta 1's K = 3 populations, the first row after a point.
-        for bad, points in [(0, 0), (14, 4), (15, 4), (32, 8)]:
-
-            def faulty(self, dists, seed, bad=bad):
-                counts = tally(self, dists, seed)
-                # A lone state's draw has one row.
-                counts[min(bad, len(counts) - 1)] = [-1, 0, 0, self.shots + 1]
-                return counts
-
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(sampler._Readout, "tally", faulty)
-                with pytest.raises(ValidationError, match="frequencies must be >= 0 and sum to 1"):
-                    estimate_populations(BELL_SV, 100, calibration=build_calibration(
-                        ReadoutNoise.uniform(0.02, 0.04, 2), 2
-                    ))
-                rows, measured = _count_rows_and_points(patch)
-                with pytest.raises(ValidationError, match="frequencies must be >= 0 and sum to 1"):
-                    run_sweep(_sampled_config())
-                # Every row was drawn, and the points before the one that
-                # owns the failing row were measured.
-                assert rows == [33] and measured == [points]
-                # Without a calibration nothing is mitigated and nothing checked.
-                run_sweep(_sampled_config(mitigate=False))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_drawn_frequencies_pass_the_frequency_check(self, n):
+        # ``draw`` mitigates what it is given unchecked, because every row
+        # it can be given is a distribution. A sampled row is a tally over
+        # shots: >= 0, its sum within 2^n ulps of 1. An exact row is p M^T:
+        # M is column-stochastic, and p is the populations of a state that
+        # passed the population screen, here at its edges 1 +- _NORM_ATOL,
+        # rotated into any measurement basis.
+        rng = np.random.default_rng(n)
+        noises = [None] + [ReadoutNoise.uniform(p, p, n) for p in (0.0, 0.5)] + [
+            ReadoutNoise(tuple(rng.uniform(0, 0.5, n)), tuple(rng.uniform(0, 0.5, n)))
+        ]
+        amplitudes = rng.standard_normal((6, 2**n)) + 1j * rng.standard_normal((6, 2**n))
+        states = amplitudes / np.linalg.norm(amplitudes, axis=1, keepdims=True)
+        edge = circuit._NORM_ATOL * (1 - 2**-10)
+        edges = np.concatenate([states * math.sqrt(1 - edge), states * math.sqrt(1 + edge)])
+        assert sampler._population_failure(edges) is None
+        sums = (np.abs(edges) ** 2).sum(axis=1) - 1
+        assert np.abs(np.abs(sums) - edge).max() <= 1e-13
+        for noise in noises:
+            readout = sampler._Readout(n, None, noise, None)
+            reads = sampler._basis_reads(edges, n, range(3**n), readout)
+            assert sampler._frequency_failure(np.concatenate(list(reads.values()))) is None
+            for shots in (1, 7, 8192, 2**40):
+                readout = sampler._Readout(n, shots, noise, None)
+                tally = readout.tally(readout.distribution(states), seed=shots)
+                assert sampler._frequency_failure(tally / shots) is None
 
     def test_ill_conditioned_calibration(self):
         singular = ReadoutNoise.uniform(0.5, 0.5, 2)

@@ -342,7 +342,8 @@ def test_forward_kernel_matches_mpmath(lams):
 def test_heatmap_rows_match_mpmath(im_lam1k, lam_kk):
     lam11 = [-3.0, -0.0, 0.0, 1e-15, 0.35, 2.9, 40.0]
     re1k = [-3.0, -1e-16, -0.0, 0.0, 1e-300, 0.61, 3.0]
-    rows = heatmap_scan(lam11, re1k, lam_kk=lam_kk, im_lam1k=im_lam1k, dim_n=8, index_k=3)
+    scan = heatmap_scan(lam11, re1k, lam_kk=lam_kk, im_lam1k=im_lam1k, dim_n=8, index_k=3)
+    rows = list(zip(*(column.tolist() for column in scan)))
     grid = [(l11, complex(re, im_lam1k)) for l11 in lam11 for re in re1k]
     # The multipliers come back as given, signed zeros included.
     assert [repr(row[:2]) for row in rows] == [repr(point) for point in grid]
