@@ -577,8 +577,10 @@ def _sweep_states(text: str, thetas: list):
     gates, failure = _bind(_parse_text(text), thetas)
     states = np.broadcast_to(simulate(prefix), (len(thetas), 2**n))
     states = _apply(states, gates[len(prefix.gates):], n)
+    # np.linalg.norm(states, axis=1), the formula it evaluates, without
+    # its Python wrapper.
     with np.errstate(all="ignore"):
-        norms = np.linalg.norm(states, axis=1)
+        norms = np.sqrt(np.add.reduce((states.conj() * states).real, axis=1))
     return states, _earliest(failure, _screen_rows(norms, _check_norm, states))
 
 

@@ -13,10 +13,12 @@ it, one row per draw in the order (theta, K, [populations, then each
 basis of K's plan in plan order]). Each K draws its own populations.
 
 ``_sweep_points`` is the one sweep and ``Sweep`` the one result: the
-kernels' arrays as columns, one row per point. ``run_sweep`` returns
-every row and ``run_case_ab`` the solved ones, and the ``sweep`` and
-``caseab`` CSVs are two views of them, formatted from the columns. No
-per-point object is built between the kernels and the CSV.
+kernels' arrays as columns, one row per point. ``_sweep_points`` returns
+the measured columns of every row and the results of the solved rows;
+``run_sweep`` alone scatters the results into every row, and
+``run_case_ab`` keeps the solved rows, gathering only theta and K. The
+``sweep`` and ``caseab`` CSVs are two views of them, formatted from the
+columns. No per-point object is built between the kernels and the CSV.
 Every CSV is written by one emitter (``_write_csv``) as one byte matrix,
 whose float cells numpy fills with the text ``'%.11e'`` gives
 (``_float_cells``).
@@ -44,8 +46,7 @@ are not checked again: a unitary rotation moves a norm by rounding
 only. Then one call of each of
 ``maxent``'s array kernels covers all the solved points: the prediction
 of xKK, the completion and solve of case A and case B side by side
-(``maxent._complete_and_solve``) and the fidelity, and the solved rows'
-results are scattered into columns of every row. No record is built,
+(``maxent._complete_and_solve``) and the fidelity. No record is built,
 no multiplier set is validated again, and no clamp warning is raised.
 """
 
@@ -179,13 +180,6 @@ class Sweep:
     def __len__(self) -> int:
         return len(self.solved)
 
-    def _rows(self, mask) -> Sweep:
-        """The rows ``mask`` selects, as a sweep of their own."""
-        return Sweep(*(
-            tuple(v[mask] for v in column) if isinstance(column, tuple) else column[mask]
-            for column in (getattr(self, f.name) for f in dataclasses.fields(self))
-        ))
-
 
 def resolve_circuit(spec_value: str) -> str:
     """Circuit text for a config value: a bundled name or a file path,
@@ -288,8 +282,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
     )
 
 
-def _sweep_points(cfg: ExperimentConfig) -> Sweep:
+def _interleave(columns: list[np.ndarray]) -> np.ndarray:
+    """``np.stack(columns, axis=1).ravel()``, row i of each column in
+    turn, built by ``np.array`` without ``np.stack``'s Python wrapper."""
+    return np.array(columns).T.ravel()
+
+
+def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
     """Measure and reconstruct every (theta, K) point, theta outer, K inner.
+
+    Returns the measured columns of every row, (theta, k, x11, x1K, xKK
+    true, solved), and the solved rows' columns, (x11, x1K, xKK true,
+    xKK predicted, fidelity, case A multipliers, case A near_singular,
+    case B multipliers, case B near_singular), in ``Sweep``'s field order.
 
     A sampled sweep draws every point, floor points included, from one
     generator. Every point is measured first; then one call of each array
@@ -338,7 +343,7 @@ def _sweep_points(cfg: ExperimentConfig) -> Sweep:
         # Point (theta i, K) reads row i: x11 and xKK are its exact
         # populations, x1K is rho[1, K], the mean of |K><1|: a_0 * conj(a_{K-1}).
         x11 = np.repeat(dists[:, 0], len(k_targets))
-        x1k = np.stack([_coherence(states[:stop], k, 1) for k in k_targets], axis=1).ravel()
+        x1k = _interleave([_coherence(states[:stop], k, 1) for k in k_targets])
         xkk_true = dists[:, [k - 1 for k in k_targets]].ravel()
     else:
         x11, x1k, xkk_true = _sampled_values(
@@ -354,14 +359,14 @@ def _sweep_points(cfg: ExperimentConfig) -> Sweep:
         error = invalid[1]
         x11, x1k, xkk_true, solved = x11[:count], x1k[:count], xkk_true[:count], solved[:count]
 
-    x11_s, x1k_s = x11[solved], x1k[solved]
+    x11_s, x1k_s, xkk_true_s = x11[solved], x1k[solved], xkk_true[solved]
     xkk = _predict_population(x11_s, x1k_s)[0]
     # Case A completes each point with its predicted xKK, case B with the
     # true one. One call solves both, point first: row 2i is point i's
     # case A and row 2i + 1 its case B.
     completed, lams, near, (z, block), failure = _complete_and_solve(
         dim_n, np.repeat(x11_s, 2), np.repeat(x1k_s, 2),
-        np.stack([xkk, xkk_true[solved]], 1).ravel(),
+        _interleave([xkk, xkk_true_s]),
     )
     lams_a, lams_b = (tuple(v[i::2] for v in lams) for i in (0, 1))
     block_a, block_b = (tuple(v[i::2] for v in block) for i in (0, 1))
@@ -378,18 +383,10 @@ def _sweep_points(cfg: ExperimentConfig) -> Sweep:
     if error is not None:
         raise error
 
-    def every_row(values, fill):
-        # The solved rows' values scattered into a column of every row.
-        column = np.full(len(solved), fill, values.dtype)
-        column[solved] = values
-        return column
-
-    return Sweep(
-        np.repeat(thetas, len(k_targets)), np.tile(k_targets, len(thetas)),
-        x11, x1k, xkk_true, every_row(completed[2][::2], math.nan), every_row(fidelity, math.nan),
-        tuple(every_row(v, math.nan) for v in lams_a), every_row(near[::2], False),
-        tuple(every_row(v, math.nan) for v in lams_b), every_row(near[1::2], False),
-        solved,
+    theta, k = np.repeat(thetas, len(k_targets)), np.array(k_targets * len(thetas))
+    return (theta, k, x11, x1k, xkk_true, solved), (
+        x11_s, x1k_s, xkk_true_s, completed[2][::2], fidelity,
+        lams_a, near[::2], lams_b, near[1::2],
     )
 
 
@@ -409,12 +406,11 @@ def _sampled_values(states, num_qubits, dists, k_targets, readout, seed):
         starts.append(len(slots))
         slots += [dists, *(reads[b] for b in plan[0])]
     freqs = _draw_slots(readout, slots, seed)
-    x1k = np.stack(
-        [_recombine(plan, freqs[:, s + 1 : s + 1 + len(plan[0])]) for plan, s in zip(plans, starts)],
-        axis=1,
+    x1k = _interleave(
+        [_recombine(plan, freqs[:, s + 1 : s + 1 + len(plan[0])]) for plan, s in zip(plans, starts)]
     )
     return (
-        freqs[:, starts, 0].ravel(), x1k.ravel(),
+        freqs[:, starts, 0].ravel(), x1k,
         freqs[:, starts, [k - 1 for k in k_targets]].ravel(),
     )
 
@@ -422,15 +418,29 @@ def _sampled_values(states, num_qubits, dists, k_targets, readout, seed):
 def run_sweep(cfg: ExperimentConfig) -> Sweep:
     """Every (theta, K) point, theta outer, K inner. A point whose x11 sits
     at the degeneracy floor is kept, flagged near_singular, not raised."""
-    return _sweep_points(cfg)
+    (theta, k, x11, x1k, xkk_true, solved), solved_rows = _sweep_points(cfg)
+    _, _, _, xkk_pred, fidelity, lams_a, near_a, lams_b, near_b = solved_rows
+
+    def every_row(values, fill):
+        # The solved rows' values scattered into a column of every row.
+        column = np.full(len(solved), fill, values.dtype)
+        column[solved] = values
+        return column
+
+    return Sweep(
+        theta, k, x11, x1k, xkk_true, every_row(xkk_pred, math.nan), every_row(fidelity, math.nan),
+        tuple(every_row(v, math.nan) for v in lams_a), every_row(near_a, False),
+        tuple(every_row(v, math.nan) for v in lams_b), every_row(near_b, False),
+        solved,
+    )
 
 
 def run_case_ab(cfg: ExperimentConfig) -> Sweep:
     """The points of ``run_sweep`` that have a case A and a case B
     reconstruction to compare, in the same order: the floor points are
     left out."""
-    sweep = _sweep_points(cfg)
-    return sweep._rows(sweep.solved)
+    (theta, k, _, _, _, solved), solved_rows = _sweep_points(cfg)
+    return Sweep(theta[solved], k[solved], *solved_rows, np.ones(len(solved_rows[0]), bool))
 
 
 def _fmt(value: float) -> str:
@@ -496,6 +506,9 @@ def _text_cells(texts) -> np.ndarray:
     return np.frombuffer(data, np.uint8).reshape(-1, _CELL)
 
 
+_BOOL_CELLS = _text_cells(("false", "true"))
+
+
 def _float_cells(x: np.ndarray) -> np.ndarray:
     """The ``_fmt`` text of every value of ``x``, one ``_CELL``-byte row
     each (see ``_text_cells``), in the order of ``x.ravel()``.
@@ -516,11 +529,13 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     nonzero = finite & (a != 0)
     with np.errstate(all="ignore"):
         e = np.floor(np.log10(np.where(nonzero, a, 1.0))).astype(np.int64)
-        m = _scale(a, np.clip(11 - e, -44, 44))
+        # np.minimum(np.maximum(...)), not np.clip: the exponents are
+        # integers, and np.clip's Python wrapper costs more than the work.
+        m = _scale(a, np.minimum(np.maximum(11 - e, -44), 44))
         off = nonzero & ((m < 1e11) | (m >= 1e12))
         if off.any():
             e[off] += np.where(m[off] < 1e11, -1, 1)
-            m[off] = _scale(a[off], np.clip(11 - e[off], -44, 44))
+            m[off] = _scale(a[off], np.minimum(np.maximum(11 - e[off], -44), 44))
         d = np.rint(m)
         python = (
             ~finite | (np.abs(11 - e) > 44) | (np.abs(m - d) >= 0.499)
@@ -534,7 +549,7 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     cells[:, :2] = _HEADS[np.signbit(x) * 10**4 + high].view(np.uint32).reshape(-1, 2)
     cells[:, 2] = _WORDS[middle]
     cells[:, 3] = _WORDS[low]
-    cells[:, 4] = _EXPONENTS[np.clip(e + carry, -99, 99) + 99]
+    cells[:, 4] = _EXPONENTS[np.minimum(np.maximum(e + carry, -99), 99) + 99]
     cells = cells.view(np.uint8)
     if python.any():
         cells[python] = _text_cells(map(_fmt, x[python].tolist()))
@@ -571,14 +586,17 @@ def _write_csv(header: str, columns: tuple[np.ndarray, ...], path: str | Path) -
     matrix[:, :, _CELL] = ord(",")
     matrix[:, -1, _CELL] = ord("\n")
     floats = [i for i, c in enumerate(columns) if c.dtype.kind == "f"]
-    cells = _float_cells(np.stack([columns[i] for i in floats], axis=1))
+    cells = _float_cells(_interleave([columns[i] for i in floats]))
     matrix[:, floats, :_CELL] = cells.reshape(rows, len(floats), _CELL)
     for i, column in enumerate(columns):
         if column.dtype.kind == "b":
-            matrix[:, i, :_CELL] = _text_cells(("false", "true"))[column.view(np.uint8)]
+            matrix[:, i, :_CELL] = _BOOL_CELLS[column.view(np.uint8)]
         elif column.dtype.kind in "iu":
-            values, index = np.unique(column, return_inverse=True)
-            matrix[:, i, :_CELL] = _text_cells(map(str, values.tolist()))[index]
+            # One cell per integer from the least to the greatest, indexed
+            # by the value's offset from the least.
+            low = int(column.min())
+            table = _text_cells(map(str, range(low, int(column.max()) + 1)))
+            matrix[:, i, :_CELL] = table[column - low]
     _write(f"{header}\n".encode() + matrix[matrix != 0].tobytes(), path)
 
 
@@ -708,6 +726,15 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     )
 
 
+def _median(values: np.ndarray) -> float:
+    """The median of a non-empty, NaN-free column, from one sort: the
+    middle value, or the mean of the two middle ones, as ``np.median``
+    gives it, without its Python wrapper."""
+    s = np.sort(values)
+    m = len(s) // 2
+    return float(s[m] if len(s) % 2 else (s[m - 1] + s[m]) / 2)
+
+
 def _cmd_sweep(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     sweep = run_sweep(cfg)
@@ -715,7 +742,7 @@ def _cmd_sweep(args) -> int:
     emit_csv(sweep, out)
     diffs = sweep.abs_diff
     diffs = diffs[~np.isnan(diffs)]
-    median = float(np.median(diffs)) if diffs.size else math.nan
+    median = _median(diffs) if diffs.size else math.nan
     print(f"wrote {len(sweep)} rows to {out} (median abs_diff {median:.3e})")
     return 0
 
@@ -725,7 +752,7 @@ def _cmd_caseab(args) -> int:
     sweep = run_case_ab(cfg)
     out = cfg.output_path or "caseab.csv"
     emit_caseab_csv(sweep, out)
-    median = float(np.median(sweep.abs_diff))
+    median = _median(sweep.abs_diff)
     print(
         f"wrote {len(sweep)} rows to {out} (median abs_diff {median:.3e}, "
         f"min fidelity {min(sweep.fidelity.tolist()):.6f})"

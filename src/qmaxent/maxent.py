@@ -706,10 +706,10 @@ def heatmap_scan(
     whose multipliers ``LagrangeSet`` rejects, or whose exp(A)
     overflows, raises its error.
     """
+    _check_dims(dim_n, index_k)
     grid = [(float(l11), float(re1k)) for l11 in lam11_values for re1k in re_lam1k_values]
     if not grid:
         return np.empty(0), np.empty(0, complex), np.empty(0), np.empty(0, complex)
-    _check_dims(dim_n, index_k)
     l11 = np.array([p[0] for p in grid])
     im = float(im_lam1k)
     l1k = np.array([complex(p[1], im) for p in grid])

@@ -1026,6 +1026,19 @@ def sweep_bits(sweep) -> dict:
     return {name: (c.dtype.str, c.tobytes()) for name, c in columns.items()}
 
 
+def sweep_rows(sweep, mask):
+    """The rows ``mask`` selects, as a sweep of their own: each column,
+    and each multiplier of a case, indexed by ``mask``."""
+    from dataclasses import fields
+
+    from qmaxent.cli import Sweep
+
+    return Sweep(*(
+        tuple(v[mask] for v in column) if isinstance(column, tuple) else column[mask]
+        for column in (getattr(sweep, f.name) for f in fields(sweep))
+    ))
+
+
 def _row_format(*fields: str) -> str:
     """One format string for a CSV row: "e" is a 12-significant-digit
     value as ``'%.11e'`` writes it, "s" a field written as it is."""

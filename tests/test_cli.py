@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import sweep_bits
+from conftest import sweep_bits, sweep_rows
 
 import qmaxent
 import qmaxent.cli as cli
@@ -385,7 +385,7 @@ class TestEmitCsv:
     def test_empty_rows_rejected(self, tmp_path):
         path = tmp_path / "none.csv"
         sweep = run_sweep(exact_config(steps=1))
-        empty = sweep._rows(np.zeros(len(sweep), bool))
+        empty = sweep_rows(sweep, np.zeros(len(sweep), bool))
         no_scan = heatmap_scan([], [])
         cases = ((emit_csv, empty), (emit_caseab_csv, empty), (emit_heatmap_csv, no_scan))
         for emit, rows in cases:
@@ -723,3 +723,36 @@ class TestCommandLine:
         assert len(rho) == 16
         for _, value in rho:
             complex(value)
+
+
+def median_columns():
+    """Columns of every kind the printed median reads: lengths 1 and 2,
+    odd and even lengths, ties, subnormals and the column lengths of the
+    bundled configs."""
+    rng = np.random.default_rng(11)
+    tiny = 5e-324 * np.arange(1, 8)
+    columns = {
+        "one": np.array([0.3]),
+        "two": np.array([0.1, 0.2]),
+        "two_subnormal": tiny[[0, 2]],
+        "odd_subnormal": tiny[:5],
+        "even_subnormal": tiny[:6],
+        "mixed_subnormal": np.concatenate([tiny, [1e-300, 0.0, 2.0]]),
+        "ties": np.array([0.5, 0.25, 0.5, 0.5, 0.25, 0.75]),
+        "zeros": np.zeros(4),
+    }
+    for n in (3, 4, 49, 50, 63, 336, 1407):
+        columns[f"random_{n}"] = np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-17, 1, n)
+        columns[f"ties_{n}"] = rng.integers(0, 4, n) / 8
+    return columns
+
+
+MEDIAN_COLUMNS = median_columns()
+
+
+@pytest.mark.parametrize("name", MEDIAN_COLUMNS)
+def test_median_has_the_bits_of_np_median(name):
+    values = MEDIAN_COLUMNS[name]
+    got = cli._median(values)
+    assert isinstance(got, float)
+    assert np.float64(got).tobytes() == np.median(values).tobytes()

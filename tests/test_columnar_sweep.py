@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import reference_sweep_points, sweep_bits
+from conftest import reference_sweep_points, sweep_bits, sweep_rows
 
 from qmaxent.cli import (
     ExperimentConfig,
@@ -65,7 +65,7 @@ def test_columns_are_the_point_loop_bit_for_bit(tmp_path, name):
     assert sweep.abs_diff.tobytes() == np.array([abs(t - p) for t, p in zip(true, pred)]).tobytes()
     flags = zip(want.solved.tolist(), want.near_a.tolist(), want.near_b.tolist())
     assert sweep.near_singular.tolist() == [not s or a or b for s, a, b in flags]
-    assert sweep_bits(run_case_ab(cfg)) == sweep_bits(want._rows(want.solved))
+    assert sweep_bits(run_case_ab(cfg)) == sweep_bits(sweep_rows(want, want.solved))
     if name in ("flip", "mixed"):
         assert int(want.solved.sum()) == {"flip": 0, "mixed": 12}[name]
 

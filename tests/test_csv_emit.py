@@ -220,8 +220,14 @@ BACKENDS = {
 }
 
 
+# A 4-qubit model, so that a K column holds two-digit values.
+FOURQ = "qubits 4\nh 0\nh 1\ncx 0 2\nrx(theta) 3\ncx 1 3\nry(theta/2) 2\n"
+FOURQ_TARGETS = {"fourq-k9_16": "k_targets 9,16\n", "fourq-every_k": ""}
+
+
 def sweep_configs(tmp_path):
-    """The bundled sweep configs and one config per model and backend."""
+    """The bundled sweep configs, one config per model and backend, and
+    the 4-qubit model's exact sweeps at K = 9, 16 and at every K."""
     configs = {name: CONFIGS / name
                for name in ("sweep_exact.txt", "sweep_noisy_mitigated.txt", "caseab_shots.txt")}
     for model in MODELS:
@@ -229,13 +235,18 @@ def sweep_configs(tmp_path):
             path = tmp_path / f"{model}_{backend}.txt"
             path.write_text(f"circuit {model}\ntheta_steps 21\n{settings}")
             configs[f"{model}-{backend}"] = path
+    (tmp_path / "fourq.qc").write_text(FOURQ)
+    for name, targets in FOURQ_TARGETS.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(f"circuit fourq.qc\ntheta_steps 21\n{targets}")
+        configs[name] = path
     return configs
 
 
 @pytest.mark.parametrize(
     "name",
     ["sweep_exact.txt", "sweep_noisy_mitigated.txt", "caseab_shots.txt",
-     *(f"{m}-{b}" for m in MODELS for b in BACKENDS)],
+     *(f"{m}-{b}" for m in MODELS for b in BACKENDS), *FOURQ_TARGETS],
 )
 def test_sweep_and_caseab_bytes_are_the_row_template_bytes(name, tmp_path):
     cfg = load_config(sweep_configs(tmp_path)[name])

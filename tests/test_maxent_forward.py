@@ -401,3 +401,14 @@ class TestHeatmap:
         assert list(zip(lam11.tolist(), lam1k.real.tolist())) == [
             (0.0, 2.0), (0.0, 3.0), (1.0, 2.0), (1.0, 3.0),
         ]
+
+    @pytest.mark.parametrize(
+        "dims, message",
+        [((3, 2), r"^dim_n must be a power of two >= 4, got 3$"),
+         ((4, 9), r"^index_k must lie in \[2, 4\], got 9$")],
+    )
+    @pytest.mark.parametrize("grid", [([], []), ([1.0], [0.5])])
+    def test_bad_dimensions_raise_on_any_grid(self, dims, message, grid):
+        dim_n, index_k = dims
+        with pytest.raises(ValidationError, match=message):
+            heatmap_scan(*grid, dim_n=dim_n, index_k=index_k)

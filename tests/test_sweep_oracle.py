@@ -40,6 +40,7 @@ from conftest import (
     mp_fidelity,
     reference_sampled_sweep,
     sweep_bits,
+    sweep_rows,
     taylor_expm,
 )
 from hypothesis import given, settings
@@ -161,7 +162,7 @@ def test_every_exact_row_matches_the_dense_pipeline(tmp_path_factory, sweep):
     thetas = [start] if steps == 1 else np.linspace(start, stop, steps).tolist()
     points = list(zip(rows.theta.tolist(), rows.k.tolist()))
     assert points == [(t, k) for t in thetas for k in ks]
-    sets = iter(case_sets(rows._rows(rows.solved), 2**n))
+    sets = iter(case_sets(sweep_rows(rows, rows.solved), 2**n))
     for i, (theta, k) in enumerate(points):
         x11, x1k, xkk_true = rows.x11[i], rows.x1k[i], rows.xkk_true[i]
         psi = dense_state(n, gates, theta)
