@@ -39,7 +39,7 @@ slices. ``simulate`` is ``apply_gates`` on ``zero_state``, the
 kernels on one vector; a caller that needs the same state under several
 extra gate sequences (basis rotations, for instance) simulates once and
 applies each sequence to the result. A theta sweep (``_sweep_states``)
-simulates ``theta_free_prefix(text)`` once, broadcasts its state to
+simulates ``theta_free_prefix(text)`` once, repeats its state in
 every row and applies each later gate once to the whole stack; its norm
 check screens the rows' norms in numpy and gives each suspect row the
 one-vector check. A rotation's T matrices are built as arrays, their
@@ -137,7 +137,11 @@ class _BindErrors:
     """The first error of each theta of a binding. ``add(mask, reason,
     line)`` gives (reason, line) to each theta in ``mask`` (a bool array,
     or True for every theta) that has no error yet; a reason may be a
-    function of the theta's index."""
+    function of the theta's index.
+
+    A check screens before it attributes: most checks fail for no theta,
+    and one ``mask.any()`` says so before any theta is matched with its
+    earlier errors. ``failed`` says whether any theta has an error."""
 
     __slots__ = ("codes", "errors")
 
@@ -145,7 +149,13 @@ class _BindErrors:
         self.codes = np.zeros(size, dtype=np.intp)
         self.errors: list = [None]
 
+    @property
+    def failed(self) -> bool:
+        return len(self.errors) > 1
+
     def add(self, mask, reason, line: int | None) -> None:
+        if mask is not True and not mask.any():
+            return
         new = (self.codes == 0) & mask
         if new.any():
             self.codes[new] = len(self.errors)
@@ -153,7 +163,7 @@ class _BindErrors:
 
     def first(self) -> tuple[int, ParseError] | None:
         """The first theta that has an error, with that error."""
-        failed = np.flatnonzero(self.codes)
+        failed = self.codes.nonzero()[0]
         if not failed.size:
             return None
         i = int(failed[0])
@@ -372,7 +382,9 @@ def _bind(parsed: _Parsed, thetas: list | None):
                 _overflow(value, angle.expr, gate.line, errors)
                 if gate.qubit is None:
                     break
-                gate = (gate.kind, gate.qubit, np.where(errors.codes == 0, value, 0.0))
+                if errors.failed:
+                    value = np.where(errors.codes == 0, value, 0.0)
+                gate = (gate.kind, gate.qubit, value)
             gates.append(gate)
     if parsed.error is not None:
         errors.add(True, *parsed.error)
@@ -569,13 +581,13 @@ def _sweep_states(text: str, thetas: list):
     error. Rows from that index on are not to be read.
 
     The theta-free prefix is simulated once, its errors raised at once,
-    and its state broadcast to the rows; each later gate applies once to
+    and its state repeated in the rows; each later gate applies once to
     the whole stack.
     """
     prefix = theta_free_prefix(text)
     n = prefix.num_qubits
     gates, failure = _bind(_parse_text(text), thetas)
-    states = np.broadcast_to(simulate(prefix), (len(thetas), 2**n))
+    states = simulate(prefix)[None].repeat(len(thetas), axis=0)
     states = _apply(states, gates[len(prefix.gates):], n)
     # np.linalg.norm(states, axis=1), the formula it evaluates, without
     # its Python wrapper.
@@ -592,7 +604,7 @@ def _screen_rows(sums, check, states: np.ndarray):
     tolerance, a suspect, gets the one-row check."""
     # Written so that a NaN sum is a suspect too.
     suspects = ~(np.abs(sums - 1.0) <= 0.5 * _NORM_ATOL)
-    for i in np.flatnonzero(suspects).tolist():
+    for i in suspects.nonzero()[0].tolist():
         error = _raised(check, states[i])
         if error is not None:
             return i, error

@@ -21,7 +21,8 @@ the measured columns of every row and the results of the solved rows;
 columns. No per-point object is built between the kernels and the CSV.
 Every CSV is written by one emitter (``_write_csv``) as one byte matrix,
 whose float cells numpy fills with the text ``'%.11e'`` gives
-(``_float_cells``).
+(``_float_cells``); the header and the matrix's nonzero bytes are two
+writes to the file.
 A command derives each of its inputs once: its config is validated once
 (again only for a --seed or --out override), its ``abs_diff`` column is
 computed once for the CSV and the printed median.
@@ -39,12 +40,14 @@ more distribution call (``sampler._basis_reads``); the draws, the
 mitigation and the recombination of |K><1| are then array operations
 over the whole matrix of rows (``sampler._draw_slots``).
 The measured (x11, x1K) of all points are checked once, as arrays. A
-theta that fails a check of its state (its binding, its norm, its
-population sum) raises its error where a loop over the points would
-reach it, after the points before it are measured. The rotated rows
-are not checked again: a unitary rotation moves a norm by rounding
-only. Then one call of each of
-``maxent``'s array kernels covers all the solved points: the prediction
+check screens before it attributes: one array test marks the points
+that may fail, and only when it marks some is each of them matched with
+its error, in point order. A theta that fails a check of its state
+(its binding, its norm, its population sum) raises its error where a
+loop over the points would reach it, after the points before it are
+measured. The rotated rows are not checked again: a unitary rotation
+moves a norm by rounding only. Then one call of each of ``maxent``'s
+array kernels covers all the solved points: the prediction
 of xKK, the completion and solve of case A and case B side by side
 (``maxent._complete_and_solve``) and the fidelity. No record is built,
 no multiplier set is validated again, and no clamp warning is raised.
@@ -342,7 +345,7 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
     if shots is None:
         # Point (theta i, K) reads row i: x11 and xKK are its exact
         # populations, x1K is rho[1, K], the mean of |K><1|: a_0 * conj(a_{K-1}).
-        x11 = np.repeat(dists[:, 0], len(k_targets))
+        x11 = dists[:, 0].repeat(len(k_targets))
         x1k = _interleave([_coherence(states[:stop], k, 1) for k in k_targets])
         xkk_true = dists[:, [k - 1 for k in k_targets]].ravel()
     else:
@@ -355,7 +358,7 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
     solved = x11 > POLICY.population_floor
     invalid = _record_failure(x11[solved], x1k[solved])
     if invalid is not None:
-        count = int(np.flatnonzero(solved)[invalid[0]])
+        count = int(solved.nonzero()[0][invalid[0]])
         error = invalid[1]
         x11, x1k, xkk_true, solved = x11[:count], x1k[:count], xkk_true[:count], solved[:count]
 
@@ -365,7 +368,7 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
     # true one. One call solves both, point first: row 2i is point i's
     # case A and row 2i + 1 its case B.
     completed, lams, near, (z, block), failure = _complete_and_solve(
-        dim_n, np.repeat(x11_s, 2), np.repeat(x1k_s, 2),
+        dim_n, x11_s.repeat(2), x1k_s.repeat(2),
         _interleave([xkk, xkk_true_s]),
     )
     lams_a, lams_b = (tuple(v[i::2] for v in lams) for i in (0, 1))
@@ -383,7 +386,7 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
     if error is not None:
         raise error
 
-    theta, k = np.repeat(thetas, len(k_targets)), np.array(k_targets * len(thetas))
+    theta, k = np.array(thetas).repeat(len(k_targets)), np.array(k_targets * len(thetas))
     return (theta, k, x11, x1k, xkk_true, solved), (
         x11_s, x1k_s, xkk_true_s, completed[2][::2], fidelity,
         lams_a, near[::2], lams_b, near[1::2],
@@ -543,8 +546,12 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
         )
         carry = d == 1e12
         d = np.where(python, 0, np.where(carry, 1e11, d)).astype(np.int64)
-    high, low = np.divmod(d, 10**8)
-    middle, low = np.divmod(low, 10**4)
+    # Floor division by a constant, not np.divmod: numpy divides an
+    # integer array by a scalar with a multiply and a shift.
+    upper = d // 10**4
+    low = d - upper * 10**4
+    high = upper // 10**4
+    middle = upper - high * 10**4
     cells = np.empty((len(x), _CELL // 4), np.uint32)
     cells[:, :2] = _HEADS[np.signbit(x) * 10**4 + high].view(np.uint32).reshape(-1, 2)
     cells[:, 2] = _WORDS[middle]
@@ -556,28 +563,33 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _write(data: bytes, path: str | Path | None) -> None:
-    """Write ``data`` to ``path``, or to stdout when ``path`` is None."""
+def _write(parts, path: str | Path | None) -> None:
+    """Write ``parts``, ASCII bytes or byte arrays, one after the other
+    to ``path``, or to stdout when ``path`` is None."""
     if path is None:
-        sys.stdout.write(data.decode())
+        sys.stdout.write(b"".join(parts).decode())
     else:
-        Path(path).write_bytes(data)
+        with open(path, "wb") as f:
+            for part in parts:
+                f.write(part)
 
 
 def _write_lines(lines: list[str], path: str | Path | None) -> None:
     """Write a header and its rows as LF-terminated lines to ``path``, or
     to stdout when ``path`` is None. No timestamps: the bytes are a pure
     function of the lines."""
-    _write(("\n".join(lines) + "\n").encode(), path)
+    _write([("\n".join(lines) + "\n").encode()], path)
 
 
 def _write_csv(header: str, columns: tuple[np.ndarray, ...], path: str | Path) -> None:
     """Write ``columns`` under ``header`` as CSV, one row per index: a
-    float as ``_fmt`` writes it, an integer in decimal, a bool as
-    true/false.
+    float as ``_fmt`` writes it, an integer in 0..9999 in decimal (the
+    only integer column is K, at most 2^6), a bool as true/false.
 
     The body is built as one (rows, columns, ``_CELL`` + 1) byte matrix, a
     cell and its comma or newline per column; its zero bytes are dropped.
+    The header and the compacted body are written as they are, with no
+    copy joining them.
     """
     rows = len(columns[0])
     if rows == 0:
@@ -586,18 +598,21 @@ def _write_csv(header: str, columns: tuple[np.ndarray, ...], path: str | Path) -
     matrix[:, :, _CELL] = ord(",")
     matrix[:, -1, _CELL] = ord("\n")
     floats = [i for i, c in enumerate(columns) if c.dtype.kind == "f"]
-    cells = _float_cells(_interleave([columns[i] for i in floats]))
-    matrix[:, floats, :_CELL] = cells.reshape(rows, len(floats), _CELL)
+    # One (floats, rows) stack, formatted in its own order and written
+    # through a transposed view.
+    cells = _float_cells(np.array([columns[i] for i in floats]))
+    matrix[:, floats, :_CELL] = cells.reshape(len(floats), rows, _CELL).transpose(1, 0, 2)
     for i, column in enumerate(columns):
         if column.dtype.kind == "b":
             matrix[:, i, :_CELL] = _BOOL_CELLS[column.view(np.uint8)]
         elif column.dtype.kind in "iu":
-            # One cell per integer from the least to the greatest, indexed
-            # by the value's offset from the least.
-            low = int(column.min())
-            table = _text_cells(map(str, range(low, int(column.max()) + 1)))
-            matrix[:, i, :_CELL] = table[column - low]
-    _write(f"{header}\n".encode() + matrix[matrix != 0].tobytes(), path)
+            # The four digits of each value, its leading zeros made zero
+            # bytes, which the compaction drops.
+            digits = _DIGITS[column]
+            for j, power in enumerate((1000, 100, 10)):
+                digits[column < power, j] = 0
+            matrix[:, i, :4] = digits
+    _write((f"{header}\n".encode(), matrix[matrix != 0]), path)
 
 
 SWEEP_HEADER = "theta,k,x11,re_x1k,im_x1k,xkk_true,xkk_pred,abs_diff,fidelity,near_singular"

@@ -75,8 +75,11 @@ def _raised(check, *args, **kwargs) -> Exception | None:
 
 def _failure(mask: np.ndarray, error) -> tuple[int, Exception] | None:
     """The first index of ``mask`` for which ``error(i)`` gives an
-    exception, with that exception; None when there is none."""
-    for i in np.flatnonzero(mask).tolist():
+    exception, with that exception; None when there is none.
+
+    ``mask`` screens: it marks the points that may fail, and only those
+    are attributed an error, one ``error(i)`` call each in index order."""
+    for i in mask.nonzero()[0].tolist():
         exc = error(i)
         if exc is not None:
             return i, exc

@@ -189,7 +189,7 @@ def _frequency_failure(freqs: np.ndarray):
     # -inf, a +inf the sum non-finite, and +inf and -inf a reported NaN sum.
     with np.errstate(invalid="ignore"):
         low, total = freqs.min(axis=1, initial=np.inf), freqs.sum(axis=1)
-    bad = np.flatnonzero(~((low >= 0) & (np.abs(total - 1) <= 1e-9)))
+    bad = (~((low >= 0) & (np.abs(total - 1) <= 1e-9))).nonzero()[0]
     if not bad.size:
         return None
     i = int(bad[0])
@@ -247,7 +247,7 @@ class _Readout:
         if self.matrix is not None:
             probs = probs @ self.matrix.T
         if self.shots is not None:
-            probs = probs / probs.sum(axis=-1, keepdims=True)
+            probs = probs / np.add.reduce(probs, axis=-1, keepdims=True)
         return probs
 
     def tally(self, dists: np.ndarray, seed: int) -> np.ndarray:
@@ -484,7 +484,7 @@ def _draw_slots(readout: _Readout, slots: list, seed: int) -> np.ndarray:
     """The (count, len(slots), 2^n) frequencies of every row of each of
     ``slots``, (count, 2^n) distribution stacks, drawn in one
     ``readout.draw``: row i of slot s is draw i * len(slots) + s."""
-    probs = np.stack(slots, axis=1)
+    probs = np.array(slots).transpose(1, 0, 2)
     return readout.draw(probs.reshape(-1, probs.shape[2]), seed).reshape(probs.shape)
 
 

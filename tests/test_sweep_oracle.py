@@ -184,6 +184,24 @@ def test_every_exact_row_matches_the_dense_pipeline(tmp_path_factory, sweep):
         assert abs(rows.fidelity[i] - want) <= FIDELITY_ATOL
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
+def test_case_a_keeps_the_coherence_where_x11_rounds_to_one(tmp_path):
+    """At theta = 1e-8, rx(theta) on qubit 0 measures x11 = 1.0 (rounded)
+    and x1K = 5e-9j. The prediction |x1K|^2 / x11 = 2.5e-17 is clamped to
+    1 - x11 = 0, and the projection then shrinks x1K to 0, so case A's
+    multipliers reproduce x1K = 0 while case B's reproduce it. The
+    examples of the dense pipeline test above miss this corner."""
+    path = tmp_path / "rx.qc"
+    path.write_text("qubits 2\nrx(1.0*theta) 0\n")
+    rows = run_sweep(ExperimentConfig(
+        str(path), theta_start=0.0, theta_stop=1e-8, theta_steps=2, k_targets=(2,)
+    ))
+    assert rows.x11[-1] == 1.0 and abs(rows.x1k[-1] - 5e-9j) <= 1e-20
+    a, b = case_sets(sweep_rows(rows, rows.solved), 4)[-1]
+    assert abs(reproduced(b)[1] - rows.x1k[-1]) <= REPRODUCTION_ATOL
+    assert abs(reproduced(a)[1] - rows.x1k[-1]) <= REPRODUCTION_ATOL
+
+
 SHOTS = 400
 # Sampled populations against the dense state's, in standard deviations.
 SIGMAS = 5.0
