@@ -23,6 +23,12 @@ Every CSV is written by one emitter (``_write_csv``) as one byte matrix,
 whose float cells numpy fills with the text ``'%.11e'`` gives
 (``_float_cells``); the header and the matrix's nonzero bytes are two
 writes to the file.
+Files are read and written through the ``os`` calls, not Python's
+buffered text stack, whose set-up costs more than a command's small
+files: ``_read_text`` reads every input file, a config, a circuit file,
+a record or a heatmap config, as UTF-8 whatever the locale, and
+``_write`` writes every output file. An error of either names the path
+as ``open`` would.
 A command derives each of its inputs once: its config is validated once
 (again only for a --seed or --out override), its ``abs_diff`` column is
 computed once for the CSV and the printed median.
@@ -59,6 +65,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -184,13 +191,45 @@ class Sweep:
         return len(self.solved)
 
 
+# Windows would translate line ends in text mode.
+_O_BINARY = getattr(os, "O_BINARY", 0)
+
+
+def _read_text(path: str | os.PathLike) -> str:
+    """The text of the file at ``path``, decoded as UTF-8 whatever the
+    locale. Line ends are kept as they are: every reader of the text
+    splits it with ``str.splitlines``, which reads CR LF and CR as a
+    newline does. An ``OSError`` names ``path`` as ``open`` would; a file
+    that is not UTF-8 raises a ValidationError naming it."""
+    fd = os.open(path, os.O_RDONLY | _O_BINARY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    except OSError as exc:
+        # Linux opens a directory and fails its read, with no file name.
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
+    data = b"".join(chunks)
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{os.fspath(path)!r} is not UTF-8 text: byte {exc.start} "
+            f"is {data[exc.start : exc.start + 1]!r}"
+        ) from None
+
+
 def resolve_circuit(spec_value: str) -> str:
     """Circuit text for a config value: a bundled name or a file path,
     read relative to the working directory unless absolute."""
     if spec_value in bundled.names():
-        return bundled.load(spec_value)
+        model = bundled.resource(spec_value)
+        # A model on disk is read as any file; one in a zip by its loader.
+        return _read_text(model) if isinstance(model, os.PathLike) else bundled.load(spec_value)
     try:
-        return Path(spec_value).read_text()
+        return _read_text(spec_value)
     except OSError as exc:
         raise ValidationError(f"cannot read circuit {spec_value!r}: {exc}") from None
 
@@ -238,7 +277,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     directory; a bundled name is stored as it is.
     """
     path = Path(path)
-    values = parse_keyvals(path.read_text(), _CONFIG_KEYS, "config")
+    values = parse_keyvals(_read_text(path), _CONFIG_KEYS, "config")
     if "circuit" not in values:
         raise ValidationError("config is missing the 'circuit' key")
 
@@ -460,15 +499,16 @@ _WORDS = _DIGITS.view(np.uint32).ravel()
 
 
 def _heads() -> np.ndarray:
-    """8-byte word s 10^4 + h: the sign s and the first four digits h of a
-    mantissa, as "-D.DDD" (s = 1) or "D.DDD" (s = 0), zero-padded."""
+    """Row j, entry s 10^4 + h: the 4-byte word j of the sign s and the
+    first four digits h of a mantissa, as "-D.DDD" (s = 1) or "D.DDD"
+    (s = 0), zero-padded. Each row is its own contiguous table."""
     heads = np.zeros((2, 10**4, 8), np.uint8)
     heads[0, :, 0] = _DIGITS[:, 0]
     heads[0, :, 1] = ord(".")
     heads[0, :, 2:5] = _DIGITS[:, 1:]
     heads[1, :, 0] = ord("-")
     heads[1, :, 1:6] = heads[0, :, :5]
-    return heads.view(np.uint64).ravel()
+    return np.ascontiguousarray(heads.view(np.uint32).reshape(-1, 2).T)
 
 
 def _exponents() -> np.ndarray:
@@ -481,26 +521,34 @@ def _exponents() -> np.ndarray:
     return words.view(np.uint32).ravel()
 
 
-def _scale_steps() -> tuple[np.ndarray, ...]:
-    """Four tables (up, down, up2, down2), entry p + 44 of each such that
-    a * 10^p for |p| <= 44 is a * up / down * up2 / down2. Each entry is
-    an exact power 10^0..10^22 and at most two are not 1: the product
-    carries at most two roundings. Each table is its own contiguous
-    array, so that a lookup reads one table, not a column of four."""
-    p = np.arange(-44, 45)
-    powers = np.array([10**q for q in range(23)], dtype=float)
-    return tuple(powers[np.clip(q, 0, 22)] for q in (p, -p, p - 22, -p - 22))
+def _scale_factors() -> tuple[np.ndarray, np.ndarray]:
+    """Two tables (F1, F2) whose entries p + 44 split 10^p for |p| <= 44
+    into two factors, 10^p = F1 F2. Each factor is an exact power of ten
+    from 10^0 to 10^22, or the correctly rounded reciprocal of one (Python
+    divides its ints with one rounding). Each table is its own contiguous
+    array, so that a lookup reads one table."""
+
+    def power(q: int) -> float:
+        return float(10**q) if q >= 0 else 1 / 10**-q
+
+    first = [min(max(p, -22), 22) for p in range(-44, 45)]
+    second = [p - q for p, q in zip(range(-44, 45), first)]
+    return np.array([power(q) for q in first]), np.array([power(q) for q in second])
 
 
-_HEADS = _heads()
+_HEADS_1, _HEADS_2 = _heads()
 _EXPONENTS = _exponents()
-_UP, _DOWN, _UP2, _DOWN2 = _scale_steps()
+_F1, _F2 = _scale_factors()
 
 
 def _scale(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a * 10^p for |p| <= 44 with at most two roundings."""
+    """a * 10^p for |p| <= 44 with at most four roundings: two gathers
+    and two products in place."""
     i = p + 44
-    return a * _UP[i] / _DOWN[i] * _UP2[i] / _DOWN2[i]
+    m = _F1[i]
+    m *= a
+    m *= _F2[i]
+    return m
 
 
 def _text_cells(texts) -> np.ndarray:
@@ -519,12 +567,13 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     The 12 digits of a value are rint(m) for m = |x| 10^(11 - e), where the
     exponent e starts from floor(log10 |x|) and exact comparisons of m
     with 10^11 and 10^12 correct it, so the last bits of log10 never reach
-    the text. m carries at most two roundings (``_scale``), an error below
-    3e-4, so rint(m) is the correctly rounded mantissa unless m lies within
-    1e-3 of a rounding tie. Such a value, one that needs a power of ten
-    beyond 10^44, NaN and +-inf, and any value whose rint(m) still lies
-    outside [10^11, 10^12] (a log10 off by more than one) are written by
-    ``_fmt``.
+    the text. m carries at most four roundings (``_scale``: two factors,
+    each exact or correctly rounded, and two products), a relative error
+    below 4.5e-16 and so an error below 4.5e-4 on m < 10^12; rint(m) is
+    the correctly rounded mantissa unless m lies within 1e-3 of a rounding
+    tie. Such a value, one that needs a power of ten beyond 10^44, NaN and
+    +-inf, and any value whose rint(m) still lies outside [10^11, 10^12]
+    (a log10 off by more than one) are written by ``_fmt``.
     """
     x = x.ravel()
     a = np.abs(x)
@@ -545,18 +594,24 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
             | (nonzero & ((d < 1e11) | (d > 1e12)))
         )
         carry = d == 1e12
-        d = np.where(python, 0, np.where(carry, 1e11, d)).astype(np.int64)
-    # Floor division by a constant, not np.divmod: numpy divides an
-    # integer array by a scalar with a multiply and a shift.
-    upper = d // 10**4
-    low = d - upper * 10**4
-    high = upper // 10**4
-    middle = upper - high * 10**4
+        d[carry] = 1e11
+        d[python] = 0
+    # The digits split in place, by floor division by a constant, not
+    # np.divmod: numpy divides an integer array by a scalar with a
+    # multiply and a shift.
+    low = d.astype(np.int64)
+    middle = low // 10**4
+    low -= middle * 10**4
+    high = middle // 10**4
+    middle -= high * 10**4
+    high += np.signbit(x) * 10**4
+    e += carry
     cells = np.empty((len(x), _CELL // 4), np.uint32)
-    cells[:, :2] = _HEADS[np.signbit(x) * 10**4 + high].view(np.uint32).reshape(-1, 2)
+    cells[:, 0] = _HEADS_1[high]
+    cells[:, 1] = _HEADS_2[high]
     cells[:, 2] = _WORDS[middle]
     cells[:, 3] = _WORDS[low]
-    cells[:, 4] = _EXPONENTS[np.minimum(np.maximum(e + carry, -99), 99) + 99]
+    cells[:, 4] = _EXPONENTS[np.minimum(np.maximum(e, -99), 99) + 99]
     cells = cells.view(np.uint8)
     if python.any():
         cells[python] = _text_cells(map(_fmt, x[python].tolist()))
@@ -564,14 +619,20 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
 
 
 def _write(parts, path: str | Path | None) -> None:
-    """Write ``parts``, ASCII bytes or byte arrays, one after the other
-    to ``path``, or to stdout when ``path`` is None."""
+    """Write ``parts``, bytes of text, one after the other to ``path``, or
+    to stdout when ``path`` is None. A short write is followed by another
+    until every byte of a part is out."""
     if path is None:
         sys.stdout.write(b"".join(parts).decode())
-    else:
-        with open(path, "wb") as f:
-            for part in parts:
-                f.write(part)
+        return
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _O_BINARY, 0o666)
+    try:
+        for part in parts:
+            done = os.write(fd, part)
+            while done < len(part):
+                done += os.write(fd, memoryview(part)[done:])
+    finally:
+        os.close(fd)
 
 
 def _write_lines(lines: list[str], path: str | Path | None) -> None:
@@ -587,9 +648,10 @@ def _write_csv(header: str, columns: tuple[np.ndarray, ...], path: str | Path) -
     only integer column is K, at most 2^6), a bool as true/false.
 
     The body is built as one (rows, columns, ``_CELL`` + 1) byte matrix, a
-    cell and its comma or newline per column; its zero bytes are dropped.
-    The header and the compacted body are written as they are, with no
-    copy joining them.
+    cell and its comma or newline per column; its zero bytes are dropped
+    by ``bytes.translate`` of the matrix's bytes, which costs a command
+    less than a boolean mask's gather. The header and the compacted body
+    are written as they are, with no copy joining them.
     """
     rows = len(columns[0])
     if rows == 0:
@@ -612,7 +674,7 @@ def _write_csv(header: str, columns: tuple[np.ndarray, ...], path: str | Path) -
             for j, power in enumerate((1000, 100, 10)):
                 digits[column < power, j] = 0
             matrix[:, i, :4] = digits
-    _write((f"{header}\n".encode(), matrix[matrix != 0]), path)
+    _write((f"{header}\n".encode(), matrix.tobytes().translate(None, b"\0")), path)
 
 
 SWEEP_HEADER = "theta,k,x11,re_x1k,im_x1k,xkk_true,xkk_pred,abs_diff,fidelity,near_singular"
@@ -663,7 +725,7 @@ _HEATMAP_KEYS = (
 def load_heatmap_config(path: str | Path) -> dict:
     """Read a heatmap config. Keys: n, k, lam11_start/stop/steps,
     re_lam1k_start/stop/steps, lam_kk, im_lam1k, out."""
-    values = parse_keyvals(Path(path).read_text(), _HEATMAP_KEYS, "heatmap")
+    values = parse_keyvals(_read_text(path), _HEATMAP_KEYS, "heatmap")
     params = {
         "dim_n": read_number(values, "n", 4, int),
         "index_k": read_number(values, "k", 2, int),
@@ -690,7 +752,7 @@ def emit_heatmap_csv(scan, path: str | Path) -> None:
 
 
 def _cmd_reconstruct(args) -> int:
-    completed, ls = solve_record(load_record(Path(args.record).read_text()))
+    completed, ls = solve_record(load_record(_read_text(args.record)))
     rho = density_from_lagrange(ls)
     if args.format == "csv":
         lines = [

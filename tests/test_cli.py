@@ -666,6 +666,54 @@ class TestCommandLine:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["sweep", str(tmp_path / "nope.txt")]) == 2
 
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["sweep", "adir"], "[Errno 21] Is a directory: 'adir'"),
+            (["sweep", "nofile.txt"], "[Errno 2] No such file or directory: 'nofile.txt'"),
+            (["reconstruct", "adir"], "[Errno 21] Is a directory: 'adir'"),
+            (["heatmap", "adir"], "[Errno 21] Is a directory: 'adir'"),
+            (["--out", "adir", "sweep", "cfg.txt"], "[Errno 21] Is a directory: 'adir'"),
+            (
+                ["sweep", "cfgdir.txt"],
+                "cannot read circuit 'adir': [Errno 21] Is a directory: 'adir'",
+            ),
+            (
+                ["--out", "nodir/x.csv", "sweep", "cfg.txt"],
+                "[Errno 2] No such file or directory: 'nodir/x.csv'",
+            ),
+        ],
+        ids=["config-dir", "config-missing", "record-dir", "heatmap-dir", "out-dir",
+             "circuit-dir", "out-missing-dir"],
+    )
+    def test_io_error_names_the_path(self, tmp_path, monkeypatch, capsys, argv, message):
+        # A directory opens on Linux and fails its read, with no file name;
+        # the message names the path as open() does.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "cfg.txt").write_text("circuit twoq_a\ntheta_steps 2\n")
+        (tmp_path / "cfgdir.txt").write_text("circuit adir\n")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        ("name", "data", "argv"),
+        [
+            ("cfg.txt", b"circuit twoq_a\n# caf\xe9\n", ["sweep", "cfg.txt"]),
+            ("mine.qc", b"qubits 2\n# caf\xe9\nrx(theta) 0\n", ["sweep", "mine.txt"]),
+            ("rec.txt", b"n 4\nk 2\n# caf\xe9\n", ["reconstruct", "rec.txt"]),
+            ("hm.txt", b"n 4\n# caf\xe9\n", ["heatmap", "hm.txt"]),
+        ],
+        ids=["config", "circuit", "record", "heatmap"],
+    )
+    def test_a_file_that_is_not_utf8_exits_2(self, tmp_path, monkeypatch, capsys, name, data, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_bytes(data)
+        (tmp_path / "mine.txt").write_text("circuit mine.qc\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: '{name}' is not UTF-8 text: byte {data.index(0xE9)} is b'\\xe9'\n"
+
     def test_seed_override(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

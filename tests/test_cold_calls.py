@@ -1,11 +1,17 @@
 """No module of the package calls a numpy helper whose Python wrapper
-costs more than its work on a command's small columns.
+costs more than its work on a command's small columns, nor reads or
+writes a file through Python's buffered text stack.
 
 A command runs once, its code and data cold in the caches, and there
 such a helper costs several times its warm time. Timed one call at a time
 right after the benchmark's reference loop (``bench/workloads.py``),
 median of 40, Python 3.11, numpy 2.4, 2 cores; each has a plain
 replacement that gives the same bits.
+
+The package reads its input files with ``cli._read_text`` and writes its
+output files with ``cli._write``, through the ``os`` calls. The one
+buffered read left is ``circuits.load``, the fallback for a bundled
+model that is not a file on disk (a package in a zip).
 """
 
 import ast
@@ -42,9 +48,48 @@ def wrapped_calls(source: str) -> list[str]:
     ]
 
 
-@pytest.mark.parametrize("module", sorted(str(p.relative_to(PACKAGE)) for p in PACKAGE.rglob("*.py")))
+# Timed as above, median of 120.
+FILE_COST = (
+    "Path.read_text of a 233-byte config: 179 us cold, os.open + os.read + os.close: 84 us; "
+    "open(path, 'wb') and two writes of a fresh 92 KB CSV: 294 us cold, "
+    "os.open + os.write + os.close: 246 us (use cli._read_text and cli._write)"
+)
+FILE_METHODS = ("read_text", "read_bytes", "write_text", "write_bytes")
+# The bundled-model fallback for a package that is not on disk.
+FILE_CALLS_ALLOWED = {"circuits/__init__.py": ["read_text"]}
+
+
+def file_calls(source: str, allowed=()) -> list[str]:
+    """The calls of ``source`` to builtin ``open`` or to a path's
+    ``read_text``, ``read_bytes``, ``write_text`` or ``write_bytes``,
+    other than those named in ``allowed``."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name) and node.func.id == "open":
+            name = "open"
+        elif isinstance(node.func, ast.Attribute) and node.func.attr in FILE_METHODS:
+            name = node.func.attr
+        else:
+            continue
+        if name not in allowed:
+            calls.append((node.lineno, name))
+    return [f"line {line}: {name} ({FILE_COST})" for line, name in sorted(calls)]
+
+
+MODULES = sorted(p.relative_to(PACKAGE).as_posix() for p in PACKAGE.rglob("*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_no_cold_wrapped_helper(module):
     assert wrapped_calls((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_buffered_file_call(module):
+    source = (PACKAGE / module).read_text()
+    assert file_calls(source, FILE_CALLS_ALLOWED.get(module, ())) == []
 
 
 def test_a_wrapped_helper_is_found():
@@ -52,3 +97,17 @@ def test_a_wrapped_helper_is_found():
     found = wrapped_calls(source)
     assert [line.split(" (")[0] for line in found] == ["line 4: np.median", "line 4: np.tile"]
     assert "104 us cold" in found[0]
+
+
+def test_a_buffered_file_call_is_found():
+    source = (
+        "from pathlib import Path\n\ndef f(p):\n"
+        "    with open(p) as f:\n        f.read()\n"
+        "    return Path(p).read_text(), Path(p).write_bytes(b'')\n"
+    )
+    found = file_calls(source)
+    assert [line.split(" (")[0] for line in found] == [
+        "line 4: open", "line 6: read_text", "line 6: write_bytes",
+    ]
+    assert "179 us cold" in found[0]
+    assert file_calls(source, ["open", "write_bytes"]) == found[1:2]

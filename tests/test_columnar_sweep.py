@@ -5,7 +5,7 @@
   ``run_case_ab`` returns its solved rows. A ``Sweep`` is not a sequence
   of points.
 - The ``sweep`` and ``caseab`` commands build no multiplier set, and read
-  a circuit file once.
+  their config and a circuit file once each.
 """
 
 from collections.abc import Sequence
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from conftest import reference_sweep_points, sweep_bits, sweep_rows
 
+import qmaxent.cli as cli
 from qmaxent.cli import (
     ExperimentConfig,
     Sweep,
@@ -118,15 +119,16 @@ def test_commands_read_the_circuit_file_once(tmp_path, monkeypatch, capsys, comm
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("circuit mine.qc\ntheta_start 0.5\ntheta_steps 4\n")
     reads = []
-    read_text = Path.read_text
+    read_text = cli._read_text
 
-    def counted(self, *args, **kwargs):
-        reads.append(Path(self))
-        return read_text(self, *args, **kwargs)
+    def counted(path):
+        reads.append(Path(path))
+        return read_text(path)
 
-    monkeypatch.setattr(Path, "read_text", counted)
+    # Every input file is read through cli._read_text.
+    monkeypatch.setattr(cli, "_read_text", counted)
     assert main(["--out", str(tmp_path / "out.csv"), command, str(cfg)]) == 0
-    assert reads.count(circuit) == 1
+    assert reads == [cfg, circuit]
 
 
 def test_a_sweep_runs_the_text_load_config_read(tmp_path):

@@ -47,6 +47,7 @@ were made level by level, and did not move.
 """
 
 import hashlib
+import os
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,23 @@ def test_config_output_bytes_are_pinned(command, config, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(["--out", str(out), command, str(CONFIGS / config)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINS[(command, config)]
+
+
+def test_a_short_write_is_followed_by_the_rest(tmp_path, monkeypatch, capsys):
+    # A write may take fewer bytes than it is given; the file still gets
+    # every byte, in order.
+    write = os.write
+    sizes = []
+
+    def short_write(fd, data):
+        sizes.append(write(fd, memoryview(data)[:4096]))
+        return sizes[-1]
+
+    monkeypatch.setattr(os, "write", short_write)
+    out = tmp_path / "out.csv"
+    assert main(["--out", str(out), "sweep", str(CONFIGS / "sweep_exact.txt")]) == 0
+    assert len(sizes) > 2 and max(sizes) == 4096
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINS[("sweep", "sweep_exact.txt")]
 
 
 @pytest.mark.parametrize("model", sorted(MODEL_PINS))
