@@ -16,15 +16,18 @@ starts a comment. Angles must be finite.
 Each text is tokenized once (the last 64 texts are kept): the gates that
 do not use theta and the theta-free prefix are built then, and the
 factors of each angle before its first ``theta`` are multiplied out.
-One angle binding (``_bind``) binds a whole list of thetas into that
-parse at once: each angle is a float64 array over the thetas, computed
-with the ``*`` and ``/`` of the expression in the same order, which
-round as Python's floats do.
-``parse_circuit(text, theta)`` is its one-theta call. Each theta gets
-the errors of binding it alone, in line order with the same messages: a
-line that fails whatever theta is fails only after every earlier line
-has been bound. The first failing theta is reported as (index, error)
-(see ``linalg``), so that a sweep measures the thetas before it.
+``parse_circuit(text, theta)`` binds one theta into that parse and owns
+the binding's errors: in line order, each line's factor, division,
+overflow and qubit errors in turn, and a line that fails whatever theta
+is only after every earlier line has been bound. A sweep's binding
+(``_bind``) binds a whole list of thetas at once, unchecked: each angle
+is a float64 array over the thetas, computed with the ``*`` and ``/``
+of the expression in the same order, which round as Python's floats do.
+A theta fails its parse exactly when it is not finite or leaves an
+angle that is not, so those thetas screen as suspects, and the first
+suspect's error is the one ``parse_circuit`` raises for it. The first
+failing theta is reported as (index, error) (see ``linalg``), so that a
+sweep measures the thetas before it.
 
 One set of gate kernels applies gates to a state, which is an amplitude
 vector or a (T, 2^n) stack of them, one row per theta. A one-qubit gate
@@ -61,13 +64,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParseError, TomographyError, ValidationError
-from .linalg import _earliest, _raise, _raised
+from .linalg import _INTEGERS, _earliest, _failure, _raised
 
 GATE_KINDS = ("h", "x", "cx", "cz", "rx", "ry", "rz")
 _ROTATIONS = ("rx", "ry", "rz")
 _TWO_QUBIT = ("cx", "cz")
 MAX_QUBITS = 6
-_INTEGERS = (int, np.integer)
 
 
 @dataclass(frozen=True)
@@ -133,85 +135,42 @@ def _uses_theta(tok: str) -> bool:
     return (tok[1:] if tok.startswith("-") else tok) == "theta"
 
 
-class _BindErrors:
-    """The first error of each theta of a binding. ``add(mask, reason,
-    line)`` gives (reason, line) to each theta in ``mask`` (a bool array,
-    or True for every theta) that has no error yet; a reason may be a
-    function of the theta's index.
-
-    A check screens before it attributes: most checks fail for no theta,
-    and one ``mask.any()`` says so before any theta is matched with its
-    earlier errors. ``failed`` says whether any theta has an error."""
-
-    __slots__ = ("codes", "errors")
-
-    def __init__(self, size: int):
-        self.codes = np.zeros(size, dtype=np.intp)
-        self.errors: list = [None]
-
-    @property
-    def failed(self) -> bool:
-        return len(self.errors) > 1
-
-    def add(self, mask, reason, line: int | None) -> None:
-        if mask is not True and not mask.any():
-            return
-        new = (self.codes == 0) & mask
-        if new.any():
-            self.codes[new] = len(self.errors)
-            self.errors.append((reason, line))
-
-    def first(self) -> tuple[int, ParseError] | None:
-        """The first theta that has an error, with that error."""
-        failed = self.codes.nonzero()[0]
-        if not failed.size:
-            return None
-        i = int(failed[0])
-        reason, line = self.errors[self.codes[i]]
-        return i, ParseError(reason(i) if callable(reason) else reason, line)
-
-
-def _eval_terms(value, terms, thetas, theta, line: int, errors: _BindErrors):
+def _eval_terms(value, terms, theta, line: int | None = None):
     """Fold (op, factor) terms into ``value`` left to right; the first
     term of an expression starts it (``value`` None). ``theta`` is the
-    float64 array of the bindings ``thetas`` (both None when theta is
-    unbound); each failure goes to ``errors``, and a theta that has
-    failed computes on garbage. Every value is a numpy float: its ``*``
-    and ``/`` round as Python's do."""
+    bound theta, a float or a float64 array of them (None where no term
+    uses it), and a literal that is not a finite number folds as NaN.
+    With a ``line``, a literal's error and a division by zero are raised
+    on that line; without one, the value is left to show them: once it
+    is not finite, no later factor makes it finite. Python's float ``*``
+    and ``/`` round as numpy's do."""
     for op, tok in terms:
         sign = 1.0
         if tok.startswith("-"):
             sign, tok = -1.0, tok[1:]
         if tok == "theta":
-            if theta is None:
-                errors.add(True, "angle uses 'theta' but no binding was supplied", line)
-                factor = np.float64(math.nan)
-            else:
-                errors.add(
-                    ~np.isfinite(theta),
-                    lambda i: f"angle uses 'theta' bound to {thetas[i]!r}",
-                    line,
-                )
-                factor = sign * theta
+            factor = theta
+        elif tok == "pi":
+            factor = math.pi
         else:
-            if tok == "pi":
-                factor = math.pi
+            try:
+                factor = float(tok)
+            except ValueError:
+                factor, error = math.nan, f"bad angle factor {tok!r}"
             else:
-                try:
-                    factor = float(tok)
-                except ValueError:
-                    errors.add(True, f"bad angle factor {tok!r}", line)
-                    factor = math.nan
-                else:
-                    if not math.isfinite(factor):
-                        errors.add(True, f"angle factor {tok!r} is not finite", line)
-            factor = np.float64(sign * factor)
+                error = f"angle factor {tok!r} is not finite"
+            if not math.isfinite(factor):
+                if line is not None:
+                    raise ParseError(error, line)
+                factor = math.nan
+        factor = sign * factor
         if value is None:
             value = factor
         elif op == "*":
             value = value * factor
         else:
-            errors.add(factor == 0, "division by zero in angle expression", line)
+            if line is not None and factor == 0:
+                raise ParseError("division by zero in angle expression", line)
             value = value / factor
     return value
 
@@ -226,9 +185,11 @@ class _Angle(NamedTuple):
     tail: tuple[tuple[str, str], ...]
 
 
-def _overflow(value, expr: str, line: int, errors: _BindErrors) -> None:
+def _finite(value: float, angle: _Angle, line: int) -> float:
     """The last check of an angle: its value must be finite."""
-    errors.add(~np.isfinite(value), f"angle expression {expr!r} overflows", line)
+    if not math.isfinite(value):
+        raise ParseError(f"angle expression {angle.expr!r} overflows", line)
+    return value
 
 
 def _compile_angle(expr: str, line: int) -> _Angle:
@@ -241,13 +202,10 @@ def _compile_angle(expr: str, line: int) -> _Angle:
     parts = re.split(r"([*/])", expr.replace(" ", ""))
     terms = tuple(zip(["*", *parts[1::2]], parts[0::2]))
     cut = next((i for i, (_, tok) in enumerate(terms) if _uses_theta(tok)), len(terms))
-    errors = _BindErrors(1)
-    with np.errstate(all="ignore"):
-        head = _eval_terms(None, terms[:cut], None, None, line, errors)
-        if cut == len(terms):
-            _overflow(head, expr, line, errors)
-    _raise(errors.first())
-    return _Angle(expr, head, terms[cut:])
+    angle = _Angle(expr, _eval_terms(None, terms[:cut], None, line), terms[cut:])
+    if not angle.tail:
+        _finite(angle.head, angle, line)
+    return angle
 
 
 class _Rotation(NamedTuple):
@@ -308,7 +266,7 @@ def _parse_gate(tokens: list[str], num_qubits: int, line: int, gates: list) -> N
         angle = _compile_angle(expr, line)
         if not angle.tail:
             qubit = _parse_qubit(tokens[1], num_qubits, line)
-            gates.append(Gate(kind, (qubit,), angle.head.item()))
+            gates.append(Gate(kind, (qubit,), angle.head))
             return
         try:
             qubit = _parse_qubit(tokens[1], num_qubits, line)
@@ -357,49 +315,69 @@ def _parse_text(text: str) -> _Parsed:
     return _Parsed(num_qubits, tuple(gates), None, prefix)
 
 
-def _bind(parsed: _Parsed, thetas: list | None):
-    """The one angle binding: every theta of ``thetas`` (None binds none)
-    bound into a parse at once.
+def _thetas(thetas: list) -> np.ndarray:
+    """The float64 array of ``thetas``. Each is multiplied by a float
+    first, which rejects what float arithmetic rejects, a string say,
+    with its TypeError."""
+    return np.array([1.0 * t for t in thetas], dtype=float)
+
+
+def _bind(parsed: _Parsed, thetas: list):
+    """The sweep's angle binding: every theta of ``thetas`` bound at once,
+    unchecked, into a parse that has no theta-free error.
 
     Returns the gates in order, each a Gate or, for a rotation that uses
     theta, a (kind, qubit, angles) triple with one float64 angle per
-    theta, and the first theta whose binding fails, as (index,
-    ParseError), or None. Each theta gets the error, line and message of
-    binding it alone; a failed theta's angles are 0.0.
+    theta, and the bool mask of the suspects: once a rotation uses
+    theta, each theta that is not finite or gives an angle that is not.
+    A theta fails its one-theta parse exactly when it is a suspect (see
+    ``_eval_terms``). A suspect's angles are 0.0 from the rotation where
+    it becomes one.
     """
-    errors = _BindErrors(1 if thetas is None else len(thetas))
-    theta = None
-    gates = []
+    gates, theta = [], None
+    suspects = np.zeros(len(thetas), dtype=bool)
     with np.errstate(all="ignore"):
         for gate in parsed.gates:
             if isinstance(gate, _Rotation):
-                if theta is None and thetas is not None:
-                    # A product with a float rejects what the scalar
-                    # parser's float arithmetic rejected, a string say.
-                    theta = np.array([1.0 * t for t in thetas], dtype=float)
-                angle = gate.angle
-                value = _eval_terms(angle.head, angle.tail, thetas, theta, gate.line, errors)
-                _overflow(value, angle.expr, gate.line, errors)
-                if gate.qubit is None:
-                    break
-                if errors.failed:
-                    value = np.where(errors.codes == 0, value, 0.0)
-                gate = (gate.kind, gate.qubit, value)
+                if theta is None:
+                    theta = _thetas(thetas)
+                    suspects = ~np.isfinite(theta)
+                angles = _eval_terms(gate.angle.head, gate.angle.tail, theta)
+                suspects |= ~np.isfinite(angles)
+                if suspects.any():
+                    angles[suspects] = 0.0
+                gate = (gate.kind, gate.qubit, angles)
             gates.append(gate)
-    if parsed.error is not None:
-        errors.add(True, *parsed.error)
-    return gates, errors.first()
+    return gates, suspects
 
 
 def parse_circuit(text: str, theta: float | None = None) -> Circuit:
-    """Parse circuit text, substituting ``theta`` into angle expressions
-    (a one-theta call of the angle binding)."""
+    """Parse circuit text, substituting ``theta`` into angle expressions.
+
+    This is the one owner of the binding's errors. A rotation that uses
+    theta raises those of its factors in order (theta's first), then a
+    division by zero, then an overflow, then its qubit's; a line that
+    fails whatever theta is raises once every earlier line is bound."""
     parsed = _parse_text(text)
-    gates, failure = _bind(parsed, None if theta is None else [theta])
-    _raise(failure)
-    return Circuit(parsed.num_qubits, tuple(
-        g if isinstance(g, Gate) else Gate(g[0], (g[1],), g[2].item()) for g in gates
-    ))
+    gates, bound = [], None
+    for gate in parsed.gates:
+        if isinstance(gate, _Rotation):
+            angle, line = gate.angle, gate.line
+            # The first factor bound is the first rotation's theta.
+            if bound is None:
+                if theta is None:
+                    raise ParseError("angle uses 'theta' but no binding was supplied", line)
+                bound = _thetas([theta]).item()
+                if not math.isfinite(bound):
+                    raise ParseError(f"angle uses 'theta' bound to {theta!r}", line)
+            value = _finite(_eval_terms(angle.head, angle.tail, bound, line), angle, line)
+            if gate.qubit is None:
+                break
+            gate = Gate(gate.kind, (gate.qubit,), value)
+        gates.append(gate)
+    if parsed.error is not None:
+        raise ParseError(*parsed.error)
+    return Circuit(parsed.num_qubits, tuple(gates))
 
 
 def theta_free_prefix(text: str) -> Circuit:
@@ -582,18 +560,22 @@ def _sweep_states(text: str, thetas: list):
 
     The theta-free prefix is simulated once, its errors raised at once,
     and its state repeated in the rows; each later gate applies once to
-    the whole stack.
+    the whole stack. The binding's suspects get the one-theta parse, and
+    the rows whose norms screen as suspects the one-row norm check.
     """
     prefix = theta_free_prefix(text)
     n = prefix.num_qubits
-    gates, failure = _bind(_parse_text(text), thetas)
+    gates, suspects = _bind(_parse_text(text), thetas)
     states = simulate(prefix)[None].repeat(len(thetas), axis=0)
     states = _apply(states, gates[len(prefix.gates):], n)
     # np.linalg.norm(states, axis=1), the formula it evaluates, without
     # its Python wrapper.
     with np.errstate(all="ignore"):
         norms = np.sqrt(np.add.reduce((states.conj() * states).real, axis=1))
-    return states, _earliest(failure, _screen_rows(norms, _check_norm, states))
+    return states, _earliest(
+        _failure(suspects, lambda i: _raised(parse_circuit, text, thetas[i])),
+        _screen_rows(norms, _check_norm, states),
+    )
 
 
 def _screen_rows(sums, check, states: np.ndarray):
@@ -604,11 +586,7 @@ def _screen_rows(sums, check, states: np.ndarray):
     tolerance, a suspect, gets the one-row check."""
     # Written so that a NaN sum is a suspect too.
     suspects = ~(np.abs(sums - 1.0) <= 0.5 * _NORM_ATOL)
-    for i in suspects.nonzero()[0].tolist():
-        error = _raised(check, states[i])
-        if error is not None:
-            return i, error
-    return None
+    return _failure(suspects, lambda i: _raised(check, states[i]))
 
 
 def populations(sv: np.ndarray) -> np.ndarray:
@@ -626,13 +604,16 @@ def coherence(sv: np.ndarray, i: int, j: int) -> complex:
     state i; coherence(j, i) is the complex conjugate of coherence(i, j).
     """
     sv = np.asarray(sv)
-    dim = sv.shape[0]
-    for name, idx in (("i", i), ("j", j)):
-        if not isinstance(idx, _INTEGERS):
-            raise ValidationError(f"basis index {name} = {idx!r} is not an integer")
-        if not 1 <= idx <= dim:
-            raise ValidationError(f"basis index {idx} out of range [1, {dim}]")
+    _check_basis_index("i", i, sv.shape[0])
+    _check_basis_index("j", j, sv.shape[0])
     return complex(_coherence(sv, i, j))
+
+
+def _check_basis_index(name: str, idx: int, dim: int) -> None:
+    if not isinstance(idx, _INTEGERS):
+        raise ValidationError(f"basis index {name} = {idx!r} is not an integer")
+    if not 1 <= idx <= dim:
+        raise ValidationError(f"basis index {idx} out of range [1, {dim}]")
 
 
 def _coherence(states: np.ndarray, i: int, j: int) -> np.ndarray:

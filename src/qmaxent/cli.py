@@ -75,9 +75,8 @@ import numpy as np
 from . import circuits as bundled
 from .circuit import _coherence, _sweep_states, theta_free_prefix
 from .errors import InfeasibleRecordError, TomographyError, ValidationError
-from .linalg import POLICY, _earliest, _raise
+from .linalg import POLICY, _INTEGERS, _earliest, _raise
 from .maxent import (
-    _INTEGERS,
     _block_fidelity,
     _check_dims,
     _complete_and_solve,
@@ -124,9 +123,9 @@ class ExperimentConfig:
     seed: int = 0
     output_path: str | None = None
     # The text of the circuit as ``load_config`` read it, so a sweep reads
-    # its circuit file once; None reads ``circuit_path`` when it runs. A
-    # copy with another ``circuit_path`` must set this to None as well.
-    circuit_text: str | None = dataclasses.field(default=None, repr=False)
+    # its circuit file once; None reads ``circuit_path`` when it runs. It
+    # is not an init field, so ``dataclasses.replace`` leaves a copy None.
+    circuit_text: str | None = dataclasses.field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.backend not in _BACKENDS:
@@ -308,7 +307,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             read_number({"k_targets": tok}, "k_targets", None, int)
             for tok in values["k_targets"].split(",")
         )
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         circuit_path=circuit_path,
         theta_start=read_number(values, "theta_start", 0.0),
         theta_stop=read_number(values, "theta_stop", 2 * math.pi),
@@ -320,8 +319,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         mitigate=_parse_bool(values.get("mitigate", "false"), "mitigate"),
         seed=read_number(values, "seed", 0, int),
         output_path=values.get("out"),
-        circuit_text=circuit_text,
     )
+    object.__setattr__(cfg, "circuit_text", circuit_text)
+    return cfg
 
 
 def _interleave(columns: list[np.ndarray]) -> np.ndarray:
@@ -796,11 +796,14 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     either it is ``cfg`` itself, not validated again."""
     if args.seed is None and args.out is None:
         return cfg
-    return dataclasses.replace(
+    copy = dataclasses.replace(
         cfg,
         seed=cfg.seed if args.seed is None else args.seed,
         output_path=cfg.output_path if args.out is None else args.out,
     )
+    # The same circuit_path, so the same text.
+    object.__setattr__(copy, "circuit_text", cfg.circuit_text)
+    return copy
 
 
 def _median(values: np.ndarray) -> float:

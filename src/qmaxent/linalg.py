@@ -8,9 +8,13 @@ An array kernel (``maxent``'s solve and forward map, ``circuit``'s theta
 stack, the sampler's distributions) works on one element per point and
 raises nothing: it returns its first failure as (index, exception), or
 None, and its caller raises it when its own loop over the points reaches
-that index. ``_failure``, ``_earliest``, ``_raise`` and ``_raised``
-build, order and raise those failures for ``maxent``, ``circuit``,
-``sampler`` and ``cli``.
+that index. Every kernel finds its first failure one way: an array test
+screens the points, and ``_failure`` gives each suspect its error, in
+order; ``circuit``'s are those of the one-theta parse and of the
+one-row norm and population-sum checks.
+``_failure``, ``_earliest``, ``_raise`` and ``_raised`` build, order and
+raise those failures for ``maxent``, ``circuit``, ``sampler`` and
+``cli``. ``_INTEGERS`` is the package's one test of an integer argument.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ class NumericPolicy:
 
 
 POLICY = NumericPolicy()
+
+# The types an integer argument may have.
+_INTEGERS = (int, np.integer)
 
 
 def require_hermitian(m, atol: float = POLICY.hermitian_atol) -> np.ndarray:

@@ -60,12 +60,9 @@ from .errors import (
     TomographyError,
     ValidationError,
 )
-from .linalg import POLICY, _earliest, _failure, _raise, _raised, require_hermitian
+from .linalg import POLICY, _INTEGERS, _earliest, _failure, _raise, _raised, require_hermitian
 
 _SOURCES = ("measured", "predicted")
-
-
-_INTEGERS = (int, np.integer)
 
 
 def _check_dims(dim_n: int, index_k: int) -> None:

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
-from .circuit import MAX_QUBITS
+from .circuit import MAX_QUBITS, _check_basis_index
 from .errors import ValidationError
+from .linalg import _INTEGERS
 
 _LETTERS = ("I", "X", "Y", "Z")
 
@@ -49,13 +49,6 @@ class PauliString:
         return "".join(self.letters)
 
 
-def _check_basis_index(name: str, idx: int, dim: int) -> None:
-    if not isinstance(idx, numbers.Integral):
-        raise ValidationError(f"basis index {name} = {idx!r} is not an integer")
-    if not 1 <= idx <= dim:
-        raise ValidationError(f"basis index {idx} out of range [1, {dim}]")
-
-
 # (bit of i-1, bit of j-1) -> the two contributing 1-qubit factors
 _FACTORS = {
     (0, 0): (("I", 0.5), ("Z", 0.5)),
@@ -70,7 +63,7 @@ def decompose_ketbra(i: int, j: int, num_qubits: int) -> dict[PauliString, compl
     coefficient of each of its 2^n strings, in the order of
     ``itertools.product`` over the qubits' factors."""
     # The expansion has 2^n terms, so n is bounded like a circuit's.
-    if not isinstance(num_qubits, numbers.Integral) or not 1 <= num_qubits <= MAX_QUBITS:
+    if not isinstance(num_qubits, _INTEGERS) or not 1 <= num_qubits <= MAX_QUBITS:
         raise ValidationError(
             f"num_qubits = {num_qubits!r} is not an integer in [1, {MAX_QUBITS}]"
         )

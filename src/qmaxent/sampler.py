@@ -44,10 +44,12 @@ last level, with half as much again of distributions.
 to draw, theta outer: a sweep's rows per theta are, per K, its
 populations and then each basis of its plan in plan order. P has about
 T (K + 3^n - 1) 2^n 8 bytes, and the tallies and frequencies as much
-again. The frequencies are not checked before mitigation, since each
-row is a distribution: a tally over shots is >= 0 and sums to 1 within
-2^n ulps, and the exact p M^T of a screened state, M column-stochastic
-with entries >= 0, sums to 1 within about 1e-10.
+again. A draw mitigates its frequencies unchecked, since each row is a
+distribution and so passes the one-row check ``mitigate`` gives the
+frequencies it is handed (``_check_frequencies``): a tally over shots
+is >= 0 and sums to 1 within 2^n ulps, and the exact p M^T of a
+screened state, M column-stochastic with entries >= 0, sums to 1
+within about 1e-10.
 Each |i><j| is recombined for every theta at once: the string parities
 as one product with the plan's signs, then one with its coefficients.
 
@@ -68,10 +70,17 @@ from typing import Iterable
 
 import numpy as np
 
-from .circuit import _FIXED_1Q, _apply_1q, _check_norm, _screen_rows, populations
+from .circuit import (
+    _FIXED_1Q,
+    _apply_1q,
+    _check_basis_index,
+    _check_norm,
+    _screen_rows,
+    populations,
+)
 from .errors import DomainError, ValidationError
-from .linalg import _raise
-from .pauli import PauliString, _check_basis_index, decompose_ketbra
+from .linalg import _INTEGERS, _raise
+from .pauli import PauliString, decompose_ketbra
 
 
 @dataclass(frozen=True)
@@ -166,7 +175,7 @@ def _state_qubits(sv: np.ndarray) -> int:
 
 
 def _check_seed(seed) -> None:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not isinstance(seed, _INTEGERS) or seed < 0:
         raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
 
 
@@ -175,27 +184,23 @@ _MAX_SHOTS = 2**63 - 1
 
 
 def _check_shots(shots) -> None:
-    if not isinstance(shots, (int, np.integer)) or shots < 1:
+    if not isinstance(shots, _INTEGERS) or shots < 1:
         raise ValidationError(f"shots must be an integer >= 1, got {shots!r}")
     if shots > _MAX_SHOTS:
         raise ValidationError(f"shots = {shots} is above the draw's limit 2^63 - 1")
 
 
-def _frequency_failure(freqs: np.ndarray):
-    """The first row of ``freqs`` that is not a distribution (>= 0 and
-    summing to 1), as (index, ValidationError), or None: the check of
-    frequencies given to ``mitigate``. A draw's own rows pass it."""
+def _check_frequencies(freqs: np.ndarray) -> None:
+    """The check of frequencies given to ``mitigate``: a distribution,
+    >= 0 and summing to 1. A draw's own rows pass it."""
     # Non-finite entries fail too: a NaN makes the min NaN, a -inf the min
     # -inf, a +inf the sum non-finite, and +inf and -inf a reported NaN sum.
     with np.errstate(invalid="ignore"):
-        low, total = freqs.min(axis=1, initial=np.inf), freqs.sum(axis=1)
-    bad = (~((low >= 0) & (np.abs(total - 1) <= 1e-9))).nonzero()[0]
-    if not bad.size:
-        return None
-    i = int(bad[0])
-    return i, ValidationError(
-        f"frequencies must be >= 0 and sum to 1, got min {low[i]}, sum {total[i]}"
-    )
+        low, total = freqs.min(), freqs.sum()
+    if not (low >= 0 and abs(total - 1) <= 1e-9):
+        raise ValidationError(
+            f"frequencies must be >= 0 and sum to 1, got min {low}, sum {total}"
+        )
 
 
 def _check_condition(cal: CalibrationMatrix) -> None:
@@ -360,7 +365,7 @@ def mitigate(freqs: np.ndarray, cal: CalibrationMatrix) -> np.ndarray:
         raise ValidationError(
             f"calibration covers {cal.dim} outcomes, frequencies have shape {freqs.shape}"
         )
-    _raise(_frequency_failure(freqs[None]))
+    _check_frequencies(freqs)
     _check_condition(cal)
     return _unmix(cal.inverse, freqs[None])[0]
 

@@ -8,6 +8,7 @@
   their config and a circuit file once each.
 """
 
+import dataclasses
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -129,6 +130,18 @@ def test_commands_read_the_circuit_file_once(tmp_path, monkeypatch, capsys, comm
     monkeypatch.setattr(cli, "_read_text", counted)
     assert main(["--out", str(tmp_path / "out.csv"), command, str(cfg)]) == 0
     assert reads == [cfg, circuit]
+
+
+def test_a_copy_with_another_circuit_runs_that_circuit(tmp_path):
+    # The text load_config read belongs to its circuit_path: a copy made
+    # by dataclasses.replace with another path sweeps the other circuit.
+    (tmp_path / "cfg_a.txt").write_text("circuit twoq_a\ntheta_steps 5\n")
+    (tmp_path / "cfg_b.txt").write_text("circuit twoq_b\ntheta_steps 5\n")
+    loaded = load_config(tmp_path / "cfg_a.txt")
+    copy = dataclasses.replace(loaded, circuit_path="twoq_b")
+    want = sweep_bits(run_sweep(load_config(tmp_path / "cfg_b.txt")))
+    assert sweep_bits(run_sweep(copy)) == want
+    assert sweep_bits(run_sweep(loaded)) != want
 
 
 def test_a_sweep_runs_the_text_load_config_read(tmp_path):

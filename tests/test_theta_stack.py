@@ -100,6 +100,53 @@ def test_every_row_has_the_bytes_of_one_theta(text, grid):
         assert (states[i].tobytes(), dists[i].tobytes(), coherences[i].tobytes()) == want[i]
 
 
+# Texts whose failing thetas the stack's screen must all find: a literal
+# divisor that is not finite (theta / inf is 0, so it folds as NaN), a
+# division by zero, a bad literal after theta, 1 / theta (finite at
+# theta = +-inf) and a theta that fails on a later rotation.
+BLIND_SPOTS = (
+    "rx(theta/1e999) 0",
+    "ry(2*theta/-inf) 1",
+    "rx(theta/0) 0",
+    "rx(theta*foo) 0",
+    "rz(1/theta) 0",
+    "h 0\nrx(theta) 0\nrx(pi/theta) 1",
+)
+EDGE_GRID = (0.5, -0.0, 0.0, math.inf, -math.inf, math.nan, 1e308)
+
+
+def reference_failure(text: str, grid):
+    """The first theta of ``grid`` the reference parser rejects, as
+    (index, error type, message), or None."""
+    for i, theta in enumerate(grid):
+        try:
+            reference_parse_circuit(text, theta)
+        except TomographyError as exc:
+            return i, type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("body", BLIND_SPOTS)
+def test_the_screen_finds_every_failing_theta(body):
+    text = "qubits 2\n" + body
+    for start in range(len(EDGE_GRID)):
+        grid = list(EDGE_GRID[start:])
+        _, failure = circuit._sweep_states(text, grid)
+        if failure is not None:
+            failure = failure[0], type(failure[1]), str(failure[1])
+        assert failure == reference_failure(text, grid)
+
+
+@pytest.mark.parametrize("theta", ["x", [1.0]])
+def test_a_theta_that_is_not_a_number_is_a_type_error(theta):
+    text = "qubits 1\nrx(theta) 0"
+    with pytest.raises(TypeError) as want:
+        parse_circuit(text, theta)
+    with pytest.raises(TypeError) as got:
+        circuit._sweep_states(text, [0.5, theta])
+    assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("shots", [None, 100])
 def test_noisy_rows_are_read_as_one_product(shots):
     # The stack is read through M as one product, which rounds
