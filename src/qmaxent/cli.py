@@ -19,10 +19,10 @@ the measured columns of every row and the results of the solved rows;
 ``run_case_ab`` keeps the solved rows, gathering only theta and K. The
 ``sweep`` and ``caseab`` CSVs are two views of them, formatted from the
 columns. No per-point object is built between the kernels and the CSV.
-Every CSV is written by one emitter (``_write_csv``) as one byte matrix,
-whose float cells numpy fills with the text ``'%.11e'`` gives
-(``_float_cells``); the header and the matrix's nonzero bytes are two
-writes to the file.
+Every CSV is written by one emitter (``_write_csv``) as one buffer, the
+header and then a matrix of cells each led by its separator, filled in
+place (the text ``'%.11e'`` gives by one numpy pass, ``_float_words``);
+its nonzero bytes are one write to the file.
 Files are read and written through the ``os`` calls, not Python's
 buffered text stack, whose set-up costs more than a command's small
 files: ``_read_text`` reads every input file, a config, a circuit file,
@@ -124,8 +124,11 @@ class ExperimentConfig:
     output_path: str | None = None
     # The text of the circuit as ``load_config`` read it, so a sweep reads
     # its circuit file once; None reads ``circuit_path`` when it runs. It
-    # is not an init field, so ``dataclasses.replace`` leaves a copy None.
-    circuit_text: str | None = dataclasses.field(default=None, init=False, repr=False)
+    # is not an init field, so ``dataclasses.replace`` leaves a copy None,
+    # and a cache, so it takes no part in ``==`` and ``hash``.
+    circuit_text: str | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.backend not in _BACKENDS:
@@ -489,31 +492,37 @@ def _fmt(value: float) -> str:
     return f"{value:.11e}"
 
 
-# A CSV cell holds at most this many bytes, five 4-byte words; the
-# longest ``_fmt`` text is "-4.94065645841e-324". A shorter text is padded
-# with zero bytes, which mark absent bytes; no CSV byte is zero.
+# A CSV cell is five 4-byte words: its separator, a comma or in the first
+# column the newline that ends the line before, then its text, then zero
+# bytes, which mark absent bytes; no CSV byte is zero. The longest ``_fmt``
+# text, "-4.94065645841e-324", fills a cell.
 _CELL = 20
 # Row i: the four ASCII digits of i < 10^4, read as one word.
 _DIGITS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T) + ord("0")
 _WORDS = _DIGITS.view(np.uint32).ravel()
+# The exponent tables are indexed by e + _E0 for a decimal exponent e:
+# floor(log10 |x|) of a nonzero double, or one more or less, is in range.
+_E0 = 340
 
 
 def _heads() -> np.ndarray:
-    """Row j, entry s 10^4 + h: the 4-byte word j of the sign s and the
-    first four digits h of a mantissa, as "-D.DDD" (s = 1) or "D.DDD"
-    (s = 0), zero-padded. Each row is its own contiguous table."""
-    heads = np.zeros((2, 10**4, 8), np.uint8)
-    heads[0, :, 0] = _DIGITS[:, 0]
-    heads[0, :, 1] = ord(".")
-    heads[0, :, 2:5] = _DIGITS[:, 1:]
-    heads[1, :, 0] = ord("-")
-    heads[1, :, 1:6] = heads[0, :, :5]
+    """Row j, entry 2h + s: the 4-byte word j of a comma, the sign s and
+    the first four digits h of a mantissa, as ",-D.DDD" (s = 1) or
+    ",D.DDD" (s = 0), zero-padded. Each row is its own contiguous table."""
+    heads = np.zeros((10**4, 2, 8), np.uint8)
+    heads[:, :, 0] = ord(",")
+    heads[:, 0, 1] = _DIGITS[:, 0]
+    heads[:, 0, 2] = ord(".")
+    heads[:, 0, 3:6] = _DIGITS[:, 1:]
+    heads[:, 1, 1] = ord("-")
+    heads[:, 1, 2:7] = heads[:, 0, 1:6]
     return np.ascontiguousarray(heads.view(np.uint32).reshape(-1, 2).T)
 
 
 def _exponents() -> np.ndarray:
-    """Word e + 99: the exponent e in -99..99 as "e+05" or "e-12"."""
-    e = np.arange(-99, 100)
+    """Word e + _E0: the exponent e as "e+05" or "e-12". Only |e| <= 99 is
+    read; a longer exponent's word holds its last two digits."""
+    e = np.arange(-_E0, _E0 + 1)
     words = np.empty((len(e), 4), np.uint8)
     words[:, 0] = ord("e")
     words[:, 1] = np.where(e < 0, ord("-"), ord("+"))
@@ -522,47 +531,58 @@ def _exponents() -> np.ndarray:
 
 
 def _scale_factors() -> tuple[np.ndarray, np.ndarray]:
-    """Two tables (F1, F2) whose entries p + 44 split 10^p for |p| <= 44
-    into two factors, 10^p = F1 F2. Each factor is an exact power of ten
-    from 10^0 to 10^22, or the correctly rounded reciprocal of one (Python
-    divides its ints with one rounding). Each table is its own contiguous
-    array, so that a lookup reads one table."""
+    """Two tables (F1, F2) whose entries e + _E0 split 10^p, p = 11 - e,
+    into two factors, 10^p = F1 F2, for |p| <= 44; F1 is NaN beyond. Each
+    factor is an exact power of ten from 10^0 to 10^22, or the correctly
+    rounded reciprocal of one (Python divides its ints with one rounding).
+    Each table is its own contiguous array, so that a lookup reads one
+    table."""
 
     def power(q: int) -> float:
         return float(10**q) if q >= 0 else 1 / 10**-q
 
-    first = [min(max(p, -22), 22) for p in range(-44, 45)]
-    second = [p - q for p, q in zip(range(-44, 45), first)]
-    return np.array([power(q) for q in first]), np.array([power(q) for q in second])
+    first, second = np.full(2 * _E0 + 1, math.nan), np.ones(2 * _E0 + 1)
+    for p in range(-44, 45):
+        f = min(max(p, -22), 22)
+        first[11 + _E0 - p], second[11 + _E0 - p] = power(f), power(p - f)
+    return first, second
+
+
+def _cell_words(texts) -> np.ndarray:
+    """Each ASCII text as the five words of one zero-padded cell."""
+    data = "".join(t.ljust(_CELL, "\0") for t in texts).encode("ascii")
+    return np.frombuffer(data, np.uint32).reshape(-1, _CELL // 4)
+
+
+def _integer_words() -> np.ndarray:
+    """Word n: the digits of the integer n < 10^4, its leading zeros zero
+    bytes. An integer's cell is ``_COMMA_WORDS`` with this word second."""
+    digits = _DIGITS.copy()
+    for j, power in enumerate((1000, 100, 10)):
+        digits[:power, j] = 0
+    return digits.view(np.uint32).ravel()
 
 
 _HEADS_1, _HEADS_2 = _heads()
 _EXPONENTS = _exponents()
 _F1, _F2 = _scale_factors()
+_INTEGER_WORDS = _integer_words()
+_BOOL_WORDS = _cell_words((",false", ",true"))
+_COMMA_WORDS = _cell_words((",",))[0]
 
 
-def _scale(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a * 10^p for |p| <= 44 with at most four roundings: two gathers
-    and two products in place."""
-    i = p + 44
+def _scale(a: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """a * 10^(11 - e) for the table index i = e + _E0, with at most four
+    roundings: two gathers and two products in place."""
     m = _F1[i]
     m *= a
     m *= _F2[i]
     return m
 
 
-def _text_cells(texts) -> np.ndarray:
-    """Each ASCII text as one zero-padded row of ``_CELL`` bytes."""
-    data = "".join(t.ljust(_CELL, "\0") for t in texts).encode("ascii")
-    return np.frombuffer(data, np.uint8).reshape(-1, _CELL)
-
-
-_BOOL_CELLS = _text_cells(("false", "true"))
-
-
-def _float_cells(x: np.ndarray) -> np.ndarray:
-    """The ``_fmt`` text of every value of ``x``, one ``_CELL``-byte row
-    each (see ``_text_cells``), in the order of ``x.ravel()``.
+def _float_words(columns: tuple[np.ndarray, ...], words: np.ndarray) -> None:
+    """Write the cell of every value of ``columns``, a comma and the
+    ``_fmt`` text, as its five words ``words[row, column]``.
 
     The 12 digits of a value are rint(m) for m = |x| 10^(11 - e), where the
     exponent e starts from floor(log10 |x|) and exact comparisons of m
@@ -571,66 +591,80 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     each exact or correctly rounded, and two products), a relative error
     below 4.5e-16 and so an error below 4.5e-4 on m < 10^12; rint(m) is
     the correctly rounded mantissa unless m lies within 1e-3 of a rounding
-    tie. Such a value, one that needs a power of ten beyond 10^44, NaN and
-    +-inf, and any value whose rint(m) still lies outside [10^11, 10^12]
-    (a log10 off by more than one) are written by ``_fmt``.
+    tie. Such a value, one that needs a power of ten beyond 10^44 (a NaN
+    m), NaN and +-inf, and any value whose corrected m still lies outside
+    [10^11, 10^12) (a log10 off by more than one) are written by ``_fmt``.
+
+    Each (rows, columns) array is freed or written over as soon as it is
+    dead: at most four are live at once, which keeps a command's peak heap,
+    and so its page faults, small.
     """
-    x = x.ravel()
-    a = np.abs(x)
-    finite = np.isfinite(a)
-    nonzero = finite & (a != 0)
+    a = np.array(columns).T
+    negative = np.signbit(a)
+    np.abs(a, out=a)
+    nonzero = a != 0
+    nonzero &= np.isfinite(a)
     with np.errstate(all="ignore"):
-        e = np.floor(np.log10(np.where(nonzero, a, 1.0))).astype(np.int64)
-        # np.minimum(np.maximum(...)), not np.clip: the exponents are
-        # integers, and np.clip's Python wrapper costs more than the work.
-        m = _scale(a, np.minimum(np.maximum(11 - e, -44), 44))
-        off = nonzero & ((m < 1e11) | (m >= 1e12))
+        i = np.where(nonzero, a, 1.0)
+        np.log10(i, out=i)
+        np.floor(i, out=i)
+        i = i.astype(np.intp)
+        i += _E0
+        m = _scale(a, i)
+        off = (m < 1e11) | (m >= 1e12)
+        off &= nonzero
         if off.any():
-            e[off] += np.where(m[off] < 1e11, -1, 1)
-            m[off] = _scale(a[off], np.minimum(np.maximum(11 - e[off], -44), 44))
+            i[off] += np.where(m[off] < 1e11, -1, 1)
+            fixed = _scale(a[off], i[off])
+            fixed[(fixed < 1e11) | (fixed >= 1e12)] = math.nan
+            m[off] = fixed
         d = np.rint(m)
-        python = (
-            ~finite | (np.abs(11 - e) > 44) | (np.abs(m - d) >= 0.499)
-            | (nonzero & ((d < 1e11) | (d > 1e12)))
-        )
+        m -= d
+        np.abs(m, out=m)
+        fast = m < 0.499
+        del m
+        # A NaN d, a value written by _fmt, becomes a number to split.
+        np.fmin(d, 1e12, out=d)
         carry = d == 1e12
         d[carry] = 1e11
-        d[python] = 0
+        i += carry
+    words[..., 4] = _EXPONENTS[i]
+    del i
     # The digits split in place, by floor division by a constant, not
     # np.divmod: numpy divides an integer array by a scalar with a
     # multiply and a shift.
     low = d.astype(np.int64)
+    del d
     middle = low // 10**4
     low -= middle * 10**4
-    high = middle // 10**4
+    words[..., 3] = _WORDS[low]
+    high = np.floor_divide(middle, 10**4, out=low)
     middle -= high * 10**4
-    high += np.signbit(x) * 10**4
-    e += carry
-    cells = np.empty((len(x), _CELL // 4), np.uint32)
-    cells[:, 0] = _HEADS_1[high]
-    cells[:, 1] = _HEADS_2[high]
-    cells[:, 2] = _WORDS[middle]
-    cells[:, 3] = _WORDS[low]
-    cells[:, 4] = _EXPONENTS[np.minimum(np.maximum(e, -99), 99) + 99]
-    cells = cells.view(np.uint8)
-    if python.any():
-        cells[python] = _text_cells(map(_fmt, x[python].tolist()))
-    return cells
+    words[..., 2] = _WORDS[middle]
+    del middle
+    high *= 2
+    high += negative
+    words[..., 0] = _HEADS_1[high]
+    words[..., 1] = _HEADS_2[high]
+    if not fast.all():
+        slow = (~fast).nonzero()
+        values = a[slow]
+        np.negative(values, out=values, where=negative[slow])
+        words[slow] = _cell_words("," + _fmt(v) for v in values.tolist())
 
 
-def _write(parts, path: str | Path | None) -> None:
-    """Write ``parts``, bytes of text, one after the other to ``path``, or
-    to stdout when ``path`` is None. A short write is followed by another
-    until every byte of a part is out."""
+def _write(data: bytes | bytearray, path: str | Path | None) -> None:
+    """Write ``data``, bytes of text, to ``path``, or to stdout when
+    ``path`` is None. A short write is followed by another until every
+    byte is out."""
     if path is None:
-        sys.stdout.write(b"".join(parts).decode())
+        sys.stdout.write(data.decode())
         return
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _O_BINARY, 0o666)
     try:
-        for part in parts:
-            done = os.write(fd, part)
-            while done < len(part):
-                done += os.write(fd, memoryview(part)[done:])
+        done = os.write(fd, data)
+        while done < len(data):
+            done += os.write(fd, memoryview(data)[done:])
     finally:
         os.close(fd)
 
@@ -639,7 +673,7 @@ def _write_lines(lines: list[str], path: str | Path | None) -> None:
     """Write a header and its rows as LF-terminated lines to ``path``, or
     to stdout when ``path`` is None. No timestamps: the bytes are a pure
     function of the lines."""
-    _write([("\n".join(lines) + "\n").encode()], path)
+    _write(("\n".join(lines) + "\n").encode(), path)
 
 
 def _write_csv(header: str, columns: tuple[np.ndarray, ...], path: str | Path) -> None:
@@ -647,34 +681,34 @@ def _write_csv(header: str, columns: tuple[np.ndarray, ...], path: str | Path) -
     float as ``_fmt`` writes it, an integer in 0..9999 in decimal (the
     only integer column is K, at most 2^6), a bool as true/false.
 
-    The body is built as one (rows, columns, ``_CELL`` + 1) byte matrix, a
-    cell and its comma or newline per column; its zero bytes are dropped
-    by ``bytes.translate`` of the matrix's bytes, which costs a command
-    less than a boolean mask's gather. The header and the compacted body
-    are written as they are, with no copy joining them.
+    The file is built in one zero-filled buffer: the header, padded to a
+    word boundary, then a (rows, columns) matrix of cells (see ``_CELL``),
+    each led by its separator, then a newline word that ends the last row.
+    Every column is formatted as floats by one ``_float_words`` call, and
+    the integer and bool cells are written over theirs from word tables;
+    the newlines of the first column replace its commas. The buffer's zero
+    bytes are dropped by ``bytearray.translate``, which costs a command
+    less than a boolean mask's gather, and the result is written at once.
     """
     rows = len(columns[0])
     if rows == 0:
         raise ValidationError("no rows to emit")
-    matrix = np.zeros((rows, len(columns), _CELL + 1), np.uint8)
-    matrix[:, :, _CELL] = ord(",")
-    matrix[:, -1, _CELL] = ord("\n")
-    floats = [i for i, c in enumerate(columns) if c.dtype.kind == "f"]
-    # One (floats, rows) stack, formatted in its own order and written
-    # through a transposed view.
-    cells = _float_cells(np.array([columns[i] for i in floats]))
-    matrix[:, floats, :_CELL] = cells.reshape(len(floats), rows, _CELL).transpose(1, 0, 2)
+    head = header.encode()
+    start = -(-len(head) // 4)
+    buf = bytearray(4 * start + rows * len(columns) * _CELL + 4)
+    buf[: len(head)] = head
+    words = np.frombuffer(buf, np.uint32)
+    words[-1] = ord("\n")
+    cells = words[start:-1].reshape(rows, len(columns), _CELL // 4)
+    _float_words(columns, cells)
     for i, column in enumerate(columns):
         if column.dtype.kind == "b":
-            matrix[:, i, :_CELL] = _BOOL_CELLS[column.view(np.uint8)]
+            cells[:, i] = _BOOL_WORDS[column.view(np.uint8)]
         elif column.dtype.kind in "iu":
-            # The four digits of each value, its leading zeros made zero
-            # bytes, which the compaction drops.
-            digits = _DIGITS[column]
-            for j, power in enumerate((1000, 100, 10)):
-                digits[column < power, j] = 0
-            matrix[:, i, :4] = digits
-    _write((f"{header}\n".encode(), matrix.tobytes().translate(None, b"\0")), path)
+            cells[:, i] = _COMMA_WORDS
+            cells[:, i, 1] = _INTEGER_WORDS[column]
+    cells.view(np.uint8)[:, 0, 0] = ord("\n")
+    _write(buf.translate(None, b"\0"), path)
 
 
 SWEEP_HEADER = "theta,k,x11,re_x1k,im_x1k,xkk_true,xkk_pred,abs_diff,fidelity,near_singular"

@@ -35,9 +35,9 @@ draw; the sweep's batched draw must give the same tallies.
 ``reference_sweep_points`` is the sweep as it read when it built one
 point at a time in a loop, kept to check the sweep's columns bit for
 bit. The ``reference_emit``
-functions are the CSV emit as it read when every row was one Python
-format call of a row template, kept to check the byte-matrix emit of
-whole files byte for byte.
+functions and ``reference_write_columns`` are the CSV emit as it read
+when every row was one Python format call of a row template, kept to
+check the buffer emit of whole files byte for byte.
 
 Every hypothesis property test runs under one profile: derandomized, with
 no example database and no deadline, so a run is repeatable and a slow
@@ -1054,6 +1054,16 @@ def _reference_write_csv(header: str, rows: list[str], path) -> None:
     if not rows:
         raise ValidationError("no rows to emit")
     Path(path).write_text("\n".join([header, *rows]) + "\n", newline="\n")
+
+
+def reference_write_columns(header: str, columns, path) -> None:
+    """Write ``columns`` under ``header`` with a row template: a float
+    column as ``'%.11e'`` writes it, an integer as ``str``, a bool as
+    true/false."""
+    fields = ["e" if c.dtype.kind == "f" else "s" for c in columns]
+    columns = [np.where(c, "true", "false") if c.dtype.kind == "b" else c for c in columns]
+    rows = list(map(_row_format(*fields).format, *(c.tolist() for c in columns)))
+    _reference_write_csv(header, rows, path)
 
 
 def reference_emit_csv(s, path) -> None:

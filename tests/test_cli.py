@@ -81,6 +81,17 @@ class TestConfig:
         assert cfg.k_targets == (2, 3, 4)
         assert cfg.theta_steps == 21
 
+    def test_a_loaded_config_equals_the_config_of_its_fields(self, tmp_path):
+        # The circuit text load_config keeps is a cache, not a setting.
+        path = tmp_path / "cfg.txt"
+        path.write_text("circuit twoq_a\ntheta_steps 5\n")
+        loaded = load_config(path)
+        built = ExperimentConfig("twoq_a", theta_steps=5, k_targets=(2, 3, 4))
+        assert loaded.circuit_text is not None and built.circuit_text is None
+        assert repr(loaded) == repr(built)
+        assert loaded == built
+        assert hash(loaded) == hash(built)
+
     def test_noisy_defaults(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("circuit bell\nbackend noisy\nshots 1024\n")

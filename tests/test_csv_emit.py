@@ -1,32 +1,48 @@
 """The CSV emit writes every value as ``'%.11e'`` does, from numpy.
 
-- ``cli._float_cells``, the formatter behind every sweep, case A/B and
-  heatmap CSV, gives the text of ``'%.11e' % v`` for random 64-bit
+- ``cli._write_csv``, the emitter behind every sweep, case A/B and
+  heatmap CSV, writes the text of ``'%.11e' % v`` for random 64-bit
   patterns, the neighbours of every power of ten, 12-digit rounding ties
   and the values around them, values that round up to the next decade,
-  signed zeros, subnormals, NaN and infinities, and hypothesis floats.
-- It gives the same bytes with numpy's AVX-512 and AVX2 loops switched
+  signed zeros, subnormals, NaN and infinities, and hypothesis floats,
+  each value a row of a one-column CSV.
+- It writes the same bytes with numpy's AVX-512 and AVX2 loops switched
   off (``NPY_DISABLE_CPU_FEATURES``), in a child process.
+- Every kind of cell, a float of the numpy path, each kind written by
+  Python's formatting, an integer of one to four digits and a bool, has
+  the bytes of the row template in the first, a middle and the last
+  column, where its separator differs.
 - ``emit_csv``, ``emit_caseab_csv`` and ``emit_heatmap_csv`` write the
   bytes of the row-template emit (``conftest.reference_emit_*``) on the
   bundled configs and on every bundled model under each backend.
+- The emit of a 201-theta ``threeq_a`` sweep keeps its traced peak heap
+  under a bound.
 """
 
 import os
 import platform
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import reference_emit_caseab_csv, reference_emit_csv, reference_emit_heatmap_csv
+from conftest import (
+    reference_emit_caseab_csv,
+    reference_emit_csv,
+    reference_emit_heatmap_csv,
+    reference_write_columns,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qmaxent.cli as cli
 from qmaxent.cli import (
-    _float_cells,
+    ExperimentConfig,
+    _write_csv,
     emit_caseab_csv,
     emit_csv,
     emit_heatmap_csv,
@@ -41,27 +57,30 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
 
 
-def text(cells: np.ndarray) -> str:
-    """Rows of ``_float_cells`` as LF-terminated lines."""
-    lines = np.concatenate([cells, np.full((len(cells), 1), ord("\n"), np.uint8)], axis=1)
-    return lines[lines != 0].tobytes().decode()
+def csv_text(values) -> str:
+    """The text ``_write_csv`` writes for ``values`` as a one-column CSV
+    under the header "x"."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.csv"
+        _write_csv("x", (np.asarray(values, dtype=float).ravel(),), path)
+        return path.read_bytes().decode()
 
 
 def formatted(values) -> list[str]:
-    """The text ``_float_cells`` gives each value."""
-    return text(_float_cells(np.asarray(values, dtype=float))).splitlines()
+    """The text ``_write_csv`` gives each value."""
+    return csv_text(values).splitlines()[1:]
 
 
-def assert_formats_as_python(values, cells=None) -> None:
-    """``cells``, by default the cells ``_float_cells`` gives ``values``,
-    hold the text ``'%.11e'`` gives each value."""
+def assert_formats_as_python(values, got=None) -> None:
+    """``got``, by default the one-column CSV ``_write_csv`` writes for
+    ``values``, holds the text ``'%.11e'`` gives each value."""
     values = np.asarray(values, dtype=float).ravel()
-    got = text(_float_cells(values) if cells is None else cells)
-    want = "".join(map("%.11e\n".__mod__, values.tolist()))
+    got = csv_text(values) if got is None else got
+    want = "x\n" + "".join(map("%.11e\n".__mod__, values.tolist()))
     if got != want:
         wrong = [
             (v.hex(), g, w)
-            for v, g, w in zip(values.tolist(), got.splitlines(), want.splitlines())
+            for v, g, w in zip(values.tolist(), got.splitlines()[1:], want.splitlines()[1:])
             if g != w
         ]
         pytest.fail(f"{len(wrong)} of {len(values)} values differ: {wrong[:10]}")
@@ -179,12 +198,11 @@ CHILD = """
 import sys
 import numpy as np
 from numpy._core._multiarray_umath import __cpu_features__
-from qmaxent.cli import _float_cells
+from qmaxent.cli import _write_csv
 off = [name for name in sys.argv[3].split() if __cpu_features__.get(name)]
 if off:
     sys.exit(f"still on: {off}")
-values = np.load(sys.argv[1])
-open(sys.argv[2], "wb").write(_float_cells(values).tobytes())
+_write_csv("x", (np.load(sys.argv[1]),), sys.argv[2])
 """
 
 
@@ -205,11 +223,44 @@ def test_formatter_bytes_do_not_depend_on_the_cpu(setting, tmp_path):
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled,
            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     subprocess.run(
-        [sys.executable, "-c", CHILD, str(tmp_path / "values.npy"), str(tmp_path / "cells"), lost],
+        [sys.executable, "-c", CHILD, str(tmp_path / "values.npy"), str(tmp_path / "x.csv"), lost],
         env=env, check=True, timeout=120,
     )
-    cells = np.frombuffer((tmp_path / "cells").read_bytes(), np.uint8).reshape(len(values), -1)
-    assert_formats_as_python(values, cells)
+    assert_formats_as_python(values, (tmp_path / "x.csv").read_bytes().decode())
+
+
+# Six rows of each kind of cell. The fallback kinds are those Python's
+# formatting writes: NaN, the infinities, a 3-digit exponent (a power of
+# ten beyond 10^44) and a 12-digit rounding tie.
+CELL_KINDS = {
+    "float": np.array([0.25, -1.5e-7, 3.141592653589793, 6.02214076e23, -0.0, 0.0]),
+    "nan": np.array([np.nan, -np.nan, np.nan, np.nan, -np.nan, np.nan]),
+    "inf": np.array([np.inf, -np.inf, -np.inf, np.inf, np.inf, -np.inf]),
+    "exponent_3": np.array([1e-300, -2.5e150, 5e-324, -np.finfo(float).max, 1e100, -1e-100]),
+    "tie": np.array([4097 / 8192, -4097 / 8192, 4099 / 8192, 1234567890125.0, -9876543210125.0,
+                     0.5001220703125]),
+    "int": np.array([0, 9, 10, 99, 100, 9999]),
+    "bool": np.array([True, False, False, True, True, False]),
+}
+FALLBACK_KINDS = ("nan", "inf", "exponent_3", "tie")
+FILLER = np.array([1.0, -2.0, 0.125, 7e-3, -9e9, 0.5])
+
+
+@pytest.mark.parametrize("place", [0, 2, 4])
+@pytest.mark.parametrize("kind", sorted(CELL_KINDS))
+def test_every_cell_kind_has_the_row_template_bytes_in_every_column(
+    kind, place, tmp_path, monkeypatch
+):
+    columns = [FILLER, CELL_KINDS["int"], FILLER * 3, CELL_KINDS["bool"], -FILLER]
+    columns[place] = CELL_KINDS[kind]
+    header = "a,b,c,d,e"
+    fallbacks = []
+    monkeypatch.setattr(cli, "_fmt", lambda v: fallbacks.append(v) or f"{v:.11e}")
+    _write_csv(header, tuple(columns), tmp_path / "got.csv")
+    # Each fallback kind is written by Python's formatting, and only it.
+    assert len(fallbacks) == (6 if kind in FALLBACK_KINDS else 0)
+    reference_write_columns(header, columns, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 MODELS = ("twoq_a", "twoq_b", "twoq_c", "threeq_a")
@@ -269,3 +320,26 @@ def test_heatmap_bytes_are_the_row_template_bytes(tmp_path):
     emit_heatmap_csv(scan, tmp_path / "got.csv")
     reference_emit_heatmap_csv(scan, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+# The traced peak of the emit below, in KiB: 1447 before the buffer emit
+# (a cells array, a byte matrix and its ``tobytes`` copy, and about ten
+# full-size temporaries of the formatter), 787 with it. One more live
+# (rows, columns) array of float64 adds 110 KiB.
+EMIT_PEAK_KIB = 880
+
+
+def test_the_emit_of_a_dense_sweep_keeps_its_peak_heap_small(tmp_path):
+    """A command's peak heap is time: the pages beyond what the allocator
+    keeps are faulted in afresh by each command."""
+    sweep = run_sweep(ExperimentConfig("threeq_a", theta_steps=201))
+    assert len(sweep) == 1407
+    emit_csv(sweep, tmp_path / "warm.csv")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        emit_csv(sweep, tmp_path / "sweep.csv")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < EMIT_PEAK_KIB * 1024, f"traced peak {peak / 1024:.0f} KiB"
