@@ -616,11 +616,14 @@ def _check_basis_index(name: str, idx: int, dim: int) -> None:
         raise ValidationError(f"basis index {idx} out of range [1, {dim}]")
 
 
-def _coherence(states: np.ndarray, i: int, j: int) -> np.ndarray:
+def _coherence(states: np.ndarray, i, j: int) -> np.ndarray:
     """conj(a_{i-1}) * a_{j-1} of each row of ``states`` (an amplitude
     vector or a stack), written on the parts as a scalar complex product
-    rounds; numpy's vector complex product can round differently."""
+    rounds; numpy's vector complex product can round differently. An
+    array of indices ``i`` gives a column per index."""
     a, b = states[..., i - 1], states[..., j - 1]
+    if a.ndim > b.ndim:
+        b = b[..., None]
     out = np.empty(np.shape(a), dtype=complex)
     out.real = a.real * b.real + a.imag * b.imag
     out.imag = a.real * b.imag - a.imag * b.real

@@ -39,7 +39,7 @@ every theta is bound into it at once, and the circuit is simulated as
 one (thetas, 2^n) stack of states (``circuit._sweep_states``). The
 readout is validated once per sweep, and one call reads the distribution
 of every theta's state. The exact backend reads every point's x11 and
-xKK from it and each K's x1K for every theta in one array product. A
+xKK from it and every K's x1K for every theta in one array product. A
 sampled sweep rotates the stack into every basis of every K's plan
 level by level, in at most 3n gate calls, and reads them all in one
 more distribution call (``sampler._basis_reads``); the draws, the
@@ -55,8 +55,12 @@ measured. The rotated rows are not checked again: a unitary rotation
 moves a norm by rounding only. Then one call of each of ``maxent``'s
 array kernels covers all the solved points: the prediction
 of xKK, the completion and solve of case A and case B side by side
-(``maxent._complete_and_solve``) and the fidelity. No record is built,
+(``maxent._complete_and_solve``) and the fidelity. |x1K| of the solved
+points is taken once, for the check, the prediction and the projection.
+When no point sits at the floor, no column is gathered or scattered
+around the solved rows. No record is built,
 no multiplier set is validated again, and no clamp warning is raised.
+The theta grid is ``np.linspace``'s formula on Python floats (``_grid``).
 """
 
 from __future__ import annotations
@@ -80,6 +84,7 @@ from .maxent import (
     _block_fidelity,
     _check_dims,
     _complete_and_solve,
+    _modulus,
     _predict_population,
     _record_failure,
     density_from_lagrange,
@@ -327,6 +332,25 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return cfg
 
 
+def _grid(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num).tolist()``, numpy's formula on
+    Python floats: with d = stop - start, point i is i * (d / (num - 1))
+    + start, or i / (num - 1) * d + start where that step underflows to
+    zero, and the last point is stop; one point is 0 * d + start."""
+    start, stop = float(start), float(stop)
+    delta = stop - start
+    div = num - 1
+    if div < 1:
+        return [0.0 * delta + start] * num
+    step = delta / div
+    if step == 0:
+        grid = [i / div * delta + start for i in range(num)]
+    else:
+        grid = [i * step + start for i in range(num)]
+    grid[-1] = stop
+    return grid
+
+
 def _interleave(columns: list[np.ndarray]) -> np.ndarray:
     """``np.stack(columns, axis=1).ravel()``, row i of each column in
     turn, built by ``np.array`` without ``np.stack``'s Python wrapper."""
@@ -366,9 +390,9 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
     if cfg.theta_steps == 1:
         thetas = [float(cfg.theta_start)]
     elif math.isfinite(cfg.theta_stop - cfg.theta_start):
-        thetas = np.linspace(cfg.theta_start, cfg.theta_stop, cfg.theta_steps).tolist()
+        thetas = _grid(cfg.theta_start, cfg.theta_stop, cfg.theta_steps)
     else:
-        # numpy would warn and bind NaN and infinite thetas.
+        # The grid would hold NaN and infinite thetas.
         raise ValidationError(
             f"theta_stop - theta_start = {cfg.theta_stop!r} - {cfg.theta_start!r} "
             "is not finite"
@@ -388,7 +412,7 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
         # Point (theta i, K) reads row i: x11 and xKK are its exact
         # populations, x1K is rho[1, K], the mean of |K><1|: a_0 * conj(a_{K-1}).
         x11 = dists[:, 0].repeat(len(k_targets))
-        x1k = _interleave([_coherence(states[:stop], k, 1) for k in k_targets])
+        x1k = _coherence(states[:stop], np.array(k_targets), 1).ravel()
         xkk_true = dists[:, [k - 1 for k in k_targets]].ravel()
     else:
         x11, x1k, xkk_true = _sampled_values(
@@ -396,22 +420,27 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
         )
     # The measured values are checked once, where x11 is above the floor;
     # case A completes them with the predicted xKK, case B with the true
-    # one. A point that fails is not measured, nor any after it.
+    # one. A point that fails is not measured, nor any after it. |x1K| is
+    # taken once, for the check, the prediction and the projection.
     solved = x11 > POLICY.population_floor
-    invalid = _record_failure(x11[solved], x1k[solved])
+    every = solved.all()
+    x11_s, x1k_s = (x11, x1k) if every else (x11[solved], x1k[solved])
+    modulus = _modulus(x1k_s)
+    invalid = _record_failure(x11_s, x1k_s, modulus=modulus)
     if invalid is not None:
-        count = int(solved.nonzero()[0][invalid[0]])
-        error = invalid[1]
+        valid, error = invalid
+        count = int(solved.nonzero()[0][valid])
         x11, x1k, xkk_true, solved = x11[:count], x1k[:count], xkk_true[:count], solved[:count]
+        x11_s, x1k_s, modulus = x11_s[:valid], x1k_s[:valid], modulus[:valid]
 
-    x11_s, x1k_s, xkk_true_s = x11[solved], x1k[solved], xkk_true[solved]
-    xkk = _predict_population(x11_s, x1k_s)[0]
+    xkk_true_s = xkk_true if every else xkk_true[solved]
+    xkk = _predict_population(x11_s, x1k_s, modulus)[0]
     # Case A completes each point with its predicted xKK, case B with the
     # true one. One call solves both, point first: row 2i is point i's
     # case A and row 2i + 1 its case B.
     completed, lams, near, (z, block), failure = _complete_and_solve(
         dim_n, x11_s.repeat(2), x1k_s.repeat(2),
-        _interleave([xkk, xkk_true_s]),
+        _interleave([xkk, xkk_true_s]), modulus.repeat(2),
     )
     lams_a, lams_b = (tuple(v[i::2] for v in lams) for i in (0, 1))
     block_a, block_b = (tuple(v[i::2] for v in block) for i in (0, 1))
@@ -465,9 +494,12 @@ def run_sweep(cfg: ExperimentConfig) -> Sweep:
     at the degeneracy floor is kept, flagged near_singular, not raised."""
     (theta, k, x11, x1k, xkk_true, solved), solved_rows = _sweep_points(cfg)
     _, _, _, xkk_pred, fidelity, lams_a, near_a, lams_b, near_b = solved_rows
+    every = solved.all()
 
     def every_row(values, fill):
         # The solved rows' values scattered into a column of every row.
+        if every:
+            return values
         column = np.full(len(solved), fill, values.dtype)
         column[solved] = values
         return column
@@ -485,7 +517,9 @@ def run_case_ab(cfg: ExperimentConfig) -> Sweep:
     reconstruction to compare, in the same order: the floor points are
     left out."""
     (theta, k, _, _, _, solved), solved_rows = _sweep_points(cfg)
-    return Sweep(theta[solved], k[solved], *solved_rows, np.ones(len(solved_rows[0]), bool))
+    if not solved.all():
+        theta, k, solved = theta[solved], k[solved], np.ones(len(solved_rows[0]), bool)
+    return Sweep(theta, k, *solved_rows, solved)
 
 
 def _fmt(value: float) -> str:
@@ -771,7 +805,7 @@ def load_heatmap_config(path: str | Path) -> dict:
         steps = read_number(values, f"{axis}_steps", 21, int)
         if steps < 1:
             raise ValidationError(f"{axis}_steps = {steps} is below 1")
-        params[axis] = np.linspace(
+        params[axis] = _grid(
             read_number(values, f"{axis}_start", -3.0),
             read_number(values, f"{axis}_stop", 3.0),
             steps,

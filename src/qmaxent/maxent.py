@@ -30,7 +30,9 @@ dense ``fidelity`` is kept for arbitrary density matrices.
 
 The completion, the solve, the forward map, the prediction and the block
 fidelity are array kernels in plain numpy, one element per point, exact
-to rounding (see the note above ``_record_failure``).
+to rounding (see the note above ``_record_failure``). Each modulus is
+taken once and shared, each branch runs only on the points that take it,
+and the screens of the checks compare squared moduli.
 ``_complete_and_solve`` holds the one completion and saturation policy:
 estimates are projected onto the feasible set
 (``_project``), moved off the x11 + xKK = 1 boundary (``_rescale``) and
@@ -190,7 +192,15 @@ class MeasurementRecord:
 # arithmetic). The last bits depend on numpy's build: it picks its exp and
 # log loops by CPU. Moduli are np.hypot of the parts, as abs() of a
 # Python complex is, which the scalar record checks use; numpy's complex
-# abs rounds differently on some inputs. The kernels silence numpy's
+# abs rounds differently on some inputs. A hypot costs about ten times
+# the other ufuncs, so each modulus is taken once: a caller that has
+# |x1K| passes it on (``modulus``), and the projection takes it again
+# only for the points it moved. A branch that only some points take runs
+# on those points alone (``_where``). A screen that only picks suspects
+# for a scalar check compares squared moduli, re^2 + im^2, against a
+# bound shrunk to stay on the safe side of the hypot test it stands for
+# (``_SQUARE_SHARE``, ``_SQUARE_FLOOR``): it marks every point that test
+# marks, and the check decides. The kernels silence numpy's
 # floating-point warnings: a branch not taken, or a point that has
 # failed, may divide by zero or overflow.
 #
@@ -201,26 +211,71 @@ class MeasurementRecord:
 # later steps on garbage, quietly; the earliest point's earliest step
 # wins (``_earliest``).
 
+# A squared modulus re^2 + im^2 is within 3 ulps of |z|^2, and np.hypot
+# within one ulp of |z|, but for a few subnormal steps where they
+# underflow. So a squared modulus at or below (1 - 2^-48) b - 2^-1022,
+# 32 ulps and far more than those steps short of a bound b, keeps the
+# hypot's square within b: a screen on squares against that bound marks
+# every point that a screen on hypots against b marks.
+_SQUARE_SHARE = 1.0 - 2.0**-48
+_SQUARE_FLOOR = 2.0**-1022
 
-def _record_failure(x11, x1k, xkk=None):
-    """The first point whose values fail ``_check_record_values``, with
-    its error; without ``xkk``, the check of measured (x11, x1K) alone. A
-    vectorised test picks the candidates: every failing point and, within
-    rounding of the positive-semidefinite bound, perhaps a few more; the
-    scalar check on each candidate's Python floats decides."""
+
+def _modulus(x1k):
+    """|x1K| of each point, np.hypot of its parts."""
+    with np.errstate(all="ignore"):
+        return np.hypot(x1k.real, x1k.imag)
+
+
+def _squared_modulus(x1k):
+    """|x1K|^2 of each point as re^2 + im^2, with no hypot."""
+    return x1k.real * x1k.real + x1k.imag * x1k.imag
+
+
+def _where(mask, branch, default, *args):
+    """np.where(mask, branch(*args), default) with ``branch`` run on the
+    points of ``mask`` alone: on every point when all are marked, on none
+    when none is, else on the marked points' elements of ``args``."""
+    count = np.count_nonzero(mask)
+    if count == len(mask):
+        return branch(*args)
+    if not count:
+        return default
+    out = default.copy()
+    out[mask] = branch(*(a[mask] for a in args))
+    return out
+
+
+def _record_suspects(x11, x1k, xkk=None, modulus=None):
+    """The mask of the points that may fail ``_check_record_values``:
+    every failing point and, within rounding of the bounds on |x1K|,
+    perhaps a few more. Given ``modulus``, |x1K| of each point, the
+    moduli are tested; without it, their squares (see the kernel note)."""
     tol = POLICY.record_atol
     with np.errstate(all="ignore"):
-        modulus = np.hypot(x1k.real, x1k.imag)
-        ok = (
-            np.isfinite(x11) & np.isfinite(modulus)
-            & (-tol <= x11) & (x11 <= 1 + tol) & (modulus <= 1 + tol)
-        )
+        # A range test fails a NaN or infinite value.
+        ok = (-tol <= x11) & (x11 <= 1 + tol)
+        if modulus is None:
+            square = _squared_modulus(x1k)
+            ok &= square <= (1 + tol) * (1 + tol) * _SQUARE_SHARE
+        else:
+            ok &= modulus <= 1 + tol
         if xkk is not None:
-            ok &= (
-                np.isfinite(xkk) & (-tol <= xkk) & (xkk <= 1 + tol) & (x11 + xkk <= 1 + tol)
-                & (modulus * modulus <= x11 * xkk + 0.5 * tol)
-            )
-    return _failure(~ok, lambda i: _raised(
+            bound = x11 * xkk + 0.5 * tol
+            ok &= (-tol <= xkk) & (xkk <= 1 + tol) & (x11 + xkk <= 1 + tol)
+            if modulus is None:
+                ok &= square <= bound * _SQUARE_SHARE - _SQUARE_FLOOR
+            else:
+                ok &= modulus * modulus <= bound
+    return ~ok
+
+
+def _record_failure(x11, x1k, xkk=None, modulus=None):
+    """The first point whose values fail ``_check_record_values``, with
+    its error; without ``xkk``, the check of measured (x11, x1K) alone.
+    ``_record_suspects`` picks the candidates, ``modulus`` as it takes
+    it; the scalar check on each candidate's Python floats decides."""
+    return _failure(_record_suspects(x11, x1k, xkk, modulus), lambda i: _raised(
         _check_record_values, x11[i].item(), x1k[i].item(),
         None if xkk is None else xkk[i].item(),
     ))
@@ -269,8 +324,11 @@ def _exponent_spectrum(dim_n: int, l11, l1k, lkk):
         lo = _exp_sum(-np.maximum(l11, lkk), -t)
         hi = _exp_sum(-np.minimum(l11, lkk), t)
         two_r = 2.0 * r
-        ratio = np.where(two_r > 0.0, np.expm1(two_r) / two_r, 1.0)
-        s = np.where(two_r < 1.0, lo * ratio, (hi - lo) / two_r)
+        s = _where(
+            two_r < 1.0,
+            lambda lo, two_r: lo * np.where(two_r > 0.0, np.expm1(two_r) / two_r, 1.0),
+            (hi - lo) / two_r, lo, two_r,
+        )
         # s t as (s c) q: t underflows first.
         small, large = lo + (s * c) * q, lo + s * outer
         up = h >= 0.0
@@ -330,11 +388,13 @@ def density_from_lagrange(ls: LagrangeSet) -> np.ndarray:
     return rho
 
 
-def _predict_population(x11, x1k):
+def _predict_population(x11, x1k, modulus=None):
     """|x1K|^2 / x11 of each point clamped to [0, 1 - x11], the value
-    before the clamp, and the clamp's ceiling max(0, 1 - x11)."""
+    before the clamp, and the clamp's ceiling max(0, 1 - x11). ``modulus``
+    is |x1K| of each point, when the caller has it."""
     with np.errstate(all="ignore"):
-        modulus = np.hypot(x1k.real, x1k.imag)
+        if modulus is None:
+            modulus = np.hypot(x1k.real, x1k.imag)
         value = modulus * modulus / x11
         ceiling = 1.0 - x11
         ceiling = np.where(ceiling > 0.0, ceiling, 0.0)
@@ -369,19 +429,22 @@ def predict_population(x_11: float, x_1k: complex) -> float:
     return predicted
 
 
-def _project(x11, x1k, xkk=None):
+def _project(x11, x1k, xkk=None, modulus=None):
     """The estimates of each point projected onto the feasible set (with
     ``xkk`` None, x11 and x1K alone), and the first failure: a NaN or
     infinite estimate raises ValidationError naming it, and is never
-    clipped.
+    clipped. ``modulus`` is |x1K| of each point, when the caller has it.
 
     Shot-noise estimates can leave the physical set: populations are
     clipped to [0, 1] and rescaled if they sum past 1, and the coherence is
     shrunk onto the boundary of the positive-semidefinite minor. Exact
-    inputs pass through unchanged.
+    inputs pass through unchanged. Each rescaling runs on the points it
+    moves, and |x1K| is taken again only for the points moved before the
+    last one.
     """
     with np.errstate(all="ignore"):
-        modulus = np.hypot(x1k.real, x1k.imag)
+        if modulus is None:
+            modulus = np.hypot(x1k.real, x1k.imag)
         finite = np.isfinite(x11) & np.isfinite(x1k)
         if xkk is not None:
             finite &= np.isfinite(xkk)
@@ -393,17 +456,23 @@ def _project(x11, x1k, xkk=None):
             None if xkk is None else xkk[i].item(),
         ))
         x11 = np.clip(x11, 0.0, 1.0)
-        x1k = np.where(modulus > 1.0, x1k * (1.0 / modulus), x1k)
+        long = modulus > 1.0
+        x1k = _where(long, lambda x1k, modulus: x1k * (1.0 / modulus), x1k, x1k, modulus)
         if xkk is not None:
             xkk = np.clip(xkk, 0.0, 1.0)
             total = x11 + xkk
             over = total > 1.0
-            x11 = np.where(over, x11 / total, x11)
-            xkk = np.where(over, xkk / total, xkk)
-            x1k = np.where(over, x1k / total, x1k)
+            x11 = _where(over, np.divide, x11, x11, total)
+            xkk = _where(over, np.divide, xkk, xkk, total)
+            x1k = _where(over, np.divide, x1k, x1k, total)
             bound = np.sqrt(x11 * xkk)
-            modulus = np.hypot(x1k.real, x1k.imag)
-            x1k = np.where(modulus > bound, x1k * (bound / modulus), x1k)
+            modulus = _where(
+                long | over, lambda x1k: np.hypot(x1k.real, x1k.imag), modulus, x1k
+            )
+            x1k = _where(
+                modulus > bound, lambda x1k, bound, modulus: x1k * (bound / modulus),
+                x1k, x1k, bound, modulus,
+            )
     return (x11, x1k, xkk), failure
 
 
@@ -414,35 +483,70 @@ def _rescale(x11, x1k, xkk):
 
     Rank-one (pure-state) records sit exactly on that boundary, where the
     partition function diverges. The scaling restores feasibility while
-    perturbing each component by at most 1e-9.
+    perturbing each component by at most 1e-9. Only the points it moves
+    are multiplied.
     """
     with np.errstate(all="ignore"):
         total = x11 + xkk
-        c = np.where(total < 1.0 - POLICY.feasibility_atol, 1.0, (1.0 - 1e-9) / total)
-        fired = c != 1.0
+        c = (1.0 - 1e-9) / total
+        fired = ~(total < 1.0 - POLICY.feasibility_atol) & (c != 1.0)
         rescaled = (
-            np.where(fired, c * x11, x11), np.where(fired, x1k * c, x1k),
-            np.where(fired, c * xkk, xkk),
+            _where(fired, np.multiply, x11, c, x11), _where(fired, np.multiply, x1k, x1k, c),
+            _where(fired, np.multiply, xkk, c, xkk),
         )
     return rescaled, fired
 
 
-def _check_reproduction(spec, x11, x1k, xkk):
-    """The first point whose forward values, from the spectrum ``spec``,
-    are not a valid record within 1e-6 of (x11, x1k, xkk) per component,
-    with its error."""
-    f11, f1k, fkk = _expectations(spec)
+def _deviation(f11, f1k, fkk, x11, x1k, xkk):
+    """The deviation of the reproduction check of each point: the largest
+    of |f11 - x11|, |f1k - x1k| and |fkk - xkk|, taken term by term as
+    where(b > a, b, a): a NaN first term makes it NaN, and a NaN later
+    term is passed over."""
     with np.errstate(all="ignore"):
         d11 = np.abs(f11 - x11)
         d1k = np.hypot(f1k.real - x1k.real, f1k.imag - x1k.imag)
         dkk = np.abs(fkk - xkk)
         dev = np.where(d1k > d11, d1k, d11)
-        dev = np.where(dkk > dev, dkk, dev)
+        return np.where(dkk > dev, dkk, dev)
+
+
+# The tolerance of the reproduction check, and the bound of its screen
+# on the squared deviation of x1K (see the kernel note).
+_REPRODUCTION_ATOL = 1e-6
+_REPRODUCTION_SQUARE = _REPRODUCTION_ATOL**2 * _SQUARE_SHARE
+
+
+def _deviation_suspects(forward, x11, x1k, xkk):
+    """The mask of the points whose ``_deviation`` from the forward values
+    ``forward`` may pass ``_REPRODUCTION_ATOL``: every such point and,
+    within rounding of the bound on x1K, perhaps a few more."""
+    f11, f1k, fkk = forward
+    with np.errstate(all="ignore"):
+        return (
+            (np.abs(f11 - x11) > _REPRODUCTION_ATOL) | (np.abs(fkk - xkk) > _REPRODUCTION_ATOL)
+            | (_squared_modulus(f1k - x1k) > _REPRODUCTION_SQUARE)
+        )
+
+
+def _check_reproduction(spec, x11, x1k, xkk):
+    """The first point whose forward values, from the spectrum ``spec``,
+    are not a valid record within 1e-6 of (x11, x1k, xkk) per component,
+    with its error. Both screens compare squared moduli; the record check
+    and ``_deviation`` of each suspect decide."""
+    forward = _expectations(spec)
+    values = (*forward, x11, x1k, xkk)
+
+    def deviation(i):
+        dev = _deviation(*(v[i : i + 1] for v in values)).item()
+        if dev > _REPRODUCTION_ATOL:
+            return TomographyError(
+                f"solver failed to reproduce the record (deviation {dev:.3e})"
+            )
+        return None
+
     return _earliest(
-        _record_failure(f11, f1k, fkk),
-        _failure(dev > 1e-6, lambda i: TomographyError(
-            f"solver failed to reproduce the record (deviation {dev[i].item():.3e})"
-        )),
+        _record_failure(*forward),
+        _failure(_deviation_suspects(forward, x11, x1k, xkk), deviation),
     )
 
 
@@ -488,13 +592,12 @@ def _solve(dim_n: int, x11, x1k, xkk):
         near_singular = z_lo <= floor
         log_hi = np.log(np.where(floor > z_hi, floor, z_hi))
         log_lo = np.log(np.where(floor > z_lo, floor, z_lo))
-        g = np.where(
-            r == 0.0,
-            0.0,
-            np.where(
-                near_singular, (log_hi - log_lo) / (2 * r), np.log1p(2 * r / w_lo) / (2 * r)
-            ),
+        two_r = 2.0 * r
+        g = _where(
+            ~near_singular, lambda two_r, w_lo: np.log1p(two_r / w_lo) / two_r,
+            (log_hi - log_lo) / two_r, two_r, w_lo,
         )
+        g = np.where(r == 0.0, 0.0, g)
         avg = 0.5 * (log_hi + log_lo)
         lam_11 = -(avg + g * half_gap)
         # The + 0.0 makes a zero part +0.0 before the negation, so a zero
@@ -547,17 +650,18 @@ def solve_lagrange(mr: MeasurementRecord) -> LagrangeSet:
     return LagrangeSet(mr.dim_n, mr.index_k, *(v.item() for v in lams), near_singular.item())
 
 
-def _complete_and_solve(dim_n: int, x11, x1k, xkk):
+def _complete_and_solve(dim_n: int, x11, x1k, xkk, modulus=None):
     """The one completion and saturation policy, on arrays of points.
 
-    The estimates are projected onto the feasible set (``_project``),
-    moved off the x11 + xKK = 1 boundary, on which pure-state data sits
+    The estimates are projected onto the feasible set (``_project``, which
+    takes ``modulus``, |x1K| of each point, when the caller has it), moved
+    off the x11 + xKK = 1 boundary, on which pure-state data sits
     (``_rescale``), and solved (``_solve``). The
     dimensions are the caller's to check. Returns the projected
     (x11, x1K, xKK), before any rescale, the multipliers, the
     near_singular mask, the spectrum and the first failure.
     """
-    completed, bad_estimate = _project(x11, x1k, xkk)
+    completed, bad_estimate = _project(x11, x1k, xkk, modulus)
     rescaled, _ = _rescale(*completed)
     lams, near_singular, spec, failure = _solve(dim_n, *rescaled)
     return completed, lams, near_singular, spec, _earliest(bad_estimate, failure)

@@ -284,7 +284,7 @@ class TestRunSweep:
         [
             (
                 "coherence",
-                lambda states, i, j: np.full(len(states), complex(2.0)),
+                lambda states, i, j: np.full((len(states), len(i)), complex(2.0)),
                 r"^\|x_1k\| = 2.0 exceeds 1$",
             ),
             (
@@ -815,3 +815,41 @@ def test_median_has_the_bits_of_np_median(name):
     got = cli._median(values)
     assert isinstance(got, float)
     assert np.float64(got).tobytes() == np.median(values).tobytes()
+
+
+GRID_CASES = {
+    "default_sweep": (0.0, 2 * math.pi, 21),
+    "bench_window": (1.1234567890123, 1.1234567890123 + 2 * math.pi, 201),
+    "heatmap": (-3.0, 3.0, 41),
+    "descending": (2.5, -0.1, 9),
+    "equal_ends": (0.7, 0.7, 4),
+    "no_samples": (0.0, 1.0, 0),
+    "one_sample": (0.3, 5.0, 1),
+    "negative_zero_start": (-0.0, 1.0, 5),
+    "negative_zero_start_descending": (-0.0, -1.0, 3),
+    "negative_zero_start_equal": (-0.0, -0.0, 3),
+    "negative_zero_start_to_zero": (-0.0, 0.0, 4),
+    "negative_zero_one_sample": (-0.0, 1.0, 1),
+    "negative_zero_one_sample_descending": (-0.0, -1.0, 1),
+    "subnormal_step": (0.0, 5e-324, 3),
+    "subnormal_step_eleven_samples": (0.0, 5e-324, 11),
+    "subnormal_step_descending": (-0.0, -1e-323, 7),
+    "one_ulp_steps": (5e-324, -5e-324, 3),
+    "subnormal_from_negative_zero": (-0.0, 4e-323, 9),
+    "subnormal_step_normal_ends": (2.2250738585072014e-308, 2.2250738585072024e-308, 5),
+    "overflowing_range": (-1e308, 1e308, 3),
+    "overflowing_range_one_sample": (-1e308, 1e308, 1),
+    "largest_range": (1.7976931348623157e308, -1.7976931348623157e308, 4),
+    "near_the_top": (1e308, 1.7e308, 5),
+    "two_huge_samples": (-1.7e308, 1.7e308, 2),
+}
+
+
+@pytest.mark.parametrize("name", GRID_CASES)
+def test_grid_has_the_bits_of_np_linspace(name):
+    start, stop, num = GRID_CASES[name]
+    got = cli._grid(start, stop, num)
+    assert all(type(v) is float for v in got)
+    with np.errstate(all="ignore"):
+        want = np.linspace(start, stop, num)
+    assert np.array(got, float).tobytes() == want.tobytes()

@@ -33,6 +33,8 @@ COLD_COST = {
     "repeat": "np.repeat of a 21-row column 3 times: 14 us cold; column.repeat(3): 6 us",
     "broadcast_to": "np.broadcast_to of a 4-amplitude state to 21 rows: 42 us cold; "
                     "state[None].repeat(21, axis=0): 11 us",
+    "linspace": "np.linspace(...).tolist() of 201 thetas: 70 us cold, of 21: 45 us; "
+                "cli._grid, numpy's formula on Python floats: 47 and 15 us",
 }
 
 

@@ -15,8 +15,9 @@
 - ``emit_csv``, ``emit_caseab_csv`` and ``emit_heatmap_csv`` write the
   bytes of the row-template emit (``conftest.reference_emit_*``) on the
   bundled configs and on every bundled model under each backend.
-- The emit of a 201-theta ``threeq_a`` sweep keeps its traced peak heap
-  under a bound.
+- The emit of a 201-theta ``threeq_a`` sweep, and the completion chain
+  (``maxent._complete_and_solve``) of that sweep, keep their traced peak
+  heaps under a bound.
 """
 
 import os
@@ -343,3 +344,29 @@ def test_the_emit_of_a_dense_sweep_keeps_its_peak_heap_small(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < EMIT_PEAK_KIB * 1024, f"traced peak {peak / 1024:.0f} KiB"
+
+
+# The traced peak of the completion chain of the sweep below, in KiB:
+# 1006 when each kernel took its moduli afresh and computed both branches
+# of every np.where, 918 with moduli taken once and branches masked; the
+# bound is the first plus 10%, so masked copies cannot grow the heap.
+CHAIN_PEAK_KIB = 1107
+
+
+def test_the_completion_chain_of_a_dense_sweep_keeps_its_peak_heap_small(monkeypatch):
+    chain, peaks = cli._complete_and_solve, []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = chain(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        return result
+
+    monkeypatch.setattr(cli, "_complete_and_solve", traced)
+    assert len(run_sweep(ExperimentConfig("threeq_a", theta_steps=201))) == 1407
+    assert len(peaks) == 1
+    assert peaks[0] < CHAIN_PEAK_KIB * 1024, f"traced peak {peaks[0] / 1024:.0f} KiB"
