@@ -56,10 +56,9 @@ moves a norm by rounding only. Then one call of each of ``maxent``'s
 array kernels covers all the solved points: the prediction
 of xKK, the completion and solve of case A and case B side by side
 (``maxent._complete_and_solve``) and the fidelity. |x1K| of the solved
-points is taken once, for the check, the prediction and the projection.
-When no point sits at the floor, no column is gathered or scattered
-around the solved rows. No record is built,
-no multiplier set is validated again, and no clamp warning is raised.
+points is taken once, for the prediction and the projection. No record
+is built, no multiplier set is validated again, and no clamp warning is
+raised.
 The theta grid is ``np.linspace``'s formula on Python floats (``_grid``).
 """
 
@@ -421,20 +420,18 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
     # The measured values are checked once, where x11 is above the floor;
     # case A completes them with the predicted xKK, case B with the true
     # one. A point that fails is not measured, nor any after it. |x1K| is
-    # taken once, for the check, the prediction and the projection.
+    # taken once, for the prediction and the projection.
     solved = x11 > POLICY.population_floor
-    every = solved.all()
-    x11_s, x1k_s = (x11, x1k) if every else (x11[solved], x1k[solved])
-    modulus = _modulus(x1k_s)
-    invalid = _record_failure(x11_s, x1k_s, modulus=modulus)
+    x11_s, x1k_s = x11[solved], x1k[solved]
+    invalid = _record_failure(x11_s, x1k_s)
     if invalid is not None:
         valid, error = invalid
         count = int(solved.nonzero()[0][valid])
         x11, x1k, xkk_true, solved = x11[:count], x1k[:count], xkk_true[:count], solved[:count]
-        x11_s, x1k_s, modulus = x11_s[:valid], x1k_s[:valid], modulus[:valid]
+        x11_s, x1k_s = x11_s[:valid], x1k_s[:valid]
 
-    xkk_true_s = xkk_true if every else xkk_true[solved]
-    xkk = _predict_population(x11_s, x1k_s, modulus)[0]
+    xkk_true_s, modulus = xkk_true[solved], _modulus(x1k_s)
+    xkk = _predict_population(x11_s, modulus)[0]
     # Case A completes each point with its predicted xKK, case B with the
     # true one. One call solves both, point first: row 2i is point i's
     # case A and row 2i + 1 its case B.
@@ -494,12 +491,9 @@ def run_sweep(cfg: ExperimentConfig) -> Sweep:
     at the degeneracy floor is kept, flagged near_singular, not raised."""
     (theta, k, x11, x1k, xkk_true, solved), solved_rows = _sweep_points(cfg)
     _, _, _, xkk_pred, fidelity, lams_a, near_a, lams_b, near_b = solved_rows
-    every = solved.all()
 
     def every_row(values, fill):
         # The solved rows' values scattered into a column of every row.
-        if every:
-            return values
         column = np.full(len(solved), fill, values.dtype)
         column[solved] = values
         return column
@@ -517,9 +511,7 @@ def run_case_ab(cfg: ExperimentConfig) -> Sweep:
     reconstruction to compare, in the same order: the floor points are
     left out."""
     (theta, k, _, _, _, solved), solved_rows = _sweep_points(cfg)
-    if not solved.all():
-        theta, k, solved = theta[solved], k[solved], np.ones(len(solved_rows[0]), bool)
-    return Sweep(theta, k, *solved_rows, solved)
+    return Sweep(theta[solved], k[solved], *solved_rows, np.ones(len(solved_rows[0]), bool))
 
 
 def _fmt(value: float) -> str:

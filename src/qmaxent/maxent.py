@@ -193,12 +193,13 @@ class MeasurementRecord:
 # log loops by CPU. Moduli are np.hypot of the parts, as abs() of a
 # Python complex is, which the scalar record checks use; numpy's complex
 # abs rounds differently on some inputs. A hypot costs about ten times
-# the other ufuncs, so each modulus is taken once: a caller that has
-# |x1K| passes it on (``modulus``), and the projection takes it again
-# only for the points it moved. A branch that only some points take runs
-# on those points alone (``_where``). A screen that only picks suspects
-# for a scalar check compares squared moduli, re^2 + im^2, against a
-# bound shrunk to stay on the safe side of the hypot test it stands for
+# the other ufuncs, so each modulus is taken once: the prediction and
+# the projection take |x1K| from their caller (``modulus``, see
+# ``_modulus``), and the projection takes it again only for the points
+# it moved. A branch that only some points take runs on those points
+# alone (``_where``). A screen that only picks suspects for a scalar
+# check compares squared moduli, re^2 + im^2, against a bound shrunk to
+# stay on the safe side of the hypot test it stands for
 # (``_SQUARE_SHARE``, ``_SQUARE_FLOOR``): it marks every point that test
 # marks, and the check decides. The kernels silence numpy's
 # floating-point warnings: a branch not taken, or a point that has
@@ -246,36 +247,33 @@ def _where(mask, branch, default, *args):
     return out
 
 
-def _record_suspects(x11, x1k, xkk=None, modulus=None):
+def _record_suspects(x11, x1k, xkk=None):
     """The mask of the points that may fail ``_check_record_values``:
     every failing point and, within rounding of the bounds on |x1K|,
-    perhaps a few more. Given ``modulus``, |x1K| of each point, the
-    moduli are tested; without it, their squares (see the kernel note)."""
+    perhaps a few more. The squares of the moduli are tested (see the
+    kernel note)."""
     tol = POLICY.record_atol
     with np.errstate(all="ignore"):
+        square = _squared_modulus(x1k)
         # A range test fails a NaN or infinite value.
-        ok = (-tol <= x11) & (x11 <= 1 + tol)
-        if modulus is None:
-            square = _squared_modulus(x1k)
-            ok &= square <= (1 + tol) * (1 + tol) * _SQUARE_SHARE
-        else:
-            ok &= modulus <= 1 + tol
+        ok = (
+            (-tol <= x11) & (x11 <= 1 + tol)
+            & (square <= (1 + tol) * (1 + tol) * _SQUARE_SHARE)
+        )
         if xkk is not None:
-            bound = x11 * xkk + 0.5 * tol
-            ok &= (-tol <= xkk) & (xkk <= 1 + tol) & (x11 + xkk <= 1 + tol)
-            if modulus is None:
-                ok &= square <= bound * _SQUARE_SHARE - _SQUARE_FLOOR
-            else:
-                ok &= modulus * modulus <= bound
+            ok &= (
+                (-tol <= xkk) & (xkk <= 1 + tol) & (x11 + xkk <= 1 + tol)
+                & (square <= (x11 * xkk + 0.5 * tol) * _SQUARE_SHARE - _SQUARE_FLOOR)
+            )
     return ~ok
 
 
-def _record_failure(x11, x1k, xkk=None, modulus=None):
+def _record_failure(x11, x1k, xkk=None):
     """The first point whose values fail ``_check_record_values``, with
     its error; without ``xkk``, the check of measured (x11, x1K) alone.
-    ``_record_suspects`` picks the candidates, ``modulus`` as it takes
-    it; the scalar check on each candidate's Python floats decides."""
-    return _failure(_record_suspects(x11, x1k, xkk, modulus), lambda i: _raised(
+    ``_record_suspects`` picks the candidates; the scalar check on each
+    candidate's Python floats decides."""
+    return _failure(_record_suspects(x11, x1k, xkk), lambda i: _raised(
         _check_record_values, x11[i].item(), x1k[i].item(),
         None if xkk is None else xkk[i].item(),
     ))
@@ -388,13 +386,11 @@ def density_from_lagrange(ls: LagrangeSet) -> np.ndarray:
     return rho
 
 
-def _predict_population(x11, x1k, modulus=None):
+def _predict_population(x11, modulus):
     """|x1K|^2 / x11 of each point clamped to [0, 1 - x11], the value
-    before the clamp, and the clamp's ceiling max(0, 1 - x11). ``modulus``
-    is |x1K| of each point, when the caller has it."""
+    before the clamp, and the clamp's ceiling max(0, 1 - x11); ``modulus``
+    is |x1K| of each point (``_modulus``)."""
     with np.errstate(all="ignore"):
-        if modulus is None:
-            modulus = np.hypot(x1k.real, x1k.imag)
         value = modulus * modulus / x11
         ceiling = 1.0 - x11
         ceiling = np.where(ceiling > 0.0, ceiling, 0.0)
@@ -416,9 +412,8 @@ def predict_population(x_11: float, x_1k: complex) -> float:
             f"x_11 = {x_11} is at or below the floor "
             f"{POLICY.population_floor}; prediction undefined"
         )
-    predicted, value, ceiling = (
-        v.item() for v in _predict_population(*_arrays(float(x_11), complex(x_1k)))
-    )
+    x11, x1k = _arrays(float(x_11), complex(x_1k))
+    predicted, value, ceiling = (v.item() for v in _predict_population(x11, _modulus(x1k)))
     if value - ceiling > POLICY.feasibility_atol:
         warnings.warn(
             f"predicted population {value:.6g} clamped to 1 - x_11 = "
@@ -429,11 +424,11 @@ def predict_population(x_11: float, x_1k: complex) -> float:
     return predicted
 
 
-def _project(x11, x1k, xkk=None, modulus=None):
+def _project(x11, x1k, xkk, modulus):
     """The estimates of each point projected onto the feasible set (with
     ``xkk`` None, x11 and x1K alone), and the first failure: a NaN or
     infinite estimate raises ValidationError naming it, and is never
-    clipped. ``modulus`` is |x1K| of each point, when the caller has it.
+    clipped. ``modulus`` is |x1K| of each point (``_modulus``).
 
     Shot-noise estimates can leave the physical set: populations are
     clipped to [0, 1] and rescaled if they sum past 1, and the coherence is
@@ -443,8 +438,6 @@ def _project(x11, x1k, xkk=None, modulus=None):
     last one.
     """
     with np.errstate(all="ignore"):
-        if modulus is None:
-            modulus = np.hypot(x1k.real, x1k.imag)
         finite = np.isfinite(x11) & np.isfinite(x1k)
         if xkk is not None:
             finite &= np.isfinite(xkk)
@@ -466,9 +459,7 @@ def _project(x11, x1k, xkk=None, modulus=None):
             xkk = _where(over, np.divide, xkk, xkk, total)
             x1k = _where(over, np.divide, x1k, x1k, total)
             bound = np.sqrt(x11 * xkk)
-            modulus = _where(
-                long | over, lambda x1k: np.hypot(x1k.real, x1k.imag), modulus, x1k
-            )
+            modulus = _where(long | over, _modulus, modulus, x1k)
             x1k = _where(
                 modulus > bound, lambda x1k, bound, modulus: x1k * (bound / modulus),
                 x1k, x1k, bound, modulus,
@@ -650,14 +641,13 @@ def solve_lagrange(mr: MeasurementRecord) -> LagrangeSet:
     return LagrangeSet(mr.dim_n, mr.index_k, *(v.item() for v in lams), near_singular.item())
 
 
-def _complete_and_solve(dim_n: int, x11, x1k, xkk, modulus=None):
+def _complete_and_solve(dim_n: int, x11, x1k, xkk, modulus):
     """The one completion and saturation policy, on arrays of points.
 
     The estimates are projected onto the feasible set (``_project``, which
-    takes ``modulus``, |x1K| of each point, when the caller has it), moved
-    off the x11 + xKK = 1 boundary, on which pure-state data sits
-    (``_rescale``), and solved (``_solve``). The
-    dimensions are the caller's to check. Returns the projected
+    takes ``modulus``, |x1K| of each point), moved off the x11 + xKK = 1
+    boundary, on which pure-state data sits (``_rescale``), and solved
+    (``_solve``). The dimensions are the caller's to check. Returns the projected
     (x11, x1K, xKK), before any rescale, the multipliers, the
     near_singular mask, the spectrum and the first failure.
     """
@@ -685,8 +675,9 @@ def solve_record(
     source = "measured"
     if x_kk is None:
         x_kk, source = predict_population(mr.x_11, mr.x_1k), "predicted"
+    x11, x1k, xkk = _arrays(mr.x_11, mr.x_1k, float(x_kk))
     completed, lams, near_singular, _, failure = _complete_and_solve(
-        mr.dim_n, *_arrays(mr.x_11, mr.x_1k, float(x_kk))
+        mr.dim_n, x11, x1k, xkk, _modulus(x1k)
     )
     _raise(failure)
     record = MeasurementRecord(mr.dim_n, mr.index_k, *(v.item() for v in completed), source)

@@ -976,12 +976,13 @@ def reference_sweep_points(cfg):
     solved = x11 > POLICY.population_floor
     assert maxent._record_failure(x11[solved], x1k[solved]) is None
     x11_s, x1k_s = x11[solved], x1k[solved]
-    xkk = maxent._predict_population(x11_s, x1k_s)[0]
+    modulus = maxent._modulus(x1k_s)
+    xkk = maxent._predict_population(x11_s, modulus)[0]
     (_, _, xkk_pred), lams_a, near_a, (z_a, block_a), failure_a = (
-        maxent._complete_and_solve(dim_n, x11_s, x1k_s, xkk)
+        maxent._complete_and_solve(dim_n, x11_s, x1k_s, xkk, modulus)
     )
     _, lams_b, near_b, (z_b, block_b), failure_b = maxent._complete_and_solve(
-        dim_n, x11_s, x1k_s, xkk_true[solved]
+        dim_n, x11_s, x1k_s, xkk_true[solved], modulus
     )
     fidelity, failure_f = maxent._block_fidelity(
         dim_n, lams_a, z_a, block_a, lams_b, z_b, block_b

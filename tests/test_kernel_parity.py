@@ -80,27 +80,21 @@ def check_records(records):
     assert bits(modulus) == bits(np.hypot(x1k.real, x1k.imag))
     for kkk in (None, xkk):
         want = hypot_record_suspects(x11, x1k, kkk)
-        squares = maxent._record_suspects(x11, x1k, kkk)
-        assert not (want & ~squares).any()
-        assert bits(maxent._record_suspects(x11, x1k, kkk, modulus)) == bits(want)
-        for given_modulus in (None, modulus):
-            assert failure_key(maxent._record_failure(x11, x1k, kkk, given_modulus)) == (
-                failure_key(hypot_record_failure(x11, x1k, kkk))
-            )
-            same(
-                maxent._project(x11, x1k, kkk, given_modulus),
-                hypot_project(x11, x1k, kkk),
-            )
-    for given_modulus in (None, modulus):
-        assert bits(maxent._predict_population(x11, x1k, given_modulus)) == (
-            bits(hypot_predict_population(x11, x1k))
+        assert not (want & ~maxent._record_suspects(x11, x1k, kkk)).any()
+        assert failure_key(maxent._record_failure(x11, x1k, kkk)) == (
+            failure_key(hypot_record_failure(x11, x1k, kkk))
         )
+        same(maxent._project(x11, x1k, kkk, modulus), hypot_project(x11, x1k, kkk))
+    assert bits(maxent._predict_population(x11, modulus)) == (
+        bits(hypot_predict_population(x11, x1k))
+    )
     assert bits(maxent._rescale(x11, x1k, xkk)) == bits(hypot_rescale(x11, x1k, xkk))
     for dim_n in (4, 8):
         same(maxent._solve(dim_n, x11, x1k, xkk), hypot_solve(dim_n, x11, x1k, xkk))
-        want = hypot_complete_and_solve(dim_n, x11, x1k, xkk)
-        for given_modulus in (None, modulus):
-            same(maxent._complete_and_solve(dim_n, x11, x1k, xkk, given_modulus), want)
+        same(
+            maxent._complete_and_solve(dim_n, x11, x1k, xkk, modulus),
+            hypot_complete_and_solve(dim_n, x11, x1k, xkk),
+        )
 
 
 def check_multipliers(lams):

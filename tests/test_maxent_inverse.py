@@ -41,6 +41,11 @@ def arrays(*values):
     return tuple(np.array([v]) for v in values)
 
 
+def project(x11, x1k, xkk=None):
+    """``maxent._project`` of one-point arrays, with |x1K| taken for it."""
+    return maxent._project(x11, x1k, xkk, maxent._modulus(x1k))
+
+
 def kernel_record(mr: MeasurementRecord, values) -> MeasurementRecord:
     """``mr`` with the one-point (x11, x1K, xKK) arrays of a kernel."""
     return MeasurementRecord(mr.dim_n, mr.index_k, *(v.item() for v in values))
@@ -208,7 +213,7 @@ class TestSolveRecord:
 
     def test_noisy_estimate_is_projected(self):
         completed, _ = solve_record(MeasurementRecord(4, 2, 0.52, 0.53), 0.51)
-        projected, failure = maxent._project(*arrays(0.52, 0.53 + 0j, 0.51))
+        projected, failure = project(*arrays(0.52, 0.53 + 0j, 0.51))
         assert failure is None
         assert completed == kernel_record(completed, projected)
         assert (completed.x_11, completed.x_kk) != (0.52, 0.51)
@@ -246,7 +251,7 @@ class TestNonFiniteRecords:
         values = {"x_11": 0.3, "x_1k": 0.1, "x_kk": 0.2, name: bad}
         match = f"^{name} = .*inf.* is not finite$"
         with pytest.raises(ValidationError, match=match):
-            _raise(maxent._project(*arrays(values["x_11"], complex(values["x_1k"]), values["x_kk"]))[1])
+            _raise(project(*arrays(values["x_11"], complex(values["x_1k"]), values["x_kk"]))[1])
         x_kk = values.pop("x_kk")
         # An infinite x_11 or x_1k is refused by the record solve_record takes.
         with pytest.raises(ValidationError, match=match):
@@ -304,10 +309,10 @@ class TestProperties:
         assert [v.tobytes() for v in rescaled] == [v.tobytes() for v in values]
 
     def test_projection_of_noisy_estimates_is_feasible(self):
-        (x11, x1k, xkk), _ = maxent._project(*arrays(0.52, 0.53 + 0j, 0.51))
+        (x11, x1k, xkk), _ = project(*arrays(0.52, 0.53 + 0j, 0.51))
         assert x11[0] + xkk[0] <= 1.0 + 1e-12
         assert abs(x1k[0]) ** 2 <= x11[0] * xkk[0] + 1e-12
-        (x11, x1k, xkk), _ = maxent._project(*arrays(0.25, 0.1 + 0.1j, 0.25))
+        (x11, x1k, xkk), _ = project(*arrays(0.25, 0.1 + 0.1j, 0.25))
         assert x11[0] == 0.25 and xkk[0] == 0.25
         assert x1k[0] == 0.1 + 0.1j
 
@@ -352,7 +357,7 @@ class TestScalarInputErrors:
             lambda z: MeasurementRecord(4, 2, 0.5, z),
             lambda z: MeasurementRecord(4, 2, 0.5, z, 0.25),
             lambda z: predict_population(0.5, z),
-            lambda z: _raise(maxent._project(np.array([0.5]), np.array([z]))[1]),
+            lambda z: _raise(project(np.array([0.5]), np.array([z]))[1]),
             lambda z: LagrangeSet(4, 2, 0.5, z, 0.25),
         ],
     )

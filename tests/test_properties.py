@@ -326,14 +326,15 @@ def _solve_outcome(solve):
 def test_projection_is_feasible_and_the_float_path_is_the_public_chain(estimate):
     n, k, x11, x1k, xkk = estimate
     points = maxent._arrays(x11, x1k, xkk)
-    projected, failure = maxent._project(*points)
+    modulus = maxent._modulus(points[1])
+    projected, failure = maxent._project(*points, modulus)
     assert failure is None
     # The records check the invariants of the projected and rescaled values.
     record = MeasurementRecord(n, k, *(v.item() for v in projected))
     rescaled, _ = maxent._rescale(*projected)
     rescaled = MeasurementRecord(n, k, *(v.item() for v in rescaled))
 
-    completed, lams, near_singular, _, failure = maxent._complete_and_solve(n, *points)
+    completed, lams, near_singular, _, failure = maxent._complete_and_solve(n, *points, modulus)
     completed = [v.item() for v in completed]
     assert _bits(completed[0], completed[1].real, completed[1].imag, completed[2]) == _bits(
         record.x_11, record.x_1k.real, record.x_1k.imag, record.x_kk

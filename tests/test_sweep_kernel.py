@@ -98,6 +98,11 @@ def points(records):
     )
 
 
+def complete_and_solve(dim_n, x11, x1k, xkk):
+    """``maxent._complete_and_solve`` with |x1K| taken for it."""
+    return maxent._complete_and_solve(dim_n, x11, x1k, xkk, maxent._modulus(x1k))
+
+
 def at(arrays, i):
     return [v[i].item() for v in arrays]
 
@@ -106,7 +111,7 @@ def check_complete_and_solve(dim_n, records):
     """One kernel call over ``records``, stage by stage against mpmath on
     each point the reference solves, and its first failure against the
     reference's."""
-    completed, lams, near_singular, spec, failure = maxent._complete_and_solve(
+    completed, lams, near_singular, spec, failure = complete_and_solve(
         dim_n, *points(records)
     )
     rescaled, _ = maxent._rescale(*completed)
@@ -136,11 +141,11 @@ def check_sweep_kernels(dim_n, records):
     if not solved:
         return
     x11, x1k, xkk_true = points(solved)
-    predicted = maxent._predict_population(x11, x1k)[0]
-    _, lams_a, _, (z_a, block_a), failure_a = maxent._complete_and_solve(
+    predicted = maxent._predict_population(x11, maxent._modulus(x1k))[0]
+    _, lams_a, _, (z_a, block_a), failure_a = complete_and_solve(
         dim_n, x11, x1k, predicted
     )
-    _, lams_b, _, (z_b, block_b), failure_b = maxent._complete_and_solve(
+    _, lams_b, _, (z_b, block_b), failure_b = complete_and_solve(
         dim_n, x11, x1k, xkk_true
     )
     assert failure_a is None and failure_b is None
@@ -392,7 +397,7 @@ class TestErrorOrder:
 
     def test_a_nan_estimate(self):
         records = [(0.3, 0.1j, 0.2), (0.3, complex(math.nan, 0.0), 0.2), (math.inf, 0j, 0.2)]
-        failure = maxent._complete_and_solve(4, *points(records))[-1]
+        failure = complete_and_solve(4, *points(records))[-1]
         assert failure[0] == 1
         want = reference_error(lambda: reference_complete_and_solve(4, *records[1]))
         assert want == (ValidationError, "x_1k = (nan+0j) is not finite")

@@ -245,7 +245,7 @@ class TestErrorOrder:
         predict = cli._predict_population
         monkeypatch.setattr(
             cli, "_predict_population",
-            lambda x11, *args: measured.append(len(x11)) or predict(x11, *args),
+            lambda x11, x1k: measured.append(len(x11)) or predict(x11, x1k),
         )
         with pytest.raises(TomographyError) as got:
             run_sweep(cfg)
