@@ -14,8 +14,9 @@ The text format is one gate per line after a ``qubits <n>`` header:
 starts a comment. Angles must be finite.
 
 Each text is tokenized once (the last 64 texts are kept): the gates that
-do not use theta and the theta-free prefix are built then, and the
-factors of each angle before its first ``theta`` are multiplied out.
+do not use theta are built then, and the factors of each angle before
+its first ``theta`` are multiplied out; ``qubit_count`` reads its qubit
+count and raises its first error that does not depend on theta.
 ``parse_circuit(text, theta)`` binds one theta into that parse and owns
 the binding's errors: in line order, each line's factor, division,
 overflow and qubit errors in turn, and a line that fails whatever theta
@@ -42,12 +43,12 @@ slices. ``simulate`` is ``apply_gates`` on ``zero_state``, the
 kernels on one vector; a caller that needs the same state under several
 extra gate sequences (basis rotations, for instance) simulates once and
 applies each sequence to the result. A theta sweep (``_sweep_states``)
-simulates ``theta_free_prefix(text)`` once, repeats its state in
-every row and applies each later gate once to the whole stack; its norm
-check screens the rows' norms in numpy and gives each suspect row the
-one-vector check. A rotation's T matrices are built as arrays, their
-bits fixed by formulas written on the real and imaginary parts
-(``_rotation_matrices``).
+starts a stack with |0...0> in every row and applies each gate once to
+the whole stack. Its one state screen sums each row's populations in
+numpy and gives each suspect row the one-state check (``_check_state``):
+the norm check, then the population-sum check. A rotation's T matrices
+are built as arrays, their bits fixed by formulas written on the real
+and imaginary parts (``_rotation_matrices``).
 The axis orders per (qubit, n) and the matrices of the parameter-free
 gates and of the basis rotation rz(-pi/2) are built once.
 """
@@ -58,13 +59,12 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import takewhile
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParseError, TomographyError, ValidationError
-from .linalg import _INTEGERS, _earliest, _failure, _raised
+from .linalg import _INTEGERS, _REALS, _earliest, _failure, _raised
 
 GATE_KINDS = ("h", "x", "cx", "cz", "rx", "ry", "rz")
 _ROTATIONS = ("rx", "ry", "rz")
@@ -97,7 +97,7 @@ class Gate:
                 f"gate {self.kind}: angle must be present exactly for rx/ry/rz"
             )
         if self.angle is not None:
-            if not isinstance(self.angle, (int, float, np.integer, np.floating)):
+            if not isinstance(self.angle, _REALS):
                 raise ValidationError(
                     f"gate {self.kind}: angle {self.angle!r} is not a real number"
                 )
@@ -221,14 +221,12 @@ class _Rotation(NamedTuple):
 
 class _Parsed(NamedTuple):
     """The theta-free parse of a circuit text: its gates in order, each a
-    Gate or a _Rotation, the (reason, line) of the first line that fails
-    whatever theta is, raised once every earlier gate is bound, and the
-    theta-free prefix of a text without such a line (else None)."""
+    Gate or a _Rotation, and the (reason, line) of the first line that
+    fails whatever theta is, raised once every earlier gate is bound."""
 
     num_qubits: int | None
     gates: tuple[Gate | _Rotation, ...]
     error: tuple[str, int | None] | None
-    prefix: Circuit | None = None
 
 
 def _parse_qubit(tok: str, num_qubits: int, line: int) -> int:
@@ -311,8 +309,7 @@ def _parse_text(text: str) -> _Parsed:
         return _Parsed(num_qubits, tuple(gates), (exc.reason, exc.line))
     if num_qubits is None:
         return _Parsed(None, (), ("empty circuit text, expected 'qubits <n>' header", None))
-    prefix = Circuit(num_qubits, tuple(takewhile(lambda g: isinstance(g, Gate), gates)))
-    return _Parsed(num_qubits, tuple(gates), None, prefix)
+    return _Parsed(num_qubits, tuple(gates), None)
 
 
 def _thetas(thetas: list) -> np.ndarray:
@@ -380,15 +377,13 @@ def parse_circuit(text: str, theta: float | None = None) -> Circuit:
     return Circuit(parsed.num_qubits, tuple(gates))
 
 
-def theta_free_prefix(text: str) -> Circuit:
-    """The gates of ``text`` before its first gate that uses theta: the
-    same in every circuit ``parse_circuit(text, theta)`` returns. Raises
-    the first theta-free parse error of ``text``, if it has one. It is
-    built once, when the text is tokenized."""
+def qubit_count(text: str) -> int:
+    """The qubit count of ``text``, read without binding a theta. Raises
+    the first theta-free parse error of ``text``, if it has one."""
     parsed = _parse_text(text)
     if parsed.error is not None:
         raise ParseError(*parsed.error)
-    return parsed.prefix
+    return parsed.num_qubits
 
 
 def _rotation_matrices(kind: str, angles: np.ndarray) -> np.ndarray:
@@ -555,38 +550,37 @@ def simulate(c: Circuit) -> np.ndarray:
 def _sweep_states(text: str, thetas: list):
     """The final amplitudes of ``text`` at every theta of ``thetas``, one
     row per theta of a (T, 2^n) stack, and the first theta whose binding
-    or norm check fails, as (index, error), or None; on a tie the binding
+    or state check fails, as (index, error), or None; on a tie the binding
     error. Rows from that index on are not to be read.
 
-    The theta-free prefix is simulated once, its errors raised at once,
-    and its state repeated in the rows; each later gate applies once to
-    the whole stack. The binding's suspects get the one-theta parse, and
-    the rows whose norms screen as suspects the one-row norm check.
+    The text's theta-free errors are raised at once. Every row starts as
+    |0...0> and each gate applies once to the whole stack. The binding's
+    suspects get the one-theta parse. A row of a stack may sum differently
+    from a lone vector, so each row's population sum only screens: a row
+    off 1 by more than half the tolerance gets the one-state check, its
+    norm and then its population sum. A row that passes the screen passes
+    both, since a norm off 1 by d puts the sum off by about 2d.
     """
-    prefix = theta_free_prefix(text)
-    n = prefix.num_qubits
+    n = qubit_count(text)
     gates, suspects = _bind(_parse_text(text), thetas)
-    states = simulate(prefix)[None].repeat(len(thetas), axis=0)
-    states = _apply(states, gates[len(prefix.gates):], n)
-    # np.linalg.norm(states, axis=1), the formula it evaluates, without
-    # its Python wrapper.
+    states = np.zeros((len(thetas), 2**n), dtype=complex)
+    states[:, 0] = 1.0
+    states = _apply(states, gates, n)
     with np.errstate(all="ignore"):
-        norms = np.sqrt(np.add.reduce((states.conj() * states).real, axis=1))
+        sums = np.add.reduce((states.conj() * states).real, axis=1)
+    # Written so that a NaN sum is a suspect too.
+    off = ~(np.abs(sums - 1.0) <= 0.5 * _NORM_ATOL)
     return states, _earliest(
         _failure(suspects, lambda i: _raised(parse_circuit, text, thetas[i])),
-        _screen_rows(norms, _check_norm, states),
+        _failure(off, lambda i: _raised(_check_state, states[i])),
     )
 
 
-def _screen_rows(sums, check, states: np.ndarray):
-    """The first row of ``states`` that fails ``check``, the one-row norm
-    or population-sum check, as (index, error), or None. A row of a stack
-    may sum differently from a lone vector, so its ``sums`` (norms or
-    population sums) only screen: each row off 1 by more than half the
-    tolerance, a suspect, gets the one-row check."""
-    # Written so that a NaN sum is a suspect too.
-    suspects = ~(np.abs(sums - 1.0) <= 0.5 * _NORM_ATOL)
-    return _failure(suspects, lambda i: _raised(check, states[i]))
+def _check_state(sv: np.ndarray) -> None:
+    """The check of a state before it is read: its norm, then the sum of
+    its populations."""
+    _check_norm(sv)
+    populations(sv)
 
 
 def populations(sv: np.ndarray) -> np.ndarray:

@@ -33,10 +33,10 @@ A command derives each of its inputs once: its config is validated once
 (again only for a --seed or --out override), its ``abs_diff`` column is
 computed once for the CSV and the printed median.
 The sweep does each piece of work once. The circuit file is read once,
-by ``load_config``, and its text is tokenized once, its theta-free
-prefix built with that tokenization,
+by ``load_config``, and its text is tokenized once,
 every theta is bound into it at once, and the circuit is simulated as
-one (thetas, 2^n) stack of states (``circuit._sweep_states``). The
+one (thetas, 2^n) stack of states from |0...0>, whose norms and
+population sums are screened in one pass (``circuit._sweep_states``). The
 readout is validated once per sweep, and one call reads the distribution
 of every theta's state. The exact backend reads every point's x11 and
 xKK from it and every K's x1K for every theta in one array product. A
@@ -70,18 +70,18 @@ import functools
 import math
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import circuits as bundled
-from .circuit import _coherence, _sweep_states, theta_free_prefix
+from .circuit import _coherence, _sweep_states, qubit_count
 from .errors import InfeasibleRecordError, TomographyError, ValidationError
-from .linalg import POLICY, _INTEGERS, _earliest, _raise
+from .linalg import POLICY, _INTEGERS, _REALS, _earliest, _raise
 from .maxent import (
     _block_fidelity,
-    _check_dims,
     _complete_and_solve,
     _modulus,
     _predict_population,
@@ -100,7 +100,6 @@ from .sampler import (
     _basis_reads,
     _draw_slots,
     _ketbra_plan,
-    _population_failure,
     _Readout,
     _recombine,
     build_calibration,
@@ -137,10 +136,22 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.backend not in _BACKENDS:
             raise ValidationError(f"backend must be one of {_BACKENDS}")
+        if not isinstance(self.circuit_path, (str, os.PathLike)):
+            raise ValidationError(f"circuit_path = {self.circuit_path!r} is not a path")
+        for name in ("theta_start", "theta_stop"):
+            value = getattr(self, name)
+            if not isinstance(value, _REALS):
+                raise ValidationError(f"{name} = {value!r} is not a real number")
         for name in ("theta_steps", "seed", "shots"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, _INTEGERS):
                 raise ValidationError(f"{name} = {value!r} is not an integer")
+        if not isinstance(self.k_targets, Sequence) or not all(
+            isinstance(k, _INTEGERS) for k in self.k_targets
+        ):
+            raise ValidationError(f"k_targets = {self.k_targets!r} is not a sequence of integers")
+        if self.noise is not None and not isinstance(self.noise, ReadoutNoise):
+            raise ValidationError(f"noise = {self.noise!r} is not a ReadoutNoise")
         if self.theta_steps < 1:
             raise ValidationError("theta_steps must be >= 1")
         if self.seed < 0:
@@ -291,8 +302,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if circuit_path not in bundled.names():
         circuit_path = str(path.parent / circuit_path)
     circuit_text = resolve_circuit(circuit_path)
-    # The theta-free prefix knows the qubit count without binding a theta.
-    num_qubits = theta_free_prefix(circuit_text).num_qubits
+    num_qubits = qubit_count(circuit_text)
 
     backend = values.get("backend", "exact")
     noise = None
@@ -331,11 +341,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return cfg
 
 
-def _grid(start: float, stop: float, num: int) -> list[float]:
+def _grid(start: float, stop: float, num: int, axis: str) -> list[float]:
     """``np.linspace(start, stop, num).tolist()``, numpy's formula on
     Python floats: with d = stop - start, point i is i * (d / (num - 1))
     + start, or i / (num - 1) * d + start where that step underflows to
-    zero, and the last point is stop; one point is 0 * d + start."""
+    zero, and the last point is stop; one point is 0 * d + start. A d
+    that is not finite, which would give NaN and infinite points, is
+    rejected by the ``axis`` name of its ends."""
+    if not math.isfinite(stop - start):
+        raise ValidationError(
+            f"{axis}_stop - {axis}_start = {stop!r} - {start!r} is not finite"
+        )
     start, stop = float(start), float(stop)
     delta = stop - start
     div = num - 1
@@ -376,7 +392,7 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
     circuit_text = cfg.circuit_text
     if circuit_text is None:
         circuit_text = resolve_circuit(cfg.circuit_path)
-    num_qubits = theta_free_prefix(circuit_text).num_qubits
+    num_qubits = qubit_count(circuit_text)
     if num_qubits < 2:
         raise ValidationError(
             "reconstruction needs at least 2 qubits (no unconstrained "
@@ -384,18 +400,10 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
         )
     dim_n = 2**num_qubits
     k_targets = _k_targets(cfg.k_targets, dim_n)
-    for k in k_targets:
-        _check_dims(dim_n, k)
     if cfg.theta_steps == 1:
         thetas = [float(cfg.theta_start)]
-    elif math.isfinite(cfg.theta_stop - cfg.theta_start):
-        thetas = _grid(cfg.theta_start, cfg.theta_stop, cfg.theta_steps)
     else:
-        # The grid would hold NaN and infinite thetas.
-        raise ValidationError(
-            f"theta_stop - theta_start = {cfg.theta_stop!r} - {cfg.theta_start!r} "
-            "is not finite"
-        )
+        thetas = _grid(cfg.theta_start, cfg.theta_stop, cfg.theta_steps, "theta")
     # The exact backend reads exact probabilities whatever the config's shots.
     shots = None if cfg.backend == "exact" else cfg.shots
     calibration = build_calibration(cfg.noise, num_qubits) if cfg.mitigate else None
@@ -405,7 +413,7 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
     # thetas before the first one that fails a check are measured; its
     # error is raised in the loop's place.
     states, failure = _sweep_states(circuit_text, thetas)
-    stop, error = _earliest(failure, _population_failure(states)) or (len(thetas), None)
+    stop, error = failure or (len(thetas), None)
     dists = readout.distribution(states[:stop])
     if shots is None:
         # Point (theta i, K) reads row i: x11 and xKK are its exact
@@ -801,6 +809,7 @@ def load_heatmap_config(path: str | Path) -> dict:
             read_number(values, f"{axis}_start", -3.0),
             read_number(values, f"{axis}_stop", 3.0),
             steps,
+            axis,
         )
     return params
 

@@ -11,10 +11,11 @@ None, and its caller raises it when its own loop over the points reaches
 that index. Every kernel finds its first failure one way: an array test
 screens the points, and ``_failure`` gives each suspect its error, in
 order; ``circuit``'s are those of the one-theta parse and of the
-one-row norm and population-sum checks.
+one-state check, its norm and then its population sum.
 ``_failure``, ``_earliest``, ``_raise`` and ``_raised`` build, order and
-raise those failures for ``maxent``, ``circuit``, ``sampler`` and
-``cli``. ``_INTEGERS`` is the package's one test of an integer argument.
+raise those failures for ``maxent``, ``circuit`` and ``cli``.
+``_INTEGERS`` and ``_REALS`` are the package's one test of an integer
+and of a real argument.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ class NumericPolicy:
 
 POLICY = NumericPolicy()
 
-# The types an integer argument may have.
+# The types an integer argument, and a real one, may have.
 _INTEGERS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
 
 
 def require_hermitian(m, atol: float = POLICY.hermitian_atol) -> np.ndarray:

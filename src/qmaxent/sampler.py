@@ -35,10 +35,10 @@ calls, and only the prefixes of the bases it draws are built. Each row
 has the bytes of the same gates applied to it alone by ``apply_gates``.
 One distribution call reads every wanted basis. The rotated rows are
 not checked: the norm and population sum of each state are checked
-before its rotations (``circuit._sweep_states``, ``_population_failure``),
-and a unitary rotation moves them by rounding only. The rotated stacks
-of the wanted bases, about T |bases| 2^n 16 bytes, are alive at the
-last level, with half as much again of distributions.
+before its rotations (``circuit._sweep_states``), and a unitary rotation
+moves them by rounding only. The rotated stacks of the wanted bases,
+about T |bases| 2^n 16 bytes, are alive at the last level, with half as
+much again of distributions.
 
 ``_draw_slots`` interleaves the distributions into one matrix P of rows
 to draw, theta outer: a sweep's rows per theta are, per K, its
@@ -74,12 +74,11 @@ from .circuit import (
     _FIXED_1Q,
     _apply_1q,
     _check_basis_index,
-    _check_norm,
-    _screen_rows,
+    _check_state,
     populations,
 )
 from .errors import DomainError, ValidationError
-from .linalg import _INTEGERS, _raise
+from .linalg import _INTEGERS
 from .pauli import PauliString, decompose_ketbra
 
 
@@ -214,8 +213,8 @@ class _Readout:
     The constructor checks ``shots`` (None selects the exact mode), the
     noise model's qubit count and the mitigating calibration's shape and
     condition. ``distribution`` and ``draw`` then work on plain arrays.
-    The population sums of the states are the caller's to screen
-    (``_population_failure``).
+    The states are the caller's to check: a sweep's stack is screened by
+    ``circuit._sweep_states``, a lone state by ``populations``.
     """
 
     __slots__ = ("shots", "matrix", "inverse")
@@ -266,17 +265,9 @@ class _Readout:
         return freqs if self.inverse is None else _unmix(self.inverse, freqs)
 
 
-def _population_failure(states: np.ndarray):
-    """The first row of a (T, 2^n) stack of states whose populations fail
-    the sum check of ``circuit.populations``, as (index, ValidationError),
-    or None. A unitary rotation moves the sum by rounding only, so the
-    rotated rows of a screened stack are not screened again."""
-    return _screen_rows((np.abs(states) ** 2).sum(axis=1), populations, states)
-
-
 def _distribution(readout: _Readout, sv: np.ndarray) -> np.ndarray:
     """``readout.distribution`` of one state, its sum check raised."""
-    _raise(_population_failure(sv[None]))
+    populations(sv)
     return readout.distribution(sv[None])[0]
 
 
@@ -496,8 +487,7 @@ def _draw_slots(readout: _Readout, slots: list, seed: int) -> np.ndarray:
 def _lone_draw(sv: np.ndarray, num_qubits: int, bases, readout: _Readout, seed: int):
     """The (bases, 2^n) frequencies of ``bases`` (basis indices) on one
     state, whose norm and population sum are checked first."""
-    _check_norm(sv)
-    _raise(_population_failure(sv[None]))
+    _check_state(sv)
     if not bases:
         return np.empty((0, 0))
     reads = _basis_reads(sv[None], num_qubits, bases, readout)

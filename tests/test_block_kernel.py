@@ -29,7 +29,7 @@ import qmaxent.cli as cli
 import qmaxent.linalg as linalg
 import qmaxent.maxent as maxent
 from qmaxent import DomainError, InfeasibleRecordError, ValidationError
-from qmaxent.circuit import theta_free_prefix
+from qmaxent.circuit import qubit_count
 from qmaxent.cli import ExperimentConfig, load_config, run_case_ab, run_sweep
 from qmaxent.maxent import (
     LagrangeSet,
@@ -45,7 +45,7 @@ PINNED_CONFIGS = ("sweep_exact.txt", "sweep_noisy_mitigated.txt", "caseab_shots.
 
 
 def dim_of(cfg) -> int:
-    return 2 ** theta_free_prefix(cfg.circuit_text).num_qubits
+    return 2 ** qubit_count(cfg.circuit_text)
 
 
 def scaled_minor(mr: MeasurementRecord) -> np.ndarray:

@@ -109,6 +109,26 @@ class TestConfig:
         with pytest.raises(ValidationError, match=f"^{field} = 2.5 is not an integer$"):
             ExperimentConfig(**{"circuit_path": "twoq_a", "backend": "shots", "shots": 8, field: 2.5})
 
+    @pytest.mark.parametrize(
+        ("fields", "message"),
+        [
+            ({"theta_start": "0"}, "theta_start = '0' is not a real number"),
+            ({"theta_stop": None}, "theta_stop = None is not a real number"),
+            ({"k_targets": 2}, "k_targets = 2 is not a sequence of integers"),
+            ({"k_targets": ("2",)}, "k_targets = ('2',) is not a sequence of integers"),
+            ({"circuit_path": 3}, "circuit_path = 3 is not a path"),
+            ({"backend": "noisy", "shots": 64, "noise": "x"}, "noise = 'x' is not a ReadoutNoise"),
+        ],
+    )
+    def test_a_field_of_the_wrong_type_names_itself(self, fields, message):
+        with pytest.raises(ValidationError) as caught:
+            ExperimentConfig(**{"circuit_path": "twoq_a", **fields})
+        assert str(caught.value) == message
+
+    def test_k_targets_may_be_a_list(self):
+        cfg = ExperimentConfig("twoq_a", theta_steps=2, k_targets=[2, 3])
+        assert run_sweep(cfg).k.tolist() == [2, 3, 2, 3]
+
     def test_noise_settings_need_the_noisy_backend(self, tmp_path):
         noise = ReadoutNoise.uniform(0.02, 0.04, 2)
         with pytest.raises(ValidationError, match="mitigate"):
@@ -661,6 +681,18 @@ class TestCommandLine:
         assert main(["--out", str(tmp_path / "hm.csv"), "heatmap", str(cfg)]) == 2
         assert "lam11_stop = inf is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", [3, 1])
+    def test_overflowing_heatmap_range_exit_code(self, tmp_path, capsys, steps):
+        # Both ends are finite, their difference is not: the axis would
+        # hold NaN and infinite points, one point included.
+        cfg = tmp_path / "hm.txt"
+        cfg.write_text(f"lam11_start -1e308\nlam11_stop 1e308\nlam11_steps {steps}\n")
+        assert main(["--out", str(tmp_path / "hm.csv"), "heatmap", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: lam11_stop - lam11_start = 1e+308 - -1e+308 is not finite\n"
+        )
+        assert not (tmp_path / "hm.csv").exists()
+
     def test_negative_config_seed_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("circuit twoq_b\ntheta_steps 2\nbackend shots\nshots 64\nseed -1\n")
@@ -848,7 +880,14 @@ GRID_CASES = {
 @pytest.mark.parametrize("name", GRID_CASES)
 def test_grid_has_the_bits_of_np_linspace(name):
     start, stop, num = GRID_CASES[name]
-    got = cli._grid(start, stop, num)
+    if not math.isfinite(stop - start):
+        # np.linspace would give NaN and infinite points; the grid names
+        # its axis's ends instead.
+        with pytest.raises(ValidationError) as caught:
+            cli._grid(start, stop, num, "x")
+        assert str(caught.value) == f"x_stop - x_start = {stop!r} - {start!r} is not finite"
+        return
+    got = cli._grid(start, stop, num, "x")
     assert all(type(v) is float for v in got)
     with np.errstate(all="ignore"):
         want = np.linspace(start, stop, num)

@@ -68,7 +68,6 @@ PINS = {
 }
 
 # Short exact sweeps of the bundled models the example configs leave out.
-# Their theta-free prefixes, simulated once per sweep, are 0, 3 and 3 gates.
 MODEL_CONFIGS = {
     "twoq_b": "circuit twoq_b\ntheta_start -3.0\ntheta_stop 9.5\ntheta_steps 13\n",
     "twoq_c": "circuit twoq_c\ntheta_start 0.0\ntheta_stop 6.283185307179586\ntheta_steps 13\n",

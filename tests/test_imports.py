@@ -40,3 +40,60 @@ def test_every_import_is_used(module):
 def test_a_left_over_import_is_found():
     source = "import bisect\nfrom typing import Mapping, Iterable\n\ndef f(x: Iterable):\n    return x\n"
     assert unused_imports(source) == ["line 1: bisect", "line 2: Mapping"]
+
+
+def module_level_names(source: str) -> dict[str, int]:
+    """The names ``source`` binds at module level by ``def``, ``class`` or
+    assignment, with their lines."""
+    names = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in ast.walk(ast.Tuple(targets)):
+                if isinstance(target, ast.Name):
+                    names[target.id] = node.lineno
+    return names
+
+
+def unread_names(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """The module-level names of ``sources`` (module name to source) that
+    are not in ``exported`` and that no source reads, as a ``Name`` or an
+    ``Attribute`` load: a mention in a docstring or comment is no read."""
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [
+        f"{module} line {line}: {name}"
+        for module, source in sources.items()
+        for name, line in module_level_names(source).items()
+        if name not in exported and name not in read and not name.startswith("__")
+    ]
+
+
+def test_every_module_level_name_is_read():
+    # The names ``__init__.py`` imports are the public surface; every other
+    # name a module defines is read somewhere in the package, so a deletion
+    # that leaves a helper behind fails here.
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(init)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    sources = {str(p.relative_to(PACKAGE)): p.read_text() for p in sorted(PACKAGE.rglob("*.py"))}
+    assert unread_names(sources, exported) == []
+
+
+def test_a_left_over_helper_is_found():
+    sources = {
+        "a.py": '"""g is a helper."""\n\nX, Y = 1, 2\n\ndef f():\n    return Y\n\ndef g():\n    pass\n',
+        "b.py": "from a import f\n\nclass C:\n    z = f()\n",
+    }
+    assert unread_names(sources, {"C"}) == ["a.py line 3: X", "a.py line 8: g"]

@@ -3,9 +3,8 @@
 - A circuit text is tokenized once, and a sweep binds all its thetas at
   once; every angle has the bits, and every error the message and line,
   of a parser that tokenizes on every call (``reference_parse_circuit``).
-- The gates before the first theta-dependent one are simulated once per
-  sweep, each later gate once on the stack of every theta's state, and
-  each theta's state has the bits of a full simulation.
+- A sweep applies each gate once, to the stack of every theta's state
+  started at |0...0>, and simulates no theta alone.
 - A sweep emits no clamp warning, and leaves the warning filters as it
   found them, also when a point raises.
 - The reproduction check runs inside the array solve kernel: it builds no
@@ -15,8 +14,8 @@
   A and case B), each running the forward kernel once, and one fidelity
   call, whatever its number of points. A heatmap makes one forward-kernel
   call.
-- A ``sweep`` or ``caseab`` command builds its theta-free prefix once,
-  and, given no --seed or --out, validates its config once.
+- A ``sweep`` or ``caseab`` command builds no ``Circuit`` and calls no
+  ``simulate``, and, given no --seed or --out, validates its config once.
 - A sweep lists the bundled circuits at most once per process, and a
   mitigated sweep inverts and conditions each calibration matrix once,
   solving no linear system per basis.
@@ -45,7 +44,7 @@ from qmaxent import (
     maxent,
     sampler,
 )
-from qmaxent.circuit import Circuit, apply_gates, parse_circuit, simulate, theta_free_prefix
+from qmaxent.circuit import Circuit, parse_circuit, qubit_count
 from qmaxent.cli import ExperimentConfig, load_config, run_case_ab, run_sweep
 from qmaxent.maxent import (
     LagrangeSet,
@@ -59,8 +58,6 @@ from qmaxent.sampler import build_calibration
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-MODELS = ("twoq_a", "twoq_b", "twoq_c", "threeq_a")
-PREFIX_GATES = {"twoq_a": 2, "twoq_b": 0, "twoq_c": 3, "threeq_a": 3}
 THETAS = [
     0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -3 * math.pi, 0.5 * math.pi,
     1e-300, 5e-324, 0.7, -2.5, 1e6, -1e12, 1e300, -1.7e308,
@@ -181,37 +178,20 @@ def count_calls(monkeypatch, owner, names) -> dict[str, int]:
     return calls
 
 
-class TestThetaFreePrefix:
-    @pytest.mark.parametrize("model", MODELS)
-    def test_prefix_lengths(self, model):
-        prefix = theta_free_prefix(circuits.load(model))
-        assert len(prefix.gates) == PREFIX_GATES[model]
-
-    @pytest.mark.parametrize("model", MODELS)
-    def test_state_after_the_prefix_matches_a_full_simulation(self, model):
-        text = circuits.load(model)
-        prefix = theta_free_prefix(text)
-        start = simulate(prefix)
-        for theta in THETAS[:12]:
-            c = parse_circuit(text, theta)
-            assert c.gates[: len(prefix.gates)] == prefix.gates
-            rest = Circuit(c.num_qubits, c.gates[len(prefix.gates):])
-            assert apply_gates(start, rest.gates, c.num_qubits).tobytes() == simulate(c).tobytes()
-
-    def test_prefix_of_a_failing_text_raises(self):
+class TestOneStack:
+    def test_qubit_count_of_a_failing_text_raises(self):
         with pytest.raises(ParseError, match="line 3"):
-            theta_free_prefix("qubits 1\nh 0\nfoo 0")
+            qubit_count("qubits 1\nh 0\nfoo 0")
 
-    @pytest.mark.parametrize(("model", "prefix", "rest"), [("threeq_a", 3, 5), ("twoq_b", 0, 5)])
-    def test_gate_applications_per_sweep(self, monkeypatch, model, prefix, rest):
+    @pytest.mark.parametrize(("model", "gates"), [("threeq_a", 8), ("twoq_b", 5)])
+    def test_gate_applications_per_sweep(self, monkeypatch, model, gates):
         rows = count_gate_applications(monkeypatch)
         per_theta = count_calls(monkeypatch, circuit, ("parse_circuit", "simulate"))
         run_sweep(ExperimentConfig(circuit_path=model, theta_steps=201))
-        # The prefix applies once to one vector, and each later gate once to
-        # the stack of all 201 thetas; no theta is parsed or simulated
-        # alone (the one simulate call is the prefix's).
-        assert rows == [1] * prefix + [201] * rest
-        assert per_theta == {"parse_circuit": 0, "simulate": 1}
+        # Each gate, theta-free ones included, applies once to the stack of
+        # all 201 thetas; no theta is parsed or simulated alone.
+        assert rows == [201] * gates
+        assert per_theta == {"parse_circuit": 0, "simulate": 0}
 
 
 def clamping_config() -> ExperimentConfig:
@@ -372,13 +352,15 @@ class TestReproductionCheck:
 class TestOncePerCommand:
     @pytest.mark.parametrize("command", ["sweep", "caseab"])
     @pytest.mark.parametrize("config", ["sweep_exact.txt", "caseab_shots.txt"])
-    def test_a_command_builds_its_prefix_once(self, monkeypatch, tmp_path, command, config):
-        # The config load, the sweep and its theta stack all read the
-        # theta-free prefix; it is built once, with the text's parse.
+    def test_a_command_builds_no_circuit(self, monkeypatch, tmp_path, command, config):
+        # The config load, the sweep and its theta stack read the text's
+        # parse; the stack starts at |0...0>, not from a simulated circuit.
         circuit._parse_text.cache_clear()
         built = count_calls(monkeypatch, Circuit, ("__post_init__",))
+        simulated = count_calls(monkeypatch, circuit, ("simulate",))
         assert cli.main(["--out", str(tmp_path / "o.csv"), command, str(CONFIGS / config)]) == 0
-        assert built == {"__post_init__": 1}
+        assert built == {"__post_init__": 0}
+        assert simulated == {"simulate": 0}
 
     @pytest.mark.parametrize("command", ["sweep", "caseab"])
     def test_a_command_without_flags_validates_its_config_once(self, monkeypatch, tmp_path, command):

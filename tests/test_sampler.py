@@ -14,7 +14,7 @@ from conftest import (
     to_matrix,
 )
 
-from qmaxent import DomainError, ValidationError, circuits
+from qmaxent import DomainError, TomographyError, ValidationError, circuits
 from qmaxent import circuit, sampler
 from qmaxent.cli import ExperimentConfig, run_sweep
 from qmaxent.circuit import (
@@ -576,11 +576,11 @@ class TestReadoutChecks:
         for shots in (None, 100):
             with pytest.raises(ValidationError, match="state is not normalized"):
                 estimate_populations(1.1 * BELL_SV, shots, calibration=cal)
-        # The screen takes a stack of states and returns the first failing
-        # row's error.
-        index, error = sampler._population_failure(np.stack([BELL_SV, 1.1 * BELL_SV]))
-        assert index == 1 and type(error) is ValidationError
-        assert str(error).startswith("state is not normalized")
+        # The check of a lone state is its norm, then its population sum.
+        with pytest.raises(TomographyError, match="^statevector norm drifted"):
+            circuit._check_state(1.1 * BELL_SV)
+        with pytest.raises(ValidationError, match="^state is not normalized"):
+            circuit._check_state((1 + 0.75e-10) * BELL_SV)
 
     def test_a_lone_state_within_the_norm_tolerance_fails_its_population_sum(self):
         # |a| off by 0.75e-10 passes the 1e-10 norm check, but sum |a|^2 is
@@ -608,7 +608,8 @@ class TestReadoutChecks:
         states = amplitudes / np.linalg.norm(amplitudes, axis=1, keepdims=True)
         edge = circuit._NORM_ATOL * (1 - 2**-10)
         edges = np.concatenate([states * math.sqrt(1 - edge), states * math.sqrt(1 + edge)])
-        assert sampler._population_failure(edges) is None
+        for state in edges:
+            circuit._check_state(state)
         sums = (np.abs(edges) ** 2).sum(axis=1) - 1
         assert np.abs(np.abs(sums) - edge).max() <= 1e-13
         # Each row gets mitigate's own check, which raises on one that fails.

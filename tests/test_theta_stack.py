@@ -89,7 +89,8 @@ def test_every_row_has_the_bytes_of_one_theta(text, grid):
     else:
         assert failure is None
     n = states.shape[1].bit_length() - 1
-    assert sampler._population_failure(states[:stop]) is None
+    for state in states[:stop]:
+        circuit._check_state(state)
     dists = sampler._Readout(n, None, None, None).distribution(states[:stop])
     coherences = np.array(
         [circuit._coherence(states[:stop], k, 1) for k in range(1, 2**n + 1)]
@@ -158,7 +159,8 @@ def test_noisy_rows_are_read_as_one_product(shots):
     noise = ReadoutNoise.uniform(0.02, 0.04, 3)
     matrix = build_calibration(noise, 3).entries
     readout = sampler._Readout(3, shots, noise, None)
-    assert sampler._population_failure(states) is None
+    for state in states:
+        circuit._check_state(state)
     dists = readout.distribution(states)
     assert len(dists) == len(thetas)
     product = np.abs(states) ** 2 @ matrix.T
@@ -208,20 +210,17 @@ def failing_sweep(name, monkeypatch, tmp_path):
 
         monkeypatch.setattr(circuit, "_rotation_matrices", drifting)
     if name == "population_sum":
-        # The state at that theta passes its norm check and is then
-        # scaled past the population-sum tolerance.
-        sweep_states = cli._sweep_states
+        # The rotation at that theta scales the state by 1 + 6e-11, in the
+        # stack and on one theta alike: its norm passes the 1e-10 check,
+        # and its population sum, off by 1.2e-10, fails.
+        matrices = circuit._rotation_matrices
 
-        def scaled(text, thetas):
-            states, failure = sweep_states(text, thetas)
-            states = states.copy()
-            states[mid] *= 1 + 1e-10
-            return states, failure
+        def scaled(kind, angles):
+            u = matrices(kind, angles)
+            return np.where((angles == theta)[:, None, None], (1 + 6e-11) * u, u)
 
-        monkeypatch.setattr(cli, "_sweep_states", scaled)
-        return cfg, mid, lambda: populations(
-            simulate(parse_circuit(text, theta)) * (1 + 1e-10)
-        )
+        monkeypatch.setattr(circuit, "_rotation_matrices", scaled)
+        return cfg, mid, lambda: populations(simulate(parse_circuit(text, theta)))
     if name in ("overflow", "division_by_zero"):
         return cfg, mid, lambda: parse_circuit(text, theta)
     return cfg, mid, lambda: simulate(parse_circuit(text, theta))
