@@ -13,22 +13,25 @@ The text format is one gate per line after a ``qubits <n>`` header:
 ``theta`` (bound at parse time), e.g. ``pi/2`` or ``2*theta``. ``#``
 starts a comment. Angles must be finite.
 
-Each text is tokenized once (the last 64 texts are kept): the gates that
-do not use theta are built then, and the factors of each angle before
-its first ``theta`` are multiplied out; ``qubit_count`` reads its qubit
-count and raises its first error that does not depend on theta.
-``parse_circuit(text, theta)`` binds one theta into that parse and owns
-the binding's errors: in line order, each line's factor, division,
-overflow and qubit errors in turn, and a line that fails whatever theta
-is only after every earlier line has been bound. A sweep's binding
-(``_bind``) binds a whole list of thetas at once, unchecked: each angle
-is a float64 array over the thetas, computed with the ``*`` and ``/``
-of the expression in the same order, which round as Python's floats do.
-A theta fails its parse exactly when it is not finite or leaves an
-angle that is not, so those thetas screen as suspects, and the first
-suspect's error is the one ``parse_circuit`` raises for it. The first
-failing theta is reported as (index, error) (see ``linalg``), so that a
-sweep measures the thetas before it.
+Each text is tokenized once (the last 64 texts are kept), and every
+error that does not depend on theta is raised then, the first in line
+order, whatever theta is and through every entry point (``qubit_count``,
+``parse_circuit``, the sweep): a bad header, gate or qubit, a bad or
+non-finite literal, a division by a literal zero, a theta-free angle
+that overflows. The gates that do not use theta are built then, and
+each other angle is kept as its (op, sign, factor) terms, the literals
+already floats. Binding raises only what theta decides, in line order:
+an unbound or non-finite theta (at the first rotation that uses it), a
+division by a theta that is zero, an angle that overflows.
+``parse_circuit(text, theta)`` binds one theta and raises those errors.
+A sweep's binding (``_bind``) binds a whole list of thetas at once,
+unchecked: each angle is a float64 array over the thetas, folded with
+the ``*`` and ``/`` of the expression in the same order, which round as
+Python's floats do. A theta fails its parse exactly when it is not
+finite or leaves an angle that is not, so those thetas screen as
+suspects, and the first suspect's error is the one ``parse_circuit``
+raises for it. The first failing theta is reported as (index, error)
+(see ``linalg``), so that a sweep measures the thetas before it.
 
 One set of gate kernels applies gates to a state, which is an amplitude
 vector or a (T, 2^n) stack of them, one row per theta. A one-qubit gate
@@ -131,102 +134,92 @@ _GATE_RE = re.compile(r"^(rx|ry|rz)\((.*)\)$")
 _NORM_ATOL = 1e-10
 
 
-def _uses_theta(tok: str) -> bool:
-    return (tok[1:] if tok.startswith("-") else tok) == "theta"
-
-
-def _eval_terms(value, terms, theta, line: int | None = None):
-    """Fold (op, factor) terms into ``value`` left to right; the first
-    term of an expression starts it (``value`` None). ``theta`` is the
-    bound theta, a float or a float64 array of them (None where no term
-    uses it), and a literal that is not a finite number folds as NaN.
-    With a ``line``, a literal's error and a division by zero are raised
-    on that line; without one, the value is left to show them: once it
-    is not finite, no later factor makes it finite. Python's float ``*``
-    and ``/`` round as numpy's do."""
-    for op, tok in terms:
-        sign = 1.0
-        if tok.startswith("-"):
-            sign, tok = -1.0, tok[1:]
-        if tok == "theta":
+def _eval_terms(terms, theta, line: int | None = None):
+    """Fold an angle's (op, sign, factor) terms left to right, the first
+    term starting the value; a None factor is ``theta``, a float or a
+    float64 array of thetas. With a ``line``, a division by a theta that
+    is zero is raised on it; without one, the value is left to show it:
+    once it is not finite, no later (finite) factor makes it finite.
+    Python's float ``*`` and ``/`` round as numpy's do."""
+    value = None
+    for op, sign, factor in terms:
+        if factor is None:
+            if line is not None and op == "/" and theta == 0:
+                raise ParseError("division by zero in angle expression", line)
             factor = theta
-        elif tok == "pi":
-            factor = math.pi
-        else:
-            try:
-                factor = float(tok)
-            except ValueError:
-                factor, error = math.nan, f"bad angle factor {tok!r}"
-            else:
-                error = f"angle factor {tok!r} is not finite"
-            if not math.isfinite(factor):
-                if line is not None:
-                    raise ParseError(error, line)
-                factor = math.nan
         factor = sign * factor
         if value is None:
             value = factor
         elif op == "*":
             value = value * factor
         else:
-            if line is not None and factor == 0:
-                raise ParseError("division by zero in angle expression", line)
             value = value / factor
     return value
 
 
 class _Angle(NamedTuple):
-    """An angle expression cut before its first ``theta`` factor: ``head``
-    is the value of the factors before it (None when there are none) and
-    ``tail`` the (op, factor) terms from it on."""
+    """An angle expression that uses theta: its text and its (op, sign,
+    factor) terms, each factor a float or None for theta."""
 
     expr: str
-    head: float | None
-    tail: tuple[tuple[str, str], ...]
+    terms: tuple[tuple[str, float, float | None], ...]
 
 
-def _finite(value: float, angle: _Angle, line: int) -> float:
+def _finite(value: float, expr: str, line: int) -> float:
     """The last check of an angle: its value must be finite."""
     if not math.isfinite(value):
-        raise ParseError(f"angle expression {angle.expr!r} overflows", line)
+        raise ParseError(f"angle expression {expr!r} overflows", line)
     return value
 
 
-def _compile_angle(expr: str, line: int) -> _Angle:
-    """Split an angle expression at its first ``theta`` factor and
-    evaluate the factors before it, raising their errors; an expression
-    without theta is checked whole."""
+def _compile_angle(expr: str, line: int) -> float | _Angle:
+    """An angle expression's value, or its ``_Angle`` when it uses theta.
+    Every error that does not depend on theta is raised, factor by
+    factor: a bad literal or one that is not finite, then a division by
+    a literal zero; an expression without theta must also be finite."""
     expr = expr.strip()
     if not expr:
         raise ParseError("missing angle expression", line)
     parts = re.split(r"([*/])", expr.replace(" ", ""))
-    terms = tuple(zip(["*", *parts[1::2]], parts[0::2]))
-    cut = next((i for i, (_, tok) in enumerate(terms) if _uses_theta(tok)), len(terms))
-    angle = _Angle(expr, _eval_terms(None, terms[:cut], None, line), terms[cut:])
-    if not angle.tail:
-        _finite(angle.head, angle, line)
-    return angle
+    terms = []
+    for op, tok in zip(["*", *parts[1::2]], parts[0::2]):
+        sign = 1.0
+        if tok.startswith("-"):
+            sign, tok = -1.0, tok[1:]
+        if tok == "theta":
+            factor = None
+        elif tok == "pi":
+            factor = math.pi
+        else:
+            try:
+                factor = float(tok)
+            except ValueError:
+                raise ParseError(f"bad angle factor {tok!r}", line) from None
+            if not math.isfinite(factor):
+                raise ParseError(f"angle factor {tok!r} is not finite", line)
+            if op == "/" and factor == 0:
+                raise ParseError("division by zero in angle expression", line)
+        terms.append((op, sign, factor))
+    if any(factor is None for _, _, factor in terms):
+        return _Angle(expr, tuple(terms))
+    return _finite(_eval_terms(terms, None), expr, line)
 
 
 class _Rotation(NamedTuple):
-    """A rotation whose angle uses theta, bound per parse. ``qubit`` is
-    None on a line whose qubit fails after the angle: the angle is still
-    evaluated, so a theta error on that line comes first."""
+    """A rotation whose angle uses theta, bound per parse."""
 
     kind: str
-    qubit: int | None
+    qubit: int
     angle: _Angle
     line: int
 
 
 class _Parsed(NamedTuple):
-    """The theta-free parse of a circuit text: its gates in order, each a
-    Gate or a _Rotation, and the (reason, line) of the first line that
-    fails whatever theta is, raised once every earlier gate is bound."""
+    """The theta-free parse of a circuit text: its qubit count and its
+    gates in order, each a Gate or a _Rotation."""
 
-    num_qubits: int | None
+    num_qubits: int
     gates: tuple[Gate | _Rotation, ...]
-    error: tuple[str, int | None] | None
 
 
 def _parse_qubit(tok: str, num_qubits: int, line: int) -> int:
@@ -253,8 +246,8 @@ def _parse_header(tokens: list[str], line: int) -> int:
     return num_qubits
 
 
-def _parse_gate(tokens: list[str], num_qubits: int, line: int, gates: list) -> None:
-    """Append the gate of one line to ``gates``, or raise its error."""
+def _parse_gate(tokens: list[str], num_qubits: int, line: int) -> Gate | _Rotation:
+    """The gate of one line, or its error."""
     head = tokens[0]
     rot = _GATE_RE.match(head)
     if rot:
@@ -262,54 +255,45 @@ def _parse_gate(tokens: list[str], num_qubits: int, line: int, gates: list) -> N
         if len(tokens) != 2:
             raise ParseError(f"{kind} takes one qubit", line)
         angle = _compile_angle(expr, line)
-        if not angle.tail:
-            qubit = _parse_qubit(tokens[1], num_qubits, line)
-            gates.append(Gate(kind, (qubit,), angle.head))
-            return
-        try:
-            qubit = _parse_qubit(tokens[1], num_qubits, line)
-        except ParseError:
-            gates.append(_Rotation(kind, None, angle, line))
-            raise
-        gates.append(_Rotation(kind, qubit, angle, line))
-    elif head in _ROTATIONS:
+        qubit = _parse_qubit(tokens[1], num_qubits, line)
+        if isinstance(angle, _Angle):
+            return _Rotation(kind, qubit, angle, line)
+        return Gate(kind, (qubit,), angle)
+    if head in _ROTATIONS:
         raise ParseError(f"{head} is missing its angle, write {head}(<expr>) q", line)
-    elif head in ("h", "x"):
+    if head in ("h", "x"):
         if len(tokens) != 2:
             raise ParseError(f"{head} takes one qubit", line)
-        gates.append(Gate(head, (_parse_qubit(tokens[1], num_qubits, line),)))
-    elif head in _TWO_QUBIT:
+        return Gate(head, (_parse_qubit(tokens[1], num_qubits, line),))
+    if head in _TWO_QUBIT:
         if len(tokens) != 3:
             raise ParseError(f"{head} takes two qubits", line)
         a = _parse_qubit(tokens[1], num_qubits, line)
         b = _parse_qubit(tokens[2], num_qubits, line)
         if a == b:
             raise ParseError(f"{head} needs two distinct qubits", line)
-        gates.append(Gate(head, (a, b)))
-    else:
-        raise ParseError(f"unknown gate mnemonic {head!r}", line)
+        return Gate(head, (a, b))
+    raise ParseError(f"unknown gate mnemonic {head!r}", line)
 
 
 @lru_cache(maxsize=64)
 def _parse_text(text: str) -> _Parsed:
-    """Tokenize a circuit text once, up to its first theta-free error."""
+    """Tokenize a circuit text once, raising its first error that does
+    not depend on theta."""
     num_qubits = None
     gates: list[Gate | _Rotation] = []
-    try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if num_qubits is None:
-                num_qubits = _parse_header(tokens, lineno)
-            else:
-                _parse_gate(tokens, num_qubits, lineno, gates)
-    except ParseError as exc:
-        return _Parsed(num_qubits, tuple(gates), (exc.reason, exc.line))
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if num_qubits is None:
+            num_qubits = _parse_header(tokens, lineno)
+        else:
+            gates.append(_parse_gate(tokens, num_qubits, lineno))
     if num_qubits is None:
-        return _Parsed(None, (), ("empty circuit text, expected 'qubits <n>' header", None))
-    return _Parsed(num_qubits, tuple(gates), None)
+        raise ParseError("empty circuit text, expected 'qubits <n>' header")
+    return _Parsed(num_qubits, tuple(gates))
 
 
 def _thetas(thetas: list) -> np.ndarray:
@@ -339,7 +323,7 @@ def _bind(parsed: _Parsed, thetas: list):
                 if theta is None:
                     theta = _thetas(thetas)
                     suspects = ~np.isfinite(theta)
-                angles = _eval_terms(gate.angle.head, gate.angle.tail, theta)
+                angles = _eval_terms(gate.angle.terms, theta)
                 suspects |= ~np.isfinite(angles)
                 if suspects.any():
                     angles[suspects] = 0.0
@@ -351,39 +335,32 @@ def _bind(parsed: _Parsed, thetas: list):
 def parse_circuit(text: str, theta: float | None = None) -> Circuit:
     """Parse circuit text, substituting ``theta`` into angle expressions.
 
-    This is the one owner of the binding's errors. A rotation that uses
-    theta raises those of its factors in order (theta's first), then a
-    division by zero, then an overflow, then its qubit's; a line that
-    fails whatever theta is raises once every earlier line is bound."""
+    The text's first error that does not depend on theta is raised
+    before any binding. Then each rotation that uses theta is bound in
+    line order, raising the errors theta decides: an unbound or
+    non-finite theta (at the first such rotation), a division by a theta
+    that is zero, an angle that overflows."""
     parsed = _parse_text(text)
     gates, bound = [], None
     for gate in parsed.gates:
         if isinstance(gate, _Rotation):
             angle, line = gate.angle, gate.line
-            # The first factor bound is the first rotation's theta.
             if bound is None:
                 if theta is None:
                     raise ParseError("angle uses 'theta' but no binding was supplied", line)
                 bound = _thetas([theta]).item()
                 if not math.isfinite(bound):
                     raise ParseError(f"angle uses 'theta' bound to {theta!r}", line)
-            value = _finite(_eval_terms(angle.head, angle.tail, bound, line), angle, line)
-            if gate.qubit is None:
-                break
+            value = _finite(_eval_terms(angle.terms, bound, line), angle.expr, line)
             gate = Gate(gate.kind, (gate.qubit,), value)
         gates.append(gate)
-    if parsed.error is not None:
-        raise ParseError(*parsed.error)
     return Circuit(parsed.num_qubits, tuple(gates))
 
 
 def qubit_count(text: str) -> int:
     """The qubit count of ``text``, read without binding a theta. Raises
     the first theta-free parse error of ``text``, if it has one."""
-    parsed = _parse_text(text)
-    if parsed.error is not None:
-        raise ParseError(*parsed.error)
-    return parsed.num_qubits
+    return _parse_text(text).num_qubits
 
 
 def _rotation_matrices(kind: str, angles: np.ndarray) -> np.ndarray:

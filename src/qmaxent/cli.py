@@ -152,6 +152,8 @@ class ExperimentConfig:
             raise ValidationError(f"k_targets = {self.k_targets!r} is not a sequence of integers")
         if self.noise is not None and not isinstance(self.noise, ReadoutNoise):
             raise ValidationError(f"noise = {self.noise!r} is not a ReadoutNoise")
+        if not isinstance(self.mitigate, (bool, np.bool_)):
+            raise ValidationError(f"mitigate = {self.mitigate!r} is not a bool")
         if self.theta_steps < 1:
             raise ValidationError("theta_steps must be >= 1")
         if self.seed < 0:
@@ -426,18 +428,10 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
             states[:stop], num_qubits, dists, k_targets, readout, cfg.seed
         )
     # The measured values are checked once, where x11 is above the floor;
-    # case A completes them with the predicted xKK, case B with the true
-    # one. A point that fails is not measured, nor any after it. |x1K| is
-    # taken once, for the prediction and the projection.
+    # a point that fails raises in its place among the solve errors below.
+    # |x1K| is taken once, for the prediction and the projection.
     solved = x11 > POLICY.population_floor
     x11_s, x1k_s = x11[solved], x1k[solved]
-    invalid = _record_failure(x11_s, x1k_s)
-    if invalid is not None:
-        valid, error = invalid
-        count = int(solved.nonzero()[0][valid])
-        x11, x1k, xkk_true, solved = x11[:count], x1k[:count], xkk_true[:count], solved[:count]
-        x11_s, x1k_s = x11_s[:valid], x1k_s[:valid]
-
     xkk_true_s, modulus = xkk_true[solved], _modulus(x1k_s)
     xkk = _predict_population(x11_s, modulus)[0]
     # Case A completes each point with its predicted xKK, case B with the
@@ -450,15 +444,15 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
     lams_a, lams_b = (tuple(v[i::2] for v in lams) for i in (0, 1))
     block_a, block_b = (tuple(v[i::2] for v in block) for i in (0, 1))
     fidelity, failure_f = _block_fidelity(dim_n, lams_a, z[::2], block_a, lams_b, z[1::2], block_b)
-    # Errors in the order of a loop over the points: a point's case A
-    # before its case B (the stacked order) and its fidelity, before the
-    # next point, before a later measurement. A measurement error is
-    # raised after the solves of the points before it: the typed errors
-    # of the parser, the simulator, the sampler and the value checks, or
-    # an ArithmeticError.
+    # Errors in the order of a loop over the points: a point's record
+    # check, its case A before its case B (the stacked order) and its
+    # fidelity, before the next point, before a later measurement. A
+    # measurement error is raised after the solves of the points before
+    # it: the typed errors of the parser, the simulator, the sampler and
+    # the value checks, or an ArithmeticError.
     if failure is not None:
         failure = (failure[0] // 2, failure[1])
-    _raise(_earliest(failure, failure_f))
+    _raise(_earliest(_record_failure(x11_s, x1k_s), failure, failure_f))
     if error is not None:
         raise error
 

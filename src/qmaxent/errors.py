@@ -13,7 +13,7 @@ class ParseError(ValidationError):
     """Circuit or config text could not be parsed."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.reason, self.line = message, line
+        self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

@@ -425,10 +425,10 @@ def predict_population(x_11: float, x_1k: complex) -> float:
 
 
 def _project(x11, x1k, xkk, modulus):
-    """The estimates of each point projected onto the feasible set (with
-    ``xkk`` None, x11 and x1K alone), and the first failure: a NaN or
-    infinite estimate raises ValidationError naming it, and is never
-    clipped. ``modulus`` is |x1K| of each point (``_modulus``).
+    """The estimates of each point projected onto the feasible set, and
+    the first failure: a NaN or infinite estimate raises ValidationError
+    naming it, and is never clipped. ``modulus`` is |x1K| of each point
+    (``_modulus``).
 
     Shot-noise estimates can leave the physical set: populations are
     clipped to [0, 1] and rescaled if they sum past 1, and the coherence is
@@ -438,32 +438,28 @@ def _project(x11, x1k, xkk, modulus):
     last one.
     """
     with np.errstate(all="ignore"):
-        finite = np.isfinite(x11) & np.isfinite(x1k)
-        if xkk is not None:
-            finite &= np.isfinite(xkk)
+        finite = np.isfinite(x11) & np.isfinite(x1k) & np.isfinite(xkk)
         # The first statement of the record check raises for exactly these
         # points: ValidationError naming a non-finite estimate, or one
         # whose modulus passes the float range.
         failure = _failure(~finite | np.isinf(modulus), lambda i: _raised(
-            _check_record_values, x11[i].item(), x1k[i].item(),
-            None if xkk is None else xkk[i].item(),
+            _check_record_values, x11[i].item(), x1k[i].item(), xkk[i].item(),
         ))
         x11 = np.clip(x11, 0.0, 1.0)
         long = modulus > 1.0
         x1k = _where(long, lambda x1k, modulus: x1k * (1.0 / modulus), x1k, x1k, modulus)
-        if xkk is not None:
-            xkk = np.clip(xkk, 0.0, 1.0)
-            total = x11 + xkk
-            over = total > 1.0
-            x11 = _where(over, np.divide, x11, x11, total)
-            xkk = _where(over, np.divide, xkk, xkk, total)
-            x1k = _where(over, np.divide, x1k, x1k, total)
-            bound = np.sqrt(x11 * xkk)
-            modulus = _where(long | over, _modulus, modulus, x1k)
-            x1k = _where(
-                modulus > bound, lambda x1k, bound, modulus: x1k * (bound / modulus),
-                x1k, x1k, bound, modulus,
-            )
+        xkk = np.clip(xkk, 0.0, 1.0)
+        total = x11 + xkk
+        over = total > 1.0
+        x11 = _where(over, np.divide, x11, x11, total)
+        xkk = _where(over, np.divide, xkk, xkk, total)
+        x1k = _where(over, np.divide, x1k, x1k, total)
+        bound = np.sqrt(x11 * xkk)
+        modulus = _where(long | over, _modulus, modulus, x1k)
+        x1k = _where(
+            modulus > bound, lambda x1k, bound, modulus: x1k * (bound / modulus),
+            x1k, x1k, bound, modulus,
+        )
     return (x11, x1k, xkk), failure
 
 

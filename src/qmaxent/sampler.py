@@ -202,6 +202,11 @@ def _check_frequencies(freqs: np.ndarray) -> None:
         )
 
 
+def _check_calibration(name: str, cal) -> None:
+    if not isinstance(cal, CalibrationMatrix):
+        raise ValidationError(f"{name} = {cal!r} is not a CalibrationMatrix")
+
+
 def _check_condition(cal: CalibrationMatrix) -> None:
     if cal.condition > 1e12:
         raise DomainError("calibration matrix is singular or ill-conditioned")
@@ -211,10 +216,11 @@ class _Readout:
     """The sampling kernel: a readout of n-qubit states, validated once.
 
     The constructor checks ``shots`` (None selects the exact mode), the
-    noise model's qubit count and the mitigating calibration's shape and
-    condition. ``distribution`` and ``draw`` then work on plain arrays.
-    The states are the caller's to check: a sweep's stack is screened by
-    ``circuit._sweep_states``, a lone state by ``populations``.
+    noise model's type and qubit count and the mitigating calibration's
+    type, shape and condition. ``distribution`` and ``draw`` then work on
+    plain arrays. The states are the caller's to check: a sweep's stack
+    is screened by ``circuit._sweep_states``, a lone state by
+    ``populations``.
     """
 
     __slots__ = ("shots", "matrix", "inverse")
@@ -232,6 +238,7 @@ class _Readout:
         self.matrix = None if noise is None else build_calibration(noise, num_qubits).entries
         self.inverse = None
         if calibration is not None:
+            _check_calibration("calibration", calibration)
             dim = 2**num_qubits
             if calibration.dim != dim:
                 raise ValidationError(
@@ -351,6 +358,7 @@ def mitigate(freqs: np.ndarray, cal: CalibrationMatrix) -> np.ndarray:
     else its Euclidean projection onto the probability simplex (Smolin,
     Gambetta & Smith, PRL 108, 070502, 2012).
     """
+    _check_calibration("cal", cal)
     freqs = np.asarray(freqs, dtype=float)
     if freqs.shape != (cal.dim,):
         raise ValidationError(
@@ -361,10 +369,17 @@ def mitigate(freqs: np.ndarray, cal: CalibrationMatrix) -> np.ndarray:
     return _unmix(cal.inverse, freqs[None])[0]
 
 
-@lru_cache(maxsize=64)
 def build_calibration(noise: ReadoutNoise, num_qubits: int) -> CalibrationMatrix:
     """Calibration matrix of a readout-noise model: the tensor product of
     the per-qubit confusion matrices, built once per model (memoized)."""
+    # Checked before the cache, which hashes its arguments first.
+    if not isinstance(noise, ReadoutNoise):
+        raise ValidationError(f"noise = {noise!r} is not a ReadoutNoise")
+    return _calibration(noise, num_qubits)
+
+
+@lru_cache(maxsize=64)
+def _calibration(noise: ReadoutNoise, num_qubits: int) -> CalibrationMatrix:
     if noise.num_qubits != num_qubits:
         raise ValidationError(
             f"noise covers {noise.num_qubits} qubit(s), asked for {num_qubits}"

@@ -12,8 +12,9 @@ library works on the 2x2 block in closed form and on state vectors. The
 Uhlmann fidelity in 60-digit mpmath arithmetic, so they bound the
 library's float error; the ``mp_`` kernels do the same for each stage of
 the library's array kernels, formula by formula.
-``reference_parse_circuit`` is the circuit parser as it read when every
-call tokenized its text, kept to check the parse-once parser bit for bit.
+``reference_parse_circuit`` is a circuit parser that tokenizes its text
+on every call, in two passes (the errors that do not depend on theta,
+then the binding), kept to check the parse-once parser bit for bit.
 ``reference_simulate`` is the simulator as it read before states were
 stacked: one gate at a time on a lone vector, each matrix built from
 Python floats, each one-qubit product through ``np.moveaxis``.
@@ -653,13 +654,21 @@ def reference_sampled_sweep(
     return tallies, values
 
 
-def _reference_factor(tok: str, theta, line: int) -> float:
+# The theta of the first parse pass: not bound yet, so that pass raises
+# only the errors that do not depend on theta.
+_DEFERRED = object()
+
+
+def _reference_factor(tok: str, theta, line: int) -> float | None:
+    """The value of one angle factor; None for a deferred theta."""
     sign = 1.0
     if tok.startswith("-"):
         sign, tok = -1.0, tok[1:]
     if tok == "pi":
         return sign * math.pi
     if tok == "theta":
+        if theta is _DEFERRED:
+            return None
         if theta is None:
             raise ParseError("angle uses 'theta' but no binding was supplied", line)
         if not math.isfinite(theta):
@@ -674,7 +683,9 @@ def _reference_factor(tok: str, theta, line: int) -> float:
     return sign * value
 
 
-def _reference_angle(expr: str, theta, line: int) -> float:
+def _reference_angle(expr: str, theta, line: int) -> float | None:
+    """The value of an angle expression; None once a deferred theta
+    enters it, whose later literals are still checked."""
     expr = expr.strip()
     if not expr:
         raise ParseError("missing angle expression", line)
@@ -682,13 +693,15 @@ def _reference_angle(expr: str, theta, line: int) -> float:
     value = _reference_factor(parts[0], theta, line)
     for op, tok in zip(parts[1::2], parts[2::2]):
         factor = _reference_factor(tok, theta, line)
-        if op == "*":
+        if op == "/" and factor == 0:
+            raise ParseError("division by zero in angle expression", line)
+        if value is None or factor is None:
+            value = None
+        elif op == "*":
             value *= factor
         else:
-            if factor == 0:
-                raise ParseError("division by zero in angle expression", line)
             value /= factor
-    if not math.isfinite(value):
+    if value is not None and not math.isfinite(value):
         raise ParseError(f"angle expression {expr!r} overflows", line)
     return value
 
@@ -705,8 +718,9 @@ def _reference_qubit(tok: str, num_qubits: int, line: int) -> int:
     return q
 
 
-def reference_parse_circuit(text: str, theta=None) -> Circuit:
-    """Parse circuit text in one pass, tokenizing it on every call."""
+def _reference_pass(text: str, theta):
+    """One pass over a circuit text: its qubit count and the (kind,
+    targets, angle) of each gate, or the first error of the pass."""
     num_qubits = None
     gates = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -731,13 +745,13 @@ def reference_parse_circuit(text: str, theta=None) -> Circuit:
             if len(tokens) != 2:
                 raise ParseError(f"{kind} takes one qubit", lineno)
             angle = _reference_angle(expr, theta, lineno)
-            gates.append(Gate(kind, (_reference_qubit(tokens[1], num_qubits, lineno),), angle))
+            gates.append((kind, (_reference_qubit(tokens[1], num_qubits, lineno),), angle))
         elif head in ("rx", "ry", "rz"):
             raise ParseError(f"{head} is missing its angle, write {head}(<expr>) q", lineno)
         elif head in ("h", "x"):
             if len(tokens) != 2:
                 raise ParseError(f"{head} takes one qubit", lineno)
-            gates.append(Gate(head, (_reference_qubit(tokens[1], num_qubits, lineno),)))
+            gates.append((head, (_reference_qubit(tokens[1], num_qubits, lineno),)))
         elif head in ("cx", "cz"):
             if len(tokens) != 3:
                 raise ParseError(f"{head} takes two qubits", lineno)
@@ -745,12 +759,21 @@ def reference_parse_circuit(text: str, theta=None) -> Circuit:
             b = _reference_qubit(tokens[2], num_qubits, lineno)
             if a == b:
                 raise ParseError(f"{head} needs two distinct qubits", lineno)
-            gates.append(Gate(head, (a, b)))
+            gates.append((head, (a, b)))
         else:
             raise ParseError(f"unknown gate mnemonic {head!r}", lineno)
     if num_qubits is None:
         raise ParseError("empty circuit text, expected 'qubits <n>' header")
-    return Circuit(num_qubits, tuple(gates))
+    return num_qubits, gates
+
+
+def reference_parse_circuit(text: str, theta=None) -> Circuit:
+    """Parse circuit text in two passes, tokenizing it on each: the first
+    raises the first error that does not depend on theta, in line order;
+    the second binds theta and raises the first error it decides."""
+    _reference_pass(text, _DEFERRED)
+    num_qubits, gates = _reference_pass(text, theta)
+    return Circuit(num_qubits, tuple(Gate(*g) for g in gates))
 
 
 def _times_minus_i(s: float) -> complex:
@@ -1170,28 +1193,24 @@ def hypot_predict_population(x11, x1k):
         return np.where(ceiling < value, ceiling, value), value, ceiling
 
 
-def hypot_project(x11, x1k, xkk=None):
+def hypot_project(x11, x1k, xkk):
     with np.errstate(all="ignore"):
         modulus = np.hypot(x1k.real, x1k.imag)
-        finite = np.isfinite(x11) & np.isfinite(x1k)
-        if xkk is not None:
-            finite &= np.isfinite(xkk)
+        finite = np.isfinite(x11) & np.isfinite(x1k) & np.isfinite(xkk)
         failure = maxent._failure(~finite | np.isinf(modulus), lambda i: maxent._raised(
-            _check_record_values, x11[i].item(), x1k[i].item(),
-            None if xkk is None else xkk[i].item(),
+            _check_record_values, x11[i].item(), x1k[i].item(), xkk[i].item(),
         ))
         x11 = np.clip(x11, 0.0, 1.0)
         x1k = np.where(modulus > 1.0, x1k * (1.0 / modulus), x1k)
-        if xkk is not None:
-            xkk = np.clip(xkk, 0.0, 1.0)
-            total = x11 + xkk
-            over = total > 1.0
-            x11 = np.where(over, x11 / total, x11)
-            xkk = np.where(over, xkk / total, xkk)
-            x1k = np.where(over, x1k / total, x1k)
-            bound = np.sqrt(x11 * xkk)
-            modulus = np.hypot(x1k.real, x1k.imag)
-            x1k = np.where(modulus > bound, x1k * (bound / modulus), x1k)
+        xkk = np.clip(xkk, 0.0, 1.0)
+        total = x11 + xkk
+        over = total > 1.0
+        x11 = np.where(over, x11 / total, x11)
+        xkk = np.where(over, xkk / total, xkk)
+        x1k = np.where(over, x1k / total, x1k)
+        bound = np.sqrt(x11 * xkk)
+        modulus = np.hypot(x1k.real, x1k.imag)
+        x1k = np.where(modulus > bound, x1k * (bound / modulus), x1k)
     return (x11, x1k, xkk), failure
 
 

@@ -12,6 +12,7 @@ import qmaxent
 import qmaxent.cli as cli
 import qmaxent.sampler as sampler
 from qmaxent import circuits
+from qmaxent.circuit import parse_circuit, qubit_count
 from qmaxent.cli import (
     ExperimentConfig,
     Sweep,
@@ -118,6 +119,7 @@ class TestConfig:
             ({"k_targets": ("2",)}, "k_targets = ('2',) is not a sequence of integers"),
             ({"circuit_path": 3}, "circuit_path = 3 is not a path"),
             ({"backend": "noisy", "shots": 64, "noise": "x"}, "noise = 'x' is not a ReadoutNoise"),
+            ({"mitigate": "false"}, "mitigate = 'false' is not a bool"),
         ],
     )
     def test_a_field_of_the_wrong_type_names_itself(self, fields, message):
@@ -208,6 +210,33 @@ class TestConfig:
         cfg.write_text("circuit inv.qc\ntheta_start 0\ntheta_stop 2\ntheta_steps 3\n")
         assert main(["--out", str(out), "sweep", str(cfg)]) == 2
         assert "line 4: division by zero" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("body", "message"),
+        [
+            ("rx(1/theta) 0\nh 9", "line 3: qubit index 9 out of range for 2 qubit(s)"),
+            ("rx(1/theta) 5", "line 2: qubit index 5 out of range for 2 qubit(s)"),
+            ("rx(theta*foo) 0", "line 2: bad angle factor 'foo'"),
+            ("rx(theta/0) 0", "line 2: division by zero in angle expression"),
+            ("rx(theta) 0\nfoo 0", "line 3: unknown gate mnemonic 'foo'"),
+        ],
+    )
+    def test_a_theta_free_error_has_one_message_everywhere(self, tmp_path, capsys, body, message):
+        # The error that does not depend on theta comes first, whether
+        # theta is unbound, zero (where 1/theta fails) or valid, and
+        # through the library as through the command.
+        text = "qubits 2\n" + body
+        (tmp_path / "bad.qc").write_text(text)
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "o.csv"
+        cfg.write_text("circuit bad.qc\ntheta_start 0\ntheta_stop 1\ntheta_steps 3\n")
+        calls = [lambda theta=theta: parse_circuit(text, theta) for theta in (None, 0.0, 0.5)]
+        for call in (*calls, lambda: qubit_count(text), lambda: load_config(cfg)):
+            with pytest.raises(ParseError) as caught:
+                call()
+            assert str(caught.value) == message
+        assert main(["--out", str(out), "sweep", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "caseab"])

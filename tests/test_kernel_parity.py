@@ -84,7 +84,7 @@ def check_records(records):
         assert failure_key(maxent._record_failure(x11, x1k, kkk)) == (
             failure_key(hypot_record_failure(x11, x1k, kkk))
         )
-        same(maxent._project(x11, x1k, kkk, modulus), hypot_project(x11, x1k, kkk))
+    same(maxent._project(x11, x1k, xkk, modulus), hypot_project(x11, x1k, xkk))
     assert bits(maxent._predict_population(x11, modulus)) == (
         bits(hypot_predict_population(x11, x1k))
     )

@@ -41,7 +41,7 @@ def arrays(*values):
     return tuple(np.array([v]) for v in values)
 
 
-def project(x11, x1k, xkk=None):
+def project(x11, x1k, xkk):
     """``maxent._project`` of one-point arrays, with |x1K| taken for it."""
     return maxent._project(x11, x1k, xkk, maxent._modulus(x1k))
 
@@ -357,7 +357,7 @@ class TestScalarInputErrors:
             lambda z: MeasurementRecord(4, 2, 0.5, z),
             lambda z: MeasurementRecord(4, 2, 0.5, z, 0.25),
             lambda z: predict_population(0.5, z),
-            lambda z: _raise(project(np.array([0.5]), np.array([z]))[1]),
+            lambda z: _raise(project(*arrays(0.5, z, 0.25))[1]),
             lambda z: LagrangeSet(4, 2, 0.5, z, 0.25),
         ],
     )

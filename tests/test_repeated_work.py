@@ -10,10 +10,10 @@
 - The reproduction check runs inside the array solve kernel: it builds no
   record, and it still enforces the record invariants and the 1e-6
   deviation bound. A sweep builds no record and validates no multiplier
-  set: it makes one prediction call, two completion-and-solve calls (case
-  A and case B), each running the forward kernel once, and one fidelity
-  call, whatever its number of points. A heatmap makes one forward-kernel
-  call.
+  set: it makes one prediction call, one completion-and-solve call (case
+  A and case B side by side), running the forward kernel once, and one
+  fidelity call, whatever its number of points. A heatmap makes one
+  forward-kernel call.
 - A ``sweep`` or ``caseab`` command builds no ``Circuit`` and calls no
   ``simulate``, and, given no --seed or --out, validates its config once.
 - A sweep lists the bundled circuits at most once per process, and a
@@ -54,7 +54,6 @@ from qmaxent.maxent import (
     solve_lagrange,
     solve_record,
 )
-from qmaxent.sampler import build_calibration
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -110,7 +109,8 @@ class TestParseOnce:
             "qubits 2\ncx 1 1",
             *(f"qubits 1\nh 0\nrx({e}) 0" for e in ("nan", "inf", "-inf", "pi*nan", "1e200*1e200")),
             "qubits 1\nry(2*theta) 0",
-            # Two errors: the theta error of line 2 comes first when unbound.
+            # Two errors: the theta-free error of line 3 comes first, bound
+            # or not.
             "qubits 1\nrx(theta) 0\nfoo 0",
             "qubits 1\nrx(theta) 0\nrx(1/0) 0",
             "qubits 1\nrx(theta*foo) 0",
@@ -131,13 +131,12 @@ class TestParseOnce:
             for _ in range(2):
                 assert parse_outcome(parse_circuit, text, theta) == want
 
-    def test_two_error_text_reports_the_theta_error_first(self):
+    def test_two_error_text_reports_the_theta_free_error_first(self):
         text = "qubits 1\nrx(theta) 0\nfoo 0"
         for _ in range(2):
-            with pytest.raises(ParseError, match="line 2: angle uses 'theta'"):
-                parse_circuit(text)
-            with pytest.raises(ParseError, match="line 3: unknown gate mnemonic 'foo'"):
-                parse_circuit(text, theta=0.5)
+            for theta in (None, 0.5):
+                with pytest.raises(ParseError, match="line 3: unknown gate mnemonic 'foo'"):
+                    parse_circuit(text, theta)
 
     def test_a_sweep_tokenizes_its_text_once(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -387,7 +386,7 @@ class TestOncePerProcess:
         assert len(listed) == 1
 
     def test_mitigated_sweep_inverts_each_calibration_once(self, monkeypatch):
-        build_calibration.cache_clear()
+        sampler._calibration.cache_clear()
         calls = count_calls(monkeypatch, np.linalg, ("solve", "inv", "cond"))
         run_sweep(load_config(CONFIGS / "sweep_noisy_mitigated.txt"))
         assert calls == {"solve": 0, "inv": 1, "cond": 1}

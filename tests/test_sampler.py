@@ -644,6 +644,32 @@ class TestReadoutChecks:
         with pytest.raises(ValidationError, match=r"noise covers 3 qubit\(s\), asked for 2"):
             run_sweep(_sampled_config(mitigate=False, noise=three))
 
+    @pytest.mark.parametrize(
+        ("call", "message"),
+        [
+            (lambda: mitigate(np.full(4, 0.25), "x"), "cal = 'x' is not a CalibrationMatrix"),
+            (
+                lambda: estimate_populations(BELL_SV, shots=10, calibration="x"),
+                "calibration = 'x' is not a CalibrationMatrix",
+            ),
+            (
+                lambda: estimate_populations(BELL_SV, shots=10, noise="x"),
+                "noise = 'x' is not a ReadoutNoise",
+            ),
+            (lambda: sample_counts(BELL_SV, 10, noise="x"), "noise = 'x' is not a ReadoutNoise"),
+            (lambda: build_calibration("x", 2), "noise = 'x' is not a ReadoutNoise"),
+            (lambda: build_calibration({}, 2), "noise = {} is not a ReadoutNoise"),
+            (
+                lambda: estimate_coherence(BELL_SV, 1, 4, 10, noise={}),
+                "noise = {} is not a ReadoutNoise",
+            ),
+        ],
+    )
+    def test_a_noise_model_or_calibration_of_the_wrong_type_names_itself(self, call, message):
+        with pytest.raises(ValidationError) as caught:
+            call()
+        assert str(caught.value) == message
+
 
 class TestCalibration:
     def test_zero_noise_gives_identity(self):

@@ -101,17 +101,24 @@ def test_every_row_has_the_bytes_of_one_theta(text, grid):
         assert (states[i].tobytes(), dists[i].tobytes(), coherences[i].tobytes()) == want[i]
 
 
-# Texts whose failing thetas the stack's screen must all find: a literal
-# divisor that is not finite (theta / inf is 0, so it folds as NaN), a
-# division by zero, a bad literal after theta, 1 / theta (finite at
-# theta = +-inf) and a theta that fails on a later rotation.
+# Texts whose failing thetas the stack's screen must all find: a
+# product that overflows past some theta, a division by a theta that is
+# zero, 1 / theta (finite at theta = +-inf) and a theta that fails on a
+# later rotation.
 BLIND_SPOTS = (
+    "rx(theta*1e308) 0",
+    "rx(pi/theta) 0",
+    "rz(1/theta) 0",
+    "h 0\nrx(theta) 0\nrx(pi/theta) 1",
+)
+# Texts that fail whatever theta is: a literal divisor that is not
+# finite, a division by a literal zero and a bad literal after theta.
+# Each raises at parse, before any theta is bound.
+THETA_FREE_ERRORS = (
     "rx(theta/1e999) 0",
     "ry(2*theta/-inf) 1",
     "rx(theta/0) 0",
     "rx(theta*foo) 0",
-    "rz(1/theta) 0",
-    "h 0\nrx(theta) 0\nrx(pi/theta) 1",
 )
 EDGE_GRID = (0.5, -0.0, 0.0, math.inf, -math.inf, math.nan, 1e308)
 
@@ -136,6 +143,18 @@ def test_the_screen_finds_every_failing_theta(body):
         if failure is not None:
             failure = failure[0], type(failure[1]), str(failure[1])
         assert failure == reference_failure(text, grid)
+
+
+@pytest.mark.parametrize("body", THETA_FREE_ERRORS)
+def test_a_theta_free_error_is_raised_at_once(body):
+    text = "qubits 2\n" + body
+    for start in range(len(EDGE_GRID)):
+        grid = list(EDGE_GRID[start:])
+        index, kind, message = reference_failure(text, grid)
+        assert index == 0
+        with pytest.raises(kind) as caught:
+            circuit._sweep_states(text, grid)
+        assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("theta", ["x", [1.0]])
