@@ -29,9 +29,8 @@ unchecked: each angle is a float64 array over the thetas, folded with
 the ``*`` and ``/`` of the expression in the same order, which round as
 Python's floats do. A theta fails its parse exactly when it is not
 finite or leaves an angle that is not, so those thetas screen as
-suspects, and the first suspect's error is the one ``parse_circuit``
-raises for it. The first failing theta is reported as (index, error)
-(see ``linalg``), so that a sweep measures the thetas before it.
+suspects, and the first suspect raises the error ``parse_circuit``
+raises for it (see ``linalg``), before any gate is applied.
 
 One set of gate kernels applies gates to a state, which is an amplitude
 vector or a (T, 2^n) stack of them, one row per theta. A one-qubit gate
@@ -49,9 +48,10 @@ applies each sequence to the result. A theta sweep (``_sweep_states``)
 starts a stack with |0...0> in every row and applies each gate once to
 the whole stack. Its one state screen sums each row's populations in
 numpy and gives each suspect row the one-state check (``_check_state``):
-the norm check, then the population-sum check. A rotation's T matrices
-are built as arrays, their bits fixed by formulas written on the real
-and imaginary parts (``_rotation_matrices``).
+the norm check, then the population-sum check; the first row that
+fails raises. A rotation's T matrices are built as arrays, their bits
+fixed by formulas written on the real and imaginary parts
+(``_rotation_matrices``).
 The axis orders per (qubit, n) and the matrices of the parameter-free
 gates and of the basis rotation rz(-pi/2) are built once.
 """
@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -67,7 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParseError, TomographyError, ValidationError
-from .linalg import _INTEGERS, _REALS, _earliest, _failure, _raised
+from .linalg import _INTEGERS, _REALS, _check, _raised
 
 GATE_KINDS = ("h", "x", "cx", "cz", "rx", "ry", "rz")
 _ROTATIONS = ("rx", "ry", "rz")
@@ -116,17 +117,28 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.num_qubits, _INTEGERS):
+            raise ValidationError(f"num_qubits = {self.num_qubits!r} is not an integer")
         if not 1 <= self.num_qubits <= MAX_QUBITS:
             raise ValidationError(
                 f"num_qubits must be in [1, {MAX_QUBITS}], got {self.num_qubits}"
             )
-        object.__setattr__(self, "gates", tuple(self.gates))
+        object.__setattr__(self, "gates", _gate_tuple(self.gates))
         for g in self.gates:
             if any(q < 0 or q >= self.num_qubits for q in g.targets):
                 raise ValidationError(
                     f"gate {g.kind} targets {g.targets} out of range for "
                     f"{self.num_qubits} qubit(s)"
                 )
+
+
+def _gate_tuple(gates) -> tuple[Gate, ...]:
+    """``gates`` as a tuple; anything but an iterable of Gates raises a
+    ValidationError naming the argument."""
+    out = tuple(gates) if isinstance(gates, Iterable) else None
+    if out is None or not all(isinstance(g, Gate) for g in out):
+        raise ValidationError(f"gates = {gates!r} is not a sequence of Gates")
+    return out
 
 
 _GATE_RE = re.compile(r"^(rx|ry|rz)\((.*)\)$")
@@ -312,8 +324,7 @@ def _bind(parsed: _Parsed, thetas: list):
     theta, and the bool mask of the suspects: once a rotation uses
     theta, each theta that is not finite or gives an angle that is not.
     A theta fails its one-theta parse exactly when it is a suspect (see
-    ``_eval_terms``). A suspect's angles are 0.0 from the rotation where
-    it becomes one.
+    ``_eval_terms``).
     """
     gates, theta = [], None
     suspects = np.zeros(len(thetas), dtype=bool)
@@ -325,8 +336,6 @@ def _bind(parsed: _Parsed, thetas: list):
                     suspects = ~np.isfinite(theta)
                 angles = _eval_terms(gate.angle.terms, theta)
                 suspects |= ~np.isfinite(angles)
-                if suspects.any():
-                    angles[suspects] = 0.0
                 gate = (gate.kind, gate.qubit, angles)
             gates.append(gate)
     return gates, suspects
@@ -497,10 +506,12 @@ def apply_gates(state: np.ndarray, gates: tuple[Gate, ...], n: int) -> np.ndarra
     The input is not modified; with no gates it is returned as it is,
     after the same norm check every returned state gets.
     """
+    if not isinstance(n, _INTEGERS):
+        raise ValidationError(f"n = {n!r} is not an integer")
     state = np.asarray(state)
     if state.shape != (2**n,):
         raise ValidationError(f"expected {2**n} amplitudes, got shape {state.shape}")
-    gates = tuple(gates)
+    gates = _gate_tuple(gates)
     for gate in gates:
         if not all(0 <= q < n for q in gate.targets):
             raise ValidationError(
@@ -521,25 +532,28 @@ def _check_norm(state: np.ndarray) -> None:
 
 def simulate(c: Circuit) -> np.ndarray:
     """Run the circuit on |0...0> and return the final amplitude vector."""
+    if not isinstance(c, Circuit):
+        raise ValidationError(f"c = {c!r} is not a Circuit")
     return apply_gates(zero_state(c.num_qubits), c.gates, c.num_qubits)
 
 
 def _sweep_states(text: str, thetas: list):
     """The final amplitudes of ``text`` at every theta of ``thetas``, one
-    row per theta of a (T, 2^n) stack, and the first theta whose binding
-    or state check fails, as (index, error), or None; on a tie the binding
-    error. Rows from that index on are not to be read.
+    row per theta of a (T, 2^n) stack.
 
-    The text's theta-free errors are raised at once. Every row starts as
-    |0...0> and each gate applies once to the whole stack. The binding's
-    suspects get the one-theta parse. A row of a stack may sum differently
-    from a lone vector, so each row's population sum only screens: a row
-    off 1 by more than half the tolerance gets the one-state check, its
-    norm and then its population sum. A row that passes the screen passes
-    both, since a norm off 1 by d puts the sum off by about 2d.
+    The text's theta-free errors are raised at once, then the first
+    binding suspect's one-theta parse error, before any gate is applied.
+    Every row starts as |0...0> and each gate applies once to the whole
+    stack. A row of a stack may sum differently from a lone vector, so
+    each row's population sum only screens: a row off 1 by more than half
+    the tolerance gets the one-state check, its norm and then its
+    population sum, and the first that fails raises. A row that passes
+    the screen passes both, since a norm off 1 by d puts the sum off by
+    about 2d.
     """
     n = qubit_count(text)
     gates, suspects = _bind(_parse_text(text), thetas)
+    _check(suspects, lambda i: _raised(parse_circuit, text, thetas[i]))
     states = np.zeros((len(thetas), 2**n), dtype=complex)
     states[:, 0] = 1.0
     states = _apply(states, gates, n)
@@ -547,10 +561,8 @@ def _sweep_states(text: str, thetas: list):
         sums = np.add.reduce((states.conj() * states).real, axis=1)
     # Written so that a NaN sum is a suspect too.
     off = ~(np.abs(sums - 1.0) <= 0.5 * _NORM_ATOL)
-    return states, _earliest(
-        _failure(suspects, lambda i: _raised(parse_circuit, text, thetas[i])),
-        _failure(off, lambda i: _raised(_check_state, states[i])),
-    )
+    _check(off, lambda i: _raised(_check_state, states[i]))
+    return states
 
 
 def _check_state(sv: np.ndarray) -> None:

@@ -48,12 +48,12 @@ over the whole matrix of rows (``sampler._draw_slots``).
 The measured (x11, x1K) of all points are checked once, as arrays. A
 check screens before it attributes: one array test marks the points
 that may fail, and only when it marks some is each of them matched with
-its error, in point order. A theta that fails a check of its state
-(its binding, its norm, its population sum) raises its error where a
-loop over the points would reach it, after the points before it are
-measured. The rotated rows are not checked again: a unitary rotation
-moves a norm by rounding only. Then one call of each of ``maxent``'s
-array kernels covers all the solved points: the prediction
+its error, in point order, and the first raises. Each stage's checks
+run before the next stage starts, so a theta that fails its binding or
+its state check raises before any point is measured, and a solve error
+before any fidelity error. The rotated rows are not checked again: a
+unitary rotation moves a norm by rounding only. Then one call of each
+of ``maxent``'s array kernels covers all the solved points: the prediction
 of xKK, the completion and solve of case A and case B side by side
 (``maxent._complete_and_solve``) and the fidelity. |x1K| of the solved
 points is taken once, for the prediction and the projection. No record
@@ -79,13 +79,13 @@ import numpy as np
 from . import circuits as bundled
 from .circuit import _coherence, _sweep_states, qubit_count
 from .errors import InfeasibleRecordError, TomographyError, ValidationError
-from .linalg import POLICY, _INTEGERS, _REALS, _earliest, _raise
+from .linalg import POLICY, _INTEGERS, _REALS
 from .maxent import (
     _block_fidelity,
+    _check_records,
     _complete_and_solve,
     _modulus,
     _predict_population,
-    _record_failure,
     density_from_lagrange,
     dump_record,
     heatmap_scan,
@@ -388,8 +388,11 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
     completions and solves (one call, each point's A and B side by side),
     and the fidelity. A prediction that exceeds
     1 - x11 is clamped without a warning; a clamped point is recognizable
-    by xkk_pred = 1 - x11. Errors come in point order: the solve error of
-    a point comes before the error of any later point's measurement.
+    by xkk_pred = 1 - x11. The first failing stage raises its first
+    failing point's error: the circuit's theta-free parse, the config
+    and the readout, the binding and the states
+    (``circuit._sweep_states``), the measured values, the completion and
+    solve step by step, then the fidelity.
     """
     circuit_text = cfg.circuit_text
     if circuit_text is None:
@@ -411,50 +414,36 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
     calibration = build_calibration(cfg.noise, num_qubits) if cfg.mitigate else None
     readout = _Readout(num_qubits, shots, cfg.noise, calibration)
     # One stack of states serves every K target and Pauli setting, and
-    # one distribution per state the population draw of every K. The
-    # thetas before the first one that fails a check are measured; its
-    # error is raised in the loop's place.
-    states, failure = _sweep_states(circuit_text, thetas)
-    stop, error = failure or (len(thetas), None)
-    dists = readout.distribution(states[:stop])
+    # one distribution per state the population draw of every K.
+    states = _sweep_states(circuit_text, thetas)
+    dists = readout.distribution(states)
     if shots is None:
         # Point (theta i, K) reads row i: x11 and xKK are its exact
         # populations, x1K is rho[1, K], the mean of |K><1|: a_0 * conj(a_{K-1}).
         x11 = dists[:, 0].repeat(len(k_targets))
-        x1k = _coherence(states[:stop], np.array(k_targets), 1).ravel()
+        x1k = _coherence(states, np.array(k_targets), 1).ravel()
         xkk_true = dists[:, [k - 1 for k in k_targets]].ravel()
     else:
         x11, x1k, xkk_true = _sampled_values(
-            states[:stop], num_qubits, dists, k_targets, readout, cfg.seed
+            states, num_qubits, dists, k_targets, readout, cfg.seed
         )
-    # The measured values are checked once, where x11 is above the floor;
-    # a point that fails raises in its place among the solve errors below.
+    # The measured values are checked once, where x11 is above the floor.
     # |x1K| is taken once, for the prediction and the projection.
     solved = x11 > POLICY.population_floor
     x11_s, x1k_s = x11[solved], x1k[solved]
+    _check_records(x11_s, x1k_s)
     xkk_true_s, modulus = xkk_true[solved], _modulus(x1k_s)
     xkk = _predict_population(x11_s, modulus)[0]
     # Case A completes each point with its predicted xKK, case B with the
     # true one. One call solves both, point first: row 2i is point i's
     # case A and row 2i + 1 its case B.
-    completed, lams, near, (z, block), failure = _complete_and_solve(
+    completed, lams, near, (z, block) = _complete_and_solve(
         dim_n, x11_s.repeat(2), x1k_s.repeat(2),
         _interleave([xkk, xkk_true_s]), modulus.repeat(2),
     )
     lams_a, lams_b = (tuple(v[i::2] for v in lams) for i in (0, 1))
     block_a, block_b = (tuple(v[i::2] for v in block) for i in (0, 1))
-    fidelity, failure_f = _block_fidelity(dim_n, lams_a, z[::2], block_a, lams_b, z[1::2], block_b)
-    # Errors in the order of a loop over the points: a point's record
-    # check, its case A before its case B (the stacked order) and its
-    # fidelity, before the next point, before a later measurement. A
-    # measurement error is raised after the solves of the points before
-    # it: the typed errors of the parser, the simulator, the sampler and
-    # the value checks, or an ArithmeticError.
-    if failure is not None:
-        failure = (failure[0] // 2, failure[1])
-    _raise(_earliest(_record_failure(x11_s, x1k_s), failure, failure_f))
-    if error is not None:
-        raise error
+    fidelity = _block_fidelity(dim_n, lams_a, z[::2], block_a, lams_b, z[1::2], block_b)
 
     theta, k = np.array(thetas).repeat(len(k_targets)), np.array(k_targets * len(thetas))
     return (theta, k, x11, x1k, xkk_true, solved), (

@@ -1,27 +1,21 @@
-"""Hermitian matrix checks, the tolerance policy and the failure helpers
-of the array kernels.
+"""Hermitian matrix checks, the tolerance policy and the screen of the
+array kernels.
 
 Tolerances come from the module-wide ``POLICY`` record so callers and
 tests share one set of knobs.
 
 An array kernel (``maxent``'s solve and forward map, ``circuit``'s theta
-stack, the sampler's distributions) works on one element per point and
-raises nothing: it returns its first failure as (index, exception), or
-None, and its caller raises it when its own loop over the points reaches
-that index. Every kernel finds its first failure one way: an array test
-screens the points, and ``_failure`` gives each suspect its error, in
-order; ``circuit``'s are those of the one-theta parse and of the
-one-state check, its norm and then its population sum.
-``_failure``, ``_earliest``, ``_raise`` and ``_raised`` build, order and
-raise those failures for ``maxent``, ``circuit`` and ``cli``.
-``_INTEGERS`` and ``_REALS`` are the package's one test of an integer
-and of a real argument.
+stack) works on one element per point and raises each check's error
+where the check runs: an array test screens the points, and ``_check``
+gives each suspect, in index order, its error from the one-point check,
+and raises the first. ``_raised`` catches a one-point check's error for
+it. ``_INTEGERS`` and ``_REALS`` are the package's one test of an
+integer and of a real argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -82,25 +76,13 @@ def _raised(check, *args, **kwargs) -> Exception | None:
     return None
 
 
-def _failure(mask: np.ndarray, error) -> tuple[int, Exception] | None:
-    """The first index of ``mask`` for which ``error(i)`` gives an
-    exception, with that exception; None when there is none.
+def _check(mask: np.ndarray, error) -> None:
+    """Raise the exception ``error(i)`` gives for the first index ``i`` of
+    ``mask`` for which it gives one.
 
     ``mask`` screens: it marks the points that may fail, and only those
     are attributed an error, one ``error(i)`` call each in index order."""
     for i in mask.nonzero()[0].tolist():
         exc = error(i)
         if exc is not None:
-            return i, exc
-    return None
-
-
-def _earliest(*failures):
-    """The failure of the earliest point; on a tie, the one listed first,
-    which is the earlier step."""
-    return min((f for f in failures if f is not None), key=itemgetter(0), default=None)
-
-
-def _raise(failure) -> None:
-    if failure is not None:
-        raise failure[1]
+            raise exc

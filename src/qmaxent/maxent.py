@@ -30,7 +30,7 @@ dense ``fidelity`` is kept for arbitrary density matrices.
 
 The completion, the solve, the forward map, the prediction and the block
 fidelity are array kernels in plain numpy, one element per point, exact
-to rounding (see the note above ``_record_failure``). Each modulus is
+to rounding (see the note above ``_check_records``). Each modulus is
 taken once and shared, each branch runs only on the points that take it,
 and the screens of the checks compare squared moduli.
 ``_complete_and_solve`` holds the one completion and saturation policy:
@@ -62,7 +62,7 @@ from .errors import (
     TomographyError,
     ValidationError,
 )
-from .linalg import POLICY, _INTEGERS, _earliest, _failure, _raise, _raised, require_hermitian
+from .linalg import POLICY, _INTEGERS, _check, _raised, require_hermitian
 
 _SOURCES = ("measured", "predicted")
 
@@ -201,16 +201,11 @@ class MeasurementRecord:
 # check compares squared moduli, re^2 + im^2, against a bound shrunk to
 # stay on the safe side of the hypot test it stands for
 # (``_SQUARE_SHARE``, ``_SQUARE_FLOOR``): it marks every point that test
-# marks, and the check decides. The kernels silence numpy's
-# floating-point warnings: a branch not taken, or a point that has
-# failed, may divide by zero or overflow.
-#
-# A kernel raises nothing. It returns its failure as (index, exception),
-# or None: the error that solving the points one at a time, in order,
-# would raise first, with its type and a message built from that
-# element's Python floats. A point that fails a step runs on through the
-# later steps on garbage, quietly; the earliest point's earliest step
-# wins (``_earliest``).
+# marks, and the check decides. Each check raises where it runs, for
+# the first point that fails it (``_check``), with the type and message
+# of the scalar check of that element's Python floats. The kernels
+# silence numpy's floating-point warnings: a branch not taken, or a
+# point about to fail a check, may divide by zero or overflow.
 
 # A squared modulus re^2 + im^2 is within 3 ulps of |z|^2, and np.hypot
 # within one ulp of |z|, but for a few subnormal steps where they
@@ -268,12 +263,12 @@ def _record_suspects(x11, x1k, xkk=None):
     return ~ok
 
 
-def _record_failure(x11, x1k, xkk=None):
-    """The first point whose values fail ``_check_record_values``, with
-    its error; without ``xkk``, the check of measured (x11, x1K) alone.
-    ``_record_suspects`` picks the candidates; the scalar check on each
-    candidate's Python floats decides."""
-    return _failure(_record_suspects(x11, x1k, xkk), lambda i: _raised(
+def _check_records(x11, x1k, xkk=None):
+    """Raise the error of the first point whose values fail
+    ``_check_record_values``; without ``xkk``, the check of measured
+    (x11, x1K) alone. ``_record_suspects`` picks the candidates; the
+    scalar check on each candidate's Python floats decides."""
+    _check(_record_suspects(x11, x1k, xkk), lambda i: _raised(
         _check_record_values, x11[i].item(), x1k[i].item(),
         None if xkk is None else xkk[i].item(),
     ))
@@ -292,8 +287,8 @@ def _exp_sum(a, b):
 def _exponent_spectrum(dim_n: int, l11, l1k, lkk):
     """The one forward kernel: z and the block (e11, e1k, ekk) of exp(A)
     for the multipliers (l11, l1k, lkk) of each point in dimension
-    ``dim_n``, and the first failure: a DomainError naming the
-    multipliers where exp(A) leaves the float range.
+    ``dim_n``. The first point where exp(A) leaves the float range
+    raises a DomainError naming its multipliers.
 
     This is the mirror of ``_solve``'s log. With A = -L on the block,
     m = (l11 + lkk)/2, h = (l11 - lkk)/2, c = |l1k| and r = hypot(h, c),
@@ -334,11 +329,11 @@ def _exponent_spectrum(dim_n: int, l11, l1k, lkk):
         block = (np.where(up, small, large), -(s * l1k) + 0.0, np.where(up, large, small))
         z = lo + hi + float(dim_n - 2)
         domain = ~np.isfinite(z)
-    failure = _failure(domain, lambda i: DomainError(
+    _check(domain, lambda i: DomainError(
         f"exp(A) overflows for multipliers lam_11 = {l11[i].item()!r}, "
         f"lam_1k = {l1k[i].item()!r}, lam_kk = {lkk[i].item()!r}"
     ))
-    return (z, block), failure
+    return z, block
 
 
 def _expectations(spec):
@@ -361,9 +356,7 @@ def _forward(ls: LagrangeSet):
     map (``_exponent_spectrum``); an exp(A) that leaves the float range
     raises DomainError."""
     lams = _arrays(ls.lam_11, ls.lam_1k, ls.lam_kk)
-    spec, failure = _exponent_spectrum(ls.dim_n, *lams)
-    _raise(failure)
-    return lams, spec
+    return lams, _exponent_spectrum(ls.dim_n, *lams)
 
 
 def density_from_lagrange(ls: LagrangeSet) -> np.ndarray:
@@ -425,10 +418,9 @@ def predict_population(x_11: float, x_1k: complex) -> float:
 
 
 def _project(x11, x1k, xkk, modulus):
-    """The estimates of each point projected onto the feasible set, and
-    the first failure: a NaN or infinite estimate raises ValidationError
-    naming it, and is never clipped. ``modulus`` is |x1K| of each point
-    (``_modulus``).
+    """The estimates of each point projected onto the feasible set. The
+    first NaN or infinite estimate raises ValidationError naming it, and
+    none is clipped. ``modulus`` is |x1K| of each point (``_modulus``).
 
     Shot-noise estimates can leave the physical set: populations are
     clipped to [0, 1] and rescaled if they sum past 1, and the coherence is
@@ -442,7 +434,7 @@ def _project(x11, x1k, xkk, modulus):
         # The first statement of the record check raises for exactly these
         # points: ValidationError naming a non-finite estimate, or one
         # whose modulus passes the float range.
-        failure = _failure(~finite | np.isinf(modulus), lambda i: _raised(
+        _check(~finite | np.isinf(modulus), lambda i: _raised(
             _check_record_values, x11[i].item(), x1k[i].item(), xkk[i].item(),
         ))
         x11 = np.clip(x11, 0.0, 1.0)
@@ -460,7 +452,7 @@ def _project(x11, x1k, xkk, modulus):
             modulus > bound, lambda x1k, bound, modulus: x1k * (bound / modulus),
             x1k, x1k, bound, modulus,
         )
-    return (x11, x1k, xkk), failure
+    return x11, x1k, xkk
 
 
 def _rescale(x11, x1k, xkk):
@@ -516,10 +508,12 @@ def _deviation_suspects(forward, x11, x1k, xkk):
 
 
 def _check_reproduction(spec, x11, x1k, xkk):
-    """The first point whose forward values, from the spectrum ``spec``,
-    are not a valid record within 1e-6 of (x11, x1k, xkk) per component,
-    with its error. Both screens compare squared moduli; the record check
-    and ``_deviation`` of each suspect decide."""
+    """Check that the forward values of each point, from the spectrum
+    ``spec``, are a valid record within 1e-6 of (x11, x1k, xkk) per
+    component: the record check of every point, then the deviation of
+    every point, each raising for its first failing point. Both screens
+    compare squared moduli; the record check and ``_deviation`` of each
+    suspect decide."""
     forward = _expectations(spec)
     values = (*forward, x11, x1k, xkk)
 
@@ -531,10 +525,8 @@ def _check_reproduction(spec, x11, x1k, xkk):
             )
         return None
 
-    return _earliest(
-        _record_failure(*forward),
-        _failure(_deviation_suspects(forward, x11, x1k, xkk), deviation),
-    )
+    _check_records(*forward)
+    _check(_deviation_suspects(forward, x11, x1k, xkk), deviation)
 
 
 # A minor eigenvalue at or below this share of the larger one is rounding
@@ -547,12 +539,13 @@ def _solve(dim_n: int, x11, x1k, xkk):
     the caller has checked, one per point.
 
     Returns the multipliers (lam_11, lam_1k, lam_kk), the near_singular
-    mask, the spectrum of the reproduction check (``_exponent_spectrum``)
-    and the first failure.
+    mask and the spectrum of the reproduction check
+    (``_exponent_spectrum``). Its checks raise in ``solve_lagrange``'s
+    order, each for its first failing point.
     """
     with np.errstate(all="ignore"):
         total = x11 + xkk
-        saturated = _failure(
+        _check(
             total >= 1.0 - POLICY.feasibility_atol,
             lambda i: InfeasibleRecordError(
                 f"x_11 + x_kk = {total[i].item()} saturates 1; the partition "
@@ -566,7 +559,7 @@ def _solve(dim_n: int, x11, x1k, xkk):
         w_hi = mid + r
         det = x11 * xkk - (x1k.real * x1k.real + x1k.imag * x1k.imag)
         w_lo = np.where(w_hi > 0, det / w_hi, 0.0)
-        negative = _failure(
+        _check(
             w_lo < -POLICY.record_atol,
             lambda i: InfeasibleRecordError(
                 f"constraint minor has negative eigenvalue {w_lo[i].item():.3e}"
@@ -592,16 +585,13 @@ def _solve(dim_n: int, x11, x1k, xkk):
         lam_1k = -(g * x1k + 0.0)
         lam_kk = -(avg - g * half_gap)
         finite = np.isfinite(lam_11) & np.isfinite(lam_1k) & np.isfinite(lam_kk)
-    non_finite = _failure(~finite, lambda i: _raised(
+    _check(~finite, lambda i: _raised(
         _name_non_finite, lam_11=lam_11[i].item(), lam_1k=lam_1k[i].item(),
         lam_kk=lam_kk[i].item(),
     ))
-    spec, overflow = _exponent_spectrum(dim_n, lam_11, lam_1k, lam_kk)
-    failure = _earliest(
-        saturated, negative, non_finite, overflow,
-        _check_reproduction(spec, x11, x1k, xkk),
-    )
-    return (lam_11, lam_1k, lam_kk), near_singular, spec, failure
+    spec = _exponent_spectrum(dim_n, lam_11, lam_1k, lam_kk)
+    _check_reproduction(spec, x11, x1k, xkk)
+    return (lam_11, lam_1k, lam_kk), near_singular, spec
 
 
 def solve_lagrange(mr: MeasurementRecord) -> LagrangeSet:
@@ -632,8 +622,7 @@ def solve_lagrange(mr: MeasurementRecord) -> LagrangeSet:
     """
     if not mr.complete:
         raise ValidationError("record is incomplete: x_kk is absent")
-    lams, near_singular, _, failure = _solve(mr.dim_n, *_arrays(mr.x_11, mr.x_1k, mr.x_kk))
-    _raise(failure)
+    lams, near_singular, _ = _solve(mr.dim_n, *_arrays(mr.x_11, mr.x_1k, mr.x_kk))
     return LagrangeSet(mr.dim_n, mr.index_k, *(v.item() for v in lams), near_singular.item())
 
 
@@ -643,14 +632,14 @@ def _complete_and_solve(dim_n: int, x11, x1k, xkk, modulus):
     The estimates are projected onto the feasible set (``_project``, which
     takes ``modulus``, |x1K| of each point), moved off the x11 + xKK = 1
     boundary, on which pure-state data sits (``_rescale``), and solved
-    (``_solve``). The dimensions are the caller's to check. Returns the projected
+    (``_solve``), each step raising for its first failing point. The
+    dimensions are the caller's to check. Returns the projected
     (x11, x1K, xKK), before any rescale, the multipliers, the
-    near_singular mask, the spectrum and the first failure.
+    near_singular mask and the spectrum.
     """
-    completed, bad_estimate = _project(x11, x1k, xkk, modulus)
+    completed = _project(x11, x1k, xkk, modulus)
     rescaled, _ = _rescale(*completed)
-    lams, near_singular, spec, failure = _solve(dim_n, *rescaled)
-    return completed, lams, near_singular, spec, _earliest(bad_estimate, failure)
+    return (completed, *_solve(dim_n, *rescaled))
 
 
 def solve_record(
@@ -672,10 +661,9 @@ def solve_record(
     if x_kk is None:
         x_kk, source = predict_population(mr.x_11, mr.x_1k), "predicted"
     x11, x1k, xkk = _arrays(mr.x_11, mr.x_1k, float(x_kk))
-    completed, lams, near_singular, _, failure = _complete_and_solve(
+    completed, lams, near_singular, _ = _complete_and_solve(
         mr.dim_n, x11, x1k, xkk, _modulus(x1k)
     )
-    _raise(failure)
     record = MeasurementRecord(mr.dim_n, mr.index_k, *(v.item() for v in completed), source)
     ls = LagrangeSet(mr.dim_n, mr.index_k, *(v.item() for v in lams), near_singular.item())
     return record, ls
@@ -730,8 +718,8 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 def _block_fidelity(dim_n: int, lams_a, z_a, block_a, lams_b, z_b, block_b):
     """``block_fidelity`` of each point's two multiplier sets, from their
     multipliers (lam_11, lam_1k, lam_kk), partition functions and blocks
-    (e11, e1k, ekk) of exp(A), and the first failure: a DomainError where
-    exp of minus half the multiplier sum overflows."""
+    (e11, e1k, ekk) of exp(A). The first point where exp of minus half
+    the multiplier sum overflows raises a DomainError."""
     (a11, a1k, akk), (b11, b1k, bkk) = block_a, block_b
     with np.errstate(all="ignore"):
         # The real part of a1k * conj(b1k).
@@ -742,11 +730,11 @@ def _block_fidelity(dim_n: int, lams_a, z_a, block_a, lams_b, z_b, block_b):
         total = overlap + 2.0 * det_root
         root = np.sqrt(np.where(0.0 > total, 0.0, total)) + float(dim_n) - 2.0
         value = np.clip(root * root / (z_a * z_b), 0.0, 1.0)
-    failure = _failure(np.isinf(det_root) & np.isfinite(lam_sum), lambda i: DomainError(
+    _check(np.isinf(det_root) & np.isfinite(lam_sum), lambda i: DomainError(
         f"block fidelity overflows: lam11_a + lamKK_a + lam11_b + lamKK_b "
         f"= {lam_sum[i].item()!r}, and exp of minus half of it leaves the float range"
     ))
-    return value, failure
+    return value
 
 
 def block_fidelity(a: LagrangeSet, b: LagrangeSet) -> float:
@@ -772,9 +760,7 @@ def block_fidelity(a: LagrangeSet, b: LagrangeSet) -> float:
             f"({b.dim_n}, {b.index_k})"
         )
     (lams_a, (z_a, block_a)), (lams_b, (z_b, block_b)) = _forward(a), _forward(b)
-    value, failure = _block_fidelity(a.dim_n, lams_a, z_a, block_a, lams_b, z_b, block_b)
-    _raise(failure)
-    return value.item()
+    return _block_fidelity(a.dim_n, lams_a, z_a, block_a, lams_b, z_b, block_b).item()
 
 
 def heatmap_scan(
@@ -791,8 +777,9 @@ def heatmap_scan(
 
     Returns the columns (lam11, lam1K, x11, x1K), one row per grid point
     in row-major order: lam11 outer, Re lam1K inner. The first point
-    whose multipliers ``LagrangeSet`` rejects, or whose exp(A)
-    overflows, raises its error.
+    whose multipliers ``LagrangeSet`` rejects raises its error; then the
+    first whose exp(A) overflows, then the first whose forward values
+    fail the record check.
     """
     _check_dims(dim_n, index_k)
     grid = [(float(l11), float(re1k)) for l11 in lam11_values for re1k in re_lam1k_values]
@@ -804,12 +791,11 @@ def heatmap_scan(
     lkk = np.full(len(grid), float(lam_kk))
     with np.errstate(all="ignore"):
         valid = np.isfinite(l11) & np.isfinite(np.hypot(l1k.real, l1k.imag)) & np.isfinite(lkk)
-    rejected = _failure(~valid, lambda i: _raised(
+    _check(~valid, lambda i: _raised(
         LagrangeSet, dim_n, index_k, l11[i].item(), l1k[i].item(), lkk[i].item()
     ))
-    spec, overflow = _exponent_spectrum(dim_n, l11, l1k, lkk)
-    x11, x1k, xkk = _expectations(spec)
-    _raise(_earliest(rejected, overflow, _record_failure(x11, x1k, xkk)))
+    x11, x1k, xkk = _expectations(_exponent_spectrum(dim_n, l11, l1k, lkk))
+    _check_records(x11, x1k, xkk)
     return l11, l1k, x11, x1k
 
 

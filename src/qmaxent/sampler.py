@@ -64,6 +64,7 @@ Nation et al., PRX Quantum 2, 040326, 2021).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Iterable
@@ -74,11 +75,10 @@ from .circuit import (
     _FIXED_1Q,
     _apply_1q,
     _check_basis_index,
-    _check_state,
     populations,
 )
 from .errors import DomainError, ValidationError
-from .linalg import _INTEGERS
+from .linalg import _INTEGERS, _REALS
 from .pauli import PauliString, decompose_ketbra
 
 
@@ -94,6 +94,11 @@ class ReadoutNoise:
     p10: tuple[float, ...]
 
     def __post_init__(self):
+        for name in ("p01", "p10"):
+            value = getattr(self, name)
+            listed = isinstance(value, Sequence) or isinstance(value, np.ndarray) and value.ndim == 1
+            if not listed or not all(isinstance(p, _REALS) for p in value):
+                raise ValidationError(f"{name} = {value!r} is not a sequence of real numbers")
         object.__setattr__(self, "p01", tuple(float(p) for p in self.p01))
         object.__setattr__(self, "p10", tuple(float(p) for p in self.p10))
         if len(self.p01) != len(self.p10):
@@ -121,6 +126,8 @@ class CalibrationMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.num_qubits, _INTEGERS):
+            raise ValidationError(f"num_qubits = {self.num_qubits!r} is not an integer")
         # A private read-only copy, so the cached condition number and
         # inverse stay valid.
         entries = np.array(self.entries, dtype=float)
@@ -501,8 +508,9 @@ def _draw_slots(readout: _Readout, slots: list, seed: int) -> np.ndarray:
 
 def _lone_draw(sv: np.ndarray, num_qubits: int, bases, readout: _Readout, seed: int):
     """The (bases, 2^n) frequencies of ``bases`` (basis indices) on one
-    state, whose norm and population sum are checked first."""
-    _check_state(sv)
+    state, whose population sum is checked first, as every lone-state
+    estimator checks it."""
+    populations(sv)
     if not bases:
         return np.empty((0, 0))
     reads = _basis_reads(sv[None], num_qubits, bases, readout)

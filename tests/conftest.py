@@ -26,8 +26,8 @@ parts CPython before 3.14 gives them, which do not change with the
 Python version.
 The ``reference_`` completion and solve are the scalar float code of
 one point at a time, and the ``reference_`` forward map is ``mp_forward``
-rounded to floats, kept to check which point of an array kernel's call
-fails first, and with which error type and message.
+rounded to floats, kept to check the error type and message of each
+failing point of an array kernel's call.
 The ``hypot_`` kernels are ``maxent``'s array kernels as they read when
 each took its moduli afresh with np.hypot, screened on moduli and
 computed both branches of every np.where on every point, kept to check
@@ -39,7 +39,7 @@ through ``M``, and mitigated and recombined by the scalar code of one
 draw; the sweep's batched draw must give the same tallies.
 ``reference_sweep_points`` is the sweep as it read when it built one
 point at a time in a loop, kept to check the sweep's columns bit for
-bit. The ``reference_emit``
+bit on sweeps that raise nothing. The ``reference_emit``
 functions and ``reference_write_columns`` are the CSV emit as it read
 when every row was one Python format call of a row template, kept to
 check the buffer emit of whole files byte for byte.
@@ -897,10 +897,41 @@ def reference_spectrum(n, l11, l1k, lkk):
     return float(z), (float(e11), complex(e1k), float(ekk))
 
 
-def reference_check_reproduction(spec, x_11, x_1k, x_kk):
+# Each check of the completion and solve below is followed by a yield, so
+# a generator of them runs one point a check at a time: the kernels run
+# each check over every point before the next (``failing_step``).
+
+
+def _finish(steps):
+    """Run the generator ``steps`` to its end and return its value."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as stop:
+            return stop.value
+
+
+def failing_step(steps):
+    """The number of checks the generator ``steps`` passes before one
+    raises, and that check's error; None when every check passes."""
+    passed = 0
+    while True:
+        try:
+            next(steps)
+        except StopIteration:
+            return None
+        except TomographyError as exc:
+            return passed, exc
+        passed += 1
+
+
+def reproduction_steps(spec, x_11, x_1k, x_kk):
+    """The reproduction check of the forward values of ``spec``: the
+    record check, then the deviation."""
     z, (e11, e1k, ekk) = spec
     f_11, f_1k, f_kk = e11 / z, e1k / z, ekk / z
     _check_record_values(f_11, f_1k, f_kk)
+    yield
     dev = max(abs(f_11 - x_11), abs(f_1k - x_1k), abs(f_kk - x_kk))
     if dev > 1e-6:
         raise TomographyError(
@@ -908,15 +939,21 @@ def reference_check_reproduction(spec, x_11, x_1k, x_kk):
         )
 
 
-def reference_solve(dim_n, x_11, x_1k, x_kk):
+def reference_check_reproduction(spec, x_11, x_1k, x_kk):
+    _finish(reproduction_steps(spec, x_11, x_1k, x_kk))
+
+
+def solve_steps(dim_n, x_11, x_1k, x_kk):
     """The multipliers (lam_11, lam_1k, lam_kk), near_singular and the
-    spectrum of the reproduction check of a valid record's values."""
+    spectrum of the reproduction check of a valid record's values, one
+    check at a time."""
     policy = maxent.POLICY
     if x_11 + x_kk >= 1.0 - policy.feasibility_atol:
         raise InfeasibleRecordError(
             f"x_11 + x_kk = {x_11 + x_kk} saturates 1; the partition "
             "function diverges (rescale the record first)"
         )
+    yield
     z = (dim_n - 2) / (1.0 - x_11 - x_kk)
     mid = 0.5 * (x_11 + x_kk)
     half_gap = 0.5 * (x_11 - x_kk)
@@ -928,6 +965,7 @@ def reference_solve(dim_n, x_11, x_1k, x_kk):
         raise InfeasibleRecordError(
             f"constraint minor has negative eigenvalue {w_lo:.3e}"
         )
+    yield
     if w_lo <= 8 * sys.float_info.epsilon * w_hi:
         w_lo = 0.0
     floor = policy.log_floor
@@ -946,20 +984,31 @@ def reference_solve(dim_n, x_11, x_1k, x_kk):
     lam_kk = -(avg - g * half_gap)
     if not math.isfinite(lam_11 + abs(lam_1k) + lam_kk):
         _name_non_finite(lam_11=lam_11, lam_1k=lam_1k, lam_kk=lam_kk)
+    yield
     spec = reference_spectrum(dim_n, lam_11, lam_1k, lam_kk)
-    reference_check_reproduction(spec, x_11, x_1k, x_kk)
+    yield
+    yield from reproduction_steps(spec, x_11, x_1k, x_kk)
     return (lam_11, lam_1k, lam_kk), near_singular, spec
 
 
-def reference_complete_and_solve(dim_n, x_11, x_1k, x_kk):
+def reference_solve(dim_n, x_11, x_1k, x_kk):
+    return _finish(solve_steps(dim_n, x_11, x_1k, x_kk))
+
+
+def completion_steps(dim_n, x_11, x_1k, x_kk):
     """The projected (x_11, x_1k, x_kk), before any rescale, and
-    ``reference_solve`` of the rescaled values."""
+    ``solve_steps`` of the rescaled values, one check at a time."""
     completed = reference_project(x_11, x_1k, x_kk)
+    yield
     x_11, x_1k, x_kk = completed
     c = reference_saturation_scale(x_11, x_kk)
     if c != 1.0:
         x_11, x_1k, x_kk = c * x_11, c * x_1k, c * x_kk
-    return completed, *reference_solve(dim_n, x_11, x_1k, x_kk)
+    return (completed, *(yield from solve_steps(dim_n, x_11, x_1k, x_kk)))
+
+
+def reference_complete_and_solve(dim_n, x_11, x_1k, x_kk):
+    return _finish(completion_steps(dim_n, x_11, x_1k, x_kk))
 
 
 def reference_sweep_points(cfg):
@@ -968,9 +1017,9 @@ def reference_sweep_points(cfg):
     one row of Python values per point in a loop over the points, a floor
     row with NaN prediction, fidelity and multipliers. The rows are
     returned as the columns of a ``Sweep``. It reads the circuit from
-    ``cfg.circuit_path``."""
+    ``cfg.circuit_path``. Each kernel call raises where it runs, case A's
+    completion before case B's: a sweep that raises is not its input."""
     from qmaxent.cli import Sweep, _k_targets, _sampled_values, resolve_circuit
-    from qmaxent.linalg import _earliest, _raise
     from qmaxent.sampler import _Readout, build_calibration
 
     circuit_text = resolve_circuit(cfg.circuit_path)
@@ -984,9 +1033,8 @@ def reference_sweep_points(cfg):
     shots = None if cfg.backend == "exact" else cfg.shots
     calibration = build_calibration(cfg.noise, num_qubits) if cfg.mitigate else None
     readout = _Readout(num_qubits, shots, cfg.noise, calibration)
-    states, failure = _sweep_states(circuit_text, thetas)
-    # The stack's failure covers each state's norm and population sum.
-    assert failure is None
+    # The stack's checks cover each state's norm and population sum.
+    states = _sweep_states(circuit_text, thetas)
     dists = readout.distribution(states)
     if shots is None:
         pops = dists
@@ -998,20 +1046,17 @@ def reference_sweep_points(cfg):
             states, num_qubits, dists, k_targets, readout, cfg.seed
         )
     solved = x11 > POLICY.population_floor
-    assert maxent._record_failure(x11[solved], x1k[solved]) is None
     x11_s, x1k_s = x11[solved], x1k[solved]
+    maxent._check_records(x11_s, x1k_s)
     modulus = maxent._modulus(x1k_s)
     xkk = maxent._predict_population(x11_s, modulus)[0]
-    (_, _, xkk_pred), lams_a, near_a, (z_a, block_a), failure_a = (
+    (_, _, xkk_pred), lams_a, near_a, (z_a, block_a) = (
         maxent._complete_and_solve(dim_n, x11_s, x1k_s, xkk, modulus)
     )
-    _, lams_b, near_b, (z_b, block_b), failure_b = maxent._complete_and_solve(
+    _, lams_b, near_b, (z_b, block_b) = maxent._complete_and_solve(
         dim_n, x11_s, x1k_s, xkk_true[solved], modulus
     )
-    fidelity, failure_f = maxent._block_fidelity(
-        dim_n, lams_a, z_a, block_a, lams_b, z_b, block_b
-    )
-    _raise(_earliest(failure_a, failure_b, failure_f))
+    fidelity = maxent._block_fidelity(dim_n, lams_a, z_a, block_a, lams_b, z_b, block_b)
     results = zip(
         xkk_pred.tolist(), fidelity.tolist(),
         *(v.tolist() for v in lams_a), near_a.tolist(),
@@ -1132,7 +1177,8 @@ def reference_emit_heatmap_csv(scan, path) -> None:
 # afresh in each kernel, every screen tested moduli, and every np.where
 # computed both of its branches on every point: the reference of the
 # kernels that take each modulus once and run each branch on its own
-# points, bit for bit and failure for failure.
+# points, bit for bit and error for error. Each check raises where it
+# runs, for its first failing point, as the kernels' checks do.
 
 
 def hypot_record_suspects(x11, x1k, xkk=None):
@@ -1152,8 +1198,8 @@ def hypot_record_suspects(x11, x1k, xkk=None):
     return ~ok
 
 
-def hypot_record_failure(x11, x1k, xkk=None):
-    return maxent._failure(hypot_record_suspects(x11, x1k, xkk), lambda i: maxent._raised(
+def hypot_check_records(x11, x1k, xkk=None):
+    maxent._check(hypot_record_suspects(x11, x1k, xkk), lambda i: maxent._raised(
         _check_record_values, x11[i].item(), x1k[i].item(),
         None if xkk is None else xkk[i].item(),
     ))
@@ -1177,11 +1223,11 @@ def hypot_exponent_spectrum(dim_n, l11, l1k, lkk):
         block = (np.where(up, small, large), -(s * l1k) + 0.0, np.where(up, large, small))
         z = lo + hi + float(dim_n - 2)
         domain = ~np.isfinite(z)
-    failure = maxent._failure(domain, lambda i: DomainError(
+    maxent._check(domain, lambda i: DomainError(
         f"exp(A) overflows for multipliers lam_11 = {l11[i].item()!r}, "
         f"lam_1k = {l1k[i].item()!r}, lam_kk = {lkk[i].item()!r}"
     ))
-    return (z, block), failure
+    return z, block
 
 
 def hypot_predict_population(x11, x1k):
@@ -1197,7 +1243,7 @@ def hypot_project(x11, x1k, xkk):
     with np.errstate(all="ignore"):
         modulus = np.hypot(x1k.real, x1k.imag)
         finite = np.isfinite(x11) & np.isfinite(x1k) & np.isfinite(xkk)
-        failure = maxent._failure(~finite | np.isinf(modulus), lambda i: maxent._raised(
+        maxent._check(~finite | np.isinf(modulus), lambda i: maxent._raised(
             _check_record_values, x11[i].item(), x1k[i].item(), xkk[i].item(),
         ))
         x11 = np.clip(x11, 0.0, 1.0)
@@ -1211,7 +1257,7 @@ def hypot_project(x11, x1k, xkk):
         bound = np.sqrt(x11 * xkk)
         modulus = np.hypot(x1k.real, x1k.imag)
         x1k = np.where(modulus > bound, x1k * (bound / modulus), x1k)
-    return (x11, x1k, xkk), failure
+    return x11, x1k, xkk
 
 
 def hypot_rescale(x11, x1k, xkk):
@@ -1242,19 +1288,17 @@ def hypot_deviation_suspects(forward, x11, x1k, xkk):
 def hypot_check_reproduction(spec, x11, x1k, xkk):
     f11, f1k, fkk = maxent._expectations(spec)
     suspects, dev = hypot_deviation_suspects((f11, f1k, fkk), x11, x1k, xkk)
-    return maxent._earliest(
-        hypot_record_failure(f11, f1k, fkk),
-        maxent._failure(suspects, lambda i: TomographyError(
-            f"solver failed to reproduce the record (deviation {dev[i].item():.3e})"
-        )),
-    )
+    hypot_check_records(f11, f1k, fkk)
+    maxent._check(suspects, lambda i: TomographyError(
+        f"solver failed to reproduce the record (deviation {dev[i].item():.3e})"
+    ))
 
 
 def hypot_solve(dim_n, x11, x1k, xkk):
     policy = maxent.POLICY
     with np.errstate(all="ignore"):
         total = x11 + xkk
-        saturated = maxent._failure(
+        maxent._check(
             total >= 1.0 - policy.feasibility_atol,
             lambda i: InfeasibleRecordError(
                 f"x_11 + x_kk = {total[i].item()} saturates 1; the partition "
@@ -1268,7 +1312,7 @@ def hypot_solve(dim_n, x11, x1k, xkk):
         w_hi = mid + r
         det = x11 * xkk - (x1k.real * x1k.real + x1k.imag * x1k.imag)
         w_lo = np.where(w_hi > 0, det / w_hi, 0.0)
-        negative = maxent._failure(
+        maxent._check(
             w_lo < -policy.record_atol,
             lambda i: InfeasibleRecordError(
                 f"constraint minor has negative eigenvalue {w_lo[i].item():.3e}"
@@ -1293,20 +1337,16 @@ def hypot_solve(dim_n, x11, x1k, xkk):
         lam_1k = -(g * x1k + 0.0)
         lam_kk = -(avg - g * half_gap)
         finite = np.isfinite(lam_11) & np.isfinite(lam_1k) & np.isfinite(lam_kk)
-    non_finite = maxent._failure(~finite, lambda i: maxent._raised(
+    maxent._check(~finite, lambda i: maxent._raised(
         _name_non_finite, lam_11=lam_11[i].item(), lam_1k=lam_1k[i].item(),
         lam_kk=lam_kk[i].item(),
     ))
-    spec, overflow = hypot_exponent_spectrum(dim_n, lam_11, lam_1k, lam_kk)
-    failure = maxent._earliest(
-        saturated, negative, non_finite, overflow,
-        hypot_check_reproduction(spec, x11, x1k, xkk),
-    )
-    return (lam_11, lam_1k, lam_kk), near_singular, spec, failure
+    spec = hypot_exponent_spectrum(dim_n, lam_11, lam_1k, lam_kk)
+    hypot_check_reproduction(spec, x11, x1k, xkk)
+    return (lam_11, lam_1k, lam_kk), near_singular, spec
 
 
 def hypot_complete_and_solve(dim_n, x11, x1k, xkk):
-    completed, bad_estimate = hypot_project(x11, x1k, xkk)
+    completed = hypot_project(x11, x1k, xkk)
     rescaled, _ = hypot_rescale(*completed)
-    lams, near_singular, spec, failure = hypot_solve(dim_n, *rescaled)
-    return completed, lams, near_singular, spec, maxent._earliest(bad_estimate, failure)
+    return (completed, *hypot_solve(dim_n, *rescaled))

@@ -234,24 +234,23 @@ class TestBlockFidelity:
         with pytest.raises(DomainError, match=r"lamKK_b = -2800\.0, and exp"):
             block_fidelity(ls, ls)
 
-    def test_the_kernel_returns_its_first_overflow(self):
-        # Like every array kernel, the fidelity kernel raises nothing: it
-        # returns the first overflowing point with block_fidelity's error,
-        # and still gives the other points their values.
+    def test_the_kernel_raises_its_first_overflow(self):
+        # Like every array kernel, the fidelity kernel raises the first
+        # overflowing point's error, block_fidelity's for that point.
         sets = [
             LagrangeSet(4, 2, 0.1, 0.2j, 0.3),
             LagrangeSet(4, 2, -705.0, 0.0, -700.0),
             LagrangeSet(4, 2, -700.0, 0.0, -700.0),
         ]
         lams = tuple(np.array([getattr(s, f) for s in sets]) for f in ("lam_11", "lam_1k", "lam_kk"))
-        (z, block), overflow = maxent._exponent_spectrum(4, *lams)
-        assert overflow is None
-        value, failure = maxent._block_fidelity(4, lams, z, block, lams, z, block)
-        assert failure[0] == 1
-        with pytest.raises(DomainError) as caught:
+        z, block = maxent._exponent_spectrum(4, *lams)
+        with pytest.raises(DomainError) as want:
             block_fidelity(sets[1], sets[1])
-        assert (type(failure[1]), str(failure[1])) == (DomainError, str(caught.value))
-        assert value[0] == block_fidelity(sets[0], sets[0])
+        with pytest.raises(DomainError) as got:
+            maxent._block_fidelity(4, lams, z, block, lams, z, block)
+        assert str(got.value) == str(want.value)
+        first = tuple(v[:1] for v in lams), z[:1], tuple(v[:1] for v in block)
+        assert maxent._block_fidelity(4, *first, *first)[0] == block_fidelity(sets[0], sets[0])
 
     def test_sweeps_build_no_dense_matrix_per_point(self, monkeypatch):
         def forbidden(*args, **kwargs):

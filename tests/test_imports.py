@@ -1,4 +1,6 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no
+module-level name of the package or of the tests' ``conftest.py`` goes
+unread.
 
 The package's own ``__init__.py`` is left out: its imports are the
 public surface. A name counts as used when it is read anywhere in the
@@ -89,6 +91,15 @@ def test_every_module_level_name_is_read():
     }
     sources = {str(p.relative_to(PACKAGE)): p.read_text() for p in sorted(PACKAGE.rglob("*.py"))}
     assert unread_names(sources, exported) == []
+
+
+def test_every_conftest_name_is_read():
+    # Each module-level name of the tests' ``conftest.py`` is read by it or
+    # by a test module, so a helper left behind by a rewrite fails here.
+    tests = Path(__file__).resolve().parent
+    sources = {p.name: p.read_text() for p in sorted(tests.glob("*.py"))}
+    unread = unread_names(sources, set())
+    assert [name for name in unread if name.startswith("conftest.py ")] == []
 
 
 def test_a_left_over_helper_is_found():

@@ -2,8 +2,8 @@
 on its own points and screen on squared moduli; the ``hypot_`` kernels
 of ``conftest`` take every modulus afresh with np.hypot, screen on
 moduli and compute both branches of every np.where on every point.
-Every output here must be the same bits, and every failure the same
-(index, type, message), on hypothesis records and on fixed edge sets:
+Every call here must give the same bits, or raise an error of the same
+type and message, on hypothesis records and on fixed edge sets:
 NaN and infinite parts, subnormal couplings, |x1K| > 1, x11 + xKK past
 1 and within 1e-12 of it, rank-one minors, and multipliers from 1e154 to
 1e300. Each squared screen must also mark every point its hypot screen
@@ -19,18 +19,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    hypot_check_records,
     hypot_check_reproduction,
     hypot_complete_and_solve,
     hypot_deviation_suspects,
     hypot_exponent_spectrum,
     hypot_predict_population,
     hypot_project,
-    hypot_record_failure,
     hypot_record_suspects,
     hypot_rescale,
     hypot_solve,
 )
-from qmaxent import POLICY, maxent
+from qmaxent import POLICY, TomographyError, maxent
 
 INF, NAN = math.inf, math.nan
 TINY = 5e-324
@@ -51,18 +51,42 @@ def bits(value):
     return value.dtype.str, value.shape, value.tobytes()
 
 
-def failure_key(failure):
-    if failure is None:
-        return None
-    index, exc = failure
-    return index, type(exc), str(exc)
+def outcome(call):
+    """Whether ``call()`` passes, with the bits of its value or its
+    error's type and message."""
+    try:
+        return True, bits(call())
+    except TomographyError as exc:
+        return False, type(exc), str(exc)
 
 
 def same(got, want):
-    """``got`` and ``want``, (outputs..., failure), are the same bits and
-    the same failure."""
-    assert bits(got[:-1]) == bits(want[:-1])
-    assert failure_key(got[-1]) == failure_key(want[-1])
+    """The calls ``got`` and ``want`` give the same bits, or raise the
+    same error."""
+    assert outcome(got) == outcome(want)
+
+
+def same_each_point(kernel, reference, *arrays):
+    """``kernel`` against ``reference`` on ``arrays``, one per argument
+    (None is passed as it is): each point alone gives the same bits or
+    the same error; one call over the points that pass alone gives the
+    same bits; and one call over all of them gives the same bits or the
+    same error. Returns the indices of the points that pass alone."""
+    def take(keep):
+        return [a if a is None else a[keep] for a in arrays]
+
+    passing = []
+    for i in range(len(arrays[0])):
+        one = take(slice(i, i + 1))
+        got = outcome(lambda: kernel(*one))
+        assert got == outcome(lambda: reference(*one))
+        if got[0]:
+            passing.append(i)
+    passing = np.array(passing, int)
+    kept = take(passing)
+    assert bits(kernel(*kept)) == bits(reference(*kept))
+    same(lambda: kernel(*arrays), lambda: reference(*arrays))
+    return passing
 
 
 def columns(records):
@@ -74,37 +98,45 @@ def columns(records):
 
 def check_records(records):
     """Every record kernel on ``records``, (x11, Re x1K, Im x1K, xKK)
-    tuples, against its hypot reference."""
+    tuples, against its hypot reference, point by point and in one call."""
     x11, x1k, xkk = columns(records)
     modulus = maxent._modulus(x1k)
     assert bits(modulus) == bits(np.hypot(x1k.real, x1k.imag))
     for kkk in (None, xkk):
         want = hypot_record_suspects(x11, x1k, kkk)
         assert not (want & ~maxent._record_suspects(x11, x1k, kkk)).any()
-        assert failure_key(maxent._record_failure(x11, x1k, kkk)) == (
-            failure_key(hypot_record_failure(x11, x1k, kkk))
-        )
-    same(maxent._project(x11, x1k, xkk, modulus), hypot_project(x11, x1k, xkk))
+        same_each_point(maxent._check_records, hypot_check_records, x11, x1k, kkk)
+    same_each_point(
+        lambda x11, x1k, xkk: maxent._project(x11, x1k, xkk, maxent._modulus(x1k)),
+        hypot_project, x11, x1k, xkk,
+    )
     assert bits(maxent._predict_population(x11, modulus)) == (
         bits(hypot_predict_population(x11, x1k))
     )
     assert bits(maxent._rescale(x11, x1k, xkk)) == bits(hypot_rescale(x11, x1k, xkk))
     for dim_n in (4, 8):
-        same(maxent._solve(dim_n, x11, x1k, xkk), hypot_solve(dim_n, x11, x1k, xkk))
-        same(
-            maxent._complete_and_solve(dim_n, x11, x1k, xkk, modulus),
-            hypot_complete_and_solve(dim_n, x11, x1k, xkk),
+        same_each_point(
+            lambda *x: maxent._solve(dim_n, *x), lambda *x: hypot_solve(dim_n, *x), x11, x1k, xkk
+        )
+        same_each_point(
+            lambda x11, x1k, xkk: maxent._complete_and_solve(
+                dim_n, x11, x1k, xkk, maxent._modulus(x1k)
+            ),
+            lambda *x: hypot_complete_and_solve(dim_n, *x), x11, x1k, xkk,
         )
 
 
 def check_multipliers(lams):
-    """The forward kernel and the reproduction check on the forward
-    values of ``lams``, (lam11, Re lam1K, Im lam1K, lamKK) tuples."""
+    """The forward kernel on ``lams``, (lam11, Re lam1K, Im lam1K, lamKK)
+    tuples, point by point and in one call, and the reproduction check on
+    the forward values of those whose exp(A) stays in the float range."""
     l11, l1k, lkk = columns(lams)
     for dim_n in (4, 8):
-        got = maxent._exponent_spectrum(dim_n, l11, l1k, lkk)
-        same(got, hypot_exponent_spectrum(dim_n, l11, l1k, lkk))
-        spec = got[0]
+        kept = same_each_point(
+            lambda *l: maxent._exponent_spectrum(dim_n, *l),
+            lambda *l: hypot_exponent_spectrum(dim_n, *l), l11, l1k, lkk,
+        )
+        spec = maxent._exponent_spectrum(dim_n, l11[kept], l1k[kept], lkk[kept])
         forward = maxent._expectations(spec)
         assert not (hypot_record_suspects(*forward) & ~maxent._record_suspects(*forward)).any()
         # The forward values themselves, and moved by about the tolerance.
@@ -116,8 +148,9 @@ def check_reproduction(spec, x11, x1k, xkk):
     forward = maxent._expectations(spec)
     want, _ = hypot_deviation_suspects(forward, x11, x1k, xkk)
     assert not (want & ~maxent._deviation_suspects(forward, x11, x1k, xkk)).any()
-    assert failure_key(maxent._check_reproduction(spec, x11, x1k, xkk)) == (
-        failure_key(hypot_check_reproduction(spec, x11, x1k, xkk))
+    same(
+        lambda: maxent._check_reproduction(spec, x11, x1k, xkk),
+        lambda: hypot_check_reproduction(spec, x11, x1k, xkk),
     )
 
 

@@ -12,7 +12,6 @@ import math
 import warnings
 
 from qmaxent import DomainError, InfeasibleRecordError, ValidationError, maxent
-from qmaxent.linalg import _raise
 from qmaxent.maxent import (
     LagrangeSet,
     MeasurementRecord,
@@ -213,8 +212,7 @@ class TestSolveRecord:
 
     def test_noisy_estimate_is_projected(self):
         completed, _ = solve_record(MeasurementRecord(4, 2, 0.52, 0.53), 0.51)
-        projected, failure = project(*arrays(0.52, 0.53 + 0j, 0.51))
-        assert failure is None
+        projected = project(*arrays(0.52, 0.53 + 0j, 0.51))
         assert completed == kernel_record(completed, projected)
         assert (completed.x_11, completed.x_kk) != (0.52, 0.51)
 
@@ -251,7 +249,7 @@ class TestNonFiniteRecords:
         values = {"x_11": 0.3, "x_1k": 0.1, "x_kk": 0.2, name: bad}
         match = f"^{name} = .*inf.* is not finite$"
         with pytest.raises(ValidationError, match=match):
-            _raise(project(*arrays(values["x_11"], complex(values["x_1k"]), values["x_kk"]))[1])
+            project(*arrays(values["x_11"], complex(values["x_1k"]), values["x_kk"]))
         x_kk = values.pop("x_kk")
         # An infinite x_11 or x_1k is refused by the record solve_record takes.
         with pytest.raises(ValidationError, match=match):
@@ -309,10 +307,10 @@ class TestProperties:
         assert [v.tobytes() for v in rescaled] == [v.tobytes() for v in values]
 
     def test_projection_of_noisy_estimates_is_feasible(self):
-        (x11, x1k, xkk), _ = project(*arrays(0.52, 0.53 + 0j, 0.51))
+        x11, x1k, xkk = project(*arrays(0.52, 0.53 + 0j, 0.51))
         assert x11[0] + xkk[0] <= 1.0 + 1e-12
         assert abs(x1k[0]) ** 2 <= x11[0] * xkk[0] + 1e-12
-        (x11, x1k, xkk), _ = project(*arrays(0.25, 0.1 + 0.1j, 0.25))
+        x11, x1k, xkk = project(*arrays(0.25, 0.1 + 0.1j, 0.25))
         assert x11[0] == 0.25 and xkk[0] == 0.25
         assert x1k[0] == 0.1 + 0.1j
 
@@ -324,10 +322,7 @@ class TestProperties:
         rng = np.random.default_rng(123)
         for _ in range(100):
             mr = random_feasible_record(rng)
-            lams, _, (z, block), failure = maxent._solve(
-                mr.dim_n, *arrays(mr.x_11, mr.x_1k, mr.x_kk)
-            )
-            assert failure is None
+            lams, _, (z, block) = maxent._solve(mr.dim_n, *arrays(mr.x_11, mr.x_1k, mr.x_kk))
             z, (e11, e1k, ekk) = z[0].item(), (v[0].item() for v in block)
             assert z == pytest.approx(e11 + ekk + (mr.dim_n - 2), rel=2 * EPS)
             assert z == pytest.approx((mr.dim_n - 2) / (1 - mr.x_11 - mr.x_kk), rel=1e-13)
@@ -357,7 +352,7 @@ class TestScalarInputErrors:
             lambda z: MeasurementRecord(4, 2, 0.5, z),
             lambda z: MeasurementRecord(4, 2, 0.5, z, 0.25),
             lambda z: predict_population(0.5, z),
-            lambda z: _raise(project(*arrays(0.5, z, 0.25))[1]),
+            lambda z: project(*arrays(0.5, z, 0.25)),
             lambda z: LagrangeSet(4, 2, 0.5, z, 0.25),
         ],
     )

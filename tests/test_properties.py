@@ -327,24 +327,25 @@ def test_projection_is_feasible_and_the_float_path_is_the_public_chain(estimate)
     n, k, x11, x1k, xkk = estimate
     points = maxent._arrays(x11, x1k, xkk)
     modulus = maxent._modulus(points[1])
-    projected, failure = maxent._project(*points, modulus)
-    assert failure is None
+    projected = maxent._project(*points, modulus)
     # The records check the invariants of the projected and rescaled values.
     record = MeasurementRecord(n, k, *(v.item() for v in projected))
     rescaled, _ = maxent._rescale(*projected)
     rescaled = MeasurementRecord(n, k, *(v.item() for v in rescaled))
-
-    completed, lams, near_singular, _, failure = maxent._complete_and_solve(n, *points, modulus)
-    completed = [v.item() for v in completed]
-    assert _bits(completed[0], completed[1].real, completed[1].imag, completed[2]) == _bits(
+    x11, x1k, xkk = (v.item() for v in projected)
+    assert _bits(x11, x1k.real, x1k.imag, xkk) == _bits(
         record.x_11, record.x_1k.real, record.x_1k.imag, record.x_kk
     )
+
     chain = _solve_outcome(lambda: solve_lagrange(rescaled))
-    if failure is not None:
-        floats = type(failure[1]), str(failure[1])
-    else:
-        lam_11, lam_1k, lam_kk = (v.item() for v in lams)
-        floats = (
-            _bits(lam_11, lam_1k.real, lam_1k.imag, lam_kk), near_singular.item()
-        )
-    assert floats == chain
+    try:
+        completed, lams, near_singular, _ = maxent._complete_and_solve(n, *points, modulus)
+    except TomographyError as exc:
+        assert (type(exc), str(exc)) == chain
+        return
+    completed = [v.item() for v in completed]
+    assert _bits(completed[0], completed[1].real, completed[1].imag, completed[2]) == _bits(
+        x11, x1k.real, x1k.imag, xkk
+    )
+    lam_11, lam_1k, lam_kk = (v.item() for v in lams)
+    assert (_bits(lam_11, lam_1k.real, lam_1k.imag, lam_kk), near_singular.item()) == chain

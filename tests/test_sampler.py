@@ -18,6 +18,7 @@ from qmaxent import DomainError, TomographyError, ValidationError, circuits
 from qmaxent import circuit, sampler
 from qmaxent.cli import ExperimentConfig, run_sweep
 from qmaxent.circuit import (
+    Circuit,
     Gate,
     _matrix_1q,
     _sweep_states,
@@ -25,6 +26,7 @@ from qmaxent.circuit import (
     parse_circuit,
     populations,
     simulate,
+    zero_state,
 )
 from qmaxent.pauli import PauliString, decompose_ketbra
 from qmaxent.sampler import (
@@ -562,8 +564,7 @@ class TestReadoutChecks:
         # norm of a rotated row moves by rounding only, far inside the
         # 1e-10 tolerance of the checks made before the rotations.
         text = circuits.load(model)
-        states, failure = _sweep_states(text, np.linspace(0.0, 2 * np.pi, 401).tolist())
-        assert failure is None
+        states = _sweep_states(text, np.linspace(0.0, 2 * np.pi, 401).tolist())
         n = states.shape[1].bit_length() - 1
         bases = {b for k in range(2, 2**n + 1) for b in sampler._ketbra_plan(k, 1, n)[0]}
         norms = types.SimpleNamespace(distribution=lambda block: np.linalg.norm(block, axis=-1))
@@ -573,9 +574,14 @@ class TestReadoutChecks:
 
     def test_population_sum(self):
         cal = build_calibration(ReadoutNoise.uniform(0.02, 0.04, 2), 2)
+        # Every lone-state estimator checks the population sum alone.
         for shots in (None, 100):
             with pytest.raises(ValidationError, match="state is not normalized"):
                 estimate_populations(1.1 * BELL_SV, shots, calibration=cal)
+            with pytest.raises(ValidationError, match="state is not normalized"):
+                estimate_coherence(1.1 * BELL_SV, 4, 1, shots, calibration=cal)
+            with pytest.raises(ValidationError, match="state is not normalized"):
+                estimate_paulis(1.1 * BELL_SV, [PauliString(("X", "X"))], shots, calibration=cal)
         # The check of a lone state is its norm, then its population sum.
         with pytest.raises(TomographyError, match="^statevector norm drifted"):
             circuit._check_state(1.1 * BELL_SV)
@@ -669,6 +675,41 @@ class TestReadoutChecks:
         with pytest.raises(ValidationError) as caught:
             call()
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        ("call", "message"),
+        [
+            (lambda: ReadoutNoise(0.1, 0.1), "p01 = 0.1 is not a sequence of real numbers"),
+            (
+                lambda: ReadoutNoise((0.1,), ("0.1",)),
+                "p10 = ('0.1',) is not a sequence of real numbers",
+            ),
+            (lambda: CalibrationMatrix("2", np.eye(4)), "num_qubits = '2' is not an integer"),
+            (lambda: CalibrationMatrix(2.0, np.eye(4)), "num_qubits = 2.0 is not an integer"),
+            (lambda: Circuit(2.5), "num_qubits = 2.5 is not an integer"),
+            (lambda: Circuit(2, ["h"]), "gates = ['h'] is not a sequence of Gates"),
+            (lambda: apply_gates(zero_state(2), "h", 2), "gates = 'h' is not a sequence of Gates"),
+            (
+                lambda: Circuit(2, Gate("h", (0,))),
+                "gates = Gate(kind='h', targets=(0,), angle=None) is not a sequence of Gates",
+            ),
+            (
+                lambda: apply_gates(zero_state(2), Gate("h", (0,)), 2),
+                "gates = Gate(kind='h', targets=(0,), angle=None) is not a sequence of Gates",
+            ),
+            (lambda: apply_gates(zero_state(2), (), 2.0), "n = 2.0 is not an integer"),
+            (lambda: simulate("qubits 1"), "c = 'qubits 1' is not a Circuit"),
+        ],
+    )
+    def test_an_argument_of_the_wrong_type_names_itself(self, call, message):
+        with pytest.raises(ValidationError) as caught:
+            call()
+        assert str(caught.value) == message
+
+    def test_flip_probabilities_may_be_a_numpy_array(self):
+        noise = ReadoutNoise(np.array([0.1, 0.2]), np.array([0.0, 0.05]))
+        assert noise == ReadoutNoise((0.1, 0.2), (0.0, 0.05))
+        assert all(type(p) is float for p in noise.p01 + noise.p10)
 
 
 class TestCalibration:

@@ -6,17 +6,20 @@ point. Each stage of each element must lie within a few units of
 rounding of the same formula in 60-digit arithmetic (the ``mp_`` kernels
 of ``conftest``), taken on that stage's float inputs, whatever the other
 points of the call. The bounds are in units of the float epsilon, scaled
-by each quantity's size and its condition (see ``BOUNDS``). A call with
-failing points must report the first failing point's error with the type
-and message of the scalar reference in ``conftest``. The inputs reach
-every branch of the completion, the solve and the forward map, one point
-per call and mixed in one call.
+by each quantity's size and its condition (see ``BOUNDS``). A failing
+point alone raises the error of the scalar reference in ``conftest``,
+type and message, and a call raises the error of the first point of the
+earliest check any of its points fails. The inputs reach every branch of
+the completion, the solve and the forward map, one point per call and
+mixed in one call.
 
-A sweep measures every point before it solves any, so its errors are
-ordered as the scalar loop ordered them: a point's case A before its case
-B, and a solve error before the error of any later point's measurement.
+A sweep raises the first error of its first failing stage: the binding
+and the states before any point is measured, the completion and solve
+step by step, then the fidelity. Within a step, a point's case A comes
+before its case B.
 """
 
+import dataclasses
 import math
 import sys
 
@@ -28,7 +31,9 @@ from conftest import (
     MP_DPS,
     TINY,
     check_forward,
+    completion_steps,
     error,
+    failing_step,
     mp_block_fidelity,
     mp_forward,
     mp_predict,
@@ -85,8 +90,11 @@ def outcome(call):
         return type(exc), str(exc)
 
 
-def error_of(failure):
-    return None if failure is None else (type(failure[1]), str(failure[1]))
+def raised(call):
+    """The type and message of the error ``call`` raises."""
+    with pytest.raises(TomographyError) as caught:
+        call()
+    return type(caught.value), str(caught.value)
 
 
 def points(records):
@@ -108,24 +116,36 @@ def at(arrays, i):
 
 
 def check_complete_and_solve(dim_n, records):
-    """One kernel call over ``records``, stage by stage against mpmath on
-    each point the reference solves, and its first failure against the
-    reference's."""
-    completed, lams, near_singular, spec, failure = complete_and_solve(
-        dim_n, *points(records)
-    )
-    rescaled, _ = maxent._rescale(*completed)
-    first = None
-    for i, (x11, x1k, xkk) in enumerate(records):
-        want = outcome(lambda: reference_complete_and_solve(dim_n, x11, x1k, xkk))
-        if isinstance(want[0], type):
-            first = first or (i, *want)
+    """The kernel on ``records`` against the scalar reference: one call
+    over the points the reference solves, stage by stage against mpmath;
+    each point the reference fails, alone, with the reference's error;
+    and one call over all of them, which raises the error of the first
+    point of the earliest check any point fails."""
+    solved, failing = [], []
+    for i, record in enumerate(records):
+        failure = failing_step(completion_steps(dim_n, *record))
+        if failure is None:
+            solved.append(record)
             continue
+        step, exc = failure
+        failing.append((step, i, exc))
+        assert raised(lambda: complete_and_solve(dim_n, *points([record]))) == (
+            type(exc), str(exc)
+        )
+    if failing:
+        _, _, exc = min(failing, key=lambda f: f[:2])
+        assert raised(lambda: complete_and_solve(dim_n, *points(records))) == (
+            type(exc), str(exc)
+        )
+    if not solved:
+        return
+    completed, lams, near_singular, spec = complete_and_solve(dim_n, *points(solved))
+    rescaled, _ = maxent._rescale(*completed)
+    for i, (x11, x1k, xkk) in enumerate(solved):
         check_record("project", at(completed, i), mp_project(x11, x1k, xkk))
         check_record("rescale", at(rescaled, i), mp_rescale(*at(completed, i)))
         check_solve(dim_n, at(rescaled, i), at(lams, i), near_singular[i].item())
         check_forward(dim_n, at(lams, i), spec[0][i].item(), at(spec[1], i))
-    assert (failure and (failure[0], *error_of(failure))) == first
 
 
 def check_sweep_kernels(dim_n, records):
@@ -142,15 +162,9 @@ def check_sweep_kernels(dim_n, records):
         return
     x11, x1k, xkk_true = points(solved)
     predicted = maxent._predict_population(x11, maxent._modulus(x1k))[0]
-    _, lams_a, _, (z_a, block_a), failure_a = complete_and_solve(
-        dim_n, x11, x1k, predicted
-    )
-    _, lams_b, _, (z_b, block_b), failure_b = complete_and_solve(
-        dim_n, x11, x1k, xkk_true
-    )
-    assert failure_a is None and failure_b is None
-    fid, failure = maxent._block_fidelity(dim_n, lams_a, z_a, block_a, lams_b, z_b, block_b)
-    assert failure is None
+    _, lams_a, _, (z_a, block_a) = complete_and_solve(dim_n, x11, x1k, predicted)
+    _, lams_b, _, (z_b, block_b) = complete_and_solve(dim_n, x11, x1k, xkk_true)
+    fid = maxent._block_fidelity(dim_n, lams_a, z_a, block_a, lams_b, z_b, block_b)
     for i, (x11_i, x1k_i, _) in enumerate(solved):
         want = mp_predict(x11_i, x1k_i)
         within("prediction", error(predicted[i].item(), want, max(abs(want), EPS)))
@@ -332,15 +346,17 @@ MULTIPLIERS = st.one_of(
     )
 )
 def test_forward_kernel_matches_mpmath(lams):
-    spec, failure = maxent._exponent_spectrum(8, *points(lams))
-    first = None
-    for i, values in enumerate(lams):
-        want = outcome(lambda: reference_spectrum(8, *values))
-        if isinstance(want[0], type):
-            first = first or (i, *want)
-            continue
-        check_forward(8, values, spec[0][i].item(), at(spec[1], i))
-    assert (failure and (failure[0], *error_of(failure))) == first
+    # A call raises its first overflowing point's error; the other points
+    # are checked in one call of their own.
+    wants = [outcome(lambda: reference_spectrum(8, *values)) for values in lams]
+    errors = [want for want in wants if isinstance(want[0], type)]
+    if errors:
+        assert raised(lambda: maxent._exponent_spectrum(8, *points(lams))) == errors[0]
+    solved = [values for values, want in zip(lams, wants) if not isinstance(want[0], type)]
+    if solved:
+        spec = maxent._exponent_spectrum(8, *points(solved))
+        for i, values in enumerate(solved):
+            check_forward(8, values, spec[0][i].item(), at(spec[1], i))
 
 
 @pytest.mark.parametrize(("im_lam1k", "lam_kk"), [(0.0, 0.0), (-0.0, 1.5), (0.7, -2.0)])
@@ -362,60 +378,54 @@ def test_heatmap_rows_match_mpmath(im_lam1k, lam_kk):
         ))
 
 
-def reference_error(call):
-    """The type and message of the error ``call`` raises."""
-    with pytest.raises(TomographyError) as caught:
-        call()
-    return type(caught.value), str(caught.value)
-
-
 class TestErrorOrder:
-    """A call with two failing points reports the first one, with the
-    reference's error; a later point's earlier step does not come first."""
+    """A call raises the error of the first point of its earliest failing
+    check, with the reference's error; within a check, the first point."""
 
     def test_a_saturated_sum(self):
         records = [(0.3, 0.1j, 0.2), (0.5, 0.1 + 0j, 0.5), (0.4, 0.0j, 0.6 + 1e-10)]
-        failure = maxent._solve(4, *points(records))[-1]
-        assert failure[0] == 1
-        want = reference_error(lambda: reference_solve(4, *records[1]))
+        want = raised(lambda: reference_solve(4, *records[1]))
         assert want[0] is InfeasibleRecordError
-        assert error_of(failure) == want
+        assert raised(lambda: maxent._solve(4, *points(records))) == want
 
-    def test_a_negative_minor_eigenvalue(self):
+    def test_a_later_saturated_sum_before_an_earlier_negative_eigenvalue(self):
         # Two minors whose determinant is below -1e-9, then a saturated sum:
-        # the first point's eigenvalue error comes first.
+        # the saturation check runs first, so the last point's error is
+        # raised; without it, the first negative minor's.
         records = [
             (0.3, 0.1j, 0.2), (0.1, 0.10000001 + 0j, 0.1), (0.1, 0.10000002j, 0.1),
             (0.5, 0j, 0.5),
         ]
-        failure = maxent._solve(4, *points(records))[-1]
-        assert failure[0] == 1
-        want = reference_error(lambda: reference_solve(4, *records[1]))
+        want = raised(lambda: reference_solve(4, *records[3]))
+        assert want == (
+            InfeasibleRecordError,
+            "x_11 + x_kk = 1.0 saturates 1; the partition function diverges "
+            "(rescale the record first)",
+        )
+        assert raised(lambda: maxent._solve(4, *points(records))) == want
+        want = raised(lambda: reference_solve(4, *records[1]))
         assert want[0] is InfeasibleRecordError
         assert want[1].startswith("constraint minor has negative eigenvalue -1.0")
-        assert error_of(failure) == want
+        assert raised(lambda: maxent._solve(4, *points(records[:3]))) == want
 
     def test_a_nan_estimate(self):
         records = [(0.3, 0.1j, 0.2), (0.3, complex(math.nan, 0.0), 0.2), (math.inf, 0j, 0.2)]
-        failure = complete_and_solve(4, *points(records))[-1]
-        assert failure[0] == 1
-        want = reference_error(lambda: reference_complete_and_solve(4, *records[1]))
+        want = raised(lambda: reference_complete_and_solve(4, *records[1]))
         assert want == (ValidationError, "x_1k = (nan+0j) is not finite")
-        assert error_of(failure) == want
+        assert raised(lambda: complete_and_solve(4, *points(records))) == want
 
     def test_an_overflow_through_the_heatmap(self):
-        want = reference_error(lambda: reference_spectrum(4, -800.0, 0j, 0.0))
+        want = raised(lambda: reference_spectrum(4, -800.0, 0j, 0.0))
         assert want[0] is DomainError
         with pytest.raises(DomainError) as caught:
             heatmap_scan([0.0, -800.0, -900.0], [0.0, 0.5], lam_kk=0.0)
         assert str(caught.value) == want[1]
         assert "lam_11 = -800.0, lam_1k = 0j, lam_kk = 0.0" in want[1]
 
-    def test_a_rejected_multiplier_before_a_later_overflow(self):
-        with pytest.raises(ValidationError, match=r"^lam_11 = nan is not finite$"):
-            heatmap_scan([0.0, math.nan, -800.0], [0.0])
-        with pytest.raises(DomainError, match="lam_11 = -800.0"):
-            heatmap_scan([0.0, -800.0, math.nan], [0.0])
+    def test_a_rejected_multiplier_before_any_overflow(self):
+        for lam11 in ([0.0, math.nan, -800.0], [0.0, -800.0, math.nan]):
+            with pytest.raises(ValidationError, match=r"^lam_11 = nan is not finite$"):
+                heatmap_scan(lam11, [0.0])
 
     def test_a_failed_reproduction(self, monkeypatch):
         # A forward kernel that is off by 0.1 in lam_11 from the second
@@ -427,18 +437,16 @@ class TestErrorOrder:
 
         monkeypatch.setattr(maxent, "_exponent_spectrum", off)
         records = [(0.3, 0.1j, 0.2), (0.4, 0.2 - 0.1j, 0.3), (0.2, 0.05 + 0j, 0.2)]
-        failure = maxent._solve(8, *points(records))[-1]
-        assert failure[0] == 1
         lams = reference_solve(8, *records[1])[0]
         shifted = reference_spectrum(8, lams[0] + 0.1, lams[1], lams[2])
-        want = reference_error(lambda: reference_check_reproduction(shifted, *records[1]))
+        want = raised(lambda: reference_check_reproduction(shifted, *records[1]))
         assert want[0] is TomographyError and "failed to reproduce" in want[1]
-        assert error_of(failure) == want
+        assert raised(lambda: maxent._solve(8, *points(records))) == want
 
     def test_the_public_wrappers_raise_the_reference_errors(self):
         with pytest.raises(InfeasibleRecordError) as caught:
             solve_lagrange(MeasurementRecord(4, 2, 0.5, 0.1, 0.5))
-        assert (type(caught.value), str(caught.value)) == reference_error(
+        assert (type(caught.value), str(caught.value)) == raised(
             lambda: reference_solve(4, 0.5, 0.1 + 0j, 0.5)
         )
         with pytest.raises(ValidationError) as caught:
@@ -446,14 +454,32 @@ class TestErrorOrder:
         assert str(caught.value) == "x_kk = inf is not finite"
 
 
+def overflow_at(monkeypatch, rows):
+    """Make the forward kernel overflow at each of ``rows`` of its call,
+    with lam_11 = -800 - row, so that its message names the row."""
+    compute = maxent._exponent_spectrum
+
+    def overflowing(n, l11, l1k, lkk):
+        l11 = l11.copy()
+        for row in rows:
+            l11[row] = -800.0 - row
+        return compute(n, l11, l1k, lkk)
+
+    monkeypatch.setattr(maxent, "_exponent_spectrum", overflowing)
+
+
+def overflow_message(row):
+    return f"exp(A) overflows for multipliers lam_11 = {-800.0 - row!r}"
+
+
 class TestSweepErrorOrder:
-    def test_a_solve_error_before_a_later_measurement_error(self, tmp_path, monkeypatch):
+    def test_a_binding_error_before_an_earlier_solve_error(self, tmp_path, monkeypatch):
         circuit = tmp_path / "overflow.qc"
         circuit.write_text("qubits 2\nrx(theta*1e308) 0\n")
         cfg = ExperimentConfig(
             str(circuit), theta_start=0.0, theta_stop=2.0, theta_steps=3, k_targets=(2,)
         )
-        # Unpatched, the last angle, 2e308, overflows while measuring.
+        # The last angle, 2e308, overflows at binding.
         with pytest.raises(ParseError, match="overflows"):
             run_sweep(cfg)
         compute = maxent._exponent_spectrum
@@ -464,48 +490,32 @@ class TestSweepErrorOrder:
             return compute(n, l11 + np.where(np.arange(l11.size) == 0, 50.0, 0.0), l1k, lkk)
 
         monkeypatch.setattr(maxent, "_exponent_spectrum", off_at_point_0)
-        with pytest.raises(TomographyError, match="failed to reproduce"):
+        with pytest.raises(ParseError, match="overflows"):
             run_sweep(cfg)
+        # Without the failing theta, point 0's solve error is raised.
+        with pytest.raises(TomographyError, match="failed to reproduce"):
+            run_sweep(dataclasses.replace(cfg, theta_steps=2, theta_stop=1.0))
 
-    @pytest.mark.parametrize(
-        ("a_at", "b_at", "raised"), [(1, 0, "case B at 0"), (0, 0, "case A at 0"), (0, 1, "case A at 0")]
-    )
-    def test_case_a_before_case_b_before_the_next_point(self, monkeypatch, a_at, b_at, raised):
+    @pytest.mark.parametrize(("a_at", "b_at"), [(1, 0), (0, 0), (0, 1), (2, 1)])
+    def test_case_a_before_case_b_within_a_step(self, monkeypatch, a_at, b_at):
         # One completion call solves both cases, point first: point i's
-        # case A is row 2i and its case B row 2i + 1, and the call reports
-        # its earliest failing row.
-        solve = cli._complete_and_solve
-
-        def failing(*args):
-            *values, _ = solve(*args)
-            return (*values, min(
-                (2 * a_at, TomographyError(f"case A at {a_at}")),
-                (2 * b_at + 1, TomographyError(f"case B at {b_at}")),
-                key=lambda failure: failure[0],
-            ))
-
-        monkeypatch.setattr(cli, "_complete_and_solve", failing)
-        with pytest.raises(TomographyError, match=f"^{raised}$"):
+        # case A is row 2i and its case B row 2i + 1, and a step raises
+        # its first failing row.
+        overflow_at(monkeypatch, (2 * a_at, 2 * b_at + 1))
+        with pytest.raises(DomainError) as caught:
             run_sweep(ExperimentConfig("twoq_a", theta_steps=3))
+        assert str(caught.value).startswith(overflow_message(min(2 * a_at, 2 * b_at + 1)))
 
-    @pytest.mark.parametrize(
-        ("b_at", "fidelity_at", "raised"),
-        [(1, 0, "fidelity at 0"), (0, 0, "case B at 0"), (0, 1, "case B at 0")],
-    )
-    def test_a_fidelity_error_in_point_order(self, monkeypatch, b_at, fidelity_at, raised):
-        # A point's fidelity comes after its case B, before the next point.
-        solve, fidelity = cli._complete_and_solve, cli._block_fidelity
-
-        def failing_solve(*args):
-            # Point b_at's case B is row 2 b_at + 1 of the one call.
-            *values, _ = solve(*args)
-            return (*values, (2 * b_at + 1, TomographyError(f"case B at {b_at}")))
-
+    def test_a_solve_error_before_an_earlier_fidelity_error(self, monkeypatch):
+        # The fidelity fails at point 0, the solve at point 2's case B.
         def failing_fidelity(*args):
-            value, _ = fidelity(*args)
-            return value, (fidelity_at, DomainError(f"fidelity at {fidelity_at}"))
+            raise DomainError("fidelity at 0")
 
-        monkeypatch.setattr(cli, "_complete_and_solve", failing_solve)
         monkeypatch.setattr(cli, "_block_fidelity", failing_fidelity)
-        with pytest.raises(TomographyError, match=f"^{raised}$"):
-            run_sweep(ExperimentConfig("twoq_a", theta_steps=3))
+        cfg = ExperimentConfig("twoq_a", theta_steps=3)
+        with pytest.raises(DomainError, match="^fidelity at 0$"):
+            run_sweep(cfg)
+        overflow_at(monkeypatch, (5,))
+        with pytest.raises(DomainError) as caught:
+            run_sweep(cfg)
+        assert str(caught.value).startswith(overflow_message(5))

@@ -6,12 +6,14 @@ text at once and applies each gate once to the (T, 2^n) stack of states.
 Each row has the bytes of ``simulate(parse_circuit(text, theta))`` and of
 the simulator as it read before stacking (``reference_simulate``), and
 its populations and coherences have those of the one-vector readouts.
-The first theta that fails a check (its binding, its norm, its
-population sum) reports the error of the one-theta path; a sweep
-measures the thetas before it, and an earlier point's solve error still
-comes first.
+A grid with a failing theta raises the one-theta path's error of its
+first theta that fails its binding or, when none does, of its first
+theta that fails its state check (its norm, its population sum). A sweep
+raises it before any point is measured, so before the solve error of
+any point.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -64,6 +66,16 @@ theta_grids = st.lists(
 )
 
 
+def binding_error(text: str, theta: float):
+    """The type and message of the error ``parse_circuit`` raises for
+    ``theta``, or None."""
+    try:
+        parse_circuit(text, theta)
+    except ParseError as exc:
+        return type(exc), str(exc)
+    return None
+
+
 def one_theta(text: str, theta: float):
     """What the one-theta path makes of ``theta``: the bytes of the state,
     of its populations and of its coherences with basis state 1, or the
@@ -79,26 +91,30 @@ def one_theta(text: str, theta: float):
 @given(circuit_texts(), theta_grids)
 @settings(max_examples=300)
 def test_every_row_has_the_bytes_of_one_theta(text, grid):
+    # A grid with a failing theta raises a binding error before a state
+    # error; the thetas that pass make a grid of their own.
     want = [one_theta(text, theta) for theta in grid]
-    stop = next((i for i, w in enumerate(want) if not isinstance(w[0], bytes)), len(grid))
-    states, failure = circuit._sweep_states(text, grid)
-    if stop < len(grid):
-        index, error = failure
-        assert index == stop
-        assert (type(error), str(error)) == want[stop]
-    else:
-        assert failure is None
+    passing = [i for i, w in enumerate(want) if isinstance(w[0], bytes)]
+    if len(passing) < len(grid):
+        bindings = [e for e in (binding_error(text, theta) for theta in grid) if e]
+        errors = bindings or [w for w in want if not isinstance(w[0], bytes)]
+        with pytest.raises(TomographyError) as caught:
+            circuit._sweep_states(text, grid)
+        assert (type(caught.value), str(caught.value)) == errors[0]
+    if not passing:
+        return
+    states = circuit._sweep_states(text, [grid[i] for i in passing])
     n = states.shape[1].bit_length() - 1
-    for state in states[:stop]:
+    for state in states:
         circuit._check_state(state)
-    dists = sampler._Readout(n, None, None, None).distribution(states[:stop])
-    coherences = np.array(
-        [circuit._coherence(states[:stop], k, 1) for k in range(1, 2**n + 1)]
-    ).T
-    for i in range(stop):
+    dists = sampler._Readout(n, None, None, None).distribution(states)
+    coherences = np.array([circuit._coherence(states, k, 1) for k in range(1, 2**n + 1)]).T
+    for row, i in enumerate(passing):
         reference = reference_simulate(reference_parse_circuit(text, grid[i]))
-        assert states[i].tobytes() == reference.tobytes()
-        assert (states[i].tobytes(), dists[i].tobytes(), coherences[i].tobytes()) == want[i]
+        assert states[row].tobytes() == reference.tobytes()
+        assert (
+            states[row].tobytes(), dists[row].tobytes(), coherences[row].tobytes()
+        ) == want[i]
 
 
 # Texts whose failing thetas the stack's screen must all find: a
@@ -139,10 +155,13 @@ def test_the_screen_finds_every_failing_theta(body):
     text = "qubits 2\n" + body
     for start in range(len(EDGE_GRID)):
         grid = list(EDGE_GRID[start:])
-        _, failure = circuit._sweep_states(text, grid)
-        if failure is not None:
-            failure = failure[0], type(failure[1]), str(failure[1])
-        assert failure == reference_failure(text, grid)
+        want = reference_failure(text, grid)
+        if want is None:
+            circuit._sweep_states(text, grid)
+            continue
+        with pytest.raises(want[1]) as caught:
+            circuit._sweep_states(text, grid)
+        assert str(caught.value) == want[2]
 
 
 @pytest.mark.parametrize("body", THETA_FREE_ERRORS)
@@ -173,8 +192,7 @@ def test_noisy_rows_are_read_as_one_product(shots):
     # differently from M p on each state, by at most an ulp or two; a
     # lone state's read keeps the bytes of M p.
     thetas = np.linspace(-3.0, 3.0, 41).tolist()
-    states, failure = circuit._sweep_states(circuits.load("threeq_a"), thetas)
-    assert failure is None
+    states = circuit._sweep_states(circuits.load("threeq_a"), thetas)
     noise = ReadoutNoise.uniform(0.02, 0.04, 3)
     matrix = build_calibration(noise, 3).entries
     readout = sampler._Readout(3, shots, noise, None)
@@ -245,42 +263,60 @@ def failing_sweep(name, monkeypatch, tmp_path):
     return cfg, mid, lambda: simulate(parse_circuit(text, theta))
 
 
+def earlier_thetas(cfg, mid):
+    """``cfg`` cut to its thetas before index ``mid``, which pass."""
+    thetas = np.linspace(cfg.theta_start, cfg.theta_stop, cfg.theta_steps).tolist()
+    return dataclasses.replace(cfg, theta_stop=thetas[mid - 1], theta_steps=mid)
+
+
 class TestErrorOrder:
+    @pytest.mark.parametrize("backend", ["exact", "shots"])
     @pytest.mark.parametrize("name", CASES)
-    def test_raises_the_one_theta_error_after_the_earlier_thetas(
-        self, monkeypatch, tmp_path, name
+    def test_a_failing_theta_raises_before_any_point_is_measured(
+        self, monkeypatch, tmp_path, name, backend
     ):
         cfg, mid, one = failing_sweep(name, monkeypatch, tmp_path)
+        if backend == "shots":
+            cfg = dataclasses.replace(cfg, backend="shots", shots=100)
         with pytest.raises(TomographyError) as want:
             one()
         assert type(want.value) is {
             "overflow": ParseError, "division_by_zero": ParseError,
             "norm_drift": TomographyError, "population_sum": ValidationError,
         }[name]
-        # The exact backend reads its points off the stack without a
-        # draw; the prediction kernel gets every measured point.
-        measured = []
-        predict = cli._predict_population
+        # No point is predicted, and no multinomial draw is made.
+        calls = []
+        predict, tally = cli._predict_population, sampler._Readout.tally
         monkeypatch.setattr(
             cli, "_predict_population",
-            lambda x11, x1k: measured.append(len(x11)) or predict(x11, x1k),
+            lambda *args: calls.append("predict") or predict(*args),
+        )
+        monkeypatch.setattr(
+            sampler._Readout, "tally",
+            lambda self, *args: calls.append("tally") or tally(self, *args),
         )
         with pytest.raises(TomographyError) as got:
             run_sweep(cfg)
-        assert type(got.value) is type(want.value)
-        assert str(got.value) == str(want.value)
-        # Every K of every theta before the failing one was measured.
-        assert measured == [mid * len(cfg.k_targets)]
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+        assert calls == []
+        # The thetas before it are measured and predicted when alone.
+        run_sweep(earlier_thetas(cfg, mid))
+        assert calls == ["tally"] * (backend == "shots") + ["predict"]
 
     @pytest.mark.parametrize("name", CASES)
-    def test_an_earlier_solve_error_comes_first(self, monkeypatch, tmp_path, name):
-        cfg, _, _ = failing_sweep(name, monkeypatch, tmp_path)
-        solve = cli._complete_and_solve
+    def test_a_binding_or_state_error_before_an_earlier_solve_error(
+        self, monkeypatch, tmp_path, name
+    ):
+        cfg, mid, one = failing_sweep(name, monkeypatch, tmp_path)
 
         def failing(*args):
-            *result, _ = solve(*args)
-            return (*result, (0, TomographyError("solve of point 0 failed")))
+            raise TomographyError("solve of point 0 failed")
 
         monkeypatch.setattr(cli, "_complete_and_solve", failing)
-        with pytest.raises(TomographyError, match="^solve of point 0 failed$"):
+        with pytest.raises(TomographyError) as want:
+            one()
+        with pytest.raises(TomographyError) as got:
             run_sweep(cfg)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+        with pytest.raises(TomographyError, match="^solve of point 0 failed$"):
+            run_sweep(earlier_thetas(cfg, mid))
