@@ -2,7 +2,7 @@
 
 Modules:
 
-- ``linalg``: Hermitian checks and the tolerance policy.
+- ``linalg``: the Hermitian check, the argument tests and the kernels' screen.
 - ``maxent``: the reconstruction engine (the population prediction, the
   completion and multiplier solve, the density matrix, the fidelity).
 - ``circuit``: gate DSL parser and exact statevector simulator.
@@ -29,7 +29,6 @@ from .errors import (
     TomographyError,
     ValidationError,
 )
-from .linalg import POLICY, NumericPolicy
 from .maxent import (
     LagrangeSet,
     MeasurementRecord,

@@ -68,12 +68,21 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParseError, TomographyError, ValidationError
-from .linalg import _INTEGERS, _REALS, _check, _raised
+from .linalg import _INTEGERS, _REALS, _check, _check_text, _raised
 
 GATE_KINDS = ("h", "x", "cx", "cz", "rx", "ry", "rz")
 _ROTATIONS = ("rx", "ry", "rz")
 _TWO_QUBIT = ("cx", "cz")
 MAX_QUBITS = 6
+
+
+def _check_qubits(name: str, n) -> None:
+    """Raise ValidationError unless ``n`` is an integer in [1, MAX_QUBITS],
+    before any 2**n is taken."""
+    if not isinstance(n, _INTEGERS):
+        raise ValidationError(f"{name} = {n!r} is not an integer")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValidationError(f"{name} must be in [1, {MAX_QUBITS}], got {n}")
 
 
 @dataclass(frozen=True)
@@ -117,12 +126,7 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.num_qubits, _INTEGERS):
-            raise ValidationError(f"num_qubits = {self.num_qubits!r} is not an integer")
-        if not 1 <= self.num_qubits <= MAX_QUBITS:
-            raise ValidationError(
-                f"num_qubits must be in [1, {MAX_QUBITS}], got {self.num_qubits}"
-            )
+        _check_qubits("num_qubits", self.num_qubits)
         object.__setattr__(self, "gates", _gate_tuple(self.gates))
         for g in self.gates:
             if any(q < 0 or q >= self.num_qubits for q in g.targets):
@@ -348,7 +352,9 @@ def parse_circuit(text: str, theta: float | None = None) -> Circuit:
     before any binding. Then each rotation that uses theta is bound in
     line order, raising the errors theta decides: an unbound or
     non-finite theta (at the first such rotation), a division by a theta
-    that is zero, an angle that overflows."""
+    that is zero, an angle that overflows. A ``text`` that is not a str
+    raises ValidationError."""
+    _check_text(text)
     parsed = _parse_text(text)
     gates, bound = [], None
     for gate in parsed.gates:
@@ -369,6 +375,7 @@ def parse_circuit(text: str, theta: float | None = None) -> Circuit:
 def qubit_count(text: str) -> int:
     """The qubit count of ``text``, read without binding a theta. Raises
     the first theta-free parse error of ``text``, if it has one."""
+    _check_text(text)
     return _parse_text(text).num_qubits
 
 
@@ -495,6 +502,7 @@ def _apply(state: np.ndarray, gates, n: int) -> np.ndarray:
 
 def zero_state(num_qubits: int) -> np.ndarray:
     """Amplitude vector of |0...0> on ``num_qubits`` qubits."""
+    _check_qubits("num_qubits", num_qubits)
     state = np.zeros(2**num_qubits, dtype=complex)
     state[0] = 1.0
     return state
@@ -506,8 +514,7 @@ def apply_gates(state: np.ndarray, gates: tuple[Gate, ...], n: int) -> np.ndarra
     The input is not modified; with no gates it is returned as it is,
     after the same norm check every returned state gets.
     """
-    if not isinstance(n, _INTEGERS):
-        raise ValidationError(f"n = {n!r} is not an integer")
+    _check_qubits("n", n)
     state = np.asarray(state)
     if state.shape != (2**n,):
         raise ValidationError(f"expected {2**n} amplitudes, got shape {state.shape}")

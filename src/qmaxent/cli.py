@@ -79,8 +79,9 @@ import numpy as np
 from . import circuits as bundled
 from .circuit import _coherence, _sweep_states, qubit_count
 from .errors import InfeasibleRecordError, TomographyError, ValidationError
-from .linalg import POLICY, _INTEGERS, _REALS
+from .linalg import _INTEGERS, _REALS
 from .maxent import (
+    _above_floor,
     _block_fidelity,
     _check_records,
     _complete_and_solve,
@@ -429,7 +430,7 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
         )
     # The measured values are checked once, where x11 is above the floor.
     # |x1K| is taken once, for the prediction and the projection.
-    solved = x11 > POLICY.population_floor
+    solved = _above_floor(x11)
     x11_s, x1k_s = x11[solved], x1k[solved]
     _check_records(x11_s, x1k_s)
     xkk_true_s, modulus = xkk_true[solved], _modulus(x1k_s)

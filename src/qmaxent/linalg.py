@@ -1,8 +1,5 @@
-"""Hermitian matrix checks, the tolerance policy and the screen of the
-array kernels.
-
-Tolerances come from the module-wide ``POLICY`` record so callers and
-tests share one set of knobs.
+"""The Hermitian check, the argument tests and the screen of the array
+kernels. Each tolerance is a constant of the module whose check uses it.
 
 An array kernel (``maxent``'s solve and forward map, ``circuit``'s theta
 stack) works on one element per point and raises each check's error
@@ -10,39 +7,32 @@ where the check runs: an array test screens the points, and ``_check``
 gives each suspect, in index order, its error from the one-point check,
 and raises the first. ``_raised`` catches a one-point check's error for
 it. ``_INTEGERS`` and ``_REALS`` are the package's one test of an
-integer and of a real argument.
+integer and of a real argument, and ``_check_text`` its test of a text.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TomographyError, ValidationError
 
-
-@dataclass(frozen=True)
-class NumericPolicy:
-    """Single source of truth for numerical tolerances."""
-
-    hermitian_atol: float = 1e-12    # allowed |m[i,j] - conj(m[j,i])|
-    log_floor: float = 1e-12         # default eigenvalue floor inside logs
-    population_floor: float = 1e-12  # x11 below this makes the prediction undefined
-    feasibility_atol: float = 1e-12  # x11 + xkk within this of 1 is infeasible
-    record_atol: float = 1e-9        # slack on measurement-record invariants
-
-
-POLICY = NumericPolicy()
+# The slack of a density matrix's Hermitian, trace and PSD checks (``fidelity``).
+_DENSITY_ATOL = 1e-8
 
 # The types an integer argument, and a real one, may have.
 _INTEGERS = (int, np.integer)
 _REALS = (int, float, np.integer, np.floating)
 
 
-def require_hermitian(m, atol: float = POLICY.hermitian_atol) -> np.ndarray:
-    """Validate that ``m`` is square, finite and Hermitian; return its
-    Hermitian part.
+def _check_text(text) -> None:
+    """Raise ValidationError unless ``text`` is a str."""
+    if not isinstance(text, str):
+        raise ValidationError(f"text = {text!r} is not a str")
+
+
+def require_hermitian(m) -> np.ndarray:
+    """Validate that ``m`` is square, finite and Hermitian within
+    ``_DENSITY_ATOL``; return its Hermitian part.
 
     Raises ValidationError naming the first non-finite entry or the worst
     offending entry pair.
@@ -54,7 +44,7 @@ def require_hermitian(m, atol: float = POLICY.hermitian_atol) -> np.ndarray:
     worst = float(dev.max())
     # A NaN or infinite entry makes its deviation NaN or infinite too, so
     # the finiteness check costs nothing on valid input.
-    if not worst <= atol:
+    if not worst <= _DENSITY_ATOL:
         finite = np.isfinite(a)
         if not finite.all():
             i, j = np.argwhere(~finite)[0]
@@ -62,7 +52,7 @@ def require_hermitian(m, atol: float = POLICY.hermitian_atol) -> np.ndarray:
         i, j = np.unravel_index(int(dev.argmax()), dev.shape)
         raise ValidationError(
             f"matrix is not Hermitian: entries ({i},{j}) and ({j},{i}) "
-            f"differ by {worst:.3e} (tolerance {atol:.1e})"
+            f"differ by {worst:.3e} (tolerance {_DENSITY_ATOL:.1e})"
         )
     return 0.5 * (a + a.conj().T)
 

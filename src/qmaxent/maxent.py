@@ -62,9 +62,18 @@ from .errors import (
     TomographyError,
     ValidationError,
 )
-from .linalg import POLICY, _INTEGERS, _check, _raised, require_hermitian
+from .linalg import (
+    _DENSITY_ATOL, _INTEGERS, _REALS, _check, _check_text, _raised, require_hermitian,
+)
 
 _SOURCES = ("measured", "predicted")
+_COMPLEX = (*_REALS, complex, np.complexfloating)
+
+_RECORD_ATOL = 1e-9  # the slack of each invariant of a record's values
+_POPULATION_FLOOR = 1e-12  # x11 at or below it has no predicted xKK
+_FEASIBILITY_ATOL = 1e-12  # x11 + xKK within it of 1 saturates
+_RESCALE_TARGET = 1.0 - 1e-9  # the x11 + xKK a saturated estimate is scaled to
+_LOG_FLOOR = 1e-12  # Z w- at or below it is floored: near_singular
 
 
 def _check_dims(dim_n: int, index_k: int) -> None:
@@ -92,6 +101,15 @@ def _name_non_finite(**values) -> None:
             raise ValidationError(f"{name} = {value!r} is not finite")
 
 
+def _number(name: str, value, kind: str):
+    """``value`` as a float (``kind`` "real") or a complex (``kind``
+    "complex"); another type raises a ValidationError naming it."""
+    types, cast = (_COMPLEX, complex) if kind == "complex" else (_REALS, float)
+    if not isinstance(value, types):
+        raise ValidationError(f"{name} = {value!r} is not a {kind} number")
+    return cast(value)
+
+
 def _check_finite(prefix: str, v11: float, v1k: complex, vkk: float | None = None) -> None:
     """Raise ValidationError unless ``{prefix}_11``, ``{prefix}_1k`` and
     ``{prefix}_kk`` (skipped when None) are finite: one sum is tested, and
@@ -111,9 +129,9 @@ def _check_finite(prefix: str, v11: float, v1k: complex, vkk: float | None = Non
 def _check_record_values(x_11: float, x_1k: complex, x_kk: float | None) -> None:
     """The invariants of a record's values: finite, populations in
     [0, 1], |x1K| <= 1 and, with x_kk, x11 + xKK <= 1 and a positive
-    semidefinite minor, each within ``POLICY.record_atol``."""
+    semidefinite minor, each within ``_RECORD_ATOL``."""
     _check_finite("x", x_11, x_1k, x_kk)
-    tol = POLICY.record_atol
+    tol = _RECORD_ATOL
     if not -tol <= x_11 <= 1 + tol:
         raise ValidationError(f"x_11 = {x_11} outside [0, 1]")
     if abs(x_1k) > 1 + tol:
@@ -149,9 +167,9 @@ class LagrangeSet:
 
     def __post_init__(self):
         _check_dims(self.dim_n, self.index_k)
-        object.__setattr__(self, "lam_11", float(self.lam_11))
-        object.__setattr__(self, "lam_1k", complex(self.lam_1k))
-        object.__setattr__(self, "lam_kk", float(self.lam_kk))
+        object.__setattr__(self, "lam_11", _number("lam_11", self.lam_11, "real"))
+        object.__setattr__(self, "lam_1k", _number("lam_1k", self.lam_1k, "complex"))
+        object.__setattr__(self, "lam_kk", _number("lam_kk", self.lam_kk, "real"))
         _check_finite("lam", self.lam_11, self.lam_1k, self.lam_kk)
 
 
@@ -175,10 +193,10 @@ class MeasurementRecord:
         _check_dims(self.dim_n, self.index_k)
         if self.source not in _SOURCES:
             raise ValidationError(f"source must be one of {_SOURCES}")
-        object.__setattr__(self, "x_11", float(self.x_11))
-        object.__setattr__(self, "x_1k", complex(self.x_1k))
+        object.__setattr__(self, "x_11", _number("x_11", self.x_11, "real"))
+        object.__setattr__(self, "x_1k", _number("x_1k", self.x_1k, "complex"))
         if self.x_kk is not None:
-            object.__setattr__(self, "x_kk", float(self.x_kk))
+            object.__setattr__(self, "x_kk", _number("x_kk", self.x_kk, "real"))
         _check_record_values(self.x_11, self.x_1k, self.x_kk)
 
     @property
@@ -247,7 +265,7 @@ def _record_suspects(x11, x1k, xkk=None):
     every failing point and, within rounding of the bounds on |x1K|,
     perhaps a few more. The squares of the moduli are tested (see the
     kernel note)."""
-    tol = POLICY.record_atol
+    tol = _RECORD_ATOL
     with np.errstate(all="ignore"):
         square = _squared_modulus(x1k)
         # A range test fails a NaN or infinite value.
@@ -379,6 +397,11 @@ def density_from_lagrange(ls: LagrangeSet) -> np.ndarray:
     return rho
 
 
+def _above_floor(x11):
+    """Whether each x11 has a predicted xKK: the points a sweep solves."""
+    return x11 > _POPULATION_FLOOR
+
+
 def _predict_population(x11, modulus):
     """|x1K|^2 / x11 of each point clamped to [0, 1 - x11], the value
     before the clamp, and the clamp's ceiling max(0, 1 - x11); ``modulus``
@@ -395,19 +418,18 @@ def predict_population(x_11: float, x_1k: complex) -> float:
 
     Exact when the underlying state is pure. The result is clamped to
     [0, 1 - x11]; a RuntimeWarning is emitted when the clamp removes more
-    than ``POLICY.feasibility_atol``, which can happen for noisy inputs
+    than ``_FEASIBILITY_ATOL``, which can happen for noisy inputs
     (a smaller excess is rounding on exact pure-state data). A NaN or
     infinite input raises ValidationError.
     """
     _check_finite("x", x_11, x_1k)
-    if x_11 <= POLICY.population_floor:
+    if not _above_floor(x_11):
         raise DomainError(
-            f"x_11 = {x_11} is at or below the floor "
-            f"{POLICY.population_floor}; prediction undefined"
+            f"x_11 = {x_11} is at or below the floor {_POPULATION_FLOOR}; prediction undefined"
         )
     x11, x1k = _arrays(float(x_11), complex(x_1k))
     predicted, value, ceiling = (v.item() for v in _predict_population(x11, _modulus(x1k)))
-    if value - ceiling > POLICY.feasibility_atol:
+    if value - ceiling > _FEASIBILITY_ATOL:
         warnings.warn(
             f"predicted population {value:.6g} clamped to 1 - x_11 = "
             f"{ceiling:.6g}",
@@ -457,8 +479,8 @@ def _project(x11, x1k, xkk, modulus):
 
 def _rescale(x11, x1k, xkk):
     """(x11, x1K, xKK) of each point with the minors whose x11 + xKK lies
-    within ``POLICY.feasibility_atol`` of 1 scaled by (1 - 1e-9)/(x11 + xKK),
-    and the mask of those points.
+    within ``_FEASIBILITY_ATOL`` of 1 scaled by
+    ``_RESCALE_TARGET``/(x11 + xKK), and the mask of those points.
 
     Rank-one (pure-state) records sit exactly on that boundary, where the
     partition function diverges. The scaling restores feasibility while
@@ -467,8 +489,8 @@ def _rescale(x11, x1k, xkk):
     """
     with np.errstate(all="ignore"):
         total = x11 + xkk
-        c = (1.0 - 1e-9) / total
-        fired = ~(total < 1.0 - POLICY.feasibility_atol) & (c != 1.0)
+        c = _RESCALE_TARGET / total
+        fired = ~(total < 1.0 - _FEASIBILITY_ATOL) & (c != 1.0)
         rescaled = (
             _where(fired, np.multiply, x11, c, x11), _where(fired, np.multiply, x1k, x1k, c),
             _where(fired, np.multiply, xkk, c, xkk),
@@ -546,7 +568,7 @@ def _solve(dim_n: int, x11, x1k, xkk):
     with np.errstate(all="ignore"):
         total = x11 + xkk
         _check(
-            total >= 1.0 - POLICY.feasibility_atol,
+            total >= 1.0 - _FEASIBILITY_ATOL,
             lambda i: InfeasibleRecordError(
                 f"x_11 + x_kk = {total[i].item()} saturates 1; the partition "
                 "function diverges (rescale the record first)"
@@ -560,18 +582,17 @@ def _solve(dim_n: int, x11, x1k, xkk):
         det = x11 * xkk - (x1k.real * x1k.real + x1k.imag * x1k.imag)
         w_lo = np.where(w_hi > 0, det / w_hi, 0.0)
         _check(
-            w_lo < -POLICY.record_atol,
+            w_lo < -_RECORD_ATOL,
             lambda i: InfeasibleRecordError(
                 f"constraint minor has negative eigenvalue {w_lo[i].item():.3e}"
             ),
         )
         w_lo = np.where(w_lo <= _RANK_ONE_SHARE * w_hi, 0.0, w_lo)
-        floor = POLICY.log_floor
         z_hi = z * np.where(0.0 > w_hi, 0.0, w_hi)
         z_lo = z * w_lo
-        near_singular = z_lo <= floor
-        log_hi = np.log(np.where(floor > z_hi, floor, z_hi))
-        log_lo = np.log(np.where(floor > z_lo, floor, z_lo))
+        near_singular = z_lo <= _LOG_FLOOR
+        log_hi = np.log(np.where(_LOG_FLOOR > z_hi, _LOG_FLOOR, z_hi))
+        log_lo = np.log(np.where(_LOG_FLOOR > z_lo, _LOG_FLOOR, z_lo))
         two_r = 2.0 * r
         g = _where(
             ~near_singular, lambda two_r, w_lo: np.log1p(two_r / w_lo) / two_r,
@@ -613,11 +634,11 @@ def solve_lagrange(mr: MeasurementRecord) -> LagrangeSet:
     A smaller eigenvalue at or below 8 ulps of the larger is rounding of a
     rank-one minor and is set to 0 before the scaling by Z (which is about
     1e9 after the saturation rescale and would lift that residue over the
-    floor). When Z w- is at or below ``POLICY.log_floor`` the eigenvalue is
+    floor). When Z w- is at or below ``_LOG_FLOOR`` the eigenvalue is
     floored and the set is flagged ``near_singular``.
 
     The result reproduces the record to 1e-6 per component, which is
-    checked, or this raises. A minor with an eigenvalue below -``POLICY.record_atol``, or a
+    checked, or this raises. A minor with an eigenvalue below -``_RECORD_ATOL``, or a
     record that saturates x11 + xKK = 1, raises InfeasibleRecordError.
     """
     if not mr.complete:
@@ -681,7 +702,7 @@ def reconstruct(mr: MeasurementRecord) -> tuple[np.ndarray, MeasurementRecord]:
 
 def _psd_sqrt(name: str, m: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(m)
-    if w[0] < -1e-8:
+    if w[0] < -_DENSITY_ATOL:
         raise ValidationError(
             f"{name} is not positive semidefinite: smallest eigenvalue {w[0]:.3e}"
         )
@@ -696,15 +717,15 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     lose about half their digits; the singular values do not.
 
     Each matrix must be Hermitian, of trace one and positive semidefinite,
-    each within 1e-8; a smaller eigenvalue below -1e-8 raises
-    ValidationError naming the matrix."""
+    each within ``_DENSITY_ATOL``; a smaller eigenvalue below
+    -``_DENSITY_ATOL`` raises ValidationError naming the matrix."""
     checked = []
     for name, m in (("rho", rho), ("sigma", sigma)):
         try:
-            m = require_hermitian(m, atol=1e-8)
+            m = require_hermitian(m)
         except ValidationError as exc:
             raise ValidationError(f"{name}: {exc}") from None
-        if abs(np.trace(m).real - 1.0) > 1e-8:
+        if abs(np.trace(m).real - 1.0) > _DENSITY_ATOL:
             raise ValidationError(f"{name} is not trace one")
         checked.append(m)
     r, s = checked
@@ -804,8 +825,10 @@ def parse_keyvals(text: str, known, what: str) -> dict[str, str]:
 
     ``#`` starts a comment and blank lines are skipped. A line that is not
     ``key value``, a key outside ``known`` or a repeated key raises a
-    ParseError naming the line; ``what`` names the kind of text.
+    ParseError naming the line; ``what`` names the kind of text, and a
+    ``text`` that is not a str raises ValidationError.
     """
+    _check_text(text)
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -75,11 +75,16 @@ from .circuit import (
     _FIXED_1Q,
     _apply_1q,
     _check_basis_index,
+    _check_qubits,
     populations,
 )
 from .errors import DomainError, ValidationError
 from .linalg import _INTEGERS, _REALS
 from .pauli import PauliString, decompose_ketbra
+
+_COLUMN_SUM_ATOL = 1e-12  # the slack of a calibration column's sum
+_FREQUENCY_SUM_ATOL = 1e-9  # the slack of the sum of frequencies to mitigate
+_CONDITION_LIMIT = 1e12  # a calibration's largest condition number
 
 
 @dataclass(frozen=True)
@@ -126,8 +131,7 @@ class CalibrationMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.num_qubits, _INTEGERS):
-            raise ValidationError(f"num_qubits = {self.num_qubits!r} is not an integer")
+        _check_qubits("num_qubits", self.num_qubits)
         # A private read-only copy, so the cached condition number and
         # inverse stay valid.
         entries = np.array(self.entries, dtype=float)
@@ -145,7 +149,7 @@ class CalibrationMatrix:
         if entries.min() < 0:
             raise ValidationError("calibration entries must be non-negative")
         col_sums = entries.sum(axis=0)
-        if np.abs(col_sums - 1.0).max() > 1e-12:
+        if np.abs(col_sums - 1.0).max() > _COLUMN_SUM_ATOL:
             raise ValidationError("calibration columns must sum to 1")
 
     @property
@@ -203,7 +207,7 @@ def _check_frequencies(freqs: np.ndarray) -> None:
     # -inf, a +inf the sum non-finite, and +inf and -inf a reported NaN sum.
     with np.errstate(invalid="ignore"):
         low, total = freqs.min(), freqs.sum()
-    if not (low >= 0 and abs(total - 1) <= 1e-9):
+    if not (low >= 0 and abs(total - 1) <= _FREQUENCY_SUM_ATOL):
         raise ValidationError(
             f"frequencies must be >= 0 and sum to 1, got min {low}, sum {total}"
         )
@@ -215,7 +219,7 @@ def _check_calibration(name: str, cal) -> None:
 
 
 def _check_condition(cal: CalibrationMatrix) -> None:
-    if cal.condition > 1e12:
+    if cal.condition > _CONDITION_LIMIT:
         raise DomainError("calibration matrix is singular or ill-conditioned")
 
 

@@ -49,6 +49,7 @@ no example database and no deadline, so a run is repeatable and a slow
 machine cannot fail it.
 """
 
+import ast
 import math
 import re
 import sys
@@ -60,7 +61,6 @@ import numpy as np
 from hypothesis import settings
 
 from qmaxent import (
-    POLICY,
     DomainError,
     LagrangeSet,
     MeasurementRecord,
@@ -119,7 +119,7 @@ def matrix_exp_hermitian(m) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
-def matrix_log_psd(m, floor: float = POLICY.log_floor) -> np.ndarray:
+def matrix_log_psd(m, floor: float = maxent._LOG_FLOOR) -> np.ndarray:
     """log(m) for Hermitian PSD m, flooring eigenvalues at ``floor``.
 
     Eigenvalues in [-PSD_ATOL, floor) are clamped up to ``floor`` before
@@ -149,7 +149,7 @@ def _mp_spectral(m, fn) -> mpmath.matrix:
     return q * mpmath.diag([fn(x) for x in w]) * q.transpose_conj()
 
 
-def mp_matrix_log_psd(m, floor: float = POLICY.log_floor) -> np.ndarray:
+def mp_matrix_log_psd(m, floor: float = maxent._LOG_FLOOR) -> np.ndarray:
     """``matrix_log_psd`` of the float matrix ``m`` in 60-digit arithmetic,
     rounded to complex floats. Eigenvalues below ``floor`` are floored."""
     with mpmath.workdps(MP_DPS):
@@ -186,8 +186,7 @@ def mp_fidelity(rho, sigma) -> float:
 # map, the prediction and the block fidelity, by its formula, on the float
 # inputs of that stage and with its branches taken on the exact values.
 # They return mpmath numbers, so a test measures the float kernels' own
-# rounding. The tolerances are read from ``maxent.POLICY`` at call time, so
-# a test that patches the policy patches both sides.
+# rounding. The tolerances are ``maxent``'s constants, read at call time.
 
 
 def mp_project(x_11, x_1k, x_kk):
@@ -211,7 +210,7 @@ def mp_rescale(x_11, x_1k, x_kk):
     with mpmath.workdps(MP_DPS):
         x11, x1k, xkk = mpmath.mpf(x_11), mpmath.mpc(x_1k), mpmath.mpf(x_kk)
         total = x11 + xkk
-        if total < 1.0 - maxent.POLICY.feasibility_atol:
+        if total < 1.0 - maxent._FEASIBILITY_ATOL:
             return x11, x1k, xkk
         c = (1.0 - 1e-9) / total
         return c * x11, c * x1k, c * xkk
@@ -223,7 +222,7 @@ def mp_solve(dim_n, x_11, x_1k, x_kk, near_singular):
     solve: 1/(1 - x11 - xKK), plus w+/w- when w- is not floored."""
     with mpmath.workdps(MP_DPS):
         x11, x1k, xkk = mpmath.mpf(x_11), mpmath.mpc(x_1k), mpmath.mpf(x_kk)
-        floor = maxent.POLICY.log_floor
+        floor = maxent._LOG_FLOOR
         z = (dim_n - 2) / (1 - x11 - xkk)
         half_gap = (x11 - xkk) / 2
         r = mpmath.sqrt(half_gap**2 + abs(x1k) ** 2)
@@ -852,8 +851,8 @@ def reference_simulate(c: Circuit) -> np.ndarray:
     return state
 
 
-# The scalar completion, solve and forward map, one point per call. The tolerances are read from ``maxent.POLICY`` at call time, so
-# a test that patches the policy patches both sides.
+# The scalar completion, solve and forward map, one point per call. The
+# tolerances are ``maxent``'s constants, read at call time.
 
 
 def reference_project(x_11, x_1k, x_kk):
@@ -879,7 +878,7 @@ def reference_project(x_11, x_1k, x_kk):
 
 def reference_saturation_scale(x_11, x_kk):
     total = x_11 + x_kk
-    if total < 1.0 - maxent.POLICY.feasibility_atol:
+    if total < 1.0 - maxent._FEASIBILITY_ATOL:
         return 1.0
     return (1.0 - 1e-9) / total
 
@@ -947,8 +946,7 @@ def solve_steps(dim_n, x_11, x_1k, x_kk):
     """The multipliers (lam_11, lam_1k, lam_kk), near_singular and the
     spectrum of the reproduction check of a valid record's values, one
     check at a time."""
-    policy = maxent.POLICY
-    if x_11 + x_kk >= 1.0 - policy.feasibility_atol:
+    if x_11 + x_kk >= 1.0 - maxent._FEASIBILITY_ATOL:
         raise InfeasibleRecordError(
             f"x_11 + x_kk = {x_11 + x_kk} saturates 1; the partition "
             "function diverges (rescale the record first)"
@@ -961,14 +959,14 @@ def solve_steps(dim_n, x_11, x_1k, x_kk):
     w_hi = mid + r
     det = x_11 * x_kk - (x_1k.real ** 2 + x_1k.imag ** 2)
     w_lo = det / w_hi if w_hi > 0 else 0.0
-    if w_lo < -policy.record_atol:
+    if w_lo < -maxent._RECORD_ATOL:
         raise InfeasibleRecordError(
             f"constraint minor has negative eigenvalue {w_lo:.3e}"
         )
     yield
     if w_lo <= 8 * sys.float_info.epsilon * w_hi:
         w_lo = 0.0
-    floor = policy.log_floor
+    floor = maxent._LOG_FLOOR
     near_singular = z * w_lo <= floor
     log_hi = math.log(max(z * max(w_hi, 0.0), floor))
     log_lo = math.log(max(z * w_lo, floor))
@@ -1045,7 +1043,7 @@ def reference_sweep_points(cfg):
         x11, x1k, xkk_true = _sampled_values(
             states, num_qubits, dists, k_targets, readout, cfg.seed
         )
-    solved = x11 > POLICY.population_floor
+    solved = x11 > maxent._POPULATION_FLOOR
     x11_s, x1k_s = x11[solved], x1k[solved]
     maxent._check_records(x11_s, x1k_s)
     modulus = maxent._modulus(x1k_s)
@@ -1183,7 +1181,7 @@ def reference_emit_heatmap_csv(scan, path) -> None:
 
 def hypot_record_suspects(x11, x1k, xkk=None):
     """The mask of the points the hypot screen of the record check marks."""
-    tol = maxent.POLICY.record_atol
+    tol = maxent._RECORD_ATOL
     with np.errstate(all="ignore"):
         modulus = np.hypot(x1k.real, x1k.imag)
         ok = (
@@ -1263,7 +1261,7 @@ def hypot_project(x11, x1k, xkk):
 def hypot_rescale(x11, x1k, xkk):
     with np.errstate(all="ignore"):
         total = x11 + xkk
-        c = np.where(total < 1.0 - maxent.POLICY.feasibility_atol, 1.0, (1.0 - 1e-9) / total)
+        c = np.where(total < 1.0 - maxent._FEASIBILITY_ATOL, 1.0, (1.0 - 1e-9) / total)
         fired = c != 1.0
         rescaled = (
             np.where(fired, c * x11, x11), np.where(fired, x1k * c, x1k),
@@ -1295,11 +1293,10 @@ def hypot_check_reproduction(spec, x11, x1k, xkk):
 
 
 def hypot_solve(dim_n, x11, x1k, xkk):
-    policy = maxent.POLICY
     with np.errstate(all="ignore"):
         total = x11 + xkk
         maxent._check(
-            total >= 1.0 - policy.feasibility_atol,
+            total >= 1.0 - maxent._FEASIBILITY_ATOL,
             lambda i: InfeasibleRecordError(
                 f"x_11 + x_kk = {total[i].item()} saturates 1; the partition "
                 "function diverges (rescale the record first)"
@@ -1313,13 +1310,13 @@ def hypot_solve(dim_n, x11, x1k, xkk):
         det = x11 * xkk - (x1k.real * x1k.real + x1k.imag * x1k.imag)
         w_lo = np.where(w_hi > 0, det / w_hi, 0.0)
         maxent._check(
-            w_lo < -policy.record_atol,
+            w_lo < -maxent._RECORD_ATOL,
             lambda i: InfeasibleRecordError(
                 f"constraint minor has negative eigenvalue {w_lo[i].item():.3e}"
             ),
         )
         w_lo = np.where(w_lo <= 8 * sys.float_info.epsilon * w_hi, 0.0, w_lo)
-        floor = policy.log_floor
+        floor = maxent._LOG_FLOOR
         z_hi = z * np.where(0.0 > w_hi, 0.0, w_hi)
         z_lo = z * w_lo
         near_singular = z_lo <= floor
@@ -1350,3 +1347,13 @@ def hypot_complete_and_solve(dim_n, x11, x1k, xkk):
     completed = hypot_project(x11, x1k, xkk)
     rescaled, _ = hypot_rescale(*completed)
     return (completed, *hypot_solve(dim_n, *rescaled))
+
+
+def tolerance_literal(node) -> bool:
+    """Whether the ast ``node`` is a float literal of size below 1e-3 or
+    above 1e3, zero aside: a tolerance's size, which the package writes
+    only as the value of a module-level constant."""
+    return (
+        isinstance(node, ast.Constant) and type(node.value) is float and node.value != 0.0
+        and not 1e-3 <= abs(node.value) <= 1e3
+    )

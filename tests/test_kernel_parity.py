@@ -30,7 +30,7 @@ from conftest import (
     hypot_rescale,
     hypot_solve,
 )
-from qmaxent import POLICY, TomographyError, maxent
+from qmaxent import TomographyError, maxent
 
 INF, NAN = math.inf, math.nan
 TINY = 5e-324
@@ -264,7 +264,7 @@ def test_huge_multipliers(size):
 def test_squared_record_screen_marks_the_hypot_marks_at_its_bounds():
     # Moduli a few ulps either side of 1 + tol, and of the root of the
     # minor's bound x11 xKK + tol / 2, at several phases.
-    tol = POLICY.record_atol
+    tol = maxent._RECORD_ATOL
     records = []
     for x11, xkk in ((0.5, 0.5), (0.3, 0.2), (1e-9, 1e-9), (0.0, 0.7), (-tol / 2, 1.0)):
         roots = [1.0 + tol]

@@ -230,18 +230,28 @@ class TestSolveRecord:
 
 class TestNonFiniteRecords:
     @pytest.mark.parametrize(
-        ("name", "values"),
+        ("name", "values", "problem"),
         [
-            ("x_11", (math.nan, 0.1, 0.3)),
-            ("x_1k", (0.3, complex(math.nan, 0.0), 0.3)),
-            ("x_1k", (0.3, complex(0.0, math.inf), None)),
-            ("x_kk", (0.3, 0.1, math.nan)),
-            ("x_kk", (0.3, 0.1, -math.inf)),
+            ("x_11", (math.nan, 0.1, 0.3), "not finite"),
+            ("x_1k", (0.3, complex(math.nan, 0.0), 0.3), "not finite"),
+            ("x_1k", (0.3, complex(0.0, math.inf), None), "not finite"),
+            ("x_kk", (0.3, 0.1, math.nan), "not finite"),
+            ("x_kk", (0.3, 0.1, -math.inf), "not finite"),
+            ("x_11", ("0.3", 0.1, 0.3), "not a real number"),
+            ("x_11", (0.3 + 0j, 0.1, 0.3), "not a real number"),
+            ("x_1k", (0.3, "x", None), "not a complex number"),
+            ("x_1k", (0.3, None, 0.3), "not a complex number"),
+            ("x_kk", (0.3, 0.1, [0.3]), "not a real number"),
+            ("lam_11", ("1", 0.0, 0.0), "not a real number"),
+            ("lam_1k", (0.0, b"1", 0.0), "not a complex number"),
+            ("lam_kk", (0.0, 0.0, None), "not a real number"),
+            ("lam_kk", (0.0, 0.0, np.complex128(1.0)), "not a real number"),
         ],
     )
-    def test_field_is_named(self, name, values):
-        with pytest.raises(ValidationError, match=f"{name} = .* not finite"):
-            MeasurementRecord(4, 2, *values)
+    def test_field_is_named(self, name, values, problem):
+        build = LagrangeSet if name.startswith("lam") else MeasurementRecord
+        with pytest.raises(ValidationError, match=f"^{name} = .* is {problem}$"):
+            build(4, 2, *values)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["x_11", "x_1k", "x_kk"])

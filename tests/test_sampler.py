@@ -18,6 +18,7 @@ from qmaxent import DomainError, TomographyError, ValidationError, circuits
 from qmaxent import circuit, sampler
 from qmaxent.cli import ExperimentConfig, run_sweep
 from qmaxent.circuit import (
+    MAX_QUBITS,
     Circuit,
     Gate,
     _matrix_1q,
@@ -25,9 +26,11 @@ from qmaxent.circuit import (
     apply_gates,
     parse_circuit,
     populations,
+    qubit_count,
     simulate,
     zero_state,
 )
+from qmaxent.maxent import load_record
 from qmaxent.pauli import PauliString, decompose_ketbra
 from qmaxent.sampler import (
     CalibrationMatrix,
@@ -699,6 +702,21 @@ class TestReadoutChecks:
             ),
             (lambda: apply_gates(zero_state(2), (), 2.0), "n = 2.0 is not an integer"),
             (lambda: simulate("qubits 1"), "c = 'qubits 1' is not a Circuit"),
+            (lambda: zero_state(2.0), "num_qubits = 2.0 is not an integer"),
+            (lambda: zero_state(MAX_QUBITS + 1), "num_qubits must be in [1, 6], got 7"),
+            (lambda: zero_state(-1), "num_qubits must be in [1, 6], got -1"),
+            (lambda: apply_gates(np.ones(128), (), MAX_QUBITS + 1), "n must be in [1, 6], got 7"),
+            (lambda: apply_gates(np.ones(1), (), -1), "n must be in [1, 6], got -1"),
+            (
+                lambda: CalibrationMatrix(MAX_QUBITS + 1, np.eye(128)),
+                "num_qubits must be in [1, 6], got 7",
+            ),
+            (lambda: CalibrationMatrix(-1, np.eye(1)), "num_qubits must be in [1, 6], got -1"),
+            (lambda: parse_circuit(5), "text = 5 is not a str"),
+            (lambda: parse_circuit(b"qubits 1"), "text = b'qubits 1' is not a str"),
+            (lambda: qubit_count(5), "text = 5 is not a str"),
+            (lambda: qubit_count(["qubits 1"]), "text = ['qubits 1'] is not a str"),
+            (lambda: load_record(5), "text = 5 is not a str"),
         ],
     )
     def test_an_argument_of_the_wrong_type_names_itself(self, call, message):

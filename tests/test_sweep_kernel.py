@@ -60,7 +60,6 @@ from qmaxent.errors import (
     TomographyError,
     ValidationError,
 )
-from qmaxent.linalg import POLICY
 from qmaxent.maxent import MeasurementRecord, heatmap_scan, solve_lagrange, solve_record
 
 # The product of two values below this underflows.
@@ -154,7 +153,7 @@ def check_sweep_kernels(dim_n, records):
     values valid."""
     solved = [
         r for r in records
-        if r[0] > POLICY.population_floor and maxent._raised(
+        if r[0] > maxent._POPULATION_FLOOR and maxent._raised(
             maxent._check_record_values, r[0], r[1], None
         ) is None
     ]

@@ -47,10 +47,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmaxent import (
-    POLICY,
     ReadoutNoise,
     TomographyError,
     build_calibration,
+    maxent,
     parse_circuit,
     sampler,
     simulate,
@@ -171,7 +171,7 @@ def test_every_exact_row_matches_the_dense_pipeline(tmp_path_factory, sweep):
         assert abs(x11 - rho[0, 0].real) <= STATE_ATOL
         assert abs(x1k - rho[0, k]) <= STATE_ATOL
         assert abs(xkk_true - rho[k, k].real) <= STATE_ATOL
-        if x11 <= POLICY.population_floor:
+        if x11 <= maxent._POPULATION_FLOOR:
             assert not rows.solved[i]
             assert all(np.isnan(v[i]) for v in (*rows.lams_a, *rows.lams_b))
             assert math.isnan(rows.xkk_pred[i]) and math.isnan(rows.fidelity[i])
