@@ -579,9 +579,19 @@ def _check_state(sv: np.ndarray) -> None:
     populations(sv)
 
 
+def _state_vector(sv) -> np.ndarray:
+    """``sv`` as an array, which must be 1-D and numeric."""
+    sv = np.asarray(sv)
+    if sv.ndim != 1 or not np.issubdtype(sv.dtype, np.number):
+        raise ValidationError(
+            f"sv of shape {sv.shape} and dtype {sv.dtype} is not a 1-D numeric array"
+        )
+    return sv
+
+
 def populations(sv: np.ndarray) -> np.ndarray:
     """Probabilities of the basis states, indexed by basis state - 1."""
-    p = np.abs(np.asarray(sv)) ** 2
+    p = np.abs(_state_vector(sv)) ** 2
     if not abs(p.sum() - 1.0) <= _NORM_ATOL:
         raise ValidationError(f"state is not normalized: sum |a|^2 = {p.sum()!r}")
     return p
@@ -593,7 +603,7 @@ def coherence(sv: np.ndarray, i: int, j: int) -> complex:
     Basis indices are 1-based. coherence(i, i) equals the population of
     state i; coherence(j, i) is the complex conjugate of coherence(i, j).
     """
-    sv = np.asarray(sv)
+    sv = _state_vector(sv)
     _check_basis_index("i", i, sv.shape[0])
     _check_basis_index("j", j, sv.shape[0])
     return complex(_coherence(sv, i, j))

@@ -9,8 +9,8 @@ true xKK, and emits the comparison as CSV.
 Config files are flat "key value" lines; see ``load_config`` for the keys.
 All randomness derives from the config seed: a sampled sweep makes one
 generator, ``np.random.default_rng(seed)``, and one multinomial call on
-it, one row per draw in the order (theta, K, [populations, then each
-basis of K's plan in plan order]). Each K draws its own populations.
+it, one row per draw in the order ``sampler``'s docstring gives. Each K
+draws its own populations.
 
 ``_sweep_points`` is the one sweep and ``Sweep`` the one result: the
 kernels' arrays as columns, one row per point. ``_sweep_points`` returns
@@ -37,14 +37,13 @@ by ``load_config``, and its text is tokenized once,
 every theta is bound into it at once, and the circuit is simulated as
 one (thetas, 2^n) stack of states from |0...0>, whose norms and
 population sums are screened in one pass (``circuit._sweep_states``). The
-readout is validated once per sweep, and one call reads the distribution
-of every theta's state. The exact backend reads every point's x11 and
+readout is validated once per sweep. The exact backend reads the
+distribution of every theta's state in one call, every point's x11 and
 xKK from it and every K's x1K for every theta in one array product. A
-sampled sweep rotates the stack into every basis of every K's plan
-level by level, in at most 3n gate calls, and reads them all in one
-more distribution call (``sampler._basis_reads``); the draws, the
-mitigation and the recombination of |K><1| are then array operations
-over the whole matrix of rows (``sampler._draw_slots``).
+sampled sweep is measured by ``sampler._sweep_values``: the stack
+rotated into every basis of every K's plan, read in one distribution
+call, drawn in one call, then mitigated and recombined as array
+operations over the whole matrix of rows.
 The measured (x11, x1K) of all points are checked once, as arrays. A
 check screens before it attributes: one array test marks the points
 that may fail, and only when it marks some is each of them matched with
@@ -96,15 +95,7 @@ from .maxent import (
     solve_record,
 )
 from .pauli import decompose_ketbra
-from .sampler import (
-    ReadoutNoise,
-    _basis_reads,
-    _draw_slots,
-    _ketbra_plan,
-    _Readout,
-    _recombine,
-    build_calibration,
-)
+from .sampler import ReadoutNoise, _Readout, _sweep_values, build_calibration
 
 _BACKENDS = ("exact", "shots", "noisy")
 
@@ -414,20 +405,17 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
     shots = None if cfg.backend == "exact" else cfg.shots
     calibration = build_calibration(cfg.noise, num_qubits) if cfg.mitigate else None
     readout = _Readout(num_qubits, shots, cfg.noise, calibration)
-    # One stack of states serves every K target and Pauli setting, and
-    # one distribution per state the population draw of every K.
+    # One stack of states serves every K target and Pauli setting.
     states = _sweep_states(circuit_text, thetas)
-    dists = readout.distribution(states)
     if shots is None:
         # Point (theta i, K) reads row i: x11 and xKK are its exact
         # populations, x1K is rho[1, K], the mean of |K><1|: a_0 * conj(a_{K-1}).
+        dists = readout.distribution(states)
         x11 = dists[:, 0].repeat(len(k_targets))
         x1k = _coherence(states, np.array(k_targets), 1).ravel()
         xkk_true = dists[:, [k - 1 for k in k_targets]].ravel()
     else:
-        x11, x1k, xkk_true = _sampled_values(
-            states, num_qubits, dists, k_targets, readout, cfg.seed
-        )
+        x11, x1k, xkk_true = _sweep_values(states, num_qubits, k_targets, readout, cfg.seed)
     # The measured values are checked once, where x11 is above the floor.
     # |x1K| is taken once, for the prediction and the projection.
     solved = _above_floor(x11)
@@ -450,31 +438,6 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
     return (theta, k, x11, x1k, xkk_true, solved), (
         x11_s, x1k_s, xkk_true_s, completed[2][::2], fidelity,
         lams_a, near[::2], lams_b, near[1::2],
-    )
-
-
-def _sampled_values(states, num_qubits, dists, k_targets, readout, seed):
-    """The measured (x11, x1K, xKK) of every point of a sampled sweep over
-    ``states``, theta outer and K inner, as arrays.
-
-    Every basis of every K is rotated and read once for the whole stack
-    (``sampler._basis_reads``); then one ``sampler._draw_slots`` call
-    draws every row from one generator seeded with ``seed``.
-    """
-    plans = [_ketbra_plan(k, 1, num_qubits) for k in k_targets]
-    reads = _basis_reads(states, num_qubits, (b for plan in plans for b in plan[0]), readout)
-    # One theta's rows: per K, its populations, then its plan's bases.
-    slots, starts = [], []
-    for plan in plans:
-        starts.append(len(slots))
-        slots += [dists, *(reads[b] for b in plan[0])]
-    freqs = _draw_slots(readout, slots, seed)
-    x1k = _interleave(
-        [_recombine(plan, freqs[:, s + 1 : s + 1 + len(plan[0])]) for plan, s in zip(plans, starts)]
-    )
-    return (
-        freqs[:, starts, 0].ravel(), x1k,
-        freqs[:, starts, [k - 1 for k in k_targets]].ravel(),
     )
 
 

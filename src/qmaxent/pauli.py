@@ -18,9 +18,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .circuit import MAX_QUBITS, _check_basis_index
+from .circuit import _check_basis_index, _check_qubits
 from .errors import ValidationError
-from .linalg import _INTEGERS
 
 _LETTERS = ("I", "X", "Y", "Z")
 
@@ -63,10 +62,7 @@ def decompose_ketbra(i: int, j: int, num_qubits: int) -> dict[PauliString, compl
     coefficient of each of its 2^n strings, in the order of
     ``itertools.product`` over the qubits' factors."""
     # The expansion has 2^n terms, so n is bounded like a circuit's.
-    if not isinstance(num_qubits, _INTEGERS) or not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValidationError(
-            f"num_qubits = {num_qubits!r} is not an integer in [1, {MAX_QUBITS}]"
-        )
+    _check_qubits("num_qubits", num_qubits)
     dim = 2**num_qubits
     _check_basis_index("i", i, dim)
     _check_basis_index("j", j, dim)

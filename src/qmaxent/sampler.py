@@ -28,28 +28,30 @@ bytes of a one-vector draw and matvec.
 
 A measurement basis is its index sum(d_q 3^q), with digit d_q 0 for I
 or Z on qubit q, 1 for X and 2 for Y. Its rotations (``_basis_reads``)
-are made level by level over the stack: at qubit q, one H call rotates
-every wanted prefix that takes X there, and one RZ(-pi/2) call then one
-H call every prefix that takes Y, so a sweep makes at most 3n gate
-calls, and only the prefixes of the bases it draws are built. Each row
-has the bytes of the same gates applied to it alone by ``apply_gates``.
-One distribution call reads every wanted basis. The rotated rows are
-not checked: the norm and population sum of each state are checked
-before its rotations (``circuit._sweep_states``), and a unitary rotation
-moves them by rounding only. The rotated stacks of the wanted bases,
-about T |bases| 2^n 16 bytes, are alive at the last level, with half as
-much again of distributions.
+are made level by level over the stack, each level's prefixes sorted by
+index and so by their digit on its qubit q: one gather of their
+parents, then one RZ(-pi/2) call on every wanted prefix that takes Y
+there and one H call on every one that takes X or Y. So a sweep makes
+at most 2n gate calls, and only the prefixes of the bases it draws are
+built. Each row has the bytes of the same gates applied to it alone by
+``apply_gates``. One distribution call reads every wanted basis as one
+block, in a sweep the Z basis (index 0) too. The rotated rows are not
+checked: the norm and population sum of each state are checked before
+its rotations (``circuit._sweep_states``), and a unitary rotation moves
+them by rounding only. The rotated stacks of the wanted bases, about
+T |bases| 2^n 16 bytes, are alive at the last level, with half as much
+again of distributions.
 
-``_draw_slots`` interleaves the distributions into one matrix P of rows
-to draw, theta outer: a sweep's rows per theta are, per K, its
-populations and then each basis of its plan in plan order. P has about
-T (K + 3^n - 1) 2^n 8 bytes, and the tallies and frequencies as much
-again. A draw mitigates its frequencies unchecked, since each row is a
-distribution and so passes the one-row check ``mitigate`` gives the
-frequencies it is handed (``_check_frequencies``): a tally over shots
-is >= 0 and sums to 1 within 2^n ulps, and the exact p M^T of a
-screened state, M column-stochastic with entries >= 0, sums to 1
-within about 1e-10.
+A sampled sweep (``_sweep_values``) draws one matrix P, one gather of
+the block, from one generator seeded with the config seed. Its rows run
+theta outer; per theta, per K, the Z basis and then each basis of K's
+plan in plan order. P has about T (K + 3^n - 1) 2^n 8 bytes, and the
+tallies and frequencies as much again. A draw mitigates its
+frequencies unchecked, since each row is a distribution and so passes
+the one-row check ``mitigate`` gives the frequencies it is handed
+(``_check_frequencies``): a tally over shots is >= 0 and sums to 1
+within 2^n ulps, and the exact p M^T of a screened state, M
+column-stochastic with entries >= 0, sums to 1 within about 1e-10.
 Each |i><j| is recombined for every theta at once: the string parities
 as one product with the plan's signs, then one with its coefficients.
 
@@ -64,6 +66,7 @@ Nation et al., PRX Quantum 2, 040326, 2021).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -76,6 +79,7 @@ from .circuit import (
     _apply_1q,
     _check_basis_index,
     _check_qubits,
+    _state_vector,
     populations,
 )
 from .errors import DomainError, ValidationError
@@ -175,8 +179,9 @@ def _noise_matrix_1q(p01: float, p10: float) -> np.ndarray:
 
 
 def _state_qubits(sv: np.ndarray) -> int:
-    """Qubit count of a state vector whose length must be a power of two."""
-    size = sv.shape[0] if sv.ndim == 1 else -1
+    """Qubit count of a state vector, a 1-D numeric array whose length
+    must be a power of two."""
+    size = _state_vector(sv).shape[0]
     if size < 2 or size & (size - 1):
         raise ValidationError(
             f"state vector of shape {sv.shape} is not 2^n amplitudes for n >= 1"
@@ -386,6 +391,7 @@ def build_calibration(noise: ReadoutNoise, num_qubits: int) -> CalibrationMatrix
     # Checked before the cache, which hashes its arguments first.
     if not isinstance(noise, ReadoutNoise):
         raise ValidationError(f"noise = {noise!r} is not a ReadoutNoise")
+    _check_qubits("num_qubits", num_qubits)
     return _calibration(noise, num_qubits)
 
 
@@ -405,8 +411,7 @@ def _calibration(noise: ReadoutNoise, num_qubits: int) -> CalibrationMatrix:
 # letter's digit of a basis index: none for I and Z (0), H for X (1), and
 # RZ(-pi/2) then H for Y (2), the phase dagger then Hadamard up to a
 # global phase.
-_H = _FIXED_1Q["h", None]
-_DIGIT_GATES = ((), (_H,), (_FIXED_1Q["rz", -math.pi / 2], _H))
+_H, _RZ = _FIXED_1Q["h", None], _FIXED_1Q["rz", -math.pi / 2]
 _DIGITS = {"I": 0, "Z": 0, "X": 1, "Y": 2}
 
 
@@ -417,7 +422,7 @@ def _group_bases(strings: tuple, num_qubits: int) -> dict:
 
     A string's basis index is sum(d_q 3^q) over its letters' digits
     (``_DIGITS``). It is read in the Z basis after the gates of its
-    digits (``_DIGIT_GATES``), in qubit order, and its mean is that of
+    digits, in qubit order, and its mean is that of
     (-1)^(parity of the outcome's bits on the qubits where it is not I).
     The all-identity string is rejected.
     """
@@ -469,16 +474,17 @@ def _recombine(plan, freqs: np.ndarray) -> np.ndarray:
 
 def _basis_reads(
     states: np.ndarray, num_qubits: int, bases: Iterable[int], readout: _Readout
-) -> dict:
+) -> tuple[list, np.ndarray]:
     """The distributions of a (T, 2^n) stack of states rotated into each
-    basis of ``bases`` (basis indices), keyed by the basis.
+    basis of ``bases`` (basis indices): the sorted indices, and the
+    (indices, T, 2^n) block of their distributions in that order.
 
     The rotations are made level by level. Level q + 1 holds one rotated
-    stack per wanted prefix, the index of a wanted basis modulo 3^(q+1):
-    each is its parent prefix at level q, rotated by the gates of its
-    digit on qubit q. Every prefix that takes X at qubit q is rotated by
-    one H call, and every one that takes Y by one RZ(-pi/2) call then one
-    H call, each over all their rows: at most 3n gate calls. One
+    stack per wanted prefix, the index of a wanted basis modulo 3^(q+1),
+    sorted, which orders them by their digit on qubit q. It is one gather
+    of their parent prefixes at level q; then, in place, one RZ(-pi/2)
+    call rotates the prefixes that take Y there and one H call those that
+    take X or Y, each over all their rows: at most 2n gate calls. One
     distribution call then reads the leaves as one block. The rotations
     are unitary, so the rows are not checked again: the caller screens
     the unrotated stack.
@@ -488,26 +494,47 @@ def _basis_reads(
     for q in range(num_qubits):
         unit = 3**q
         level = sorted({b % (3 * unit) for b in wanted})
-        parent = {key: i for i, key in enumerate(keys)}
-        rotated = np.empty((len(level),) + states.shape, states.dtype)
-        for digit, gates in enumerate(_DIGIT_GATES):
-            at = [i for i, key in enumerate(level) if key // unit == digit]
-            if not at:
-                continue
-            part = stack[[parent[level[i] - digit * unit] for i in at]]
-            for u in gates:
-                part = _apply_1q(part.reshape(-1, states.shape[-1]), u, q, num_qubits)
-            rotated[at] = part.reshape(len(at), *states.shape)
-        keys, stack = level, rotated
-    return dict(zip(keys, readout.distribution(stack)))
+        stack = stack[[bisect_left(keys, key % unit) for key in level]]
+        # The Y prefixes, then the X and Y prefixes.
+        for start, u in ((bisect_left(level, 2 * unit), _RZ), (bisect_left(level, unit), _H)):
+            if start < len(level):
+                part = stack[start:]
+                part[...] = _apply_1q(
+                    part.reshape(-1, states.shape[-1]), u, q, num_qubits
+                ).reshape(part.shape)
+        keys = level
+    return keys, readout.distribution(stack)
 
 
-def _draw_slots(readout: _Readout, slots: list, seed: int) -> np.ndarray:
-    """The (count, len(slots), 2^n) frequencies of every row of each of
-    ``slots``, (count, 2^n) distribution stacks, drawn in one
-    ``readout.draw``: row i of slot s is draw i * len(slots) + s."""
-    probs = np.array(slots).transpose(1, 0, 2)
-    return readout.draw(probs.reshape(-1, probs.shape[2]), seed).reshape(probs.shape)
+def _sweep_values(
+    states: np.ndarray, num_qubits: int, k_targets: list, readout: _Readout, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The measured (x11, x1K, xKK) of every point of a sampled sweep over
+    ``states``, theta outer and K inner, as arrays.
+
+    One ``_basis_reads`` block holds the Z basis and every basis of every
+    K's plan. The matrix of rows to draw is one gather of it, and one
+    ``readout.draw`` draws every row from one generator seeded with
+    ``seed``. Each K reads x11 and xKK from its Z row and recombines x1K
+    from its plan's rows.
+    """
+    plans = [_ketbra_plan(k, 1, num_qubits) for k in k_targets]
+    keys, block = _basis_reads(
+        states, num_qubits, {0}.union(*(plan[0] for plan in plans)), readout
+    )
+    # One theta's rows: per K, the Z leaf, then its plan's bases.
+    slots = np.searchsorted(keys, [b for plan in plans for b in (0, *plan[0])])
+    count, dim = states.shape
+    rows = (slots * count + np.arange(count)[:, None]).ravel()
+    freqs = readout.draw(block.reshape(-1, dim)[rows], seed).reshape(count, len(slots), dim)
+    starts = (slots == 0).nonzero()[0]
+    x1k = np.array(
+        [_recombine(plan, freqs[:, s + 1 : s + 1 + len(plan[0])]) for plan, s in zip(plans, starts)]
+    ).T.ravel()
+    return (
+        freqs[:, starts, 0].ravel(), x1k,
+        freqs[:, starts, [k - 1 for k in k_targets]].ravel(),
+    )
 
 
 def _lone_draw(sv: np.ndarray, num_qubits: int, bases, readout: _Readout, seed: int):
@@ -517,8 +544,8 @@ def _lone_draw(sv: np.ndarray, num_qubits: int, bases, readout: _Readout, seed: 
     populations(sv)
     if not bases:
         return np.empty((0, 0))
-    reads = _basis_reads(sv[None], num_qubits, bases, readout)
-    return _draw_slots(readout, [reads[r] for r in bases], seed)[0]
+    keys, block = _basis_reads(sv[None], num_qubits, bases, readout)
+    return readout.draw(block[np.searchsorted(keys, bases), 0], seed)
 
 
 def estimate_paulis(

@@ -1017,8 +1017,8 @@ def reference_sweep_points(cfg):
     returned as the columns of a ``Sweep``. It reads the circuit from
     ``cfg.circuit_path``. Each kernel call raises where it runs, case A's
     completion before case B's: a sweep that raises is not its input."""
-    from qmaxent.cli import Sweep, _k_targets, _sampled_values, resolve_circuit
-    from qmaxent.sampler import _Readout, build_calibration
+    from qmaxent.cli import Sweep, _k_targets, resolve_circuit
+    from qmaxent.sampler import _Readout, _sweep_values, build_calibration
 
     circuit_text = resolve_circuit(cfg.circuit_path)
     num_qubits = qubit_count(circuit_text)
@@ -1033,16 +1033,13 @@ def reference_sweep_points(cfg):
     readout = _Readout(num_qubits, shots, cfg.noise, calibration)
     # The stack's checks cover each state's norm and population sum.
     states = _sweep_states(circuit_text, thetas)
-    dists = readout.distribution(states)
     if shots is None:
-        pops = dists
+        pops = readout.distribution(states)
         x11 = np.repeat(pops[:, 0], len(k_targets))
         x1k = np.stack([_coherence(states, k, 1) for k in k_targets], axis=1).ravel()
         xkk_true = pops[:, [k - 1 for k in k_targets]].ravel()
     else:
-        x11, x1k, xkk_true = _sampled_values(
-            states, num_qubits, dists, k_targets, readout, cfg.seed
-        )
+        x11, x1k, xkk_true = _sweep_values(states, num_qubits, k_targets, readout, cfg.seed)
     solved = x11 > maxent._POPULATION_FLOOR
     x11_s, x1k_s = x11[solved], x1k[solved]
     maxent._check_records(x11_s, x1k_s)

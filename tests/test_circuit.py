@@ -207,6 +207,16 @@ class TestObservables:
         with pytest.raises(ValidationError):
             coherence(sv, 1, 5)
 
+    def test_populations_of_a_non_numeric_state_name_it(self):
+        with pytest.raises(ValidationError) as caught:
+            populations(["a"])
+        assert str(caught.value) == "sv of shape (1,) and dtype <U1 is not a 1-D numeric array"
+
+    def test_coherence_of_a_matrix_names_it(self):
+        with pytest.raises(ValidationError) as caught:
+            coherence(np.eye(4), 1, 2)
+        assert str(caught.value) == "sv of shape (4, 4) and dtype float64 is not a 1-D numeric array"
+
 
 class TestApplyGates:
     def test_extra_gates_on_a_prepared_state(self):

@@ -820,7 +820,7 @@ class TestCommandLine:
     def test_decompose_qubit_count_exit_code(self, tmp_path, capsys, n):
         out = tmp_path / "d.txt"
         assert main(["--out", str(out), "decompose", "1", "2", n]) == 2
-        assert f"num_qubits = {n} is not an integer in [1, 6]" in capsys.readouterr().err
+        assert f"num_qubits must be in [1, 6], got {n}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_cli_import_does_not_load_scipy(self):

@@ -118,10 +118,23 @@ class TestDecompose:
         with pytest.raises(ValidationError, match=message):
             decompose_ketbra(i, j, 2)
 
-    @pytest.mark.parametrize("n", [-1, 0, MAX_QUBITS + 1, 16, 2.0, "2"])
-    def test_qubit_count_out_of_range(self, n):
-        with pytest.raises(ValidationError, match=f"num_qubits = {n!r} is not an integer"):
+    @pytest.mark.parametrize(
+        ("n", "message"),
+        [
+            (-1, "num_qubits must be in [1, 6], got -1"),
+            (0, "num_qubits must be in [1, 6], got 0"),
+            (MAX_QUBITS + 1, "num_qubits must be in [1, 6], got 7"),
+            (16, "num_qubits must be in [1, 6], got 16"),
+            (2.0, "num_qubits = 2.0 is not an integer"),
+            ("2", "num_qubits = '2' is not an integer"),
+        ],
+        ids=["-1", "0", "7", "16", "2.0", "2"],
+    )
+    def test_qubit_count_out_of_range(self, n, message):
+        # The rule of a circuit's qubit count, with its messages.
+        with pytest.raises(ValidationError) as caught:
             decompose_ketbra(1, 1, n)
+        assert str(caught.value) == message
 
     def test_largest_qubit_count(self):
         d = decompose_ketbra(1, 2, MAX_QUBITS)

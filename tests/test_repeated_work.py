@@ -415,13 +415,12 @@ class TestSamplingKernel:
         assert generators["default_rng"] == 1
         assert rows == [sum(1 + b for b in bases)] == [231]
         assert public == dict.fromkeys(public, 0)
-        # One readout per sweep; one distribution call for the unrotated
-        # states of every theta, and one for the block of every distinct
-        # basis of every K (2 + 2 + 4).
-        assert kernel == {"__init__": 1, "distribution": 2, "draw": 1, "tally": 1}
-        # Every K of a 2-qubit sweep: per qubit, one H call for the X
-        # prefixes and RZ(-pi/2) then H for the Y prefixes, 3n = 6 calls.
-        assert rotations["_apply_1q"] == 6
+        # One readout per sweep; one distribution call for the block of
+        # the Z basis and every distinct basis of every K (1 + 2 + 2 + 4).
+        assert kernel == {"__init__": 1, "distribution": 1, "draw": 1, "tally": 1}
+        # Every K of a 2-qubit sweep: per qubit, one RZ(-pi/2) call for the
+        # Y prefixes, then one H call for the X and Y prefixes, 2n = 4 calls.
+        assert rotations["_apply_1q"] == 4
 
     def test_exact_sweep_reads_each_theta_once(self, monkeypatch):
         cfg = load_config(CONFIGS / "sweep_exact.txt")

@@ -469,20 +469,29 @@ class TestSharedMeasurementWork:
     @pytest.mark.parametrize(
         ("model", "k_targets", "rows"),
         [
-            # Every K: all 3^n - 1 bases, so every prefix is wanted.
-            ("twoq_a", (), [1, 1, 1, 3, 3, 3]),
-            ("threeq_a", (), [1, 1, 1, 3, 3, 3, 9, 9, 9]),
-            # K = 3 reads X or Y on qubit 1 alone: bases 3 and 6, and no
-            # prefix takes X or Y on qubits 0 and 2.
-            ("threeq_a", (3,), [1, 1, 1]),
+            # Every K: the Z basis and all 3^n - 1 others, so every prefix
+            # is wanted: at qubit q, 3^q take Y and 2 3^q take X or Y.
+            ("twoq_a", (), [1, 2, 3, 6]),
+            ("threeq_a", (), [1, 2, 3, 6, 9, 18]),
+            # K = 3 reads X or Y on qubit 1 alone: bases 3 and 6 beside the
+            # Z basis 0, and no prefix takes X or Y on qubits 0 and 2.
+            ("threeq_a", (3,), [1, 2]),
             # K = 3 and K = 8: qubits 0 and 2 rotate the prefixes of K = 8
-            # alone (one, then four per digit), qubit 1 those of both K.
-            ("threeq_a", (3, 8), [1, 1, 1, 3, 3, 3, 4, 4, 4]),
+            # alone (Y on one of two, then on four of eight), qubit 1 those
+            # of both K (Y on 6 of K = 3 and 7, 8 of K = 8; X on 3 and 4, 5).
+            ("threeq_a", (3, 8), [1, 2, 3, 6, 4, 8]),
+            # K = 2 reads X or Y on qubit 0, K = 64 on every qubit: qubit
+            # q >= 1 rotates the 2^(q+1) prefixes of K = 64 alone, half of
+            # them Y, of the 3^(q+1) a walk over every basis would build.
+            ("sixq", (2, 64), [1, 2, 2, 4, 4, 8, 8, 16, 16, 32, 32, 64]),
         ],
-        ids=["twoq_a-every_k", "threeq_a-every_k", "threeq_a-k3", "threeq_a-k3,8"],
+        ids=[
+            "twoq_a-every_k", "threeq_a-every_k", "threeq_a-k3", "threeq_a-k3,8",
+            "sixq-k2,64",
+        ],
     )
     def test_rotations_apply_each_prefix_once(
-        self, fresh_caches, monkeypatch, model, k_targets, rows
+        self, fresh_caches, monkeypatch, tmp_path, model, k_targets, rows
     ):
         applied = []
         apply_1q = sampler._apply_1q
@@ -492,16 +501,19 @@ class TestSharedMeasurementWork:
             return apply_1q(state, u, qubit, n)
 
         monkeypatch.setattr(sampler, "_apply_1q", counting)
+        if model == "sixq":
+            model = tmp_path / "sixq.qc"
+            model.write_text("qubits 6\nh 0\nry(theta) 1\ncx 0 2\nh 3\nrx(theta) 4\ncx 3 5\n")
         cfg = ExperimentConfig(
-            circuit_path=model, theta_steps=7, k_targets=k_targets, backend="shots", shots=50
+            circuit_path=str(model), theta_steps=7, k_targets=k_targets,
+            backend="shots", shots=50,
         )
         run_sweep(cfg)
-        # The rotations go level by level: at each qubit, one H call on
-        # every wanted prefix that takes X there and one RZ(-pi/2) call
-        # then one H call on every prefix that takes Y, each over all
-        # their thetas' rows. So at most 3n calls, where rotating every
-        # basis of every theta from the start applies 7 n 3^n (126 and
-        # 567), and each call has 7 rows per prefix it rotates.
+        # The rotations go level by level: at each qubit, one RZ(-pi/2)
+        # call on every wanted prefix that takes Y there, then one H call
+        # on every one that takes X or Y, each over all their thetas' rows.
+        # So at most 2n calls, and each has 7 rows per prefix it rotates:
+        # only the prefixes of the bases the sweep draws.
         assert [length for _, length in applied] == [7 * r for r in rows]
         assert [qubit for qubit, _ in applied] == sorted(qubit for qubit, _ in applied)
 
@@ -554,10 +566,8 @@ class TestReadoutChecks:
         }
         assert gates == {("h", None), ("rz", -math.pi / 2)}
         h, rz = (_matrix_1q(Gate(kind, (0,), angle)) for kind, angle in sorted(gates))
-        # The matrices the sampler applies for each digit are these bits.
-        assert [[u.tobytes() for u in digit] for digit in sampler._DIGIT_GATES] == [
-            [], [h.tobytes()], [rz.tobytes(), h.tobytes()]
-        ]
+        # The matrices the sampler applies are these bits.
+        assert (sampler._H.tobytes(), sampler._RZ.tobytes()) == (h.tobytes(), rz.tobytes())
         for u in (h, rz):
             assert np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-15
 
@@ -571,9 +581,9 @@ class TestReadoutChecks:
         n = states.shape[1].bit_length() - 1
         bases = {b for k in range(2, 2**n + 1) for b in sampler._ketbra_plan(k, 1, n)[0]}
         norms = types.SimpleNamespace(distribution=lambda block: np.linalg.norm(block, axis=-1))
-        reads = sampler._basis_reads(states, n, bases, norms)
-        assert reads.keys() == bases
-        assert max(float(np.abs(v - 1.0).max()) for v in reads.values()) <= 1e-14
+        keys, reads = sampler._basis_reads(states, n, bases, norms)
+        assert keys == sorted(bases)
+        assert float(np.abs(reads - 1.0).max()) <= 1e-14
 
     def test_population_sum(self):
         cal = build_calibration(ReadoutNoise.uniform(0.02, 0.04, 2), 2)
@@ -624,8 +634,8 @@ class TestReadoutChecks:
         # Each row gets mitigate's own check, which raises on one that fails.
         for noise in noises:
             readout = sampler._Readout(n, None, noise, None)
-            reads = sampler._basis_reads(edges, n, range(3**n), readout)
-            for row in np.concatenate(list(reads.values())):
+            _, reads = sampler._basis_reads(edges, n, range(3**n), readout)
+            for row in reads.reshape(-1, 2**n):
                 sampler._check_frequencies(row)
             for shots in (1, 7, 8192, 2**40):
                 readout = sampler._Readout(n, shots, noise, None)
@@ -717,6 +727,14 @@ class TestReadoutChecks:
             (lambda: qubit_count(5), "text = 5 is not a str"),
             (lambda: qubit_count(["qubits 1"]), "text = ['qubits 1'] is not a str"),
             (lambda: load_record(5), "text = 5 is not a str"),
+            (
+                lambda: build_calibration(ReadoutNoise.uniform(0.1, 0.1, 1), "1"),
+                "num_qubits = '1' is not an integer",
+            ),
+            (
+                lambda: build_calibration(ReadoutNoise.uniform(0.1, 0.1, 7), MAX_QUBITS + 1),
+                "num_qubits must be in [1, 6], got 7",
+            ),
         ],
     )
     def test_an_argument_of_the_wrong_type_names_itself(self, call, message):
