@@ -52,8 +52,8 @@ the norm check, then the population-sum check; the first row that
 fails raises. A rotation's T matrices are built as arrays, their bits
 fixed by formulas written on the real and imaginary parts
 (``_rotation_matrices``).
-The axis orders per (qubit, n) and the matrices of the parameter-free
-gates and of the basis rotation rz(-pi/2) are built once.
+The matrices of the parameter-free gates and of the basis rotation
+rz(-pi/2) are built once.
 """
 
 from __future__ import annotations
@@ -432,40 +432,26 @@ def _matrix_1q(gate: Gate) -> np.ndarray:
     return _build_matrix_1q(gate) if fixed is None else fixed
 
 
-@lru_cache(maxsize=None)
-def _axis_orders(qubit: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """The amplitude tensor of a stack, rows first, and the two axis
-    orders of ``_apply_1q``: the transposes ``np.moveaxis(psi, axis, -1)``
-    and ``np.moveaxis(psi, -1, axis)`` make, for axis = n - qubit. One
-    qubit's tensor is (rows, 1, 2), so that each row's product is the
-    vector-matrix product of a lone vector."""
-    if n == 1:
-        return (-1, 1, 2), (0, 1, 2), (0, 1, 2)
-    axis = n - qubit
-    to_last = tuple(a for a in range(n + 1) if a != axis) + (axis,)
-    from_last = tuple(range(axis)) + (n,) + tuple(range(axis, n))
-    return (-1,) + (2,) * n, to_last, from_last
-
-
 def _apply_1q(state: np.ndarray, u: np.ndarray, qubit: int, n: int) -> np.ndarray:
     """``u`` on ``qubit`` of every row of ``state``, an amplitude vector
     (one row) or a (T, 2^n) stack; ``u`` is one 2x2 matrix, or a (T, 2, 2)
     stack of one matrix per row.
 
-    For n >= 2 the amplitude pairs of the target, copied with its axis
-    last and contiguous, are one (M, 2) matrix: a fixed gate is one
-    (M, 2) @ u^T product and a per-row one a single batched
-    (T, M/T, 2) @ u^T product, whatever T is. One qubit's rows stay
-    (1, 2) vectors of a batch, each the product of a lone vector."""
-    shape, to_last, from_last = _axis_orders(qubit, n)
-    psi = state.reshape(shape).transpose(to_last)
-    if n == 1:
-        out = psi @ (u.T if u.ndim == 2 else u.transpose(0, 2, 1))
-    elif u.ndim == 2:
-        out = psi.reshape(-1, 2) @ u.T
+    The amplitudes of a row are a (2^(n-1-qubit), 2, 2^qubit) tensor, the
+    target's axis in the middle; seen with the target axis last, and
+    copied contiguous, the amplitude pairs for n >= 2 are one (M, 2)
+    matrix: a fixed gate is one (M, 2) @ u^T product and a per-row one a
+    single batched (T, M/T, 2) @ u^T product, whatever T is. One qubit's
+    rows stay (1, 2) vectors of a batch, each the product of a lone
+    vector."""
+    psi = state.reshape(-1, 2 ** (n - 1 - qubit), 2, 2**qubit).transpose(0, 1, 3, 2)
+    if u.ndim == 3:
+        out = psi.reshape(len(u), -1, 2) @ u.transpose(0, 2, 1)
+    elif n == 1:
+        out = psi.reshape(-1, 1, 2) @ u.T
     else:
-        out = psi.reshape(len(u), 2 ** (n - 1), 2) @ u.transpose(0, 2, 1)
-    return out.reshape(psi.shape).transpose(from_last).reshape(state.shape)
+        out = psi.reshape(-1, 2) @ u.T
+    return out.reshape(psi.shape).transpose(0, 1, 3, 2).reshape(state.shape)
 
 
 def _apply_2q(state: np.ndarray, gate: Gate, n: int) -> np.ndarray:

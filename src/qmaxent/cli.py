@@ -32,32 +32,19 @@ as ``open`` would.
 A command derives each of its inputs once: its config is validated once
 (again only for a --seed or --out override), its ``abs_diff`` column is
 computed once for the CSV and the printed median.
-The sweep does each piece of work once. The circuit file is read once,
-by ``load_config``, and its text is tokenized once,
-every theta is bound into it at once, and the circuit is simulated as
-one (thetas, 2^n) stack of states from |0...0>, whose norms and
-population sums are screened in one pass (``circuit._sweep_states``). The
-readout is validated once per sweep. The exact backend reads the
-distribution of every theta's state in one call, every point's x11 and
-xKK from it and every K's x1K for every theta in one array product. A
-sampled sweep is measured by ``sampler._sweep_values``: the stack
-rotated into every basis of every K's plan, read in one distribution
-call, drawn in one call, then mitigated and recombined as array
-operations over the whole matrix of rows.
-The measured (x11, x1K) of all points are checked once, as arrays. A
-check screens before it attributes: one array test marks the points
-that may fail, and only when it marks some is each of them matched with
-its error, in point order, and the first raises. Each stage's checks
-run before the next stage starts, so a theta that fails its binding or
-its state check raises before any point is measured, and a solve error
-before any fidelity error. The rotated rows are not checked again: a
-unitary rotation moves a norm by rounding only. Then one call of each
-of ``maxent``'s array kernels covers all the solved points: the prediction
-of xKK, the completion and solve of case A and case B side by side
-(``maxent._complete_and_solve``) and the fidelity. |x1K| of the solved
-points is taken once, for the prediction and the projection. No record
-is built, no multiplier set is validated again, and no clamp warning is
-raised.
+The sweep is three calls, one array entry per layer, and each does its
+piece of work once. The circuit file is read once, by ``load_config``,
+and its text is tokenized once; ``circuit._sweep_states`` binds every
+theta into it at once and simulates one (thetas, 2^n) stack of states
+from |0...0>, whose norms and population sums are screened in one pass.
+The readout is validated once per sweep, and ``sampler._sweep_values``
+measures (x11, x1K, xKK) of every point from the stack, in the exact or
+the sampled mode. ``maxent._reconstruct_points`` checks the measured
+values, predicts xKK and solves case A and case B of every point above
+the floor, one call of each array kernel over them all. Each stage's
+checks run before the next stage starts, so a theta that fails its
+binding or its state check raises before any point is measured, and a
+solve error before any fidelity error.
 The theta grid is ``np.linspace``'s formula on Python floats (``_grid``).
 """
 
@@ -76,16 +63,11 @@ from pathlib import Path
 import numpy as np
 
 from . import circuits as bundled
-from .circuit import _coherence, _sweep_states, qubit_count
+from .circuit import _sweep_states, qubit_count
 from .errors import InfeasibleRecordError, TomographyError, ValidationError
 from .linalg import _INTEGERS, _REALS
 from .maxent import (
-    _above_floor,
-    _block_fidelity,
-    _check_records,
-    _complete_and_solve,
-    _modulus,
-    _predict_population,
+    _reconstruct_points,
     density_from_lagrange,
     dump_record,
     heatmap_scan,
@@ -360,31 +342,20 @@ def _grid(start: float, stop: float, num: int, axis: str) -> list[float]:
     return grid
 
 
-def _interleave(columns: list[np.ndarray]) -> np.ndarray:
-    """``np.stack(columns, axis=1).ravel()``, row i of each column in
-    turn, built by ``np.array`` without ``np.stack``'s Python wrapper."""
-    return np.array(columns).T.ravel()
-
-
 def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
     """Measure and reconstruct every (theta, K) point, theta outer, K inner.
 
     Returns the measured columns of every row, (theta, k, x11, x1K, xKK
-    true, solved), and the solved rows' columns, (x11, x1K, xKK true,
-    xKK predicted, fidelity, case A multipliers, case A near_singular,
-    case B multipliers, case B near_singular), in ``Sweep``'s field order.
+    true, solved), and the solved rows' columns in ``Sweep``'s field
+    order (``maxent._reconstruct_points``).
 
-    A sampled sweep draws every point, floor points included, from one
-    generator. Every point is measured first; then one call of each array
-    kernel covers all solved points: the prediction, the case A and case B
-    completions and solves (one call, each point's A and B side by side),
-    and the fidelity. A prediction that exceeds
-    1 - x11 is clamped without a warning; a clamped point is recognizable
-    by xkk_pred = 1 - x11. The first failing stage raises its first
-    failing point's error: the circuit's theta-free parse, the config
-    and the readout, the binding and the states
-    (``circuit._sweep_states``), the measured values, the completion and
-    solve step by step, then the fidelity.
+    Every point, floor points included, is measured first
+    (``sampler._sweep_values``); then ``maxent._reconstruct_points``
+    predicts and solves the points above the floor. The first failing
+    stage raises its first failing point's error: the circuit's
+    theta-free parse, the config and the readout, the binding and the
+    states (``circuit._sweep_states``), the measured values, the
+    completion and solve step by step, then the fidelity.
     """
     circuit_text = cfg.circuit_text
     if circuit_text is None:
@@ -407,38 +378,10 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
     readout = _Readout(num_qubits, shots, cfg.noise, calibration)
     # One stack of states serves every K target and Pauli setting.
     states = _sweep_states(circuit_text, thetas)
-    if shots is None:
-        # Point (theta i, K) reads row i: x11 and xKK are its exact
-        # populations, x1K is rho[1, K], the mean of |K><1|: a_0 * conj(a_{K-1}).
-        dists = readout.distribution(states)
-        x11 = dists[:, 0].repeat(len(k_targets))
-        x1k = _coherence(states, np.array(k_targets), 1).ravel()
-        xkk_true = dists[:, [k - 1 for k in k_targets]].ravel()
-    else:
-        x11, x1k, xkk_true = _sweep_values(states, num_qubits, k_targets, readout, cfg.seed)
-    # The measured values are checked once, where x11 is above the floor.
-    # |x1K| is taken once, for the prediction and the projection.
-    solved = _above_floor(x11)
-    x11_s, x1k_s = x11[solved], x1k[solved]
-    _check_records(x11_s, x1k_s)
-    xkk_true_s, modulus = xkk_true[solved], _modulus(x1k_s)
-    xkk = _predict_population(x11_s, modulus)[0]
-    # Case A completes each point with its predicted xKK, case B with the
-    # true one. One call solves both, point first: row 2i is point i's
-    # case A and row 2i + 1 its case B.
-    completed, lams, near, (z, block) = _complete_and_solve(
-        dim_n, x11_s.repeat(2), x1k_s.repeat(2),
-        _interleave([xkk, xkk_true_s]), modulus.repeat(2),
-    )
-    lams_a, lams_b = (tuple(v[i::2] for v in lams) for i in (0, 1))
-    block_a, block_b = (tuple(v[i::2] for v in block) for i in (0, 1))
-    fidelity = _block_fidelity(dim_n, lams_a, z[::2], block_a, lams_b, z[1::2], block_b)
-
+    x11, x1k, xkk_true = _sweep_values(states, num_qubits, k_targets, readout, cfg.seed)
+    solved, solved_rows = _reconstruct_points(dim_n, x11, x1k, xkk_true)
     theta, k = np.array(thetas).repeat(len(k_targets)), np.array(k_targets * len(thetas))
-    return (theta, k, x11, x1k, xkk_true, solved), (
-        x11_s, x1k_s, xkk_true_s, completed[2][::2], fidelity,
-        lams_a, near[::2], lams_b, near[1::2],
-    )
+    return (theta, k, x11, x1k, xkk_true, solved), solved_rows
 
 
 def run_sweep(cfg: ExperimentConfig) -> Sweep:

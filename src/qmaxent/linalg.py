@@ -7,10 +7,13 @@ where the check runs: an array test screens the points, and ``_check``
 gives each suspect, in index order, its error from the one-point check,
 and raises the first. ``_raised`` catches a one-point check's error for
 it. ``_INTEGERS`` and ``_REALS`` are the package's one test of an
-integer and of a real argument, and ``_check_text`` its test of a text.
+integer and of a real argument, ``_check_reals`` its test of a sequence
+of reals and ``_check_text`` its test of a text.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -22,6 +25,14 @@ _DENSITY_ATOL = 1e-8
 # The types an integer argument, and a real one, may have.
 _INTEGERS = (int, np.integer)
 _REALS = (int, float, np.integer, np.floating)
+
+
+def _check_reals(name: str, values) -> None:
+    """Raise ValidationError naming ``name`` unless ``values`` is a
+    sequence, or a 1-D array, of real numbers (``_REALS``)."""
+    listed = isinstance(values, Sequence) or isinstance(values, np.ndarray) and values.ndim == 1
+    if not listed or not all(isinstance(v, _REALS) for v in values):
+        raise ValidationError(f"{name} = {values!r} is not a sequence of real numbers")
 
 
 def _check_text(text) -> None:

@@ -38,7 +38,7 @@ estimates are projected onto the feasible set
 (``_project``), moved off the x11 + xKK = 1 boundary (``_rescale``) and
 solved (``_solve``), and the solve's reproduction check runs the one
 forward kernel, ``_exponent_spectrum``. A sweep makes one call of each
-kernel over all its points. ``solve_lagrange``, ``solve_record``,
+kernel over all its points, in ``_reconstruct_points``. ``solve_lagrange``, ``solve_record``,
 ``predict_population``, ``density_from_lagrange`` and ``block_fidelity``
 call the same kernels on one point, for ``qmaxent reconstruct`` and
 library users. ``heatmap_scan`` makes one forward call over its grid and
@@ -63,7 +63,8 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    _DENSITY_ATOL, _INTEGERS, _REALS, _check, _check_text, _raised, require_hermitian,
+    _DENSITY_ATOL, _INTEGERS, _REALS, _check, _check_reals, _check_text, _raised,
+    require_hermitian,
 )
 
 _SOURCES = ("measured", "predicted")
@@ -420,8 +421,10 @@ def predict_population(x_11: float, x_1k: complex) -> float:
     [0, 1 - x11]; a RuntimeWarning is emitted when the clamp removes more
     than ``_FEASIBILITY_ATOL``, which can happen for noisy inputs
     (a smaller excess is rounding on exact pure-state data). A NaN or
-    infinite input raises ValidationError.
+    infinite input, or one that is not a number, raises ValidationError.
     """
+    _number("x_11", x_11, "real")
+    _number("x_1k", x_1k, "complex")
     _check_finite("x", x_11, x_1k)
     if not _above_floor(x_11):
         raise DomainError(
@@ -663,6 +666,45 @@ def _complete_and_solve(dim_n: int, x11, x1k, xkk, modulus):
     return (completed, *_solve(dim_n, *rescaled))
 
 
+def _reconstruct_points(dim_n: int, x11, x1k, xkk_true):
+    """Predict and reconstruct every measured point of a sweep in
+    dimension ``dim_n``, which the caller has checked: case A completes a
+    point with its predicted xKK, case B with ``xkk_true``.
+
+    Returns the ``solved`` mask, the points whose x11 is above the floor,
+    and the solved points' columns in ``Sweep`` field order: (x11, x1K,
+    xKK true, xKK predicted, fidelity, case A multipliers, case A
+    near_singular, case B multipliers, case B near_singular).
+
+    The solved points' measured (x11, x1K) are checked once, as arrays,
+    screened and then attributed in point order (``linalg._check``);
+    |x1K| is taken once, for the prediction and the projection. Then one
+    call of each array kernel covers them all: the prediction, the
+    completion and solve of both cases side by side (row 2i of the one
+    ``_complete_and_solve`` call is point i's case A, row 2i + 1 its case
+    B) and the fidelity. A prediction above 1 - x11 is clamped without a
+    warning, to xkk_pred = 1 - x11. No record is built and no multiplier
+    set is validated again. Each step raises for its first failing row,
+    so a solve error comes before any fidelity error.
+    """
+    solved = _above_floor(x11)
+    x11_s, x1k_s = x11[solved], x1k[solved]
+    _check_records(x11_s, x1k_s)
+    xkk_true_s, modulus = xkk_true[solved], _modulus(x1k_s)
+    xkk = _predict_population(x11_s, modulus)[0]
+    completed, lams, near, (z, block) = _complete_and_solve(
+        dim_n, x11_s.repeat(2), x1k_s.repeat(2),
+        np.array([xkk, xkk_true_s]).T.ravel(), modulus.repeat(2),
+    )
+    lams_a, lams_b = (tuple(v[i::2] for v in lams) for i in (0, 1))
+    block_a, block_b = (tuple(v[i::2] for v in block) for i in (0, 1))
+    fidelity = _block_fidelity(dim_n, lams_a, z[::2], block_a, lams_b, z[1::2], block_b)
+    return solved, (
+        x11_s, x1k_s, xkk_true_s, completed[2][::2], fidelity,
+        lams_a, near[::2], lams_b, near[1::2],
+    )
+
+
 def solve_record(
     mr: MeasurementRecord, x_kk: float | None = None
 ) -> tuple[MeasurementRecord, LagrangeSet]:
@@ -797,19 +839,24 @@ def heatmap_scan(
     the forward kernel.
 
     Returns the columns (lam11, lam1K, x11, x1K), one row per grid point
-    in row-major order: lam11 outer, Re lam1K inner. The first point
-    whose multipliers ``LagrangeSet`` rejects raises its error; then the
-    first whose exp(A) overflows, then the first whose forward values
-    fail the record check.
+    in row-major order: lam11 outer, Re lam1K inner. Each axis is a
+    sequence or a 1-D array of real numbers, and ``lam_kk`` and
+    ``im_lam1k`` are real numbers; another type raises a ValidationError
+    naming the argument. Then the first point whose multipliers
+    ``LagrangeSet`` rejects raises its error; then the first whose exp(A)
+    overflows, then the first whose forward values fail the record check.
     """
     _check_dims(dim_n, index_k)
-    grid = [(float(l11), float(re1k)) for l11 in lam11_values for re1k in re_lam1k_values]
-    if not grid:
-        return np.empty(0), np.empty(0, complex), np.empty(0), np.empty(0, complex)
-    l11 = np.array([p[0] for p in grid])
-    im = float(im_lam1k)
-    l1k = np.array([complex(p[1], im) for p in grid])
-    lkk = np.full(len(grid), float(lam_kk))
+    _check_reals("lam11_values", lam11_values)
+    _check_reals("re_lam1k_values", re_lam1k_values)
+    lam_kk, im = _number("lam_kk", lam_kk, "real"), _number("im_lam1k", im_lam1k, "real")
+    lam11, re1k = np.array(lam11_values, float), np.array(re_lam1k_values, float)
+    shape = (len(lam11), len(re1k))
+    l11, l1k = np.empty(shape), np.empty(shape, complex)
+    l11[...] = lam11[:, None]
+    l1k.real, l1k.imag = re1k, im
+    l11, l1k = l11.ravel(), l1k.ravel()
+    lkk = np.full(l11.size, lam_kk)
     with np.errstate(all="ignore"):
         valid = np.isfinite(l11) & np.isfinite(np.hypot(l1k.real, l1k.imag)) & np.isfinite(lkk)
     _check(~valid, lambda i: _raised(

@@ -42,8 +42,9 @@ them by rounding only. The rotated stacks of the wanted bases, about
 T |bases| 2^n 16 bytes, are alive at the last level, with half as much
 again of distributions.
 
-A sampled sweep (``_sweep_values``) draws one matrix P, one gather of
-the block, from one generator seeded with the config seed. Its rows run
+``_sweep_values`` measures a sweep, exact or sampled. A sampled sweep
+draws one matrix P, one gather of the block, from one generator seeded
+with the config seed. Its rows run
 theta outer; per theta, per K, the Z basis and then each basis of K's
 plan in plan order. P has about T (K + 3^n - 1) 2^n 8 bytes, and the
 tallies and frequencies as much again. A draw mitigates its
@@ -67,7 +68,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Iterable
@@ -79,11 +79,12 @@ from .circuit import (
     _apply_1q,
     _check_basis_index,
     _check_qubits,
+    _coherence,
     _state_vector,
     populations,
 )
 from .errors import DomainError, ValidationError
-from .linalg import _INTEGERS, _REALS
+from .linalg import _INTEGERS, _check_reals
 from .pauli import PauliString, decompose_ketbra
 
 _COLUMN_SUM_ATOL = 1e-12  # the slack of a calibration column's sum
@@ -104,10 +105,7 @@ class ReadoutNoise:
 
     def __post_init__(self):
         for name in ("p01", "p10"):
-            value = getattr(self, name)
-            listed = isinstance(value, Sequence) or isinstance(value, np.ndarray) and value.ndim == 1
-            if not listed or not all(isinstance(p, _REALS) for p in value):
-                raise ValidationError(f"{name} = {value!r} is not a sequence of real numbers")
+            _check_reals(name, getattr(self, name))
         object.__setattr__(self, "p01", tuple(float(p) for p in self.p01))
         object.__setattr__(self, "p10", tuple(float(p) for p in self.p10))
         if len(self.p01) != len(self.p10):
@@ -180,13 +178,15 @@ def _noise_matrix_1q(p01: float, p10: float) -> np.ndarray:
 
 def _state_qubits(sv: np.ndarray) -> int:
     """Qubit count of a state vector, a 1-D numeric array whose length
-    must be a power of two."""
+    must be 2^n for n in [1, MAX_QUBITS]."""
     size = _state_vector(sv).shape[0]
     if size < 2 or size & (size - 1):
         raise ValidationError(
             f"state vector of shape {sv.shape} is not 2^n amplitudes for n >= 1"
         )
-    return size.bit_length() - 1
+    num_qubits = size.bit_length() - 1
+    _check_qubits("qubit count of sv", num_qubits)
+    return num_qubits
 
 
 def _check_seed(seed) -> None:
@@ -288,12 +288,6 @@ class _Readout:
         return freqs if self.inverse is None else _unmix(self.inverse, freqs)
 
 
-def _distribution(readout: _Readout, sv: np.ndarray) -> np.ndarray:
-    """``readout.distribution`` of one state, its sum check raised."""
-    populations(sv)
-    return readout.distribution(sv[None])[0]
-
-
 def sample_counts(
     sv: np.ndarray,
     shots: int,
@@ -308,7 +302,8 @@ def sample_counts(
     _check_seed(seed)
     sv = np.asarray(sv)
     readout = _Readout(_state_qubits(sv), shots, noise, None)
-    return readout.tally(_distribution(readout, sv), seed)
+    populations(sv)
+    return readout.tally(readout.distribution(sv[None])[0], seed)
 
 
 def estimate_populations(
@@ -327,8 +322,9 @@ def estimate_populations(
     """
     _check_seed(seed)
     sv = np.asarray(sv)
-    readout = _Readout(_state_qubits(sv), shots, noise, calibration)
-    return readout.draw(_distribution(readout, sv)[None], seed)[0]
+    num_qubits = _state_qubits(sv)
+    readout = _Readout(num_qubits, shots, noise, calibration)
+    return _lone_draw(sv, num_qubits, (0,), readout, seed)[0]
 
 
 # At most 126 read-only arrays: num_qubits <= 6 and mask < 2^num_qubits.
@@ -509,15 +505,25 @@ def _basis_reads(
 def _sweep_values(
     states: np.ndarray, num_qubits: int, k_targets: list, readout: _Readout, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The measured (x11, x1K, xKK) of every point of a sampled sweep over
+    """The measured (x11, x1K, xKK) of every point of a sweep over
     ``states``, theta outer and K inner, as arrays.
 
-    One ``_basis_reads`` block holds the Z basis and every basis of every
-    K's plan. The matrix of rows to draw is one gather of it, and one
-    ``readout.draw`` draws every row from one generator seeded with
-    ``seed``. Each K reads x11 and xKK from its Z row and recombines x1K
-    from its plan's rows.
+    In the exact mode (``readout.shots`` None), point (theta i, K) reads
+    row i: x11 and xKK from one distribution call of the stack, and x1K,
+    rho[1, K] = a_0 conj(a_{K-1}), for every K and theta in one product.
+    A sampled sweep reads one ``_basis_reads`` block that holds the Z
+    basis and every basis of every K's plan. The matrix of rows to draw
+    is one gather of it, and one ``readout.draw`` draws every row from
+    one generator seeded with ``seed``. Each K reads x11 and xKK from its
+    Z row and recombines x1K from its plan's rows.
     """
+    if readout.shots is None:
+        dists = readout.distribution(states)
+        return (
+            dists[:, 0].repeat(len(k_targets)),
+            _coherence(states, np.array(k_targets), 1).ravel(),
+            dists[:, [k - 1 for k in k_targets]].ravel(),
+        )
     plans = [_ketbra_plan(k, 1, num_qubits) for k in k_targets]
     keys, block = _basis_reads(
         states, num_qubits, {0}.union(*(plan[0] for plan in plans)), readout

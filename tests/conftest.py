@@ -18,6 +18,8 @@ then the binding), kept to check the parse-once parser bit for bit.
 ``reference_simulate`` is the simulator as it read before states were
 stacked: one gate at a time on a lone vector, each matrix built from
 Python floats, each one-qubit product through ``np.moveaxis``.
+``reference_transposed_apply_1q`` is the one-qubit kernel as it read
+with one tensor axis per qubit and two transposes per gate.
 ``reference_rotation_matrices`` builds a rotation's matrices from
 per-angle lists of Python floats and complexes, to check the array
 build of ``circuit._rotation_matrices`` bit for bit. Both references
@@ -849,6 +851,28 @@ def reference_simulate(c: Circuit) -> np.ndarray:
             psi = np.moveaxis(state.reshape([2] * n), axis, -1) @ _reference_matrix(gate).T
             state = np.moveaxis(psi, -1, axis).reshape(-1)
     return state
+
+
+def reference_transposed_apply_1q(state, u, qubit, n):
+    """``circuit._apply_1q`` as it read when it viewed a stack as a
+    (rows, 2, ..., 2) tensor, one axis per qubit, and moved the target's
+    axis last and back by two transposes, kept to check the one fixed
+    (rows, 2^(n-1-qubit), 2, 2^qubit) view bit for bit."""
+    if n == 1:
+        shape, to_last, from_last = (-1, 1, 2), (0, 1, 2), (0, 1, 2)
+    else:
+        axis = n - qubit
+        shape = (-1,) + (2,) * n
+        to_last = tuple(a for a in range(n + 1) if a != axis) + (axis,)
+        from_last = tuple(range(axis)) + (n,) + tuple(range(axis, n))
+    psi = state.reshape(shape).transpose(to_last)
+    if n == 1:
+        out = psi @ (u.T if u.ndim == 2 else u.transpose(0, 2, 1))
+    elif u.ndim == 2:
+        out = psi.reshape(-1, 2) @ u.T
+    else:
+        out = psi.reshape(len(u), 2 ** (n - 1), 2) @ u.transpose(0, 2, 1)
+    return out.reshape(psi.shape).transpose(from_last).reshape(state.shape)
 
 
 # The scalar completion, solve and forward map, one point per call. The

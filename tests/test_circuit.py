@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import reference_rotation_matrices
+from conftest import reference_rotation_matrices, reference_transposed_apply_1q
 
 from qmaxent import ParseError, TomographyError, ValidationError, circuit
 from qmaxent.circuit import (
@@ -296,6 +296,32 @@ class TestOneQubitKernel:
                 assert _same_bits(
                     circuit._apply_1q(state, u, qubit, n),
                     _moveaxis_apply_1q(state, u, qubit, n),
+                )
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bitwise_equal_to_the_transposed_kernel(self, n):
+        # A lone vector and a stack of rows, each gate fixed and per row,
+        # on every qubit; signed zeros in the amplitudes and the matrices.
+        rng = np.random.default_rng(70 + n)
+        rows = 5
+        states = rng.normal(size=(rows, 2**n)) + 1j * rng.normal(size=(rows, 2**n))
+        states.real[:, ::3] = -0.0
+        states.imag[:, 1::4] = 0.0
+        states.imag[:, 2::5] = -0.0
+        angles = np.array([0.0, -0.0, -math.pi / 2, 0.731, -2.9])
+        per_row = [circuit._rotation_matrices(kind, angles) for kind in ("rx", "ry", "rz")]
+        fixed = [circuit._matrix_1q(gate) for gate in ONE_QUBIT_GATES]
+        for qubit in range(n):
+            for u in fixed:
+                for state in (states[0], states):
+                    assert _same_bits(
+                        circuit._apply_1q(state, u, qubit, n),
+                        reference_transposed_apply_1q(state, u, qubit, n),
+                    )
+            for u in per_row:
+                assert _same_bits(
+                    circuit._apply_1q(states, u, qubit, n),
+                    reference_transposed_apply_1q(states, u, qubit, n),
                 )
 
     @pytest.mark.parametrize("kind", ["rx", "ry", "rz"])

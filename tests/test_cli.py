@@ -349,7 +349,7 @@ class TestRunSweep:
         # reads every theta's coherences and populations from the stack of
         # states, the populations through the sampler's kernel.
         if name == "coherence":
-            monkeypatch.setattr(cli, "_coherence", fake)
+            monkeypatch.setattr(sampler, "_coherence", fake)
         else:
             monkeypatch.setattr(sampler._Readout, "distribution", fake)
         with pytest.raises(ValidationError, match=message):

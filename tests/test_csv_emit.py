@@ -41,6 +41,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qmaxent.cli as cli
+import qmaxent.maxent as maxent
 from qmaxent.cli import (
     ExperimentConfig,
     _write_csv,
@@ -354,7 +355,7 @@ CHAIN_PEAK_KIB = 1107
 
 
 def test_the_completion_chain_of_a_dense_sweep_keeps_its_peak_heap_small(monkeypatch):
-    chain, peaks = cli._complete_and_solve, []
+    chain, peaks = maxent._complete_and_solve, []
 
     def traced(*args):
         tracemalloc.start()
@@ -366,7 +367,7 @@ def test_the_completion_chain_of_a_dense_sweep_keeps_its_peak_heap_small(monkeyp
             tracemalloc.stop()
         return result
 
-    monkeypatch.setattr(cli, "_complete_and_solve", traced)
+    monkeypatch.setattr(maxent, "_complete_and_solve", traced)
     assert len(run_sweep(ExperimentConfig("threeq_a", theta_steps=201))) == 1407
     assert len(peaks) == 1
     assert peaks[0] < CHAIN_PEAK_KIB * 1024, f"traced peak {peaks[0] / 1024:.0f} KiB"

@@ -108,3 +108,29 @@ def test_a_left_over_helper_is_found():
         "b.py": "from a import f\n\nclass C:\n    z = f()\n",
     }
     assert unread_names(sources, {"C"}) == ["a.py line 3: X", "a.py line 8: g"]
+
+
+def private_imports(source: str) -> dict[str, set[str]]:
+    """The private names ``source`` imports from each module of the
+    package, by module name."""
+    names: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    names.setdefault(node.module, set()).add(alias.name)
+    return names
+
+
+# A sweep is one array entry per layer, called in order; ``cli`` keeps
+# its config, grid and columns, and reads the package's argument tests.
+CLI_PRIVATE_IMPORTS = {
+    "circuit": {"_sweep_states"},
+    "sampler": {"_Readout", "_sweep_values"},
+    "maxent": {"_reconstruct_points"},
+    "linalg": {"_INTEGERS", "_REALS"},
+}
+
+
+def test_cli_imports_one_entry_per_layer():
+    assert private_imports((PACKAGE / "cli.py").read_text()) == CLI_PRIVATE_IMPORTS

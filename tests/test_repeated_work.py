@@ -219,7 +219,7 @@ class TestClampWarningFilter:
         def fail(*args):
             raise TomographyError("point failed")
 
-        monkeypatch.setattr(cli, "_block_fidelity", fail)
+        monkeypatch.setattr(maxent, "_block_fidelity", fail)
         before = list(warnings.filters)
         with pytest.raises(TomographyError, match="point failed"):
             run(clamping_config())
@@ -296,7 +296,7 @@ class TestReproductionCheck:
     )
     def test_a_sweep_makes_one_call_per_kernel(self, monkeypatch, config):
         kernels = count_calls(
-            monkeypatch, cli,
+            monkeypatch, maxent,
             ("_predict_population", "_complete_and_solve", "_block_fidelity"),
         )
         forward_kernel = count_calls(monkeypatch, maxent, ("_exponent_spectrum",))

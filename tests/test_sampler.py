@@ -30,7 +30,7 @@ from qmaxent.circuit import (
     simulate,
     zero_state,
 )
-from qmaxent.maxent import load_record
+from qmaxent.maxent import heatmap_scan, load_record, predict_population
 from qmaxent.pauli import PauliString, decompose_ketbra
 from qmaxent.sampler import (
     CalibrationMatrix,
@@ -551,6 +551,11 @@ def _sampled_config(mitigate=True, noise=ReadoutNoise.uniform(0.02, 0.04, 2)):
     )
 
 
+# A normalized 8-qubit state: past MAX_QUBITS, so no estimator reads it.
+EIGHT_QUBITS = np.full(2**8, 1 / 16, dtype=complex)
+QUBIT_COUNT_OF_SV = "qubit count of sv must be in [1, 6], got 8"
+
+
 class TestReadoutChecks:
     """Each check of the readout fires with its message, through the
     public estimators and through the sweep's kernel alike."""
@@ -734,6 +739,30 @@ class TestReadoutChecks:
             (
                 lambda: build_calibration(ReadoutNoise.uniform(0.1, 0.1, 7), MAX_QUBITS + 1),
                 "num_qubits must be in [1, 6], got 7",
+            ),
+            (lambda: estimate_populations(EIGHT_QUBITS), QUBIT_COUNT_OF_SV),
+            (lambda: estimate_paulis(EIGHT_QUBITS, ()), QUBIT_COUNT_OF_SV),
+            (lambda: sample_counts(EIGHT_QUBITS, 10), QUBIT_COUNT_OF_SV),
+            (lambda: estimate_coherence(EIGHT_QUBITS, 1, 2), QUBIT_COUNT_OF_SV),
+            (lambda: predict_population("0.5", 0.1), "x_11 = '0.5' is not a real number"),
+            (lambda: predict_population(0.5, "0.1"), "x_1k = '0.1' is not a complex number"),
+            (
+                lambda: heatmap_scan(["a"], [0.0]),
+                "lam11_values = ['a'] is not a sequence of real numbers",
+            ),
+            (lambda: heatmap_scan(5, [0.0]), "lam11_values = 5 is not a sequence of real numbers"),
+            (
+                lambda: heatmap_scan(["1.5"], [0.0]),
+                "lam11_values = ['1.5'] is not a sequence of real numbers",
+            ),
+            (
+                lambda: heatmap_scan([0.0], np.zeros((1, 1))),
+                "re_lam1k_values = array([[0.]]) is not a sequence of real numbers",
+            ),
+            (lambda: heatmap_scan([0.0], [0.0], lam_kk="1"), "lam_kk = '1' is not a real number"),
+            (
+                lambda: heatmap_scan([0.0], [0.0], im_lam1k=None),
+                "im_lam1k = None is not a real number",
             ),
         ],
     )

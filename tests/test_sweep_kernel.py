@@ -51,7 +51,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmaxent import cli, maxent
+from qmaxent import maxent
 from qmaxent.cli import ExperimentConfig, run_sweep
 from qmaxent.errors import (
     DomainError,
@@ -510,7 +510,7 @@ class TestSweepErrorOrder:
         def failing_fidelity(*args):
             raise DomainError("fidelity at 0")
 
-        monkeypatch.setattr(cli, "_block_fidelity", failing_fidelity)
+        monkeypatch.setattr(maxent, "_block_fidelity", failing_fidelity)
         cfg = ExperimentConfig("twoq_a", theta_steps=3)
         with pytest.raises(DomainError, match="^fidelity at 0$"):
             run_sweep(cfg)

@@ -22,8 +22,7 @@ from conftest import reference_parse_circuit, reference_simulate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qmaxent.cli as cli
-from qmaxent import ParseError, TomographyError, ValidationError, circuit, circuits, sampler
+from qmaxent import ParseError, TomographyError, ValidationError, circuit, circuits, maxent, sampler
 from qmaxent.circuit import coherence, parse_circuit, populations, simulate
 from qmaxent.cli import ExperimentConfig, run_sweep
 from qmaxent.sampler import ReadoutNoise, build_calibration
@@ -286,9 +285,9 @@ class TestErrorOrder:
         }[name]
         # No point is predicted, and no multinomial draw is made.
         calls = []
-        predict, tally = cli._predict_population, sampler._Readout.tally
+        predict, tally = maxent._predict_population, sampler._Readout.tally
         monkeypatch.setattr(
-            cli, "_predict_population",
+            maxent, "_predict_population",
             lambda *args: calls.append("predict") or predict(*args),
         )
         monkeypatch.setattr(
@@ -312,7 +311,7 @@ class TestErrorOrder:
         def failing(*args):
             raise TomographyError("solve of point 0 failed")
 
-        monkeypatch.setattr(cli, "_complete_and_solve", failing)
+        monkeypatch.setattr(maxent, "_complete_and_solve", failing)
         with pytest.raises(TomographyError) as want:
             one()
         with pytest.raises(TomographyError) as got:
