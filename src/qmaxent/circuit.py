@@ -68,21 +68,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParseError, TomographyError, ValidationError
-from .linalg import _INTEGERS, _REALS, _check, _check_text, _raised
+from .linalg import MAX_QUBITS, _INTEGERS, _REALS, _check, _integer, _raised, _require
 
 GATE_KINDS = ("h", "x", "cx", "cz", "rx", "ry", "rz")
 _ROTATIONS = ("rx", "ry", "rz")
 _TWO_QUBIT = ("cx", "cz")
-MAX_QUBITS = 6
-
-
-def _check_qubits(name: str, n) -> None:
-    """Raise ValidationError unless ``n`` is an integer in [1, MAX_QUBITS],
-    before any 2**n is taken."""
-    if not isinstance(n, _INTEGERS):
-        raise ValidationError(f"{name} = {n!r} is not an integer")
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValidationError(f"{name} must be in [1, {MAX_QUBITS}], got {n}")
 
 
 @dataclass(frozen=True)
@@ -94,6 +84,7 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValidationError(f"unknown gate kind {self.kind!r}")
+        _require("targets", self.targets, tuple, "a tuple")
         want = 2 if self.kind in _TWO_QUBIT else 1
         if len(self.targets) != want:
             raise ValidationError(
@@ -110,10 +101,7 @@ class Gate:
                 f"gate {self.kind}: angle must be present exactly for rx/ry/rz"
             )
         if self.angle is not None:
-            if not isinstance(self.angle, _REALS):
-                raise ValidationError(
-                    f"gate {self.kind}: angle {self.angle!r} is not a real number"
-                )
+            _require("angle", self.angle, _REALS, "a real number")
             if not math.isfinite(self.angle):
                 raise ValidationError(
                     f"gate {self.kind}: angle = {self.angle!r} is not finite"
@@ -126,7 +114,7 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        _check_qubits("num_qubits", self.num_qubits)
+        _integer("num_qubits", self.num_qubits, 1, MAX_QUBITS)
         object.__setattr__(self, "gates", _gate_tuple(self.gates))
         for g in self.gates:
             if any(q < 0 or q >= self.num_qubits for q in g.targets):
@@ -313,10 +301,16 @@ def _parse_text(text: str) -> _Parsed:
 
 
 def _thetas(thetas: list) -> np.ndarray:
-    """The float64 array of ``thetas``. Each is multiplied by a float
-    first, which rejects what float arithmetic rejects, a string say,
-    with its TypeError."""
-    return np.array([1.0 * t for t in thetas], dtype=float)
+    """The float64 array of ``thetas``, each multiplied by a float first.
+    When that fails, on a string say, the first theta that is not a real
+    number raises a ValidationError naming it, in a sweep as in
+    ``parse_circuit``."""
+    try:
+        return np.array([1.0 * t for t in thetas], dtype=float)
+    except TypeError:
+        for t in thetas:
+            _require("theta", t, _REALS, "a real number")
+        raise
 
 
 def _bind(parsed: _Parsed, thetas: list):
@@ -353,8 +347,9 @@ def parse_circuit(text: str, theta: float | None = None) -> Circuit:
     line order, raising the errors theta decides: an unbound or
     non-finite theta (at the first such rotation), a division by a theta
     that is zero, an angle that overflows. A ``text`` that is not a str
-    raises ValidationError."""
-    _check_text(text)
+    raises ValidationError, and so does a ``theta`` that is not a real
+    number once a rotation uses it (``_thetas``)."""
+    _require("text", text, str, "a str")
     parsed = _parse_text(text)
     gates, bound = [], None
     for gate in parsed.gates:
@@ -375,7 +370,7 @@ def parse_circuit(text: str, theta: float | None = None) -> Circuit:
 def qubit_count(text: str) -> int:
     """The qubit count of ``text``, read without binding a theta. Raises
     the first theta-free parse error of ``text``, if it has one."""
-    _check_text(text)
+    _require("text", text, str, "a str")
     return _parse_text(text).num_qubits
 
 
@@ -488,7 +483,7 @@ def _apply(state: np.ndarray, gates, n: int) -> np.ndarray:
 
 def zero_state(num_qubits: int) -> np.ndarray:
     """Amplitude vector of |0...0> on ``num_qubits`` qubits."""
-    _check_qubits("num_qubits", num_qubits)
+    _integer("num_qubits", num_qubits, 1, MAX_QUBITS)
     state = np.zeros(2**num_qubits, dtype=complex)
     state[0] = 1.0
     return state
@@ -500,7 +495,7 @@ def apply_gates(state: np.ndarray, gates: tuple[Gate, ...], n: int) -> np.ndarra
     The input is not modified; with no gates it is returned as it is,
     after the same norm check every returned state gets.
     """
-    _check_qubits("n", n)
+    _integer("n", n, 1, MAX_QUBITS)
     state = np.asarray(state)
     if state.shape != (2**n,):
         raise ValidationError(f"expected {2**n} amplitudes, got shape {state.shape}")
@@ -525,8 +520,7 @@ def _check_norm(state: np.ndarray) -> None:
 
 def simulate(c: Circuit) -> np.ndarray:
     """Run the circuit on |0...0> and return the final amplitude vector."""
-    if not isinstance(c, Circuit):
-        raise ValidationError(f"c = {c!r} is not a Circuit")
+    _require("c", c, Circuit, "a Circuit")
     return apply_gates(zero_state(c.num_qubits), c.gates, c.num_qubits)
 
 
@@ -590,16 +584,9 @@ def coherence(sv: np.ndarray, i: int, j: int) -> complex:
     state i; coherence(j, i) is the complex conjugate of coherence(i, j).
     """
     sv = _state_vector(sv)
-    _check_basis_index("i", i, sv.shape[0])
-    _check_basis_index("j", j, sv.shape[0])
+    _integer("basis index i", i, 1, sv.shape[0])
+    _integer("basis index j", j, 1, sv.shape[0])
     return complex(_coherence(sv, i, j))
-
-
-def _check_basis_index(name: str, idx: int, dim: int) -> None:
-    if not isinstance(idx, _INTEGERS):
-        raise ValidationError(f"basis index {name} = {idx!r} is not an integer")
-    if not 1 <= idx <= dim:
-        raise ValidationError(f"basis index {idx} out of range [1, {dim}]")
 
 
 def _coherence(states: np.ndarray, i, j: int) -> np.ndarray:

@@ -65,7 +65,7 @@ import numpy as np
 from . import circuits as bundled
 from .circuit import _sweep_states, qubit_count
 from .errors import InfeasibleRecordError, TomographyError, ValidationError
-from .linalg import _INTEGERS, _REALS
+from .linalg import _INTEGERS, _REALS, _integer, _require
 from .maxent import (
     _reconstruct_points,
     density_from_lagrange,
@@ -77,7 +77,7 @@ from .maxent import (
     solve_record,
 )
 from .pauli import decompose_ketbra
-from .sampler import ReadoutNoise, _Readout, _sweep_values, build_calibration
+from .sampler import _MAX_SHOTS, ReadoutNoise, _Readout, _sweep_values, build_calibration
 
 _BACKENDS = ("exact", "shots", "noisy")
 
@@ -108,32 +108,26 @@ class ExperimentConfig:
     )
 
     def __post_init__(self):
+        # The backend, then each field in order, its type then its range.
         if self.backend not in _BACKENDS:
             raise ValidationError(f"backend must be one of {_BACKENDS}")
-        if not isinstance(self.circuit_path, (str, os.PathLike)):
-            raise ValidationError(f"circuit_path = {self.circuit_path!r} is not a path")
-        for name in ("theta_start", "theta_stop"):
-            value = getattr(self, name)
-            if not isinstance(value, _REALS):
-                raise ValidationError(f"{name} = {value!r} is not a real number")
-        for name in ("theta_steps", "seed", "shots"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, _INTEGERS):
-                raise ValidationError(f"{name} = {value!r} is not an integer")
+        _require("circuit_path", self.circuit_path, (str, os.PathLike), "a path")
+        _require("theta_start", self.theta_start, _REALS, "a real number")
+        _require("theta_stop", self.theta_stop, _REALS, "a real number")
+        _integer("theta_steps", self.theta_steps, 1)
         if not isinstance(self.k_targets, Sequence) or not all(
             isinstance(k, _INTEGERS) for k in self.k_targets
         ):
             raise ValidationError(f"k_targets = {self.k_targets!r} is not a sequence of integers")
-        if self.noise is not None and not isinstance(self.noise, ReadoutNoise):
-            raise ValidationError(f"noise = {self.noise!r} is not a ReadoutNoise")
-        if not isinstance(self.mitigate, (bool, np.bool_)):
-            raise ValidationError(f"mitigate = {self.mitigate!r} is not a bool")
-        if self.theta_steps < 1:
-            raise ValidationError("theta_steps must be >= 1")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.backend != "exact" and (self.shots is None or self.shots < 1):
-            raise ValidationError(f"backend {self.backend!r} requires shots >= 1")
+        # The readout's rule; the exact backend reads no shots.
+        if self.backend != "exact":
+            _integer("shots", self.shots, 1, _MAX_SHOTS)
+        elif self.shots is not None:
+            _require("shots", self.shots, _INTEGERS, "an integer")
+        if self.noise is not None:
+            _require("noise", self.noise, ReadoutNoise, "a ReadoutNoise")
+        _require("mitigate", self.mitigate, (bool, np.bool_), "a bool")
+        _integer("seed", self.seed, 0)
         if self.backend == "noisy" and self.noise is None:
             raise ValidationError("noisy backend requires a noise model")
         if self.backend != "noisy" and self.noise is not None:
@@ -357,6 +351,7 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
     states (``circuit._sweep_states``), the measured values, the
     completion and solve step by step, then the fidelity.
     """
+    _require("cfg", cfg, ExperimentConfig, "an ExperimentConfig")
     circuit_text = cfg.circuit_text
     if circuit_text is None:
         circuit_text = resolve_circuit(cfg.circuit_path)
@@ -640,6 +635,7 @@ SWEEP_HEADER = "theta,k,x11,re_x1k,im_x1k,xkk_true,xkk_pred,abs_diff,fidelity,ne
 
 def emit_csv(s: Sweep, path: str | Path) -> None:
     """Write a sweep's rows as CSV with 12-significant-digit values."""
+    _require("s", s, Sweep, "a Sweep")
     columns = (
         s.theta, s.k, s.x11, s.x1k.real, s.x1k.imag, s.xkk_true, s.xkk_pred,
         s.abs_diff, s.fidelity, s.near_singular,
@@ -657,6 +653,7 @@ CASEAB_HEADER = (
 def emit_caseab_csv(s: Sweep, path: str | Path) -> None:
     """Write a sweep's solved rows with both multiplier sets as CSV. A
     floor row, which has none, is rejected before anything is written."""
+    _require("s", s, Sweep, "a Sweep")
     if not s.solved.all():
         i = int(np.argmin(s.solved))
         raise ValidationError(

@@ -63,7 +63,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    _DENSITY_ATOL, _INTEGERS, _REALS, _check, _check_reals, _check_text, _raised,
+    _DENSITY_ATOL, _INTEGERS, _REALS, _check, _integer, _raised, _reals, _require,
     require_hermitian,
 )
 
@@ -78,16 +78,10 @@ _LOG_FLOOR = 1e-12  # Z w- at or below it is floored: near_singular
 
 
 def _check_dims(dim_n: int, index_k: int) -> None:
-    if not isinstance(dim_n, _INTEGERS):
-        raise ValidationError(f"dim_n must be an integer, got {dim_n!r}")
-    if not isinstance(index_k, _INTEGERS):
-        raise ValidationError(f"index_k must be an integer, got {index_k!r}")
+    _require("dim_n", dim_n, _INTEGERS, "an integer")
     if dim_n < 4 or dim_n & (dim_n - 1):
         raise ValidationError(f"dim_n must be a power of two >= 4, got {dim_n}")
-    if not 2 <= index_k <= dim_n:
-        raise ValidationError(
-            f"index_k must lie in [2, {dim_n}], got {index_k}"
-        )
+    _integer("index_k", index_k, 2, dim_n)
 
 
 def _name_non_finite(**values) -> None:
@@ -104,11 +98,14 @@ def _name_non_finite(**values) -> None:
 
 def _number(name: str, value, kind: str):
     """``value`` as a float (``kind`` "real") or a complex (``kind``
-    "complex"); another type raises a ValidationError naming it."""
+    "complex"); another type, or an int past the float range, raises a
+    ValidationError naming it."""
     types, cast = (_COMPLEX, complex) if kind == "complex" else (_REALS, float)
-    if not isinstance(value, types):
-        raise ValidationError(f"{name} = {value!r} is not a {kind} number")
-    return cast(value)
+    _require(name, value, types, f"a {kind} number")
+    try:
+        return cast(value)
+    except OverflowError:
+        raise ValidationError(f"{name} = {value!r} is past the float range") from None
 
 
 def _check_finite(prefix: str, v11: float, v1k: complex, vkk: float | None = None) -> None:
@@ -386,6 +383,7 @@ def density_from_lagrange(ls: LagrangeSet) -> np.ndarray:
     the forward map of the solve's reproduction check. Multipliers whose
     exp(A) leaves the float range raise DomainError.
     """
+    _require("ls", ls, LagrangeSet, "a LagrangeSet")
     spec = _forward(ls)[1]
     x11, x1k, xkk = (v.item() for v in _expectations(spec))
     n, k = ls.dim_n, ls.index_k - 1
@@ -644,6 +642,7 @@ def solve_lagrange(mr: MeasurementRecord) -> LagrangeSet:
     checked, or this raises. A minor with an eigenvalue below -``_RECORD_ATOL``, or a
     record that saturates x11 + xKK = 1, raises InfeasibleRecordError.
     """
+    _require("mr", mr, MeasurementRecord, "a MeasurementRecord")
     if not mr.complete:
         raise ValidationError("record is incomplete: x_kk is absent")
     lams, near_singular, _ = _solve(mr.dim_n, *_arrays(mr.x_11, mr.x_1k, mr.x_kk))
@@ -716,6 +715,7 @@ def solve_record(
     or else with ``predict_population``, by ``_complete_and_solve``.
     Returns the completed record, before any rescale, and the multipliers.
     """
+    _require("mr", mr, MeasurementRecord, "a MeasurementRecord")
     if mr.complete:
         if x_kk is not None:
             raise ValidationError("record already has x_kk")
@@ -723,7 +723,7 @@ def solve_record(
     source = "measured"
     if x_kk is None:
         x_kk, source = predict_population(mr.x_11, mr.x_1k), "predicted"
-    x11, x1k, xkk = _arrays(mr.x_11, mr.x_1k, float(x_kk))
+    x11, x1k, xkk = _arrays(mr.x_11, mr.x_1k, _number("x_kk", x_kk, "real"))
     completed, lams, near_singular, _ = _complete_and_solve(
         mr.dim_n, x11, x1k, xkk, _modulus(x1k)
     )
@@ -817,6 +817,8 @@ def block_fidelity(a: LagrangeSet, b: LagrangeSet) -> float:
     Sets whose N or K differ raise ValidationError, and sets whose
     multiplier sum makes that exp leave the float range DomainError.
     """
+    _require("a", a, LagrangeSet, "a LagrangeSet")
+    _require("b", b, LagrangeSet, "a LagrangeSet")
     if (a.dim_n, a.index_k) != (b.dim_n, b.index_k):
         raise ValidationError(
             f"multiplier sets differ: (N, K) = ({a.dim_n}, {a.index_k}) vs "
@@ -847,10 +849,8 @@ def heatmap_scan(
     overflows, then the first whose forward values fail the record check.
     """
     _check_dims(dim_n, index_k)
-    _check_reals("lam11_values", lam11_values)
-    _check_reals("re_lam1k_values", re_lam1k_values)
+    lam11, re1k = _reals("lam11_values", lam11_values), _reals("re_lam1k_values", re_lam1k_values)
     lam_kk, im = _number("lam_kk", lam_kk, "real"), _number("im_lam1k", im_lam1k, "real")
-    lam11, re1k = np.array(lam11_values, float), np.array(re_lam1k_values, float)
     shape = (len(lam11), len(re1k))
     l11, l1k = np.empty(shape), np.empty(shape, complex)
     l11[...] = lam11[:, None]
@@ -875,7 +875,7 @@ def parse_keyvals(text: str, known, what: str) -> dict[str, str]:
     ParseError naming the line; ``what`` names the kind of text, and a
     ``text`` that is not a str raises ValidationError.
     """
-    _check_text(text)
+    _require("text", text, str, "a str")
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -915,6 +915,7 @@ _RECORD_KEYS = ("n", "k", "x11", "re_x1k", "im_x1k")
 
 
 def dump_record(mr: MeasurementRecord) -> str:
+    _require("mr", mr, MeasurementRecord, "a MeasurementRecord")
     lines = [
         f"n {mr.dim_n}",
         f"k {mr.index_k}",

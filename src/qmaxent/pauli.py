@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .circuit import _check_basis_index, _check_qubits
 from .errors import ValidationError
+from .linalg import MAX_QUBITS, _integer, _require
 
 _LETTERS = ("I", "X", "Y", "Z")
 
@@ -29,6 +30,7 @@ class PauliString:
     letters: tuple[str, ...]
 
     def __post_init__(self):
+        _require("letters", self.letters, Iterable, "an iterable of Pauli letters")
         object.__setattr__(self, "letters", tuple(self.letters))
         if not self.letters:
             raise ValidationError("empty Pauli string")
@@ -62,10 +64,10 @@ def decompose_ketbra(i: int, j: int, num_qubits: int) -> dict[PauliString, compl
     coefficient of each of its 2^n strings, in the order of
     ``itertools.product`` over the qubits' factors."""
     # The expansion has 2^n terms, so n is bounded like a circuit's.
-    _check_qubits("num_qubits", num_qubits)
+    _integer("num_qubits", num_qubits, 1, MAX_QUBITS)
     dim = 2**num_qubits
-    _check_basis_index("i", i, dim)
-    _check_basis_index("j", j, dim)
+    _integer("basis index i", i, 1, dim)
+    _integer("basis index j", j, 1, dim)
     per_qubit = []
     for q in range(num_qubits):
         bits = ((i - 1) >> q & 1, (j - 1) >> q & 1)

@@ -68,23 +68,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from typing import Iterable
 
 import numpy as np
 
-from .circuit import (
-    _FIXED_1Q,
-    _apply_1q,
-    _check_basis_index,
-    _check_qubits,
-    _coherence,
-    _state_vector,
-    populations,
-)
+from .circuit import _FIXED_1Q, _apply_1q, _coherence, _state_vector, populations
 from .errors import DomainError, ValidationError
-from .linalg import _INTEGERS, _check_reals
+from .linalg import MAX_QUBITS, _integer, _reals, _require
 from .pauli import PauliString, decompose_ketbra
 
 _COLUMN_SUM_ATOL = 1e-12  # the slack of a calibration column's sum
@@ -105,9 +97,7 @@ class ReadoutNoise:
 
     def __post_init__(self):
         for name in ("p01", "p10"):
-            _check_reals(name, getattr(self, name))
-        object.__setattr__(self, "p01", tuple(float(p) for p in self.p01))
-        object.__setattr__(self, "p10", tuple(float(p) for p in self.p10))
+            object.__setattr__(self, name, tuple(_reals(name, getattr(self, name)).tolist()))
         if len(self.p01) != len(self.p10):
             raise ValidationError("p01 and p10 must cover the same qubits")
         for p in self.p01 + self.p10:
@@ -118,6 +108,7 @@ class ReadoutNoise:
 
     @classmethod
     def uniform(cls, p01: float, p10: float, num_qubits: int) -> "ReadoutNoise":
+        _integer("num_qubits", num_qubits, 0)
         return cls((p01,) * num_qubits, (p10,) * num_qubits)
 
     @property
@@ -133,7 +124,7 @@ class CalibrationMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        _check_qubits("num_qubits", self.num_qubits)
+        _integer("num_qubits", self.num_qubits, 1, MAX_QUBITS)
         # A private read-only copy, so the cached condition number and
         # inverse stay valid.
         entries = np.array(self.entries, dtype=float)
@@ -185,24 +176,12 @@ def _state_qubits(sv: np.ndarray) -> int:
             f"state vector of shape {sv.shape} is not 2^n amplitudes for n >= 1"
         )
     num_qubits = size.bit_length() - 1
-    _check_qubits("qubit count of sv", num_qubits)
+    _integer("qubit count of sv", num_qubits, 1, MAX_QUBITS)
     return num_qubits
-
-
-def _check_seed(seed) -> None:
-    if not isinstance(seed, _INTEGERS) or seed < 0:
-        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 # A multinomial draw takes its shot count as a C long.
 _MAX_SHOTS = 2**63 - 1
-
-
-def _check_shots(shots) -> None:
-    if not isinstance(shots, _INTEGERS) or shots < 1:
-        raise ValidationError(f"shots must be an integer >= 1, got {shots!r}")
-    if shots > _MAX_SHOTS:
-        raise ValidationError(f"shots = {shots} is above the draw's limit 2^63 - 1")
 
 
 def _check_frequencies(freqs: np.ndarray) -> None:
@@ -216,11 +195,6 @@ def _check_frequencies(freqs: np.ndarray) -> None:
         raise ValidationError(
             f"frequencies must be >= 0 and sum to 1, got min {low}, sum {total}"
         )
-
-
-def _check_calibration(name: str, cal) -> None:
-    if not isinstance(cal, CalibrationMatrix):
-        raise ValidationError(f"{name} = {cal!r} is not a CalibrationMatrix")
 
 
 def _check_condition(cal: CalibrationMatrix) -> None:
@@ -249,12 +223,12 @@ class _Readout:
         calibration: CalibrationMatrix | None,
     ):
         if shots is not None:
-            _check_shots(shots)
+            _integer("shots", shots, 1, _MAX_SHOTS)
         self.shots = shots
         self.matrix = None if noise is None else build_calibration(noise, num_qubits).entries
         self.inverse = None
         if calibration is not None:
-            _check_calibration("calibration", calibration)
+            _require("calibration", calibration, CalibrationMatrix, "a CalibrationMatrix")
             dim = 2**num_qubits
             if calibration.dim != dim:
                 raise ValidationError(
@@ -298,8 +272,8 @@ def sample_counts(
     draw, an int array of length 2^n indexed by basis state - 1."""
     # Checked here as well as by the readout, for which None is the
     # exact mode: a tally needs shots.
-    _check_shots(shots)
-    _check_seed(seed)
+    _integer("shots", shots, 1, _MAX_SHOTS)
+    _integer("seed", seed, 0)
     sv = np.asarray(sv)
     readout = _Readout(_state_qubits(sv), shots, noise, None)
     populations(sv)
@@ -320,7 +294,7 @@ def estimate_populations(
     frequencies of ``shots`` seeded draws. A calibration matrix, when
     supplied, then corrects the distribution.
     """
-    _check_seed(seed)
+    _integer("seed", seed, 0)
     sv = np.asarray(sv)
     num_qubits = _state_qubits(sv)
     readout = _Readout(num_qubits, shots, noise, calibration)
@@ -370,8 +344,11 @@ def mitigate(freqs: np.ndarray, cal: CalibrationMatrix) -> np.ndarray:
     else its Euclidean projection onto the probability simplex (Smolin,
     Gambetta & Smith, PRL 108, 070502, 2012).
     """
-    _check_calibration("cal", cal)
-    freqs = np.asarray(freqs, dtype=float)
+    _require("cal", cal, CalibrationMatrix, "a CalibrationMatrix")
+    try:
+        freqs = np.asarray(freqs, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"freqs = {freqs!r} is not an array of real numbers") from None
     if freqs.shape != (cal.dim,):
         raise ValidationError(
             f"calibration covers {cal.dim} outcomes, frequencies have shape {freqs.shape}"
@@ -385,9 +362,8 @@ def build_calibration(noise: ReadoutNoise, num_qubits: int) -> CalibrationMatrix
     """Calibration matrix of a readout-noise model: the tensor product of
     the per-qubit confusion matrices, built once per model (memoized)."""
     # Checked before the cache, which hashes its arguments first.
-    if not isinstance(noise, ReadoutNoise):
-        raise ValidationError(f"noise = {noise!r} is not a ReadoutNoise")
-    _check_qubits("num_qubits", num_qubits)
+    _require("noise", noise, ReadoutNoise, "a ReadoutNoise")
+    _integer("num_qubits", num_qubits, 1, MAX_QUBITS)
     return _calibration(noise, num_qubits)
 
 
@@ -573,9 +549,10 @@ def estimate_paulis(
     """
     sv = np.asarray(sv)
     num_qubits = _state_qubits(sv)
+    _require("strings", strings, Iterable, "an iterable of PauliStrings")
     strings = tuple(strings)
     groups = _group_bases(strings, num_qubits)
-    _check_seed(seed)
+    _integer("seed", seed, 0)
     readout = _Readout(num_qubits, shots, noise, calibration)
     freqs = _lone_draw(sv, num_qubits, tuple(groups), readout, seed)
     return {
@@ -603,13 +580,13 @@ def estimate_coherence(
     """
     sv = np.asarray(sv)
     num_qubits = _state_qubits(sv)
-    _check_basis_index("i", i, 2**num_qubits)
-    _check_basis_index("j", j, 2**num_qubits)
+    _integer("basis index i", i, 1, 2**num_qubits)
+    _integer("basis index j", j, 1, 2**num_qubits)
     if i == j:
         raise ValidationError("use populations for diagonal entries")
     # i != j, so every string has an X or a Y and none is the identity.
     plan = _ketbra_plan(i, j, num_qubits)
-    _check_seed(seed)
+    _integer("seed", seed, 0)
     readout = _Readout(num_qubits, shots_per_setting, noise, calibration)
     freqs = _lone_draw(sv, num_qubits, plan[0], readout, seed)
     return complex(_recombine(plan, freqs[None])[0])

@@ -348,7 +348,7 @@ class TestTypedInputErrors:
             Gate("rx", (0,), angle)
 
     def test_string_angle_names_the_angle(self):
-        with pytest.raises(ValidationError, match="angle '0.5' is not a real number"):
+        with pytest.raises(ValidationError, match=r"^angle = '0\.5' is not a real number$"):
             Gate("ry", (0,), "0.5")
 
     @pytest.mark.parametrize("targets", [(0.5,), ("0",), (None,)])

@@ -147,6 +147,18 @@ class TestConfig:
         path.write_text("circuit bell\nbackend exact\nshots 8192\n")
         assert load_config(path).shots == 8192
 
+    def test_an_exact_config_with_shots_0_runs(self, tmp_path):
+        # The readout's rule on shots holds for the sampling backends only:
+        # the exact backend reads no shots, so a count of 0 changes nothing.
+        csvs = []
+        for name, shots in (("zero", "shots 0\n"), ("none", "")):
+            cfg, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.csv"
+            cfg.write_text(f"circuit bell\ntheta_steps 3\n{shots}")
+            assert load_config(cfg).shots == (0 if shots else None)
+            assert main(["--out", str(out), "sweep", str(cfg)]) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("circuit bell\nbogus 1\n")
@@ -246,7 +258,7 @@ class TestConfig:
         cfg.write_text("circuit bell\ntheta_steps 2\nbackend shots\nshots 9223372036854775808\n")
         assert main(["--out", str(out), command, str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert err == "error: shots = 9223372036854775808 is above the draw's limit 2^63 - 1\n"
+        assert err == "error: shots must be in [1, 9223372036854775807], got 9223372036854775808\n"
         assert not out.exists()
 
     def test_bundled_names_resolve(self):

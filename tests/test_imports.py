@@ -5,7 +5,8 @@ unread.
 The package's own ``__init__.py`` is left out: its imports are the
 public surface. A name counts as used when it is read anywhere in the
 module, in an annotation too; a deletion that leaves its import behind
-fails here.
+fails here. The import graph between the package's own modules is
+pinned too, and so are the private names ``cli`` reads.
 """
 
 import ast
@@ -126,11 +127,50 @@ def private_imports(source: str) -> dict[str, set[str]]:
 # its config, grid and columns, and reads the package's argument tests.
 CLI_PRIVATE_IMPORTS = {
     "circuit": {"_sweep_states"},
-    "sampler": {"_Readout", "_sweep_values"},
+    "sampler": {"_MAX_SHOTS", "_Readout", "_sweep_values"},
     "maxent": {"_reconstruct_points"},
-    "linalg": {"_INTEGERS", "_REALS"},
+    "linalg": {"_INTEGERS", "_REALS", "_integer", "_require"},
 }
 
 
 def test_cli_imports_one_entry_per_layer():
     assert private_imports((PACKAGE / "cli.py").read_text()) == CLI_PRIVATE_IMPORTS
+
+
+def package_imports(source: str) -> set[str]:
+    """The modules of the package that ``source`` imports from."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            modules.update([node.module] if node.module else (a.name for a in node.names))
+    return modules
+
+
+# Which of the package's modules each module imports. Every argument check
+# goes through ``linalg``'s helpers, so ``pauli`` reads nothing of
+# ``circuit``, and a check moved back into ``circuit`` (or any new edge)
+# fails here.
+PACKAGE_IMPORTS = {
+    "__init__.py": {"circuit", "errors", "maxent", "pauli", "sampler"},
+    "circuit.py": {"errors", "linalg"},
+    "circuits/__init__.py": set(),
+    "cli.py": {"circuit", "circuits", "errors", "linalg", "maxent", "pauli", "sampler"},
+    "errors.py": set(),
+    "linalg.py": {"errors"},
+    "maxent.py": {"errors", "linalg"},
+    "pauli.py": {"errors", "linalg"},
+    "sampler.py": {"circuit", "errors", "linalg", "pauli"},
+}
+
+
+def test_the_import_graph_is_pinned():
+    graph = {
+        str(p.relative_to(PACKAGE)): package_imports(p.read_text())
+        for p in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert graph == PACKAGE_IMPORTS
+
+
+def test_a_new_import_edge_is_found():
+    source = "from . import circuits as bundled\nfrom .circuit import _check\nimport numpy\n"
+    assert package_imports(source) == {"circuits", "circuit"}

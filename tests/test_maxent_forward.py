@@ -403,7 +403,7 @@ class TestHeatmap:
     @pytest.mark.parametrize(
         "dims, message",
         [((3, 2), r"^dim_n must be a power of two >= 4, got 3$"),
-         ((4, 9), r"^index_k must lie in \[2, 4\], got 9$")],
+         ((4, 9), r"^index_k must be in \[2, 4\], got 9$")],
     )
     @pytest.mark.parametrize("grid", [([], []), ([1.0], [0.5])])
     def test_bad_dimensions_raise_on_any_grid(self, dims, message, grid):

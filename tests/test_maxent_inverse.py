@@ -9,6 +9,7 @@ from conftest import (
 )
 
 import math
+import re
 import warnings
 
 from qmaxent import DomainError, InfeasibleRecordError, ValidationError, maxent
@@ -379,9 +380,11 @@ class TestScalarInputErrors:
         [(4.0, 2, "dim_n"), (4, 2.0, "index_k"), ("4", 2, "dim_n"), (4, None, "index_k")],
     )
     def test_non_integer_dimensions_name_the_input(self, dim_n, index_k, name):
-        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+        value = dim_n if name == "dim_n" else index_k
+        message = rf"^{name} = {re.escape(repr(value))} is not an integer$"
+        with pytest.raises(ValidationError, match=message):
             MeasurementRecord(dim_n, index_k, 0.5, 0.1)
-        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+        with pytest.raises(ValidationError, match=message):
             LagrangeSet(dim_n, index_k, 0.0, 0.0, 0.0)
 
     def test_numpy_integer_dimensions_accepted(self):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import re
 import struct
 import types
 
@@ -16,7 +18,7 @@ from conftest import (
 
 from qmaxent import DomainError, TomographyError, ValidationError, circuits
 from qmaxent import circuit, sampler
-from qmaxent.cli import ExperimentConfig, run_sweep
+from qmaxent.cli import ExperimentConfig, emit_caseab_csv, emit_csv, run_case_ab, run_sweep
 from qmaxent.circuit import (
     MAX_QUBITS,
     Circuit,
@@ -30,7 +32,20 @@ from qmaxent.circuit import (
     simulate,
     zero_state,
 )
-from qmaxent.maxent import heatmap_scan, load_record, predict_population
+from qmaxent.maxent import (
+    LagrangeSet,
+    MeasurementRecord,
+    block_fidelity,
+    density_from_lagrange,
+    dump_record,
+    fidelity,
+    heatmap_scan,
+    load_record,
+    predict_population,
+    reconstruct,
+    solve_lagrange,
+    solve_record,
+)
 from qmaxent.pauli import PauliString, decompose_ketbra
 from qmaxent.sampler import (
     CalibrationMatrix,
@@ -107,13 +122,17 @@ class TestSampleCounts:
     @pytest.mark.parametrize("shots", [0, 2.5])
     def test_shots_must_be_a_positive_integer(self, shots):
         # A multinomial draw would truncate 2.5 to 2 shots.
-        with pytest.raises(ValidationError, match="shots must be an integer >= 1"):
+        message = {
+            0: r"^shots must be in \[1, 9223372036854775807\], got 0$",
+            2.5: r"^shots = 2\.5 is not an integer$",
+        }[shots]
+        with pytest.raises(ValidationError, match=message):
             sample_counts(BELL_SV, shots)
 
     @pytest.mark.parametrize("shots", [2**63, 2**64 + 5, np.uint64(2**63)])
     def test_shots_beyond_the_draws_limit_rejected(self, shots):
         # A multinomial draw used to raise an untyped OverflowError.
-        message = rf"^shots = {shots} is above the draw's limit 2\^63 - 1$"
+        message = rf"^shots must be in \[1, 9223372036854775807\], got {shots}$"
         with pytest.raises(ValidationError, match=message):
             sample_counts(BELL_SV, shots)
         with pytest.raises(ValidationError, match=message):
@@ -132,11 +151,12 @@ class TestSampleCounts:
 
     @pytest.mark.parametrize("seed", [1.5, "3"])
     def test_non_integer_seed_rejected(self, seed):
-        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+        message = rf"^seed = {re.escape(repr(seed))} is not an integer$"
+        with pytest.raises(ValidationError, match=message):
             sample_counts(BELL_SV, 10, seed=seed)
-        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+        with pytest.raises(ValidationError, match=message):
             estimate_populations(BELL_SV, 10, seed=seed)
-        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+        with pytest.raises(ValidationError, match=message):
             estimate_coherence(BELL_SV, 4, 1, 10, seed=seed)
 
 
@@ -763,6 +783,54 @@ class TestReadoutChecks:
             (
                 lambda: heatmap_scan([0.0], [0.0], im_lam1k=None),
                 "im_lam1k = None is not a real number",
+            ),
+            (lambda: density_from_lagrange(5), "ls = 5 is not a LagrangeSet"),
+            (lambda: block_fidelity(1, 2), "a = 1 is not a LagrangeSet"),
+            (lambda: reconstruct(5), "mr = 5 is not a MeasurementRecord"),
+            (lambda: solve_lagrange(5), "mr = 5 is not a MeasurementRecord"),
+            (lambda: dump_record(5), "mr = 5 is not a MeasurementRecord"),
+            (lambda: run_sweep(5), "cfg = 5 is not an ExperimentConfig"),
+            (lambda: run_case_ab(5), "cfg = 5 is not an ExperimentConfig"),
+            (lambda: emit_csv(5, os.devnull), "s = 5 is not a Sweep"),
+            (lambda: emit_caseab_csv(5, os.devnull), "s = 5 is not a Sweep"),
+            (
+                lambda: parse_circuit("qubits 1\nrx(theta) 0", "1"),
+                "theta = '1' is not a real number",
+            ),
+            (lambda: parse_circuit("qubits 1\nrx(theta) 0", 1j), "theta = 1j is not a real number"),
+            (
+                lambda: estimate_paulis(BELL_SV, 5),
+                "strings = 5 is not an iterable of PauliStrings",
+            ),
+            (lambda: PauliString(5), "letters = 5 is not an iterable of Pauli letters"),
+            (lambda: Gate("h", 0), "targets = 0 is not a tuple"),
+            (lambda: ReadoutNoise.uniform(0.1, 0.1, "2"), "num_qubits = '2' is not an integer"),
+            (lambda: ReadoutNoise.uniform(0.1, 0.1, -1), "num_qubits must be >= 0, got -1"),
+            (
+                lambda: mitigate("a", CalibrationMatrix(2, np.eye(4))),
+                "freqs = 'a' is not an array of real numbers",
+            ),
+            (lambda: fidelity("a", np.eye(4) / 4), "rho: expected a numeric matrix, got 'a'"),
+            (
+                lambda: MeasurementRecord(4, 2, 10**400, 0),
+                f"x_11 = {10**400} is past the float range",
+            ),
+            (
+                lambda: LagrangeSet(4, 2, 10**400, 0, 0),
+                f"lam_11 = {10**400} is past the float range",
+            ),
+            (lambda: predict_population(10**400, 0.1), f"x_11 = {10**400} is past the float range"),
+            (
+                lambda: heatmap_scan([10**400], [0.0]),
+                f"lam11_values = [{10**400}] holds a number past the float range",
+            ),
+            (
+                lambda: ReadoutNoise((10**400,), (0.1,)),
+                f"p01 = ({10**400},) holds a number past the float range",
+            ),
+            (
+                lambda: solve_record(MeasurementRecord(4, 2, 0.5, 0.1), "0.1"),
+                "x_kk = '0.1' is not a real number",
             ),
         ],
     )

@@ -178,11 +178,11 @@ def test_a_theta_free_error_is_raised_at_once(body):
 @pytest.mark.parametrize("theta", ["x", [1.0]])
 def test_a_theta_that_is_not_a_number_is_a_type_error(theta):
     text = "qubits 1\nrx(theta) 0"
-    with pytest.raises(TypeError) as want:
+    with pytest.raises(ValidationError) as want:
         parse_circuit(text, theta)
-    with pytest.raises(TypeError) as got:
+    with pytest.raises(ValidationError) as got:
         circuit._sweep_states(text, [0.5, theta])
-    assert str(got.value) == str(want.value)
+    assert str(want.value) == str(got.value) == f"theta = {theta!r} is not a real number"
 
 
 @pytest.mark.parametrize("shots", [None, 100])
