@@ -68,7 +68,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParseError, TomographyError, ValidationError
-from .linalg import MAX_QUBITS, _INTEGERS, _REALS, _check, _integer, _raised, _require
+from .linalg import (
+    MAX_QUBITS, _INTEGERS, _check, _integer, _number, _raised, _require, _shown,
+)
 
 GATE_KINDS = ("h", "x", "cx", "cz", "rx", "ry", "rz")
 _ROTATIONS = ("rx", "ry", "rz")
@@ -83,7 +85,7 @@ class Gate:
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
-            raise ValidationError(f"unknown gate kind {self.kind!r}")
+            raise ValidationError(f"unknown gate kind {_shown(self.kind)}")
         _require("targets", self.targets, tuple, "a tuple")
         want = 2 if self.kind in _TWO_QUBIT else 1
         if len(self.targets) != want:
@@ -101,11 +103,7 @@ class Gate:
                 f"gate {self.kind}: angle must be present exactly for rx/ry/rz"
             )
         if self.angle is not None:
-            _require("angle", self.angle, _REALS, "a real number")
-            if not math.isfinite(self.angle):
-                raise ValidationError(
-                    f"gate {self.kind}: angle = {self.angle!r} is not finite"
-                )
+            _number("angle", self.angle, finite=True)
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,7 @@ def _gate_tuple(gates) -> tuple[Gate, ...]:
     ValidationError naming the argument."""
     out = tuple(gates) if isinstance(gates, Iterable) else None
     if out is None or not all(isinstance(g, Gate) for g in out):
-        raise ValidationError(f"gates = {gates!r} is not a sequence of Gates")
+        raise ValidationError(f"gates = {_shown(gates)} is not a sequence of Gates")
     return out
 
 
@@ -302,15 +300,14 @@ def _parse_text(text: str) -> _Parsed:
 
 def _thetas(thetas: list) -> np.ndarray:
     """The float64 array of ``thetas``, each multiplied by a float first.
-    When that fails, on a string say, the first theta that is not a real
-    number raises a ValidationError naming it, in a sweep as in
+    When that fails, on a string or an int past the float range say, the
+    first theta that is not a real number within that range raises a
+    ValidationError naming it (``_number``), in a sweep as in
     ``parse_circuit``."""
     try:
         return np.array([1.0 * t for t in thetas], dtype=float)
-    except TypeError:
-        for t in thetas:
-            _require("theta", t, _REALS, "a real number")
-        raise
+    except (TypeError, OverflowError):
+        return np.array([_number("theta", t) for t in thetas])
 
 
 def _bind(parsed: _Parsed, thetas: list):

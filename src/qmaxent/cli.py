@@ -65,7 +65,7 @@ import numpy as np
 from . import circuits as bundled
 from .circuit import _sweep_states, qubit_count
 from .errors import InfeasibleRecordError, TomographyError, ValidationError
-from .linalg import _INTEGERS, _REALS, _integer, _require
+from .linalg import _INTEGERS, _integer, _number, _require, _shown
 from .maxent import (
     _reconstruct_points,
     density_from_lagrange,
@@ -77,9 +77,26 @@ from .maxent import (
     solve_record,
 )
 from .pauli import decompose_ketbra
-from .sampler import _MAX_SHOTS, ReadoutNoise, _Readout, _sweep_values, build_calibration
+from .sampler import (
+    _MAX_SHOTS,
+    ReadoutNoise,
+    _draw_rows,
+    _Readout,
+    _sweep_values,
+    build_calibration,
+)
 
 _BACKENDS = ("exact", "shots", "noisy")
+# A command whose estimated peak memory is past _MAX_BYTES is refused
+# before ``_grid`` builds an axis (``_check_size``). The estimate is
+# _POINT_BYTES per point, a sweep's (theta, K) or a heatmap's cell, and
+# _ENTRY_BYTES per entry of the (theta, row, outcome) block a sweep
+# reads: one row per theta in the exact mode, ``sampler._draw_rows`` in
+# a sampled one. Both costs bound the peak RSS measured per point and
+# per entry of CLI runs near the limit (README, "Limits").
+_MAX_BYTES = 2**30
+_POINT_BYTES = 1000
+_ENTRY_BYTES = 64
 
 # Illustrative readout-flip rates used when a noisy config omits its own.
 DEFAULT_P01 = 0.02
@@ -112,13 +129,16 @@ class ExperimentConfig:
         if self.backend not in _BACKENDS:
             raise ValidationError(f"backend must be one of {_BACKENDS}")
         _require("circuit_path", self.circuit_path, (str, os.PathLike), "a path")
-        _require("theta_start", self.theta_start, _REALS, "a real number")
-        _require("theta_stop", self.theta_stop, _REALS, "a real number")
+        # Checked, not cast: the fields keep the values given.
+        _number("theta_start", self.theta_start)
+        _number("theta_stop", self.theta_stop)
         _integer("theta_steps", self.theta_steps, 1)
         if not isinstance(self.k_targets, Sequence) or not all(
             isinstance(k, _INTEGERS) for k in self.k_targets
         ):
-            raise ValidationError(f"k_targets = {self.k_targets!r} is not a sequence of integers")
+            raise ValidationError(
+                f"k_targets = {_shown(self.k_targets)} is not a sequence of integers"
+            )
         # The readout's rule; the exact backend reads no shots.
         if self.backend != "exact":
             _integer("shots", self.shots, 1, _MAX_SHOTS)
@@ -237,9 +257,9 @@ def _k_targets(k_targets: tuple[int, ...], dim_n: int) -> tuple[int, ...]:
         return tuple(range(2, dim_n + 1))
     for k in k_targets:
         if k < 2:
-            raise ValidationError(f"k target {k} must be >= 2")
+            raise ValidationError(f"k target {_shown(k, str)} must be >= 2")
         if k > dim_n:
-            raise ValidationError(f"k target {k} exceeds dimension {dim_n}")
+            raise ValidationError(f"k target {_shown(k, str)} exceeds dimension {dim_n}")
     if len(set(k_targets)) != len(k_targets):
         raise ValidationError(f"k targets {k_targets} name a target twice")
     return tuple(k_targets)
@@ -263,6 +283,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     absolute one stays as it is), so the config runs from any working
     directory; a bundled name is stored as it is.
     """
+    _require("path", path, (str, os.PathLike), "a path")
     path = Path(path)
     values = parse_keyvals(_read_text(path), _CONFIG_KEYS, "config")
     if "circuit" not in values:
@@ -318,12 +339,12 @@ def _grid(start: float, stop: float, num: int, axis: str) -> list[float]:
     zero, and the last point is stop; one point is 0 * d + start. A d
     that is not finite, which would give NaN and infinite points, is
     rejected by the ``axis`` name of its ends."""
-    if not math.isfinite(stop - start):
+    start, stop = float(start), float(stop)
+    delta = stop - start
+    if not math.isfinite(delta):
         raise ValidationError(
             f"{axis}_stop - {axis}_start = {stop!r} - {start!r} is not finite"
         )
-    start, stop = float(start), float(stop)
-    delta = stop - start
     div = num - 1
     if div < 1:
         return [0.0 * delta + start] * num
@@ -334,6 +355,16 @@ def _grid(start: float, stop: float, num: int, axis: str) -> list[float]:
         grid = [i * step + start for i in range(num)]
     grid[-1] = stop
     return grid
+
+
+def _check_size(what: str, points: int, entries: int = 0) -> None:
+    """Refuse a command whose estimated peak memory is past ``_MAX_BYTES``."""
+    size = points * _POINT_BYTES + entries * _ENTRY_BYTES
+    if size > _MAX_BYTES:
+        raise ValidationError(
+            f"{what} would need about {_shown(-(-size // 2**20), str)} MiB, past the "
+            f"{_MAX_BYTES >> 20} MiB one command may use"
+        )
 
 
 def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
@@ -363,6 +394,13 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
         )
     dim_n = 2**num_qubits
     k_targets = _k_targets(cfg.k_targets, dim_n)
+    rows = 1 if cfg.backend == "exact" else _draw_rows(k_targets, num_qubits)
+    _check_size(
+        f"theta_steps = {_shown(cfg.theta_steps, str)} over {len(k_targets)} K target(s) "
+        f"on {num_qubits} qubits, backend {cfg.backend},",
+        cfg.theta_steps * len(k_targets),
+        cfg.theta_steps * rows * dim_n,
+    )
     if cfg.theta_steps == 1:
         thetas = [float(cfg.theta_start)]
     else:
@@ -688,14 +726,17 @@ def load_heatmap_config(path: str | Path) -> dict:
         "im_lam1k": read_number(values, "im_lam1k", 0.0),
         "out": values.get("out"),
     }
-    for axis in ("lam11", "re_lam1k"):
-        steps = read_number(values, f"{axis}_steps", 21, int)
-        if steps < 1:
-            raise ValidationError(f"{axis}_steps = {steps} is below 1")
+    axes = ("lam11", "re_lam1k")
+    steps = [read_number(values, f"{axis}_steps", 21, int) for axis in axes]
+    for axis, num in zip(axes, steps):
+        if num < 1:
+            raise ValidationError(f"{axis}_steps = {num} is below 1")
+    _check_size(f"lam11_steps * re_lam1k_steps = {steps[0]} * {steps[1]}", steps[0] * steps[1])
+    for axis, num in zip(axes, steps):
         params[axis] = _grid(
             read_number(values, f"{axis}_start", -3.0),
             read_number(values, f"{axis}_stop", 3.0),
-            steps,
+            num,
             axis,
         )
     return params

@@ -47,7 +47,6 @@ returns its columns. A complete record from the caller is solved as given.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 import warnings
@@ -63,12 +62,11 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    _DENSITY_ATOL, _INTEGERS, _REALS, _check, _integer, _raised, _reals, _require,
-    require_hermitian,
+    _DENSITY_ATOL, _INTEGERS, _check, _integer, _number, _raised, _reals, _require,
+    _shown, require_hermitian,
 )
 
 _SOURCES = ("measured", "predicted")
-_COMPLEX = (*_REALS, complex, np.complexfloating)
 
 _RECORD_ATOL = 1e-9  # the slack of each invariant of a record's values
 _POPULATION_FLOOR = 1e-12  # x11 at or below it has no predicted xKK
@@ -80,55 +78,19 @@ _LOG_FLOOR = 1e-12  # Z w- at or below it is floored: near_singular
 def _check_dims(dim_n: int, index_k: int) -> None:
     _require("dim_n", dim_n, _INTEGERS, "an integer")
     if dim_n < 4 or dim_n & (dim_n - 1):
-        raise ValidationError(f"dim_n must be a power of two >= 4, got {dim_n}")
+        raise ValidationError(f"dim_n must be a power of two >= 4, got {_shown(dim_n, str)}")
     _integer("index_k", index_k, 2, dim_n)
 
 
-def _name_non_finite(**values) -> None:
-    """Raise for the first NaN or infinite value, by its name.
-
-    Callers first test one sum of the values, which is finite whenever
-    every value is, and call this only when it is not: the sum can also
-    overflow, in which case this raises nothing.
-    """
-    for name, value in values.items():
-        if value is not None and not cmath.isfinite(value):
-            raise ValidationError(f"{name} = {value!r} is not finite")
-
-
-def _number(name: str, value, kind: str):
-    """``value`` as a float (``kind`` "real") or a complex (``kind``
-    "complex"); another type, or an int past the float range, raises a
-    ValidationError naming it."""
-    types, cast = (_COMPLEX, complex) if kind == "complex" else (_REALS, float)
-    _require(name, value, types, f"a {kind} number")
-    try:
-        return cast(value)
-    except OverflowError:
-        raise ValidationError(f"{name} = {value!r} is past the float range") from None
-
-
-def _check_finite(prefix: str, v11: float, v1k: complex, vkk: float | None = None) -> None:
-    """Raise ValidationError unless ``{prefix}_11``, ``{prefix}_1k`` and
-    ``{prefix}_kk`` (skipped when None) are finite: one sum is tested, and
-    only a non-finite sum names a value (``_name_non_finite``). A complex
-    value whose modulus passes the float range, where abs() raises
-    OverflowError, is named for that; the error is caught, not tested for."""
-    try:
-        finite = math.isfinite(v11 + abs(v1k) + (vkk or 0.0))
-    except OverflowError:
-        raise ValidationError(
-            f"{prefix}_1k = {v1k!r} has a modulus past the float range"
-        ) from None
-    if not finite:
-        _name_non_finite(**{f"{prefix}_11": v11, f"{prefix}_1k": v1k, f"{prefix}_kk": vkk})
-
-
-def _check_record_values(x_11: float, x_1k: complex, x_kk: float | None) -> None:
-    """The invariants of a record's values: finite, populations in
-    [0, 1], |x1K| <= 1 and, with x_kk, x11 + xKK <= 1 and a positive
-    semidefinite minor, each within ``_RECORD_ATOL``."""
-    _check_finite("x", x_11, x_1k, x_kk)
+def _check_record_values(x_11, x_1k, x_kk) -> tuple[float, complex, float | None]:
+    """A record's values as a float, a complex and a float or None, each
+    a finite number (``_number``) in turn; then the invariants:
+    populations in [0, 1], |x1K| <= 1 and, with x_kk, x11 + xKK <= 1 and
+    a positive semidefinite minor, each within ``_RECORD_ATOL``."""
+    x_11 = _number("x_11", x_11, finite=True)
+    x_1k = _number("x_1k", x_1k, "complex", finite=True)
+    if x_kk is not None:
+        x_kk = _number("x_kk", x_kk, finite=True)
     tol = _RECORD_ATOL
     if not -tol <= x_11 <= 1 + tol:
         raise ValidationError(f"x_11 = {x_11} outside [0, 1]")
@@ -144,6 +106,7 @@ def _check_record_values(x_11: float, x_1k: complex, x_kk: float | None) -> None
                 "|x_1k|^2 exceeds x_11 * x_kk; the constraint minor is "
                 "not positive semidefinite"
             )
+    return x_11, x_1k, x_kk
 
 
 @dataclass(frozen=True)
@@ -165,10 +128,8 @@ class LagrangeSet:
 
     def __post_init__(self):
         _check_dims(self.dim_n, self.index_k)
-        object.__setattr__(self, "lam_11", _number("lam_11", self.lam_11, "real"))
-        object.__setattr__(self, "lam_1k", _number("lam_1k", self.lam_1k, "complex"))
-        object.__setattr__(self, "lam_kk", _number("lam_kk", self.lam_kk, "real"))
-        _check_finite("lam", self.lam_11, self.lam_1k, self.lam_kk)
+        for name, kind in (("lam_11", "real"), ("lam_1k", "complex"), ("lam_kk", "real")):
+            object.__setattr__(self, name, _number(name, getattr(self, name), kind, finite=True))
 
 
 @dataclass(frozen=True)
@@ -191,11 +152,9 @@ class MeasurementRecord:
         _check_dims(self.dim_n, self.index_k)
         if self.source not in _SOURCES:
             raise ValidationError(f"source must be one of {_SOURCES}")
-        object.__setattr__(self, "x_11", _number("x_11", self.x_11, "real"))
-        object.__setattr__(self, "x_1k", _number("x_1k", self.x_1k, "complex"))
-        if self.x_kk is not None:
-            object.__setattr__(self, "x_kk", _number("x_kk", self.x_kk, "real"))
-        _check_record_values(self.x_11, self.x_1k, self.x_kk)
+        values = _check_record_values(self.x_11, self.x_1k, self.x_kk)
+        for name, value in zip(("x_11", "x_1k", "x_kk"), values):
+            object.__setattr__(self, name, value)
 
     @property
     def complete(self) -> bool:
@@ -421,14 +380,13 @@ def predict_population(x_11: float, x_1k: complex) -> float:
     (a smaller excess is rounding on exact pure-state data). A NaN or
     infinite input, or one that is not a number, raises ValidationError.
     """
-    _number("x_11", x_11, "real")
-    _number("x_1k", x_1k, "complex")
-    _check_finite("x", x_11, x_1k)
+    x_11 = _number("x_11", x_11, finite=True)
+    x_1k = _number("x_1k", x_1k, "complex", finite=True)
     if not _above_floor(x_11):
         raise DomainError(
             f"x_11 = {x_11} is at or below the floor {_POPULATION_FLOOR}; prediction undefined"
         )
-    x11, x1k = _arrays(float(x_11), complex(x_1k))
+    x11, x1k = _arrays(x_11, x_1k)
     predicted, value, ceiling = (v.item() for v in _predict_population(x11, _modulus(x1k)))
     if value - ceiling > _FEASIBILITY_ATOL:
         warnings.warn(
@@ -454,9 +412,9 @@ def _project(x11, x1k, xkk, modulus):
     """
     with np.errstate(all="ignore"):
         finite = np.isfinite(x11) & np.isfinite(x1k) & np.isfinite(xkk)
-        # The first statement of the record check raises for exactly these
-        # points: ValidationError naming a non-finite estimate, or one
-        # whose modulus passes the float range.
+        # The record check's first statements, ``_number`` of each value,
+        # raise for exactly these points: ValidationError naming a
+        # non-finite estimate, or one whose modulus passes the float range.
         _check(~finite | np.isinf(modulus), lambda i: _raised(
             _check_record_values, x11[i].item(), x1k[i].item(), xkk[i].item(),
         ))
@@ -607,9 +565,9 @@ def _solve(dim_n: int, x11, x1k, xkk):
         lam_1k = -(g * x1k + 0.0)
         lam_kk = -(avg - g * half_gap)
         finite = np.isfinite(lam_11) & np.isfinite(lam_1k) & np.isfinite(lam_kk)
+    # The multipliers' own check, ``LagrangeSet``'s; K = 2 suits every N.
     _check(~finite, lambda i: _raised(
-        _name_non_finite, lam_11=lam_11[i].item(), lam_1k=lam_1k[i].item(),
-        lam_kk=lam_kk[i].item(),
+        LagrangeSet, dim_n, 2, lam_11[i].item(), lam_1k[i].item(), lam_kk[i].item(),
     ))
     spec = _exponent_spectrum(dim_n, lam_11, lam_1k, lam_kk)
     _check_reproduction(spec, x11, x1k, xkk)
@@ -723,7 +681,7 @@ def solve_record(
     source = "measured"
     if x_kk is None:
         x_kk, source = predict_population(mr.x_11, mr.x_1k), "predicted"
-    x11, x1k, xkk = _arrays(mr.x_11, mr.x_1k, _number("x_kk", x_kk, "real"))
+    x11, x1k, xkk = _arrays(mr.x_11, mr.x_1k, _number("x_kk", x_kk))
     completed, lams, near_singular, _ = _complete_and_solve(
         mr.dim_n, x11, x1k, xkk, _modulus(x1k)
     )
@@ -850,7 +808,7 @@ def heatmap_scan(
     """
     _check_dims(dim_n, index_k)
     lam11, re1k = _reals("lam11_values", lam11_values), _reals("re_lam1k_values", re_lam1k_values)
-    lam_kk, im = _number("lam_kk", lam_kk, "real"), _number("im_lam1k", im_lam1k, "real")
+    lam_kk, im = _number("lam_kk", lam_kk), _number("im_lam1k", im_lam1k)
     shape = (len(lam11), len(re1k))
     l11, l1k = np.empty(shape), np.empty(shape, complex)
     l11[...] = lam11[:, None]

@@ -76,7 +76,7 @@ import numpy as np
 
 from .circuit import _FIXED_1Q, _apply_1q, _coherence, _state_vector, populations
 from .errors import DomainError, ValidationError
-from .linalg import MAX_QUBITS, _integer, _reals, _require
+from .linalg import MAX_QUBITS, _integer, _reals, _require, _shown
 from .pauli import PauliString, decompose_ketbra
 
 _COLUMN_SUM_ATOL = 1e-12  # the slack of a calibration column's sum
@@ -127,7 +127,12 @@ class CalibrationMatrix:
         _integer("num_qubits", self.num_qubits, 1, MAX_QUBITS)
         # A private read-only copy, so the cached condition number and
         # inverse stay valid.
-        entries = np.array(self.entries, dtype=float)
+        try:
+            entries = np.array(self.entries, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(
+                f"entries = {_shown(self.entries)} is not a matrix of real numbers"
+            ) from None
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
         dim = 2**self.num_qubits
@@ -347,8 +352,10 @@ def mitigate(freqs: np.ndarray, cal: CalibrationMatrix) -> np.ndarray:
     _require("cal", cal, CalibrationMatrix, "a CalibrationMatrix")
     try:
         freqs = np.asarray(freqs, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"freqs = {freqs!r} is not an array of real numbers") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"freqs = {_shown(freqs)} is not an array of real numbers"
+        ) from None
     if freqs.shape != (cal.dim,):
         raise ValidationError(
             f"calibration covers {cal.dim} outcomes, frequencies have shape {freqs.shape}"
@@ -433,6 +440,12 @@ def _ketbra_plan(i: int, j: int, num_qubits: int):
     weights = np.array([coeffs[p] for reads in groups.values() for p, _ in reads])
     signs.flags.writeable = weights.flags.writeable = False
     return tuple(groups), signs, weights
+
+
+def _draw_rows(k_targets, num_qubits: int) -> int:
+    """The rows per theta that a sampled sweep draws (``_sweep_values``):
+    each K's Z row and its plan's bases."""
+    return sum(1 + len(_ketbra_plan(k, 1, num_qubits)[0]) for k in k_targets)
 
 
 def _recombine(plan, freqs: np.ndarray) -> np.ndarray:

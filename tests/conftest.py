@@ -82,7 +82,8 @@ from qmaxent.circuit import (
 )
 from qmaxent.pauli import decompose_ketbra
 from qmaxent.errors import InfeasibleRecordError
-from qmaxent.maxent import _check_record_values, _name_non_finite
+from qmaxent.linalg import _number
+from qmaxent.maxent import _check_record_values
 
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
 settings.load_profile("tier1")
@@ -879,13 +880,21 @@ def reference_transposed_apply_1q(state, u, qubit, n):
 # tolerances are ``maxent``'s constants, read at call time.
 
 
+def name_non_finite(**values) -> None:
+    """Raise ``linalg._number``'s error for the first NaN or infinite
+    value, by its name; a ``*_1k`` value is complex, the others real."""
+    for name, value in values.items():
+        if value is not None:
+            _number(name, value, "complex" if name.endswith("_1k") else "real", finite=True)
+
+
 def reference_project(x_11, x_1k, x_kk):
     """The estimates as floats, projected onto the feasible set."""
     x_11, x_1k = float(x_11), complex(x_1k)
     if x_kk is not None:
         x_kk = float(x_kk)
     if not math.isfinite(x_11 + abs(x_1k) + (x_kk or 0.0)):
-        _name_non_finite(x_11=x_11, x_1k=x_1k, x_kk=x_kk)
+        name_non_finite(x_11=x_11, x_1k=x_1k, x_kk=x_kk)
     x_11 = min(max(x_11, 0.0), 1.0)
     if abs(x_1k) > 1.0:
         x_1k *= 1.0 / abs(x_1k)
@@ -1005,7 +1014,7 @@ def solve_steps(dim_n, x_11, x_1k, x_kk):
     lam_1k = -(g * x_1k + 0j)
     lam_kk = -(avg - g * half_gap)
     if not math.isfinite(lam_11 + abs(lam_1k) + lam_kk):
-        _name_non_finite(lam_11=lam_11, lam_1k=lam_1k, lam_kk=lam_kk)
+        name_non_finite(lam_11=lam_11, lam_1k=lam_1k, lam_kk=lam_kk)
     yield
     spec = reference_spectrum(dim_n, lam_11, lam_1k, lam_kk)
     yield
@@ -1356,7 +1365,7 @@ def hypot_solve(dim_n, x11, x1k, xkk):
         lam_kk = -(avg - g * half_gap)
         finite = np.isfinite(lam_11) & np.isfinite(lam_1k) & np.isfinite(lam_kk)
     maxent._check(~finite, lambda i: maxent._raised(
-        _name_non_finite, lam_11=lam_11[i].item(), lam_1k=lam_1k[i].item(),
+        name_non_finite, lam_11=lam_11[i].item(), lam_1k=lam_1k[i].item(),
         lam_kk=lam_kk[i].item(),
     ))
     spec = hypot_exponent_spectrum(dim_n, lam_11, lam_1k, lam_kk)

@@ -120,6 +120,8 @@ class TestConfig:
             ({"circuit_path": 3}, "circuit_path = 3 is not a path"),
             ({"backend": "noisy", "shots": 64, "noise": "x"}, "noise = 'x' is not a ReadoutNoise"),
             ({"mitigate": "false"}, "mitigate = 'false' is not a bool"),
+            ({"backend": "x"}, "backend must be one of ('exact', 'shots', 'noisy')"),
+            ({"backend": "noisy", "shots": 64}, "noisy backend requires a noise model"),
         ],
     )
     def test_a_field_of_the_wrong_type_names_itself(self, fields, message):
@@ -281,6 +283,15 @@ class TestConfig:
 
 
 class TestRunSweep:
+    def test_a_one_qubit_circuit_is_refused(self, tmp_path):
+        (tmp_path / "one.qc").write_text("qubits 1\nrx(theta) 0\n")
+        with pytest.raises(ValidationError) as caught:
+            run_sweep(ExperimentConfig(str(tmp_path / "one.qc"), theta_steps=2))
+        assert str(caught.value) == (
+            "reconstruction needs at least 2 qubits (no unconstrained "
+            "states remain in a 1-qubit system)"
+        )
+
     def test_bell_single_point(self):
         cfg = ExperimentConfig(
             circuit_path="bell", theta_steps=1, k_targets=(4,), backend="exact"
@@ -388,6 +399,70 @@ class TestRunSweep:
             assert sweep.xkk_true[i] == pytest.approx(pops[2], abs=1e-12)
             x1k = complex(sv[0] * np.conj(sv[2]))
             assert sweep.x1k[i] == pytest.approx(x1k, abs=1e-12)
+
+
+class TestSizeCap:
+    """A command whose estimated peak memory is past ``cli._MAX_BYTES`` is
+    refused before ``_grid`` builds an axis: the grid is patched to fail
+    if called, so a command at the limit reaches it and one past does not."""
+
+    @pytest.fixture(autouse=True)
+    def no_grid(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_grid was called")
+
+        monkeypatch.setattr(cli, "_grid", refuse)
+
+    def test_theta_steps_past_the_cap_are_refused(self, tmp_path, capsys):
+        message = (
+            "theta_steps = 1000000000000 over 3 K target(s) on 2 qubits, backend exact, "
+            "would need about 3105163575 MiB, past the 1024 MiB one command may use"
+        )
+        cfg = ExperimentConfig("twoq_a", theta_steps=10**12)  # K = 2, 3, 4
+        for run in (run_sweep, run_case_ab):
+            with pytest.raises(ValidationError) as caught:
+                run(cfg)
+            assert str(caught.value) == message
+        path = tmp_path / "cfg.txt"
+        path.write_text("circuit twoq_a\ntheta_steps 1000000000000\n")
+        assert main(["--out", str(tmp_path / "o.csv"), "sweep", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        ("backend", "limit"),
+        [
+            # 3 points and 4 amplitudes per theta
+            ("exact", 329773),
+            # 3 points and 11 drawn rows of 4 outcomes per theta
+            ("shots", 184618),
+        ],
+    )
+    def test_a_sweep_at_the_limit_passes_and_one_more_theta_is_refused(self, backend, limit):
+        cfg = ExperimentConfig("twoq_a", theta_steps=limit, backend=backend, shots=64)
+        with pytest.raises(AssertionError, match="^_grid was called$"):
+            run_sweep(cfg)
+        with pytest.raises(ValidationError) as caught:
+            run_sweep(ExperimentConfig("twoq_a", theta_steps=limit + 1, backend=backend, shots=64))
+        assert str(caught.value) == (
+            f"theta_steps = {limit + 1} over 3 K target(s) on 2 qubits, backend {backend}, "
+            "would need about 1025 MiB, past the 1024 MiB one command may use"
+        )
+
+    def test_heatmap_steps_past_the_cap_are_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "hm.txt"
+        cfg.write_text("lam11_steps 1036\nre_lam1k_steps 1036\n")
+        with pytest.raises(AssertionError, match="^_grid was called$"):
+            load_heatmap_config(cfg)
+        message = (
+            "lam11_steps * re_lam1k_steps = 10000000 * 10000000 would need about "
+            "95367431641 MiB, past the 1024 MiB one command may use"
+        )
+        cfg.write_text("lam11_steps 10000000\nre_lam1k_steps 10000000\n")
+        with pytest.raises(ValidationError) as caught:
+            load_heatmap_config(cfg)
+        assert str(caught.value) == message
+        assert main(["--out", str(tmp_path / "hm.csv"), "heatmap", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestCaseAB:

@@ -127,9 +127,9 @@ def private_imports(source: str) -> dict[str, set[str]]:
 # its config, grid and columns, and reads the package's argument tests.
 CLI_PRIVATE_IMPORTS = {
     "circuit": {"_sweep_states"},
-    "sampler": {"_MAX_SHOTS", "_Readout", "_sweep_values"},
+    "sampler": {"_MAX_SHOTS", "_Readout", "_draw_rows", "_sweep_values"},
     "maxent": {"_reconstruct_points"},
-    "linalg": {"_INTEGERS", "_REALS", "_integer", "_require"},
+    "linalg": {"_INTEGERS", "_integer", "_number", "_require", "_shown"},
 }
 
 

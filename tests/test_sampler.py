@@ -832,6 +832,65 @@ class TestReadoutChecks:
                 lambda: solve_record(MeasurementRecord(4, 2, 0.5, 0.1), "0.1"),
                 "x_kk = '0.1' is not a real number",
             ),
+            (
+                lambda: parse_circuit("qubits 1\nrx(theta) 0", 10**400),
+                f"theta = {10**400} is past the float range",
+            ),
+            (
+                lambda: _sweep_states("qubits 1\nrx(theta) 0", [0.5, 10**400]),
+                f"theta = {10**400} is past the float range",
+            ),
+            (
+                lambda: ExperimentConfig("twoq_a", theta_start=10**400, theta_steps=2),
+                f"theta_start = {10**400} is past the float range",
+            ),
+            (
+                lambda: zero_state(10**5000),
+                "num_qubits must be in [1, 6], got an int of 5001 digits",
+            ),
+            (
+                lambda: MeasurementRecord(4, 2, 10**5000, 0),
+                "x_11 = an int of 5001 digits is past the float range",
+            ),
+            (
+                lambda: MeasurementRecord(4, 2, 0.5, -(10**5000)),
+                "x_1k = a negative int of 5001 digits is past the float range",
+            ),
+            (
+                lambda: heatmap_scan([10**5000], [0.0]),
+                "lam11_values = a list with an int too long to print "
+                "holds a number past the float range",
+            ),
+            (
+                lambda: run_sweep(ExperimentConfig("twoq_a", theta_steps=2, k_targets=(10**5000,))),
+                "k target an int of 5001 digits exceeds dimension 4",
+            ),
+            (lambda: Gate("rx", (0,), math.inf), "angle = inf is not finite"),
+            (lambda: Gate("foo", (0,)), "unknown gate kind 'foo'"),
+            (lambda: Gate("cx", (0,)), "gate cx takes 2 qubit(s), got (0,)"),
+            (lambda: Gate("cx", (1, 1)), "gate cx needs two distinct qubits"),
+            (
+                lambda: Gate("h", (0,), 0.5),
+                "gate h: angle must be present exactly for rx/ry/rz",
+            ),
+            (lambda: Gate("rx", (0,)), "gate rx: angle must be present exactly for rx/ry/rz"),
+            (
+                lambda: Circuit(1, (Gate("h", (1,)),)),
+                "gate h targets (1,) out of range for 1 qubit(s)",
+            ),
+            (lambda: parse_circuit("qubits 1\nrx() 0"), "line 2: missing angle expression"),
+            (lambda: parse_circuit("qubits 2\nrx(0.5) 0 1"), "line 2: rx takes one qubit"),
+            (
+                lambda: fidelity(np.ones((2, 3)), np.eye(4) / 4),
+                "rho: expected a square matrix, got shape (2, 3)",
+            ),
+            (lambda: PauliString(()), "empty Pauli string"),
+            (lambda: PauliString(("X", "A")), "bad Pauli letters ['A']"),
+            (
+                lambda: ReadoutNoise((0.1,), (0.1, 0.2)),
+                "p01 and p10 must cover the same qubits",
+            ),
+            (lambda: CalibrationMatrix(1, np.eye(4)), "expected shape (2, 2), got (4, 4)"),
         ],
     )
     def test_an_argument_of_the_wrong_type_names_itself(self, call, message):
