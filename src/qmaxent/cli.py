@@ -65,7 +65,9 @@ import numpy as np
 from . import circuits as bundled
 from .circuit import _sweep_states, qubit_count
 from .errors import InfeasibleRecordError, TomographyError, ValidationError
-from .linalg import _INTEGERS, _integer, _number, _require, _shown
+from .linalg import (
+    _ENTRY_BYTES, _INTEGERS, _POINT_BYTES, _check_size, _integer, _number, _require, _shown,
+)
 from .maxent import (
     _reconstruct_points,
     density_from_lagrange,
@@ -87,17 +89,6 @@ from .sampler import (
 )
 
 _BACKENDS = ("exact", "shots", "noisy")
-# A command whose estimated peak memory is past _MAX_BYTES is refused
-# before ``_grid`` builds an axis (``_check_size``). The estimate is
-# _POINT_BYTES per point, a sweep's (theta, K) or a heatmap's cell, and
-# _ENTRY_BYTES per entry of the (theta, row, outcome) block a sweep
-# reads: one row per theta in the exact mode, ``sampler._draw_rows`` in
-# a sampled one. Both costs bound the peak RSS measured per point and
-# per entry of CLI runs near the limit (README, "Limits").
-_MAX_BYTES = 2**30
-_POINT_BYTES = 1000
-_ENTRY_BYTES = 64
-
 # Illustrative readout-flip rates used when a noisy config omits its own.
 DEFAULT_P01 = 0.02
 DEFAULT_P10 = 0.04
@@ -357,16 +348,6 @@ def _grid(start: float, stop: float, num: int, axis: str) -> list[float]:
     return grid
 
 
-def _check_size(what: str, points: int, entries: int = 0) -> None:
-    """Refuse a command whose estimated peak memory is past ``_MAX_BYTES``."""
-    size = points * _POINT_BYTES + entries * _ENTRY_BYTES
-    if size > _MAX_BYTES:
-        raise ValidationError(
-            f"{what} would need about {_shown(-(-size // 2**20), str)} MiB, past the "
-            f"{_MAX_BYTES >> 20} MiB one command may use"
-        )
-
-
 def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
     """Measure and reconstruct every (theta, K) point, theta outer, K inner.
 
@@ -398,8 +379,7 @@ def _sweep_points(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
     _check_size(
         f"theta_steps = {_shown(cfg.theta_steps, str)} over {len(k_targets)} K target(s) "
         f"on {num_qubits} qubits, backend {cfg.backend},",
-        cfg.theta_steps * len(k_targets),
-        cfg.theta_steps * rows * dim_n,
+        cfg.theta_steps * (len(k_targets) * _POINT_BYTES + rows * dim_n * _ENTRY_BYTES),
     )
     if cfg.theta_steps == 1:
         thetas = [float(cfg.theta_start)]
@@ -731,7 +711,10 @@ def load_heatmap_config(path: str | Path) -> dict:
     for axis, num in zip(axes, steps):
         if num < 1:
             raise ValidationError(f"{axis}_steps = {num} is below 1")
-    _check_size(f"lam11_steps * re_lam1k_steps = {steps[0]} * {steps[1]}", steps[0] * steps[1])
+    _check_size(
+        f"lam11_steps * re_lam1k_steps = {steps[0]} * {steps[1]}",
+        steps[0] * steps[1] * _POINT_BYTES,
+    )
     for axis, num in zip(axes, steps):
         params[axis] = _grid(
             read_number(values, f"{axis}_start", -3.0),

@@ -25,7 +25,9 @@ raising a ValidationError that names the argument:
 Each message shows an int too long for Python to print by its digit
 count (``_shown``). ``_reals`` is the test of a sequence of
 reals, and ``MAX_QUBITS`` the bound of every qubit count, checked
-before any 2**n.
+before any 2**n. ``_check_size`` is the one size rule: a call whose
+estimated peak memory is past ``_MAX_BYTES`` is refused before it
+allocates.
 """
 
 from __future__ import annotations
@@ -45,6 +47,17 @@ _INTEGERS = (int, np.integer)
 _REALS = (int, float, np.integer, np.floating)
 _COMPLEX = (*_REALS, complex, np.complexfloating)
 MAX_QUBITS = 6
+
+# A call whose estimated peak memory is past _MAX_BYTES is refused before
+# it allocates (``_check_size``). A command's estimate is _POINT_BYTES per
+# point, a sweep's (theta, K) or a heatmap's cell, and _ENTRY_BYTES per
+# entry of the (theta, row, outcome) block a sweep reads: one row per
+# theta in the exact mode, ``sampler._draw_rows`` in a sampled one. Both
+# costs bound the peak RSS measured per point and per entry of CLI runs
+# near the limit (README, "Limits").
+_MAX_BYTES = 2**30
+_POINT_BYTES = 1000
+_ENTRY_BYTES = 64
 
 
 def _shown(value, form=repr) -> str:
@@ -101,6 +114,16 @@ def _number(name: str, value, kind: str = "real", finite: bool = False):
         if not math.isfinite(modulus):
             raise ValidationError(f"{name} = {number!r} is not finite")
     return number
+
+
+def _check_size(what: str, size: int) -> None:
+    """Refuse a call whose estimated peak memory, ``size`` bytes, is past
+    ``_MAX_BYTES``: a ValidationError that names ``what``."""
+    if size > _MAX_BYTES:
+        raise ValidationError(
+            f"{what} would need about {_shown(-(-size // 2**20), str)} MiB, past the "
+            f"{_MAX_BYTES >> 20} MiB one command may use"
+        )
 
 
 def _reals(name: str, values) -> np.ndarray:

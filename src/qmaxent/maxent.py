@@ -62,8 +62,8 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    _DENSITY_ATOL, _INTEGERS, _check, _integer, _number, _raised, _reals, _require,
-    _shown, require_hermitian,
+    _DENSITY_ATOL, _INTEGERS, _POINT_BYTES, _check, _check_size, _integer, _number, _raised,
+    _reals, _require, _shown, require_hermitian,
 )
 
 _SOURCES = ("measured", "predicted")
@@ -73,12 +73,15 @@ _POPULATION_FLOOR = 1e-12  # x11 at or below it has no predicted xKK
 _FEASIBILITY_ATOL = 1e-12  # x11 + xKK within it of 1 saturates
 _RESCALE_TARGET = 1.0 - 1e-9  # the x11 + xKK a saturated estimate is scaled to
 _LOG_FLOOR = 1e-12  # Z w- at or below it is floored: near_singular
+_MAX_DIM = 2**53  # the largest dim_n; float(dim_n - 2) is exact up to it
 
 
 def _check_dims(dim_n: int, index_k: int) -> None:
     _require("dim_n", dim_n, _INTEGERS, "an integer")
     if dim_n < 4 or dim_n & (dim_n - 1):
         raise ValidationError(f"dim_n must be a power of two >= 4, got {_shown(dim_n, str)}")
+    if dim_n > _MAX_DIM:
+        raise ValidationError(f"dim_n must be at most 2**53, got {_shown(dim_n, str)}")
     _integer("index_k", index_k, 2, dim_n)
 
 
@@ -340,12 +343,14 @@ def density_from_lagrange(ls: LagrangeSet) -> np.ndarray:
     Every diagonal entry outside the {1, K} block equals 1/Z, and the
     block holds the mean values (x11, x1K, xKK) the multipliers generate,
     the forward map of the solve's reproduction check. Multipliers whose
-    exp(A) leaves the float range raise DomainError.
+    exp(A) leaves the float range raise DomainError, and a matrix past
+    ``linalg._MAX_BYTES`` (N above 8192) ValidationError.
     """
     _require("ls", ls, LagrangeSet, "a LagrangeSet")
     spec = _forward(ls)[1]
     x11, x1k, xkk = (v.item() for v in _expectations(spec))
     n, k = ls.dim_n, ls.index_k - 1
+    _check_size(f"a density matrix of dim_n = {n}", 16 * n * n)  # complex128 entries
     rho = np.zeros((n, n), dtype=complex)
     np.fill_diagonal(rho, 1.0 / spec[0].item())
     rho[0, 0] = x11
@@ -802,7 +807,8 @@ def heatmap_scan(
     in row-major order: lam11 outer, Re lam1K inner. Each axis is a
     sequence or a 1-D array of real numbers, and ``lam_kk`` and
     ``im_lam1k`` are real numbers; another type raises a ValidationError
-    naming the argument. Then the first point whose multipliers
+    naming the argument, and so does a grid past ``linalg._MAX_BYTES``
+    at 1000 B a point. Then the first point whose multipliers
     ``LagrangeSet`` rejects raises its error; then the first whose exp(A)
     overflows, then the first whose forward values fail the record check.
     """
@@ -810,6 +816,10 @@ def heatmap_scan(
     lam11, re1k = _reals("lam11_values", lam11_values), _reals("re_lam1k_values", re_lam1k_values)
     lam_kk, im = _number("lam_kk", lam_kk), _number("im_lam1k", im_lam1k)
     shape = (len(lam11), len(re1k))
+    _check_size(
+        f"len(lam11_values) * len(re_lam1k_values) = {shape[0]} * {shape[1]}",
+        shape[0] * shape[1] * _POINT_BYTES,
+    )
     l11, l1k = np.empty(shape), np.empty(shape, complex)
     l11[...] = lam11[:, None]
     l1k.real, l1k.imag = re1k, im

@@ -30,10 +30,6 @@ The ``reference_`` completion and solve are the scalar float code of
 one point at a time, and the ``reference_`` forward map is ``mp_forward``
 rounded to floats, kept to check the error type and message of each
 failing point of an array kernel's call.
-The ``hypot_`` kernels are ``maxent``'s array kernels as they read when
-each took its moduli afresh with np.hypot, screened on moduli and
-computed both branches of every np.where on every point, kept to check
-the kernels that share moduli and mask branches bit for bit.
 ``reference_sampled_sweep`` is the sampled measurement drawn one row at
 a time from one generator, each state rotated from the start by its own
 basis rotations (written out here, not taken from the library), read
@@ -1199,184 +1195,6 @@ def reference_emit_heatmap_csv(scan, path) -> None:
         for lam11, lam1k, x11, x1k in zip(*(column.tolist() for column in scan))
     ]
     _reference_write_csv(HEATMAP_HEADER, lines, path)
-
-
-# The array kernels as they read when every modulus was np.hypot, taken
-# afresh in each kernel, every screen tested moduli, and every np.where
-# computed both of its branches on every point: the reference of the
-# kernels that take each modulus once and run each branch on its own
-# points, bit for bit and error for error. Each check raises where it
-# runs, for its first failing point, as the kernels' checks do.
-
-
-def hypot_record_suspects(x11, x1k, xkk=None):
-    """The mask of the points the hypot screen of the record check marks."""
-    tol = maxent._RECORD_ATOL
-    with np.errstate(all="ignore"):
-        modulus = np.hypot(x1k.real, x1k.imag)
-        ok = (
-            np.isfinite(x11) & np.isfinite(modulus)
-            & (-tol <= x11) & (x11 <= 1 + tol) & (modulus <= 1 + tol)
-        )
-        if xkk is not None:
-            ok &= (
-                np.isfinite(xkk) & (-tol <= xkk) & (xkk <= 1 + tol) & (x11 + xkk <= 1 + tol)
-                & (modulus * modulus <= x11 * xkk + 0.5 * tol)
-            )
-    return ~ok
-
-
-def hypot_check_records(x11, x1k, xkk=None):
-    maxent._check(hypot_record_suspects(x11, x1k, xkk), lambda i: maxent._raised(
-        _check_record_values, x11[i].item(), x1k[i].item(),
-        None if xkk is None else xkk[i].item(),
-    ))
-
-
-def hypot_exponent_spectrum(dim_n, l11, l1k, lkk):
-    with np.errstate(all="ignore"):
-        c = np.hypot(l1k.real, l1k.imag)
-        h = 0.5 * (l11 - lkk)
-        r = np.hypot(h, c)
-        outer = r + np.abs(h)
-        q = np.where(r > 0.0, c / outer, 0.0)
-        t = c * q
-        lo = maxent._exp_sum(-np.maximum(l11, lkk), -t)
-        hi = maxent._exp_sum(-np.minimum(l11, lkk), t)
-        two_r = 2.0 * r
-        ratio = np.where(two_r > 0.0, np.expm1(two_r) / two_r, 1.0)
-        s = np.where(two_r < 1.0, lo * ratio, (hi - lo) / two_r)
-        small, large = lo + (s * c) * q, lo + s * outer
-        up = h >= 0.0
-        block = (np.where(up, small, large), -(s * l1k) + 0.0, np.where(up, large, small))
-        z = lo + hi + float(dim_n - 2)
-        domain = ~np.isfinite(z)
-    maxent._check(domain, lambda i: DomainError(
-        f"exp(A) overflows for multipliers lam_11 = {l11[i].item()!r}, "
-        f"lam_1k = {l1k[i].item()!r}, lam_kk = {lkk[i].item()!r}"
-    ))
-    return z, block
-
-
-def hypot_predict_population(x11, x1k):
-    with np.errstate(all="ignore"):
-        modulus = np.hypot(x1k.real, x1k.imag)
-        value = modulus * modulus / x11
-        ceiling = 1.0 - x11
-        ceiling = np.where(ceiling > 0.0, ceiling, 0.0)
-        return np.where(ceiling < value, ceiling, value), value, ceiling
-
-
-def hypot_project(x11, x1k, xkk):
-    with np.errstate(all="ignore"):
-        modulus = np.hypot(x1k.real, x1k.imag)
-        finite = np.isfinite(x11) & np.isfinite(x1k) & np.isfinite(xkk)
-        maxent._check(~finite | np.isinf(modulus), lambda i: maxent._raised(
-            _check_record_values, x11[i].item(), x1k[i].item(), xkk[i].item(),
-        ))
-        x11 = np.clip(x11, 0.0, 1.0)
-        x1k = np.where(modulus > 1.0, x1k * (1.0 / modulus), x1k)
-        xkk = np.clip(xkk, 0.0, 1.0)
-        total = x11 + xkk
-        over = total > 1.0
-        x11 = np.where(over, x11 / total, x11)
-        xkk = np.where(over, xkk / total, xkk)
-        x1k = np.where(over, x1k / total, x1k)
-        bound = np.sqrt(x11 * xkk)
-        modulus = np.hypot(x1k.real, x1k.imag)
-        x1k = np.where(modulus > bound, x1k * (bound / modulus), x1k)
-    return x11, x1k, xkk
-
-
-def hypot_rescale(x11, x1k, xkk):
-    with np.errstate(all="ignore"):
-        total = x11 + xkk
-        c = np.where(total < 1.0 - maxent._FEASIBILITY_ATOL, 1.0, (1.0 - 1e-9) / total)
-        fired = c != 1.0
-        rescaled = (
-            np.where(fired, c * x11, x11), np.where(fired, x1k * c, x1k),
-            np.where(fired, c * xkk, xkk),
-        )
-    return rescaled, fired
-
-
-def hypot_deviation_suspects(forward, x11, x1k, xkk):
-    """The mask of the points the hypot screen of the reproduction check
-    marks, and their deviations."""
-    f11, f1k, fkk = forward
-    with np.errstate(all="ignore"):
-        d11 = np.abs(f11 - x11)
-        d1k = np.hypot(f1k.real - x1k.real, f1k.imag - x1k.imag)
-        dkk = np.abs(fkk - xkk)
-        dev = np.where(d1k > d11, d1k, d11)
-        dev = np.where(dkk > dev, dkk, dev)
-    return dev > 1e-6, dev
-
-
-def hypot_check_reproduction(spec, x11, x1k, xkk):
-    f11, f1k, fkk = maxent._expectations(spec)
-    suspects, dev = hypot_deviation_suspects((f11, f1k, fkk), x11, x1k, xkk)
-    hypot_check_records(f11, f1k, fkk)
-    maxent._check(suspects, lambda i: TomographyError(
-        f"solver failed to reproduce the record (deviation {dev[i].item():.3e})"
-    ))
-
-
-def hypot_solve(dim_n, x11, x1k, xkk):
-    with np.errstate(all="ignore"):
-        total = x11 + xkk
-        maxent._check(
-            total >= 1.0 - maxent._FEASIBILITY_ATOL,
-            lambda i: InfeasibleRecordError(
-                f"x_11 + x_kk = {total[i].item()} saturates 1; the partition "
-                "function diverges (rescale the record first)"
-            ),
-        )
-        z = float(dim_n - 2) / (1.0 - x11 - xkk)
-        mid = 0.5 * total
-        half_gap = 0.5 * (x11 - xkk)
-        r = np.hypot(half_gap, np.hypot(x1k.real, x1k.imag))
-        w_hi = mid + r
-        det = x11 * xkk - (x1k.real * x1k.real + x1k.imag * x1k.imag)
-        w_lo = np.where(w_hi > 0, det / w_hi, 0.0)
-        maxent._check(
-            w_lo < -maxent._RECORD_ATOL,
-            lambda i: InfeasibleRecordError(
-                f"constraint minor has negative eigenvalue {w_lo[i].item():.3e}"
-            ),
-        )
-        w_lo = np.where(w_lo <= 8 * sys.float_info.epsilon * w_hi, 0.0, w_lo)
-        floor = maxent._LOG_FLOOR
-        z_hi = z * np.where(0.0 > w_hi, 0.0, w_hi)
-        z_lo = z * w_lo
-        near_singular = z_lo <= floor
-        log_hi = np.log(np.where(floor > z_hi, floor, z_hi))
-        log_lo = np.log(np.where(floor > z_lo, floor, z_lo))
-        g = np.where(
-            r == 0.0,
-            0.0,
-            np.where(
-                near_singular, (log_hi - log_lo) / (2 * r), np.log1p(2 * r / w_lo) / (2 * r)
-            ),
-        )
-        avg = 0.5 * (log_hi + log_lo)
-        lam_11 = -(avg + g * half_gap)
-        lam_1k = -(g * x1k + 0.0)
-        lam_kk = -(avg - g * half_gap)
-        finite = np.isfinite(lam_11) & np.isfinite(lam_1k) & np.isfinite(lam_kk)
-    maxent._check(~finite, lambda i: maxent._raised(
-        name_non_finite, lam_11=lam_11[i].item(), lam_1k=lam_1k[i].item(),
-        lam_kk=lam_kk[i].item(),
-    ))
-    spec = hypot_exponent_spectrum(dim_n, lam_11, lam_1k, lam_kk)
-    hypot_check_reproduction(spec, x11, x1k, xkk)
-    return (lam_11, lam_1k, lam_kk), near_singular, spec
-
-
-def hypot_complete_and_solve(dim_n, x11, x1k, xkk):
-    completed = hypot_project(x11, x1k, xkk)
-    rescaled, _ = hypot_rescale(*completed)
-    return (completed, *hypot_solve(dim_n, *rescaled))
 
 
 def tolerance_literal(node) -> bool:

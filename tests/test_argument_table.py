@@ -53,9 +53,11 @@ from qmaxent import (
 from qmaxent.cli import ExperimentConfig, load_config, run_case_ab, run_sweep
 
 # Each replaces one argument of a valid call; a case names it by its key.
+# 2**1100 is a power of two past the float range: a dimension of that
+# size passes the power-of-two test.
 WRONG = {
     "str": "x", "None": None, "nan": math.nan, "inf": math.inf, "10**400": 10**400,
-    "10**5000": 10**5000, "list": [1.0], "object": object(),
+    "2**1100": 2**1100, "10**5000": 10**5000, "list": [1.0], "object": object(),
 }
 
 BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2)

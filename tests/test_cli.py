@@ -402,7 +402,7 @@ class TestRunSweep:
 
 
 class TestSizeCap:
-    """A command whose estimated peak memory is past ``cli._MAX_BYTES`` is
+    """A command whose estimated peak memory is past ``linalg._MAX_BYTES`` is
     refused before ``_grid`` builds an axis: the grid is patched to fail
     if called, so a command at the limit reaches it and one past does not."""
 

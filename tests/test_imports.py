@@ -129,7 +129,10 @@ CLI_PRIVATE_IMPORTS = {
     "circuit": {"_sweep_states"},
     "sampler": {"_MAX_SHOTS", "_Readout", "_draw_rows", "_sweep_values"},
     "maxent": {"_reconstruct_points"},
-    "linalg": {"_INTEGERS", "_integer", "_number", "_require", "_shown"},
+    "linalg": {
+        "_ENTRY_BYTES", "_INTEGERS", "_POINT_BYTES", "_check_size", "_integer", "_number",
+        "_require", "_shown",
+    },
 }
 
 

@@ -403,6 +403,7 @@ class TestHeatmap:
     @pytest.mark.parametrize(
         "dims, message",
         [((3, 2), r"^dim_n must be a power of two >= 4, got 3$"),
+         ((2**1100, 2), r"^dim_n must be at most 2\*\*53, got \d{332}$"),
          ((4, 9), r"^index_k must be in \[2, 4\], got 9$")],
     )
     @pytest.mark.parametrize("grid", [([], []), ([1.0], [0.5])])
@@ -410,3 +411,45 @@ class TestHeatmap:
         dim_n, index_k = dims
         with pytest.raises(ValidationError, match=message):
             heatmap_scan(*grid, dim_n=dim_n, index_k=index_k)
+
+
+class TestSizeCap:
+    """``heatmap_scan`` and ``density_from_lagrange`` refuse a call whose
+    estimated peak memory is past ``linalg._MAX_BYTES`` before they
+    allocate: the allocator is patched to fail if called, so a call at the
+    limit reaches it and one past it does not."""
+
+    @pytest.fixture
+    def refuse(self, monkeypatch):
+        def patch(name):
+            def refuse(*args, **kwargs):
+                raise AssertionError(f"np.{name} was called")
+
+            monkeypatch.setattr(np, name, refuse)
+
+        return patch
+
+    def test_heatmap_grid_past_the_limit_is_refused(self, refuse):
+        axis, long = [0.0] * 1036, np.arange(10**5, dtype=float)
+        refuse("empty")
+        with pytest.raises(AssertionError, match="^np.empty was called$"):
+            heatmap_scan(axis, axis)
+        for lam11, re1k, mib in ((axis + [0.0], axis, 1025), (long, long, 9536744)):
+            with pytest.raises(ValidationError) as caught:
+                heatmap_scan(lam11, re1k)
+            assert str(caught.value) == (
+                f"len(lam11_values) * len(re_lam1k_values) = {len(lam11)} * {len(re1k)} "
+                f"would need about {mib} MiB, past the 1024 MiB one command may use"
+            )
+
+    def test_density_matrix_past_the_limit_is_refused(self, refuse):
+        refuse("zeros")
+        with pytest.raises(AssertionError, match="^np.zeros was called$"):
+            density_from_lagrange(LagrangeSet(2**13, 2, 0.0, 0.0, 0.0))
+        for dim_n, mib in ((2**14, 4096), (2**20, 16777216)):
+            with pytest.raises(ValidationError) as caught:
+                density_from_lagrange(LagrangeSet(dim_n, 2, 0.0, 0.0, 0.0))
+            assert str(caught.value) == (
+                f"a density matrix of dim_n = {dim_n} would need about {mib} MiB, "
+                "past the 1024 MiB one command may use"
+            )

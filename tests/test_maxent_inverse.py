@@ -387,6 +387,19 @@ class TestScalarInputErrors:
         with pytest.raises(ValidationError, match=message):
             LagrangeSet(dim_n, index_k, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("dim_n", [2**54, 2**1100])
+    def test_dimension_past_two_to_the_53_names_it(self, dim_n):
+        # float(dim_n - 2) would round, or overflow, in the solve.
+        message = rf"^dim_n must be at most 2\*\*53, got {dim_n}$"
+        with pytest.raises(ValidationError, match=message):
+            MeasurementRecord(dim_n, 2, 0.4, 0.1, 0.3)
+        with pytest.raises(ValidationError, match=message):
+            LagrangeSet(dim_n, 2, 0.0, 0.0, 0.0)
+
+    def test_dimension_two_to_the_53_is_solved(self):
+        ls = solve_lagrange(MeasurementRecord(2**53, 2, 0.4, 0.1, 0.3))
+        assert ls.dim_n == 2**53 and math.isfinite(ls.lam_11)
+
     def test_numpy_integer_dimensions_accepted(self):
         mr = MeasurementRecord(np.int64(4), np.int64(2), 0.5, 0.1)
         assert (mr.dim_n, mr.index_k) == (4, 2)
